@@ -42,7 +42,7 @@ for r, a, delta, e in ((1, Fraction(1), (Fraction(0),), 1),
 # back violation-free: the transform is slope-stable.
 print("\n== grid scan ==")
 bounds = EnumerationBounds(a_max=Fraction(4), delta_max=Fraction(4))
-report = transform_stability(LineBundleX(k3.model, -2), pol, bounds, workers=2)
+report = transform_stability(LineBundleX(k3.model, -2), pol, bounds)
 counts = report.scan.verdict_counts()
 print("candidates:", report.scan.candidate_count, counts)
 print("stable:", report.stable)

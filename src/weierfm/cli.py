@@ -286,7 +286,7 @@ def _cmd_scan(args) -> int:
     pol = _resolve_polarization(args, model, default_h)
     bounds = EnumerationBounds(a_max=args.a_max, delta_max=args.delta_max)
     lb = LineBundleX(model, args.m, args.twist)
-    report = transform_stability(lb, pol, bounds, workers=args.workers)
+    report = transform_stability(lb, pol, bounds)
     if args.json:
         payload = serialize.to_jsonable(report)
         if args.full_reports:
@@ -389,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--twist", type=_rational_vector, default=None)
     p.add_argument("--a-max", type=_rational, default=Fraction(6))
     p.add_argument("--delta-max", type=_rational, default=Fraction(6))
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--full-reports", action="store_true",
                    help="with --json, include every per-candidate report")
     p.add_argument("--json", action="store_true")

@@ -36,7 +36,7 @@ or into a contradiction when the scenario is impossible.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InfeasibleScenarioError, InternalCheckError
 from .fm import WitType
@@ -145,12 +145,6 @@ class PageGrid:
         if not self.in_region(pos):
             return TermStatus.ZERO
         return self.terms[pos].status
-
-    def copy(self) -> "PageGrid":
-        return replace(
-            self,
-            terms={pos: Term(t.status, t.label) for pos, t in self.terms.items()},
-        )
 
     def degrees(self) -> range:
         return range(
@@ -328,29 +322,19 @@ def build_pages(scenario: SheafScenario) -> tuple[PageGrid, PageGrid]:
 
 
 def degenerate(grid: PageGrid) -> tuple[PageGrid, int]:
-    """Run differentials until none can act; report the settling page.
+    """Check that the page has degenerated at E2; return it with page 2.
 
-    At status level a differential with two live endpoints has an unknown
-    effect, so both endpoints drop to Unknown when one acts.  In every
-    scenario this package builds, no differential can act at all (the
-    Right band has two rows and the Left band a dead column), so the page
-    index comes back as 2 and statuses pass through untouched.
+    In every scenario ``build_pages`` seeds, no differential can act (the
+    Right band has two rows and the Left band a dead column), so the
+    statuses already describe the limit.  A grid on which some d_r could
+    still act breaks that invariant and raises ``InternalCheckError``.
     """
-    out = grid.copy()
-    last_active = 1
-    for r in range(2, out.max_differential_page() + 1):
-        arrows = out.possible_arrows(r)
-        if not arrows:
-            continue
-        last_active = r
-        for src, tgt in arrows:
-            for pos in (src, tgt):
-                term = out.terms[pos]
-                if term.status is TermStatus.NONZERO:
-                    term.status = TermStatus.UNKNOWN
-    page = max(2, last_active + 1)
-    out.page = page
-    return out, page
+    if not grid.is_settled():
+        raise InternalCheckError(
+            f"a differential can act on the {grid.side.value} page, "
+            "so it does not degenerate at E_2"
+        )
+    return grid, 2
 
 
 # -- limit comparison ------------------------------------------------------

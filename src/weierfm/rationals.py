@@ -40,6 +40,8 @@ def as_rational_vector(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or ``"z"`` (no decimals, no whitespace tricks)."""
+    if not isinstance(text, str):
+        raise ValueError(f"a rational must be a 'p/q' string, got {type(text).__name__}")
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")

@@ -38,183 +38,190 @@ Schemas (all keys required unless marked optional):
                        inadmissible_reasons: [str]}
   ScanResult          {any_violation: bool, candidate_count: int,
                        verdict_counts: {str: int}, reports: [...]}
+
+Every schema above but ScanResult is its dataclass's own field list, so
+one plan per class, read once from ``dataclasses.fields`` and
+``typing.get_type_hints``, drives both directions through an encoder and
+a decoder closure cached by type.  Keys are the field names in field
+order, renamed where ``_RENAMES`` says (``fiber_deg`` is written
+``fiber_degree``); a field typed ``SurfaceModel`` is left out and filled
+from the decoder's ``model`` argument; relations lead with a ``"kind"``
+tag naming their class.  Decoders take only the JSON types the encoders
+write and raise ``ValueError`` otherwise, naming any missing key.
+``ScanResult``, ``ScenarioSolution`` and ``TransformStabilityReport`` are
+views (derived counts, renamed fields, a flattened scan) with hand-written
+encoders; ``ScanResult`` is read back through its plan.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
+from enum import Enum
 from fractions import Fraction
-from functools import singledispatch
-from typing import Any
+from functools import cache
+from itertools import repeat
+from operator import attrgetter, itemgetter
+from types import UnionType
+from typing import Any, Callable, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from .duality import (
-    Conclusion,
-    ConclusionKind,
-    DerivedRelation,
-    Forbidden,
-    ForcedZero,
-    Identification,
-    ScenarioSolution,
-    SheafScenario,
-    ShortExact,
-    Side,
-    TermRef,
+    Conclusion, DerivedRelation, Forbidden, ForcedZero, Identification,
+    ScenarioSolution, SheafScenario, ShortExact, TermRef,
 )
 from .fm import (
-    KernelChoice,
-    LineBundleX,
-    Polarization,
-    TransformResult,
-    TruncatedChar,
-    WitType,
+    KernelChoice, LineBundleX, Polarization, TransformResult, TruncatedChar, WitType,
 )
 from .rationals import format_rational, parse_rational
 from .ring import DivisorClassX, SurfaceClass, SurfaceModel, ThreefoldClass
 from .stability import (
-    DestabilizerCandidate,
-    EffectivityProxy,
-    ScanResult,
-    StabilityReport,
-    TraceStep,
+    DestabilizerCandidate, EffectivityProxy, ScanResult, StabilityReport, TraceStep,
     TransformStabilityReport,
-    Verdict,
 )
 
-
-def _vec(values) -> list[str]:
-    return [format_rational(v) for v in values]
-
-
-def _unvec(values) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(v) for v in values)
+_RENAMES = {"fiber_deg": "fiber_degree"}
+_RELATIONS = {
+    cls.__name__: cls for cls in (Identification, ForcedZero, ShortExact, Forbidden)
+}
+_LEAVES = {int: "an integer", bool: "a boolean", str: "a string"}
 
 
-@singledispatch
-def to_jsonable(obj: Any) -> Any:
-    raise TypeError(f"no JSON form registered for {type(obj).__name__}")
+class _Codec(NamedTuple):
+    encode: Callable[[Any], Any]
+    decode: Callable[..., Any]  # (value) or, if needs_model, (value, model)
+    needs_model: bool = False
 
 
-@to_jsonable.register
-def _(obj: Fraction) -> str:
-    return format_rational(obj)
+_enum_value = attrgetter("value")
 
 
-@to_jsonable.register
-def _(obj: SurfaceModel) -> dict:
+def _wrong_type(kind: type, value: Any) -> ValueError:
+    return ValueError(f"expected {_LEAVES[kind]}, got {type(value).__name__}")
+
+
+def _enum(kind: type[Enum]) -> _Codec:
+    members = {member.value: member for member in kind}
+
+    def decode(value: Any) -> Enum:
+        try:
+            return members[value]
+        except (KeyError, TypeError):
+            raise ValueError(f"{value!r} is not a valid {kind.__name__}") from None
+
+    return _Codec(_enum_value, decode)
+
+
+def _tuple(hint: Any, size: int | None) -> _Codec:
+    leaf = hint if hint in _LEAVES else None
+    item = _Codec(list, None) if leaf else _field_codec(hint)
+    encode_item, decode_item, needs_model = item
+
+    def decode(value: Any, model: SurfaceModel | None = None) -> tuple:
+        if type(value) is not list:
+            raise ValueError(f"expected a list, got {type(value).__name__}")
+        if size is not None and len(value) != size:
+            raise ValueError(f"expected a list of {size} entries, got {len(value)}")
+        if leaf is not None:
+            for entry in value:
+                if type(entry) is not leaf:
+                    raise _wrong_type(leaf, entry)
+            return tuple(value)
+        if needs_model:
+            return tuple(map(decode_item, value, repeat(model)))
+        return tuple(map(decode_item, value))
+
+    encode = list if leaf else lambda v: list(map(encode_item, v))
+    return _Codec(encode, decode, needs_model)
+
+
+def _field_codec(hint: Any) -> _Codec:
+    """Codec of one non-leaf field type (leaves are handled by the caller)."""
+    if hint is Fraction:
+        return _Codec(format_rational, parse_rational)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return _enum(hint)
+    if is_dataclass(hint):
+        return _plan(hint)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType) and len(args) == 2 and type(None) in args:
+        # None only as a constructor default (LineBundleX.twist): the stored
+        # value is always set, so JSON carries the value's own form
+        return _field_codec(args[0] if args[1] is type(None) else args[1])
+    if origin is tuple and len(set(args) - {Ellipsis}) == 1:
+        return _tuple(args[0], None if args[-1] is Ellipsis else len(args))
+    raise TypeError(f"no JSON form for field type {hint!r}")
+
+
+@cache
+def _plan(cls: type) -> _Codec:
+    """Encoder and decoder closures for one dataclass, built once per type.
+
+    int, bool and str fields are copied out as they are and, on decode,
+    only type-checked; every other field goes through its own codec.
+    """
+    hints = get_type_hints(cls)
+    owner = cls.__name__
+    head = {"kind": owner} if cls in _RELATIONS.values() else {}
+    model_at = None
+    writers, keys, checks, plain, scoped = [], [], [], [], []
+    for f in fields(cls):
+        hint = hints[f.name]
+        if hint is SurfaceModel:
+            model_at = len(keys)
+            continue
+        key = _RENAMES.get(f.name, f.name)
+        codec = None if hint in _LEAVES else _field_codec(hint)
+        if codec is None:
+            checks.append((len(keys), hint))
+        else:
+            (scoped if codec.needs_model else plain).append((len(keys), codec.decode))
+        writers.append((key, attrgetter(f.name), codec and codec.encode))
+        keys.append(key)
+    get_values = itemgetter(*keys) if len(keys) > 1 else lambda d: (d[keys[0]],)
+
+    def encode(obj: Any) -> dict:
+        out = head.copy()
+        for key, get, encode_field in writers:
+            value = get(obj)
+            out[key] = value if encode_field is None else encode_field(value)
+        return out
+
+    def decode(data: Any, model: SurfaceModel | None = None) -> Any:
+        if type(data) is not dict:
+            raise ValueError(f"{owner} JSON must be an object, got {type(data).__name__}")
+        try:
+            values = list(get_values(data))
+        except KeyError as exc:
+            raise ValueError(f"{owner} JSON is missing key {exc.args[0]!r}") from None
+        for at, kind in checks:
+            if type(values[at]) is not kind:
+                raise _wrong_type(kind, values[at])
+        for at, decode_field in plain:
+            values[at] = decode_field(values[at])
+        for at, decode_field in scoped:
+            values[at] = decode_field(values[at], model)
+        if model_at is not None:
+            if model is None:
+                raise TypeError(f"decoding a {owner} needs its surface model")
+            values.insert(model_at, model)
+        return cls(*values)
+
+    return _Codec(encode, decode, model_at is not None or bool(scoped))
+
+
+# -- views: JSON that is not the dataclass's own field list ------------------
+
+
+def _scan_json(obj: ScanResult) -> dict:
     return {
-        "picard_rank": obj.picard_rank,
-        "gram": [list(row) for row in obj.gram],
-        "canonical": _vec(obj.canonical),
-        "k_trivial": obj.k_trivial,
-        "omega_class": _vec(obj.omega_class),
+        "any_violation": obj.any_violation,
+        "candidate_count": obj.candidate_count,
+        "verdict_counts": obj.verdict_counts(),
+        "reports": [to_jsonable(r) for r in obj.reports],
     }
 
 
-@to_jsonable.register
-def _(obj: SurfaceClass) -> dict:
-    return {"r": format_rational(obj.r), "d": _vec(obj.d), "s": format_rational(obj.s)}
-
-
-@to_jsonable.register
-def _(obj: ThreefoldClass) -> dict:
-    return {"alpha": to_jsonable(obj.alpha), "beta": to_jsonable(obj.beta)}
-
-
-@to_jsonable.register
-def _(obj: DivisorClassX) -> dict:
-    return {"a": format_rational(obj.a), "delta": _vec(obj.delta)}
-
-
-@to_jsonable.register
-def _(obj: Polarization) -> dict:
-    return {
-        "t": format_rational(obj.t),
-        "s": format_rational(obj.s),
-        "h": _vec(obj.h),
-    }
-
-
-@to_jsonable.register
-def _(obj: LineBundleX) -> dict:
-    return {"m": obj.m, "twist": _vec(obj.twist)}
-
-
-@to_jsonable.register
-def _(obj: TruncatedChar) -> dict:
-    return {"ch0": format_rational(obj.ch0), "ch1": to_jsonable(obj.ch1)}
-
-
-@to_jsonable.register
-def _(obj: TransformResult) -> dict:
-    return {
-        "char": to_jsonable(obj.char),
-        "wit": obj.wit.value,
-        "locally_free": obj.locally_free,
-    }
-
-
-@to_jsonable.register
-def _(obj: WitType) -> str:
-    return obj.value
-
-
-@to_jsonable.register
-def _(obj: KernelChoice) -> str:
-    return obj.value
-
-
-@to_jsonable.register
-def _(obj: SheafScenario) -> dict:
-    return {"n": obj.n, "c": obj.c, "wit": obj.wit.value, "dim_shift": obj.dim_shift}
-
-
-@to_jsonable.register
-def _(obj: Conclusion) -> dict:
-    return {
-        "kind": obj.kind.value,
-        "statement": obj.statement,
-        "via_dimension_only": obj.via_dimension_only,
-    }
-
-
-@to_jsonable.register
-def _(obj: TermRef) -> dict:
-    return {"side": obj.side.value, "pos": list(obj.pos), "label": obj.label}
-
-
-@to_jsonable.register
-def _(obj: Identification) -> dict:
-    return {
-        "kind": "Identification",
-        "degree": obj.degree,
-        "left": to_jsonable(obj.left),
-        "right": to_jsonable(obj.right),
-    }
-
-
-@to_jsonable.register
-def _(obj: ForcedZero) -> dict:
-    return {"kind": "ForcedZero", "degree": obj.degree, "term": to_jsonable(obj.term)}
-
-
-@to_jsonable.register
-def _(obj: ShortExact) -> dict:
-    return {
-        "kind": "ShortExact",
-        "degree": obj.degree,
-        "sub": to_jsonable(obj.sub),
-        "mid": to_jsonable(obj.mid),
-        "quot": to_jsonable(obj.quot),
-    }
-
-
-@to_jsonable.register
-def _(obj: Forbidden) -> dict:
-    return {"kind": "Forbidden", "degree": obj.degree, "reason": obj.reason}
-
-
-@to_jsonable.register
-def _(obj: ScenarioSolution) -> dict:
+def _solution_json(obj: ScenarioSolution) -> dict:
     return {
         "scenario": to_jsonable(obj.scenario),
         "left_degeneration_page": obj.left_page,
@@ -224,58 +231,7 @@ def _(obj: ScenarioSolution) -> dict:
     }
 
 
-@to_jsonable.register
-def _(obj: DestabilizerCandidate) -> dict:
-    return {
-        "r": obj.r,
-        "a": format_rational(obj.a),
-        "delta": _vec(obj.delta),
-        "e": obj.e,
-    }
-
-
-@to_jsonable.register
-def _(obj: EffectivityProxy) -> dict:
-    return {"a_nonneg": obj.a_nonneg, "pairing": format_rational(obj.pairing)}
-
-
-@to_jsonable.register
-def _(obj: TraceStep) -> dict:
-    return {
-        "name": obj.name,
-        "value": format_rational(obj.value),
-        "requirement": obj.requirement,
-        "satisfied": obj.satisfied,
-    }
-
-
-@to_jsonable.register
-def _(obj: StabilityReport) -> dict:
-    return {
-        "candidate": to_jsonable(obj.candidate),
-        "verdict": obj.verdict.value,
-        "target_slope": format_rational(obj.target_slope),
-        "candidate_slope": format_rational(obj.candidate_slope),
-        "proxy": to_jsonable(obj.proxy),
-        "fiber_degree": format_rational(obj.fiber_deg),
-        "trace": [to_jsonable(step) for step in obj.trace],
-        "inadmissible_reasons": list(obj.inadmissible_reasons),
-    }
-
-
-@to_jsonable.register
-def _(obj: ScanResult) -> dict:
-    return {
-        "any_violation": obj.any_violation,
-        "candidate_count": obj.candidate_count,
-        "verdict_counts": obj.verdict_counts(),
-        "reports": [to_jsonable(r) for r in obj.reports],
-    }
-
-
-@to_jsonable.register
-def _(obj: TransformStabilityReport) -> dict:
-    scan = to_jsonable(obj.scan)
+def _pipeline_json(obj: TransformStabilityReport) -> dict:
     return {
         "line_bundle": to_jsonable(obj.line_bundle),
         "transform": to_jsonable(obj.transform),
@@ -285,154 +241,66 @@ def _(obj: TransformStabilityReport) -> dict:
         "stable": obj.stable,
         "any_violation": obj.scan.any_violation,
         "candidate_count": obj.scan.candidate_count,
-        "verdict_counts": scan["verdict_counts"],
-        "duality_step": (
-            to_jsonable(obj.duality_step) if obj.duality_step is not None else None
-        ),
+        "verdict_counts": obj.scan.verdict_counts(),
+        "duality_step": to_jsonable(obj.duality_step) if obj.duality_step else None,
         "reduction": list(obj.reduction),
     }
+
+
+_SCHEMAS = (
+    SurfaceModel, SurfaceClass, ThreefoldClass, DivisorClassX, Polarization,
+    LineBundleX, TruncatedChar, TransformResult, SheafScenario, Conclusion,
+    TermRef, *_RELATIONS.values(), DestabilizerCandidate, EffectivityProxy,
+    TraceStep, StabilityReport,
+)
+
+_ENCODERS: dict[type, Callable[[Any], Any]] = {
+    Fraction: format_rational,
+    WitType: _enum_value,
+    KernelChoice: _enum_value,
+    **{cls: _plan(cls).encode for cls in _SCHEMAS},
+    ScanResult: _scan_json,
+    ScenarioSolution: _solution_json,
+    TransformStabilityReport: _pipeline_json,
+}
+
+
+def to_jsonable(obj: Any) -> Any:
+    try:
+        encode = _ENCODERS[type(obj)]
+    except KeyError:
+        raise TypeError(f"no JSON form registered for {type(obj).__name__}") from None
+    return encode(obj)
 
 
 def dumps(obj: Any, indent: int | None = 2) -> str:
     return json.dumps(to_jsonable(obj), ensure_ascii=False, indent=indent)
 
 
-# -- parsers ----------------------------------------------------------------
+# -- parsers: (data) or, for classes over a surface model, (data, model) -----
 
-
-def surface_model_from_json(data: dict) -> SurfaceModel:
-    return SurfaceModel(
-        picard_rank=int(data["picard_rank"]),
-        gram=tuple(tuple(int(x) for x in row) for row in data["gram"]),
-        canonical=_unvec(data["canonical"]),
-        k_trivial=bool(data["k_trivial"]),
-        omega_class=_unvec(data["omega_class"]),
-    )
-
-
-def surface_class_from_json(data: dict, model: SurfaceModel) -> SurfaceClass:
-    return SurfaceClass(
-        model, parse_rational(data["r"]), _unvec(data["d"]), parse_rational(data["s"])
-    )
-
-
-def threefold_class_from_json(data: dict, model: SurfaceModel) -> ThreefoldClass:
-    return ThreefoldClass(
-        surface_class_from_json(data["alpha"], model),
-        surface_class_from_json(data["beta"], model),
-    )
-
-
-def divisor_class_from_json(data: dict, model: SurfaceModel) -> DivisorClassX:
-    return DivisorClassX(model, parse_rational(data["a"]), _unvec(data["delta"]))
-
-
-def polarization_from_json(data: dict, model: SurfaceModel) -> Polarization:
-    return Polarization(
-        model,
-        parse_rational(data["t"]),
-        parse_rational(data["s"]),
-        _unvec(data["h"]),
-    )
-
-
-def line_bundle_from_json(data: dict, model: SurfaceModel) -> LineBundleX:
-    return LineBundleX(model, int(data["m"]), _unvec(data["twist"]))
-
-
-def truncated_char_from_json(data: dict, model: SurfaceModel) -> TruncatedChar:
-    return TruncatedChar(
-        parse_rational(data["ch0"]), divisor_class_from_json(data["ch1"], model)
-    )
-
-
-def transform_result_from_json(data: dict, model: SurfaceModel) -> TransformResult:
-    return TransformResult(
-        truncated_char_from_json(data["char"], model),
-        WitType(data["wit"]),
-        bool(data["locally_free"]),
-    )
-
-
-def scenario_from_json(data: dict) -> SheafScenario:
-    return SheafScenario(
-        n=int(data["n"]),
-        c=int(data["c"]),
-        wit=WitType(data["wit"]),
-        dim_shift=int(data["dim_shift"]),
-    )
-
-
-def conclusion_from_json(data: dict) -> Conclusion:
-    return Conclusion(
-        ConclusionKind(data["kind"]),
-        data["statement"],
-        bool(data["via_dimension_only"]),
-    )
-
-
-def term_ref_from_json(data: dict) -> TermRef:
-    return TermRef(Side(data["side"]), tuple(data["pos"]), data["label"])
+surface_model_from_json = _plan(SurfaceModel).decode
+surface_class_from_json = _plan(SurfaceClass).decode
+threefold_class_from_json = _plan(ThreefoldClass).decode
+divisor_class_from_json = _plan(DivisorClassX).decode
+polarization_from_json = _plan(Polarization).decode
+line_bundle_from_json = _plan(LineBundleX).decode
+truncated_char_from_json = _plan(TruncatedChar).decode
+transform_result_from_json = _plan(TransformResult).decode
+scenario_from_json = _plan(SheafScenario).decode
+conclusion_from_json = _plan(Conclusion).decode
+term_ref_from_json = _plan(TermRef).decode
+candidate_from_json = _plan(DestabilizerCandidate).decode
+effectivity_proxy_from_json = _plan(EffectivityProxy).decode
+trace_step_from_json = _plan(TraceStep).decode
+stability_report_from_json = _plan(StabilityReport).decode
+scan_result_from_json = _plan(ScanResult).decode
 
 
 def relation_from_json(data: dict) -> DerivedRelation:
+    if type(data) is not dict or "kind" not in data:
+        raise ValueError("DerivedRelation JSON must be an object with the key 'kind'")
     kind = data["kind"]
-    degree = int(data["degree"])
-    if kind == "Identification":
-        return Identification(
-            degree, term_ref_from_json(data["left"]), term_ref_from_json(data["right"])
-        )
-    if kind == "ForcedZero":
-        return ForcedZero(degree, term_ref_from_json(data["term"]))
-    if kind == "ShortExact":
-        return ShortExact(
-            degree,
-            term_ref_from_json(data["sub"]),
-            term_ref_from_json(data["mid"]),
-            term_ref_from_json(data["quot"]),
-        )
-    if kind == "Forbidden":
-        return Forbidden(degree, data["reason"])
-    raise ValueError(f"unknown relation kind {kind!r}")
-
-
-def candidate_from_json(data: dict) -> DestabilizerCandidate:
-    return DestabilizerCandidate(
-        r=int(data["r"]),
-        a=parse_rational(data["a"]),
-        delta=_unvec(data["delta"]),
-        e=int(data["e"]),
-    )
-
-
-def effectivity_proxy_from_json(data: dict) -> EffectivityProxy:
-    return EffectivityProxy(bool(data["a_nonneg"]), parse_rational(data["pairing"]))
-
-
-def trace_step_from_json(data: dict) -> TraceStep:
-    return TraceStep(
-        data["name"],
-        parse_rational(data["value"]),
-        data["requirement"],
-        bool(data["satisfied"]),
-    )
-
-
-def stability_report_from_json(data: dict) -> StabilityReport:
-    return StabilityReport(
-        candidate=candidate_from_json(data["candidate"]),
-        verdict=Verdict(data["verdict"]),
-        target_slope=parse_rational(data["target_slope"]),
-        candidate_slope=parse_rational(data["candidate_slope"]),
-        proxy=effectivity_proxy_from_json(data["proxy"]),
-        fiber_deg=parse_rational(data["fiber_degree"]),
-        trace=tuple(trace_step_from_json(s) for s in data["trace"]),
-        inadmissible_reasons=tuple(data["inadmissible_reasons"]),
-    )
-
-
-def scan_result_from_json(data: dict) -> ScanResult:
-    return ScanResult(
-        reports=tuple(stability_report_from_json(r) for r in data["reports"]),
-        any_violation=bool(data["any_violation"]),
-    )
+    if type(kind) is not str or kind not in _RELATIONS:
+        raise ValueError(f"unknown relation kind {kind!r}")
+    return _plan(_RELATIONS[kind]).decode(data)

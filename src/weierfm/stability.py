@@ -30,7 +30,6 @@ a twist, none of which move slope stability.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -325,35 +324,17 @@ def enumerate_candidates(
     n: int,
     pol: Polarization,
     bounds: EnumerationBounds = EnumerationBounds(),
-    workers: int = 1,
 ) -> ScanResult:
-    """Certify every candidate on the grid; order is grid order.
-
-    The list may be sharded over worker threads; results are merged back
-    in grid order, so the output is bit-identical for any worker count.
-    """
+    """Certify every candidate on the grid; order is grid order."""
     _require_num_trivial(pol, "stability scan")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("n must be a positive integer")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    candidates = candidate_grid(n, pol.model.picard_rank, bounds)
-    if not candidates:
-        return ScanResult(reports=(), any_violation=False)
-    if workers == 1:
-        reports = [certify(n, pol, cand) for cand in candidates]
-    else:
-        chunk = -(-len(candidates) // workers)
-        shards = [
-            candidates[i : i + chunk] for i in range(0, len(candidates), chunk)
-        ]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                lambda shard: [certify(n, pol, cand) for cand in shard], shards
-            )
-            reports = [report for part in parts for report in part]
+    reports = tuple(
+        certify(n, pol, cand)
+        for cand in candidate_grid(n, pol.model.picard_rank, bounds)
+    )
     return ScanResult(
-        reports=tuple(reports),
+        reports=reports,
         any_violation=any(r.verdict is Verdict.VIOLATION for r in reports),
     )
 
@@ -378,7 +359,6 @@ def transform_stability(
     lb: LineBundleX,
     pol: Polarization,
     bounds: EnumerationBounds = EnumerationBounds(),
-    workers: int = 1,
 ) -> TransformStabilityReport:
     """Certify slope stability of the transform of O_X(mΘ) ⊗ p*N.
 
@@ -423,7 +403,7 @@ def transform_stability(
         reduction.append(
             f"direct certification for the rank-{n} transform of O_X({lb.m}Θ)"
         )
-    scan = enumerate_candidates(n, pol, bounds, workers)
+    scan = enumerate_candidates(n, pol, bounds)
     return TransformStabilityReport(
         line_bundle=lb,
         transform=result,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -139,14 +140,6 @@ def test_scan_json_with_and_without_reports(capsys):
     assert len(full["reports"]) == full["candidate_count"]
 
 
-def test_scan_worker_count_is_invisible(capsys):
-    argv = ["scan", "--preset", "enriques", "-m", "-3", "-t", "2", "-s", "1/2",
-            "--a-max", "1", "--delta-max", "1", "--json", "--full-reports"]
-    lone = run(capsys, *argv, "--workers", "1")
-    pooled = run(capsys, *argv, "--workers", "4")
-    assert lone == pooled
-
-
 def test_model_file_input(capsys, tmp_path, k3):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(serialize.to_jsonable(k3.model)))
@@ -161,6 +154,42 @@ def test_model_file_input(capsys, tmp_path, k3):
         "--ch0", "-2",
     )
     assert code == 1 and "--h is required" in err
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        pytest.param({"gram": [[4.9]]}, "expected an integer, got float", id="float-gram"),
+        pytest.param({"picard_rank": True}, "expected an integer, got bool", id="bool-rank"),
+        pytest.param({"gram": [4]}, "expected a list", id="flat-gram"),
+        pytest.param({"k_trivial": "false"}, "expected a boolean, got str", id="string-bool"),
+        pytest.param({"k_trivial": 1}, "expected a boolean, got int", id="int-bool"),
+        pytest.param({"canonical": [0]}, "must be a 'p/q' string", id="number-rational"),
+        pytest.param({"canonical": "0"}, "expected a list", id="string-vector"),
+        pytest.param({"omega_class": _DROP}, "missing key 'omega_class'", id="missing-key"),
+    ],
+)
+def test_malformed_model_files_exit_one(capsys, tmp_path, k3, edit, message):
+    doc = serialize.to_jsonable(k3.model)
+    for key, value in edit.items():
+        if value is _DROP:
+            del doc[key]
+        else:
+            doc[key] = value
+    with pytest.raises(ValueError) as exc:
+        serialize.surface_model_from_json(doc)
+    assert message in str(exc.value)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "slope", "--model-file", str(path), "-t", "1", "-s", "1",
+        "--h", "1", "--ch0", "-2", "--json",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and message in err
 
 
 def test_missing_model_file(capsys, tmp_path):
@@ -215,3 +244,79 @@ def test_entry_point_matches_main():
     import weierfm.cli as mod
 
     assert callable(mod.run)
+
+
+# sha256 of the exact stdout of one --json run per case, covering all seven
+# subcommands.  The pins hold key order, indentation and the rational
+# string forms to the byte: any change here changes the public JSON.
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        pytest.param(
+            ("transform", "--preset", "k3_quartic", "-m", "-2"),
+            "69799f90c63af754a88ceefb6e2076d257c7d2a8a5d3f7a7055efde727d5bc70",
+            id="transform",
+        ),
+        pytest.param(
+            ("transform", "--preset", "general_demo", "-m", "1", "--twist", "1,0",
+             "--kernel", "alternate"),
+            "5f6e2473c75fed09f216961024daf305e6e1e949cc7487e9871c2fb994e0d535",
+            id="transform-twisted",
+        ),
+        pytest.param(
+            ("slope", "--preset", "k3_quartic", "-t", "1", "-s", "1", "--ch0", "-2",
+             "--ch1-theta", "-1"),
+            "15ba914cb5934590dcd439d124e5f55d9ae0e4e7b7bd512384489c999b3bde31",
+            id="slope",
+        ),
+        pytest.param(
+            ("dual", "--preset", "general_demo", "--ch0", "3", "--ch1-theta=-1/2",
+             "--ch1-delta", "2,1/3"),
+            "3b21ea4b7ec79131b889af108c2e4f98c5f5d8a535c5d588318e5a39454d3fc8",
+            id="dual",
+        ),
+        pytest.param(
+            ("commute", "--preset", "enriques", "-m", "-3", "--twist", "1/2"),
+            "4aa6a8dbf5b60d3af82438131cd8839baf2e4415bafa6a9552400a0a72264ea0",
+            id="commute",
+        ),
+        pytest.param(
+            ("ss-duality", "-n", "5", "-c", "2", "--wit", "1", "--dim-shift=-1"),
+            "51b6deffefa7a102796d2c1443b13df1dedff39273f304c4b3e3ad7414671595",
+            id="ss-duality-n5",
+        ),
+        pytest.param(
+            ("ss-duality", "-n", "3", "-c", "1", "--wit", "0", "--dim-shift", "1"),
+            "7883c73fd86ba78f26f179f30770311a23d73b620ece13e38999ef44ea876a97",
+            id="ss-duality-n3",
+        ),
+        pytest.param(
+            ("certify", "--preset", "k3_quartic", "-t", "1", "-s", "1", "-n", "2",
+             "-r", "1", "--a", "0", "--e", "1"),
+            "953de867b1e1a4da49f96dfb1077b3519ebd5bff3929b39ce45bb967e3f2816a",
+            id="certify-inadmissible",
+        ),
+        pytest.param(
+            ("certify", "--preset", "enriques", "-t", "2", "-s", "1/2", "-n", "3",
+             "-r", "2", "--a", "1/2", "--delta=-1", "--e", "0"),
+            "f0f2c5a2e2a304fc2be7ac60c36b6226a02880a10b8dce60a78ff52f4ee1d7b0",
+            id="certify-enriques",
+        ),
+        pytest.param(
+            ("scan", "--preset", "k3_quartic", "-m", "-3", "-t", "1/2", "-s", "1",
+             "--a-max", "2", "--delta-max", "2", "--full-reports"),
+            "950fd660624d2942c788a4bed8d184a4b0eb98cc416e3215e341a23dd9a69a15",
+            id="scan-full-reports",
+        ),
+        pytest.param(
+            ("scan", "--preset", "enriques", "-m", "2", "-t", "1", "-s", "1",
+             "--a-max", "1", "--delta-max", "1"),
+            "381353e91d5446cd3c66d072034f3672107801c39537a712ee87698c972bd638",
+            id="scan-dual-route",
+        ),
+    ],
+)
+def test_json_output_is_byte_stable(capsys, argv, digest):
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -8,6 +8,7 @@ from weierfm import (
     ForcedZero,
     Identification,
     InfeasibleScenarioError,
+    InternalCheckError,
     SheafScenario,
     ShortExact,
     Side,
@@ -118,15 +119,13 @@ def test_engine_pages_settle_immediately(scenario):
 
 
 def test_two_live_columns_degenerate_later():
-    """A live d_2 arrow pushes settling to page 3 and blurs its endpoints."""
+    """A live d_2 arrow breaks the E_2 degeneration that degenerate() checks."""
     left, _ = build_pages(SheafScenario(3, 1, WitType.WIT0, 0))
     assert left.terms[(0, 1)].status is TermStatus.NONZERO
     left.terms[(-1, 3)].status = TermStatus.NONZERO  # resurrect the dead column
-    settled, page = degenerate(left)
-    assert page == 3
-    assert settled.terms[(0, 1)].status is TermStatus.UNKNOWN
-    assert settled.terms[(-1, 3)].status is TermStatus.UNKNOWN
-    assert settled.is_settled()
+    assert not left.is_settled()
+    with pytest.raises(InternalCheckError):
+        degenerate(left)
 
 
 def test_compare_limits_requires_settled_pages():

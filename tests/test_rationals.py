@@ -45,6 +45,12 @@ def test_parse_rejects_everything_else(text):
         parse_rational(text)
 
 
+@pytest.mark.parametrize("value", [0, 0.5, None, ["1"]], ids=repr)
+def test_parse_rejects_non_strings(value):
+    with pytest.raises(ValueError):
+        parse_rational(value)
+
+
 def test_floats_and_bools_are_not_rationals():
     with pytest.raises(TypeError):
         as_rational(0.5)

@@ -196,15 +196,6 @@ def test_rank_one_search_has_no_candidates(k3_pol):
     assert not scan.any_violation
 
 
-def test_worker_sharding_is_invisible(k3_pol):
-    bounds = EnumerationBounds(a_max=Fraction(2), delta_max=Fraction(1))
-    lone = enumerate_candidates(3, k3_pol, bounds, workers=1)
-    pooled = enumerate_candidates(3, k3_pol, bounds, workers=3)
-    assert lone == pooled
-    with pytest.raises(ValueError):
-        enumerate_candidates(3, k3_pol, bounds, workers=0)
-
-
 def test_bounds_validation():
     with pytest.raises(ValueError):
         EnumerationBounds(a_max=Fraction(-1))
