@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -164,7 +165,7 @@ def _print_table(rows: list[tuple[str, str]]) -> None:
 def _cmd_transform(args) -> int:
     model, _, source = _resolve_model(args)
     lb = LineBundleX(model, args.m, args.twist)
-    result = transform_char(lb, args.kernel)
+    result = transform_char(lb)
     if args.json:
         _print_json(serialize.to_jsonable(result))
     else:
@@ -321,8 +322,20 @@ def _cmd_scan(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-1/2`` and ``-1,3`` as values, as argparse itself reads ``-1``.
+
+    No option string here starts with a digit, so every token that does is
+    a value.  Subcommand parsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weierfm",
         description="Exact transform calculus on Weierstrass elliptic threefolds",
     )
@@ -332,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("-m", type=int, required=True, help="multiple of the section Θ")
     p.add_argument("--twist", type=_rational_vector, default=None, help="c1 of N")
-    p.add_argument("--kernel", type=_kernel, default=KernelChoice.PAPER)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_transform)
 

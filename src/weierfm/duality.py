@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleScenarioError, InternalCheckError
 from .fm import WitType
+from .rationals import is_int
 
 
 class Side(enum.Enum):
@@ -87,15 +88,15 @@ class SheafScenario:
     dim_shift: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not is_int(self.n) or self.n < 1:
             raise InfeasibleScenarioError("n must be a positive integer")
-        if not isinstance(self.c, int) or not 0 <= self.c <= self.n:
+        if not is_int(self.c) or not 0 <= self.c <= self.n:
             raise InfeasibleScenarioError(
                 f"codimension c={self.c!r} outside [0, {self.n}]"
             )
         if not isinstance(self.wit, WitType):
             raise InfeasibleScenarioError("wit must be a WitType")
-        if self.dim_shift not in (-1, 0, 1):
+        if not is_int(self.dim_shift) or self.dim_shift not in (-1, 0, 1):
             raise InfeasibleScenarioError("dim_shift must be -1, 0 or +1")
         if not 0 <= self.transform_codim <= self.n:
             raise InfeasibleScenarioError(
@@ -119,7 +120,7 @@ class SheafScenario:
 
 @dataclass
 class PageGrid:
-    """One rectangular page of statuses.
+    """One rectangular E_2 page of statuses.
 
     joint_nonzero lists groups of positions of which at least one must end
     up NonZero (used for the transform of E^D, which may vanish in either
@@ -132,7 +133,6 @@ class PageGrid:
     q_range: tuple[int, int]
     terms: dict[Pos, Term]
     joint_nonzero: tuple[tuple[Pos, ...], ...] = ()
-    page: int = 2
 
     def in_region(self, pos: Pos) -> bool:
         p, q = pos
@@ -160,32 +160,27 @@ class PageGrid:
                 out.append((pos, self.terms[pos]))
         return out
 
-    def possible_arrows(self, r: int) -> list[tuple[Pos, Pos]]:
-        """d_r candidates: both endpoints in-region and not Zero."""
-        arrows = []
-        for (p, q), term in self.terms.items():
-            if term.status is TermStatus.ZERO:
-                continue
-            tgt = (p - r + 1, q + r)
-            if self.in_region(tgt) and self.terms[tgt].status is not TermStatus.ZERO:
-                arrows.append(((p, q), tgt))
-        return arrows
+    def is_settled(self) -> bool:
+        """No differential d_r (r >= 2) joins two terms that are not Zero.
 
-    def max_differential_page(self) -> int:
+        d_r moves (p, q) to (p - r + 1, q + r), so its target can stay in
+        the region only while r <= width + 1 and r <= height: the two-row
+        Right band has no r to check, the Left band only r = 2.
+        """
         width = self.p_range[1] - self.p_range[0]
         height = self.q_range[1] - self.q_range[0]
-        return max(width, height) + 2
-
-    def is_settled(self) -> bool:
-        """No differential can act on or after the current page."""
-        return not any(
-            self.possible_arrows(r)
-            for r in range(max(2, self.page), self.max_differential_page() + 1)
-        )
+        for r in range(2, min(width + 1, height) + 1):
+            for (p, q), term in self.terms.items():
+                if (
+                    term.status is not TermStatus.ZERO
+                    and self.status((p - r + 1, q + r)) is not TermStatus.ZERO
+                ):
+                    return False
+        return True
 
     def render(self) -> str:
         """Matrix display, top row = largest q, for CLI/demo output."""
-        lines = [f"{self.side.value} page (E_{self.page})"]
+        lines = [f"{self.side.value} page (E_2)"]
         for q in range(self.q_range[1], self.q_range[0] - 1, -1):
             cells = []
             for p in range(self.p_range[0], self.p_range[1] + 1):
@@ -345,7 +340,7 @@ class _Solver:
         self.left = left
         self.right = right
         self.relations: list[DerivedRelation] = []
-        self._seen: set[tuple] = set()
+        self._seen: set[DerivedRelation] = set()
         self._links: list[tuple[Pos, Pos, int]] = []
         self._changed = False
 
@@ -356,11 +351,8 @@ class _Solver:
         return TermRef(side, pos, self._grid(side).terms[pos].label)
 
     def _emit(self, relation: DerivedRelation) -> None:
-        key = (type(relation).__name__,) + tuple(
-            getattr(relation, f.name) for f in relation.__dataclass_fields__.values()
-        )
-        if key not in self._seen:
-            self._seen.add(key)
+        if relation not in self._seen:
+            self._seen.add(relation)
             self.relations.append(relation)
             self._changed = True
 

@@ -37,7 +37,7 @@ from .errors import (
     ModelMismatchError,
     UndefinedSlopeError,
 )
-from .rationals import RationalLike, as_rational, as_rational_vector
+from .rationals import RationalLike, as_rational, as_rational_vector, is_int
 from .ring import DivisorClassX, SurfaceModel, x_integrate, x_mul
 
 _HALF = Fraction(1, 2)
@@ -67,7 +67,7 @@ class LineBundleX:
     twist: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or isinstance(self.m, bool):
+        if not is_int(self.m):
             raise TypeError("m must be an integer")
         twist = (
             self.model.zero_vector()
@@ -157,9 +157,6 @@ class Polarization:
             self.model, self.t, tuple(self.s * x for x in self.h)
         )
 
-    def h_squared(self) -> Fraction:
-        return self.model.pair(self.h, self.h)
-
     def scaled(self, factor: RationalLike) -> "Polarization":
         f = as_rational(factor)
         return Polarization(
@@ -172,17 +169,13 @@ def wit_classify(lb: LineBundleX) -> WitType:
     return WitType.WIT0 if lb.m > 0 else WitType.WIT1
 
 
-def transform_char(
-    lb: LineBundleX, kernel: KernelChoice = KernelChoice.PAPER
-) -> TransformResult:
+def transform_char(lb: LineBundleX) -> TransformResult:
     """Truncated character of the transform of O_X(mΘ) ⊗ p*N.
 
-    The kernel choice does not move the character at this truncation (the
-    two kernels differ by a pullback from the base whose effect is logged
-    through the duality twist instead); the parameter is accepted so call
-    sites read uniformly with :func:`commutativity_check`.
+    The same for both kernels: they differ by a pullback from the base
+    whose effect enters only through the duality twist, which
+    :func:`commutativity_check` applies.
     """
-    del kernel
     model = lb.model
     m = lb.m
     if m == 0:
@@ -230,9 +223,9 @@ def commutativity_check(
         raise HypothesisViolationError(
             "commutativity check needs m != 0 (rank-0 transforms shift differently)"
         )
-    left = dual_char(transform_char(lb, kernel).char)
+    left = dual_char(transform_char(lb).char)
     right = (
-        transform_char(lb.dual(), kernel)
+        transform_char(lb.dual())
         .char.twist_by_surface(kernel.l_class(lb.model))
         .negate()
     )

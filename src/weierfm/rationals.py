@@ -2,7 +2,7 @@
 
 The whole library computes over ``fractions.Fraction``: already stored in
 lowest terms with a positive denominator, exact under +, *, /, and of
-arbitrary precision.  ``Rational`` is re-exported as the public alias.
+arbitrary precision.
 
 Serialized rationals are strings, never JSON numbers, so that round-trips
 are bit-exact: an integer value renders as ``"z"``, anything else as
@@ -15,8 +15,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
-
-Rational = Fraction
 
 RationalLike = Union[int, Fraction]
 
@@ -32,6 +30,11 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def is_int(value: object) -> bool:
+    """Whether ``value`` is an integer proper: no bool, float or string."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def as_rational_vector(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:

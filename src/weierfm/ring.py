@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModelMismatchError
-from .rationals import RationalLike, as_rational, as_rational_vector
+from .rationals import RationalLike, as_rational, as_rational_vector, is_int
 
 _HALF = Fraction(1, 2)
 _SIXTH = Fraction(1, 6)
@@ -60,9 +60,11 @@ class SurfaceModel:
 
     def __post_init__(self) -> None:
         rho = self.picard_rank
-        if not isinstance(rho, int) or rho < 1:
+        if not is_int(rho) or rho < 1:
             raise ValueError(f"picard_rank must be a positive integer, got {rho!r}")
-        gram = tuple(tuple(int(x) for x in row) for row in self.gram)
+        gram = tuple(tuple(row) for row in self.gram)
+        if not all(is_int(x) for row in gram for x in row):
+            raise ValueError("gram entries must be integers")
         if len(gram) != rho or any(len(row) != rho for row in gram):
             raise ValueError(f"gram must be a {rho}x{rho} matrix")
         for i in range(rho):
@@ -124,10 +126,6 @@ class SurfaceModel:
 
     def canonical_surface(self) -> "SurfaceClass":
         return self.surface(d=self.canonical)
-
-    def zero_x(self) -> "ThreefoldClass":
-        z = self.surface()
-        return ThreefoldClass(z, z)
 
     def unit_x(self) -> "ThreefoldClass":
         return ThreefoldClass(self.surface(), self.unit_surface())
@@ -204,10 +202,6 @@ class SurfaceClass:
             return self.scale(other)
         return NotImplemented
 
-    def integrate(self) -> Fraction:
-        """Degree of the class: coefficient of [pt] (normalized to 1)."""
-        return self.s
-
     def is_zero(self) -> bool:
         return self.r == 0 and self.s == 0 and all(x == 0 for x in self.d)
 
@@ -258,9 +252,6 @@ class ThreefoldClass:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
-
-    def integrate(self) -> Fraction:
-        return x_integrate(self)
 
     def is_zero(self) -> bool:
         return self.alpha.is_zero() and self.beta.is_zero()

@@ -34,8 +34,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
-from .duality import Conclusion, SheafScenario, duality_decision
+from .duality import Conclusion, SheafScenario, solve_scenario
 from .errors import (
     HypothesisViolationError,
     InternalCheckError,
@@ -50,7 +51,7 @@ from .fm import (
     slope,
     transform_char,
 )
-from .rationals import as_rational, as_rational_vector
+from .rationals import as_rational, as_rational_vector, is_int
 from .ring import DivisorClassX, ThreefoldClass, pullback, x_integrate, x_mul
 
 
@@ -70,9 +71,9 @@ class DestabilizerCandidate:
     e: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < 1:
+        if not is_int(self.r) or self.r < 1:
             raise ValueError("candidate rank r must be a positive integer")
-        if self.e not in (0, 1):
+        if not is_int(self.e) or self.e not in (0, 1):
             raise ValueError("e must be 0 or 1")
         object.__setattr__(self, "a", as_rational(self.a))
         object.__setattr__(self, "delta", as_rational_vector(self.delta))
@@ -110,24 +111,25 @@ class StabilityReport:
     inadmissible_reasons: tuple[str, ...] = ()
 
 
+# Grid steps: a moves in halves, so the integrality screen is exercised,
+# not assumed; each delta coordinate moves in whole steps.
+A_STEP = Fraction(1, 2)
+DELTA_STEP = Fraction(1)
+
+
 @dataclass(frozen=True)
 class EnumerationBounds:
-    """Grid bounds: a runs over 0..a_max in steps of a_step (halves by
-    default, so the integrality screen is exercised, not assumed), each
-    delta coordinate over -delta_max..delta_max in steps of delta_step."""
+    """Grid bounds: a runs over 0..a_max in steps of ``A_STEP``, each delta
+    coordinate over -delta_max..delta_max in steps of ``DELTA_STEP``."""
 
     a_max: Fraction = Fraction(6)
     delta_max: Fraction = Fraction(6)
-    a_step: Fraction = Fraction(1, 2)
-    delta_step: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        for name in ("a_max", "delta_max", "a_step", "delta_step"):
+        for name in ("a_max", "delta_max"):
             object.__setattr__(self, name, as_rational(getattr(self, name)))
         if self.a_max < 0 or self.delta_max < 0:
             raise ValueError("bounds must be nonnegative")
-        if self.a_step <= 0 or self.delta_step <= 0:
-            raise ValueError("grid steps must be positive")
 
 
 @dataclass(frozen=True)
@@ -148,29 +150,30 @@ class ScanResult:
 
 # -- cached polarization geometry ------------------------------------------
 
+# Entries kept per cache keyed by a polarization, so that a long-lived
+# process scanning many polarizations holds a bounded amount of geometry.
+POLARIZATION_CACHE_SIZE = 128
 
-@lru_cache(maxsize=None)
-def _omega_squared(pol: Polarization) -> ThreefoldClass:
+
+class _Geometry(NamedTuple):
+    omega_squared: ThreefoldClass
+    mixed: ThreefoldClass  # t²Θ² + 2ts·Θ·p*h
+    fiber: ThreefoldClass  # s²·p*(h·h), the complement of mixed inside ω²
+
+
+@lru_cache(maxsize=POLARIZATION_CACHE_SIZE)
+def _geometry(pol: Polarization) -> _Geometry:
+    """ω² and its split into the mixed and fiber parts, once per polarization."""
+    model = pol.model
     w = pol.omega().as_threefold()
-    return x_mul(w, w)
-
-
-@lru_cache(maxsize=None)
-def _mixed_part(pol: Polarization) -> ThreefoldClass:
-    """t²Θ² + 2ts·Θ·p*h as a threefold class."""
-    theta = pol.model.theta()
-    ph = pullback(pol.model.divisor_surface(pol.h))
-    return x_mul(theta, theta).scale(pol.t * pol.t) + x_mul(theta, ph).scale(
+    theta = model.theta()
+    ph = pullback(model.divisor_surface(pol.h))
+    mixed = x_mul(theta, theta).scale(pol.t * pol.t) + x_mul(theta, ph).scale(
         2 * pol.t * pol.s
     )
-
-
-@lru_cache(maxsize=None)
-def _fiber_part(pol: Polarization) -> ThreefoldClass:
-    """s²·p*(h·h), the complement of the mixed part inside ω²."""
-    model = pol.model
     hh = model.pair(pol.h, pol.h)
-    return pullback(model.surface(s=hh)).scale(pol.s * pol.s)
+    fiber = pullback(model.surface(s=hh)).scale(pol.s * pol.s)
+    return _Geometry(x_mul(w, w), mixed, fiber)
 
 
 def _require_num_trivial(pol: Polarization, what: str) -> None:
@@ -183,10 +186,10 @@ def _require_num_trivial(pol: Polarization, what: str) -> None:
 # -- slopes -----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=POLARIZATION_CACHE_SIZE)
 def target_slope(n: int, pol: Polarization) -> Fraction:
     """Slope of the rank-n transform of O_X(-nΘ), computed via the ring."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not is_int(n) or n < 1:
         raise ValueError("n must be a positive integer")
     _require_num_trivial(pol, "target slope")
     char = transform_char(LineBundleX(pol.model, -n)).char
@@ -211,7 +214,7 @@ def candidate_slope(cand: DestabilizerCandidate, pol: Polarization) -> Fraction:
             "candidate delta length does not match the surface model"
         )
     ch1 = _candidate_ch1(cand, pol).as_threefold()
-    ring_numerator = x_integrate(x_mul(ch1, _omega_squared(pol)))
+    ring_numerator = x_integrate(x_mul(ch1, _geometry(pol).omega_squared))
     hh = pol.model.pair(pol.h, pol.h)
     pairing = pol.model.pair(cand.delta, pol.h)
     closed_numerator = (
@@ -264,10 +267,10 @@ def certify(n: int, pol: Polarization, cand: DestabilizerCandidate) -> Stability
     ch1_f = _candidate_ch1(cand, pol).as_threefold()
     ch1_tors = DivisorClassX(model, -cand.a, tuple(-x for x in cand.delta))
     ch1_sect = DivisorClassX(model, Fraction(cand.e), model.zero_vector())
-    mixed = _mixed_part(pol)
-    step1 = x_integrate(x_mul(ch1_f, _fiber_part(pol)))
-    step2 = x_integrate(x_mul(ch1_tors.as_threefold(), mixed))
-    step3 = x_integrate(x_mul(ch1_sect.as_threefold(), mixed))
+    geometry = _geometry(pol)
+    step1 = x_integrate(x_mul(ch1_f, geometry.fiber))
+    step2 = x_integrate(x_mul(ch1_tors.as_threefold(), geometry.mixed))
+    step3 = x_integrate(x_mul(ch1_sect.as_threefold(), geometry.mixed))
     trace = (
         TraceStep("fiber-degree step", step1, "<= 0", step1 <= 0),
         TraceStep("effectivity step", step2, "<= 0", step2 <= 0),
@@ -309,8 +312,8 @@ def candidate_grid(
     n: int, picard_rank: int, bounds: EnumerationBounds
 ) -> list[DestabilizerCandidate]:
     """The full deterministic candidate list for a rank-n search."""
-    a_values = _grid(bounds.a_max, bounds.a_step, Fraction(0))
-    coeff_values = _grid(bounds.delta_max, bounds.delta_step, -bounds.delta_max)
+    a_values = _grid(bounds.a_max, A_STEP, Fraction(0))
+    coeff_values = _grid(bounds.delta_max, DELTA_STEP, -bounds.delta_max)
     return [
         DestabilizerCandidate(r, a, delta, e)
         for r in range(1, n)
@@ -327,7 +330,7 @@ def enumerate_candidates(
 ) -> ScanResult:
     """Certify every candidate on the grid; order is grid order."""
     _require_num_trivial(pol, "stability scan")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not is_int(n) or n < 1:
         raise ValueError("n must be a positive integer")
     reports = tuple(
         certify(n, pol, cand)
@@ -389,9 +392,9 @@ def transform_stability(
     duality_step: Conclusion | None = None
     if lb.m > 0:
         n = lb.m
-        duality_step = duality_decision(
+        duality_step = solve_scenario(
             SheafScenario(n=3, c=0, wit=WitType.WIT1, dim_shift=0)
-        )
+        ).conclusion
         reduction.append(
             f"m = {lb.m} > 0 reduces to m = {-lb.m}: the dual of that "
             "transform is this transform up to involution pullback and a "

@@ -39,7 +39,7 @@ def test_transform_json_round_trips(capsys, k3):
 def test_transform_accepts_twists_and_kernels(capsys):
     payload = run_json(
         capsys, "transform", "--preset", "general_demo", "-m", "1",
-        "--twist", "1,0", "--kernel", "alternate", "--json",
+        "--twist", "1,0", "--json",
     )
     assert payload["char"]["ch0"] == "1"
     assert payload["char"]["ch1"]["delta"] == ["0", "-1"]
@@ -258,8 +258,7 @@ def test_entry_point_matches_main():
             id="transform",
         ),
         pytest.param(
-            ("transform", "--preset", "general_demo", "-m", "1", "--twist", "1,0",
-             "--kernel", "alternate"),
+            ("transform", "--preset", "general_demo", "-m", "1", "--twist", "1,0"),
             "5f6e2473c75fed09f216961024daf305e6e1e949cc7487e9871c2fb994e0d535",
             id="transform-twisted",
         ),
@@ -320,3 +319,22 @@ def test_json_output_is_byte_stable(capsys, argv, digest):
     code, out, err = run(capsys, *argv, "--json")
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_negative_values_read_as_separate_arguments(capsys, tmp_path):
+    """A value such as -1/2 or -1,3 after its flag means the same as --flag=value."""
+    from weierfm import SurfaceModel
+
+    path = tmp_path / "hyperbolic.json"
+    path.write_text(serialize.dumps(SurfaceModel(2, ((0, 1), (1, 0)), (0, 0), True, (0, 0))))
+    cases = [
+        (("dual", "--preset", "k3_quartic", "--ch0", "2"), "--ch1-theta", "-1/2"),
+        (("transform", "--preset", "general_demo", "-m", "1"), "--twist", "-1/2,3"),
+        (("certify", "--model-file", str(path), "--h", "1,1", "-t", "1", "-s", "1",
+          "-n", "2", "-r", "1", "--a", "1", "--e", "0"), "--delta", "-1,3"),
+    ]
+    for head, flag, value in cases:
+        separate = run(capsys, *head, flag, value, "--json")
+        joined = run(capsys, *head, f"{flag}={value}", "--json")
+        assert separate[0] == 0, separate[2]
+        assert separate == joined

@@ -96,13 +96,6 @@ def test_rank_zero_transform(k3):
     assert not result.locally_free
 
 
-def test_kernel_choice_does_not_move_the_character(k3):
-    lb = LineBundleX(k3.model, -3)
-    assert transform_char(lb, KernelChoice.PAPER) == transform_char(
-        lb, KernelChoice.ALTERNATE
-    )
-
-
 @pytest.mark.parametrize("m,expected", [(1, WitType.WIT0), (7, WitType.WIT0),
                                         (0, WitType.WIT1), (-3, WitType.WIT1)])
 def test_wit_classification(k3, m, expected):

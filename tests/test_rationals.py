@@ -4,6 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from weierfm import (
+    DestabilizerCandidate,
+    InfeasibleScenarioError,
+    LineBundleX,
+    Polarization,
+    SheafScenario,
+    SurfaceModel,
+    WitType,
+    enumerate_candidates,
+    get_preset,
+    target_slope,
+)
 from weierfm.rationals import (
     as_rational,
     as_rational_vector,
@@ -73,3 +85,40 @@ def test_vector_round_trip():
 def test_empty_vector_parses_to_empty_tuple():
     assert parse_rational_vector("") == ()
     assert format_rational_vector(()) == ""
+
+
+def _k3_pol():
+    preset = get_preset("k3_quartic")
+    return Polarization(preset.model, 1, 1, preset.ample)
+
+
+@pytest.mark.parametrize("value", [True, 1.0, 4.9], ids=["bool", "whole-float", "float"])
+@pytest.mark.parametrize(
+    "build,error",
+    [
+        pytest.param(lambda v: SheafScenario(v, 0, WitType.WIT0, 0),
+                     InfeasibleScenarioError, id="scenario-n"),
+        pytest.param(lambda v: SheafScenario(3, v, WitType.WIT0, 0),
+                     InfeasibleScenarioError, id="scenario-c"),
+        pytest.param(lambda v: SheafScenario(3, 1, WitType.WIT0, v),
+                     InfeasibleScenarioError, id="scenario-dim-shift"),
+        pytest.param(lambda v: DestabilizerCandidate(v, 0, (0,), 0), ValueError,
+                     id="candidate-r"),
+        pytest.param(lambda v: DestabilizerCandidate(1, 0, (0,), v), ValueError,
+                     id="candidate-e"),
+        pytest.param(lambda v: SurfaceModel(v, ((4,),), (0,), True, (0,)), ValueError,
+                     id="model-picard-rank"),
+        pytest.param(lambda v: SurfaceModel(1, ((v,),), (0,), True, (0,)), ValueError,
+                     id="model-gram"),
+        pytest.param(lambda v: LineBundleX(get_preset("k3_quartic").model, v), TypeError,
+                     id="line-bundle-m"),
+        pytest.param(lambda v: target_slope(v, _k3_pol()), ValueError, id="target-slope-n"),
+        pytest.param(lambda v: enumerate_candidates(v, _k3_pol()), ValueError,
+                     id="scan-n"),
+    ],
+)
+def test_int_fields_refuse_bools_and_floats(build, error, value):
+    """An int field takes an int proper: True or 1.0 would encode to JSON
+    that the strict decoders refuse, and 4.9 must not be truncated."""
+    with pytest.raises(error):
+        build(value)

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weierfm import (
@@ -19,10 +19,12 @@ from weierfm import (
     ShortExact,
     Side,
     TruncatedChar,
+    WeierfmError,
     WitType,
     certify,
     duality_decision,
     enumerate_candidates,
+    get_preset,
     solve_scenario,
     transform_char,
 )
@@ -156,3 +158,92 @@ def test_fraction_round_trip_property(q):
 def test_char_round_trip_property(k3, m, x):
     char = TruncatedChar(Fraction(m), k3.model.divisor_x(a=x, delta=(x + 1,)))
     rt(char, serialize.truncated_char_from_json, k3.model)
+
+
+# -- malformed documents ------------------------------------------------------------
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def _decoders():
+    """Each decoder with one valid document, for a k3 model."""
+    preset = get_preset("k3_quartic")
+    model = preset.model
+    pol = Polarization(model, Fraction(1), Fraction(1, 2), preset.ample)
+    lb = LineBundleX(model, -2, (Fraction(1, 2),))
+    candidate = DestabilizerCandidate(1, Fraction(1, 2), (Fraction(-2),), 1)
+    report = certify(2, pol, candidate)
+    scan = enumerate_candidates(
+        2, pol, EnumerationBounds(a_max=Fraction(1, 2), delta_max=Fraction(0))
+    )
+    solution = solve_scenario(SheafScenario(3, 1, WitType.WIT0, 1))
+    samples = {
+        "surface_model": model,
+        "surface_class": model.surface(1, (Fraction(1, 3),), 2),
+        "threefold_class": model.theta() + model.fiber(),
+        "divisor_class": model.divisor_x(a=Fraction(-1, 2), delta=(3,)),
+        "polarization": pol,
+        "line_bundle": lb,
+        "truncated_char": transform_char(lb).char,
+        "transform_result": transform_char(lb),
+        "scenario": solution.scenario,
+        "conclusion": solution.conclusion,
+        "term_ref": solution.relations[0].left,
+        "candidate": candidate,
+        "effectivity_proxy": report.proxy,
+        "trace_step": report.trace[0],
+        "stability_report": report,
+        "scan_result": scan,
+    }
+    out = {
+        name: (lambda doc, decode=getattr(serialize, f"{name}_from_json"): decode(doc, model),
+               serialize.to_jsonable(obj))
+        for name, obj in samples.items()
+    }
+    left, right = solution.relations[0].left, solution.relations[0].right
+    for relation in (Identification(0, left, right), ForcedZero(0, right),
+                     ShortExact(1, right, left, right), Forbidden(2, "nothing survives")):
+        out[type(relation).__name__] = (serialize.relation_from_json,
+                                        serialize.to_jsonable(relation))
+    return out
+
+
+_DECODERS = _decoders()
+
+
+def _mutate(doc, data):
+    """A valid document with one subtree replaced by arbitrary JSON or one key dropped."""
+    if isinstance(doc, (dict, list)) and doc and data.draw(st.booleans()):
+        out = doc.copy()
+        key = data.draw(st.sampled_from(list(doc) if isinstance(doc, dict) else range(len(doc))))
+        if isinstance(doc, dict) and data.draw(st.booleans()):
+            del out[key]
+        else:
+            out[key] = _mutate(doc[key], data)
+        return out
+    return data.draw(_ANY_JSON)
+
+
+def test_every_decoder_is_fuzzed():
+    covered = {f"{name}_from_json" for name in _DECODERS if name.islower()}
+    covered.add("relation_from_json")
+    assert covered == {name for name in dir(serialize) if name.endswith("_from_json")}
+
+
+@pytest.mark.parametrize("name", sorted(_DECODERS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_malformed_documents_raise_only_documented_errors(name, data):
+    """Arbitrary JSON, or a valid document with one edit, either decodes or
+    raises ValueError, TypeError or a WeierfmError; nothing else escapes."""
+    decode, valid = _DECODERS[name]
+    doc = _mutate(valid, data) if data.draw(st.booleans()) else data.draw(_ANY_JSON)
+    try:
+        decode(doc)
+    except (ValueError, TypeError, WeierfmError):
+        pass

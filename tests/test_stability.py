@@ -200,7 +200,7 @@ def test_bounds_validation():
     with pytest.raises(ValueError):
         EnumerationBounds(a_max=Fraction(-1))
     with pytest.raises(ValueError):
-        EnumerationBounds(a_step=Fraction(0))
+        EnumerationBounds(delta_max=Fraction(-1))
 
 
 # -- the pipeline --------------------------------------------------------------------
@@ -262,3 +262,13 @@ def test_pipeline_refuses_nontrivial_canonical(demo):
     pol = Polarization(demo.model, Fraction(1), Fraction(1), demo.ample)
     with pytest.raises(HypothesisViolationError):
         transform_stability(LineBundleX(demo.model, -2), pol, small_bounds())
+
+
+def test_polarization_caches_stay_bounded(k3):
+    from weierfm.stability import POLARIZATION_CACHE_SIZE, _geometry
+
+    for i in range(POLARIZATION_CACHE_SIZE + 8):
+        pol = Polarization(k3.model, Fraction(1), Fraction(i + 1, 7), k3.ample)
+        certify(2, pol, cand())
+    for cached in (_geometry, target_slope):
+        assert cached.cache_info().currsize <= POLARIZATION_CACHE_SIZE
