@@ -6,7 +6,7 @@ One subcommand per library operation:
   slope        slope of a truncated character against ω = tΘ + s·p*h
   dual         character of the derived dual
   commute      dual-vs-transform commutativity check for one kernel
-  ss-duality   spectral-sequence run + closed-form verdict for a scenario
+  ss-duality   spectral-sequence run for a scenario and the engine's conclusion
   certify      judge a single destabilizer candidate
   scan         full stability pipeline for O_X(mΘ) (grid search; m > 0
                goes through the recorded dual reduction)
@@ -17,8 +17,9 @@ document whose rationals are exact ``p/q`` strings.
 Exit codes: 0 success; 1 malformed input (unknown preset, bad rationals,
 bad flags); 2 hypothesis violation (operation precondition fails: slope
 of a rank-0 character, stability over a base with nontrivial canonical
-class, infeasible scenario, m = 0 pipeline); 3 internal invariant breach,
-which is always a bug.
+class, a threefold whose omega class differs from the canonical class,
+infeasible scenario, m = 0 pipeline); 3 internal invariant breach, which
+is always a bug.
 """
 
 from __future__ import annotations
@@ -68,62 +69,25 @@ _HYPOTHESIS_ERROR = 2
 _INTERNAL_ERROR = 3
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg(parse, what: str | None = None):
+    """An argparse ``type=`` adapter: a failed ``parse`` is reported as
+    ``what`` and the offending text, or as the parse error's own text."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            message = str(exc) if what is None else f"{what} (got {text!r})"
+            raise argparse.ArgumentTypeError(message) from None
+
+    return convert
 
 
-def _rational_vector(text: str) -> tuple[Fraction, ...]:
-    try:
-        return parse_rational_vector(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _wit(text: str) -> WitType:
-    mapping = {"0": WitType.WIT0, "1": WitType.WIT1,
-               "WIT0": WitType.WIT0, "WIT1": WitType.WIT1}
-    try:
-        return mapping[text]
-    except KeyError:
-        raise argparse.ArgumentTypeError(
-            f"wit must be one of 0, 1, WIT0, WIT1 (got {text!r})"
-        ) from None
-
-
-def _kernel(text: str) -> KernelChoice:
-    try:
-        return KernelChoice(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"kernel must be 'paper' or 'alternate' (got {text!r})"
-        ) from None
-
-
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--preset",
-        default="k3_quartic",
-        help=f"surface preset: {', '.join(sorted(PRESETS))} (default k3_quartic)",
-    )
-    sub.add_argument(
-        "--model-file",
-        default=None,
-        help="path to a SurfaceModel JSON document (overrides --preset)",
-    )
-
-
-def _add_pol_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("-t", type=_rational, required=True, help="Θ coefficient of ω")
-    sub.add_argument("-s", type=_rational, required=True, help="p*h coefficient of ω")
-    sub.add_argument(
-        "--h",
-        type=_rational_vector,
-        default=None,
-        help="ample class on the base (comma-separated; preset default otherwise)",
-    )
+_rational = _arg(parse_rational)
+_rational_vector = _arg(parse_rational_vector)
+_wit = _arg(lambda text: WitType({"0": "WIT0", "1": "WIT1"}.get(text, text)),
+            "wit must be one of 0, 1, WIT0, WIT1")
+_kernel = _arg(KernelChoice, "kernel must be 'paper' or 'alternate'")
 
 
 def _resolve_model(args) -> tuple[SurfaceModel, tuple[Fraction, ...] | None, str]:
@@ -135,7 +99,8 @@ def _resolve_model(args) -> tuple[SurfaceModel, tuple[Fraction, ...] | None, str
     return preset.model, preset.ample, preset.name
 
 
-def _resolve_polarization(args, model, default_h) -> Polarization:
+def _resolve_polarization(args) -> Polarization:
+    model, default_h, _ = _resolve_model(args)
     h = args.h if args.h is not None else default_h
     if h is None:
         raise ValueError("--h is required when the model comes from a file")
@@ -149,93 +114,68 @@ def _char_from_flags(args, model) -> TruncatedChar:
     return TruncatedChar(args.ch0, DivisorClassX(model, args.ch1_theta, delta))
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, ensure_ascii=False, indent=2))
-
-
-def _print_table(rows: list[tuple[str, str]]) -> None:
+def _table(rows: list[tuple[str, str]]) -> list[str]:
     width = max(len(key) for key, _ in rows)
-    for key, value in rows:
-        print(f"{key.ljust(width)}  {value}")
+    return [f"{key.ljust(width)}  {value}" for key, value in rows]
 
 
 # -- command handlers --------------------------------------------------------
+# Each returns (payload, lines), the --json document and the text lines.
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args) -> tuple[dict, list[str]]:
     model, _, source = _resolve_model(args)
     lb = LineBundleX(model, args.m, args.twist)
     result = transform_char(lb)
-    if args.json:
-        _print_json(serialize.to_jsonable(result))
-    else:
-        _print_table(
-            [
-                ("model", source),
-                ("line bundle", lb.render()),
-                ("ch0", format_rational(result.char.ch0)),
-                ("ch1", result.char.ch1.render()),
-                ("WIT type", result.wit.value),
-                ("locally free", "yes" if result.locally_free else "no"),
-            ]
-        )
-    return 0
+    return serialize.to_jsonable(result), _table(
+        [
+            ("model", source),
+            ("line bundle", lb.render()),
+            ("ch0", format_rational(result.char.ch0)),
+            ("ch1", result.char.ch1.render()),
+            ("WIT type", result.wit.value),
+            ("locally free", "yes" if result.locally_free else "no"),
+        ]
+    )
 
 
-def _cmd_slope(args) -> int:
-    model, default_h, _ = _resolve_model(args)
-    pol = _resolve_polarization(args, model, default_h)
-    value = slope(_char_from_flags(args, model), pol)
-    if args.json:
-        _print_json({"slope": format_rational(value)})
-    else:
-        print(format_rational(value))
-    return 0
+def _cmd_slope(args) -> tuple[dict, list[str]]:
+    pol = _resolve_polarization(args)
+    value = format_rational(slope(_char_from_flags(args, pol.model), pol))
+    return {"slope": value}, [value]
 
 
-def _cmd_dual(args) -> int:
+def _cmd_dual(args) -> tuple[dict, list[str]]:
     model, _, _ = _resolve_model(args)
     dual = dual_char(_char_from_flags(args, model))
-    if args.json:
-        _print_json(serialize.to_jsonable(dual))
-    else:
-        _print_table(
-            [("ch0", format_rational(dual.ch0)), ("ch1", dual.ch1.render())]
-        )
-    return 0
+    return serialize.to_jsonable(dual), _table(
+        [("ch0", format_rational(dual.ch0)), ("ch1", dual.ch1.render())]
+    )
 
 
-def _cmd_commute(args) -> int:
+def _cmd_commute(args) -> tuple[dict, list[str]]:
     model, _, _ = _resolve_model(args)
     lb = LineBundleX(model, args.m, args.twist)
     commutes = commutativity_check(lb, args.kernel)
-    if args.json:
-        _print_json(
-            {
-                "line_bundle": serialize.to_jsonable(lb),
-                "kernel": args.kernel.value,
-                "commutes": commutes,
-            }
-        )
-    else:
-        _print_table(
-            [
-                ("line bundle", lb.render()),
-                ("kernel", args.kernel.value),
-                ("commutes", "yes" if commutes else "no"),
-            ]
-        )
-    return 0
+    payload = {
+        "line_bundle": serialize.to_jsonable(lb),
+        "kernel": args.kernel.value,
+        "commutes": commutes,
+    }
+    return payload, _table(
+        [
+            ("line bundle", lb.render()),
+            ("kernel", args.kernel.value),
+            ("commutes", "yes" if commutes else "no"),
+        ]
+    )
 
 
-def _cmd_ss_duality(args) -> int:
+def _cmd_ss_duality(args) -> tuple[dict, list[str]]:
     scenario = SheafScenario(n=args.n, c=args.c, wit=args.wit, dim_shift=args.dim_shift)
     solution = solve_scenario(scenario)
-    if args.json:
-        _print_json(serialize.to_jsonable(solution))
-        return 0
     shift = f"{scenario.dim_shift:+d}"
-    _print_table(
+    lines = _table(
         [
             (
                 "scenario",
@@ -249,74 +189,63 @@ def _cmd_ss_duality(args) -> int:
             ),
         ]
     )
-    print("relations:")
-    for relation in solution.relations:
-        print(f"  {relation.render()}")
-    return 0
+    lines.append("relations:")
+    lines += [f"  {relation.render()}" for relation in solution.relations]
+    return serialize.to_jsonable(solution), lines
 
 
-def _cmd_certify(args) -> int:
-    model, default_h, _ = _resolve_model(args)
-    pol = _resolve_polarization(args, model, default_h)
-    delta = args.delta if args.delta is not None else model.zero_vector()
+def _cmd_certify(args) -> tuple[dict, list[str]]:
+    pol = _resolve_polarization(args)
+    delta = args.delta if args.delta is not None else pol.model.zero_vector()
     cand = DestabilizerCandidate(r=args.rank, a=args.a, delta=delta, e=args.e)
     report = certify(args.n, pol, cand)
-    if args.json:
-        _print_json(serialize.to_jsonable(report))
-        return 0
-    rows = [
-        ("candidate", f"r={cand.r} a={cand.a} delta=[{', '.join(map(str, cand.delta))}] e={cand.e}"),
-        ("verdict", report.verdict.value),
-        ("candidate slope", format_rational(report.candidate_slope)),
-        ("target slope", format_rational(report.target_slope)),
-        ("fiber degree", format_rational(report.fiber_deg)),
-        ("proxy", f"a≥0: {'yes' if report.proxy.a_nonneg else 'no'}, delta·H = {report.proxy.pairing}"),
-    ]
-    _print_table(rows)
-    print("trace:")
+    lines = _table(
+        [
+            ("candidate", f"r={cand.r} a={cand.a} delta=[{', '.join(map(str, cand.delta))}] e={cand.e}"),
+            ("verdict", report.verdict.value),
+            ("candidate slope", format_rational(report.candidate_slope)),
+            ("target slope", format_rational(report.target_slope)),
+            ("fiber degree", format_rational(report.fiber_deg)),
+            ("proxy", f"a≥0: {'yes' if report.proxy.a_nonneg else 'no'}, delta·H = {report.proxy.pairing}"),
+        ]
+    )
+    lines.append("trace:")
     for step in report.trace:
         flag = "ok" if step.satisfied else "FAILS"
-        print(f"  {step.name}: {step.value} (want {step.requirement}) {flag}")
-    for reason in report.inadmissible_reasons:
-        print(f"  inadmissible: {reason}")
-    return 0
+        lines.append(f"  {step.name}: {step.value} (want {step.requirement}) {flag}")
+    lines += [f"  inadmissible: {reason}" for reason in report.inadmissible_reasons]
+    return serialize.to_jsonable(report), lines
 
 
-def _cmd_scan(args) -> int:
-    model, default_h, _ = _resolve_model(args)
-    pol = _resolve_polarization(args, model, default_h)
+def _cmd_scan(args) -> tuple[dict, list[str]]:
+    pol = _resolve_polarization(args)
     bounds = EnumerationBounds(a_max=args.a_max, delta_max=args.delta_max)
-    lb = LineBundleX(model, args.m, args.twist)
+    lb = LineBundleX(pol.model, args.m, args.twist)
     report = transform_stability(lb, pol, bounds)
-    if args.json:
-        payload = serialize.to_jsonable(report)
-        if args.full_reports:
-            payload["reports"] = [
-                serialize.to_jsonable(r) for r in report.scan.reports
-            ]
-        _print_json(payload)
-        return 0
+    payload = serialize.to_jsonable(report)
+    if args.full_reports and args.json:  # the table never shows the reports
+        payload["reports"] = [serialize.to_jsonable(r) for r in report.scan.reports]
     counts = report.scan.verdict_counts()
-    rows = [
-        ("line bundle", lb.render()),
-        ("transform ch0", format_rational(report.transform.char.ch0)),
-        ("transform ch1", report.transform.char.ch1.render()),
-        ("WIT type", report.transform.wit.value),
-        ("transform slope", format_rational(report.transform_slope)),
-        ("search rank", str(report.search_rank)),
-        ("target slope", format_rational(report.target_slope)),
-        ("candidates", str(report.scan.candidate_count)),
-        ("certified", str(counts["Certified"])),
-        ("inadmissible", str(counts["Inadmissible"])),
-        ("violations", str(counts["Violation"])),
-        ("any violation", "yes" if report.scan.any_violation else "no"),
-        ("stable", "yes" if report.stable else "no"),
-    ]
-    _print_table(rows)
-    print("reduction:")
-    for line in report.reduction:
-        print(f"  - {line}")
-    return 0
+    lines = _table(
+        [
+            ("line bundle", lb.render()),
+            ("transform ch0", format_rational(report.transform.char.ch0)),
+            ("transform ch1", report.transform.char.ch1.render()),
+            ("WIT type", report.transform.wit.value),
+            ("transform slope", format_rational(report.transform_slope)),
+            ("search rank", str(report.search_rank)),
+            ("target slope", format_rational(report.target_slope)),
+            ("candidates", str(report.scan.candidate_count)),
+            ("certified", str(counts["Certified"])),
+            ("inadmissible", str(counts["Inadmissible"])),
+            ("violations", str(counts["Violation"])),
+            ("any violation", "yes" if report.scan.any_violation else "no"),
+            ("stable", "yes" if report.stable else "no"),
+        ]
+    )
+    lines.append("reduction:")
+    lines += [f"  - {line}" for line in report.reduction]
+    return payload, lines
 
 
 # -- parser ------------------------------------------------------------------
@@ -339,73 +268,78 @@ def build_parser() -> argparse.ArgumentParser:
         prog="weierfm",
         description="Exact transform calculus on Weierstrass elliptic threefolds",
     )
+
+    # Flag groups shared by several subcommands, passed as argparse parents.
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument(
+        "--preset",
+        default="k3_quartic",
+        help=f"surface preset: {', '.join(sorted(PRESETS))} (default k3_quartic)",
+    )
+    model.add_argument(
+        "--model-file",
+        default=None,
+        help="path to a SurfaceModel JSON document (overrides --preset)",
+    )
+    pol = argparse.ArgumentParser(add_help=False)
+    pol.add_argument("-t", type=_rational, required=True, help="Θ coefficient of ω")
+    pol.add_argument("-s", type=_rational, required=True, help="p*h coefficient of ω")
+    pol.add_argument(
+        "--h",
+        type=_rational_vector,
+        default=None,
+        help="ample class on the base (comma-separated; preset default otherwise)",
+    )
+    bundle = argparse.ArgumentParser(add_help=False)
+    bundle.add_argument("-m", type=int, required=True, help="multiple of the section Θ")
+    bundle.add_argument("--twist", type=_rational_vector, default=None, help="c1 of N")
+    char = argparse.ArgumentParser(add_help=False)
+    char.add_argument("--ch0", type=_rational, required=True)
+    char.add_argument("--ch1-theta", type=_rational, default=Fraction(0))
+    char.add_argument("--ch1-delta", type=_rational_vector, default=None)
+
+    commands = (
+        ("transform", "character of the transform of O_X(mΘ)⊗p*N", _cmd_transform,
+         [model, bundle]),
+        ("slope", "slope of a truncated character", _cmd_slope, [model, pol, char]),
+        ("dual", "character of the derived dual", _cmd_dual, [model, char]),
+        ("commute", "dual-transform commutativity check", _cmd_commute, [model, bundle]),
+        ("ss-duality", "run the duality bookkeeping engine", _cmd_ss_duality, []),
+        ("certify", "judge one destabilizer candidate", _cmd_certify, [model, pol]),
+        ("scan", "full stability pipeline for O_X(mΘ)", _cmd_scan, [model, pol, bundle]),
+    )
     subs = parser.add_subparsers(dest="command", required=True)
+    sub = {}
+    for name, help_text, handler, groups in commands:
+        sub[name] = subs.add_parser(name, help=help_text, parents=groups)
+        sub[name].set_defaults(func=handler)
 
-    p = subs.add_parser("transform", help="character of the transform of O_X(mΘ)⊗p*N")
-    _add_model_flags(p)
-    p.add_argument("-m", type=int, required=True, help="multiple of the section Θ")
-    p.add_argument("--twist", type=_rational_vector, default=None, help="c1 of N")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_transform)
+    sub["commute"].add_argument("--kernel", type=_kernel, default=KernelChoice.PAPER)
 
-    p = subs.add_parser("slope", help="slope of a truncated character")
-    _add_model_flags(p)
-    _add_pol_flags(p)
-    p.add_argument("--ch0", type=_rational, required=True)
-    p.add_argument("--ch1-theta", type=_rational, default=Fraction(0))
-    p.add_argument("--ch1-delta", type=_rational_vector, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_slope)
-
-    p = subs.add_parser("dual", help="character of the derived dual")
-    _add_model_flags(p)
-    p.add_argument("--ch0", type=_rational, required=True)
-    p.add_argument("--ch1-theta", type=_rational, default=Fraction(0))
-    p.add_argument("--ch1-delta", type=_rational_vector, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_dual)
-
-    p = subs.add_parser("commute", help="dual-transform commutativity check")
-    _add_model_flags(p)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--twist", type=_rational_vector, default=None)
-    p.add_argument("--kernel", type=_kernel, default=KernelChoice.PAPER)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_commute)
-
-    p = subs.add_parser("ss-duality", help="run the duality bookkeeping engine")
+    p = sub["ss-duality"]
     p.add_argument("-n", type=int, default=3, help="dimension of X (default 3)")
     p.add_argument("-c", type=int, required=True, help="codimension of E")
     p.add_argument("--wit", type=_wit, required=True, help="0/WIT0 or 1/WIT1")
     p.add_argument(
         "--dim-shift", type=int, required=True, help="transform dim minus sheaf dim"
     )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_ss_duality)
 
-    p = subs.add_parser("certify", help="judge one destabilizer candidate")
-    _add_model_flags(p)
-    _add_pol_flags(p)
+    p = sub["certify"]
     p.add_argument("-n", type=int, required=True, help="rank of the searched transform")
     p.add_argument("-r", "--rank", type=int, required=True, help="candidate rank")
     p.add_argument("--a", type=_rational, required=True, help="Θ coefficient")
     p.add_argument("--delta", type=_rational_vector, default=None)
     p.add_argument("--e", type=int, choices=(0, 1), required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_certify)
 
-    p = subs.add_parser("scan", help="full stability pipeline for O_X(mΘ)")
-    _add_model_flags(p)
-    _add_pol_flags(p)
-    p.add_argument("-m", type=int, required=True, help="nonzero multiple of Θ")
-    p.add_argument("--twist", type=_rational_vector, default=None)
+    p = sub["scan"]
     p.add_argument("--a-max", type=_rational, default=Fraction(6))
     p.add_argument("--delta-max", type=_rational, default=Fraction(6))
     p.add_argument("--full-reports", action="store_true",
                    help="with --json, include every per-candidate report")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_scan)
 
+    # Last, so that every usage line lists --json after the command's own flags.
+    for p in sub.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -416,7 +350,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else _INPUT_ERROR
     try:
-        return args.func(args)
+        payload, lines = args.func(args)
+        if args.json:
+            print(json.dumps(payload, ensure_ascii=False, indent=2))
+        else:
+            print("\n".join(lines))
     except (HypothesisViolationError, UndefinedSlopeError, InfeasibleScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _HYPOTHESIS_ERROR
@@ -426,6 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError, ModelMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _INPUT_ERROR
+    return 0
 
 
 def run() -> None:

@@ -38,7 +38,7 @@ from .errors import (
     UndefinedSlopeError,
 )
 from .rationals import RationalLike, as_rational, as_rational_vector, is_int
-from .ring import DivisorClassX, SurfaceModel, x_integrate, x_mul
+from .ring import DivisorClassX, SurfaceModel, require_x_k_trivial, x_integrate, x_mul
 
 _HALF = Fraction(1, 2)
 
@@ -174,9 +174,11 @@ def transform_char(lb: LineBundleX) -> TransformResult:
 
     The same for both kernels: they differ by a pullback from the base
     whose effect enters only through the duality twist, which
-    :func:`commutativity_check` applies.
+    :func:`commutativity_check` applies.  A threefold that is not
+    K-trivial is refused with :class:`HypothesisViolationError`.
     """
     model = lb.model
+    require_x_k_trivial(model, "the transform character")
     m = lb.m
     if m == 0:
         # Rank-0 transform supported on the section: (0, Θ).

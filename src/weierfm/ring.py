@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ModelMismatchError
+from .errors import HypothesisViolationError, ModelMismatchError
 from .rationals import RationalLike, as_rational, as_rational_vector, is_int
 
 _HALF = Fraction(1, 2)
@@ -77,6 +77,8 @@ class SurfaceModel:
             raise ValueError(f"canonical must have length {rho}")
         if len(omega) != rho:
             raise ValueError(f"omega_class must have length {rho}")
+        if not isinstance(self.k_trivial, bool):
+            raise ValueError(f"k_trivial must be a bool, got {self.k_trivial!r}")
         if self.k_trivial and any(c != 0 for c in canonical):
             raise ValueError("k_trivial surface must have canonical = 0")
         object.__setattr__(self, "gram", gram)
@@ -90,7 +92,8 @@ class SurfaceModel:
         """Whether the total space X is numerically K-trivial.
 
         K_X = p*(K_S - c1(omega)) on a Weierstrass model, so the condition
-        is exactly omega_class == canonical.
+        is exactly omega_class == canonical.  The ring product and the
+        transform character refuse a model where it fails.
         """
         return self.omega_class == self.canonical
 
@@ -141,6 +144,19 @@ class SurfaceModel:
     def divisor_x(self, a: RationalLike = 0, delta=None) -> "DivisorClassX":
         dvec = self.zero_vector() if delta is None else as_rational_vector(delta)
         return DivisorClassX(self, as_rational(a), dvec)
+
+
+def require_x_k_trivial(model: SurfaceModel, what: str) -> None:
+    """Refuse a threefold that is not K-trivial (omega class ≠ K_S).
+
+    The ring's fold Θ² = Θ·p*K_S and the transform character read K_S
+    where such a threefold needs its omega class, so neither holds there.
+    """
+    if not model.x_k_trivial:
+        raise HypothesisViolationError(
+            f"{what} needs a K-trivial threefold "
+            "(omega class matching the canonical class)"
+        )
 
 
 def _check_same_model(left, right) -> None:
@@ -265,6 +281,7 @@ def x_mul(x: ThreefoldClass, y: ThreefoldClass) -> ThreefoldClass:
     """
     _check_same_model(x.alpha, y.alpha)
     model = x.model
+    require_x_k_trivial(model, "the ring product")
     k = model.canonical_surface()
     alpha = (
         surface_mul(surface_mul(k, x.alpha), y.alpha)

@@ -86,6 +86,10 @@ class EffectivityProxy:
     a_nonneg: bool
     pairing: Fraction  # delta·H_S
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.a_nonneg, bool):
+            raise ValueError(f"a_nonneg must be a bool, got {self.a_nonneg!r}")
+
     @property
     def admissible(self) -> bool:
         return self.a_nonneg and self.pairing >= 0
@@ -97,6 +101,10 @@ class TraceStep:
     value: Fraction
     requirement: str
     satisfied: bool
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.satisfied, bool):
+            raise ValueError(f"satisfied must be a bool, got {self.satisfied!r}")
 
 
 @dataclass(frozen=True)
@@ -173,7 +181,10 @@ def _geometry(pol: Polarization) -> _Geometry:
     )
     hh = model.pair(pol.h, pol.h)
     fiber = pullback(model.surface(s=hh)).scale(pol.s * pol.s)
-    return _Geometry(x_mul(w, w), mixed, fiber)
+    omega_squared = x_mul(w, w)
+    if mixed + fiber != omega_squared:
+        raise InternalCheckError("ω² does not split into its mixed and fiber parts")
+    return _Geometry(omega_squared, mixed, fiber)
 
 
 def _require_num_trivial(pol: Polarization, what: str) -> None:
@@ -372,11 +383,6 @@ def transform_stability(
     if lb.model != pol.model:
         raise ModelMismatchError("line bundle and polarization models differ")
     _require_num_trivial(pol, "transform stability")
-    if not lb.model.x_k_trivial:
-        raise HypothesisViolationError(
-            "transform stability needs a K-trivial threefold "
-            "(omega class matching the canonical class)"
-        )
     if lb.m == 0:
         raise HypothesisViolationError(
             "the m = 0 transform is torsion and has no slope"

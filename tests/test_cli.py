@@ -246,79 +246,96 @@ def test_entry_point_matches_main():
     assert callable(mod.run)
 
 
-# sha256 of the exact stdout of one --json run per case, covering all seven
-# subcommands.  The pins hold key order, indentation and the rational
-# string forms to the byte: any change here changes the public JSON.
+# sha256 of the exact stdout of one run per case, with --json and without,
+# covering all seven subcommands.  The pins hold key order, indentation,
+# table alignment and the rational string forms to the byte: any change
+# here changes the public output.
+_PINS = {
+    "transform": (
+        ("transform", "--preset", "k3_quartic", "-m", "-2"),
+        "69799f90c63af754a88ceefb6e2076d257c7d2a8a5d3f7a7055efde727d5bc70",
+        "702e90528062e93417c5f200a74696cf4646dba2fd921a4fc1bfc76bfae21ebd",
+    ),
+    "transform-twisted": (
+        ("transform", "--preset", "general_demo", "-m", "1", "--twist", "1,0"),
+        "5f6e2473c75fed09f216961024daf305e6e1e949cc7487e9871c2fb994e0d535",
+        "a3b23d0642885bc394bb1f5cefda05308d2e015d998c325d2864defcecb3979c",
+    ),
+    "slope": (
+        ("slope", "--preset", "k3_quartic", "-t", "1", "-s", "1", "--ch0", "-2",
+         "--ch1-theta", "-1"),
+        "15ba914cb5934590dcd439d124e5f55d9ae0e4e7b7bd512384489c999b3bde31",
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    ),
+    "dual": (
+        ("dual", "--preset", "general_demo", "--ch0", "3", "--ch1-theta=-1/2",
+         "--ch1-delta", "2,1/3"),
+        "3b21ea4b7ec79131b889af108c2e4f98c5f5d8a535c5d588318e5a39454d3fc8",
+        "d1ef74031866bd5c5159e670f755e52c3445e13860a6d44a2d26dac8eaa0f926",
+    ),
+    "commute": (
+        ("commute", "--preset", "enriques", "-m", "-3", "--twist", "1/2"),
+        "4aa6a8dbf5b60d3af82438131cd8839baf2e4415bafa6a9552400a0a72264ea0",
+        "da3ff7b67da2081d7bfdc37942e49a5aaf392fa7cb6782e1e21d7b3eef45789d",
+    ),
+    "ss-duality-n5": (
+        ("ss-duality", "-n", "5", "-c", "2", "--wit", "1", "--dim-shift=-1"),
+        "51b6deffefa7a102796d2c1443b13df1dedff39273f304c4b3e3ad7414671595",
+        "565768ff3cac60a1e03b49867018e946cca6418c33179abb09defb4c3afb2990",
+    ),
+    "ss-duality-n3": (
+        ("ss-duality", "-n", "3", "-c", "1", "--wit", "0", "--dim-shift", "1"),
+        "7883c73fd86ba78f26f179f30770311a23d73b620ece13e38999ef44ea876a97",
+        "117d82097c6212390d5907cb9f40675cbb20872b6995ef50b49e9c7135760a9c",
+    ),
+    "certify-inadmissible": (
+        ("certify", "--preset", "k3_quartic", "-t", "1", "-s", "1", "-n", "2",
+         "-r", "1", "--a", "0", "--e", "1"),
+        "953de867b1e1a4da49f96dfb1077b3519ebd5bff3929b39ce45bb967e3f2816a",
+        "508762cc8bcf45f46d0cd71ad1c93b3f643396ab732e5c24f52f23f73de4235c",
+    ),
+    "certify-enriques": (
+        ("certify", "--preset", "enriques", "-t", "2", "-s", "1/2", "-n", "3",
+         "-r", "2", "--a", "1/2", "--delta=-1", "--e", "0"),
+        "f0f2c5a2e2a304fc2be7ac60c36b6226a02880a10b8dce60a78ff52f4ee1d7b0",
+        "bf1c849a1ca59be9518049d4ddb261fdaa12f2e6b4ee74601e9590d2d2d719f9",
+    ),
+    "scan-full-reports": (
+        ("scan", "--preset", "k3_quartic", "-m", "-3", "-t", "1/2", "-s", "1",
+         "--a-max", "2", "--delta-max", "2", "--full-reports"),
+        "950fd660624d2942c788a4bed8d184a4b0eb98cc416e3215e341a23dd9a69a15",
+        "03bcce637018810e127bf9dd0873b8c35424f7339ab740b6ab65391977f8d235",
+    ),
+    "scan-dual-route": (
+        ("scan", "--preset", "enriques", "-m", "2", "-t", "1", "-s", "1",
+         "--a-max", "1", "--delta-max", "1"),
+        "381353e91d5446cd3c66d072034f3672107801c39537a712ee87698c972bd638",
+        "b630f82ea240489c30938c363c7fafdba9f2cc381a3ce42b58597e75e717cb01",
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "argv,digest",
-    [
-        pytest.param(
-            ("transform", "--preset", "k3_quartic", "-m", "-2"),
-            "69799f90c63af754a88ceefb6e2076d257c7d2a8a5d3f7a7055efde727d5bc70",
-            id="transform",
-        ),
-        pytest.param(
-            ("transform", "--preset", "general_demo", "-m", "1", "--twist", "1,0"),
-            "5f6e2473c75fed09f216961024daf305e6e1e949cc7487e9871c2fb994e0d535",
-            id="transform-twisted",
-        ),
-        pytest.param(
-            ("slope", "--preset", "k3_quartic", "-t", "1", "-s", "1", "--ch0", "-2",
-             "--ch1-theta", "-1"),
-            "15ba914cb5934590dcd439d124e5f55d9ae0e4e7b7bd512384489c999b3bde31",
-            id="slope",
-        ),
-        pytest.param(
-            ("dual", "--preset", "general_demo", "--ch0", "3", "--ch1-theta=-1/2",
-             "--ch1-delta", "2,1/3"),
-            "3b21ea4b7ec79131b889af108c2e4f98c5f5d8a535c5d588318e5a39454d3fc8",
-            id="dual",
-        ),
-        pytest.param(
-            ("commute", "--preset", "enriques", "-m", "-3", "--twist", "1/2"),
-            "4aa6a8dbf5b60d3af82438131cd8839baf2e4415bafa6a9552400a0a72264ea0",
-            id="commute",
-        ),
-        pytest.param(
-            ("ss-duality", "-n", "5", "-c", "2", "--wit", "1", "--dim-shift=-1"),
-            "51b6deffefa7a102796d2c1443b13df1dedff39273f304c4b3e3ad7414671595",
-            id="ss-duality-n5",
-        ),
-        pytest.param(
-            ("ss-duality", "-n", "3", "-c", "1", "--wit", "0", "--dim-shift", "1"),
-            "7883c73fd86ba78f26f179f30770311a23d73b620ece13e38999ef44ea876a97",
-            id="ss-duality-n3",
-        ),
-        pytest.param(
-            ("certify", "--preset", "k3_quartic", "-t", "1", "-s", "1", "-n", "2",
-             "-r", "1", "--a", "0", "--e", "1"),
-            "953de867b1e1a4da49f96dfb1077b3519ebd5bff3929b39ce45bb967e3f2816a",
-            id="certify-inadmissible",
-        ),
-        pytest.param(
-            ("certify", "--preset", "enriques", "-t", "2", "-s", "1/2", "-n", "3",
-             "-r", "2", "--a", "1/2", "--delta=-1", "--e", "0"),
-            "f0f2c5a2e2a304fc2be7ac60c36b6226a02880a10b8dce60a78ff52f4ee1d7b0",
-            id="certify-enriques",
-        ),
-        pytest.param(
-            ("scan", "--preset", "k3_quartic", "-m", "-3", "-t", "1/2", "-s", "1",
-             "--a-max", "2", "--delta-max", "2", "--full-reports"),
-            "950fd660624d2942c788a4bed8d184a4b0eb98cc416e3215e341a23dd9a69a15",
-            id="scan-full-reports",
-        ),
-        pytest.param(
-            ("scan", "--preset", "enriques", "-m", "2", "-t", "1", "-s", "1",
-             "--a-max", "1", "--delta-max", "1"),
-            "381353e91d5446cd3c66d072034f3672107801c39537a712ee87698c972bd638",
-            id="scan-dual-route",
-        ),
-    ],
+    "argv,digest", [pytest.param(argv, pin, id=key) for key, (argv, pin, _) in _PINS.items()]
 )
 def test_json_output_is_byte_stable(capsys, argv, digest):
     code, out, err = run(capsys, *argv, "--json")
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv,digest", [pytest.param(argv, pin, id=key) for key, (argv, _, pin) in _PINS.items()]
+)
+def test_text_output_is_byte_stable(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_every_subcommand_is_pinned():
+    (action,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    assert set(action.choices) == {argv[0] for argv, _, _ in _PINS.values()}
 
 
 def test_negative_values_read_as_separate_arguments(capsys, tmp_path):

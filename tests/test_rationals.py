@@ -24,6 +24,7 @@ from weierfm.rationals import (
     parse_rational,
     parse_rational_vector,
 )
+from weierfm.stability import EffectivityProxy, TraceStep
 
 
 def test_integers_format_without_denominator():
@@ -121,4 +122,20 @@ def test_int_fields_refuse_bools_and_floats(build, error, value):
     """An int field takes an int proper: True or 1.0 would encode to JSON
     that the strict decoders refuse, and 4.9 must not be truncated."""
     with pytest.raises(error):
+        build(value)
+
+
+@pytest.mark.parametrize("value", ["false", 1, None], ids=["string", "int", "none"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda v: SurfaceModel(1, ((4,),), (0,), v, (0,)), id="model-k-trivial"),
+        pytest.param(lambda v: EffectivityProxy(v, Fraction(0)), id="proxy-a-nonneg"),
+        pytest.param(lambda v: TraceStep("step", Fraction(0), "<= 0", v), id="trace-satisfied"),
+    ],
+)
+def test_bool_fields_refuse_non_bools(build, value):
+    """A bool field takes a bool proper: the string "false" is truthy, and
+    the strict decoders refuse what a non-bool would encode to."""
+    with pytest.raises(ValueError):
         build(value)

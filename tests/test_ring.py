@@ -1,3 +1,7 @@
+import contextlib
+import io
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -5,18 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weierfm import (
+    DestabilizerCandidate,
     DivisorClassX,
+    HypothesisViolationError,
+    LineBundleX,
     ModelMismatchError,
+    Polarization,
     SurfaceModel,
     ThreefoldClass,
+    certify,
+    commutativity_check,
     exp_divisor,
     fiber_degree,
     pullback,
     pushforward,
     surface_mul,
+    transform_char,
     x_integrate,
     x_mul,
 )
+from weierfm import cli, serialize
 from weierfm.presets import PRESETS
 
 MODELS = tuple(p.model for p in PRESETS.values())
@@ -78,6 +90,49 @@ def test_x_k_trivial_is_omega_matching_canonical(k3, demo):
     assert demo.model.x_k_trivial  # canonical nonzero, omega equal to it
     bent = SurfaceModel(1, ((4,),), (0,), True, (1,))
     assert not bent.x_k_trivial
+
+
+@st.composite
+def skew_models(draw):
+    """Models whose threefold is not K-trivial: omega class ≠ K_S."""
+    rho = draw(st.integers(1, 3))
+    gram = [[0] * rho for _ in range(rho)]
+    for i in range(rho):
+        for j in range(i, rho):
+            gram[i][j] = gram[j][i] = draw(st.integers(-4, 4))
+    gram[0][0] = draw(st.integers(1, 6))  # so that h = e_0 polarizes
+    k_trivial = draw(st.booleans())
+    canonical = [0 if k_trivial else draw(st.integers(-3, 3)) for _ in range(rho)]
+    offset = draw(st.lists(rationals, min_size=rho, max_size=rho).filter(any))
+    omega = tuple(k + o for k, o in zip(canonical, offset))
+    return SurfaceModel(rho, tuple(map(tuple, gram)), tuple(canonical), k_trivial, omega)
+
+
+@settings(deadline=None, max_examples=50)
+@given(skew_models(), st.integers(-4, 4).filter(bool))
+def test_threefolds_that_are_not_k_trivial_are_refused(model, m):
+    """Θ² = Θ·p*K_S and the transform character need omega = K_S."""
+    lb = LineBundleX(model, m)
+    pol = Polarization(model, 1, 1, (1,) + (0,) * (model.picard_rank - 1))
+    theta = model.theta()
+    refused = (
+        lambda: x_mul(theta, theta),
+        lambda: transform_char(lb),
+        lambda: commutativity_check(lb),
+        lambda: certify(2, pol, DestabilizerCandidate(1, 0, model.zero_vector(), 0)),
+    )
+    for call in refused:
+        with pytest.raises(HypothesisViolationError):
+            call()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize.dumps(model))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["commute", "--model-file", path, "-m", str(m)])
+    assert code == 2
+    assert err.getvalue().startswith("error:") and "K-trivial" in err.getvalue()
 
 
 def test_gram_pairing(demo):

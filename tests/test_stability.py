@@ -7,6 +7,7 @@ from weierfm import (
     DestabilizerCandidate,
     EnumerationBounds,
     HypothesisViolationError,
+    InternalCheckError,
     LineBundleX,
     ModelMismatchError,
     Polarization,
@@ -249,8 +250,9 @@ def test_pipeline_needs_a_k_trivial_threefold(k3_pol):
     pol = Polarization(skew, Fraction(1), Fraction(1), (Fraction(1),))
     with pytest.raises(HypothesisViolationError):
         transform_stability(LineBundleX(skew, -2), pol, small_bounds())
-    # the scan itself only cares about the base surface
-    assert not enumerate_candidates(2, pol, small_bounds()).any_violation
+    # the scan's target slope goes through the transform, which refuses too
+    with pytest.raises(HypothesisViolationError):
+        enumerate_candidates(2, pol, small_bounds())
 
 
 def test_pipeline_refuses_mixed_models(k3, enriques, k3_pol):
@@ -272,3 +274,48 @@ def test_polarization_caches_stay_bounded(k3):
         certify(2, pol, cand())
     for cached in (_geometry, target_slope):
         assert cached.cache_info().currsize <= POLARIZATION_CACHE_SIZE
+
+
+@pytest.mark.parametrize(
+    "spoil,message",
+    [
+        pytest.param("geometry", "ω² does not split", id="omega-split"),
+        pytest.param("slope product", "closed-form slope numerators disagree",
+                     id="ring-vs-closed-form"),
+        pytest.param("trace products", "trace decomposition does not sum", id="trace-sum"),
+        pytest.param("target slope", "target slope must be positive", id="target-sign"),
+    ],
+)
+def test_internal_checks_catch_a_perturbed_ring(monkeypatch, capsys, k3, spoil, message):
+    """A ring product off by Θ·p*[pt] (which integrates to 1), or a target
+    slope of the wrong sign, is caught by the cross-check named in
+    ``message``, and ``weierfm certify`` exits 3."""
+    from weierfm import cli, stability
+    from weierfm.ring import ThreefoldClass
+    from weierfm.stability import _geometry
+
+    pol = Polarization(k3.model, Fraction(1), Fraction(1), k3.ample)
+    _geometry.cache_clear()
+    target_slope.cache_clear()
+    # Except in the "geometry" case, the geometry is cached from the true ring.
+    true = None if spoil == "geometry" else _geometry(pol)
+    point = ThreefoldClass(k3.model.point_surface(), k3.model.surface())
+    real_mul, real_slope = stability.x_mul, stability.slope
+
+    def spoiled_mul(x, y):
+        product = real_mul(x, y)
+        if spoil == "trace products" and y is true.omega_squared:
+            return product
+        return product + point
+
+    if spoil == "target slope":
+        monkeypatch.setattr(stability, "slope", lambda char, p: -real_slope(char, p))
+    else:
+        monkeypatch.setattr(stability, "x_mul", spoiled_mul)
+    with pytest.raises(InternalCheckError, match=message):
+        certify(2, pol, cand(a=1, e=1))
+    code = cli.main(["certify", "--preset", "k3_quartic", "-t", "1", "-s", "1",
+                     "-n", "2", "-r", "1", "--a", "1", "--e", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("internal error:") and message in err
