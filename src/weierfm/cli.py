@@ -93,8 +93,11 @@ _kernel = _arg(KernelChoice, "kernel must be 'paper' or 'alternate'")
 def _resolve_model(args) -> tuple[SurfaceModel, tuple[Fraction, ...] | None, str]:
     if args.model_file:
         with open(args.model_file, "r", encoding="utf-8") as fh:
-            model = serialize.surface_model_from_json(json.load(fh))
-        return model, None, args.model_file
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{args.model_file}: JSON nested too deeply") from None
+        return serialize.surface_model_from_json(doc), None, args.model_file
     preset = get_preset(args.preset)
     return preset.model, preset.ample, preset.name
 

@@ -115,8 +115,8 @@ class SurfaceModel:
         return (Fraction(0),) * self.picard_rank
 
     def surface(self, r: RationalLike = 0, d=None, s: RationalLike = 0) -> "SurfaceClass":
-        dvec = self.zero_vector() if d is None else as_rational_vector(d)
-        return SurfaceClass(self, as_rational(r), dvec, as_rational(s))
+        dvec = self.zero_vector() if d is None else d
+        return SurfaceClass(self, r, dvec, s)
 
     def unit_surface(self) -> "SurfaceClass":
         return self.surface(r=1)
@@ -142,8 +142,8 @@ class SurfaceModel:
         return ThreefoldClass(self.surface(), self.point_surface())
 
     def divisor_x(self, a: RationalLike = 0, delta=None) -> "DivisorClassX":
-        dvec = self.zero_vector() if delta is None else as_rational_vector(delta)
-        return DivisorClassX(self, as_rational(a), dvec)
+        dvec = self.zero_vector() if delta is None else delta
+        return DivisorClassX(self, a, dvec)
 
 
 def require_x_k_trivial(model: SurfaceModel, what: str) -> None:

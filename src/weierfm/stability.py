@@ -167,11 +167,12 @@ class _Geometry(NamedTuple):
     omega_squared: ThreefoldClass
     mixed: ThreefoldClass  # t²Θ² + 2ts·Θ·p*h
     fiber: ThreefoldClass  # s²·p*(h·h), the complement of mixed inside ω²
+    hh: Fraction  # H_S² = h·h
 
 
 @lru_cache(maxsize=POLARIZATION_CACHE_SIZE)
 def _geometry(pol: Polarization) -> _Geometry:
-    """ω² and its split into the mixed and fiber parts, once per polarization."""
+    """ω², its mixed and fiber parts, and H_S², once per polarization."""
     model = pol.model
     w = pol.omega().as_threefold()
     theta = model.theta()
@@ -184,7 +185,7 @@ def _geometry(pol: Polarization) -> _Geometry:
     omega_squared = x_mul(w, w)
     if mixed + fiber != omega_squared:
         raise InternalCheckError("ω² does not split into its mixed and fiber parts")
-    return _Geometry(omega_squared, mixed, fiber)
+    return _Geometry(omega_squared, mixed, fiber, hh)
 
 
 def _require_num_trivial(pol: Polarization, what: str) -> None:
@@ -210,35 +211,38 @@ def target_slope(n: int, pol: Polarization) -> Fraction:
     return value
 
 
-def _candidate_ch1(cand: DestabilizerCandidate, pol: Polarization) -> DivisorClassX:
-    """ch1(F) = (e - a)·Θ - p*delta."""
-    return DivisorClassX(
-        pol.model, Fraction(cand.e) - cand.a, tuple(-x for x in cand.delta)
-    )
-
-
-def candidate_slope(cand: DestabilizerCandidate, pol: Polarization) -> Fraction:
-    """∫ ch1(F)·ω² / r, cross-checked against the closed form."""
-    _require_num_trivial(pol, "candidate slope")
+def _candidate_slope(
+    cand: DestabilizerCandidate, pol: Polarization, what: str
+) -> tuple[ThreefoldClass, Fraction, Fraction]:
+    """ch1(F) = (e - a)·Θ - p*delta, delta·H and the slope ∫ ch1(F)·ω² / r,
+    cross-checked against the closed form; ``what`` names the caller."""
+    _require_num_trivial(pol, what)
     if len(cand.delta) != pol.model.picard_rank:
         raise ModelMismatchError(
             "candidate delta length does not match the surface model"
         )
-    ch1 = _candidate_ch1(cand, pol).as_threefold()
-    ring_numerator = x_integrate(x_mul(ch1, _geometry(pol).omega_squared))
-    hh = pol.model.pair(pol.h, pol.h)
+    ch1 = DivisorClassX(
+        pol.model, Fraction(cand.e) - cand.a, tuple(-x for x in cand.delta)
+    ).as_threefold()
     pairing = pol.model.pair(cand.delta, pol.h)
+    geometry = _geometry(pol)
+    ring_numerator = x_integrate(x_mul(ch1, geometry.omega_squared))
     closed_numerator = (
         -2 * pol.t * pol.s * pairing
-        - cand.a * pol.s * pol.s * hh
-        + cand.e * pol.s * pol.s * hh
+        - cand.a * pol.s * pol.s * geometry.hh
+        + cand.e * pol.s * pol.s * geometry.hh
     )
     if ring_numerator != closed_numerator:
         raise InternalCheckError(
             "ring integration and closed-form slope numerators disagree: "
             f"{ring_numerator} vs {closed_numerator}"
         )
-    return closed_numerator / cand.r
+    return ch1, pairing, closed_numerator / cand.r
+
+
+def candidate_slope(cand: DestabilizerCandidate, pol: Polarization) -> Fraction:
+    """∫ ch1(F)·ω² / r, cross-checked against the closed form."""
+    return _candidate_slope(cand, pol, "candidate slope")[2]
 
 
 # -- certification -----------------------------------------------------------
@@ -251,16 +255,11 @@ def certify(n: int, pol: Polarization, cand: DestabilizerCandidate) -> Stability
     errored: the grid search wants to see them excluded for the stated
     arithmetic reasons rather than silently skipped.
     """
-    _require_num_trivial(pol, "stability certification")
-    if len(cand.delta) != pol.model.picard_rank:
-        raise ModelMismatchError(
-            "candidate delta length does not match the surface model"
-        )
+    ch1_f, pairing, cand_slope = _candidate_slope(cand, pol, "stability certification")
     target = target_slope(n, pol)
-    cand_slope = candidate_slope(cand, pol)
 
     model = pol.model
-    proxy = EffectivityProxy(cand.a >= 0, model.pair(cand.delta, pol.h))
+    proxy = EffectivityProxy(cand.a >= 0, pairing)
     fiber_deg = Fraction(cand.e) - cand.a
 
     reasons: list[str] = []
@@ -275,7 +274,6 @@ def certify(n: int, pol: Polarization, cand: DestabilizerCandidate) -> Stability
     elif fiber_deg > 0:
         reasons.append(f"fiber degree +{fiber_deg} > 0")
 
-    ch1_f = _candidate_ch1(cand, pol).as_threefold()
     ch1_tors = DivisorClassX(model, -cand.a, tuple(-x for x in cand.delta))
     ch1_sect = DivisorClassX(model, Fraction(cand.e), model.zero_vector())
     geometry = _geometry(pol)

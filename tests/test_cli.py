@@ -192,6 +192,15 @@ def test_malformed_model_files_exit_one(capsys, tmp_path, k3, edit, message):
     assert err.startswith("error:") and message in err
 
 
+def test_deeply_nested_model_file_exits_one(capsys, tmp_path):
+    """JSON nested past the decoder's recursion limit is an input error."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run(capsys, "transform", "--model-file", str(path), "-m", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
 def test_missing_model_file(capsys, tmp_path):
     code, _, err = run(
         capsys, "slope", "--model-file", str(tmp_path / "nope.json"),

@@ -1,6 +1,10 @@
+import hashlib
 import itertools
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weierfm import (
     ConclusionKind,
@@ -18,9 +22,10 @@ from weierfm import (
     compare_limits,
     degenerate,
     duality_decision,
+    serialize,
     solve_scenario,
 )
-from weierfm.duality import left_label, right_label
+from weierfm.duality import PageGrid, Term, left_label, right_label
 
 
 def feasible_scenarios(max_n=4):
@@ -281,3 +286,54 @@ def test_wit_and_conclusion_iteration_is_exhaustive():
     for scenario in feasible_scenarios(4):
         seen.add(solve_scenario(scenario).conclusion.kind)
     assert seen == set(ConclusionKind)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_live_on_diagonal_matches_a_scan_of_every_term(data):
+    """Only in-region cells are visited, and they come out larger q first."""
+    p0, q0 = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+    p1, q1 = p0 + data.draw(st.integers(0, 4)), q0 + data.draw(st.integers(0, 4))
+    terms = {
+        (p, q): Term(data.draw(st.sampled_from(TermStatus)))
+        for p in range(p0, p1 + 1)
+        for q in range(q0, q1 + 1)
+    }
+    grid = PageGrid(Side.LEFT, 3, (p0, p1), (q0, q1), terms)
+    degrees = grid.degrees()
+    for k in range(degrees.start - 2, degrees.stop + 2):
+        scan = sorted(
+            ((pos, term) for pos, term in terms.items()
+             if sum(pos) == k and term.status is not TermStatus.ZERO),
+            key=lambda item: -item[0][1],
+        )
+        live = grid.live_on_diagonal(k)
+        assert live == scan
+        assert all(term is terms[pos] for pos, term in live)
+
+
+def test_engine_output_is_pinned():
+    """Relations, conclusions and both rendered pages of every feasible
+    scenario with n <= 12, hashed in feasible_scenarios order."""
+    digest = hashlib.sha256()
+    count = 0
+    for scenario in feasible_scenarios(12):
+        solution = solve_scenario(scenario)
+        for text in (serialize.dumps(solution), solution.left.render(),
+                     solution.right.render()):
+            digest.update((text + "\n").encode())
+        count += 1
+    assert count == 492
+    assert digest.hexdigest() == (
+        "e96a108464474aa0f0c927d551898cb38642385a65dbafd30ab8d5cdc04d3a5f"
+    )
+
+
+@pytest.mark.parametrize(
+    "n,c,wit,shift", [(4000, 2000, WitType.WIT1, 0), (4000, 1, WitType.WIT0, 1)]
+)
+def test_solve_scenario_stays_linear_in_n(n, c, wit, shift):
+    """Each antidiagonal reads only its in-region cells, so n = 4000 is quick."""
+    start = time.perf_counter()
+    solve_scenario(SheafScenario(n, c, wit, shift))
+    assert time.perf_counter() - start < 2.0
