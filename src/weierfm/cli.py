@@ -15,11 +15,11 @@ One subcommand per library operation:
 document whose rationals are exact ``p/q`` strings.
 
 Exit codes: 0 success; 1 malformed input (unknown preset, bad rationals,
-bad flags); 2 hypothesis violation (operation precondition fails: slope
-of a rank-0 character, stability over a base with nontrivial canonical
-class, a threefold whose omega class differs from the canonical class,
-infeasible scenario, m = 0 pipeline); 3 internal invariant breach, which
-is always a bug.
+bad flags, a scenario dimension above the cap); 2 hypothesis violation
+(operation precondition fails: slope of a rank-0 character, stability
+over a base with nontrivial canonical class, a threefold whose omega
+class differs from the canonical class, infeasible scenario, m = 0
+pipeline); 3 internal invariant breach, which is always a bug.
 """
 
 from __future__ import annotations

@@ -62,6 +62,10 @@ class Term:
 
 Pos = tuple[int, int]
 
+# Largest dimension n a SheafScenario accepts.  solve_scenario holds
+# 1.4-1.9 KiB per unit of n, so this keeps one solve under ~200 MiB.
+MAX_SCENARIO_DIMENSION = 100_000
+
 
 def left_label(p: int, q: int) -> str:
     return f"Ext^{q}(Φ^{-p}E, O_X)"
@@ -75,7 +79,8 @@ def right_label(p: int, q: int) -> str:
 class SheafScenario:
     """Dimension bookkeeping for one sheaf E on X.
 
-    n          -- dimension of X (any positive integer)
+    n          -- dimension of X, a positive integer at most
+                  MAX_SCENARIO_DIMENSION (a larger n is a ValueError)
     c          -- codimension of E, 0 <= c <= n
     wit        -- which single degree the transform of E lives in
     dim_shift  -- dim(surviving transform) - dim(E), in {-1, 0, +1};
@@ -92,6 +97,11 @@ class SheafScenario:
     def __post_init__(self) -> None:
         if not is_int(self.n) or self.n < 1:
             raise InfeasibleScenarioError("n must be a positive integer")
+        if self.n > MAX_SCENARIO_DIMENSION:
+            raise ValueError(
+                f"n={self.n} exceeds the scenario dimension cap "
+                f"{MAX_SCENARIO_DIMENSION}"
+            )
         if not is_int(self.c) or not 0 <= self.c <= self.n:
             raise InfeasibleScenarioError(
                 f"codimension c={self.c!r} outside [0, {self.n}]"

@@ -277,17 +277,16 @@ def x_mul(x: ThreefoldClass, y: ThreefoldClass) -> ThreefoldClass:
     """Product on X, folding Θ² back in via Θ² = Θ·p*K_S.
 
     (Θa + b)(Θa' + b') = Θ·(K_S·a·a' + a·b' + a'·b) + b·b'
-    with all products on the right taken on the surface.
+    with all products on the right taken on the surface.  The K_S term is
+    skipped when K_S = 0, which is every K-trivial base.
     """
     _check_same_model(x.alpha, y.alpha)
     model = x.model
     require_x_k_trivial(model, "the ring product")
-    k = model.canonical_surface()
-    alpha = (
-        surface_mul(surface_mul(k, x.alpha), y.alpha)
-        + surface_mul(x.alpha, y.beta)
-        + surface_mul(y.alpha, x.beta)
-    )
+    alpha = surface_mul(x.alpha, y.beta) + surface_mul(y.alpha, x.beta)
+    if any(model.canonical):
+        k = model.canonical_surface()
+        alpha = surface_mul(surface_mul(k, x.alpha), y.alpha) + alpha
     beta = surface_mul(x.beta, y.beta)
     return ThreefoldClass(alpha, beta)
 

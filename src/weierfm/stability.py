@@ -21,6 +21,16 @@ Admissible candidates always land at slope <= 0 < target; a Violation
 verdict would be a genuine counterexample and the grid search exposes a
 top-level flag for it.
 
+Every integral a candidate needs is linear in ch1(F) = (e - a)Θ - p*delta.
+So, once per polarization, the ring multiplies the basis {Θ, p*e_1, …,
+p*e_ρ} by ω², by its fiber part and by its mixed part, and the integrals
+are cached as three linear functionals.  They are checked there: the ω²
+functional must equal its closed-form coefficients (s²H² on Θ,
+2ts·(e_i·H) on p*e_i), and fiber + mixed must equal ω².  A candidate then
+costs O(ρ) exact operations and no ring product, and each one still
+compares its functional slope numerator with the closed form and its
+trace sum with r times its slope.
+
 Positive m reduces to negative m through the dual line bundle: the
 duality bookkeeping of :mod:`weierfm.duality` identifies the dual of the
 m < 0 transform with the m > 0 transform up to an involution pullback and
@@ -46,13 +56,12 @@ from .fm import (
     LineBundleX,
     Polarization,
     TransformResult,
-    TruncatedChar,
     WitType,
     slope,
     transform_char,
 )
 from .rationals import as_rational, as_rational_vector, is_int
-from .ring import DivisorClassX, ThreefoldClass, pullback, x_integrate, x_mul
+from .ring import ThreefoldClass, pullback, x_integrate, x_mul
 
 
 class Verdict(Enum):
@@ -195,6 +204,77 @@ def _require_num_trivial(pol: Polarization, what: str) -> None:
         )
 
 
+class _Functionals(NamedTuple):
+    """∫ b·G for each basis class b in {Θ, p*e_1, …, p*e_ρ} (in that order)
+    and G in {ω², fiber part, mixed part}, with the closed-form constants.
+
+    Every integral a candidate needs is linear in its ch1 = cΘ + p*d, so it
+    is c·G[0] + Σ d_i·G[1 + i].
+    """
+
+    omega_squared: tuple[Fraction, ...]
+    fiber: tuple[Fraction, ...]
+    mixed: tuple[Fraction, ...]
+    gram_h: tuple[Fraction, ...]  # gram·h, so that delta·H = Σ delta_i (gram·h)_i
+    two_ts: Fraction  # 2ts
+    ss_hh: Fraction  # s²·H_S²
+
+
+def _dot(u: tuple[Fraction, ...], v: tuple[Fraction, ...]) -> Fraction:
+    total = Fraction(0)
+    for x, y in zip(u, v):
+        total += x * y
+    return total
+
+
+@lru_cache(maxsize=POLARIZATION_CACHE_SIZE)
+def _functionals(pol: Polarization) -> _Functionals:
+    """Push the basis {Θ, p*e_i} through the ring against the cached ω² and
+    its two parts, once per polarization, and check the results: the ω²
+    functionals against their closed-form coefficients (s²H² on Θ,
+    2ts·(e_i·H) on p*e_i), and fiber + mixed against ω²."""
+    model = pol.model
+    geometry = _geometry(pol)
+    units = [
+        tuple(Fraction(int(i == j)) for j in range(model.picard_rank))
+        for i in range(model.picard_rank)
+    ]
+    basis = [model.theta()] + [pullback(model.divisor_surface(u)) for u in units]
+
+    def integrals(g: ThreefoldClass) -> tuple[Fraction, ...]:
+        return tuple(x_integrate(x_mul(b, g)) for b in basis)
+
+    omega_squared = integrals(geometry.omega_squared)
+    fiber = integrals(geometry.fiber)
+    mixed = integrals(geometry.mixed)
+    gram_h = tuple(model.pair(u, pol.h) for u in units)
+    two_ts = 2 * pol.t * pol.s
+    ss_hh = pol.s * pol.s * geometry.hh
+    closed = (ss_hh,) + tuple(two_ts * g for g in gram_h)
+    if omega_squared != closed:
+        raise InternalCheckError(
+            "ring integration and closed-form slope numerators disagree: "
+            f"[{', '.join(map(str, omega_squared))}] vs "
+            f"[{', '.join(map(str, closed))}] on the basis Θ, p*e_i"
+        )
+    if any(f + m != w for f, m, w in zip(fiber, mixed, omega_squared)):
+        raise InternalCheckError(
+            "trace decomposition does not sum to r times the candidate slope: "
+            "fiber and mixed functionals do not add up to ω²"
+        )
+    return _Functionals(omega_squared, fiber, mixed, gram_h, two_ts, ss_hh)
+
+
+def _check_candidate(cand: DestabilizerCandidate, pol: Polarization, what: str) -> None:
+    """The screens that run before any geometry is built; ``what`` names
+    the caller."""
+    _require_num_trivial(pol, what)
+    if len(cand.delta) != pol.model.picard_rank:
+        raise ModelMismatchError(
+            "candidate delta length does not match the surface model"
+        )
+
+
 # -- slopes -----------------------------------------------------------------
 
 
@@ -211,38 +291,29 @@ def target_slope(n: int, pol: Polarization) -> Fraction:
     return value
 
 
-def _candidate_slope(
-    cand: DestabilizerCandidate, pol: Polarization, what: str
-) -> tuple[ThreefoldClass, Fraction, Fraction]:
-    """ch1(F) = (e - a)·Θ - p*delta, delta·H and the slope ∫ ch1(F)·ω² / r,
-    cross-checked against the closed form; ``what`` names the caller."""
-    _require_num_trivial(pol, what)
-    if len(cand.delta) != pol.model.picard_rank:
-        raise ModelMismatchError(
-            "candidate delta length does not match the surface model"
-        )
-    ch1 = DivisorClassX(
-        pol.model, Fraction(cand.e) - cand.a, tuple(-x for x in cand.delta)
-    ).as_threefold()
-    pairing = pol.model.pair(cand.delta, pol.h)
-    geometry = _geometry(pol)
-    ring_numerator = x_integrate(x_mul(ch1, geometry.omega_squared))
-    closed_numerator = (
-        -2 * pol.t * pol.s * pairing
-        - cand.a * pol.s * pol.s * geometry.hh
-        + cand.e * pol.s * pol.s * geometry.hh
+def _slope_numerator(
+    cand: DestabilizerCandidate, fns: _Functionals
+) -> tuple[Fraction, Fraction]:
+    """delta·H and ∫ ch1(F)·ω² for ch1(F) = (e - a)·Θ - p*delta, the ω²
+    functionals' value cross-checked against the closed form."""
+    pairing = _dot(cand.delta, fns.gram_h)
+    fiber_deg = cand.e - cand.a
+    ring_numerator = fiber_deg * fns.omega_squared[0] - _dot(
+        cand.delta, fns.omega_squared[1:]
     )
+    closed_numerator = fiber_deg * fns.ss_hh - fns.two_ts * pairing
     if ring_numerator != closed_numerator:
         raise InternalCheckError(
             "ring integration and closed-form slope numerators disagree: "
             f"{ring_numerator} vs {closed_numerator}"
         )
-    return ch1, pairing, closed_numerator / cand.r
+    return pairing, closed_numerator
 
 
 def candidate_slope(cand: DestabilizerCandidate, pol: Polarization) -> Fraction:
     """∫ ch1(F)·ω² / r, cross-checked against the closed form."""
-    return _candidate_slope(cand, pol, "candidate slope")[2]
+    _check_candidate(cand, pol, "candidate slope")
+    return _slope_numerator(cand, _functionals(pol))[1] / cand.r
 
 
 # -- certification -----------------------------------------------------------
@@ -255,12 +326,19 @@ def certify(n: int, pol: Polarization, cand: DestabilizerCandidate) -> Stability
     errored: the grid search wants to see them excluded for the stated
     arithmetic reasons rather than silently skipped.
     """
-    ch1_f, pairing, cand_slope = _candidate_slope(cand, pol, "stability certification")
-    target = target_slope(n, pol)
+    _check_candidate(cand, pol, "stability certification")
+    fns = _functionals(pol)
+    return _certify(n, cand, target_slope(n, pol), fns)
 
-    model = pol.model
+
+def _certify(
+    n: int, cand: DestabilizerCandidate, target: Fraction, fns: _Functionals
+) -> StabilityReport:
+    """``certify`` with the per-polarization lookups already resolved."""
+    pairing, numerator = _slope_numerator(cand, fns)
+    cand_slope = numerator / cand.r
     proxy = EffectivityProxy(cand.a >= 0, pairing)
-    fiber_deg = Fraction(cand.e) - cand.a
+    fiber_deg = cand.e - cand.a
 
     reasons: list[str] = []
     if not cand.r < n:
@@ -274,12 +352,11 @@ def certify(n: int, pol: Polarization, cand: DestabilizerCandidate) -> Stability
     elif fiber_deg > 0:
         reasons.append(f"fiber degree +{fiber_deg} > 0")
 
-    ch1_tors = DivisorClassX(model, -cand.a, tuple(-x for x in cand.delta))
-    ch1_sect = DivisorClassX(model, Fraction(cand.e), model.zero_vector())
-    geometry = _geometry(pol)
-    step1 = x_integrate(x_mul(ch1_f, geometry.fiber))
-    step2 = x_integrate(x_mul(ch1_tors.as_threefold(), geometry.mixed))
-    step3 = x_integrate(x_mul(ch1_sect.as_threefold(), geometry.mixed))
+    # ch1(F) splits as (-aΘ - p*delta) + eΘ, the torsion and section parts.
+    fiber, mixed = fns.fiber, fns.mixed
+    step1 = fiber_deg * fiber[0] - _dot(cand.delta, fiber[1:])
+    step2 = -cand.a * mixed[0] - _dot(cand.delta, mixed[1:])
+    step3 = cand.e * mixed[0]
     trace = (
         TraceStep("fiber-degree step", step1, "<= 0", step1 <= 0),
         TraceStep("effectivity step", step2, "<= 0", step2 <= 0),
@@ -341,8 +418,10 @@ def enumerate_candidates(
     _require_num_trivial(pol, "stability scan")
     if not is_int(n) or n < 1:
         raise ValueError("n must be a positive integer")
+    fns = _functionals(pol)
+    target = target_slope(n, pol)
     reports = tuple(
-        certify(n, pol, cand)
+        _certify(n, cand, target, fns)
         for cand in candidate_grid(n, pol.model.picard_rank, bounds)
     )
     return ScanResult(

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -241,6 +242,21 @@ def test_internal_errors_exit_three(capsys, monkeypatch):
     assert "internal error" in err
 
 
+def test_ss_duality_refuses_a_dimension_past_the_cap(capsys, monkeypatch):
+    """The cap is checked when the scenario is built, before any page."""
+
+    def unreachable(scenario):
+        raise AssertionError("solve_scenario ran past the dimension cap")
+
+    monkeypatch.setattr(cli, "solve_scenario", unreachable)
+    code, out, err = run(
+        capsys, "ss-duality", "-n", "100000001", "-c", "1", "--wit", "0",
+        "--dim-shift", "1",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "scenario dimension cap" in err
+
+
 def test_negative_flag_values_parse(capsys):
     code, out, _ = run(
         capsys, "ss-duality", "-n", "4", "-c", "2", "--wit", "1", "--dim-shift", "-1",
@@ -254,6 +270,9 @@ def test_entry_point_matches_main():
 
     assert callable(mod.run)
 
+
+# A ρ = 2 base: the hyperbolic lattice U, K-trivial, omega class 0.
+_RHO2_MODEL = str(Path(__file__).parent / "data" / "hyperbolic_rho2.json")
 
 # sha256 of the exact stdout of one run per case, with --json and without,
 # covering all seven subcommands.  The pins hold key order, indentation,
@@ -320,6 +339,25 @@ _PINS = {
          "--a-max", "1", "--delta-max", "1"),
         "381353e91d5446cd3c66d072034f3672107801c39537a712ee87698c972bd638",
         "b630f82ea240489c30938c363c7fafdba9f2cc381a3ce42b58597e75e717cb01",
+    ),
+    # Every per-candidate report of three scans, ρ = 1 and ρ = 2.
+    "scan-k3-full-reports": (
+        ("scan", "--preset", "k3_quartic", "-m", "-4", "-t", "1", "-s", "1",
+         "--full-reports"),
+        "75de3dd123d9d5b6074cabaac1efec86cbead4bce96b38d7faa0ce6c118de3ff",
+        "91b4bbb1feebc34c8ee7822e87b9f13817362547ad9331990d841c4ed47052f3",
+    ),
+    "scan-enriques-full-reports": (
+        ("scan", "--preset", "enriques", "-m", "3", "-t", "1", "-s", "1/2",
+         "--full-reports"),
+        "a27ff2db0ac0178629e65534463a8f6936fed092746776155df9e1145780a20f",
+        "664a2bc82d0a9310ef1fb4540eb3e28492780f0d28078eb2a780e0a766107c06",
+    ),
+    "scan-rho2-full-reports": (
+        ("scan", "--model-file", _RHO2_MODEL, "--h", "1,2", "-m", "-3", "-t", "1/2",
+         "-s", "1", "--a-max", "2", "--delta-max", "2", "--full-reports"),
+        "4387cc69063bbeb816ea0d731864137e343b4c12adb7a41596696e874a01f7f9",
+        "052259f3eebd85a84d5d41243f36339bd3190d940b095afd2b9716dcd3783116",
     ),
 }
 

@@ -67,6 +67,17 @@ def test_shift_must_be_small():
         SheafScenario(3, 1, "WIT0", 0)
 
 
+def test_dimension_is_capped():
+    """A dimension past the cap is an input error (ValueError, CLI exit 1),
+    not an infeasible scenario; the cap itself is accepted."""
+    from weierfm.duality import MAX_SCENARIO_DIMENSION
+
+    assert SheafScenario(MAX_SCENARIO_DIMENSION, 1, WitType.WIT0, 1).n == MAX_SCENARIO_DIMENSION
+    with pytest.raises(ValueError, match="scenario dimension cap") as exc:
+        SheafScenario(MAX_SCENARIO_DIMENSION + 1, 1, WitType.WIT0, 1)
+    assert not isinstance(exc.value, InfeasibleScenarioError)
+
+
 # -- page construction ---------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weierfm import (
     ConclusionKind,
@@ -292,10 +294,11 @@ def test_internal_checks_catch_a_perturbed_ring(monkeypatch, capsys, k3, spoil, 
     ``message``, and ``weierfm certify`` exits 3."""
     from weierfm import cli, stability
     from weierfm.ring import ThreefoldClass
-    from weierfm.stability import _geometry
+    from weierfm.stability import _functionals, _geometry
 
     pol = Polarization(k3.model, Fraction(1), Fraction(1), k3.ample)
     _geometry.cache_clear()
+    _functionals.cache_clear()
     target_slope.cache_clear()
     # Except in the "geometry" case, the geometry is cached from the true ring.
     true = None if spoil == "geometry" else _geometry(pol)
@@ -319,3 +322,120 @@ def test_internal_checks_catch_a_perturbed_ring(monkeypatch, capsys, k3, spoil, 
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("internal error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "spoil,message",
+    [
+        pytest.param("all products", "closed-form slope numerators disagree",
+                     id="ring-vs-closed-form"),
+        pytest.param("trace products", "trace decomposition does not sum", id="trace-sum"),
+    ],
+)
+def test_internal_checks_catch_a_linearly_perturbed_ring(monkeypatch, capsys, k3, spoil,
+                                                         message):
+    """A ring product whose degree is doubled is linear in its factors, so the
+    basis functionals carry it into every candidate; it is caught for a
+    candidate with delta ≠ 0, and ``weierfm certify`` exits 3."""
+    from weierfm import cli, stability
+    from weierfm.ring import ThreefoldClass
+    from weierfm.stability import _functionals, _geometry
+
+    pol = Polarization(k3.model, Fraction(1), Fraction(1), k3.ample)
+    _geometry.cache_clear()
+    _functionals.cache_clear()
+    target_slope.cache_clear()
+    true = _geometry(pol)
+    point = ThreefoldClass(k3.model.point_surface(), k3.model.surface())
+    real_mul = stability.x_mul
+
+    def spoiled_mul(x, y):
+        product = real_mul(x, y)
+        if spoil == "trace products" and y is true.omega_squared:
+            return product
+        return product + point.scale(product.alpha.s)
+
+    monkeypatch.setattr(stability, "x_mul", spoiled_mul)
+    with pytest.raises(InternalCheckError, match=message):
+        certify(2, pol, cand(a=1, delta=(1,), e=1))
+    code = cli.main(["certify", "--preset", "k3_quartic", "-t", "1", "-s", "1",
+                     "-n", "2", "-r", "1", "--a", "1", "--delta", "1", "--e", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("internal error:") and message in err
+
+
+def test_scan_ring_products_do_not_depend_on_the_grid(monkeypatch, k3):
+    """The ring runs once per polarization; each candidate is a dot product."""
+    from weierfm import stability
+    from weierfm.stability import POLARIZATION_CACHE_SIZE, _functionals, _geometry
+
+    assert _functionals.cache_info().maxsize == POLARIZATION_CACHE_SIZE
+    pol = Polarization(k3.model, Fraction(1), Fraction(1), k3.ample)
+    real_mul = stability.x_mul
+    calls = []
+    monkeypatch.setattr(stability, "x_mul", lambda x, y: calls.append(1) or real_mul(x, y))
+    seen = []
+    for delta_max in (1, 3):
+        _geometry.cache_clear()
+        _functionals.cache_clear()
+        target_slope.cache_clear()
+        calls.clear()
+        scan = enumerate_candidates(3, pol, EnumerationBounds(Fraction(1), Fraction(delta_max)))
+        seen.append((len(calls), scan.candidate_count))
+    (small_calls, small_count), (large_calls, large_count) = seen
+    assert small_calls == large_calls > 0
+    assert small_count < large_count
+
+
+@st.composite
+def k_trivial_setups(draw):
+    """A K-trivial model of rank 1-3, a polarization on it and a candidate."""
+    rho = draw(st.integers(1, 3))
+    gram = [[0] * rho for _ in range(rho)]
+    for i in range(rho):
+        for j in range(i, rho):
+            gram[i][j] = gram[j][i] = draw(st.integers(-4, 4))
+    zero = (0,) * rho
+    model = SurfaceModel(rho, tuple(map(tuple, gram)), zero, True, zero)
+    h = tuple(Fraction(x) for x in draw(st.lists(st.integers(-3, 3), min_size=rho,
+                                                 max_size=rho)))
+    assume(model.pair(h, h) > 0)
+    positive = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
+    pol = Polarization(model, draw(positive), draw(positive), h)
+    halves = st.integers(-12, 12).map(lambda k: Fraction(k, 2))
+    c = DestabilizerCandidate(
+        draw(st.integers(1, 4)), draw(halves),
+        tuple(draw(st.lists(halves, min_size=rho, max_size=rho))), draw(st.integers(0, 1)),
+    )
+    return pol, c
+
+
+@settings(max_examples=60, deadline=None)
+@given(k_trivial_setups())
+def test_functionals_match_direct_ring_products(setup):
+    """The slope numerator and all three trace values equal the ring's own
+    integrals of ch1(F) against ω², its fiber part and its mixed part."""
+    from weierfm import DivisorClassX
+    from weierfm.ring import pullback, x_integrate, x_mul
+
+    pol, c = setup
+    model, t, s = pol.model, pol.t, pol.s
+    omega = pol.omega().as_threefold()
+    theta = model.theta()
+    mixed = (x_mul(theta, theta).scale(t * t)
+             + x_mul(theta, pullback(model.divisor_surface(pol.h))).scale(2 * t * s))
+    fiber = pullback(model.surface(s=model.pair(pol.h, pol.h))).scale(s * s)
+    minus_delta = tuple(-x for x in c.delta)
+    ch1 = DivisorClassX(model, c.e - c.a, minus_delta).as_threefold()
+    torsion = DivisorClassX(model, -c.a, minus_delta).as_threefold()
+    section = DivisorClassX(model, Fraction(c.e), model.zero_vector()).as_threefold()
+
+    report = certify(c.r + 1, pol, c)
+    assert c.r * candidate_slope(c, pol) == x_integrate(x_mul(ch1, x_mul(omega, omega)))
+    assert report.candidate_slope == candidate_slope(c, pol)
+    assert [step.value for step in report.trace] == [
+        x_integrate(x_mul(ch1, fiber)),
+        x_integrate(x_mul(torsion, mixed)),
+        x_integrate(x_mul(section, mixed)),
+    ]
