@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -42,7 +42,8 @@ def as_rational_vector(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"z"`` (no decimals, no whitespace tricks)."""
+    """Parse ``"p/q"`` or ``"z"`` in ASCII digits (no decimals, no other
+    scripts' digits, no whitespace tricks)."""
     if not isinstance(text, str):
         raise ValueError(f"a rational must be a 'p/q' string, got {type(text).__name__}")
     m = _RATIONAL_RE.match(text.strip())

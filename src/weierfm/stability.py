@@ -26,10 +26,13 @@ So, once per polarization, the ring multiplies the basis {Θ, p*e_1, …,
 p*e_ρ} by ω², by its fiber part and by its mixed part, and the integrals
 are cached as three linear functionals.  They are checked there: the ω²
 functional must equal its closed-form coefficients (s²H² on Θ,
-2ts·(e_i·H) on p*e_i), and fiber + mixed must equal ω².  A candidate then
-costs O(ρ) exact operations and no ring product, and each one still
-compares its functional slope numerator with the closed form and its
-trace sum with r times its slope.
+2ts·(e_i·H) on p*e_i), and fiber + mixed must equal ω².  No ring product
+runs per candidate.  The scan computes the O(ρ) dot products (δ·H and δ
+against each functional) once per δ and the Θ terms once per (a, e); each
+(a, δ, e) cell then costs a few subtractions, compares its ring slope
+numerator with the closed form, and builds the proxy, trace and reasons
+shared by every rank.  A candidate costs one division, to its slope, and
+one check, of its trace sum against r times that slope.
 
 Positive m reduces to negative m through the dual line bundle: the
 duality bookkeeping of :mod:`weierfm.duality` identifies the dual of the
@@ -265,16 +268,6 @@ def _functionals(pol: Polarization) -> _Functionals:
     return _Functionals(omega_squared, fiber, mixed, gram_h, two_ts, ss_hh)
 
 
-def _check_candidate(cand: DestabilizerCandidate, pol: Polarization, what: str) -> None:
-    """The screens that run before any geometry is built; ``what`` names
-    the caller."""
-    _require_num_trivial(pol, what)
-    if len(cand.delta) != pol.model.picard_rank:
-        raise ModelMismatchError(
-            "candidate delta length does not match the surface model"
-        )
-
-
 # -- slopes -----------------------------------------------------------------
 
 
@@ -291,29 +284,83 @@ def target_slope(n: int, pol: Polarization) -> Fraction:
     return value
 
 
-def _slope_numerator(
-    cand: DestabilizerCandidate, fns: _Functionals
-) -> tuple[Fraction, Fraction]:
-    """delta·H and ∫ ch1(F)·ω² for ch1(F) = (e - a)·Θ - p*delta, the ω²
-    functionals' value cross-checked against the closed form."""
-    pairing = _dot(cand.delta, fns.gram_h)
-    fiber_deg = cand.e - cand.a
-    ring_numerator = fiber_deg * fns.omega_squared[0] - _dot(
-        cand.delta, fns.omega_squared[1:]
-    )
-    closed_numerator = fiber_deg * fns.ss_hh - fns.two_ts * pairing
-    if ring_numerator != closed_numerator:
-        raise InternalCheckError(
-            "ring integration and closed-form slope numerators disagree: "
-            f"{ring_numerator} vs {closed_numerator}"
+class _Cell(NamedTuple):
+    """Everything a report at one (a, delta, e) point holds but its rank."""
+
+    a: Fraction
+    delta: tuple[Fraction, ...]
+    e: int
+    fiber_deg: Fraction
+    numerator: Fraction  # ∫ ch1(F)·ω², checked against the closed form
+    proxy: EffectivityProxy
+    trace: tuple[TraceStep, ...]
+    trace_sum: Fraction
+    reasons: tuple[str, ...]  # every inadmissibility reason but the rank
+
+
+def _cells(fns: _Functionals, a_values, deltas, es) -> list[_Cell]:
+    """One cell per (a, delta, e), e fastest, then delta, then a: the grid
+    order.  The delta dot products run once per delta and the Θ terms once
+    per (a, e); a cell subtracts them and checks the ring's slope numerator
+    against the closed form."""
+    w, fiber, mixed = fns.omega_squared, fns.fiber, fns.mixed
+    by_delta = []
+    for delta in deltas:
+        pairing = _dot(delta, fns.gram_h)
+        by_delta.append((delta, pairing, fns.two_ts * pairing, _dot(delta, w[1:]),
+                         _dot(delta, fiber[1:]), _dot(delta, mixed[1:]),
+                         (f"effectivity proxy fails: delta·H = {pairing} < 0",)
+                         if pairing < 0 else ()))
+    cells = []
+    for a in a_values:
+        a_reason = (f"effectivity proxy fails: a = {a} < 0",) if a < 0 else ()
+        by_e = []
+        for e in es:
+            fd = e - a
+            if fd.denominator != 1:
+                fd_reason = (f"fiber degree {fd} is not an integer",)
+            else:
+                fd_reason = (f"fiber degree +{fd} > 0",) if fd > 0 else ()
+            step3 = e * mixed[0]
+            section = TraceStep("section-part step", step3, "== 0", step3 == 0)
+            by_e.append((e, fd, fd * w[0], fd * fns.ss_hh, fd * fiber[0],
+                         -a * mixed[0], section, fd_reason))
+        # ch1(F) splits as (-aΘ - p*delta) + eΘ, the torsion and section parts.
+        for delta, pairing, ts_pairing, w_d, fiber_d, mixed_d, pair_reason in by_delta:
+            proxy = EffectivityProxy(a >= 0, pairing)
+            for e, fd, fd_w, fd_ss, fd_fiber, a_mixed, section, fd_reason in by_e:
+                ring_numerator, numerator = fd_w - w_d, fd_ss - ts_pairing
+                if ring_numerator != numerator:
+                    raise InternalCheckError(
+                        "ring integration and closed-form slope numerators "
+                        f"disagree: {ring_numerator} vs {numerator}"
+                    )
+                step1, step2 = fd_fiber - fiber_d, a_mixed - mixed_d
+                trace = (
+                    TraceStep("fiber-degree step", step1, "<= 0", step1 <= 0),
+                    TraceStep("effectivity step", step2, "<= 0", step2 <= 0),
+                    section,
+                )
+                cells.append(_Cell(a, delta, e, fd, numerator, proxy, trace,
+                                   step1 + step2 + section.value,
+                                   a_reason + pair_reason + fd_reason))
+    return cells
+
+
+def _point(cand: DestabilizerCandidate, pol: Polarization, what: str) -> _Cell:
+    """The cell of one candidate, on one-point axes, once the screens that
+    need no geometry pass; ``what`` names the caller."""
+    _require_num_trivial(pol, what)
+    if len(cand.delta) != pol.model.picard_rank:
+        raise ModelMismatchError(
+            "candidate delta length does not match the surface model"
         )
-    return pairing, closed_numerator
+    return _cells(_functionals(pol), (cand.a,), (cand.delta,), (cand.e,))[0]
 
 
 def candidate_slope(cand: DestabilizerCandidate, pol: Polarization) -> Fraction:
     """∫ ch1(F)·ω² / r, cross-checked against the closed form."""
-    _check_candidate(cand, pol, "candidate slope")
-    return _slope_numerator(cand, _functionals(pol))[1] / cand.r
+    return _point(cand, pol, "candidate slope").numerator / cand.r
 
 
 # -- certification -----------------------------------------------------------
@@ -326,47 +373,20 @@ def certify(n: int, pol: Polarization, cand: DestabilizerCandidate) -> Stability
     errored: the grid search wants to see them excluded for the stated
     arithmetic reasons rather than silently skipped.
     """
-    _check_candidate(cand, pol, "stability certification")
-    fns = _functionals(pol)
-    return _certify(n, cand, target_slope(n, pol), fns)
+    cell = _point(cand, pol, "stability certification")
+    return _report(n, cand.r, cell, target_slope(n, pol))
 
 
-def _certify(
-    n: int, cand: DestabilizerCandidate, target: Fraction, fns: _Functionals
-) -> StabilityReport:
-    """``certify`` with the per-polarization lookups already resolved."""
-    pairing, numerator = _slope_numerator(cand, fns)
-    cand_slope = numerator / cand.r
-    proxy = EffectivityProxy(cand.a >= 0, pairing)
-    fiber_deg = cand.e - cand.a
-
-    reasons: list[str] = []
-    if not cand.r < n:
-        reasons.append(f"rank {cand.r} is not below the transform rank {n}")
-    if not proxy.a_nonneg:
-        reasons.append(f"effectivity proxy fails: a = {cand.a} < 0")
-    if proxy.pairing < 0:
-        reasons.append(f"effectivity proxy fails: delta·H = {proxy.pairing} < 0")
-    if fiber_deg.denominator != 1:
-        reasons.append(f"fiber degree {fiber_deg} is not an integer")
-    elif fiber_deg > 0:
-        reasons.append(f"fiber degree +{fiber_deg} > 0")
-
-    # ch1(F) splits as (-aΘ - p*delta) + eΘ, the torsion and section parts.
-    fiber, mixed = fns.fiber, fns.mixed
-    step1 = fiber_deg * fiber[0] - _dot(cand.delta, fiber[1:])
-    step2 = -cand.a * mixed[0] - _dot(cand.delta, mixed[1:])
-    step3 = cand.e * mixed[0]
-    trace = (
-        TraceStep("fiber-degree step", step1, "<= 0", step1 <= 0),
-        TraceStep("effectivity step", step2, "<= 0", step2 <= 0),
-        TraceStep("section-part step", step3, "== 0", step3 == 0),
-    )
-    if step1 + step2 + step3 != cand.r * cand_slope:
+def _report(n: int, r: int, cell: _Cell, target: Fraction) -> StabilityReport:
+    """The rank-r candidate at ``cell``, judged against the rank-n target."""
+    cand_slope = cell.numerator / r
+    if cell.trace_sum != r * cand_slope:
         raise InternalCheckError(
             "trace decomposition does not sum to r times the candidate slope"
         )
-
+    reasons = cell.reasons
+    if not r < n:
+        reasons = (f"rank {r} is not below the transform rank {n}",) + reasons
     if reasons:
         verdict = Verdict.INADMISSIBLE
     elif cand_slope >= target:
@@ -374,14 +394,14 @@ def _certify(
     else:
         verdict = Verdict.CERTIFIED
     return StabilityReport(
-        candidate=cand,
+        candidate=DestabilizerCandidate(r, cell.a, cell.delta, cell.e),
         verdict=verdict,
         target_slope=target,
         candidate_slope=cand_slope,
-        proxy=proxy,
-        fiber_deg=fiber_deg,
-        trace=trace,
-        inadmissible_reasons=tuple(reasons),
+        proxy=cell.proxy,
+        fiber_deg=cell.fiber_deg,
+        trace=cell.trace,
+        inadmissible_reasons=reasons,
     )
 
 
@@ -394,19 +414,23 @@ def _grid(limit: Fraction, step: Fraction, start: Fraction) -> list[Fraction]:
     return values
 
 
+def _axes(picard_rank: int, bounds: EnumerationBounds) -> tuple[list, list, tuple]:
+    """The a, delta and e axes of the grid, which runs over their product
+    in that order."""
+    coeff_values = _grid(bounds.delta_max, DELTA_STEP, -bounds.delta_max)
+    return (
+        _grid(bounds.a_max, A_STEP, Fraction(0)),
+        list(itertools.product(coeff_values, repeat=picard_rank)),
+        (0, 1),
+    )
+
+
 def candidate_grid(
     n: int, picard_rank: int, bounds: EnumerationBounds
 ) -> list[DestabilizerCandidate]:
     """The full deterministic candidate list for a rank-n search."""
-    a_values = _grid(bounds.a_max, A_STEP, Fraction(0))
-    coeff_values = _grid(bounds.delta_max, DELTA_STEP, -bounds.delta_max)
-    return [
-        DestabilizerCandidate(r, a, delta, e)
-        for r in range(1, n)
-        for a in a_values
-        for delta in itertools.product(coeff_values, repeat=picard_rank)
-        for e in (0, 1)
-    ]
+    points = list(itertools.product(*_axes(picard_rank, bounds)))
+    return [DestabilizerCandidate(r, *point) for r in range(1, n) for point in points]
 
 
 def enumerate_candidates(
@@ -414,16 +438,15 @@ def enumerate_candidates(
     pol: Polarization,
     bounds: EnumerationBounds = EnumerationBounds(),
 ) -> ScanResult:
-    """Certify every candidate on the grid; order is grid order."""
+    """Certify every candidate on the grid; order is grid order.  The
+    rank-independent part of a report is built once per (a, delta, e)."""
     _require_num_trivial(pol, "stability scan")
     if not is_int(n) or n < 1:
         raise ValueError("n must be a positive integer")
     fns = _functionals(pol)
     target = target_slope(n, pol)
-    reports = tuple(
-        _certify(n, cand, target, fns)
-        for cand in candidate_grid(n, pol.model.picard_rank, bounds)
-    )
+    cells = _cells(fns, *_axes(pol.model.picard_rank, bounds)) if n > 1 else []
+    reports = tuple(_report(n, r, cell, target) for r in range(1, n) for cell in cells)
     return ScanResult(
         reports=reports,
         any_violation=any(r.verdict is Verdict.VIOLATION for r in reports),

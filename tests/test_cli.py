@@ -171,6 +171,7 @@ _DROP = object()
         pytest.param({"canonical": [0]}, "must be a 'p/q' string", id="number-rational"),
         pytest.param({"canonical": "0"}, "expected a list", id="string-vector"),
         pytest.param({"omega_class": _DROP}, "missing key 'omega_class'", id="missing-key"),
+        pytest.param({"canonical": ["٠"]}, "malformed rational '٠'", id="unicode-digit"),
     ],
 )
 def test_malformed_model_files_exit_one(capsys, tmp_path, k3, edit, message):
@@ -225,6 +226,7 @@ def test_missing_model_file(capsys, tmp_path):
         (("scan", "--preset", "general_demo", "-m", "-2", "-t", "1", "-s", "1"), 2),
         (("--help",), 0),
         (("ss-duality", "--help"), 0),
+        (("slope", "--preset", "k3_quartic", "-t", "١", "-s", "1", "--ch0", "1"), 1),
     ],
 )
 def test_exit_codes(capsys, argv, expected):

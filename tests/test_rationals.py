@@ -52,7 +52,11 @@ def test_parse_accepts_integer_and_slash_forms(text, value):
     assert parse_rational(text) == value
 
 
-@pytest.mark.parametrize("text", ["0.5", "1e3", "", "1/", "/2", "1/0", "1 / 2", "a"])
+@pytest.mark.parametrize(
+    "text",
+    # Non-ASCII decimal digits: Arabic-Indic, fullwidth, and one in a denominator.
+    ["0.5", "1e3", "", "1/", "/2", "1/0", "1 / 2", "a", "١/٢", "１", "1/٢"],
+)
 def test_parse_rejects_everything_else(text):
     with pytest.raises(ValueError):
         parse_rational(text)

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from weierfm import (
     LineBundleX,
     ModelMismatchError,
     Polarization,
+    StabilityReport,
     SurfaceModel,
     Verdict,
     WitType,
@@ -389,8 +392,8 @@ def test_scan_ring_products_do_not_depend_on_the_grid(monkeypatch, k3):
 
 
 @st.composite
-def k_trivial_setups(draw):
-    """A K-trivial model of rank 1-3, a polarization on it and a candidate."""
+def k_trivial_polarizations(draw):
+    """A K-trivial model of rank 1-3 and a polarization on it."""
     rho = draw(st.integers(1, 3))
     gram = [[0] * rho for _ in range(rho)]
     for i in range(rho):
@@ -402,7 +405,14 @@ def k_trivial_setups(draw):
                                                  max_size=rho)))
     assume(model.pair(h, h) > 0)
     positive = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
-    pol = Polarization(model, draw(positive), draw(positive), h)
+    return Polarization(model, draw(positive), draw(positive), h)
+
+
+@st.composite
+def k_trivial_setups(draw):
+    """A K-trivial polarization of rank 1-3 and a candidate."""
+    pol = draw(k_trivial_polarizations())
+    rho = pol.model.picard_rank
     halves = st.integers(-12, 12).map(lambda k: Fraction(k, 2))
     c = DestabilizerCandidate(
         draw(st.integers(1, 4)), draw(halves),
@@ -439,3 +449,64 @@ def test_functionals_match_direct_ring_products(setup):
         x_integrate(x_mul(torsion, mixed)),
         x_integrate(x_mul(section, mixed)),
     ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k_trivial_polarizations(),
+    st.integers(1, 5),
+    st.sampled_from([Fraction(0), HALF, Fraction(3, 2)]),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(5, 2)]),
+)
+def test_scan_reports_equal_certify(pol, n, a_max, delta_max):
+    """Every scan report equals ``certify`` of its candidate field by field,
+    in ``candidate_grid`` order, and the reports of ranks r and r + 1 at one
+    (a, delta, e) share their trace and proxy objects."""
+    bounds = EnumerationBounds(a_max, delta_max)
+    reports = enumerate_candidates(n, pol, bounds).reports
+    assert [report.candidate for report in reports] == candidate_grid(
+        n, pol.model.picard_rank, bounds
+    )
+    for report in reports:
+        expected = certify(n, pol, report.candidate)
+        for field in dataclasses.fields(StabilityReport):
+            assert getattr(report, field.name) == getattr(expected, field.name), field.name
+    per_rank = len(reports) // max(n - 1, 1)
+    for low, high in zip(reports, reports[per_rank:]):
+        assert high.candidate == dataclasses.replace(low.candidate, r=low.candidate.r + 1)
+        assert high.trace is low.trace and high.proxy is low.proxy
+
+
+@pytest.mark.parametrize(
+    "spoiled,pattern",
+    [
+        pytest.param("omega_squared",
+                     r"ring integration and closed-form slope numerators disagree: \S+ vs \S+",
+                     id="omega-squared"),
+        pytest.param("fiber",
+                     r"trace decomposition does not sum to r times the candidate slope",
+                     id="fiber"),
+    ],
+)
+def test_scan_checks_catch_spoiled_functionals(monkeypatch, capsys, k3, spoiled, pattern):
+    """A functional off by one on p*e_1, returned past the once-per-polarization
+    checks, is caught by the scan's per-cell numerator check or per-candidate
+    trace check, and ``weierfm scan`` exits 3."""
+    from weierfm import cli, stability
+
+    real = stability._functionals
+
+    def spoiled_functionals(pol):
+        fns = real(pol)
+        values = getattr(fns, spoiled)
+        return fns._replace(**{spoiled: (values[0], values[1] + 1) + values[2:]})
+
+    monkeypatch.setattr(stability, "_functionals", spoiled_functionals)
+    pol = Polarization(k3.model, Fraction(1), Fraction(1), k3.ample)
+    with pytest.raises(InternalCheckError) as exc:
+        enumerate_candidates(3, pol)
+    assert re.fullmatch(pattern, str(exc.value))
+    code = cli.main(["scan", "--preset", "k3_quartic", "-m", "-3", "-t", "1", "-s", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert re.fullmatch(f"internal error: {pattern}\n", err)
