@@ -15,7 +15,8 @@ One subcommand per library operation:
 document whose rationals are exact ``p/q`` strings.
 
 Exit codes: 0 success; 1 malformed input (unknown preset, bad rationals,
-bad flags, a scenario dimension above the cap); 2 hypothesis violation
+bad flags, a scenario dimension above the cap, a scan grid above
+MAX_SCAN_CANDIDATES candidates); 2 hypothesis violation
 (operation precondition fails: slope of a rank-0 character, stability
 over a base with nontrivial canonical class, a threefold whose omega
 class differs from the canonical class, infeasible scenario, m = 0

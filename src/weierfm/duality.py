@@ -31,11 +31,22 @@ as soon as one column is dead.  After degeneration, equal total degree
 p + q forces term-by-term relations between the two sides, which a small
 fixpoint loop turns into Identification / ForcedZero / ShortExact facts,
 or into a contradiction when the scenario is impossible.
+
+The loop runs passes until one changes nothing.  A pass scans total
+degrees in ascending order, then carries statuses across every
+Identification and checks the joint constraints.  A scan of degree k reads
+and writes only antidiagonal k, and rerun on what it left there it emits
+only duplicates, so every status change marks its own degree dirty and a
+pass scans only the dirty degrees (the first pass scans them all).  A
+solve therefore makes at most (number of degrees + number of status
+changes) scans, each over at most four terms, and builds each term's
+TermRef and label once: time and memory are linear in n.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 from .errors import InfeasibleScenarioError, InternalCheckError
@@ -63,7 +74,7 @@ class Term:
 Pos = tuple[int, int]
 
 # Largest dimension n a SheafScenario accepts.  solve_scenario holds
-# 1.4-1.9 KiB per unit of n, so this keeps one solve under ~200 MiB.
+# 1.4-2.0 KiB per unit of n, so this keeps one solve under ~200 MiB.
 MAX_SCENARIO_DIMENSION = 100_000
 
 
@@ -86,7 +97,7 @@ class SheafScenario:
     dim_shift  -- dim(surviving transform) - dim(E), in {-1, 0, +1};
                   this is an exact statement, not an inequality
 
-    solve_scenario takes time and memory linear in n: 1.4-1.9 KiB per unit.
+    solve_scenario takes time and memory linear in n: 1.4-2.0 KiB per unit.
     """
 
     n: int
@@ -170,8 +181,9 @@ class PageGrid:
         out = []
         for q in range(min(q1, k - p0), max(q0, k - p1) - 1, -1):
             pos = (k - q, q)
-            if self.terms[pos].status is not TermStatus.ZERO:
-                out.append((pos, self.terms[pos]))
+            term = self.terms[pos]
+            if term.status is not TermStatus.ZERO:
+                out.append((pos, term))
         return out
 
     def is_settled(self) -> bool:
@@ -217,6 +229,11 @@ class TermRef:
     side: Side
     pos: Pos
     label: str
+
+    def __hash__(self) -> int:
+        # Equal refs have equal labels; the label's hash is cached by str,
+        # and hashing the Side member would run Enum.__hash__ in Python.
+        return hash(self.label)
 
 
 @dataclass(frozen=True)
@@ -354,22 +371,36 @@ class _Solver:
         self.left = left
         self.right = right
         self.relations: dict[DerivedRelation, None] = {}  # insertion-ordered set
+        self._left_refs: dict[Pos, TermRef] = {}
+        self._right_refs: dict[Pos, TermRef] = {}
         self._changed = False
+        # The total degrees whose antidiagonal changed since its last scan.
+        self._dirty = set(left.degrees()) | set(right.degrees())
 
     def _ref(self, grid: PageGrid, pos: Pos) -> TermRef:
-        label = left_label if grid.side is Side.LEFT else right_label
-        return TermRef(grid.side, pos, label(*pos))
+        is_left = grid.side is Side.LEFT
+        refs = self._left_refs if is_left else self._right_refs
+        ref = refs.get(pos)
+        if ref is None:
+            label = left_label(*pos) if is_left else right_label(*pos)
+            ref = refs[pos] = TermRef(grid.side, pos, label)
+        return ref
 
     def _emit(self, relation: DerivedRelation) -> None:
-        if relation not in self.relations:
-            self.relations[relation] = None
+        count = len(self.relations)
+        self.relations.setdefault(relation)  # one hash; `in` and a store take two
+        if len(self.relations) > count:
             self._changed = True
+
+    def _set_status(self, term: Term, pos: Pos, status: TermStatus) -> None:
+        term.status = status
+        self._dirty.add(pos[0] + pos[1])
+        self._changed = True
 
     def _set_nonzero(self, grid: PageGrid, pos: Pos, degree: int) -> None:
         term = grid.terms[pos]
         if term.status is TermStatus.UNKNOWN:
-            term.status = TermStatus.NONZERO
-            self._changed = True
+            self._set_status(term, pos, TermStatus.NONZERO)
         elif term.status is TermStatus.ZERO:
             self._emit(
                 Forbidden(
@@ -388,7 +419,7 @@ class _Solver:
                 )
             )
         elif term.status is TermStatus.UNKNOWN:
-            term.status = TermStatus.ZERO
+            self._set_status(term, pos, TermStatus.ZERO)
             self._emit(ForcedZero(degree, self._ref(grid, pos)))
 
     def _scan_degree(self, k: int) -> None:
@@ -411,7 +442,7 @@ class _Solver:
                 Identification(k, self._ref(self.left, pl), self._ref(self.right, pr))
             )
             return
-        if {len(lives_l), len(lives_r)} == {1, 2}:
+        if len(lives_l) + len(lives_r) == 3:  # one against two
             if len(lives_l) == 1:
                 mid, (mid_pos, _) = self.left, lives_l[0]
                 pair_grid, pair = self.right, lives_r
@@ -470,27 +501,53 @@ class _Solver:
                             self._set_nonzero(grid, pos, pos[0] + pos[1])
 
     def solve(self) -> list[DerivedRelation]:
-        degrees = sorted(set(self.left.degrees()) | set(self.right.degrees()))
         while True:
             self._changed = False
+            # A scan reads and writes only antidiagonal k, and rerun on what
+            # it left there it emits only duplicates.  So a pass scans, in
+            # ascending order, only the degrees that a link or a joint
+            # constraint changed since their last scan.
+            degrees, self._dirty = sorted(self._dirty), set()
             for k in degrees:
                 self._scan_degree(k)
+                self._dirty.discard(k)
             self._propagate_links()
             self._check_joint_constraints()
             if not self._changed:
                 return list(self.relations)
 
 
+def _check_shape(grid: PageGrid) -> None:
+    """Refuse a page the solver would read past: a Term must sit at every
+    position of p_range × q_range and of every joint_nonzero group."""
+    (p0, p1), (q0, q1) = grid.p_range, grid.q_range
+    region = itertools.product(range(p0, p1 + 1), range(q0, q1 + 1))
+    missing = set(region) - grid.terms.keys()
+    if missing:
+        raise ValueError(f"the {grid.side.value} page has no term at {min(missing)}")
+    for group in grid.joint_nonzero:
+        for pos in group:
+            if not grid.in_region(pos):
+                raise ValueError(
+                    f"a joint_nonzero group names {pos}, outside the "
+                    f"{grid.side.value} page"
+                )
+
+
 def compare_limits(left: PageGrid, right: PageGrid) -> list[DerivedRelation]:
     """Equate the two limits degree by degree; refine statuses in place.
 
     Both grids must already be degenerate (no differential can act), since
-    the comparison reads the pages as the limit's graded pieces.
+    the comparison reads the pages as the limit's graded pieces, and each
+    must hold a Term at every position of its rectangle and of its
+    joint_nonzero groups; otherwise ValueError, before any status changes.
     """
     if left.side is not Side.LEFT or right.side is not Side.RIGHT:
         raise ValueError("compare_limits takes (left page, right page)")
     if left.n != right.n:
         raise ValueError("pages disagree about the ambient dimension")
+    for grid in (left, right):
+        _check_shape(grid)
     for grid in (left, right):
         if not grid.is_settled():
             raise ValueError(

@@ -136,11 +136,19 @@ class StabilityReport:
 A_STEP = Fraction(1, 2)
 DELTA_STEP = Fraction(1)
 
+# Largest grid a scan or candidate_grid builds.  A held scan report takes
+# ~0.85 KiB, so this keeps the reports of one scan under ~420 MiB.
+MAX_SCAN_CANDIDATES = 500_000
+
 
 @dataclass(frozen=True)
 class EnumerationBounds:
     """Grid bounds: a runs over 0..a_max in steps of ``A_STEP``, each delta
-    coordinate over -delta_max..delta_max in steps of ``DELTA_STEP``."""
+    coordinate over -delta_max..delta_max in steps of ``DELTA_STEP``.
+
+    A rank-n scan over Picard rank ρ has (n - 1)·|a axis|·|δ axis|^ρ·2
+    candidates; above ``MAX_SCAN_CANDIDATES`` it is refused with ValueError
+    before anything is built (CLI ``scan`` exit 1)."""
 
     a_max: Fraction = Fraction(6)
     delta_max: Fraction = Fraction(6)
@@ -405,13 +413,28 @@ def _report(n: int, r: int, cell: _Cell, target: Fraction) -> StabilityReport:
     )
 
 
+def _grid_len(limit: Fraction, step: Fraction, start: Fraction) -> int:
+    return (limit - start) // step + 1
+
+
 def _grid(limit: Fraction, step: Fraction, start: Fraction) -> list[Fraction]:
-    values = []
-    v = start
-    while v <= limit:
-        values.append(v)
-        v += step
-    return values
+    return [start + i * step for i in range(_grid_len(limit, step, start))]
+
+
+def _check_scan_size(n: int, picard_rank: int, bounds: EnumerationBounds) -> None:
+    """Refuse a grid above MAX_SCAN_CANDIDATES, counted before any axis
+    is built."""
+    count = (
+        (n - 1)
+        * _grid_len(bounds.a_max, A_STEP, Fraction(0))
+        * _grid_len(bounds.delta_max, DELTA_STEP, -bounds.delta_max) ** picard_rank
+        * 2
+    )
+    if count > MAX_SCAN_CANDIDATES:
+        raise ValueError(
+            f"the scan grid has {count} candidates, above the cap "
+            f"{MAX_SCAN_CANDIDATES}; lower the rank or the bounds"
+        )
 
 
 def _axes(picard_rank: int, bounds: EnumerationBounds) -> tuple[list, list, tuple]:
@@ -428,7 +451,9 @@ def _axes(picard_rank: int, bounds: EnumerationBounds) -> tuple[list, list, tupl
 def candidate_grid(
     n: int, picard_rank: int, bounds: EnumerationBounds
 ) -> list[DestabilizerCandidate]:
-    """The full deterministic candidate list for a rank-n search."""
+    """The full deterministic candidate list for a rank-n search; a grid
+    above MAX_SCAN_CANDIDATES is a ValueError."""
+    _check_scan_size(n, picard_rank, bounds)
     points = list(itertools.product(*_axes(picard_rank, bounds)))
     return [DestabilizerCandidate(r, *point) for r in range(1, n) for point in points]
 
@@ -439,10 +464,12 @@ def enumerate_candidates(
     bounds: EnumerationBounds = EnumerationBounds(),
 ) -> ScanResult:
     """Certify every candidate on the grid; order is grid order.  The
-    rank-independent part of a report is built once per (a, delta, e)."""
+    rank-independent part of a report is built once per (a, delta, e).
+    A grid above MAX_SCAN_CANDIDATES is a ValueError."""
     _require_num_trivial(pol, "stability scan")
     if not is_int(n) or n < 1:
         raise ValueError("n must be a positive integer")
+    _check_scan_size(n, pol.model.picard_rank, bounds)
     fns = _functionals(pol)
     target = target_slope(n, pol)
     cells = _cells(fns, *_axes(pol.model.picard_rank, bounds)) if n > 1 else []

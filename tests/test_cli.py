@@ -259,6 +259,22 @@ def test_ss_duality_refuses_a_dimension_past_the_cap(capsys, monkeypatch):
     assert err.startswith("error:") and "scenario dimension cap" in err
 
 
+def test_scan_refuses_a_grid_past_the_cap(capsys, monkeypatch):
+    """The candidate count is checked before any cell of the grid is built."""
+    from weierfm import stability
+
+    def unreachable(*args):
+        raise AssertionError("a cell was built past the scan cap")
+
+    monkeypatch.setattr(stability, "_cells", unreachable)
+    code, out, err = run(
+        capsys, "scan", "--preset", "k3_quartic", "-m", "-4", "-t", "1", "-s", "1",
+        "--a-max", "1000000",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "above the cap 500000" in err
+
+
 def test_negative_flag_values_parse(capsys):
     code, out, _ = run(
         capsys, "ss-duality", "-n", "4", "-c", "2", "--wit", "1", "--dim-shift", "-1",

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import time
@@ -25,7 +26,11 @@ from weierfm import (
     serialize,
     solve_scenario,
 )
-from weierfm.duality import PageGrid, Term, left_label, right_label
+from weierfm.duality import PageGrid, Term, _Solver, left_label, right_label
+
+
+def statuses(*grids):
+    return [term.status for grid in grids for term in grid.terms.values()]
 
 
 def feasible_scenarios(max_n=4):
@@ -161,6 +166,27 @@ def test_compare_limits_checks_its_arguments():
     other_left, _ = degenerate(build_pages(SheafScenario(2, 1, WitType.WIT0, 0))[0])
     with pytest.raises(ValueError):
         compare_limits(other_left, right)
+
+
+def test_compare_limits_refuses_malformed_pages():
+    """A page with a hole in its rectangle, or a joint group naming a cell
+    outside it, is a ValueError before any status changes."""
+    with pytest.raises(ValueError, match=r"left page has no term at \(-1, 0\)"):
+        compare_limits(
+            PageGrid(Side.LEFT, 1, (-1, 0), (0, 1), {}),
+            PageGrid(Side.RIGHT, 1, (0, 1), (-1, 0), {}),
+        )
+    left, right = build_pages(SheafScenario(3, 1, WitType.WIT0, 0))
+    del right.terms[(3, 0)]
+    with pytest.raises(ValueError, match=r"right page has no term at \(3, 0\)"):
+        compare_limits(left, right)
+
+    left, right = build_pages(SheafScenario(3, 1, WitType.WIT0, 0))
+    right.joint_nonzero = (((9, 9), (1, 0)),)
+    before = statuses(left, right)
+    with pytest.raises(ValueError, match=r"names \(9, 9\), outside the right page"):
+        compare_limits(left, right)
+    assert statuses(left, right) == before
 
 
 # -- derived relations ------------------------------------------------------------
@@ -338,6 +364,64 @@ def test_engine_output_is_pinned():
     assert digest.hexdigest() == (
         "e96a108464474aa0f0c927d551898cb38642385a65dbafd30ab8d5cdc04d3a5f"
     )
+
+
+class _RescanEveryDegree(_Solver):
+    """The fixpoint without dirty degrees: every pass rescans every total
+    degree, in ascending order."""
+
+    def solve(self):
+        degrees = sorted(set(self.left.degrees()) | set(self.right.degrees()))
+        while True:
+            self._changed = False
+            for k in degrees:
+                self._scan_degree(k)
+            self._propagate_links()
+            self._check_joint_constraints()
+            if not self._changed:
+                return list(self.relations)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_dirty_degrees_match_rescanning_every_degree(data):
+    """Settled pages with random statuses off the dead WIT column (so
+    contradictions and every branch of a scan occur) give the same
+    relations, in the same order, and the same final statuses."""
+    scenario = data.draw(st.sampled_from(list(feasible_scenarios(8))))
+    left, right = build_pages(scenario)
+    for grid in (left, right):
+        for (p, _), term in grid.terms.items():
+            if grid is right or p == scenario.surviving_column:
+                term.status = data.draw(st.sampled_from(TermStatus))
+    ref_left, ref_right = copy.deepcopy((left, right))
+    expected = _RescanEveryDegree(ref_left, ref_right).solve()
+    assert compare_limits(left, right) == expected
+    assert statuses(left, right) == statuses(ref_left, ref_right)
+
+
+def test_fixpoint_rescans_only_changed_degrees(monkeypatch):
+    """Each degree is scanned once, and again only after a status on its
+    antidiagonal changed: scans <= degrees + status changes."""
+    calls = []
+    scan = _Solver._scan_degree
+
+    def counted(self, k):
+        calls.append(k)
+        scan(self, k)
+
+    monkeypatch.setattr(_Solver, "_scan_degree", counted)
+    count = 0
+    for scenario in feasible_scenarios(12):
+        left, right = build_pages(scenario)
+        before = statuses(left, right)
+        calls.clear()
+        compare_limits(left, right)
+        changes = sum(a is not b for a, b in zip(before, statuses(left, right)))
+        degrees = len(set(left.degrees()) | set(right.degrees()))
+        assert len(calls) <= degrees + changes, scenario
+        count += 1
+    assert count == 492
 
 
 @pytest.mark.parametrize(

@@ -209,6 +209,43 @@ def test_bounds_validation():
         EnumerationBounds(delta_max=Fraction(-1))
 
 
+@pytest.mark.parametrize(
+    "n,rho,a_max,delta_max",
+    [(3, 1, 1, 1), (2, 1, 0, 0), (4, 2, Fraction(3, 2), Fraction(5, 2)),
+     (5, 1, Fraction(7, 4), Fraction(1, 3)), (2, 3, HALF, 2)],
+)
+def test_scan_cap_counts_the_grid_exactly(monkeypatch, n, rho, a_max, delta_max):
+    """A grid of exactly MAX_SCAN_CANDIDATES is built; one more is refused."""
+    from weierfm import stability
+
+    bounds = EnumerationBounds(a_max, delta_max)
+    size = len(candidate_grid(n, rho, bounds))
+    monkeypatch.setattr(stability, "MAX_SCAN_CANDIDATES", size)
+    assert len(candidate_grid(n, rho, bounds)) == size
+    monkeypatch.setattr(stability, "MAX_SCAN_CANDIDATES", size - 1)
+    with pytest.raises(ValueError, match="above the cap"):
+        candidate_grid(n, rho, bounds)
+
+
+def test_scan_cap_refuses_before_building_anything(monkeypatch, k3, k3_pol):
+    """(4 - 1)·2 000 001·13·2 candidates: refused without an axis or a cell."""
+    from weierfm import stability
+
+    def unreachable(*args):
+        raise AssertionError("the grid was built past the scan cap")
+
+    monkeypatch.setattr(stability, "_grid", unreachable)
+    monkeypatch.setattr(stability, "_cells", unreachable)
+    bounds = EnumerationBounds(a_max=Fraction(10**6))
+    with pytest.raises(ValueError, match="156000078 candidates, above the cap 500000"):
+        enumerate_candidates(4, k3_pol, bounds)
+    with pytest.raises(ValueError, match="above the cap"):
+        candidate_grid(4, 1, bounds)
+    with pytest.raises(ValueError, match="above the cap"):
+        transform_stability(LineBundleX(k3.model, -10**6), k3_pol)
+    assert stability.MAX_SCAN_CANDIDATES == 500_000
+
+
 # -- the pipeline --------------------------------------------------------------------
 
 
