@@ -353,8 +353,10 @@ def degenerate(grid: PageGrid) -> tuple[PageGrid, int]:
     In every scenario ``build_pages`` seeds, no differential can act (the
     Right band has two rows and the Left band a dead column), so the
     statuses already describe the limit.  A grid on which some d_r could
-    still act breaks that invariant and raises ``InternalCheckError``.
+    still act breaks that invariant and raises ``InternalCheckError``; a
+    grid missing a Term it needs is a ValueError, checked first.
     """
+    _check_shape(grid)
     if not grid.is_settled():
         raise InternalCheckError(
             f"a differential can act on the {grid.side.value} page, "
@@ -642,7 +644,8 @@ def solve_scenario(scenario: SheafScenario) -> ScenarioSolution:
     left, right = build_pages(scenario)
     left, left_page = degenerate(left)
     right, right_page = degenerate(right)
-    relations = compare_limits(left, right)
+    # degenerate() has checked both pages' shapes and that they are settled.
+    relations = _Solver(left, right).solve()
     conclusion = _entailed_conclusion(scenario, right, relations)
     return ScenarioSolution(
         scenario,

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Any, Iterable, Sequence, TypeVar, Union
 
 RationalLike = Union[int, Fraction]
+T = TypeVar("T")
 
 _RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 
@@ -39,6 +40,19 @@ def is_int(value: object) -> bool:
 
 def as_rational_vector(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(as_rational(v) for v in values)
+
+
+def prevalidated(cls: type[T], *values: Any) -> T:
+    """An instance of the dataclass ``cls`` holding ``values`` in field
+    order, built without ``__init__`` or ``__post_init__``.
+
+    For hot paths whose values already passed the checks and coercions those
+    would run (Fractions from Fraction arithmetic, ints from a range); the
+    public constructors keep every check.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__match_args__, values))
+    return obj
 
 
 def parse_rational(text: str) -> Fraction:

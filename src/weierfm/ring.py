@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisViolationError, ModelMismatchError
-from .rationals import RationalLike, as_rational, as_rational_vector, is_int
+from .rationals import RationalLike, as_rational, as_rational_vector, is_int, prevalidated
 
 _HALF = Fraction(1, 2)
 _SIXTH = Fraction(1, 6)
@@ -187,7 +187,8 @@ class SurfaceClass:
 
     def __add__(self, other: "SurfaceClass") -> "SurfaceClass":
         _check_same_model(self, other)
-        return SurfaceClass(
+        return prevalidated(
+            SurfaceClass,
             self.model,
             self.r + other.r,
             tuple(a + b for a, b in zip(self.d, other.d)),
@@ -202,8 +203,8 @@ class SurfaceClass:
 
     def scale(self, c: RationalLike) -> "SurfaceClass":
         c = as_rational(c)
-        return SurfaceClass(
-            self.model, c * self.r, tuple(c * x for x in self.d), c * self.s
+        return prevalidated(
+            SurfaceClass, self.model, c * self.r, tuple(c * x for x in self.d), c * self.s
         )
 
     def __mul__(self, other):
@@ -228,7 +229,7 @@ def surface_mul(u: SurfaceClass, v: SurfaceClass) -> SurfaceClass:
     model = u.model
     d = tuple(u.r * b + v.r * a for a, b in zip(u.d, v.d))
     s = u.r * v.s + v.r * u.s + model.pair(u.d, v.d)
-    return SurfaceClass(model, u.r * v.r, d, s)
+    return prevalidated(SurfaceClass, model, u.r * v.r, d, s)
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,16 @@ are cached as three linear functionals.  They are checked there: the ω²
 functional must equal its closed-form coefficients (s²H² on Θ,
 2ts·(e_i·H) on p*e_i), and fiber + mixed must equal ω².  No ring product
 runs per candidate.  The scan computes the O(ρ) dot products (δ·H and δ
-against each functional) once per δ and the Θ terms once per (a, e); each
-(a, δ, e) cell then costs a few subtractions, compares its ring slope
-numerator with the closed form, and builds the proxy, trace and reasons
-shared by every rank.  A candidate costs one division, to its slope, and
-one check, of its trace sum against r times that slope.
+against each functional) once per δ and the Θ terms once per (a, e), as
+Fractions, and brings them all over one common denominator D.  Each
+(a, δ, e) cell then runs on integers: a few subtractions, the check of its
+ring slope numerator against the closed form, the signs of the trace steps
+and the trace sum.  Each distinct integer becomes a Fraction over D, and
+each distinct trace a tuple of TraceSteps, once per scan.  A candidate
+checks its trace sum against r times its slope, cross-multiplied in
+integers, and looks up its slope and verdict per distinct numerator; its
+DestabilizerCandidate and StabilityReport are built from these checked
+values without re-running the constructors' checks.
 
 Positive m reduces to negative m through the dual line bundle: the
 duality bookkeeping of :mod:`weierfm.duality` identifies the dual of the
@@ -43,11 +48,13 @@ a twist, none of which move slope stability.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .duality import Conclusion, SheafScenario, solve_scenario
 from .errors import (
@@ -63,7 +70,7 @@ from .fm import (
     slope,
     transform_char,
 )
-from .rationals import as_rational, as_rational_vector, is_int
+from .rationals import as_rational, as_rational_vector, is_int, prevalidated
 from .ring import ThreefoldClass, pullback, x_integrate, x_mul
 
 
@@ -232,10 +239,8 @@ class _Functionals(NamedTuple):
 
 
 def _dot(u: tuple[Fraction, ...], v: tuple[Fraction, ...]) -> Fraction:
-    total = Fraction(0)
-    for x, y in zip(u, v):
-        total += x * y
-    return total
+    """u·v for vectors of one length >= 1 (a Picard rank)."""
+    return sum(map(operator.mul, u[1:], v[1:]), u[0] * v[0])
 
 
 @lru_cache(maxsize=POLARIZATION_CACHE_SIZE)
@@ -293,33 +298,41 @@ def target_slope(n: int, pol: Polarization) -> Fraction:
 
 
 class _Cell(NamedTuple):
-    """Everything a report at one (a, delta, e) point holds but its rank."""
+    """Everything a report at one (a, delta, e) point holds but its rank.
+
+    ``numerator`` and ``trace_sum`` are integers over ``denominator``, the
+    common denominator of the scan's terms."""
 
     a: Fraction
     delta: tuple[Fraction, ...]
     e: int
     fiber_deg: Fraction
-    numerator: Fraction  # ∫ ch1(F)·ω², checked against the closed form
+    numerator: int  # ∫ ch1(F)·ω² times denominator, checked against the closed form
+    denominator: int
     proxy: EffectivityProxy
     trace: tuple[TraceStep, ...]
-    trace_sum: Fraction
+    trace_sum: int  # times denominator
     reasons: tuple[str, ...]  # every inadmissibility reason but the rank
 
 
 def _cells(fns: _Functionals, a_values, deltas, es) -> list[_Cell]:
     """One cell per (a, delta, e), e fastest, then delta, then a: the grid
     order.  The delta dot products run once per delta and the Θ terms once
-    per (a, e); a cell subtracts them and checks the ring's slope numerator
-    against the closed form."""
+    per (a, e), as Fractions.  A cell subtracts them as integers over their
+    common denominator D and checks the ring's slope numerator against the
+    closed form; each distinct integer becomes a Fraction, and each distinct
+    trace a tuple of TraceSteps, once."""
     w, fiber, mixed = fns.omega_squared, fns.fiber, fns.mixed
+    fraction_terms: list[Fraction] = []
     by_delta = []
     for delta in deltas:
         pairing = _dot(delta, fns.gram_h)
-        by_delta.append((delta, pairing, fns.two_ts * pairing, _dot(delta, w[1:]),
-                         _dot(delta, fiber[1:]), _dot(delta, mixed[1:]),
-                         (f"effectivity proxy fails: delta·H = {pairing} < 0",)
-                         if pairing < 0 else ()))
-    cells = []
+        reason = (f"effectivity proxy fails: delta·H = {pairing} < 0",) if pairing < 0 else ()
+        terms = (fns.two_ts * pairing, _dot(delta, w[1:]), _dot(delta, fiber[1:]),
+                 _dot(delta, mixed[1:]))
+        fraction_terms += terms
+        by_delta.append((delta, pairing, reason, terms))
+    by_a = []
     for a in a_values:
         a_reason = (f"effectivity proxy fails: a = {a} < 0",) if a < 0 else ()
         by_e = []
@@ -329,28 +342,48 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[_Cell]:
                 fd_reason = (f"fiber degree {fd} is not an integer",)
             else:
                 fd_reason = (f"fiber degree +{fd} > 0",) if fd > 0 else ()
-            step3 = e * mixed[0]
-            section = TraceStep("section-part step", step3, "== 0", step3 == 0)
-            by_e.append((e, fd, fd * w[0], fd * fns.ss_hh, fd * fiber[0],
-                         -a * mixed[0], section, fd_reason))
-        # ch1(F) splits as (-aΘ - p*delta) + eΘ, the torsion and section parts.
-        for delta, pairing, ts_pairing, w_d, fiber_d, mixed_d, pair_reason in by_delta:
+            terms = (fd * w[0], fd * fns.ss_hh, fd * fiber[0], -a * mixed[0], e * mixed[0])
+            fraction_terms += terms
+            by_e.append((e, fd, fd_reason, terms))
+        by_a.append((a, a_reason, by_e))
+    den = math.lcm(*(x.denominator for x in fraction_terms))
+    fractions: dict[int, Fraction] = {}
+
+    def rational(x: int) -> Fraction:
+        value = fractions.get(x)
+        if value is None:
+            value = fractions[x] = Fraction(x, den)
+        return value
+
+    def scaled(terms: tuple[Fraction, ...]) -> tuple[int, ...]:
+        return tuple(x.numerator * (den // x.denominator) for x in terms)
+
+    by_delta = [(delta, pairing, reason, *scaled(terms))
+                for delta, pairing, reason, terms in by_delta]
+    traces: dict[tuple[int, int, int], tuple[TraceStep, ...]] = {}
+    cells = []
+    # ch1(F) splits as (-aΘ - p*delta) + eΘ, the torsion and section parts.
+    for a, a_reason, by_e in by_a:
+        rows = [(e, fd, fd_reason, *scaled(terms)) for e, fd, fd_reason, terms in by_e]
+        for delta, pairing, pair_reason, ts_pairing, w_d, fiber_d, mixed_d in by_delta:
             proxy = EffectivityProxy(a >= 0, pairing)
-            for e, fd, fd_w, fd_ss, fd_fiber, a_mixed, section, fd_reason in by_e:
+            for e, fd, fd_reason, fd_w, fd_ss, fd_fiber, a_mixed, step3 in rows:
                 ring_numerator, numerator = fd_w - w_d, fd_ss - ts_pairing
                 if ring_numerator != numerator:
                     raise InternalCheckError(
                         "ring integration and closed-form slope numerators "
-                        f"disagree: {ring_numerator} vs {numerator}"
+                        f"disagree: {rational(ring_numerator)} vs {rational(numerator)}"
                     )
                 step1, step2 = fd_fiber - fiber_d, a_mixed - mixed_d
-                trace = (
-                    TraceStep("fiber-degree step", step1, "<= 0", step1 <= 0),
-                    TraceStep("effectivity step", step2, "<= 0", step2 <= 0),
-                    section,
-                )
-                cells.append(_Cell(a, delta, e, fd, numerator, proxy, trace,
-                                   step1 + step2 + section.value,
+                trace = traces.get((step1, step2, step3))
+                if trace is None:
+                    trace = traces[step1, step2, step3] = (
+                        TraceStep("fiber-degree step", rational(step1), "<= 0", step1 <= 0),
+                        TraceStep("effectivity step", rational(step2), "<= 0", step2 <= 0),
+                        TraceStep("section-part step", rational(step3), "== 0", step3 == 0),
+                    )
+                cells.append(_Cell(a, delta, e, fd, numerator, den, proxy, trace,
+                                   step1 + step2 + step3,
                                    a_reason + pair_reason + fd_reason))
     return cells
 
@@ -368,7 +401,8 @@ def _point(cand: DestabilizerCandidate, pol: Polarization, what: str) -> _Cell:
 
 def candidate_slope(cand: DestabilizerCandidate, pol: Polarization) -> Fraction:
     """∫ ch1(F)·ω² / r, cross-checked against the closed form."""
-    return _point(cand, pol, "candidate slope").numerator / cand.r
+    cell = _point(cand, pol, "candidate slope")
+    return Fraction(cell.numerator, cell.denominator * cand.r)
 
 
 # -- certification -----------------------------------------------------------
@@ -382,35 +416,44 @@ def certify(n: int, pol: Polarization, cand: DestabilizerCandidate) -> Stability
     arithmetic reasons rather than silently skipped.
     """
     cell = _point(cand, pol, "stability certification")
-    return _report(n, cand.r, cell, target_slope(n, pol))
+    return _reports(n, (cand.r,), [cell], target_slope(n, pol))[0]
 
 
-def _report(n: int, r: int, cell: _Cell, target: Fraction) -> StabilityReport:
-    """The rank-r candidate at ``cell``, judged against the rank-n target."""
-    cand_slope = cell.numerator / r
-    if cell.trace_sum != r * cand_slope:
-        raise InternalCheckError(
-            "trace decomposition does not sum to r times the candidate slope"
-        )
-    reasons = cell.reasons
-    if not r < n:
-        reasons = (f"rank {r} is not below the transform rank {n}",) + reasons
-    if reasons:
-        verdict = Verdict.INADMISSIBLE
-    elif cand_slope >= target:
-        verdict = Verdict.VIOLATION
-    else:
-        verdict = Verdict.CERTIFIED
-    return StabilityReport(
-        candidate=DestabilizerCandidate(r, cell.a, cell.delta, cell.e),
-        verdict=verdict,
-        target_slope=target,
-        candidate_slope=cand_slope,
-        proxy=cell.proxy,
-        fiber_deg=cell.fiber_deg,
-        trace=cell.trace,
-        inadmissible_reasons=reasons,
-    )
+def _reports(
+    n: int, ranks: Iterable[int], cells: list[_Cell], target: Fraction
+) -> list[StabilityReport]:
+    """The candidate of every rank in ``ranks`` at every cell, rank slowest,
+    judged against the rank-n target.  Every field was checked when its cell
+    was built, so candidates and reports skip their constructors' checks."""
+    reports = []
+    for r in ranks:
+        rank_reason = () if r < n else (f"rank {r} is not below the transform rank {n}",)
+        # A cell numerator's rank-r slope, and the verdict of an admissible
+        # candidate at that slope.
+        slopes: dict[int, tuple[Fraction, Verdict]] = {}
+        for cell in cells:
+            numerator = cell.numerator
+            # trace_sum / D against r times numerator / (r·D), cross-multiplied
+            if cell.trace_sum * r != r * numerator:
+                raise InternalCheckError(
+                    "trace decomposition does not sum to r times the candidate slope"
+                )
+            judged = slopes.get(numerator)
+            if judged is None:
+                cand_slope = Fraction(numerator, cell.denominator * r)
+                judged = slopes[numerator] = (
+                    cand_slope,
+                    Verdict.VIOLATION if cand_slope >= target else Verdict.CERTIFIED,
+                )
+            cand_slope, verdict = judged
+            reasons = rank_reason + cell.reasons
+            reports.append(prevalidated(
+                StabilityReport,
+                prevalidated(DestabilizerCandidate, r, cell.a, cell.delta, cell.e),
+                Verdict.INADMISSIBLE if reasons else verdict, target, cand_slope,
+                cell.proxy, cell.fiber_deg, cell.trace, reasons,
+            ))
+    return reports
 
 
 def _grid_len(limit: Fraction, step: Fraction, start: Fraction) -> int:
@@ -473,7 +516,7 @@ def enumerate_candidates(
     fns = _functionals(pol)
     target = target_slope(n, pol)
     cells = _cells(fns, *_axes(pol.model.picard_rank, bounds)) if n > 1 else []
-    reports = tuple(_report(n, r, cell, target) for r in range(1, n) for cell in cells)
+    reports = tuple(_reports(n, range(1, n), cells, target))
     return ScanResult(
         reports=reports,
         any_violation=any(r.verdict is Verdict.VIOLATION for r in reports),

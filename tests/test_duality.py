@@ -189,6 +189,26 @@ def test_compare_limits_refuses_malformed_pages():
     assert statuses(left, right) == before
 
 
+def test_degenerate_refuses_malformed_pages():
+    """A hole in the rectangle is a ValueError from degenerate(), checked
+    before the differentials, whose scan would read it as a KeyError."""
+    page = PageGrid(Side.LEFT, 2, (-1, 0), (0, 2), {(0, 0): Term(TermStatus.NONZERO)})
+    with pytest.raises(ValueError, match=r"left page has no term at \(-1, 0\)"):
+        degenerate(page)
+
+
+def test_solve_scenario_checks_each_page_once(monkeypatch):
+    """degenerate() checks both pages; the comparison does not redo it."""
+    calls = []
+    real = PageGrid.is_settled
+    monkeypatch.setattr(PageGrid, "is_settled", lambda grid: calls.append(grid.side) or real(grid))
+    solve_scenario(SheafScenario(3, 1, WitType.WIT0, 0))
+    assert calls == [Side.LEFT, Side.RIGHT]
+    calls.clear()
+    compare_limits(*build_pages(SheafScenario(3, 1, WitType.WIT0, 0)))
+    assert calls == [Side.LEFT, Side.RIGHT]
+
+
 # -- derived relations ------------------------------------------------------------
 
 

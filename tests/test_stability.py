@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import re
 from fractions import Fraction
 
@@ -547,3 +549,87 @@ def test_scan_checks_catch_spoiled_functionals(monkeypatch, capsys, k3, spoiled,
     err = capsys.readouterr().err
     assert code == 3
     assert re.fullmatch(f"internal error: {pattern}\n", err)
+
+
+# -- byte-stable scan output ------------------------------------------------------------
+
+_TS = (HALF, Fraction(1), Fraction(2))
+_FIVE_HALVES = EnumerationBounds(Fraction(5, 2), Fraction(5, 2))
+_SIGNED_M = (-4, -3, -2, -1, 1, 2, 3, 4)
+
+
+def _rho2():
+    from pathlib import Path
+
+    from weierfm.serialize import surface_model_from_json
+
+    path = Path(__file__).parent / "data" / "hyperbolic_rho2.json"
+    model = surface_model_from_json(json.loads(path.read_text()))
+    return model, (Fraction(1), Fraction(2))
+
+
+# sha256 over repr and JSON (the pipeline view and the scan with every report)
+# of transform_stability at each (model, bounds, (t, s), m), pinned from the
+# all-Fraction scan.  The first group runs every (t, s) in {1/2, 1, 2}²; ρ=2
+# with default bounds has 4 394 cells per rank, so it runs one polarization
+# and one sign.
+_SCAN_PINS = {
+    "rho1-five-halves": (("k3_quartic", "enriques"), _FIVE_HALVES,
+                         [(t, s) for t in _TS for s in _TS], _SIGNED_M, 15552,
+                         "f70300d2acb6322e118950a08210527ad51830bfd82314977f8a38c685f639e1"),
+    "rho1-default": (("k3_quartic", "enriques"), EnumerationBounds(),
+                     [(HALF, Fraction(1)), (Fraction(2), HALF)], _SIGNED_M, 16224,
+                     "6c61cdedc1e3cec89ebab0881cae9d73cf9078bbf335b4bb831741dde191ee6a"),
+    "rho2-five-halves": (("rho2",), _FIVE_HALVES,
+                         [(Fraction(1), Fraction(2)), (Fraction(2), HALF)], _SIGNED_M, 10368,
+                         "a354c5d92d8b7552dd7801a3272f99a6e52ecf599fa24f8cd73c570ed581dab6"),
+    "rho2-default": (("rho2",), EnumerationBounds(), [(Fraction(1), Fraction(1))], (-2,), 4394,
+                     "0217487feb0a324356d0b5e58b009640426f17b2b83283a3eda2d6de3264d2d4"),
+}
+
+
+@pytest.mark.parametrize("key", list(_SCAN_PINS))
+def test_scan_output_is_byte_stable(key):
+    from weierfm import get_preset
+    from weierfm.serialize import to_jsonable
+
+    names, bounds, polarizations, ms, count, pin = _SCAN_PINS[key]
+    digest = hashlib.sha256()
+    total = 0
+    for name in names:
+        preset = None if name == "rho2" else get_preset(name)
+        model, h = _rho2() if preset is None else (preset.model, preset.ample)
+        for t, s in polarizations:
+            pol = Polarization(model, t, s, h)
+            for m in ms:
+                report = transform_stability(LineBundleX(model, m), pol, bounds)
+                total += report.scan.candidate_count
+                digest.update(repr(report).encode())
+                digest.update(json.dumps(to_jsonable(report)).encode())
+                digest.update(json.dumps(to_jsonable(report.scan)).encode())
+    assert total == count
+    assert digest.hexdigest() == pin
+
+
+@pytest.mark.parametrize("n,bounds", [(4, EnumerationBounds()), (3, _FIVE_HALVES)])
+def test_scan_candidates_equal_public_candidates(k3, n, bounds):
+    """Reports hold candidates equal to the publicly built ones, with the
+    same field types, repr and hash, while the public constructor still
+    refuses a float a and a bool r."""
+    model, h = _rho2()
+    for pol in (Polarization(k3.model, HALF, Fraction(2), k3.ample),
+                Polarization(model, Fraction(2), HALF, h)):
+        for report in enumerate_candidates(n, pol, bounds).reports:
+            c = report.candidate
+            public = DestabilizerCandidate(c.r, c.a, c.delta, c.e)
+            assert c == public and hash(c) == hash(public) and repr(c) == repr(public)
+            assert type(c.r) is int and type(c.e) is int and type(c.a) is Fraction
+            assert type(c.delta) is tuple and all(type(x) is Fraction for x in c.delta)
+            assert report == StabilityReport(*(getattr(report, f.name) for f in
+                                               dataclasses.fields(StabilityReport)))
+    with pytest.raises(TypeError):
+        DestabilizerCandidate(1, 0.5, (Fraction(0),), 0)
+    with pytest.raises(ValueError):
+        DestabilizerCandidate(True, Fraction(0), (Fraction(0),), 0)
+    with pytest.raises(TypeError):
+        dataclasses.replace(c, a=0.5)
