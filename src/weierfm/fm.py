@@ -37,7 +37,7 @@ from .errors import (
     ModelMismatchError,
     UndefinedSlopeError,
 )
-from .rationals import RationalLike, as_rational, as_rational_vector, is_int
+from .rationals import RationalLike, as_rational, as_rational_vector, fields_hash, is_int
 from .ring import DivisorClassX, SurfaceModel, require_x_k_trivial, x_integrate, x_mul
 
 _HALF = Fraction(1, 2)
@@ -151,6 +151,9 @@ class Polarization:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "h", h)
+
+    # The stability caches are keyed by polarization and hash it per call.
+    __hash__ = fields_hash
 
     def omega(self) -> DivisorClassX:
         return DivisorClassX(

@@ -34,7 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisViolationError, ModelMismatchError
-from .rationals import RationalLike, as_rational, as_rational_vector, is_int, prevalidated
+from .rationals import (
+    RationalLike, as_rational, as_rational_vector, fields_hash, is_int, prevalidated,
+)
 
 _HALF = Fraction(1, 2)
 _SIXTH = Fraction(1, 6)
@@ -84,6 +86,10 @@ class SurfaceModel:
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "canonical", canonical)
         object.__setattr__(self, "omega_class", omega)
+
+    # Polarization hashes its model, and caches keyed by a polarization
+    # hash it on every lookup.
+    __hash__ = fields_hash
 
     # -- derived facts ---------------------------------------------------
 

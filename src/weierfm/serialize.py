@@ -50,7 +50,13 @@ tag naming their class.  Decoders take only the JSON types the encoders
 write and raise ``ValueError`` otherwise, naming any missing key.
 ``ScanResult``, ``ScenarioSolution`` and ``TransformStabilityReport`` are
 views (derived counts, renamed fields, a flattened scan) with hand-written
-encoders; ``ScanResult`` is read back through its plan.
+encoders.  ``ScanResult`` is read back through its plan and a check that
+its three derived fields equal what the decoded reports give.
+
+Rationals decode through :func:`weierfm.rationals.parse_rational`, which
+parses each distinct string once and keeps up to
+``RATIONAL_CACHE_SIZE`` (4 096) of them; decoded objects share the cached
+``Fraction`` instances, which are immutable.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ from .rationals import format_rational, parse_rational
 from .ring import DivisorClassX, SurfaceClass, SurfaceModel, ThreefoldClass
 from .stability import (
     DestabilizerCandidate, EffectivityProxy, ScanResult, StabilityReport, TraceStep,
-    TransformStabilityReport,
+    TransformStabilityReport, Verdict,
 )
 
 _RENAMES = {"fiber_deg": "fiber_degree"}
@@ -212,13 +218,17 @@ def _plan(cls: type) -> _Codec:
 # -- views: JSON that is not the dataclass's own field list ------------------
 
 
-def _scan_json(obj: ScanResult) -> dict:
+def _scan_counts(scan: ScanResult) -> dict:
+    """The fields a ScanResult derives from its reports."""
     return {
-        "any_violation": obj.any_violation,
-        "candidate_count": obj.candidate_count,
-        "verdict_counts": obj.verdict_counts(),
-        "reports": [to_jsonable(r) for r in obj.reports],
+        "any_violation": scan.any_violation,
+        "candidate_count": scan.candidate_count,
+        "verdict_counts": scan.verdict_counts(),
     }
+
+
+def _scan_json(obj: ScanResult) -> dict:
+    return {**_scan_counts(obj), "reports": [to_jsonable(r) for r in obj.reports]}
 
 
 def _solution_json(obj: ScenarioSolution) -> dict:
@@ -239,9 +249,7 @@ def _pipeline_json(obj: TransformStabilityReport) -> dict:
         "search_rank": obj.search_rank,
         "target_slope": format_rational(obj.target_slope),
         "stable": obj.stable,
-        "any_violation": obj.scan.any_violation,
-        "candidate_count": obj.scan.candidate_count,
-        "verdict_counts": obj.scan.verdict_counts(),
+        **_scan_counts(obj.scan),
         "duality_step": to_jsonable(obj.duality_step) if obj.duality_step else None,
         "reduction": list(obj.reduction),
     }
@@ -294,7 +302,33 @@ candidate_from_json = _plan(DestabilizerCandidate).decode
 effectivity_proxy_from_json = _plan(EffectivityProxy).decode
 trace_step_from_json = _plan(TraceStep).decode
 stability_report_from_json = _plan(StabilityReport).decode
-scan_result_from_json = _plan(ScanResult).decode
+
+
+def _same_json(value: Any, expected: Any) -> bool:
+    """JSON equality that tells true from 1 and 1 from 1.0."""
+    if type(value) is not type(expected):
+        return False
+    if type(expected) is dict:
+        return value.keys() == expected.keys() and all(
+            _same_json(value[key], expected[key]) for key in expected
+        )
+    return value == expected
+
+
+def scan_result_from_json(data: Any, model: SurfaceModel | None = None) -> ScanResult:
+    """The reports through ScanResult's plan; ``any_violation``,
+    ``candidate_count`` and ``verdict_counts`` must equal what those reports
+    give.  ``model`` is unused (the plan decoders' signature)."""
+    scan = _plan(ScanResult).decode(data)
+    violation = any(report.verdict is Verdict.VIOLATION for report in scan.reports)
+    for key, expected in _scan_counts(ScanResult(scan.reports, violation)).items():
+        if key not in data:
+            raise ValueError(f"ScanResult JSON is missing key {key!r}")
+        if not _same_json(data[key], expected):
+            raise ValueError(
+                f"ScanResult JSON {key!r} is {data[key]!r}, but its reports give {expected!r}"
+            )
+    return scan
 
 
 def relation_from_json(data: dict) -> DerivedRelation:

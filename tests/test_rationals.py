@@ -17,6 +17,8 @@ from weierfm import (
     target_slope,
 )
 from weierfm.rationals import (
+    RATIONAL_CACHE_SIZE,
+    _parse_rational,
     as_rational,
     as_rational_vector,
     format_rational,
@@ -54,15 +56,17 @@ def test_parse_accepts_integer_and_slash_forms(text, value):
 
 @pytest.mark.parametrize(
     "text",
-    # Non-ASCII decimal digits: Arabic-Indic, fullwidth, and one in a denominator.
-    ["0.5", "1e3", "", "1/", "/2", "1/0", "1 / 2", "a", "١/٢", "１", "1/٢"],
+    # Non-ASCII decimal digits: Arabic-Indic, fullwidth, and one in a
+    # denominator; then non-ASCII whitespace: an em space, a line separator.
+    ["0.5", "1e3", "", "1/", "/2", "1/0", "1 / 2", "a", "١/٢", "１", "1/٢",
+     "\u20031/2", "1/2\u2028"],
 )
 def test_parse_rejects_everything_else(text):
     with pytest.raises(ValueError):
         parse_rational(text)
 
 
-@pytest.mark.parametrize("value", [0, 0.5, None, ["1"]], ids=repr)
+@pytest.mark.parametrize("value", [0, 0.5, None, ["1"], {}], ids=repr)
 def test_parse_rejects_non_strings(value):
     with pytest.raises(ValueError):
         parse_rational(value)
@@ -80,6 +84,35 @@ def test_floats_and_bools_are_not_rationals():
 @given(st.fractions())
 def test_parse_inverts_format(q):
     assert parse_rational(format_rational(q)) == q
+
+
+@given(st.fractions(max_denominator=12))
+def test_repeated_parses_equal_a_fresh_fraction(q):
+    """A small denominator bound makes strings repeat, so most of these
+    parses come from the cache."""
+    text = format_rational(q)
+    first, second = parse_rational(text), parse_rational(text)
+    assert first == second == Fraction(q.numerator, q.denominator)
+    assert type(second) is Fraction
+
+
+@pytest.mark.parametrize("text", ["1/0", "0.5", "\u20031/2"], ids=repr)
+def test_parse_failures_repeat_their_message(text):
+    """Failures are not cached: the second call raises what the first did."""
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as failure:
+            parse_rational(text)
+        messages.append(str(failure.value))
+    assert messages[0] == messages[1]
+
+
+def test_parse_cache_is_bounded():
+    for k in range(RATIONAL_CACHE_SIZE + 100):
+        assert parse_rational(f"{k}/7") == Fraction(k, 7)
+    info = _parse_rational.cache_info()
+    assert info.maxsize == RATIONAL_CACHE_SIZE
+    assert info.currsize <= RATIONAL_CACHE_SIZE
 
 
 def test_vector_round_trip():

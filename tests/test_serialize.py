@@ -125,6 +125,44 @@ def test_stability_objects_round_trip(k3_pol):
     rt(scan, serialize.scan_result_from_json)
 
 
+def _k3_scan_document(k3_pol):
+    scan = enumerate_candidates(
+        2, k3_pol, EnumerationBounds(a_max=Fraction(1), delta_max=Fraction(0))
+    )
+    return json.loads(serialize.dumps(scan))
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("any_violation", True), ("candidate_count", 99), ("verdict_counts", {"x": 1})],
+)
+def test_scan_fields_must_match_the_reports(k3_pol, key, value):
+    doc = _k3_scan_document(k3_pol)
+    assert doc["any_violation"] is False
+    doc[key] = value
+    with pytest.raises(ValueError, match=key):
+        serialize.scan_result_from_json(doc)
+
+
+def test_scan_counts_are_compared_as_json(k3_pol):
+    """1.0 and True equal 1 in Python, not in the JSON schema."""
+    doc = _k3_scan_document(k3_pol)
+    for key, value in (("candidate_count", float(doc["candidate_count"])),
+                       ("verdict_counts", {**doc["verdict_counts"], "Violation": False})):
+        with pytest.raises(ValueError, match=key):
+            serialize.scan_result_from_json({**doc, key: value})
+    reordered = dict(reversed(doc["verdict_counts"].items()))
+    serialize.scan_result_from_json({**doc, "verdict_counts": reordered})
+
+
+@pytest.mark.parametrize("key", ["any_violation", "candidate_count", "verdict_counts"])
+def test_scan_fields_are_required(k3_pol, key):
+    doc = _k3_scan_document(k3_pol)
+    del doc[key]
+    with pytest.raises(ValueError, match=key):
+        serialize.scan_result_from_json(doc)
+
+
 def test_transform_stability_report_shape(k3, k3_pol):
     from weierfm import transform_stability
 
