@@ -32,15 +32,17 @@ p + q forces term-by-term relations between the two sides, which a small
 fixpoint loop turns into Identification / ForcedZero / ShortExact facts,
 or into a contradiction when the scenario is impossible.
 
-The loop runs passes until one changes nothing.  A pass scans total
-degrees in ascending order, then carries statuses across every
-Identification and checks the joint constraints.  A scan of degree k reads
-and writes only antidiagonal k, and rerun on what it left there it emits
-only duplicates, so every status change marks its own degree dirty and a
-pass scans only the dirty degrees (the first pass scans them all).  A
-solve therefore makes at most (number of degrees + number of status
-changes) scans, each over at most four terms, and builds each term's
-TermRef and label once: time and memory are linear in n.
+A scan of degree k reads and writes only antidiagonal k, and rerun on what
+it left there it emits only duplicates.  When one term lives on each side
+it emits their Identification and carries NonZero from one to the other;
+both stay live for the rest of the solve, since a term turns Zero only
+while the other side of k has no live term.  Every status change marks its
+own degree dirty.  The loop scans the dirty degrees in ascending order (at
+first all of them), then checks the joint constraints, which are the only
+status changes made outside a degree's own scan, and stops when no degree
+is dirty.  A solve therefore makes at most (number of degrees + number of
+status changes) scans, each over at most four terms, and builds each
+term's TermRef and label once: time and memory are linear in n.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleScenarioError, InternalCheckError
 from .fm import WitType
-from .rationals import is_int
+from .rationals import is_int, prevalidated
 
 
 class Side(enum.Enum):
@@ -230,6 +232,15 @@ class TermRef:
     pos: Pos
     label: str
 
+    def __post_init__(self) -> None:
+        p, q = self.pos
+        label = left_label(p, q) if self.side is Side.LEFT else right_label(p, q)
+        if self.label != label:
+            raise ValueError(
+                f"the {self.side.value} term at {self.pos} is {label!r}, "
+                f"not {self.label!r}"
+            )
+
     def __hash__(self) -> int:
         # Equal refs have equal labels; the label's hash is cached by str,
         # and hashing the Side member would run Enum.__hash__ in Python.
@@ -299,12 +310,13 @@ class Conclusion:
     via_dimension_only: bool = False
 
 
-_DUAL_IS_WIT1_STATEMENT = "Φ^0(E^D) = 0, so E^D is WIT1"
-
-
-def _identification_statement(wit: WitType) -> str:
-    i = 0 if wit is WitType.WIT0 else 1
-    return f"ι*(Φ^0(E^D)) ⊗ p*L = (Φ^{i}E)^D"
+def _conclusion(scenario: SheafScenario, kind: ConclusionKind) -> Conclusion:
+    """The DualIsWIT1 or DualIdentification conclusion for ``scenario``."""
+    if kind is ConclusionKind.DUAL_IS_WIT1:
+        return Conclusion(
+            kind, "Φ^0(E^D) = 0, so E^D is WIT1", via_dimension_only=scenario.c == 0
+        )
+    return Conclusion(kind, f"ι*(Φ^0(E^D)) ⊗ p*L = (Φ^{scenario.wit_degree}E)^D")
 
 
 # -- page construction ----------------------------------------------------
@@ -375,7 +387,6 @@ class _Solver:
         self.relations: dict[DerivedRelation, None] = {}  # insertion-ordered set
         self._left_refs: dict[Pos, TermRef] = {}
         self._right_refs: dict[Pos, TermRef] = {}
-        self._changed = False
         # The total degrees whose antidiagonal changed since its last scan.
         self._dirty = set(left.degrees()) | set(right.degrees())
 
@@ -385,44 +396,19 @@ class _Solver:
         ref = refs.get(pos)
         if ref is None:
             label = left_label(*pos) if is_left else right_label(*pos)
-            ref = refs[pos] = TermRef(grid.side, pos, label)
+            ref = refs[pos] = prevalidated(TermRef, grid.side, pos, label)
         return ref
 
     def _emit(self, relation: DerivedRelation) -> None:
-        count = len(self.relations)
         self.relations.setdefault(relation)  # one hash; `in` and a store take two
-        if len(self.relations) > count:
-            self._changed = True
 
     def _set_status(self, term: Term, pos: Pos, status: TermStatus) -> None:
         term.status = status
         self._dirty.add(pos[0] + pos[1])
-        self._changed = True
 
-    def _set_nonzero(self, grid: PageGrid, pos: Pos, degree: int) -> None:
-        term = grid.terms[pos]
+    def _set_nonzero(self, term: Term, pos: Pos) -> None:
         if term.status is TermStatus.UNKNOWN:
             self._set_status(term, pos, TermStatus.NONZERO)
-        elif term.status is TermStatus.ZERO:
-            self._emit(
-                Forbidden(
-                    degree,
-                    f"{self._ref(grid, pos).label} vanished but is required nonzero",
-                )
-            )
-
-    def _force_zero(self, grid: PageGrid, pos: Pos, degree: int, why: str) -> None:
-        term = grid.terms[pos]
-        if term.status is TermStatus.NONZERO:
-            self._emit(
-                Forbidden(
-                    degree,
-                    f"{self._ref(grid, pos).label} is required nonzero but {why} forces it to vanish",
-                )
-            )
-        elif term.status is TermStatus.UNKNOWN:
-            self._set_status(term, pos, TermStatus.ZERO)
-            self._emit(ForcedZero(degree, self._ref(grid, pos)))
 
     def _scan_degree(self, k: int) -> None:
         lives_l = self.left.live_on_diagonal(k)
@@ -435,21 +421,35 @@ class _Solver:
             else:
                 empty, other, survivors = self.right, self.left, lives_l
             why = f"an empty {empty.side.value} page in total degree {k}"
-            for pos, _ in survivors:
-                self._force_zero(other, pos, k, why)
+            for pos, term in survivors:
+                if term.status is TermStatus.NONZERO:
+                    self._emit(
+                        Forbidden(
+                            k,
+                            f"{self._ref(other, pos).label} is required nonzero but {why} forces it to vanish",
+                        )
+                    )
+                else:  # live, so Unknown
+                    self._set_status(term, pos, TermStatus.ZERO)
+                    self._emit(ForcedZero(k, self._ref(other, pos)))
             return
         if len(lives_l) == 1 and len(lives_r) == 1:
-            (pl, _), (pr, _) = lives_l[0], lives_r[0]
+            (pl, tl), (pr, tr) = lives_l[0], lives_r[0]
             self._emit(
                 Identification(k, self._ref(self.left, pl), self._ref(self.right, pr))
             )
+            # Both stay live; a later change to either marks k dirty, so the
+            # rescan carries NonZero across again.
+            if TermStatus.NONZERO in (tl.status, tr.status):
+                self._set_nonzero(tl, pl)
+                self._set_nonzero(tr, pr)
             return
         if len(lives_l) + len(lives_r) == 3:  # one against two
             if len(lives_l) == 1:
-                mid, (mid_pos, _) = self.left, lives_l[0]
+                mid, (mid_pos, mid_term) = self.left, lives_l[0]
                 pair_grid, pair = self.right, lives_r
             else:
-                mid, (mid_pos, _) = self.right, lives_r[0]
+                mid, (mid_pos, mid_term) = self.right, lives_r[0]
                 pair_grid, pair = self.left, lives_l
             # live_on_diagonal returns larger q first; the deeper filtration
             # step (larger outer degree, i.e. larger q) is the subobject
@@ -463,25 +463,10 @@ class _Solver:
                 )
             )
             if TermStatus.NONZERO in (subs.status, quots.status):
-                self._set_nonzero(mid, mid_pos, k)
+                self._set_nonzero(mid_term, mid_pos)
             # A vanishing mid (or a fully vanished pair) never reaches this
             # branch: live_on_diagonal filters Zero terms, so those cases
             # fall into the empty-side or one-against-one branches instead.
-
-    def _propagate_links(self) -> None:
-        # A snapshot, because propagation emits into self.relations.
-        for link in [r for r in self.relations if isinstance(r, Identification)]:
-            k, lref, rref = link.degree, link.left, link.right
-            tl = self.left.terms[lref.pos]
-            tr = self.right.terms[rref.pos]
-            if tl.status is TermStatus.NONZERO:
-                self._set_nonzero(self.right, rref.pos, k)
-            if tr.status is TermStatus.NONZERO:
-                self._set_nonzero(self.left, lref.pos, k)
-            if tl.status is TermStatus.ZERO:
-                self._force_zero(self.right, rref.pos, k, f"its identified partner {lref.label} = 0")
-            if tr.status is TermStatus.ZERO:
-                self._force_zero(self.left, lref.pos, k, f"its identified partner {rref.label} = 0")
 
     def _check_joint_constraints(self) -> None:
         for grid in (self.left, self.right):
@@ -499,24 +484,18 @@ class _Solver:
                     )
                 elif statuses.count(TermStatus.ZERO) == len(group) - 1:
                     for pos in group:
-                        if grid.terms[pos].status is TermStatus.UNKNOWN:
-                            self._set_nonzero(grid, pos, pos[0] + pos[1])
+                        self._set_nonzero(grid.terms[pos], pos)
 
     def solve(self) -> list[DerivedRelation]:
-        while True:
-            self._changed = False
-            # A scan reads and writes only antidiagonal k, and rerun on what
-            # it left there it emits only duplicates.  So a pass scans, in
-            # ascending order, only the degrees that a link or a joint
-            # constraint changed since their last scan.
+        # Outside a degree's own scan only the joint constraints change
+        # statuses, and they mark those degrees dirty.
+        while self._dirty:
             degrees, self._dirty = sorted(self._dirty), set()
             for k in degrees:
                 self._scan_degree(k)
                 self._dirty.discard(k)
-            self._propagate_links()
             self._check_joint_constraints()
-            if not self._changed:
-                return list(self.relations)
+        return list(self.relations)
 
 
 def _check_shape(grid: PageGrid) -> None:
@@ -561,40 +540,24 @@ def compare_limits(left: PageGrid, right: PageGrid) -> list[DerivedRelation]:
 # -- closed form and the full pipeline -------------------------------------
 
 
+# Closed-form verdict per (wit, dim_shift): the conclusion's kind, or why
+# no sheaf has that transform.
+_DECISIONS: dict[tuple[WitType, int], ConclusionKind | str] = {
+    (WitType.WIT0, 1): ConclusionKind.DUAL_IDENTIFICATION,
+    (WitType.WIT0, 0): ConclusionKind.DUAL_IS_WIT1,
+    (WitType.WIT0, -1): "dimension drop under a WIT0 transform is impossible",
+    (WitType.WIT1, 1): "dimension rise under a WIT1 transform is impossible",
+    (WitType.WIT1, 0): ConclusionKind.DUAL_IDENTIFICATION,
+    (WitType.WIT1, -1): ConclusionKind.DUAL_IS_WIT1,
+}
+
+
 def duality_decision(scenario: SheafScenario) -> Conclusion:
     """Closed-form verdict on the dual of the surviving transform."""
-    shift = scenario.dim_shift
-    if scenario.wit is WitType.WIT0:
-        if shift == 1:
-            return Conclusion(
-                ConclusionKind.DUAL_IDENTIFICATION,
-                _identification_statement(scenario.wit),
-            )
-        if shift == 0:
-            return Conclusion(
-                ConclusionKind.DUAL_IS_WIT1,
-                _DUAL_IS_WIT1_STATEMENT,
-                via_dimension_only=scenario.c == 0,
-            )
-        return Conclusion(
-            ConclusionKind.FORBIDDEN,
-            "dimension drop under a WIT0 transform is impossible",
-        )
-    if shift == 1:
-        return Conclusion(
-            ConclusionKind.FORBIDDEN,
-            "dimension rise under a WIT1 transform is impossible",
-        )
-    if shift == 0:
-        return Conclusion(
-            ConclusionKind.DUAL_IDENTIFICATION,
-            _identification_statement(scenario.wit),
-        )
-    return Conclusion(
-        ConclusionKind.DUAL_IS_WIT1,
-        _DUAL_IS_WIT1_STATEMENT,
-        via_dimension_only=scenario.c == 0,
-    )
+    decision = _DECISIONS[scenario.wit, scenario.dim_shift]
+    if isinstance(decision, str):
+        return Conclusion(ConclusionKind.FORBIDDEN, decision)
+    return _conclusion(scenario, decision)
 
 
 @dataclass(frozen=True)
@@ -616,11 +579,7 @@ def _entailed_conclusion(
             return Conclusion(ConclusionKind.FORBIDDEN, rel.reason)
     anchor = (scenario.c, -1)  # ι*(Φ^0 E^D) ⊗ p*L
     if right.terms[anchor].status is TermStatus.ZERO:
-        return Conclusion(
-            ConclusionKind.DUAL_IS_WIT1,
-            _DUAL_IS_WIT1_STATEMENT,
-            via_dimension_only=scenario.c == 0,
-        )
+        return _conclusion(scenario, ConclusionKind.DUAL_IS_WIT1)
     expected_partner = (scenario.surviving_column, scenario.transform_codim)
     for rel in relations:
         if isinstance(rel, Identification) and rel.right.pos == anchor:
@@ -629,10 +588,7 @@ def _entailed_conclusion(
                     f"Φ^0(E^D) identified with {rel.left.label}, not with the "
                     "dual of the surviving transform"
                 )
-            return Conclusion(
-                ConclusionKind.DUAL_IDENTIFICATION,
-                _identification_statement(scenario.wit),
-            )
+            return _conclusion(scenario, ConclusionKind.DUAL_IDENTIFICATION)
     raise InternalCheckError(
         "limit comparison resolved neither vanishing nor identification "
         f"for Φ^0(E^D) in scenario {scenario}"

@@ -393,12 +393,11 @@ class _RescanEveryDegree(_Solver):
     def solve(self):
         degrees = sorted(set(self.left.degrees()) | set(self.right.degrees()))
         while True:
-            self._changed = False
+            before = (len(self.relations), statuses(self.left, self.right))
             for k in degrees:
                 self._scan_degree(k)
-            self._propagate_links()
             self._check_joint_constraints()
-            if not self._changed:
+            if (len(self.relations), statuses(self.left, self.right)) == before:
                 return list(self.relations)
 
 
@@ -418,6 +417,60 @@ def test_dirty_degrees_match_rescanning_every_degree(data):
     expected = _RescanEveryDegree(ref_left, ref_right).solve()
     assert compare_limits(left, right) == expected
     assert statuses(left, right) == statuses(ref_left, ref_right)
+
+
+def _arbitrary_settled_pages(data):
+    """A Left page 2-4 columns wide, a two-row Right page, random statuses
+    (Left d_r targets joining two live terms zeroed until the page is
+    settled) and 0-2 jointly-nonzero groups of 1-3 positions."""
+    n = data.draw(st.integers(1, 6))
+    p0 = data.draw(st.integers(-3, 0))
+    p_range = (p0, p0 + data.draw(st.integers(1, 3)))
+    shapes = {Side.LEFT: (p_range, (0, n)), Side.RIGHT: ((0, n), (-1, 0))}
+    cells = {
+        side: list(itertools.product(range(p[0], p[1] + 1), range(q[0], q[1] + 1)))
+        for side, (p, q) in shapes.items()
+    }
+    groups = {Side.LEFT: [], Side.RIGHT: []}
+    for _ in range(data.draw(st.integers(0, 2))):
+        side = data.draw(st.sampled_from(Side))
+        positions = st.sampled_from(cells[side])
+        groups[side].append(
+            tuple(data.draw(st.lists(positions, min_size=1, max_size=3, unique=True)))
+        )
+    grids = []
+    for side, (p, q) in shapes.items():
+        terms = {pos: Term(data.draw(st.sampled_from(TermStatus))) for pos in cells[side]}
+        grids.append(PageGrid(side, n, p, q, terms, tuple(groups[side])))
+    left = grids[0]
+    for r in (2, 3, 4):
+        for (p, q), term in left.terms.items():
+            target = (p - r + 1, q + r)
+            if term.status is not TermStatus.ZERO and left.in_region(target):
+                left.terms[target].status = TermStatus.ZERO
+    assert left.is_settled()
+    return grids
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_identified_terms_end_with_one_live_status(data):
+    """Both terms of every Identification end non-Zero, and NonZero on one
+    side is NonZero on the other: on engine pages with random statuses and
+    on arbitrary settled pages with random jointly-nonzero groups."""
+    if data.draw(st.booleans()):
+        scenario = data.draw(st.sampled_from(list(feasible_scenarios(8))))
+        left, right = build_pages(scenario)
+        for grid in (left, right):
+            for (p, _), term in grid.terms.items():
+                if grid is right or p == scenario.surviving_column:
+                    term.status = data.draw(st.sampled_from(TermStatus))
+    else:
+        left, right = _arbitrary_settled_pages(data)
+    for rel in compare_limits(left, right):
+        if isinstance(rel, Identification):
+            pair = {left.terms[rel.left.pos].status, right.terms[rel.right.pos].status}
+            assert len(pair) == 1 and TermStatus.ZERO not in pair, rel
 
 
 def test_fixpoint_rescans_only_changed_degrees(monkeypatch):

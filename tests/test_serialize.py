@@ -95,6 +95,25 @@ def test_each_relation_kind_round_trips():
     rt(Forbidden(2, "nothing survives"), serialize.relation_from_json)
 
 
+@pytest.mark.parametrize(
+    "side,label",
+    [
+        ("left", "anything"),
+        ("left", right_label(0, 1)),
+        ("right", left_label(0, 1)),
+        ("left", left_label(1, 0)),
+    ],
+)
+def test_term_ref_label_must_name_its_term(side, label):
+    """A label is a function of side and position: a wrong one, another
+    side's or another position's is refused, also inside a relation."""
+    ref = {"side": side, "pos": [0, 1], "label": label}
+    with pytest.raises(ValueError):
+        serialize.term_ref_from_json(ref)
+    with pytest.raises(ValueError):
+        serialize.relation_from_json({"kind": "ForcedZero", "degree": 1, "term": ref})
+
+
 def test_unknown_relation_kind_is_rejected():
     with pytest.raises(ValueError):
         serialize.relation_from_json({"kind": "Mystery", "degree": 0})
