@@ -14,6 +14,17 @@ One subcommand per library operation:
 ``--json`` switches any command from aligned tables to a machine-readable
 document whose rationals are exact ``p/q`` strings.
 
+Every command loads ``ring`` and ``fm`` (the parser needs them); each
+handler imports the rest of what it runs, when it runs:
+
+  slope                       nothing more
+  transform, dual, commute    ``serialize`` for the JSON document
+  ss-duality                  ``serialize`` and ``duality``
+  certify, scan               ``serialize``, ``stability`` and ``duality``
+
+``--model-file`` adds ``serialize``, which reads the model; ``serialize``
+itself loads nothing beyond ``ring``.
+
 Exit codes: 0 success; 1 malformed input (unknown preset, bad rationals,
 bad flags, a scenario dimension above the cap, a scan grid above
 MAX_SCAN_CANDIDATES candidates); 2 hypothesis violation
@@ -31,8 +42,6 @@ import re
 import sys
 from fractions import Fraction
 
-from . import serialize
-from .duality import SheafScenario, solve_scenario
 from .errors import (
     HypothesisViolationError,
     InfeasibleScenarioError,
@@ -58,12 +67,6 @@ from .rationals import (
     parse_rational_vector,
 )
 from .ring import DivisorClassX, SurfaceModel
-from .stability import (
-    DestabilizerCandidate,
-    EnumerationBounds,
-    certify,
-    transform_stability,
-)
 
 _INPUT_ERROR = 1
 _HYPOTHESIS_ERROR = 2
@@ -93,6 +96,8 @@ _kernel = _arg(KernelChoice, "kernel must be 'paper' or 'alternate'")
 
 def _resolve_model(args) -> tuple[SurfaceModel, tuple[Fraction, ...] | None, str]:
     if args.model_file:
+        from . import serialize
+
         with open(args.model_file, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
@@ -124,10 +129,13 @@ def _table(rows: list[tuple[str, str]]) -> list[str]:
 
 
 # -- command handlers --------------------------------------------------------
-# Each returns (payload, lines), the --json document and the text lines.
+# Each returns (payload, lines), the --json document and the text lines, and
+# imports the layers it runs beyond ring and fm, so that a call loads only those.
 
 
 def _cmd_transform(args) -> tuple[dict, list[str]]:
+    from . import serialize
+
     model, _, source = _resolve_model(args)
     lb = LineBundleX(model, args.m, args.twist)
     result = transform_char(lb)
@@ -150,6 +158,8 @@ def _cmd_slope(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_dual(args) -> tuple[dict, list[str]]:
+    from . import serialize
+
     model, _, _ = _resolve_model(args)
     dual = dual_char(_char_from_flags(args, model))
     return serialize.to_jsonable(dual), _table(
@@ -158,6 +168,8 @@ def _cmd_dual(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_commute(args) -> tuple[dict, list[str]]:
+    from . import serialize
+
     model, _, _ = _resolve_model(args)
     lb = LineBundleX(model, args.m, args.twist)
     commutes = commutativity_check(lb, args.kernel)
@@ -176,6 +188,9 @@ def _cmd_commute(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_ss_duality(args) -> tuple[dict, list[str]]:
+    from . import serialize
+    from .duality import SheafScenario, solve_scenario
+
     scenario = SheafScenario(n=args.n, c=args.c, wit=args.wit, dim_shift=args.dim_shift)
     solution = solve_scenario(scenario)
     shift = f"{scenario.dim_shift:+d}"
@@ -199,6 +214,9 @@ def _cmd_ss_duality(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_certify(args) -> tuple[dict, list[str]]:
+    from . import serialize
+    from .stability import DestabilizerCandidate, certify
+
     pol = _resolve_polarization(args)
     delta = args.delta if args.delta is not None else pol.model.zero_vector()
     cand = DestabilizerCandidate(r=args.rank, a=args.a, delta=delta, e=args.e)
@@ -222,6 +240,9 @@ def _cmd_certify(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_scan(args) -> tuple[dict, list[str]]:
+    from . import serialize
+    from .stability import EnumerationBounds, transform_stability
+
     pol = _resolve_polarization(args)
     bounds = EnumerationBounds(a_max=args.a_max, delta_max=args.delta_max)
     lb = LineBundleX(pol.model, args.m, args.twist)

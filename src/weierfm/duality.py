@@ -247,6 +247,21 @@ class TermRef:
         return hash(self.label)
 
 
+def _check_degree(degree: int, *refs: TermRef) -> None:
+    """Refuse a relation that names a term off its own antidiagonal.
+
+    Each relation's ``__post_init__`` checks the shape the solver always
+    emits, for relations built elsewhere (decoded JSON); the solver builds
+    its own through ``prevalidated``.
+    """
+    for ref in refs:
+        if sum(ref.pos) != degree:
+            raise ValueError(
+                f"the {ref.side.value} term at {ref.pos} is in total degree "
+                f"{sum(ref.pos)}, not {degree}"
+            )
+
+
 @dataclass(frozen=True)
 class Identification:
     """The two terms are the only survivors in their total degree, hence
@@ -256,6 +271,11 @@ class Identification:
     left: TermRef
     right: TermRef
 
+    def __post_init__(self) -> None:
+        if self.left.side is not Side.LEFT or self.right.side is not Side.RIGHT:
+            raise ValueError("an Identification joins a left term to a right term")
+        _check_degree(self.degree, self.left, self.right)
+
     def render(self) -> str:
         return f"[k={self.degree}] {self.left.label} ≅ {self.right.label}"
 
@@ -264,6 +284,9 @@ class Identification:
 class ForcedZero:
     degree: int
     term: TermRef
+
+    def __post_init__(self) -> None:
+        _check_degree(self.degree, self.term)
 
     def render(self) -> str:
         return f"[k={self.degree}] {self.term.label} = 0"
@@ -277,6 +300,15 @@ class ShortExact:
     sub: TermRef
     mid: TermRef
     quot: TermRef
+
+    def __post_init__(self) -> None:
+        if self.sub.side is not self.quot.side or self.mid.side is self.sub.side:
+            raise ValueError(
+                "a ShortExact has its sub and quot on one page and its mid on the other"
+            )
+        if self.sub.pos[1] <= self.quot.pos[1]:
+            raise ValueError("a ShortExact's sub is the term with the larger q")
+        _check_degree(self.degree, self.sub, self.mid, self.quot)
 
     def render(self) -> str:
         return (
@@ -431,13 +463,13 @@ class _Solver:
                     )
                 else:  # live, so Unknown
                     self._set_status(term, pos, TermStatus.ZERO)
-                    self._emit(ForcedZero(k, self._ref(other, pos)))
+                    self._emit(prevalidated(ForcedZero, k, self._ref(other, pos)))
             return
         if len(lives_l) == 1 and len(lives_r) == 1:
             (pl, tl), (pr, tr) = lives_l[0], lives_r[0]
-            self._emit(
-                Identification(k, self._ref(self.left, pl), self._ref(self.right, pr))
-            )
+            self._emit(prevalidated(
+                Identification, k, self._ref(self.left, pl), self._ref(self.right, pr)
+            ))
             # Both stay live; a later change to either marks k dirty, so the
             # rescan carries NonZero across again.
             if TermStatus.NONZERO in (tl.status, tr.status):
@@ -455,7 +487,8 @@ class _Solver:
             # step (larger outer degree, i.e. larger q) is the subobject
             (sub_pos, subs), (quot_pos, quots) = pair
             self._emit(
-                ShortExact(
+                prevalidated(
+                    ShortExact,
                     k,
                     self._ref(pair_grid, sub_pos),
                     self._ref(mid, mid_pos),

@@ -53,6 +53,14 @@ views (derived counts, renamed fields, a flattened scan) with hand-written
 encoders.  ``ScanResult`` is read back through its plan and a check that
 its three derived fields equal what the decoded reports give.
 
+Importing this module loads no layer beyond ``ring``.  A plan is built
+the first time its class is used.  ``to_jsonable`` registers a layer's
+encoders (its schemas' plans, its enums and its views) the first time it
+meets a type defined in that layer, which is then necessarily loaded, so
+after that an encode is one dict lookup.  Each ``*_from_json`` decoder is
+made on its first access as a module attribute, importing its layer, and
+stays in the module's namespace from then on.
+
 Rationals decode through :func:`weierfm.rationals.parse_rational`, which
 parses each distinct string once and keeps up to
 ``RATIONAL_CACHE_SIZE`` (4 096) of them; decoded objects share the cached
@@ -66,29 +74,25 @@ from dataclasses import fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
+from importlib import import_module
 from itertools import repeat
 from operator import attrgetter, itemgetter
 from types import UnionType
-from typing import Any, Callable, NamedTuple, Union, get_args, get_origin, get_type_hints
+from typing import (
+    TYPE_CHECKING, Any, Callable, NamedTuple, Union, get_args, get_origin, get_type_hints,
+)
 
-from .duality import (
-    Conclusion, DerivedRelation, Forbidden, ForcedZero, Identification,
-    ScenarioSolution, SheafScenario, ShortExact, TermRef,
-)
-from .fm import (
-    KernelChoice, LineBundleX, Polarization, TransformResult, TruncatedChar, WitType,
-)
 from .rationals import format_rational, parse_rational
-from .ring import DivisorClassX, SurfaceClass, SurfaceModel, ThreefoldClass
-from .stability import (
-    DestabilizerCandidate, EffectivityProxy, ScanResult, StabilityReport, TraceStep,
-    TransformStabilityReport, Verdict,
-)
+from .ring import SurfaceModel
+
+if TYPE_CHECKING:
+    from .duality import DerivedRelation, ScenarioSolution
+    from .stability import ScanResult, TransformStabilityReport
 
 _RENAMES = {"fiber_deg": "fiber_degree"}
-_RELATIONS = {
-    cls.__name__: cls for cls in (Identification, ForcedZero, ShortExact, Forbidden)
-}
+# The classes of duality.DerivedRelation, whose JSON leads with a "kind"
+# tag naming the class.
+_RELATION_KINDS = ("Identification", "ForcedZero", "ShortExact", "Forbidden")
 _LEAVES = {int: "an integer", bool: "a boolean", str: "a string"}
 
 
@@ -167,7 +171,8 @@ def _plan(cls: type) -> _Codec:
     """
     hints = get_type_hints(cls)
     owner = cls.__name__
-    head = {"kind": owner} if cls in _RELATIONS.values() else {}
+    tagged = cls.__module__ == f"{__package__}.duality" and owner in _RELATION_KINDS
+    head = {"kind": owner} if tagged else {}
     model_at = None
     writers, keys, checks, plain, scoped = [], [], [], [], []
     for f in fields(cls):
@@ -255,29 +260,53 @@ def _pipeline_json(obj: TransformStabilityReport) -> dict:
     }
 
 
-_SCHEMAS = (
-    SurfaceModel, SurfaceClass, ThreefoldClass, DivisorClassX, Polarization,
-    LineBundleX, TruncatedChar, TransformResult, SheafScenario, Conclusion,
-    TermRef, *_RELATIONS.values(), DestabilizerCandidate, EffectivityProxy,
-    TraceStep, StabilityReport,
-)
-
-_ENCODERS: dict[type, Callable[[Any], Any]] = {
-    Fraction: format_rational,
-    WitType: _enum_value,
-    KernelChoice: _enum_value,
-    **{cls: _plan(cls).encode for cls in _SCHEMAS},
-    ScanResult: _scan_json,
-    ScenarioSolution: _solution_json,
-    TransformStabilityReport: _pipeline_json,
+_VIEWS = {
+    "ScanResult": _scan_json,
+    "ScenarioSolution": _solution_json,
+    "TransformStabilityReport": _pipeline_json,
 }
+
+# The classes to_jsonable encodes, by the layer module that defines them.
+_LAYERS = {
+    "ring": ("SurfaceModel", "SurfaceClass", "ThreefoldClass", "DivisorClassX"),
+    "fm": (
+        "Polarization", "LineBundleX", "TruncatedChar", "TransformResult",
+        "WitType", "KernelChoice",
+    ),
+    "duality": (
+        "SheafScenario", "Conclusion", "TermRef", *_RELATION_KINDS, "ScenarioSolution",
+    ),
+    "stability": (
+        "DestabilizerCandidate", "EffectivityProxy", "TraceStep", "StabilityReport",
+        "ScanResult", "TransformStabilityReport",
+    ),
+}
+
+_ENCODERS: dict[type, Callable[[Any], Any]] = {Fraction: format_rational}
+
+
+def _register(cls: type) -> Callable[[Any], Any]:
+    """Register the encoders of the layer that defines ``cls`` (already
+    loaded, since an instance exists) and return the one for ``cls``."""
+    package, _, layer = cls.__module__.rpartition(".")
+    if package == __package__ and layer in _LAYERS:
+        module = import_module(cls.__module__)
+        for name in _LAYERS[layer]:
+            kind = getattr(module, name)
+            _ENCODERS[kind] = _VIEWS.get(name) or (
+                _enum_value if issubclass(kind, Enum) else _plan(kind).encode
+            )
+    try:
+        return _ENCODERS[cls]
+    except KeyError:
+        raise TypeError(f"no JSON form registered for {cls.__name__}") from None
 
 
 def to_jsonable(obj: Any) -> Any:
     try:
         encode = _ENCODERS[type(obj)]
     except KeyError:
-        raise TypeError(f"no JSON form registered for {type(obj).__name__}") from None
+        encode = _register(type(obj))
     return encode(obj)
 
 
@@ -286,22 +315,6 @@ def dumps(obj: Any, indent: int | None = 2) -> str:
 
 
 # -- parsers: (data) or, for classes over a surface model, (data, model) -----
-
-surface_model_from_json = _plan(SurfaceModel).decode
-surface_class_from_json = _plan(SurfaceClass).decode
-threefold_class_from_json = _plan(ThreefoldClass).decode
-divisor_class_from_json = _plan(DivisorClassX).decode
-polarization_from_json = _plan(Polarization).decode
-line_bundle_from_json = _plan(LineBundleX).decode
-truncated_char_from_json = _plan(TruncatedChar).decode
-transform_result_from_json = _plan(TransformResult).decode
-scenario_from_json = _plan(SheafScenario).decode
-conclusion_from_json = _plan(Conclusion).decode
-term_ref_from_json = _plan(TermRef).decode
-candidate_from_json = _plan(DestabilizerCandidate).decode
-effectivity_proxy_from_json = _plan(EffectivityProxy).decode
-trace_step_from_json = _plan(TraceStep).decode
-stability_report_from_json = _plan(StabilityReport).decode
 
 
 def _same_json(value: Any, expected: Any) -> bool:
@@ -315,26 +328,80 @@ def _same_json(value: Any, expected: Any) -> bool:
     return value == expected
 
 
-def scan_result_from_json(data: Any, model: SurfaceModel | None = None) -> ScanResult:
-    """The reports through ScanResult's plan; ``any_violation``,
-    ``candidate_count`` and ``verdict_counts`` must equal what those reports
-    give.  ``model`` is unused (the plan decoders' signature)."""
-    scan = _plan(ScanResult).decode(data)
-    violation = any(report.verdict is Verdict.VIOLATION for report in scan.reports)
-    for key, expected in _scan_counts(ScanResult(scan.reports, violation)).items():
-        if key not in data:
-            raise ValueError(f"ScanResult JSON is missing key {key!r}")
-        if not _same_json(data[key], expected):
-            raise ValueError(
-                f"ScanResult JSON {key!r} is {data[key]!r}, but its reports give {expected!r}"
-            )
-    return scan
+def _scan_result_decoder(stability: Any) -> Callable[..., ScanResult]:
+    scan_result, violation_verdict = stability.ScanResult, stability.Verdict.VIOLATION
+    decode_plan = _plan(scan_result).decode
+
+    def scan_result_from_json(data: Any, model: SurfaceModel | None = None) -> ScanResult:
+        """The reports through ScanResult's plan; ``any_violation``,
+        ``candidate_count`` and ``verdict_counts`` must equal what those
+        reports give.  ``model`` is unused (the plan decoders' signature)."""
+        scan = decode_plan(data)
+        violation = any(report.verdict is violation_verdict for report in scan.reports)
+        for key, expected in _scan_counts(scan_result(scan.reports, violation)).items():
+            if key not in data:
+                raise ValueError(f"ScanResult JSON is missing key {key!r}")
+            if not _same_json(data[key], expected):
+                raise ValueError(
+                    f"ScanResult JSON {key!r} is {data[key]!r}, but its reports give {expected!r}"
+                )
+        return scan
+
+    return scan_result_from_json
 
 
-def relation_from_json(data: dict) -> DerivedRelation:
-    if type(data) is not dict or "kind" not in data:
-        raise ValueError("DerivedRelation JSON must be an object with the key 'kind'")
-    kind = data["kind"]
-    if type(kind) is not str or kind not in _RELATIONS:
-        raise ValueError(f"unknown relation kind {kind!r}")
-    return _plan(_RELATIONS[kind]).decode(data)
+def _relation_decoder(duality: Any) -> Callable[[Any], DerivedRelation]:
+    decoders = {kind: _plan(getattr(duality, kind)).decode for kind in _RELATION_KINDS}
+
+    def relation_from_json(data: Any) -> DerivedRelation:
+        if type(data) is not dict or "kind" not in data:
+            raise ValueError("DerivedRelation JSON must be an object with the key 'kind'")
+        kind = data["kind"]
+        if type(kind) is not str or kind not in decoders:
+            raise ValueError(f"unknown relation kind {kind!r}")
+        return decoders[kind](data)
+
+    return relation_from_json
+
+
+# Each decoder: the layer module it needs and the class whose plan decodes,
+# or the function that makes the decoder from that module.
+_DECODERS: dict[str, tuple[str, str | Callable[[Any], Callable[..., Any]]]] = {
+    "surface_model_from_json": ("ring", "SurfaceModel"),
+    "surface_class_from_json": ("ring", "SurfaceClass"),
+    "threefold_class_from_json": ("ring", "ThreefoldClass"),
+    "divisor_class_from_json": ("ring", "DivisorClassX"),
+    "polarization_from_json": ("fm", "Polarization"),
+    "line_bundle_from_json": ("fm", "LineBundleX"),
+    "truncated_char_from_json": ("fm", "TruncatedChar"),
+    "transform_result_from_json": ("fm", "TransformResult"),
+    "scenario_from_json": ("duality", "SheafScenario"),
+    "conclusion_from_json": ("duality", "Conclusion"),
+    "term_ref_from_json": ("duality", "TermRef"),
+    "relation_from_json": ("duality", _relation_decoder),
+    "candidate_from_json": ("stability", "DestabilizerCandidate"),
+    "effectivity_proxy_from_json": ("stability", "EffectivityProxy"),
+    "trace_step_from_json": ("stability", "TraceStep"),
+    "stability_report_from_json": ("stability", "StabilityReport"),
+    "scan_result_from_json": ("stability", _scan_result_decoder),
+}
+
+
+def __getattr__(name: str) -> Any:
+    """Make the decoder ``name`` on first access and keep it as a module
+    attribute, so later reads never come back here."""
+    try:
+        layer, source = _DECODERS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    module = import_module(f".{layer}", __package__)
+    if callable(source):
+        decode = source(module)
+    else:
+        decode = _plan(getattr(module, source)).decode
+    globals()[name] = decode
+    return decode
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_DECODERS})

@@ -281,22 +281,38 @@ def test_criterion_7_serialization_round_trips(verdict):
             if 0 <= c - shift <= n:
                 return SheafScenario(n, c, rng.choice(list(WitType)), shift)
 
-    def rnd_term_ref():
-        if rng.random() < 0.5:
-            p, q = rng.choice((-1, 0)), rng.randint(0, 4)
-            return TermRef(Side.LEFT, (p, q), left_label(p, q))
-        p, q = rng.randint(0, 4), rng.choice((-1, 0))
-        return TermRef(Side.RIGHT, (p, q), right_label(p, q))
+    def term_ref(side, p, q):
+        label = left_label(p, q) if side is Side.LEFT else right_label(p, q)
+        return TermRef(side, (p, q), label)
+
+    def rnd_term_ref(side=None, degree=None):
+        """A random ref, on ``side`` and antidiagonal ``degree`` if given."""
+        side = side or rng.choice(list(Side))
+        if side is Side.LEFT:
+            p = rng.choice((-1, 0))
+            return term_ref(side, p, rng.randint(0, 4) if degree is None else degree - p)
+        q = rng.choice((-1, 0))
+        return term_ref(side, rng.randint(0, 4) if degree is None else degree - q, q)
 
     def rnd_relation():
+        """A random relation of the shape the solver emits: every ref on its
+        antidiagonal, an Identification from left to right, a ShortExact's
+        sub (the larger q) and quot on the page its mid is not on."""
         kind = rng.randrange(4)
         degree = rng.randint(-1, 6)
         if kind == 0:
-            return Identification(degree, rnd_term_ref(), rnd_term_ref())
+            return Identification(
+                degree, rnd_term_ref(Side.LEFT, degree), rnd_term_ref(Side.RIGHT, degree)
+            )
         if kind == 1:
-            return ForcedZero(degree, rnd_term_ref())
+            return ForcedZero(degree, rnd_term_ref(degree=degree))
         if kind == 2:
-            return ShortExact(degree, rnd_term_ref(), rnd_term_ref(), rnd_term_ref())
+            mid = rnd_term_ref(degree=degree)
+            if mid.side is Side.LEFT:  # the pair is the Right antidiagonal's two terms
+                sub, quot = term_ref(Side.RIGHT, degree, 0), term_ref(Side.RIGHT, degree + 1, -1)
+            else:
+                sub, quot = term_ref(Side.LEFT, -1, degree + 1), term_ref(Side.LEFT, 0, degree)
+            return ShortExact(degree, sub, mid, quot)
         return Forbidden(degree, f"synthetic reason {degree}")
 
     def rnd_candidate(rho=1):

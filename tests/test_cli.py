@@ -238,7 +238,9 @@ def test_internal_errors_exit_three(capsys, monkeypatch):
     def explode(scenario):
         raise InternalCheckError("synthetic failure")
 
-    monkeypatch.setattr(cli, "solve_scenario", explode)
+    from weierfm import duality
+
+    monkeypatch.setattr(duality, "solve_scenario", explode)
     code, _, err = run(capsys, "ss-duality", "-c", "1", "--wit", "0", "--dim-shift", "0")
     assert code == 3
     assert "internal error" in err
@@ -250,7 +252,9 @@ def test_ss_duality_refuses_a_dimension_past_the_cap(capsys, monkeypatch):
     def unreachable(scenario):
         raise AssertionError("solve_scenario ran past the dimension cap")
 
-    monkeypatch.setattr(cli, "solve_scenario", unreachable)
+    from weierfm import duality
+
+    monkeypatch.setattr(duality, "solve_scenario", unreachable)
     code, out, err = run(
         capsys, "ss-duality", "-n", "100000001", "-c", "1", "--wit", "0",
         "--dim-shift", "1",

@@ -386,6 +386,21 @@ def test_engine_output_is_pinned():
     )
 
 
+def test_every_emitted_relation_round_trips():
+    """The relation checks refuse nothing the solver emits: each relation of
+    the 492 feasible scenarios with n <= 12 decodes back to itself."""
+    relations = [
+        relation
+        for scenario in feasible_scenarios(12)
+        for relation in solve_scenario(scenario).relations
+    ]
+    for relation in relations:
+        assert serialize.relation_from_json(serialize.to_jsonable(relation)) == relation
+    assert {type(relation).__name__ for relation in relations} == {
+        "Identification", "ForcedZero", "ShortExact", "Forbidden"
+    }
+
+
 class _RescanEveryDegree(_Solver):
     """The fixpoint without dirty degrees: every pass rescans every total
     degree, in ascending order."""

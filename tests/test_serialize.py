@@ -90,7 +90,7 @@ def test_each_relation_kind_round_trips():
     rref2 = TermRef(Side.RIGHT, (2, -1), right_label(2, -1))
     rt(TermRef(Side.LEFT, (0, 3), left_label(0, 3)), serialize.term_ref_from_json)
     rt(Identification(1, lref, rref), serialize.relation_from_json)
-    rt(ForcedZero(0, rref), serialize.relation_from_json)
+    rt(ForcedZero(1, rref), serialize.relation_from_json)
     rt(ShortExact(1, rref, lref, rref2), serialize.relation_from_json)
     rt(Forbidden(2, "nothing survives"), serialize.relation_from_json)
 
@@ -112,6 +112,38 @@ def test_term_ref_label_must_name_its_term(side, label):
         serialize.term_ref_from_json(ref)
     with pytest.raises(ValueError):
         serialize.relation_from_json({"kind": "ForcedZero", "degree": 1, "term": ref})
+
+
+def _ref_json(side, p, q):
+    label = left_label(p, q) if side == "left" else right_label(p, q)
+    return {"side": side, "pos": [p, q], "label": label}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # an Identification at degree 7 of two terms on antidiagonal 1
+        {"kind": "Identification", "degree": 7,
+         "left": _ref_json("left", 0, 1), "right": _ref_json("right", 1, 0)},
+        # an Identification whose left is a Right ref and right a Left ref
+        {"kind": "Identification", "degree": 1,
+         "left": _ref_json("right", 1, 0), "right": _ref_json("left", 0, 1)},
+        # a ShortExact at degree -3 naming one Left term as sub, mid and quot
+        {"kind": "ShortExact", "degree": -3, "sub": _ref_json("left", 0, 1),
+         "mid": _ref_json("left", 0, 1), "quot": _ref_json("left", 0, 1)},
+        # the same three terms at their own degree: still all on one page
+        {"kind": "ShortExact", "degree": 1, "sub": _ref_json("left", 0, 1),
+         "mid": _ref_json("left", 0, 1), "quot": _ref_json("left", 0, 1)},
+        # sub and quot swapped: the sub must be the term with the larger q
+        {"kind": "ShortExact", "degree": 1, "sub": _ref_json("right", 2, -1),
+         "mid": _ref_json("left", 0, 1), "quot": _ref_json("right", 1, 0)},
+        # a ForcedZero whose term sits on antidiagonal 1, not 0
+        {"kind": "ForcedZero", "degree": 0, "term": _ref_json("right", 1, 0)},
+    ],
+)
+def test_relations_the_solver_cannot_emit_are_refused(doc):
+    with pytest.raises(ValueError):
+        serialize.relation_from_json(doc)
 
 
 def test_unknown_relation_kind_is_rejected():
@@ -264,7 +296,7 @@ def _decoders():
     }
     left, right = solution.relations[0].left, solution.relations[0].right
     for relation in (Identification(0, left, right), ForcedZero(0, right),
-                     ShortExact(1, right, left, right), Forbidden(2, "nothing survives")):
+                     solution.relations[1], Forbidden(2, "nothing survives")):
         out[type(relation).__name__] = (serialize.relation_from_json,
                                         serialize.to_jsonable(relation))
     return out
