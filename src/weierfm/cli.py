@@ -20,7 +20,8 @@ handler imports the rest of what it runs, when it runs:
   slope                       nothing more
   transform, dual, commute    ``serialize`` for the JSON document
   ss-duality                  ``serialize`` and ``duality``
-  certify, scan               ``serialize``, ``stability`` and ``duality``
+  certify, scan               ``serialize`` and ``stability``, and for
+                              ``scan -m`` above 0 also ``duality``
 
 ``--model-file`` adds ``serialize``, which reads the model; ``serialize``
 itself loads nothing beyond ``ring``.
@@ -87,6 +88,15 @@ def _arg(parse, what: str | None = None):
     return convert
 
 
+def _parse_int(text: str) -> int:
+    """The rationals' ASCII grammar without a denominator (``int`` would
+    also read ``1_0`` and other scripts' digits)."""
+    if "/" in text:
+        raise ValueError(text)
+    return int(parse_rational(text))
+
+
+_int = _arg(_parse_int, "expected an integer in ASCII digits")
 _rational = _arg(parse_rational)
 _rational_vector = _arg(parse_rational_vector)
 _wit = _arg(lambda text: WitType({"0": "WIT0", "1": "WIT1"}.get(text, text)),
@@ -316,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="ample class on the base (comma-separated; preset default otherwise)",
     )
     bundle = argparse.ArgumentParser(add_help=False)
-    bundle.add_argument("-m", type=int, required=True, help="multiple of the section Θ")
+    bundle.add_argument("-m", type=_int, required=True, help="multiple of the section Θ")
     bundle.add_argument("--twist", type=_rational_vector, default=None, help="c1 of N")
     char = argparse.ArgumentParser(add_help=False)
     char.add_argument("--ch0", type=_rational, required=True)
@@ -342,19 +352,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub["commute"].add_argument("--kernel", type=_kernel, default=KernelChoice.PAPER)
 
     p = sub["ss-duality"]
-    p.add_argument("-n", type=int, default=3, help="dimension of X (default 3)")
-    p.add_argument("-c", type=int, required=True, help="codimension of E")
+    p.add_argument("-n", type=_int, default=3, help="dimension of X (default 3)")
+    p.add_argument("-c", type=_int, required=True, help="codimension of E")
     p.add_argument("--wit", type=_wit, required=True, help="0/WIT0 or 1/WIT1")
     p.add_argument(
-        "--dim-shift", type=int, required=True, help="transform dim minus sheaf dim"
+        "--dim-shift", type=_int, required=True, help="transform dim minus sheaf dim"
     )
 
     p = sub["certify"]
-    p.add_argument("-n", type=int, required=True, help="rank of the searched transform")
-    p.add_argument("-r", "--rank", type=int, required=True, help="candidate rank")
+    p.add_argument("-n", type=_int, required=True, help="rank of the searched transform")
+    p.add_argument("-r", "--rank", type=_int, required=True, help="candidate rank")
     p.add_argument("--a", type=_rational, required=True, help="Θ coefficient")
     p.add_argument("--delta", type=_rational_vector, default=None)
-    p.add_argument("--e", type=int, choices=(0, 1), required=True)
+    p.add_argument("--e", type=_int, choices=(0, 1), required=True)
 
     p = sub["scan"]
     p.add_argument("--a-max", type=_rational, default=Fraction(6))

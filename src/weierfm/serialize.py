@@ -7,7 +7,8 @@ Design rules:
 * vectors of rationals are lists of such strings;
 * enums serialize to their value strings;
 * classes over a surface model serialize without embedding the model;
-  the matching ``*_from_json`` takes the model as a parameter.
+  every ``*_from_json`` decoder takes ``(data, model=None)``, and those
+  of classes over a surface model need the model.
 
 Schemas (all keys required unless marked optional):
 
@@ -45,21 +46,24 @@ one plan per class, read once from ``dataclasses.fields`` and
 a decoder closure cached by type.  Keys are the field names in field
 order, renamed where ``_RENAMES`` says (``fiber_deg`` is written
 ``fiber_degree``); a field typed ``SurfaceModel`` is left out and filled
-from the decoder's ``model`` argument; relations lead with a ``"kind"``
-tag naming their class.  Decoders take only the JSON types the encoders
-write and raise ``ValueError`` otherwise, naming any missing key.
-``ScanResult``, ``ScenarioSolution`` and ``TransformStabilityReport`` are
-views (derived counts, renamed fields, a flattened scan) with hand-written
-encoders.  ``ScanResult`` is read back through its plan and a check that
-its three derived fields equal what the decoded reports give.
+from the decoder's ``model`` argument.  Decoders take only the JSON types
+the encoders write and raise ``ValueError`` otherwise, naming any missing
+key.  ``ScanResult``, ``ScenarioSolution`` and ``TransformStabilityReport``
+are views (derived counts, renamed fields, a flattened scan) with
+hand-written encoders.  ``ScanResult`` is read back through its plan and
+a check that its three derived fields equal what the decoded reports give.
 
-Importing this module loads no layer beyond ``ring``.  A plan is built
-the first time its class is used.  ``to_jsonable`` registers a layer's
-encoders (its schemas' plans, its enums and its views) the first time it
-meets a type defined in that layer, which is then necessarily loaded, so
-after that an encode is one dict lookup.  Each ``*_from_json`` decoder is
-made on its first access as a module attribute, importing its layer, and
-stays in the module's namespace from then on.
+One table, ``_FORMS``, names each class with a JSON form: its layer
+module, its decoder (none for the enums and the views only written) and
+its view encoder, if any.  Importing this module loads no layer beyond
+``ring``.  ``to_jsonable`` makes a class's encoder the first time it
+meets the class, refusing with ``TypeError`` one that the table does not
+name in that layer, so after that an encode is one dict lookup.  A
+decoder is made from the plans of the classes that name it on its first
+access as a module attribute, importing their layer, and stays in the
+namespace; ``scan_result_from_json``, which adds the check above, is
+written out.  The relations share ``relation_from_json`` and lead with a
+``"kind"`` tag naming their class.
 
 Rationals decode through :func:`weierfm.rationals.parse_rational`, which
 parses each distinct string once and keeps up to
@@ -90,9 +94,6 @@ if TYPE_CHECKING:
     from .stability import ScanResult, TransformStabilityReport
 
 _RENAMES = {"fiber_deg": "fiber_degree"}
-# The classes of duality.DerivedRelation, whose JSON leads with a "kind"
-# tag naming the class.
-_RELATION_KINDS = ("Identification", "ForcedZero", "ShortExact", "Forbidden")
 _LEAVES = {int: "an integer", bool: "a boolean", str: "a string"}
 
 
@@ -171,8 +172,8 @@ def _plan(cls: type) -> _Codec:
     """
     hints = get_type_hints(cls)
     owner = cls.__name__
-    tagged = cls.__module__ == f"{__package__}.duality" and owner in _RELATION_KINDS
-    head = {"kind": owner} if tagged else {}
+    # The classes relation_from_json reads lead with a tag naming the class.
+    head = {"kind": owner} if owner in _kinds("relation_from_json") else {}
     model_at = None
     writers, keys, checks, plain, scoped = [], [], [], [], []
     for f in fields(cls):
@@ -260,53 +261,65 @@ def _pipeline_json(obj: TransformStabilityReport) -> dict:
     }
 
 
-_VIEWS = {
-    "ScanResult": _scan_json,
-    "ScenarioSolution": _solution_json,
-    "TransformStabilityReport": _pipeline_json,
+class _Form(NamedTuple):
+    layer: str  # the module that defines the class
+    decoder: str | None = None  # the *_from_json that reads it back
+    view: Callable[[Any], Any] | None = None  # encoder of a view
+
+
+# Every class with a JSON form, by name.
+_FORMS = {
+    "SurfaceModel": _Form("ring", "surface_model_from_json"),
+    "SurfaceClass": _Form("ring", "surface_class_from_json"),
+    "ThreefoldClass": _Form("ring", "threefold_class_from_json"),
+    "DivisorClassX": _Form("ring", "divisor_class_from_json"),
+    "Polarization": _Form("fm", "polarization_from_json"),
+    "LineBundleX": _Form("fm", "line_bundle_from_json"),
+    "TruncatedChar": _Form("fm", "truncated_char_from_json"),
+    "TransformResult": _Form("fm", "transform_result_from_json"),
+    "WitType": _Form("fm"),
+    "KernelChoice": _Form("fm"),
+    "SheafScenario": _Form("duality", "scenario_from_json"),
+    "Conclusion": _Form("duality", "conclusion_from_json"),
+    "TermRef": _Form("duality", "term_ref_from_json"),
+    "Identification": _Form("duality", "relation_from_json"),
+    "ForcedZero": _Form("duality", "relation_from_json"),
+    "ShortExact": _Form("duality", "relation_from_json"),
+    "Forbidden": _Form("duality", "relation_from_json"),
+    "ScenarioSolution": _Form("duality", None, _solution_json),
+    "DestabilizerCandidate": _Form("stability", "candidate_from_json"),
+    "EffectivityProxy": _Form("stability", "effectivity_proxy_from_json"),
+    "TraceStep": _Form("stability", "trace_step_from_json"),
+    "StabilityReport": _Form("stability", "stability_report_from_json"),
+    "ScanResult": _Form("stability", "scan_result_from_json", _scan_json),
+    "TransformStabilityReport": _Form("stability", None, _pipeline_json),
 }
 
-# The classes to_jsonable encodes, by the layer module that defines them.
-_LAYERS = {
-    "ring": ("SurfaceModel", "SurfaceClass", "ThreefoldClass", "DivisorClassX"),
-    "fm": (
-        "Polarization", "LineBundleX", "TruncatedChar", "TransformResult",
-        "WitType", "KernelChoice",
-    ),
-    "duality": (
-        "SheafScenario", "Conclusion", "TermRef", *_RELATION_KINDS, "ScenarioSolution",
-    ),
-    "stability": (
-        "DestabilizerCandidate", "EffectivityProxy", "TraceStep", "StabilityReport",
-        "ScanResult", "TransformStabilityReport",
-    ),
-}
+
+def _kinds(decoder: str) -> list[str]:
+    """The names of the classes whose JSON ``decoder`` reads."""
+    return [name for name, form in _FORMS.items() if form.decoder == decoder]
+
 
 _ENCODERS: dict[type, Callable[[Any], Any]] = {Fraction: format_rational}
 
 
-def _register(cls: type) -> Callable[[Any], Any]:
-    """Register the encoders of the layer that defines ``cls`` (already
-    loaded, since an instance exists) and return the one for ``cls``."""
-    package, _, layer = cls.__module__.rpartition(".")
-    if package == __package__ and layer in _LAYERS:
-        module = import_module(cls.__module__)
-        for name in _LAYERS[layer]:
-            kind = getattr(module, name)
-            _ENCODERS[kind] = _VIEWS.get(name) or (
-                _enum_value if issubclass(kind, Enum) else _plan(kind).encode
-            )
-    try:
-        return _ENCODERS[cls]
-    except KeyError:
-        raise TypeError(f"no JSON form registered for {cls.__name__}") from None
+def _encoder(cls: type) -> Callable[[Any], Any]:
+    """Make and keep the encoder of ``cls``, the class its form names."""
+    form = _FORMS.get(cls.__name__)
+    if form is None or cls.__module__ != f"{__package__}.{form.layer}":
+        raise TypeError(f"no JSON form registered for {cls.__name__}")
+    encode = _ENCODERS[cls] = form.view or (
+        _enum_value if issubclass(cls, Enum) else _plan(cls).encode
+    )
+    return encode
 
 
 def to_jsonable(obj: Any) -> Any:
     try:
         encode = _ENCODERS[type(obj)]
     except KeyError:
-        encode = _register(type(obj))
+        encode = _encoder(type(obj))
     return encode(obj)
 
 
@@ -314,7 +327,7 @@ def dumps(obj: Any, indent: int | None = 2) -> str:
     return json.dumps(to_jsonable(obj), ensure_ascii=False, indent=indent)
 
 
-# -- parsers: (data) or, for classes over a surface model, (data, model) -----
+# -- decoders: (data, model=None); classes over a surface model need the model
 
 
 def _same_json(value: Any, expected: Any) -> bool:
@@ -328,80 +341,50 @@ def _same_json(value: Any, expected: Any) -> bool:
     return value == expected
 
 
-def _scan_result_decoder(stability: Any) -> Callable[..., ScanResult]:
-    scan_result, violation_verdict = stability.ScanResult, stability.Verdict.VIOLATION
-    decode_plan = _plan(scan_result).decode
+def scan_result_from_json(data: Any, model: SurfaceModel | None = None) -> ScanResult:
+    """The reports through ScanResult's plan; ``any_violation``,
+    ``candidate_count`` and ``verdict_counts`` must equal what those
+    reports give.  ``model`` is unused."""
+    from .stability import ScanResult, Verdict
 
-    def scan_result_from_json(data: Any, model: SurfaceModel | None = None) -> ScanResult:
-        """The reports through ScanResult's plan; ``any_violation``,
-        ``candidate_count`` and ``verdict_counts`` must equal what those
-        reports give.  ``model`` is unused (the plan decoders' signature)."""
-        scan = decode_plan(data)
-        violation = any(report.verdict is violation_verdict for report in scan.reports)
-        for key, expected in _scan_counts(scan_result(scan.reports, violation)).items():
-            if key not in data:
-                raise ValueError(f"ScanResult JSON is missing key {key!r}")
-            if not _same_json(data[key], expected):
-                raise ValueError(
-                    f"ScanResult JSON {key!r} is {data[key]!r}, but its reports give {expected!r}"
-                )
-        return scan
-
-    return scan_result_from_json
+    scan = _plan(ScanResult).decode(data)
+    violation = any(report.verdict is Verdict.VIOLATION for report in scan.reports)
+    for key, expected in _scan_counts(ScanResult(scan.reports, violation)).items():
+        if key not in data:
+            raise ValueError(f"ScanResult JSON is missing key {key!r}")
+        if not _same_json(data[key], expected):
+            raise ValueError(
+                f"ScanResult JSON {key!r} is {data[key]!r}, but its reports give {expected!r}"
+            )
+    return scan
 
 
-def _relation_decoder(duality: Any) -> Callable[[Any], DerivedRelation]:
-    decoders = {kind: _plan(getattr(duality, kind)).decode for kind in _RELATION_KINDS}
-
-    def relation_from_json(data: Any) -> DerivedRelation:
+def _relation_decoder(decoders: dict[str, Callable[..., Any]]) -> Callable[..., DerivedRelation]:
+    def relation_from_json(data: Any, model: SurfaceModel | None = None) -> DerivedRelation:
         if type(data) is not dict or "kind" not in data:
             raise ValueError("DerivedRelation JSON must be an object with the key 'kind'")
         kind = data["kind"]
         if type(kind) is not str or kind not in decoders:
             raise ValueError(f"unknown relation kind {kind!r}")
-        return decoders[kind](data)
+        return decoders[kind](data, model)
 
     return relation_from_json
 
 
-# Each decoder: the layer module it needs and the class whose plan decodes,
-# or the function that makes the decoder from that module.
-_DECODERS: dict[str, tuple[str, str | Callable[[Any], Callable[..., Any]]]] = {
-    "surface_model_from_json": ("ring", "SurfaceModel"),
-    "surface_class_from_json": ("ring", "SurfaceClass"),
-    "threefold_class_from_json": ("ring", "ThreefoldClass"),
-    "divisor_class_from_json": ("ring", "DivisorClassX"),
-    "polarization_from_json": ("fm", "Polarization"),
-    "line_bundle_from_json": ("fm", "LineBundleX"),
-    "truncated_char_from_json": ("fm", "TruncatedChar"),
-    "transform_result_from_json": ("fm", "TransformResult"),
-    "scenario_from_json": ("duality", "SheafScenario"),
-    "conclusion_from_json": ("duality", "Conclusion"),
-    "term_ref_from_json": ("duality", "TermRef"),
-    "relation_from_json": ("duality", _relation_decoder),
-    "candidate_from_json": ("stability", "DestabilizerCandidate"),
-    "effectivity_proxy_from_json": ("stability", "EffectivityProxy"),
-    "trace_step_from_json": ("stability", "TraceStep"),
-    "stability_report_from_json": ("stability", "StabilityReport"),
-    "scan_result_from_json": ("stability", _scan_result_decoder),
-}
-
-
 def __getattr__(name: str) -> Any:
-    """Make the decoder ``name`` on first access and keep it as a module
-    attribute, so later reads never come back here."""
-    try:
-        layer, source = _DECODERS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    module = import_module(f".{layer}", __package__)
-    if callable(source):
-        decode = source(module)
-    else:
-        decode = _plan(getattr(module, source)).decode
-    globals()[name] = decode
+    """Make the decoder ``name`` on first access, from the plans of the
+    classes whose forms name it, and keep it as a module attribute, so
+    later reads never come back here."""
+    kinds = _kinds(name)
+    if not kinds:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_FORMS[kinds[0]].layer}", __package__)
+    decoders = {kind: _plan(getattr(module, kind)).decode for kind in kinds}
+    decode = globals()[name] = (
+        _relation_decoder(decoders) if len(kinds) > 1 else decoders[kinds[0]]
+    )
     return decode
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_DECODERS})
+    return sorted({*globals(), *filter(None, (form.decoder for form in _FORMS.values()))})

@@ -32,12 +32,12 @@ against each functional) once per δ and the Θ terms once per (a, e), as
 Fractions, and brings them all over one common denominator D.  Each
 (a, δ, e) cell then runs on integers: a few subtractions, the check of its
 ring slope numerator against the closed form, the signs of the trace steps
-and the trace sum.  Each distinct integer becomes a Fraction over D, and
-each distinct trace a tuple of TraceSteps, once per scan.  A candidate
-checks its trace sum against r times its slope, cross-multiplied in
-integers, and looks up its slope and verdict per distinct numerator; its
-DestabilizerCandidate and StabilityReport are built from these checked
-values without re-running the constructors' checks.
+and the check that they sum to that numerator (r times the slope of every
+rank).  Each distinct integer becomes a Fraction over D, and each distinct
+trace a tuple of TraceSteps, once per scan.  A candidate looks up its
+slope and verdict per distinct numerator; its DestabilizerCandidate and
+StabilityReport are built from these checked values without re-running
+the constructors' checks.
 
 Positive m reduces to negative m through the dual line bundle: the
 duality bookkeeping of :mod:`weierfm.duality` identifies the dual of the
@@ -54,9 +54,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .duality import Conclusion, SheafScenario, solve_scenario
 from .errors import (
     HypothesisViolationError,
     InternalCheckError,
@@ -72,6 +71,9 @@ from .fm import (
 )
 from .rationals import as_rational, as_rational_vector, is_int, prevalidated
 from .ring import ThreefoldClass, pullback, x_integrate, x_mul
+
+if TYPE_CHECKING:
+    from .duality import Conclusion
 
 
 class Verdict(Enum):
@@ -300,8 +302,8 @@ def target_slope(n: int, pol: Polarization) -> Fraction:
 class _Cell(NamedTuple):
     """Everything a report at one (a, delta, e) point holds but its rank.
 
-    ``numerator`` and ``trace_sum`` are integers over ``denominator``, the
-    common denominator of the scan's terms."""
+    ``numerator`` is an integer over ``denominator``, the common
+    denominator of the scan's terms."""
 
     a: Fraction
     delta: tuple[Fraction, ...]
@@ -311,7 +313,6 @@ class _Cell(NamedTuple):
     denominator: int
     proxy: EffectivityProxy
     trace: tuple[TraceStep, ...]
-    trace_sum: int  # times denominator
     reasons: tuple[str, ...]  # every inadmissibility reason but the rank
 
 
@@ -320,8 +321,8 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[_Cell]:
     order.  The delta dot products run once per delta and the Θ terms once
     per (a, e), as Fractions.  A cell subtracts them as integers over their
     common denominator D and checks the ring's slope numerator against the
-    closed form; each distinct integer becomes a Fraction, and each distinct
-    trace a tuple of TraceSteps, once."""
+    closed form and the trace sum against it; each distinct integer becomes
+    a Fraction, and each distinct trace a tuple of TraceSteps, once."""
     w, fiber, mixed = fns.omega_squared, fns.fiber, fns.mixed
     fraction_terms: list[Fraction] = []
     by_delta = []
@@ -375,6 +376,11 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[_Cell]:
                         f"disagree: {rational(ring_numerator)} vs {rational(numerator)}"
                     )
                 step1, step2 = fd_fiber - fiber_d, a_mixed - mixed_d
+                # r times the slope is numerator / D at every rank r.
+                if step1 + step2 + step3 != numerator:
+                    raise InternalCheckError(
+                        "trace decomposition does not sum to r times the candidate slope"
+                    )
                 trace = traces.get((step1, step2, step3))
                 if trace is None:
                     trace = traces[step1, step2, step3] = (
@@ -383,7 +389,6 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[_Cell]:
                         TraceStep("section-part step", rational(step3), "== 0", step3 == 0),
                     )
                 cells.append(_Cell(a, delta, e, fd, numerator, den, proxy, trace,
-                                   step1 + step2 + step3,
                                    a_reason + pair_reason + fd_reason))
     return cells
 
@@ -433,11 +438,6 @@ def _reports(
         slopes: dict[int, tuple[Fraction, Verdict]] = {}
         for cell in cells:
             numerator = cell.numerator
-            # trace_sum / D against r times numerator / (r·D), cross-multiplied
-            if cell.trace_sum * r != r * numerator:
-                raise InternalCheckError(
-                    "trace decomposition does not sum to r times the candidate slope"
-                )
             judged = slopes.get(numerator)
             if judged is None:
                 cand_slope = Fraction(numerator, cell.denominator * r)
@@ -567,6 +567,8 @@ def transform_stability(
         )
     duality_step: Conclusion | None = None
     if lb.m > 0:
+        from .duality import SheafScenario, solve_scenario
+
         n = lb.m
         duality_step = solve_scenario(
             SheafScenario(n=3, c=0, wit=WitType.WIT1, dim_shift=0)

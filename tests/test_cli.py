@@ -227,6 +227,10 @@ def test_missing_model_file(capsys, tmp_path):
         (("--help",), 0),
         (("ss-duality", "--help"), 0),
         (("slope", "--preset", "k3_quartic", "-t", "١", "-s", "1", "--ch0", "1"), 1),
+        (("transform", "--preset", "k3_quartic", "-m", "٣"), 1),
+        (("transform", "--preset", "k3_quartic", "-m", "1_0"), 1),
+        (("certify", "--preset", "k3_quartic", "-t", "1", "-s", "1", "-n", "2", "-r", "1",
+          "--a", "1", "--e", "١"), 1),
     ],
 )
 def test_exit_codes(capsys, argv, expected):

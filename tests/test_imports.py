@@ -80,6 +80,20 @@ def test_ss_duality_loads_no_stability():
     assert "stability" not in loaded and {"duality", "serialize"} <= loaded
 
 
+@pytest.mark.parametrize(
+    "argv,duality",
+    [
+        (("certify", "-t", "1", "-s", "1", "-n", "2", "-r", "1", "--a", "1", "--e", "1"), False),
+        (("scan", "-m", "-2", "-t", "1", "-s", "1"), False),
+        (("scan", "-m", "2", "-t", "1", "-s", "1"), True),
+    ],
+    ids=["certify", "scan-negative-m", "scan-positive-m"],
+)
+def test_stability_commands_load_duality_only_for_positive_m(argv, duality):
+    loaded = cli_run(*argv, "--json")
+    assert ("duality" in loaded) is duality and {"stability", "serialize"} <= loaded
+
+
 def test_submodules_resolve_as_attributes():
     code = (
         "import weierfm\n"

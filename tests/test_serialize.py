@@ -1,4 +1,5 @@
 import json
+from dataclasses import make_dataclass
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,10 @@ from weierfm import (
     ShortExact,
     Side,
     TruncatedChar,
+    Verdict,
     WeierfmError,
     WitType,
+    build_pages,
     certify,
     duality_decision,
     enumerate_candidates,
@@ -230,9 +233,25 @@ def test_transform_stability_report_shape(k3, k3_pol):
     json.dumps(payload)
 
 
-def test_unregistered_types_fail_loudly():
+@pytest.mark.parametrize(
+    "make",
+    [
+        object,
+        lambda: Verdict.CERTIFIED,
+        EnumerationBounds,
+        lambda: Side.LEFT,
+        lambda: build_pages(SheafScenario(3, 1, WitType.WIT0, 1))[0],
+        lambda: get_preset("k3_quartic"),
+        lambda: make_dataclass("Polarization", [("t", Fraction)])(Fraction(1)),
+    ],
+    ids=["object", "Verdict", "EnumerationBounds", "Side", "PageGrid", "Preset",
+         "foreign-Polarization"],
+)
+def test_unregistered_types_fail_loudly(make):
+    """Package types without a JSON form, and a class outside the package
+    named like one with a form, are refused, not encoded by accident."""
     with pytest.raises(TypeError):
-        serialize.to_jsonable(object())
+        serialize.to_jsonable(make())
 
 
 @given(st.fractions())

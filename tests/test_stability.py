@@ -529,7 +529,7 @@ def test_scan_reports_equal_certify(pol, n, a_max, delta_max):
 )
 def test_scan_checks_catch_spoiled_functionals(monkeypatch, capsys, k3, spoiled, pattern):
     """A functional off by one on p*e_1, returned past the once-per-polarization
-    checks, is caught by the scan's per-cell numerator check or per-candidate
+    checks, is caught by the scan's per-cell numerator check or per-cell
     trace check, and ``weierfm scan`` exits 3."""
     from weierfm import cli, stability
 
