@@ -38,11 +38,17 @@ it emits their Identification and carries NonZero from one to the other;
 both stay live for the rest of the solve, since a term turns Zero only
 while the other side of k has no live term.  Every status change marks its
 own degree dirty.  The loop scans the dirty degrees in ascending order (at
-first all of them), then checks the joint constraints, which are the only
-status changes made outside a degree's own scan, and stops when no degree
-is dirty.  A solve therefore makes at most (number of degrees + number of
-status changes) scans, each over at most four terms, and builds each
-term's TermRef and label once: time and memory are linear in n.
+first every degree holding a term that is not Zero: no status leaves Zero,
+so a scan of any other degree does nothing), then checks the joint
+constraints, which are the only status changes made outside a degree's own
+scan, and stops when no degree is dirty.  A solve therefore makes at most
+(number of degrees + number of status changes) scans, each over at most four
+terms: time and memory are linear in n.
+
+Each solve builds both pages column by column from runs of equal statuses
+and indexes the scanned degrees' cells by antidiagonal once.  The TermRefs
+its relations name, labels included, are made once per process and shared
+by every solve.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InfeasibleScenarioError, InternalCheckError
 from .fm import WitType
@@ -67,7 +74,7 @@ class TermStatus(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass
+@dataclass(slots=True)
 class Term:
     """One E_2 cell; the solver refines its status in place."""
     status: TermStatus
@@ -75,8 +82,9 @@ class Term:
 
 Pos = tuple[int, int]
 
-# Largest dimension n a SheafScenario accepts.  solve_scenario holds
-# 1.4-2.0 KiB per unit of n, so this keeps one solve under ~200 MiB.
+# Largest dimension n a SheafScenario accepts.  A solve peaks at 1.6-2.6 KiB
+# per unit of n (its solution then holds 1.3-2.0), so this keeps one solve
+# under ~260 MiB.
 MAX_SCENARIO_DIMENSION = 100_000
 
 
@@ -99,7 +107,8 @@ class SheafScenario:
     dim_shift  -- dim(surviving transform) - dim(E), in {-1, 0, +1};
                   this is an exact statement, not an inequality
 
-    solve_scenario takes time and memory linear in n: 1.4-2.0 KiB per unit.
+    solve_scenario takes time and memory linear in n: it peaks at 1.6-2.6
+    KiB per unit of n, and the solution it returns holds 1.3-2.0.
     """
 
     n: int
@@ -177,16 +186,19 @@ class PageGrid:
             self.p_range[1] + self.q_range[1] + 1,
         )
 
-    def live_on_diagonal(self, k: int) -> list[tuple[Pos, Term]]:
-        """The terms with p + q = k that are not Zero, larger q first."""
+    def diagonal(self, k: int) -> list[tuple[Pos, Term]]:
+        """The cells with p + q = k, Zero or not, larger q first."""
         (p0, p1), (q0, q1) = self.p_range, self.q_range
-        out = []
+        terms = self.terms
+        cells = []
         for q in range(min(q1, k - p0), max(q0, k - p1) - 1, -1):
             pos = (k - q, q)
-            term = self.terms[pos]
-            if term.status is not TermStatus.ZERO:
-                out.append((pos, term))
-        return out
+            cells.append((pos, terms[pos]))
+        return cells
+
+    def live_on_diagonal(self, k: int) -> list[tuple[Pos, Term]]:
+        """The terms with p + q = k that are not Zero, larger q first."""
+        return [cell for cell in self.diagonal(k) if cell[1].status is not TermStatus.ZERO]
 
     def is_settled(self) -> bool:
         """No differential d_r (r >= 2) joins two terms that are not Zero.
@@ -245,6 +257,22 @@ class TermRef:
         # Equal refs have equal labels; the label's hash is cached by str,
         # and hashing the Side member would run Enum.__hash__ in Python.
         return hash(self.label)
+
+
+# TermRefs the solver keeps made.  The pages of dimension n have 4(n + 1)
+# terms, those of a smaller n among them, so this holds every ref of every
+# solve up to n = 1 023.
+TERM_REF_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=TERM_REF_CACHE_SIZE)
+def _term_ref(is_left: bool, pos: Pos) -> TermRef:
+    """The ref the solver names the term at ``pos`` by, shared by every solve:
+    a TermRef is immutable and its label a function of side and position.
+    Keyed on a bool, since hashing a Side member runs Enum.__hash__ in Python."""
+    if is_left:
+        return prevalidated(TermRef, Side.LEFT, pos, left_label(*pos))
+    return prevalidated(TermRef, Side.RIGHT, pos, right_label(*pos))
 
 
 def _check_degree(degree: int, *refs: TermRef) -> None:
@@ -354,39 +382,42 @@ def _conclusion(scenario: SheafScenario, kind: ConclusionKind) -> Conclusion:
 # -- page construction ----------------------------------------------------
 
 
+def _page(
+    side: Side,
+    n: int,
+    p_range: tuple[int, int],
+    q_range: tuple[int, int],
+    runs: tuple[tuple[TermStatus, int], ...],
+    joint_nonzero: tuple[tuple[Pos, ...], ...] = (),
+) -> PageGrid:
+    """A page whose cells, column by column (p ascending, then q ascending),
+    take the statuses of ``runs``: (status, count) pairs covering the region,
+    each cell its own Term."""
+    (p0, p1), (q0, q1) = p_range, q_range
+    cells = itertools.product(range(p0, p1 + 1), range(q0, q1 + 1))
+    statuses = itertools.chain.from_iterable(itertools.starmap(itertools.repeat, runs))
+    terms = dict(zip(cells, map(Term, statuses), strict=True))
+    return PageGrid(side, n, p_range, q_range, terms, joint_nonzero)
+
+
 def build_pages(scenario: SheafScenario) -> tuple[PageGrid, PageGrid]:
     """E2 pages for one scenario, statuses seeded with the input facts."""
     n, c = scenario.n, scenario.c
     cT = scenario.transform_codim
-    sp = scenario.surviving_column
-
-    left_terms: dict[Pos, Term] = {}
-    for p in (-1, 0):
-        for q in range(0, n + 1):
-            status = TermStatus.UNKNOWN
-            if p != sp:
-                status = TermStatus.ZERO  # the dead WIT column
-            elif q < cT:
-                status = TermStatus.ZERO  # below the transform's codim
-            elif q == cT:
-                # top local Ext of a sheaf of codim exactly cT: its dual,
-                # nonzero because the transform of a nonzero sheaf survives
-                status = TermStatus.NONZERO
-            left_terms[(p, q)] = Term(status)
-    left = PageGrid(Side.LEFT, n, (-1, 0), (0, n), left_terms)
-
-    right_terms: dict[Pos, Term] = {}
-    for p in range(0, n + 1):
-        for q in (-1, 0):
-            status = TermStatus.ZERO if p < c else TermStatus.UNKNOWN
-            right_terms[(p, q)] = Term(status)
-    right = PageGrid(
-        Side.RIGHT,
-        n,
-        (0, n),
-        (-1, 0),
-        right_terms,
-        joint_nonzero=(((c, -1), (c, 0)),),
+    dead = ((TermStatus.ZERO, n + 1),)  # the dead WIT column
+    surviving = (
+        (TermStatus.ZERO, cT),  # below the transform's codim
+        # top local Ext of a sheaf of codim exactly cT: its dual, nonzero
+        # because the transform of a nonzero sheaf survives
+        (TermStatus.NONZERO, 1),
+        (TermStatus.UNKNOWN, n - cT),
+    )
+    left_runs = dead + surviving if scenario.surviving_column == 0 else surviving + dead
+    left = _page(Side.LEFT, n, (-1, 0), (0, n), left_runs)
+    # Two cells per Right column; the columns p < c vanish.
+    right_runs = ((TermStatus.ZERO, 2 * c), (TermStatus.UNKNOWN, 2 * (n + 1 - c)))
+    right = _page(
+        Side.RIGHT, n, (0, n), (-1, 0), right_runs, joint_nonzero=(((c, -1), (c, 0)),)
     )
     return left, right
 
@@ -417,19 +448,18 @@ class _Solver:
         self.left = left
         self.right = right
         self.relations: dict[DerivedRelation, None] = {}  # insertion-ordered set
-        self._left_refs: dict[Pos, TermRef] = {}
-        self._right_refs: dict[Pos, TermRef] = {}
-        # The total degrees whose antidiagonal changed since its last scan.
-        self._dirty = set(left.degrees()) | set(right.degrees())
-
-    def _ref(self, grid: PageGrid, pos: Pos) -> TermRef:
-        is_left = grid.side is Side.LEFT
-        refs = self._left_refs if is_left else self._right_refs
-        ref = refs.get(pos)
-        if ref is None:
-            label = left_label(*pos) if is_left else right_label(*pos)
-            ref = refs[pos] = prevalidated(TermRef, grid.side, pos, label)
-        return ref
+        # The total degrees whose antidiagonal changed since its last scan;
+        # at first every degree with a live term.  No status leaves Zero, so
+        # the other degrees never hold one, and a scan of them does nothing.
+        self._dirty = {
+            p + q
+            for grid in (left, right)
+            for (p, q), term in grid.terms.items()
+            if term.status is not TermStatus.ZERO
+        }
+        # Those degrees' (pos, term) pairs on both pages, larger q first,
+        # Zero terms included: a scan filters them by their current status.
+        self._cells = {k: (left.diagonal(k), right.diagonal(k)) for k in self._dirty}
 
     def _emit(self, relation: DerivedRelation) -> None:
         self.relations.setdefault(relation)  # one hash; `in` and a store take two
@@ -443,32 +473,31 @@ class _Solver:
             self._set_status(term, pos, TermStatus.NONZERO)
 
     def _scan_degree(self, k: int) -> None:
-        lives_l = self.left.live_on_diagonal(k)
-        lives_r = self.right.live_on_diagonal(k)
-        if not lives_l and not lives_r:
-            return
+        cells_l, cells_r = self._cells.get(k, ((), ()))
+        lives_l = [cell for cell in cells_l if cell[1].status is not TermStatus.ZERO]
+        lives_r = [cell for cell in cells_r if cell[1].status is not TermStatus.ZERO]
         if not lives_l or not lives_r:
-            if not lives_l:
-                empty, other, survivors = self.left, self.right, lives_r
-            else:
-                empty, other, survivors = self.right, self.left, lives_l
-            why = f"an empty {empty.side.value} page in total degree {k}"
-            for pos, term in survivors:
+            # Every survivor, if any, faces an empty page.
+            on_left = bool(lives_l)
+            for pos, term in lives_l or lives_r:
+                ref = _term_ref(on_left, pos)
                 if term.status is TermStatus.NONZERO:
+                    empty = Side.RIGHT if on_left else Side.LEFT
                     self._emit(
                         Forbidden(
                             k,
-                            f"{self._ref(other, pos).label} is required nonzero but {why} forces it to vanish",
+                            f"{ref.label} is required nonzero but an empty "
+                            f"{empty.value} page in total degree {k} forces it to vanish",
                         )
                     )
                 else:  # live, so Unknown
                     self._set_status(term, pos, TermStatus.ZERO)
-                    self._emit(prevalidated(ForcedZero, k, self._ref(other, pos)))
+                    self._emit(prevalidated(ForcedZero, k, ref))
             return
         if len(lives_l) == 1 and len(lives_r) == 1:
             (pl, tl), (pr, tr) = lives_l[0], lives_r[0]
             self._emit(prevalidated(
-                Identification, k, self._ref(self.left, pl), self._ref(self.right, pr)
+                Identification, k, _term_ref(True, pl), _term_ref(False, pr)
             ))
             # Both stay live; a later change to either marks k dirty, so the
             # rescan carries NonZero across again.
@@ -477,36 +506,36 @@ class _Solver:
                 self._set_nonzero(tr, pr)
             return
         if len(lives_l) + len(lives_r) == 3:  # one against two
-            if len(lives_l) == 1:
-                mid, (mid_pos, mid_term) = self.left, lives_l[0]
-                pair_grid, pair = self.right, lives_r
+            mid_on_left = len(lives_l) == 1
+            if mid_on_left:
+                (mid_pos, mid_term), pair = lives_l[0], lives_r
             else:
-                mid, (mid_pos, mid_term) = self.right, lives_r[0]
-                pair_grid, pair = self.left, lives_l
-            # live_on_diagonal returns larger q first; the deeper filtration
-            # step (larger outer degree, i.e. larger q) is the subobject
+                (mid_pos, mid_term), pair = lives_r[0], lives_l
+            # The cells come larger q first; the deeper filtration step
+            # (larger outer degree, i.e. larger q) is the subobject
             (sub_pos, subs), (quot_pos, quots) = pair
             self._emit(
                 prevalidated(
                     ShortExact,
                     k,
-                    self._ref(pair_grid, sub_pos),
-                    self._ref(mid, mid_pos),
-                    self._ref(pair_grid, quot_pos),
+                    _term_ref(not mid_on_left, sub_pos),
+                    _term_ref(mid_on_left, mid_pos),
+                    _term_ref(not mid_on_left, quot_pos),
                 )
             )
             if TermStatus.NONZERO in (subs.status, quots.status):
                 self._set_nonzero(mid_term, mid_pos)
             # A vanishing mid (or a fully vanished pair) never reaches this
-            # branch: live_on_diagonal filters Zero terms, so those cases
-            # fall into the empty-side or one-against-one branches instead.
+            # branch: the scan filters Zero terms, so those cases fall into
+            # the empty-side or one-against-one branches instead.
 
     def _check_joint_constraints(self) -> None:
         for grid in (self.left, self.right):
             for group in grid.joint_nonzero:
                 statuses = [grid.terms[pos].status for pos in group]
                 if all(s is TermStatus.ZERO for s in statuses):
-                    labels = ", ".join(self._ref(grid, pos).label for pos in group)
+                    is_left = grid.side is Side.LEFT
+                    labels = ", ".join(_term_ref(is_left, pos).label for pos in group)
                     degree = max(p + q for p, q in group)
                     self._emit(
                         Forbidden(
@@ -521,14 +550,16 @@ class _Solver:
 
     def solve(self) -> list[DerivedRelation]:
         # Outside a degree's own scan only the joint constraints change
-        # statuses, and they mark those degrees dirty.
-        while self._dirty:
+        # statuses, and they mark those degrees dirty.  They are checked at
+        # least once, even on pages with no live term.
+        while True:
             degrees, self._dirty = sorted(self._dirty), set()
             for k in degrees:
                 self._scan_degree(k)
                 self._dirty.discard(k)
             self._check_joint_constraints()
-        return list(self.relations)
+            if not self._dirty:
+                return list(self.relations)
 
 
 def _check_shape(grid: PageGrid) -> None:
@@ -536,7 +567,7 @@ def _check_shape(grid: PageGrid) -> None:
     position of p_range × q_range and of every joint_nonzero group."""
     (p0, p1), (q0, q1) = grid.p_range, grid.q_range
     region = itertools.product(range(p0, p1 + 1), range(q0, q1 + 1))
-    missing = set(region) - grid.terms.keys()
+    missing = list(itertools.filterfalse(grid.terms.__contains__, region))
     if missing:
         raise ValueError(f"the {grid.side.value} page has no term at {min(missing)}")
     for group in grid.joint_nonzero:

@@ -153,7 +153,9 @@ MAX_SCAN_CANDIDATES = 500_000
 @dataclass(frozen=True)
 class EnumerationBounds:
     """Grid bounds: a runs over 0..a_max in steps of ``A_STEP``, each delta
-    coordinate over -delta_max..delta_max in steps of ``DELTA_STEP``.
+    coordinate over the multiples of ``DELTA_STEP`` (the integers) in
+    [-delta_max, delta_max], so a fractional delta_max such as 5/2 gives
+    -2..2 and the axis always holds 0.
 
     A rank-n scan over Picard rank ρ has (n - 1)·|a axis|·|δ axis|^ρ·2
     candidates; above ``MAX_SCAN_CANDIDATES`` it is refused with ValueError
@@ -464,13 +466,18 @@ def _grid(limit: Fraction, step: Fraction, start: Fraction) -> list[Fraction]:
     return [start + i * step for i in range(_grid_len(limit, step, start))]
 
 
+def _delta_start(bounds: EnumerationBounds) -> Fraction:
+    """The least multiple of DELTA_STEP at or above -delta_max."""
+    return -(bounds.delta_max // DELTA_STEP) * DELTA_STEP
+
+
 def _check_scan_size(n: int, picard_rank: int, bounds: EnumerationBounds) -> None:
     """Refuse a grid above MAX_SCAN_CANDIDATES, counted before any axis
     is built."""
     count = (
         (n - 1)
         * _grid_len(bounds.a_max, A_STEP, Fraction(0))
-        * _grid_len(bounds.delta_max, DELTA_STEP, -bounds.delta_max) ** picard_rank
+        * _grid_len(bounds.delta_max, DELTA_STEP, _delta_start(bounds)) ** picard_rank
         * 2
     )
     if count > MAX_SCAN_CANDIDATES:
@@ -483,7 +490,7 @@ def _check_scan_size(n: int, picard_rank: int, bounds: EnumerationBounds) -> Non
 def _axes(picard_rank: int, bounds: EnumerationBounds) -> tuple[list, list, tuple]:
     """The a, delta and e axes of the grid, which runs over their product
     in that order."""
-    coeff_values = _grid(bounds.delta_max, DELTA_STEP, -bounds.delta_max)
+    coeff_values = _grid(bounds.delta_max, DELTA_STEP, _delta_start(bounds))
     return (
         _grid(bounds.a_max, A_STEP, Fraction(0)),
         list(itertools.product(coeff_values, repeat=picard_rank)),

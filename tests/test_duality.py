@@ -26,7 +26,15 @@ from weierfm import (
     serialize,
     solve_scenario,
 )
-from weierfm.duality import PageGrid, Term, _Solver, left_label, right_label
+from weierfm.duality import (
+    TERM_REF_CACHE_SIZE,
+    PageGrid,
+    Term,
+    _Solver,
+    _term_ref,
+    left_label,
+    right_label,
+)
 
 
 def statuses(*grids):
@@ -111,6 +119,51 @@ def test_row_trim_depends_on_the_shift():
         assert left.status((-1, q)) is TermStatus.ZERO
     assert left.status((-1, 3)) is TermStatus.NONZERO
     assert left.status((-1, 4)) is TermStatus.UNKNOWN
+
+
+def _seeded_statuses(scenario):
+    """build_pages' seeds, cell by cell from the three rules, in its order:
+    the Left page column by column, then the Right page column by column."""
+    n, c, cT = scenario.n, scenario.c, scenario.transform_codim
+    left = {}
+    for p in (-1, 0):
+        for q in range(n + 1):
+            if p != scenario.surviving_column:
+                left[(p, q)] = TermStatus.ZERO  # the dead WIT column
+            elif q < cT:
+                left[(p, q)] = TermStatus.ZERO  # below the transform codim
+            elif q == cT:
+                left[(p, q)] = TermStatus.NONZERO  # at it
+            else:
+                left[(p, q)] = TermStatus.UNKNOWN
+    right = {
+        (p, q): TermStatus.ZERO if p < c else TermStatus.UNKNOWN  # Right columns p < c
+        for p in range(n + 1)
+        for q in (-1, 0)
+    }
+    return left, right
+
+
+def test_build_pages_matches_the_per_cell_seeding():
+    """Every feasible scenario with n <= 12: the pages built from status runs
+    hold the per-cell statuses in the per-cell order, each in its own Term,
+    since the solver refines them in place."""
+    count = 0
+    for scenario in feasible_scenarios(12):
+        n = scenario.n
+        left, right = build_pages(scenario)
+        want_left, want_right = _seeded_statuses(scenario)
+        assert [(pos, t.status) for pos, t in left.terms.items()] == list(want_left.items())
+        assert [(pos, t.status) for pos, t in right.terms.items()] == list(want_right.items())
+        assert (left.side, left.n, left.p_range, left.q_range) == (Side.LEFT, n, (-1, 0), (0, n))
+        assert (right.side, right.n, right.p_range, right.q_range) == (Side.RIGHT, n, (0, n), (-1, 0))
+        assert left.joint_nonzero == ()
+        assert right.joint_nonzero == (((scenario.c, -1), (scenario.c, 0)),)
+        terms = [*left.terms.values(), *right.terms.values()]
+        assert len(terms) == 4 * (n + 1)
+        assert len({id(term) for term in terms}) == len(terms)
+        count += 1
+    assert count == 492
 
 
 def test_term_labels():
@@ -369,9 +422,13 @@ def test_live_on_diagonal_matches_a_scan_of_every_term(data):
         assert all(term is terms[pos] for pos, term in live)
 
 
-def test_engine_output_is_pinned():
-    """Relations, conclusions and both rendered pages of every feasible
-    scenario with n <= 12, hashed in feasible_scenarios order."""
+_ENGINE_PIN = (492, "e96a108464474aa0f0c927d551898cb38642385a65dbafd30ab8d5cdc04d3a5f")
+
+
+def _engine_digest():
+    """The scenario count and the sha256 of the relations, conclusions and
+    both rendered pages of every feasible scenario with n <= 12, hashed in
+    feasible_scenarios order."""
     digest = hashlib.sha256()
     count = 0
     for scenario in feasible_scenarios(12):
@@ -380,10 +437,36 @@ def test_engine_output_is_pinned():
                      solution.right.render()):
             digest.update((text + "\n").encode())
         count += 1
-    assert count == 492
-    assert digest.hexdigest() == (
-        "e96a108464474aa0f0c927d551898cb38642385a65dbafd30ab8d5cdc04d3a5f"
-    )
+    return count, digest.hexdigest()
+
+
+def test_engine_output_is_pinned():
+    assert _engine_digest() == _ENGINE_PIN
+
+
+def test_shared_term_refs_give_the_same_relations():
+    """Refs made by an earlier solve are the ones a cold cache makes: the
+    492-scenario digest is the pin from a cleared cache and again from a
+    warm one, and two solves name a term by one shared ref."""
+    _term_ref.cache_clear()
+    assert _engine_digest() == _ENGINE_PIN
+    cold = _term_ref.cache_info()
+    assert cold.misses == cold.currsize > 0
+    assert _engine_digest() == _ENGINE_PIN
+    warm = _term_ref.cache_info()
+    assert warm.misses == cold.misses and warm.hits > cold.hits
+    first, again = (solve_scenario(SheafScenario(3, 1, WitType.WIT0, 1)) for _ in range(2))
+    assert first.relations == again.relations
+    assert first.relations[0].left is again.relations[0].left
+
+
+def test_term_ref_cache_stays_bounded():
+    """An n = 4000 solve names more terms than the cache holds; it evicts
+    rather than grows."""
+    solve_scenario(SheafScenario(4000, 1, WitType.WIT0, 1))
+    info = _term_ref.cache_info()
+    assert info.maxsize == TERM_REF_CACHE_SIZE
+    assert info.currsize == info.maxsize
 
 
 def test_every_emitted_relation_round_trips():

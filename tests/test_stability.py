@@ -185,6 +185,18 @@ def test_grid_shape_and_order(k3):
     assert grid[-1] == DestabilizerCandidate(2, Fraction(1), (Fraction(1),), 1)
 
 
+def test_delta_axis_is_the_integers_within_the_bound():
+    """A fractional delta_max bounds an axis of integers, so delta = 0 is
+    always on it: 5/2 gives -2..2, and 1/3 gives 0 alone."""
+    from weierfm.stability import _axes
+
+    _, deltas, _ = _axes(1, EnumerationBounds(Fraction(5, 2), Fraction(5, 2)))
+    assert deltas == [(Fraction(d),) for d in range(-2, 3)]
+    _, deltas, _ = _axes(2, EnumerationBounds(Fraction(0), Fraction(1, 3)))
+    assert deltas == [(Fraction(0), Fraction(0))]
+    assert len(candidate_grid(3, 2, EnumerationBounds(Fraction(1, 2), Fraction(5, 2)))) == 2 * 2 * 25 * 2
+
+
 def test_enumeration_oracle(k3_pol):
     bounds = EnumerationBounds(a_max=Fraction(2), delta_max=Fraction(2))
     scan = enumerate_candidates(2, k3_pol, bounds)
@@ -572,17 +584,18 @@ def _rho2():
 # of transform_stability at each (model, bounds, (t, s), m), pinned from the
 # all-Fraction scan.  The first group runs every (t, s) in {1/2, 1, 2}²; ρ=2
 # with default bounds has 4 394 cells per rank, so it runs one polarization
-# and one sign.
+# and one sign.  The delta axis holds only integers, so the five-halves pins
+# are also the output of delta_max = 2.
 _SCAN_PINS = {
     "rho1-five-halves": (("k3_quartic", "enriques"), _FIVE_HALVES,
-                         [(t, s) for t in _TS for s in _TS], _SIGNED_M, 15552,
-                         "f70300d2acb6322e118950a08210527ad51830bfd82314977f8a38c685f639e1"),
+                         [(t, s) for t in _TS for s in _TS], _SIGNED_M, 12960,
+                         "b71b2ed390b693e2ceefca34cb88554872a40c44ba0db210b61ac0df1e9f2583"),
     "rho1-default": (("k3_quartic", "enriques"), EnumerationBounds(),
                      [(HALF, Fraction(1)), (Fraction(2), HALF)], _SIGNED_M, 16224,
                      "6c61cdedc1e3cec89ebab0881cae9d73cf9078bbf335b4bb831741dde191ee6a"),
     "rho2-five-halves": (("rho2",), _FIVE_HALVES,
-                         [(Fraction(1), Fraction(2)), (Fraction(2), HALF)], _SIGNED_M, 10368,
-                         "a354c5d92d8b7552dd7801a3272f99a6e52ecf599fa24f8cd73c570ed581dab6"),
+                         [(Fraction(1), Fraction(2)), (Fraction(2), HALF)], _SIGNED_M, 7200,
+                         "ba66ac523b426034b46853af78b15b9a510c3df50ed3486f8236900afe7b2355"),
     "rho2-default": (("rho2",), EnumerationBounds(), [(Fraction(1), Fraction(1))], (-2,), 4394,
                      "0217487feb0a324356d0b5e58b009640426f17b2b83283a3eda2d6de3264d2d4"),
 }
