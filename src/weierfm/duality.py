@@ -32,8 +32,10 @@ p + q forces term-by-term relations between the two sides, which a small
 fixpoint loop turns into Identification / ForcedZero / ShortExact facts,
 or into a contradiction when the scenario is impossible.
 
-A scan of degree k reads and writes only antidiagonal k, and rerun on what
-it left there it emits only duplicates.  When one term lives on each side
+A scan of degree k reads and writes only antidiagonal k.  Rerun on what it
+left there it would emit only duplicates, so k's relations come from its
+first scan and a rescan only carries NonZero across; a jointly-nonzero group
+that vanished is forbidden once.  When one term lives on each side
 it emits their Identification and carries NonZero from one to the other;
 both stay live for the rest of the solve, since a term turns Zero only
 while the other side of k has no live term.  Every status change marks its
@@ -447,7 +449,10 @@ class _Solver:
     def __init__(self, left: PageGrid, right: PageGrid) -> None:
         self.left = left
         self.right = right
-        self.relations: dict[DerivedRelation, None] = {}  # insertion-ordered set
+        self.relations: list[DerivedRelation] = []
+        # The degrees scanned so far: a degree emits its relations on its
+        # first scan only, since a rescan would emit the same ones again.
+        self._scanned: set[int] = set()
         # The total degrees whose antidiagonal changed since its last scan;
         # at first every degree with a live term.  No status leaves Zero, so
         # the other degrees never hold one, and a scan of them does nothing.
@@ -461,9 +466,6 @@ class _Solver:
         # Zero terms included: a scan filters them by their current status.
         self._cells = {k: (left.diagonal(k), right.diagonal(k)) for k in self._dirty}
 
-    def _emit(self, relation: DerivedRelation) -> None:
-        self.relations.setdefault(relation)  # one hash; `in` and a store take two
-
     def _set_status(self, term: Term, pos: Pos, status: TermStatus) -> None:
         term.status = status
         self._dirty.add(pos[0] + pos[1])
@@ -473,17 +475,23 @@ class _Solver:
             self._set_status(term, pos, TermStatus.NONZERO)
 
     def _scan_degree(self, k: int) -> None:
+        first = k not in self._scanned
+        self._scanned.add(k)
         cells_l, cells_r = self._cells.get(k, ((), ()))
         lives_l = [cell for cell in cells_l if cell[1].status is not TermStatus.ZERO]
         lives_r = [cell for cell in cells_r if cell[1].status is not TermStatus.ZERO]
         if not lives_l or not lives_r:
-            # Every survivor, if any, faces an empty page.
+            # Every survivor, if any, faces an empty page.  The first scan
+            # turns each Unknown one Zero, and a side with no live term
+            # keeps none, so a rescan finds only NonZero ones to forbid again.
+            if not first:
+                return
             on_left = bool(lives_l)
             for pos, term in lives_l or lives_r:
                 ref = _term_ref(on_left, pos)
                 if term.status is TermStatus.NONZERO:
                     empty = Side.RIGHT if on_left else Side.LEFT
-                    self._emit(
+                    self.relations.append(
                         Forbidden(
                             k,
                             f"{ref.label} is required nonzero but an empty "
@@ -492,13 +500,16 @@ class _Solver:
                     )
                 else:  # live, so Unknown
                     self._set_status(term, pos, TermStatus.ZERO)
-                    self._emit(prevalidated(ForcedZero, k, ref))
+                    self.relations.append(prevalidated(ForcedZero, k, ref))
             return
+        # Below, no term of k turns Zero, so a rescan finds the same live
+        # terms and only carries NonZero across.
         if len(lives_l) == 1 and len(lives_r) == 1:
             (pl, tl), (pr, tr) = lives_l[0], lives_r[0]
-            self._emit(prevalidated(
-                Identification, k, _term_ref(True, pl), _term_ref(False, pr)
-            ))
+            if first:
+                self.relations.append(prevalidated(
+                    Identification, k, _term_ref(True, pl), _term_ref(False, pr)
+                ))
             # Both stay live; a later change to either marks k dirty, so the
             # rescan carries NonZero across again.
             if TermStatus.NONZERO in (tl.status, tr.status):
@@ -514,15 +525,16 @@ class _Solver:
             # The cells come larger q first; the deeper filtration step
             # (larger outer degree, i.e. larger q) is the subobject
             (sub_pos, subs), (quot_pos, quots) = pair
-            self._emit(
-                prevalidated(
-                    ShortExact,
-                    k,
-                    _term_ref(not mid_on_left, sub_pos),
-                    _term_ref(mid_on_left, mid_pos),
-                    _term_ref(not mid_on_left, quot_pos),
+            if first:
+                self.relations.append(
+                    prevalidated(
+                        ShortExact,
+                        k,
+                        _term_ref(not mid_on_left, sub_pos),
+                        _term_ref(mid_on_left, mid_pos),
+                        _term_ref(not mid_on_left, quot_pos),
+                    )
                 )
-            )
             if TermStatus.NONZERO in (subs.status, quots.status):
                 self._set_nonzero(mid_term, mid_pos)
             # A vanishing mid (or a fully vanished pair) never reaches this
@@ -537,13 +549,14 @@ class _Solver:
                     is_left = grid.side is Side.LEFT
                     labels = ", ".join(_term_ref(is_left, pos).label for pos in group)
                     degree = max(p + q for p, q in group)
-                    self._emit(
-                        Forbidden(
-                            degree,
-                            "every term of a jointly-nonzero group vanished: "
-                            + labels,
-                        )
+                    forbidden = Forbidden(
+                        degree, "every term of a jointly-nonzero group vanished: " + labels
                     )
+                    # No status leaves Zero, so a later check finds the group
+                    # vanished again: its Forbidden, like a repeated group's,
+                    # is emitted once.
+                    if forbidden not in self.relations:
+                        self.relations.append(forbidden)
                 elif statuses.count(TermStatus.ZERO) == len(group) - 1:
                     for pos in group:
                         self._set_nonzero(grid.terms[pos], pos)
@@ -559,7 +572,7 @@ class _Solver:
                 self._dirty.discard(k)
             self._check_joint_constraints()
             if not self._dirty:
-                return list(self.relations)
+                return self.relations
 
 
 def _check_shape(grid: PageGrid) -> None:

@@ -40,18 +40,23 @@ Schemas (all keys required unless marked optional):
   ScanResult          {any_violation: bool, candidate_count: int,
                        verdict_counts: {str: int}, reports: [...]}
 
-Every schema above but ScanResult is its dataclass's own field list, so
-one plan per class, read once from ``dataclasses.fields`` and
-``typing.get_type_hints``, drives both directions through an encoder and
-a decoder closure cached by type.  Keys are the field names in field
-order, renamed where ``_RENAMES`` says (``fiber_deg`` is written
+Every schema above but ScanResult is its dataclass's own field list.  For
+each such class one encoder and one decoder are generated from
+``dataclasses.fields`` and ``typing.get_type_hints``, each the first time
+it is needed: straight-line Python that reads and writes each field by
+name, as ``dataclasses`` writes an ``__init__``, compiled with ``exec``
+from source holding only field names, JSON keys, class names and constant
+messages, never document data.  Keys are the field names in field order,
+renamed where ``_RENAMES`` says (``fiber_deg`` is written
 ``fiber_degree``); a field typed ``SurfaceModel`` is left out and filled
 from the decoder's ``model`` argument.  Decoders take only the JSON types
 the encoders write and raise ``ValueError`` otherwise, naming any missing
-key.  ``ScanResult``, ``ScenarioSolution`` and ``TransformStabilityReport``
-are views (derived counts, renamed fields, a flattened scan) with
-hand-written encoders.  ``ScanResult`` is read back through its plan and
-a check that its three derived fields equal what the decoded reports give.
+key; a document with several faults raises for the first one met in the
+fixed check order of ``_decoder_of``.  ``ScanResult``,
+``ScenarioSolution`` and ``TransformStabilityReport`` are views (derived counts, renamed fields, a
+flattened scan) with hand-written encoders.  ``ScanResult`` is read back
+through its generated decoder and a check that its three derived fields
+equal what the decoded reports give.
 
 One table, ``_FORMS``, names each class with a JSON form: its layer
 module, its decoder (none for the enums and the views only written) and
@@ -59,9 +64,9 @@ its view encoder, if any.  Importing this module loads no layer beyond
 ``ring``.  ``to_jsonable`` makes a class's encoder the first time it
 meets the class, refusing with ``TypeError`` one that the table does not
 name in that layer, so after that an encode is one dict lookup.  A
-decoder is made from the plans of the classes that name it on its first
-access as a module attribute, importing their layer, and stays in the
-namespace; ``scan_result_from_json``, which adds the check above, is
+``*_from_json`` is made on its first access as a module attribute, from
+the generated decoders of the classes that name it, importing their
+layer, and stays in the namespace; ``scan_result_from_json``, which adds the check above, is
 written out.  The relations share ``relation_from_json`` and lead with a
 ``"kind"`` tag naming their class.
 
@@ -69,6 +74,17 @@ Rationals decode through :func:`weierfm.rationals.parse_rational`, which
 parses each distinct string once and keeps up to
 ``RATIONAL_CACHE_SIZE`` (4 096) of them; decoded objects share the cached
 ``Fraction`` instances, which are immutable.
+
+The value classes that documents repeat, ``TraceStep``,
+``EffectivityProxy`` and ``TermRef`` (a 1 014-report scan document holds
+3 042 trace steps with 29 distinct values, and a solution's relations name
+each term several times), decode to one shared instance per distinct
+document: after every check has passed, their decoder looks the checked
+JSON values up in an ``lru_cache`` of ``_SHARED_CACHE_SIZE`` (4 096)
+instances per class, so a repeated step is neither rebuilt nor re-checked
+by its constructor.  The cache is keyed on a rational's text, not on its
+``Fraction``, whose hash runs in Python; the instances are immutable.
+Candidates, reports, relations and conclusions are built anew each time.
 """
 
 from __future__ import annotations
@@ -77,7 +93,7 @@ import json
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from importlib import import_module
 from itertools import repeat
 from operator import attrgetter, itemgetter
@@ -96,129 +112,282 @@ if TYPE_CHECKING:
 _RENAMES = {"fiber_deg": "fiber_degree"}
 _LEAVES = {int: "an integer", bool: "a boolean", str: "a string"}
 
+# Instances each shared value class keeps, one per distinct checked
+# document; ~140x the most distinct trace steps measured in one scan
+# document (29 among 3 042).
+_SHARED_CACHE_SIZE = 4096
 
-class _Codec(NamedTuple):
-    encode: Callable[[Any], Any]
-    decode: Callable[..., Any]  # (value) or, if needs_model, (value, model)
-    needs_model: bool = False
+
+class _Decoder(NamedTuple):
+    decode: Callable[..., Any]  # (data, model=None)
+    needs_model: bool
+    shared: Any  # a shared value class's lru_cache of instances, else None
 
 
 _enum_value = attrgetter("value")
+
+
+# -- the errors a decoder raises -------------------------------------------------
 
 
 def _wrong_type(kind: type, value: Any) -> ValueError:
     return ValueError(f"expected {_LEAVES[kind]}, got {type(value).__name__}")
 
 
-def _enum(kind: type[Enum]) -> _Codec:
-    members = {member.value: member for member in kind}
-
-    def decode(value: Any) -> Enum:
-        try:
-            return members[value]
-        except (KeyError, TypeError):
-            raise ValueError(f"{value!r} is not a valid {kind.__name__}") from None
-
-    return _Codec(_enum_value, decode)
+def _not_an_object(owner: str, value: Any) -> ValueError:
+    return ValueError(f"{owner} JSON must be an object, got {type(value).__name__}")
 
 
-def _tuple(hint: Any, size: int | None) -> _Codec:
-    leaf = hint if hint in _LEAVES else None
-    item = _Codec(list, None) if leaf else _field_codec(hint)
-    encode_item, decode_item, needs_model = item
-
-    def decode(value: Any, model: SurfaceModel | None = None) -> tuple:
-        if type(value) is not list:
-            raise ValueError(f"expected a list, got {type(value).__name__}")
-        if size is not None and len(value) != size:
-            raise ValueError(f"expected a list of {size} entries, got {len(value)}")
-        if leaf is not None:
-            for entry in value:
-                if type(entry) is not leaf:
-                    raise _wrong_type(leaf, entry)
-            return tuple(value)
-        if needs_model:
-            return tuple(map(decode_item, value, repeat(model)))
-        return tuple(map(decode_item, value))
-
-    encode = list if leaf else lambda v: list(map(encode_item, v))
-    return _Codec(encode, decode, needs_model)
+def _missing_key(owner: str, key: str) -> ValueError:
+    return ValueError(f"{owner} JSON is missing key {key!r}")
 
 
-def _field_codec(hint: Any) -> _Codec:
-    """Codec of one non-leaf field type (leaves are handled by the caller)."""
-    if hint is Fraction:
-        return _Codec(format_rational, parse_rational)
-    if isinstance(hint, type) and issubclass(hint, Enum):
-        return _enum(hint)
-    if is_dataclass(hint):
-        return _plan(hint)
-    origin, args = get_origin(hint), get_args(hint)
-    if origin in (Union, UnionType) and len(args) == 2 and type(None) in args:
-        # None only as a constructor default (LineBundleX.twist): the stored
-        # value is always set, so JSON carries the value's own form
-        return _field_codec(args[0] if args[1] is type(None) else args[1])
-    if origin is tuple and len(set(args) - {Ellipsis}) == 1:
-        return _tuple(args[0], None if args[-1] is Ellipsis else len(args))
+def _not_a_list(value: Any) -> ValueError:
+    return ValueError(f"expected a list, got {type(value).__name__}")
+
+
+def _wrong_length(size: int, value: list) -> ValueError:
+    return ValueError(f"expected a list of {size} entries, got {len(value)}")
+
+
+def _not_a_member(kind: type[Enum], value: Any) -> ValueError:
+    return ValueError(f"{value!r} is not a valid {kind.__name__}")
+
+
+def _needs_model(owner: str) -> TypeError:
+    return TypeError(f"decoding a {owner} needs its surface model")
+
+
+# -- generated codecs ------------------------------------------------------------
+
+
+def _tuple_item(hint: Any) -> tuple[Any, int | None]:
+    """The item type and length (None: any) of a homogeneous tuple type."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple and len(set(args) - {Ellipsis}) == 1:
+        return _field_type(args[0]), None if args[-1] is Ellipsis else len(args)
     raise TypeError(f"no JSON form for field type {hint!r}")
 
 
-@cache
-def _plan(cls: type) -> _Codec:
-    """Encoder and decoder closures for one dataclass, built once per type.
+def _field_type(hint: Any) -> Any:
+    """``hint`` without an optional None: it is only a constructor default
+    (LineBundleX.twist), the stored value is always set, so JSON carries
+    the value's own form."""
+    args = get_args(hint)
+    if get_origin(hint) in (Union, UnionType) and len(args) == 2 and type(None) in args:
+        return args[0] if args[1] is type(None) else args[1]
+    return hint
 
-    int, bool and str fields are copied out as they are and, on decode,
-    only type-checked; every other field goes through its own codec.
-    """
+
+def _is_enum(hint: Any) -> bool:
+    return isinstance(hint, type) and issubclass(hint, Enum)
+
+
+def _needs(hint: Any) -> bool:
+    """Whether decoding a value of ``hint`` needs the surface model."""
+    if hint in _LEAVES or hint is Fraction or _is_enum(hint):
+        return False
+    if is_dataclass(hint):
+        return _decoder_of(hint).needs_model
+    return _needs(_tuple_item(hint)[0])
+
+
+# The message helpers a generated decoder raises through.
+_HELPERS = {
+    helper.__name__: helper
+    for helper in (_wrong_type, _not_an_object, _missing_key, _not_a_list, _wrong_length,
+                   _not_a_member, _needs_model)
+}
+
+
+class _Source:
+    """The lines of one generated function and the names they read."""
+
+    def __init__(self, names: dict[str, Any] | None = None) -> None:
+        self.lines: list[str] = []
+        self.names = {
+            **_HELPERS, "_parse_rational": parse_rational,
+            "_format_rational": format_rational, "_repeat": repeat, **(names or {}),
+        }
+
+    def bind(self, name: str, value: Any) -> str:
+        self.names[name] = value
+        return name
+
+    def function(self, name: str) -> Callable[..., Any]:
+        exec("\n".join(self.lines), self.names)
+        return self.names.pop(name)
+
+
+def _encode_expr(src: _Source, hint: Any, expr: str, depth: int = 0) -> str:
+    """Python source encoding the value ``expr`` of type ``hint``."""
+    if hint in _LEAVES:
+        return expr
+    if hint is Fraction:
+        return f"_format_rational({expr})"
+    if _is_enum(hint):
+        return f"{expr}.value"
+    if is_dataclass(hint):
+        return f"{src.bind(f'_{hint.__name__}_encode', _encoder_of(hint))}({expr})"
+    item = _tuple_item(hint)[0]
+    if item in _LEAVES:
+        return f"list({expr})"
+    if item is Fraction:
+        return f"list(map(_format_rational, {expr}))"
+    if is_dataclass(item):
+        return f"list(map({src.bind(f'_{item.__name__}_encode', _encoder_of(item))}, {expr}))"
+    x = f"x{depth}"
+    return f"[{_encode_expr(src, item, x, depth + 1)} for {x} in {expr}]"
+
+
+def _decode_lines(src: _Source, hint: Any, var: str, target: str, pad: str,
+                  depth: int = 0) -> None:
+    """Lines that check the JSON value ``var`` against ``hint`` and bind its
+    decoded value to ``target`` (a leaf is only checked, in place)."""
+    add = src.lines.append
+    if hint in _LEAVES:
+        add(f"{pad}if type({var}) is not {hint.__name__}:")
+        add(f"{pad}    raise _wrong_type({hint.__name__}, {var})")
+    elif hint is Fraction:
+        add(f"{pad}{target} = _parse_rational({var})")
+    elif _is_enum(hint):
+        name = hint.__name__
+        members = src.bind(f"_{name}_members", {member.value: member for member in hint})
+        add(f"{pad}try:")
+        add(f"{pad}    {target} = {members}[{var}]")
+        add(f"{pad}except (KeyError, TypeError):")
+        add(f"{pad}    raise _not_a_member({src.bind(f'_{name}', hint)}, {var}) from None")
+    elif is_dataclass(hint):
+        decoder = _decoder_of(hint)
+        decode = src.bind(f"_{hint.__name__}_decode", decoder.decode)
+        add(f"{pad}{target} = {decode}({var}{', model' if decoder.needs_model else ''})")
+    else:
+        item, size = _tuple_item(hint)
+        add(f"{pad}if type({var}) is not list:")
+        add(f"{pad}    raise _not_a_list({var})")
+        if size is not None:
+            add(f"{pad}if len({var}) != {size}:")
+            add(f"{pad}    raise _wrong_length({size}, {var})")
+        x = f"x{depth}"
+        if item in _LEAVES:
+            add(f"{pad}for {x} in {var}:")
+            _decode_lines(src, item, x, x, pad + "    ")
+            add(f"{pad}{target} = tuple({var})")
+        elif item is Fraction:
+            add(f"{pad}{target} = tuple(map(_parse_rational, {var}))")
+        elif is_dataclass(item):
+            decoder = _decoder_of(item)
+            decode = src.bind(f"_{item.__name__}_decode", decoder.decode)
+            model = ", _repeat(model)" if decoder.needs_model else ""
+            add(f"{pad}{target} = tuple(map({decode}, {var}{model}))")
+        else:
+            items = f"items{depth}"
+            add(f"{pad}{items} = []")
+            add(f"{pad}for {x} in {var}:")
+            _decode_lines(src, item, x, x, pad + "    ", depth + 1)
+            add(f"{pad}    {items}.append({x})")
+            add(f"{pad}{target} = tuple({items})")
+
+
+def _shared_builder(src: _Source, cls: type, columns: list[tuple[int, str, str | None, Any]]):
+    """An ``lru_cache``'d constructor of a shared value class, called with
+    each field's checked JSON value (a list as the checked tuple): the cache
+    is keyed on a rational's or an enum member's text, never on a slowly
+    hashed ``Fraction`` or ``Enum``."""
+    build = _Source(src.names)
+    built = []
+    for at, _, _, hint in columns:
+        if hint is Fraction:
+            built.append(f"_parse_rational(v{at})")
+        elif _is_enum(hint):
+            built.append(f"_{hint.__name__}_members[v{at}]")
+        elif hint in _LEAVES or (get_origin(hint) is tuple and _tuple_item(hint)[0] in _LEAVES):
+            built.append(f"v{at}")
+        else:
+            raise TypeError(f"a shared {cls.__name__} cannot hold a {hint!r}")
+    build.lines.append(f"def build({', '.join(f'v{at}' for at, *_ in columns)}):")
+    build.lines.append(f"    return _{cls.__name__}({', '.join(built)})")
+    return lru_cache(maxsize=_SHARED_CACHE_SIZE)(build.function("build"))
+
+
+@cache
+def _columns(cls: type) -> list[tuple[int, str, str | None, Any]]:
+    """(position, field name, JSON key, field type) of each field of the
+    dataclass ``cls``; a field typed ``SurfaceModel`` has no key."""
     hints = get_type_hints(cls)
+    columns = []
+    for at, f in enumerate(fields(cls)):
+        hint = _field_type(hints[f.name])
+        key = None if hint is SurfaceModel else _RENAMES.get(f.name, f.name)
+        columns.append((at, f.name, key, hint))
+    return columns
+
+
+@cache
+def _encoder_of(cls: type) -> Callable[[Any], dict]:
+    """The encoder of one dataclass, generated once per class as one dict
+    display, the way ``dataclasses`` writes an ``__init__``: its source
+    holds only field names, JSON keys and the class name."""
+    src = _Source()
     owner = cls.__name__
     # The classes relation_from_json reads lead with a tag naming the class.
-    head = {"kind": owner} if owner in _kinds("relation_from_json") else {}
-    model_at = None
-    writers, keys, checks, plain, scoped = [], [], [], [], []
-    for f in fields(cls):
-        hint = hints[f.name]
-        if hint is SurfaceModel:
-            model_at = len(keys)
-            continue
-        key = _RENAMES.get(f.name, f.name)
-        codec = None if hint in _LEAVES else _field_codec(hint)
-        if codec is None:
-            checks.append((len(keys), hint))
-        else:
-            (scoped if codec.needs_model else plain).append((len(keys), codec.decode))
-        writers.append((key, attrgetter(f.name), codec and codec.encode))
-        keys.append(key)
-    get_values = itemgetter(*keys) if len(keys) > 1 else lambda d: (d[keys[0]],)
+    entries = [f"'kind': {owner!r}"] if owner in _kinds("relation_from_json") else []
+    entries += [f"{key!r}: {_encode_expr(src, hint, f'obj.{name}')}"
+                for _, name, key, hint in _columns(cls) if key is not None]
+    src.lines += ["def encode(obj):", "    return {", *(f"        {e}," for e in entries), "    }"]
+    return src.function("encode")
 
-    def encode(obj: Any) -> dict:
-        out = head.copy()
-        for key, get, encode_field in writers:
-            value = get(obj)
-            out[key] = value if encode_field is None else encode_field(value)
-        return out
 
-    def decode(data: Any, model: SurfaceModel | None = None) -> Any:
-        if type(data) is not dict:
-            raise ValueError(f"{owner} JSON must be an object, got {type(data).__name__}")
-        try:
-            values = list(get_values(data))
-        except KeyError as exc:
-            raise ValueError(f"{owner} JSON is missing key {exc.args[0]!r}") from None
-        for at, kind in checks:
-            if type(values[at]) is not kind:
-                raise _wrong_type(kind, values[at])
-        for at, decode_field in plain:
-            values[at] = decode_field(values[at])
-        for at, decode_field in scoped:
-            values[at] = decode_field(values[at], model)
-        if model_at is not None:
-            if model is None:
-                raise TypeError(f"decoding a {owner} needs its surface model")
-            values.insert(model_at, model)
-        return cls(*values)
+@cache
+def _decoder_of(cls: type) -> _Decoder:
+    """The decoder of one dataclass, generated once per class as
+    straight-line Python whose source holds only JSON keys, class names
+    and constant messages, never document data.
 
-    return _Codec(encode, decode, model_at is not None or bool(scoped))
+    It checks in a fixed order: the document is an object, every key is
+    present (the first missing one in field order is named), the int, bool
+    and str fields, the other fields in field order with those that need
+    the model last, the model; only then does it build.  The decoder of a
+    class its form marks shared returns one instance per distinct checked
+    document, from an ``lru_cache`` of ``_SHARED_CACHE_SIZE``."""
+    owner = cls.__name__
+    form = _FORMS.get(owner)
+    shared = form is not None and form.shared
+    columns = _columns(cls)
+    data = [(at, key, hint) for at, _, key, hint in columns if key is not None]
+    src = _Source()
+    src.bind(f"_{owner}", cls)
+    add = src.lines.append
+    add("def decode(data, model=None):")
+    add("    if type(data) is not dict:")
+    add(f"        raise _not_an_object({owner!r}, data)")
+    add("    try:")
+    for at, key, _ in data:
+        add(f"        v{at} = data[{key!r}]")
+    add("    except KeyError as exc:")
+    add(f"        raise _missing_key({owner!r}, exc.args[0]) from None")
+    for at, _, hint in data:
+        if hint in _LEAVES:
+            _decode_lines(src, hint, f"v{at}", f"v{at}", "    ")
+    later = [(at, hint, _needs(hint)) for at, _, hint in data if hint not in _LEAVES]
+    for at, hint, _ in sorted(later, key=itemgetter(2)):  # stable: field order
+        # A shared class's rationals and enum members are only checked here;
+        # its builder decodes them from the text its cache is keyed on.
+        keep_text = shared and (hint is Fraction or _is_enum(hint))
+        _decode_lines(src, hint, f"v{at}", "_" if keep_text else f"v{at}", "    ")
+    has_model = len(data) < len(columns)
+    if has_model:
+        add("    if model is None:")
+        add(f"        raise _needs_model({owner!r})")
+    values = ", ".join("model" if key is None else f"v{at}" for at, _, key, _ in columns)
+    builder = None
+    if shared:
+        builder = _shared_builder(src, cls, columns)
+        add(f"    return {src.bind('_build', builder)}({values})")
+    else:
+        add(f"    return _{owner}({values})")
+    needs_model = has_model or any(needs for _, _, needs in later)
+    return _Decoder(src.function("decode"), needs_model, builder)
 
 
 # -- views: JSON that is not the dataclass's own field list ------------------
@@ -265,6 +434,7 @@ class _Form(NamedTuple):
     layer: str  # the module that defines the class
     decoder: str | None = None  # the *_from_json that reads it back
     view: Callable[[Any], Any] | None = None  # encoder of a view
+    shared: bool = False  # decoded once per distinct document (see _decoder_of)
 
 
 # Every class with a JSON form, by name.
@@ -281,15 +451,15 @@ _FORMS = {
     "KernelChoice": _Form("fm"),
     "SheafScenario": _Form("duality", "scenario_from_json"),
     "Conclusion": _Form("duality", "conclusion_from_json"),
-    "TermRef": _Form("duality", "term_ref_from_json"),
+    "TermRef": _Form("duality", "term_ref_from_json", shared=True),
     "Identification": _Form("duality", "relation_from_json"),
     "ForcedZero": _Form("duality", "relation_from_json"),
     "ShortExact": _Form("duality", "relation_from_json"),
     "Forbidden": _Form("duality", "relation_from_json"),
     "ScenarioSolution": _Form("duality", None, _solution_json),
     "DestabilizerCandidate": _Form("stability", "candidate_from_json"),
-    "EffectivityProxy": _Form("stability", "effectivity_proxy_from_json"),
-    "TraceStep": _Form("stability", "trace_step_from_json"),
+    "EffectivityProxy": _Form("stability", "effectivity_proxy_from_json", shared=True),
+    "TraceStep": _Form("stability", "trace_step_from_json", shared=True),
     "StabilityReport": _Form("stability", "stability_report_from_json"),
     "ScanResult": _Form("stability", "scan_result_from_json", _scan_json),
     "TransformStabilityReport": _Form("stability", None, _pipeline_json),
@@ -310,7 +480,7 @@ def _encoder(cls: type) -> Callable[[Any], Any]:
     if form is None or cls.__module__ != f"{__package__}.{form.layer}":
         raise TypeError(f"no JSON form registered for {cls.__name__}")
     encode = _ENCODERS[cls] = form.view or (
-        _enum_value if issubclass(cls, Enum) else _plan(cls).encode
+        _enum_value if issubclass(cls, Enum) else _encoder_of(cls)
     )
     return encode
 
@@ -342,12 +512,12 @@ def _same_json(value: Any, expected: Any) -> bool:
 
 
 def scan_result_from_json(data: Any, model: SurfaceModel | None = None) -> ScanResult:
-    """The reports through ScanResult's plan; ``any_violation``,
-    ``candidate_count`` and ``verdict_counts`` must equal what those
-    reports give.  ``model`` is unused."""
+    """The reports through ScanResult's generated decoder;
+    ``any_violation``, ``candidate_count`` and ``verdict_counts`` must equal
+    what those reports give.  ``model`` is unused."""
     from .stability import ScanResult, Verdict
 
-    scan = _plan(ScanResult).decode(data)
+    scan = _decoder_of(ScanResult).decode(data)
     violation = any(report.verdict is Verdict.VIOLATION for report in scan.reports)
     for key, expected in _scan_counts(ScanResult(scan.reports, violation)).items():
         if key not in data:
@@ -372,14 +542,14 @@ def _relation_decoder(decoders: dict[str, Callable[..., Any]]) -> Callable[..., 
 
 
 def __getattr__(name: str) -> Any:
-    """Make the decoder ``name`` on first access, from the plans of the
-    classes whose forms name it, and keep it as a module attribute, so
-    later reads never come back here."""
+    """Make the decoder ``name`` on first access, from the generated
+    decoders of the classes whose forms name it, and keep it as a module
+    attribute, so later reads never come back here."""
     kinds = _kinds(name)
     if not kinds:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = import_module(f".{_FORMS[kinds[0]].layer}", __package__)
-    decoders = {kind: _plan(getattr(module, kind)).decode for kind in kinds}
+    decoders = {kind: _decoder_of(getattr(module, kind)).decode for kind in kinds}
     decode = globals()[name] = (
         _relation_decoder(decoders) if len(kinds) > 1 else decoders[kinds[0]]
     )
