@@ -62,7 +62,7 @@ from functools import lru_cache
 
 from .errors import InfeasibleScenarioError, InternalCheckError
 from .fm import WitType
-from .rationals import is_int, prevalidated
+from .rationals import is_int, require, trusted
 
 
 class Side(enum.Enum):
@@ -247,6 +247,15 @@ class TermRef:
     label: str
 
     def __post_init__(self) -> None:
+        require(self.side, Side, "side")
+        require(self.pos, tuple, "pos")
+        if len(self.pos) != 2 or not all(map(is_int, self.pos)):
+            raise ValueError(f"pos must be two integers, got {self.pos!r}")
+        self._check()
+
+    def _check(self) -> None:
+        """That the label is the one the side and position give: the check
+        the JSON decoder cannot express, so it runs this too."""
         p, q = self.pos
         label = left_label(p, q) if self.side is Side.LEFT else right_label(p, q)
         if self.label != label:
@@ -273,16 +282,25 @@ def _term_ref(is_left: bool, pos: Pos) -> TermRef:
     a TermRef is immutable and its label a function of side and position.
     Keyed on a bool, since hashing a Side member runs Enum.__hash__ in Python."""
     if is_left:
-        return prevalidated(TermRef, Side.LEFT, pos, left_label(*pos))
-    return prevalidated(TermRef, Side.RIGHT, pos, right_label(*pos))
+        return trusted(TermRef)(Side.LEFT, pos, left_label(*pos))
+    return trusted(TermRef)(Side.RIGHT, pos, right_label(*pos))
+
+
+def _require_relation(degree: int, *refs: TermRef) -> None:
+    """Refuse a relation whose degree is not an integer or whose terms are
+    not TermRefs."""
+    require(degree, int, "a relation's degree")
+    for ref in refs:
+        require(ref, TermRef, "a relation's term")
 
 
 def _check_degree(degree: int, *refs: TermRef) -> None:
     """Refuse a relation that names a term off its own antidiagonal.
 
-    Each relation's ``__post_init__`` checks the shape the solver always
-    emits, for relations built elsewhere (decoded JSON); the solver builds
-    its own through ``prevalidated``.
+    Each relation's ``_check`` holds the cross-field checks, the shape the
+    solver always emits: its ``__post_init__`` and its JSON decoder run it
+    for relations built elsewhere, while the solver builds its own through
+    :func:`weierfm.rationals.trusted`.
     """
     for ref in refs:
         if sum(ref.pos) != degree:
@@ -302,6 +320,10 @@ class Identification:
     right: TermRef
 
     def __post_init__(self) -> None:
+        _require_relation(self.degree, self.left, self.right)
+        self._check()
+
+    def _check(self) -> None:
         if self.left.side is not Side.LEFT or self.right.side is not Side.RIGHT:
             raise ValueError("an Identification joins a left term to a right term")
         _check_degree(self.degree, self.left, self.right)
@@ -316,6 +338,10 @@ class ForcedZero:
     term: TermRef
 
     def __post_init__(self) -> None:
+        _require_relation(self.degree, self.term)
+        self._check()
+
+    def _check(self) -> None:
         _check_degree(self.degree, self.term)
 
     def render(self) -> str:
@@ -332,6 +358,10 @@ class ShortExact:
     quot: TermRef
 
     def __post_init__(self) -> None:
+        _require_relation(self.degree, self.sub, self.mid, self.quot)
+        self._check()
+
+    def _check(self) -> None:
         if self.sub.side is not self.quot.side or self.mid.side is self.sub.side:
             raise ValueError(
                 "a ShortExact has its sub and quot on one page and its mid on the other"
@@ -352,6 +382,10 @@ class Forbidden:
     degree: int
     reason: str
 
+    def __post_init__(self) -> None:
+        _require_relation(self.degree)
+        require(self.reason, str, "reason")
+
     def render(self) -> str:
         return f"[k={self.degree}] contradiction: {self.reason}"
 
@@ -370,6 +404,11 @@ class Conclusion:
     kind: ConclusionKind
     statement: str
     via_dimension_only: bool = False
+
+    def __post_init__(self) -> None:
+        require(self.kind, ConclusionKind, "kind")
+        require(self.statement, str, "statement")
+        require(self.via_dimension_only, bool, "via_dimension_only")
 
 
 def _conclusion(scenario: SheafScenario, kind: ConclusionKind) -> Conclusion:
@@ -500,15 +539,15 @@ class _Solver:
                     )
                 else:  # live, so Unknown
                     self._set_status(term, pos, TermStatus.ZERO)
-                    self.relations.append(prevalidated(ForcedZero, k, ref))
+                    self.relations.append(trusted(ForcedZero)(k, ref))
             return
         # Below, no term of k turns Zero, so a rescan finds the same live
         # terms and only carries NonZero across.
         if len(lives_l) == 1 and len(lives_r) == 1:
             (pl, tl), (pr, tr) = lives_l[0], lives_r[0]
             if first:
-                self.relations.append(prevalidated(
-                    Identification, k, _term_ref(True, pl), _term_ref(False, pr)
+                self.relations.append(trusted(Identification)(
+                    k, _term_ref(True, pl), _term_ref(False, pr)
                 ))
             # Both stay live; a later change to either marks k dirty, so the
             # rescan carries NonZero across again.
@@ -527,8 +566,7 @@ class _Solver:
             (sub_pos, subs), (quot_pos, quots) = pair
             if first:
                 self.relations.append(
-                    prevalidated(
-                        ShortExact,
+                    trusted(ShortExact)(
                         k,
                         _term_ref(not mid_on_left, sub_pos),
                         _term_ref(mid_on_left, mid_pos),

@@ -15,14 +15,22 @@ distinct string is parsed once: ``parse_rational`` checks the type, then
 looks the text up in an LRU cache of ``RATIONAL_CACHE_SIZE`` entries.  The
 cached ``Fraction`` is immutable, so decoded objects can share it; a string
 that fails to parse is not cached and raises the same error every time.
+
+Value classes keep their checks in their public constructors: field
+types (``require``, ``is_int``), coercions (``as_rational``), then the
+checks between fields.  The ring, the duality solver and the stability
+scan build the values they compute, and the JSON decoders build what their
+own checks passed, through ``trusted(cls)``: one constructor per class,
+generated on first use, that only stores the fields.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from fractions import Fraction
-from functools import lru_cache
-from typing import Any, Iterable, Sequence, TypeVar, Union
+from functools import cache, lru_cache
+from typing import Any, Callable, Iterable, Sequence, TypeVar, Union
 
 RationalLike = Union[int, Fraction]
 T = TypeVar("T")
@@ -51,21 +59,44 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def require(value: Any, kind: type, what: str) -> None:
+    """Refuse with ValueError a ``value`` that is not a ``kind``; an int
+    must not be a bool (see :func:`is_int`)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
+        raise ValueError(f"{what} must be {article} {kind.__name__}, got {value!r}")
+
+
 def as_rational_vector(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(map(as_rational, values))
 
 
-def prevalidated(cls: type[T], *values: Any) -> T:
-    """An instance of the dataclass ``cls`` holding ``values`` in field
-    order, built without ``__init__`` or ``__post_init__``.
+@cache
+def trusted(cls: type[T]) -> Callable[..., T]:
+    """The trusted constructor of the dataclass ``cls``: called with one
+    value per field, in field order, it builds the instance without
+    ``__init__`` or ``__post_init__``.
 
-    For hot paths whose values already passed the checks and coercions those
-    would run (Fractions from Fraction arithmetic, ints from a range); the
-    public constructors keep every check.
+    It is generated on first use, once per class, as straight-line code
+    from ``dataclasses.fields(cls)`` (``_obj = _new(_cls); _d = _obj.__dict__;
+    _d['r'] = r; ...``), the way ``dataclasses`` writes an ``__init__``.  A
+    frozen instance stays frozen: only its ``__dict__`` is written.  For
+    callers whose values already passed the checks and coercions the
+    constructor would run: the ring, the duality solver and the scan on
+    values they computed, and the JSON decoders after their own checks.
+    The public constructors keep every check.
     """
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__match_args__, values))
-    return obj
+    if "__slots__" in cls.__dict__:
+        raise TypeError(f"{cls.__name__} has __slots__ and no instance __dict__ to write")
+    names = [f.name for f in fields(cls)]
+    lines = [f"def build({', '.join(names)}):", "    _obj = _new(_cls)", "    _d = _obj.__dict__"]
+    lines += [f"    _d[{name!r}] = {name}" for name in names]
+    lines.append("    return _obj")
+    namespace = {"_new": object.__new__, "_cls": cls}
+    exec("\n".join(lines), namespace)
+    build = namespace["build"]
+    build.__qualname__ = f"trusted({cls.__qualname__})"
+    return build
 
 
 def fields_hash(obj: Any) -> int:

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .errors import HypothesisViolationError, ModelMismatchError
 from .rationals import (
-    RationalLike, as_rational, as_rational_vector, fields_hash, is_int, prevalidated,
+    RationalLike, as_rational, as_rational_vector, fields_hash, is_int, trusted,
 )
 
 _HALF = Fraction(1, 2)
@@ -193,8 +193,7 @@ class SurfaceClass:
 
     def __add__(self, other: "SurfaceClass") -> "SurfaceClass":
         _check_same_model(self, other)
-        return prevalidated(
-            SurfaceClass,
+        return trusted(SurfaceClass)(
             self.model,
             self.r + other.r,
             tuple(a + b for a, b in zip(self.d, other.d)),
@@ -209,8 +208,8 @@ class SurfaceClass:
 
     def scale(self, c: RationalLike) -> "SurfaceClass":
         c = as_rational(c)
-        return prevalidated(
-            SurfaceClass, self.model, c * self.r, tuple(c * x for x in self.d), c * self.s
+        return trusted(SurfaceClass)(
+            self.model, c * self.r, tuple(c * x for x in self.d), c * self.s
         )
 
     def __mul__(self, other):
@@ -235,7 +234,7 @@ def surface_mul(u: SurfaceClass, v: SurfaceClass) -> SurfaceClass:
     model = u.model
     d = tuple(u.r * b + v.r * a for a, b in zip(u.d, v.d))
     s = u.r * v.s + v.r * u.s + model.pair(u.d, v.d)
-    return prevalidated(SurfaceClass, model, u.r * v.r, d, s)
+    return trusted(SurfaceClass)(model, u.r * v.r, d, s)
 
 
 @dataclass(frozen=True)

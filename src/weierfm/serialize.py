@@ -52,7 +52,16 @@ renamed where ``_RENAMES`` says (``fiber_deg`` is written
 from the decoder's ``model`` argument.  Decoders take only the JSON types
 the encoders write and raise ``ValueError`` otherwise, naming any missing
 key; a document with several faults raises for the first one met in the
-fixed check order of ``_decoder_of``.  ``ScanResult``,
+fixed check order of ``_decoder_of``.  Once they pass, a class whose
+form is marked ``trusted`` is built through its trusted constructor
+(:func:`weierfm.rationals.trusted`), and then its ``_check`` hook, if it
+has one, runs the checks between fields that the decoder cannot express
+(a relation's antidiagonal and sides, a TermRef's label, a candidate's r
+and e ranges), which its ``__post_init__`` runs too; so each invariant is
+written once.  The other classes, whose constructors check or coerce
+more than the decoder does (the ring classes, ``Polarization``,
+``LineBundleX``, ``TruncatedChar``, ``SheafScenario``), are built through
+their constructors.  ``ScanResult``,
 ``ScenarioSolution`` and ``TransformStabilityReport`` are views (derived counts, renamed fields, a
 flattened scan) with hand-written encoders.  ``ScanResult`` is read back
 through its generated decoder and a check that its three derived fields
@@ -84,7 +93,8 @@ JSON values up in an ``lru_cache`` of ``_SHARED_CACHE_SIZE`` (4 096)
 instances per class, so a repeated step is neither rebuilt nor re-checked
 by its constructor.  The cache is keyed on a rational's text, not on its
 ``Fraction``, whose hash runs in Python; the instances are immutable.
-Candidates, reports, relations and conclusions are built anew each time.
+Every other decoded value, such as a candidate, a report, a relation or a
+conclusion, is a new instance per document.
 """
 
 from __future__ import annotations
@@ -102,7 +112,7 @@ from typing import (
     TYPE_CHECKING, Any, Callable, NamedTuple, Union, get_args, get_origin, get_type_hints,
 )
 
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, trusted
 from .ring import SurfaceModel
 
 if TYPE_CHECKING:
@@ -306,8 +316,28 @@ def _shared_builder(src: _Source, cls: type, columns: list[tuple[int, str, str |
         else:
             raise TypeError(f"a shared {cls.__name__} cannot hold a {hint!r}")
     build.lines.append(f"def build({', '.join(f'v{at}' for at, *_ in columns)}):")
-    build.lines.append(f"    return _{cls.__name__}({', '.join(built)})")
+    _build_lines(build, cls, ", ".join(built))
     return lru_cache(maxsize=_SHARED_CACHE_SIZE)(build.function("build"))
+
+
+def _build_lines(src: _Source, cls: type, values: str) -> None:
+    """Lines that return the instance of ``cls`` holding ``values``, once
+    the decoder's checks have passed.  A class its form marks trusted is
+    built through :func:`weierfm.rationals.trusted` and then checked by its
+    ``_check`` hook, if it has one; mark a class trusted only when its
+    constructor checks and coerces nothing beyond the decoder and that
+    hook.  Any other class is built through its constructor."""
+    owner = cls.__name__
+    if not _FORMS[owner].trusted:
+        src.lines.append(f"    return _{owner}({values})")
+        return
+    build = src.bind(f"_{owner}_trusted", trusted(cls))
+    check = getattr(cls, "_check", None)
+    if check is None:
+        src.lines.append(f"    return {build}({values})")
+    else:
+        src.lines += [f"    obj = {build}({values})",
+                      f"    {src.bind(f'_{owner}_check', check)}(obj)", "    return obj"]
 
 
 @cache
@@ -385,7 +415,7 @@ def _decoder_of(cls: type) -> _Decoder:
         builder = _shared_builder(src, cls, columns)
         add(f"    return {src.bind('_build', builder)}({values})")
     else:
-        add(f"    return _{owner}({values})")
+        _build_lines(src, cls, values)
     needs_model = has_model or any(needs for _, _, needs in later)
     return _Decoder(src.function("decode"), needs_model, builder)
 
@@ -435,6 +465,7 @@ class _Form(NamedTuple):
     decoder: str | None = None  # the *_from_json that reads it back
     view: Callable[[Any], Any] | None = None  # encoder of a view
     shared: bool = False  # decoded once per distinct document (see _decoder_of)
+    trusted: bool = False  # built through rationals.trusted (see _build_lines)
 
 
 # Every class with a JSON form, by name.
@@ -446,22 +477,24 @@ _FORMS = {
     "Polarization": _Form("fm", "polarization_from_json"),
     "LineBundleX": _Form("fm", "line_bundle_from_json"),
     "TruncatedChar": _Form("fm", "truncated_char_from_json"),
-    "TransformResult": _Form("fm", "transform_result_from_json"),
+    "TransformResult": _Form("fm", "transform_result_from_json", trusted=True),
     "WitType": _Form("fm"),
     "KernelChoice": _Form("fm"),
     "SheafScenario": _Form("duality", "scenario_from_json"),
-    "Conclusion": _Form("duality", "conclusion_from_json"),
-    "TermRef": _Form("duality", "term_ref_from_json", shared=True),
-    "Identification": _Form("duality", "relation_from_json"),
-    "ForcedZero": _Form("duality", "relation_from_json"),
-    "ShortExact": _Form("duality", "relation_from_json"),
-    "Forbidden": _Form("duality", "relation_from_json"),
+    "Conclusion": _Form("duality", "conclusion_from_json", trusted=True),
+    "TermRef": _Form("duality", "term_ref_from_json", shared=True, trusted=True),
+    "Identification": _Form("duality", "relation_from_json", trusted=True),
+    "ForcedZero": _Form("duality", "relation_from_json", trusted=True),
+    "ShortExact": _Form("duality", "relation_from_json", trusted=True),
+    "Forbidden": _Form("duality", "relation_from_json", trusted=True),
     "ScenarioSolution": _Form("duality", None, _solution_json),
-    "DestabilizerCandidate": _Form("stability", "candidate_from_json"),
-    "EffectivityProxy": _Form("stability", "effectivity_proxy_from_json", shared=True),
-    "TraceStep": _Form("stability", "trace_step_from_json", shared=True),
-    "StabilityReport": _Form("stability", "stability_report_from_json"),
-    "ScanResult": _Form("stability", "scan_result_from_json", _scan_json),
+    "DestabilizerCandidate": _Form("stability", "candidate_from_json", trusted=True),
+    "EffectivityProxy": _Form(
+        "stability", "effectivity_proxy_from_json", shared=True, trusted=True
+    ),
+    "TraceStep": _Form("stability", "trace_step_from_json", shared=True, trusted=True),
+    "StabilityReport": _Form("stability", "stability_report_from_json", trusted=True),
+    "ScanResult": _Form("stability", "scan_result_from_json", _scan_json, trusted=True),
     "TransformStabilityReport": _Form("stability", None, _pipeline_json),
 }
 

@@ -35,9 +35,13 @@ ring slope numerator against the closed form, the signs of the trace steps
 and the check that they sum to that numerator (r times the slope of every
 rank).  Each distinct integer becomes a Fraction over D, and each distinct
 trace a tuple of TraceSteps, once per scan.  A candidate looks up its
-slope and verdict per distinct numerator; its DestabilizerCandidate and
-StabilityReport are built from these checked values without re-running
-the constructors' checks.
+slope and verdict per distinct numerator.  Every value a scan holds is
+built from these checked values through its class's trusted constructor
+(:func:`weierfm.rationals.trusted`), without re-running the public
+constructor's checks: each TraceStep once per distinct trace, each
+EffectivityProxy once per (δ, a >= 0), and a DestabilizerCandidate and a
+StabilityReport per report.  The public constructors check every field's
+type and refuse a float where a rational goes.
 
 Positive m reduces to negative m through the dual line bundle: the
 duality bookkeeping of :mod:`weierfm.duality` identifies the dual of the
@@ -69,7 +73,7 @@ from .fm import (
     slope,
     transform_char,
 )
-from .rationals import as_rational, as_rational_vector, is_int, prevalidated
+from .rationals import as_rational, as_rational_vector, is_int, require, trusted
 from .ring import ThreefoldClass, pullback, x_integrate, x_mul
 
 if TYPE_CHECKING:
@@ -92,12 +96,17 @@ class DestabilizerCandidate:
     e: int
 
     def __post_init__(self) -> None:
+        self._check()
+        object.__setattr__(self, "a", as_rational(self.a))
+        object.__setattr__(self, "delta", as_rational_vector(self.delta))
+
+    def _check(self) -> None:
+        """The checks of r and e, which the JSON decoder runs too: its own
+        checks cover the JSON types, not these ranges."""
         if not is_int(self.r) or self.r < 1:
             raise ValueError("candidate rank r must be a positive integer")
         if not is_int(self.e) or self.e not in (0, 1):
             raise ValueError("e must be 0 or 1")
-        object.__setattr__(self, "a", as_rational(self.a))
-        object.__setattr__(self, "delta", as_rational_vector(self.delta))
 
 
 @dataclass(frozen=True)
@@ -108,8 +117,8 @@ class EffectivityProxy:
     pairing: Fraction  # delta·H_S
 
     def __post_init__(self) -> None:
-        if not isinstance(self.a_nonneg, bool):
-            raise ValueError(f"a_nonneg must be a bool, got {self.a_nonneg!r}")
+        require(self.a_nonneg, bool, "a_nonneg")
+        object.__setattr__(self, "pairing", as_rational(self.pairing))
 
     @property
     def admissible(self) -> bool:
@@ -124,8 +133,10 @@ class TraceStep:
     satisfied: bool
 
     def __post_init__(self) -> None:
-        if not isinstance(self.satisfied, bool):
-            raise ValueError(f"satisfied must be a bool, got {self.satisfied!r}")
+        require(self.name, str, "name")
+        object.__setattr__(self, "value", as_rational(self.value))
+        require(self.requirement, str, "requirement")
+        require(self.satisfied, bool, "satisfied")
 
 
 @dataclass(frozen=True)
@@ -138,6 +149,18 @@ class StabilityReport:
     fiber_deg: Fraction
     trace: tuple[TraceStep, ...]
     inadmissible_reasons: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        require(self.candidate, DestabilizerCandidate, "candidate")
+        require(self.verdict, Verdict, "verdict")
+        for name in ("target_slope", "candidate_slope", "fiber_deg"):
+            object.__setattr__(self, name, as_rational(getattr(self, name)))
+        require(self.proxy, EffectivityProxy, "proxy")
+        for name, kind in (("trace", TraceStep), ("inadmissible_reasons", str)):
+            values = getattr(self, name)
+            require(values, tuple, name)
+            for value in values:
+                require(value, kind, f"an entry of {name}")
 
 
 # Grid steps: a moves in halves, so the integrality screen is exercised,
@@ -326,6 +349,7 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[_Cell]:
     closed form and the trace sum against it; each distinct integer becomes
     a Fraction, and each distinct trace a tuple of TraceSteps, once."""
     w, fiber, mixed = fns.omega_squared, fns.fiber, fns.mixed
+    proxy, step = trusted(EffectivityProxy), trusted(TraceStep)
     fraction_terms: list[Fraction] = []
     by_delta = []
     for delta in deltas:
@@ -334,10 +358,13 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[_Cell]:
         terms = (fns.two_ts * pairing, _dot(delta, w[1:]), _dot(delta, fiber[1:]),
                  _dot(delta, mixed[1:]))
         fraction_terms += terms
-        by_delta.append((delta, pairing, reason, terms))
+        # The proxy for a < 0 and for a >= 0, indexed by a >= 0.
+        proxies = (proxy(False, pairing), proxy(True, pairing))
+        by_delta.append((delta, proxies, reason, terms))
     by_a = []
     for a in a_values:
-        a_reason = (f"effectivity proxy fails: a = {a} < 0",) if a < 0 else ()
+        a_nonneg = a >= 0
+        a_reason = () if a_nonneg else (f"effectivity proxy fails: a = {a} < 0",)
         by_e = []
         for e in es:
             fd = e - a
@@ -348,7 +375,7 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[_Cell]:
             terms = (fd * w[0], fd * fns.ss_hh, fd * fiber[0], -a * mixed[0], e * mixed[0])
             fraction_terms += terms
             by_e.append((e, fd, fd_reason, terms))
-        by_a.append((a, a_reason, by_e))
+        by_a.append((a, a_nonneg, a_reason, by_e))
     den = math.lcm(*(x.denominator for x in fraction_terms))
     fractions: dict[int, Fraction] = {}
 
@@ -361,15 +388,15 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[_Cell]:
     def scaled(terms: tuple[Fraction, ...]) -> tuple[int, ...]:
         return tuple(x.numerator * (den // x.denominator) for x in terms)
 
-    by_delta = [(delta, pairing, reason, *scaled(terms))
-                for delta, pairing, reason, terms in by_delta]
+    by_delta = [(delta, proxies, reason, *scaled(terms))
+                for delta, proxies, reason, terms in by_delta]
     traces: dict[tuple[int, int, int], tuple[TraceStep, ...]] = {}
     cells = []
     # ch1(F) splits as (-aΘ - p*delta) + eΘ, the torsion and section parts.
-    for a, a_reason, by_e in by_a:
+    for a, a_nonneg, a_reason, by_e in by_a:
         rows = [(e, fd, fd_reason, *scaled(terms)) for e, fd, fd_reason, terms in by_e]
-        for delta, pairing, pair_reason, ts_pairing, w_d, fiber_d, mixed_d in by_delta:
-            proxy = EffectivityProxy(a >= 0, pairing)
+        for delta, proxies, pair_reason, ts_pairing, w_d, fiber_d, mixed_d in by_delta:
+            cell_proxy = proxies[a_nonneg]
             for e, fd, fd_reason, fd_w, fd_ss, fd_fiber, a_mixed, step3 in rows:
                 ring_numerator, numerator = fd_w - w_d, fd_ss - ts_pairing
                 if ring_numerator != numerator:
@@ -386,11 +413,11 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[_Cell]:
                 trace = traces.get((step1, step2, step3))
                 if trace is None:
                     trace = traces[step1, step2, step3] = (
-                        TraceStep("fiber-degree step", rational(step1), "<= 0", step1 <= 0),
-                        TraceStep("effectivity step", rational(step2), "<= 0", step2 <= 0),
-                        TraceStep("section-part step", rational(step3), "== 0", step3 == 0),
+                        step("fiber-degree step", rational(step1), "<= 0", step1 <= 0),
+                        step("effectivity step", rational(step2), "<= 0", step2 <= 0),
+                        step("section-part step", rational(step3), "== 0", step3 == 0),
                     )
-                cells.append(_Cell(a, delta, e, fd, numerator, den, proxy, trace,
+                cells.append(_Cell(a, delta, e, fd, numerator, den, cell_proxy, trace,
                                    a_reason + pair_reason + fd_reason))
     return cells
 
@@ -431,29 +458,29 @@ def _reports(
 ) -> list[StabilityReport]:
     """The candidate of every rank in ``ranks`` at every cell, rank slowest,
     judged against the rank-n target.  Every field was checked when its cell
-    was built, so candidates and reports skip their constructors' checks."""
+    was built, so candidates and reports are built through their trusted
+    constructors."""
+    report, candidate = trusted(StabilityReport), trusted(DestabilizerCandidate)
+    inadmissible = Verdict.INADMISSIBLE
     reports = []
     for r in ranks:
         rank_reason = () if r < n else (f"rank {r} is not below the transform rank {n}",)
         # A cell numerator's rank-r slope, and the verdict of an admissible
         # candidate at that slope.
         slopes: dict[int, tuple[Fraction, Verdict]] = {}
-        for cell in cells:
-            numerator = cell.numerator
+        for a, delta, e, fiber_deg, numerator, den, proxy, trace, cell_reasons in cells:
             judged = slopes.get(numerator)
             if judged is None:
-                cand_slope = Fraction(numerator, cell.denominator * r)
+                cand_slope = Fraction(numerator, den * r)
                 judged = slopes[numerator] = (
                     cand_slope,
                     Verdict.VIOLATION if cand_slope >= target else Verdict.CERTIFIED,
                 )
             cand_slope, verdict = judged
-            reasons = rank_reason + cell.reasons
-            reports.append(prevalidated(
-                StabilityReport,
-                prevalidated(DestabilizerCandidate, r, cell.a, cell.delta, cell.e),
-                Verdict.INADMISSIBLE if reasons else verdict, target, cand_slope,
-                cell.proxy, cell.fiber_deg, cell.trace, reasons,
+            reasons = rank_reason + cell_reasons
+            reports.append(report(
+                candidate(r, a, delta, e), inadmissible if reasons else verdict, target,
+                cand_slope, proxy, fiber_deg, trace, reasons,
             ))
     return reports
 

@@ -53,6 +53,17 @@ def test_import_cli_loads_no_computing_layer_or_codec():
     assert fresh_run("import weierfm.cli") & LAYERS == set()
 
 
+@pytest.mark.parametrize("module", ["cli", "stability", "serialize"])
+def test_import_generates_no_trusted_constructor(module):
+    """Each class's trusted constructor is generated on first use, so its
+    ``exec`` stays out of an import (and of a CLI child's start-up)."""
+    fresh_run(
+        f"import weierfm.{module}\n"
+        "from weierfm.rationals import trusted\n"
+        "assert trusted.cache_info().currsize == 0, trusted.cache_info()"
+    )
+
+
 def test_slope_loads_no_codec():
     loaded = cli_run("slope", "-t", "1", "-s", "1", "--ch0", "2", "--ch1-theta", "1", "--json")
     assert loaded & LAYERS == set()

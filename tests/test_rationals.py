@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -5,17 +7,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weierfm import (
+    Conclusion,
+    ConclusionKind,
     DestabilizerCandidate,
+    EnumerationBounds,
+    Forbidden,
+    ForcedZero,
+    Identification,
     InfeasibleScenarioError,
     LineBundleX,
     Polarization,
     SheafScenario,
+    ShortExact,
+    Side,
     SurfaceModel,
     WitType,
+    certify,
     enumerate_candidates,
     get_preset,
+    solve_scenario,
     target_slope,
+    transform_stability,
 )
+from weierfm.duality import TermRef, build_pages, left_label, right_label
 from weierfm.rationals import (
     RATIONAL_CACHE_SIZE,
     _parse_rational,
@@ -25,6 +39,7 @@ from weierfm.rationals import (
     format_rational_vector,
     parse_rational,
     parse_rational_vector,
+    trusted,
 )
 from weierfm.stability import EffectivityProxy, TraceStep
 
@@ -153,6 +168,13 @@ def _k3_pol():
         pytest.param(lambda v: target_slope(v, _k3_pol()), ValueError, id="target-slope-n"),
         pytest.param(lambda v: enumerate_candidates(v, _k3_pol()), ValueError,
                      id="scan-n"),
+        pytest.param(lambda v: ForcedZero(v, _ref(Side.RIGHT, 1, 0)), ValueError,
+                     id="forced-zero-degree"),
+        pytest.param(lambda v: Identification(v, _ref(Side.LEFT, 0, 1), _ref(Side.RIGHT, 1, 0)),
+                     ValueError, id="identification-degree"),
+        pytest.param(lambda v: Forbidden(v, "k"), ValueError, id="forbidden-degree"),
+        pytest.param(lambda v: TermRef(Side.LEFT, (v, 0), left_label(1, 0)), ValueError,
+                     id="term-ref-pos"),
     ],
 )
 def test_int_fields_refuse_bools_and_floats(build, error, value):
@@ -169,6 +191,8 @@ def test_int_fields_refuse_bools_and_floats(build, error, value):
         pytest.param(lambda v: SurfaceModel(1, ((4,),), (0,), v, (0,)), id="model-k-trivial"),
         pytest.param(lambda v: EffectivityProxy(v, Fraction(0)), id="proxy-a-nonneg"),
         pytest.param(lambda v: TraceStep("step", Fraction(0), "<= 0", v), id="trace-satisfied"),
+        pytest.param(lambda v: Conclusion(ConclusionKind.FORBIDDEN, "x", v),
+                     id="conclusion-via-dimension-only"),
     ],
 )
 def test_bool_fields_refuse_non_bools(build, value):
@@ -176,3 +200,125 @@ def test_bool_fields_refuse_non_bools(build, value):
     the strict decoders refuse what a non-bool would encode to."""
     with pytest.raises(ValueError):
         build(value)
+
+
+def _ref(side, p, q):
+    return TermRef(side, (p, q), left_label(p, q) if side is Side.LEFT else right_label(p, q))
+
+
+def _report():
+    return certify(2, _k3_pol(), DestabilizerCandidate(1, 0, (0,), 0))
+
+
+@pytest.mark.parametrize(
+    "build,error",
+    [
+        pytest.param(lambda: TraceStep("x", 0.5, "<= 0", True), TypeError, id="trace-value"),
+        pytest.param(lambda: TraceStep(5, 0, "<= 0", True), ValueError, id="trace-name"),
+        pytest.param(lambda: TraceStep("x", 0, None, True), ValueError, id="trace-requirement"),
+        pytest.param(lambda: EffectivityProxy(True, 0.5), TypeError, id="proxy-pairing"),
+        pytest.param(lambda: dataclasses.replace(_report(), verdict="Certified"), ValueError,
+                     id="report-verdict"),
+        pytest.param(lambda: dataclasses.replace(_report(), target_slope=0.5), TypeError,
+                     id="report-target-slope"),
+        pytest.param(lambda: dataclasses.replace(_report(), candidate=(1, 0, (0,), 0)),
+                     ValueError, id="report-candidate"),
+        pytest.param(lambda: dataclasses.replace(_report(), proxy=None), ValueError,
+                     id="report-proxy"),
+        pytest.param(lambda: dataclasses.replace(_report(), trace=list(_report().trace)),
+                     ValueError, id="report-trace-list"),
+        pytest.param(lambda: dataclasses.replace(_report(), inadmissible_reasons=("x", 1)),
+                     ValueError, id="report-reasons"),
+        pytest.param(lambda: ForcedZero(1, "Ext^0"), ValueError, id="forced-zero-term"),
+        pytest.param(lambda: Forbidden("k", 5), ValueError, id="forbidden-reason"),
+        pytest.param(lambda: Conclusion("DualIsWIT1", 3), ValueError, id="conclusion-kind"),
+        pytest.param(lambda: Conclusion(ConclusionKind.FORBIDDEN, 3), ValueError,
+                     id="conclusion-statement"),
+        pytest.param(lambda: TermRef("left", (0, 1), left_label(0, 1)), ValueError,
+                     id="term-ref-side"),
+    ],
+)
+def test_value_fields_refuse_other_types(build, error):
+    """Each field takes its own type: a float where a rational goes (as
+    DestabilizerCandidate's a), a string where an enum member goes, or an
+    int where a string goes would encode to JSON that the strict decoders
+    refuse, or fail to encode at all."""
+    with pytest.raises(error):
+        build()
+
+
+# -- trusted constructors --------------------------------------------------------------
+
+
+def _samples():
+    """One publicly built instance of every weierfm dataclass, by class."""
+    preset = get_preset("general_demo")
+    model = preset.model
+    pol = _k3_pol()
+    lb = LineBundleX(model, -2, (Fraction(1, 2), 0))
+    report = _report()
+    pipeline = transform_stability(LineBundleX(pol.model, 2), pol, EnumerationBounds(1, 1))
+    solution = solve_scenario(SheafScenario(3, 1, WitType.WIT0, 1))
+    values = [
+        preset, model, model.surface(1, (Fraction(1, 3), 2), 2), model.theta() + model.fiber(),
+        model.divisor_x(Fraction(-1, 2), (3, 0)), lb, pol, pipeline, pipeline.transform,
+        pipeline.transform.char, pipeline.scan, solution, solution.scenario,
+        solution.conclusion, *build_pages(solution.scenario), solution.relations[0].left,
+        Identification(1, _ref(Side.LEFT, 0, 1), _ref(Side.RIGHT, 1, 0)),
+        ForcedZero(1, _ref(Side.RIGHT, 1, 0)),
+        ShortExact(1, _ref(Side.RIGHT, 1, 0), _ref(Side.LEFT, 0, 1), _ref(Side.RIGHT, 2, -1)),
+        Forbidden(2, "x"), report, report.candidate, report.proxy, report.trace[0],
+        EnumerationBounds(),
+    ]
+    return {type(value): value for value in values}
+
+
+def _weierfm_dataclasses():
+    classes = set()
+    for name in ("ring", "fm", "duality", "stability", "presets"):
+        module = importlib.import_module(f"weierfm.{name}")
+        classes |= {value for value in vars(module).values() if isinstance(value, type)
+                    and dataclasses.is_dataclass(value) and value.__module__ == module.__name__}
+    return classes
+
+
+_SAMPLES = _samples()
+
+
+def test_every_dataclass_has_a_sample():
+    from weierfm.duality import Term
+
+    assert set(_SAMPLES) == _weierfm_dataclasses() - {Term}
+
+
+def _hash(value):
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cls", sorted(_SAMPLES, key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_trusted_builds_what_the_constructor_builds(cls):
+    """Given the checked field values of an instance, the trusted constructor
+    builds a value equal to the public constructor's, with the same hash
+    (the field-hash classes included) and repr, and as frozen."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = [getattr(_SAMPLES[cls], name) for name in names]
+    built, public = trusted(cls)(*values), cls(*values)
+    assert type(built) is cls and built == public and repr(built) == repr(public)
+    assert vars(built) == {name: getattr(public, name) for name in names}
+    if cls.__hash__ is not None:  # a frozen class holding a PageGrid hashes neither
+        assert _hash(built) == _hash(public)
+    if cls.__dataclass_params__.frozen:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, names[0], values[0])
+    assert trusted(cls) is trusted(cls)
+
+
+def test_trusted_refuses_a_slotted_class():
+    from weierfm.duality import Term
+
+    with pytest.raises(TypeError):
+        trusted(Term)

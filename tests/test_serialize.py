@@ -1,5 +1,9 @@
+import dataclasses
+import itertools
 import json
+import typing
 from dataclasses import make_dataclass
+from enum import Enum
 from fractions import Fraction
 
 import pytest
@@ -10,15 +14,22 @@ from weierfm import (
     Conclusion,
     ConclusionKind,
     DestabilizerCandidate,
+    DivisorClassX,
     EnumerationBounds,
     Forbidden,
     ForcedZero,
     Identification,
     LineBundleX,
     Polarization,
+    ScanResult,
     SheafScenario,
     ShortExact,
     Side,
+    StabilityReport,
+    SurfaceClass,
+    SurfaceModel,
+    ThreefoldClass,
+    TransformResult,
     TruncatedChar,
     Verdict,
     WeierfmError,
@@ -32,6 +43,7 @@ from weierfm import (
     transform_char,
 )
 from weierfm.duality import TermRef, left_label, right_label
+from weierfm.rationals import parse_rational
 from weierfm.stability import EffectivityProxy, TraceStep
 from weierfm import serialize
 
@@ -441,3 +453,173 @@ def test_shared_value_cache_stays_bounded():
         serialize.trace_step_from_json({**_SHARED["trace_step"], "value": str(i)})
     info = serialize._decoder_of(TraceStep).shared.cache_info()
     assert info.currsize == info.maxsize == size
+
+
+# -- every class with a JSON form: public constructor, decoder, round trip ------------
+
+_MODELS = [get_preset(name).model for name in ("k3_quartic", "enriques", "general_demo")]
+
+
+def _ref(side, p, q):
+    return TermRef(side, (p, q), left_label(p, q) if side is Side.LEFT else right_label(p, q))
+
+
+def _short_exact(degree, side, q_quot, q_gap, p_mid):
+    """A ShortExact of the shape the solver emits, on antidiagonal ``degree``:
+    sub and quot on ``side``, the sub with the larger q, the mid opposite."""
+    q_sub = q_quot + q_gap
+    other = Side.RIGHT if side is Side.LEFT else Side.LEFT
+    return ShortExact(degree, _ref(side, degree - q_sub, q_sub), _ref(other, p_mid, degree - p_mid),
+                      _ref(side, degree - q_quot, q_quot))
+
+
+def _strategies(model):
+    """A strategy of publicly built values over ``model`` per class with a
+    JSON decoder."""
+    q = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    positive = st.fractions(min_value=Fraction(1, 6), max_value=5, max_denominator=6)
+    vec = st.tuples(*[q] * model.picard_rank)
+    small = st.integers(-4, 4)
+    text = st.text(max_size=6)
+    surface = st.builds(SurfaceClass, st.just(model), q, vec, q)
+    divisor = st.builds(DivisorClassX, st.just(model), q, vec)
+    char = st.builds(TruncatedChar, q, divisor)
+    ref = st.builds(_ref, st.sampled_from(Side), small, small)
+    candidate = st.builds(DestabilizerCandidate, st.integers(1, 5), q, vec, st.sampled_from((0, 1)))
+    proxy = st.builds(EffectivityProxy, st.booleans(), q)
+    step = st.builds(TraceStep, text, q, text, st.booleans())
+    report = st.builds(StabilityReport, candidate, st.sampled_from(Verdict), q, q, proxy, q,
+                       st.lists(step, max_size=3).map(tuple), st.lists(text, max_size=2).map(tuple))
+    scenarios = []
+    for n, c, wit, shift in itertools.product(range(1, 5), range(5), WitType, (-1, 0, 1)):
+        if c <= n and 0 <= c - shift <= n:
+            scenarios.append(SheafScenario(n, c, wit, shift))
+    rank_one = st.builds(lambda g, k: SurfaceModel(1, ((g,),), (k,), False, (k,)),
+                         st.integers(-4, 4), q)
+    return {
+        "SurfaceModel": st.just(model) | rank_one,
+        "SurfaceClass": surface,
+        "ThreefoldClass": st.builds(ThreefoldClass, surface, surface),
+        "DivisorClassX": divisor,
+        "Polarization": st.builds(Polarization, st.just(model), positive, positive,
+                                  vec.filter(lambda h: model.pair(h, h) > 0)),
+        "LineBundleX": st.builds(LineBundleX, st.just(model), small, vec),
+        "TruncatedChar": char,
+        "TransformResult": st.builds(TransformResult, char, st.sampled_from(WitType),
+                                     st.booleans()),
+        "SheafScenario": st.sampled_from(scenarios),
+        "Conclusion": st.builds(Conclusion, st.sampled_from(ConclusionKind), text, st.booleans()),
+        "TermRef": ref,
+        "Identification": st.builds(
+            lambda k, p, p2: Identification(k, _ref(Side.LEFT, p, k - p),
+                                            _ref(Side.RIGHT, p2, k - p2)),
+            small, small, small),
+        "ForcedZero": ref.map(lambda r: ForcedZero(sum(r.pos), r)),
+        "ShortExact": st.builds(_short_exact, small, st.sampled_from(Side), small,
+                                st.integers(1, 3), small),
+        "Forbidden": st.builds(Forbidden, small, text),
+        "DestabilizerCandidate": candidate,
+        "EffectivityProxy": proxy,
+        "TraceStep": step,
+        "StabilityReport": report,
+        "ScanResult": st.lists(report, max_size=3).map(lambda reports: ScanResult(
+            tuple(reports), any(r.verdict is Verdict.VIOLATION for r in reports))),
+    }
+
+
+_DECODED = {name: form.decoder for name, form in serialize._FORMS.items() if form.decoder}
+
+
+def test_every_decoded_class_has_a_strategy():
+    assert set(_strategies(_MODELS[0])) == set(_DECODED)
+
+
+@pytest.mark.parametrize("name", sorted(_DECODED))
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_public_values_round_trip(name, data):
+    model = data.draw(st.sampled_from(_MODELS))
+    value = data.draw(_strategies(model)[name])
+    rt(value, getattr(serialize, _DECODED[name]), model)
+
+
+def _field(hint, value, model):
+    """The value of a field of type ``hint`` that the JSON ``value`` gives,
+    decoded on its own: int, bool and str values as they are."""
+    hint = serialize._field_type(hint)
+    if hint is Fraction:
+        return parse_rational(value)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return hint(value)
+    if dataclasses.is_dataclass(hint):
+        return getattr(serialize, _DECODED[hint.__name__])(value, model)
+    if typing.get_origin(hint) is tuple:
+        if type(value) is not list:
+            raise ValueError("not a list")
+        return tuple(_field(typing.get_args(hint)[0], x, model) for x in value)
+    return value
+
+
+def _public(cls, doc, model):
+    """``cls`` built by its public constructor from the fields ``doc`` gives,
+    or None when a field does not decode or the constructor refuses."""
+    hints = typing.get_type_hints(cls)
+    try:
+        values = [model if hints[f.name] is SurfaceModel else
+                  _field(hints[f.name], doc[serialize._RENAMES.get(f.name, f.name)], model)
+                  for f in dataclasses.fields(cls)]
+        return cls(*values)
+    except (KeyError, TypeError, ValueError, WeierfmError):
+        return None
+
+
+_EDIT_LEAVES = [0, 1, 2, -1, True, False, None, 1.0, "0", "1", "-1", "1/2", "x", "",
+                *(member.value for kind in (Side, WitType, ConclusionKind, Verdict)
+                  for member in kind)]
+_EDIT_REFS = [_ref_json(side, p, q) for side in ("left", "right")
+              for p in range(-1, 3) for q in range(-1, 3)]
+
+
+def _edit(doc, data):
+    """``doc`` with one subtree (never a relation's kind tag) replaced: a
+    leaf by a nearby or mistyped value, a list entry dropped or repeated, or
+    a term ref by another valid one."""
+    if isinstance(doc, dict) and "label" in doc and data.draw(st.integers(0, 3)) == 0:
+        return data.draw(st.sampled_from(_EDIT_REFS))
+    keys = [key for key in doc if key != "kind"] if isinstance(doc, dict) else None
+    if keys or (isinstance(doc, list) and doc):
+        key = data.draw(st.sampled_from(keys or range(len(doc))))
+        out = doc.copy()
+        if isinstance(doc, list) and data.draw(st.integers(0, 3)) == 0:
+            out[key:key + 1] = [] if data.draw(st.booleans()) else [doc[key]] * 2
+        else:
+            out[key] = _edit(doc[key], data)
+        return out
+    if type(doc) is int:
+        return data.draw(st.sampled_from([doc - 1, doc + 1, *_EDIT_LEAVES]))
+    if type(doc) is str:
+        return data.draw(st.sampled_from([*_EDIT_LEAVES, *(ref["label"] for ref in _EDIT_REFS)]))
+    return data.draw(st.sampled_from(_EDIT_LEAVES))
+
+
+@pytest.mark.parametrize("name", sorted(_DECODED))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_decoders_accept_only_what_public_constructors_build(name, data):
+    """A document with a few edits: when its decoder accepts it, the public
+    constructor, given the fields the document gives, builds an equal value
+    of the same field types; so a document whose fields the constructor
+    refuses, its decoder refuses too."""
+    model = data.draw(st.sampled_from(_MODELS))
+    value = data.draw(_strategies(model)[name])
+    doc = serialize.to_jsonable(value)
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _edit(doc, data)
+    expected = _public(type(value), doc, model)
+    try:
+        decoded = getattr(serialize, _DECODED[name])(doc, model)
+    except (ValueError, WeierfmError):
+        return
+    assert expected is not None, doc
+    assert type(decoded) is type(expected) and decoded == expected
+    assert repr(decoded) == repr(expected)
