@@ -264,15 +264,11 @@ class TermRef:
                 f"not {self.label!r}"
             )
 
-    def __hash__(self) -> int:
-        # Equal refs have equal labels; the label's hash is cached by str,
-        # and hashing the Side member would run Enum.__hash__ in Python.
-        return hash(self.label)
-
 
 # TermRefs the solver keeps made.  The pages of dimension n have 4(n + 1)
 # terms, those of a smaller n among them, so this holds every ref of every
-# solve up to n = 1 023.
+# solve up to n = 1 023.  Knocking the cache out costs duality 36 % of
+# its throughput (BENCH_17.json).
 TERM_REF_CACHE_SIZE = 4096
 
 
@@ -282,8 +278,8 @@ def _term_ref(is_left: bool, pos: Pos) -> TermRef:
     a TermRef is immutable and its label a function of side and position.
     Keyed on a bool, since hashing a Side member runs Enum.__hash__ in Python."""
     if is_left:
-        return trusted(TermRef)(Side.LEFT, pos, left_label(*pos))
-    return trusted(TermRef)(Side.RIGHT, pos, right_label(*pos))
+        return TermRef(Side.LEFT, pos, left_label(*pos))
+    return TermRef(Side.RIGHT, pos, right_label(*pos))
 
 
 def _require_relation(degree: int, *refs: TermRef) -> None:
@@ -485,6 +481,10 @@ def degenerate(grid: PageGrid) -> tuple[PageGrid, int]:
 
 
 class _Solver:
+    """The fixpoint loop.  It builds the relations it derives through their
+    trusted constructors; the public ones would cost duality 11 % of its
+    throughput (BENCH_17.json)."""
+
     def __init__(self, left: PageGrid, right: PageGrid) -> None:
         self.left = left
         self.right = right

@@ -37,7 +37,7 @@ from .errors import (
     ModelMismatchError,
     UndefinedSlopeError,
 )
-from .rationals import RationalLike, as_rational, as_rational_vector, fields_hash, is_int
+from .rationals import RationalLike, as_rational, as_rational_vector, is_int, require
 from .ring import DivisorClassX, SurfaceModel, require_x_k_trivial, x_integrate, x_mul
 
 _HALF = Fraction(1, 2)
@@ -102,6 +102,7 @@ class TruncatedChar:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ch0", as_rational(self.ch0))
+        require(self.ch1, DivisorClassX, "ch1")
 
     @property
     def model(self) -> SurfaceModel:
@@ -127,6 +128,11 @@ class TransformResult:
     wit: WitType
     locally_free: bool
 
+    def __post_init__(self) -> None:
+        require(self.char, TruncatedChar, "char")
+        require(self.wit, WitType, "wit")
+        require(self.locally_free, bool, "locally_free")
+
 
 @dataclass(frozen=True)
 class Polarization:
@@ -151,9 +157,6 @@ class Polarization:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "h", h)
-
-    # The stability caches are keyed by polarization and hash it per call.
-    __hash__ = fields_hash
 
     def omega(self) -> DivisorClassX:
         return DivisorClassX(

@@ -18,10 +18,11 @@ that fails to parse is not cached and raises the same error every time.
 
 Value classes keep their checks in their public constructors: field
 types (``require``, ``is_int``), coercions (``as_rational``), then the
-checks between fields.  The ring, the duality solver and the stability
-scan build the values they compute, and the JSON decoders build what their
-own checks passed, through ``trusted(cls)``: one constructor per class,
-generated on first use, that only stores the fields.
+checks between fields.  The duality solver's relations and the stability
+scan's values, and what the JSON decoders' own checks passed, are built
+through ``trusted(cls)``: one constructor per class, generated on first
+use, that only stores the fields.  Everything else, the ring's classes
+included, goes through the public constructors.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ _RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 _ASCII_SPACE = " \t\n\r\f\v"
 
 # Distinct strings parse_rational keeps parsed; ~16x the most distinct
-# rationals measured in one decoded scan document.
+# rationals measured in one decoded scan document.  Knocking the cache out
+# costs codec 28 % of its throughput (BENCH_17.json).
 RATIONAL_CACHE_SIZE = 4096
 
 
@@ -82,8 +84,8 @@ def trusted(cls: type[T]) -> Callable[..., T]:
     _d['r'] = r; ...``), the way ``dataclasses`` writes an ``__init__``.  A
     frozen instance stays frozen: only its ``__dict__`` is written.  For
     callers whose values already passed the checks and coercions the
-    constructor would run: the ring, the duality solver and the scan on
-    values they computed, and the JSON decoders after their own checks.
+    constructor would run: the duality solver and the scan on values they
+    computed, and the JSON decoders after their own checks.
     The public constructors keep every check.
     """
     if "__slots__" in cls.__dict__:
@@ -97,24 +99,6 @@ def trusted(cls: type[T]) -> Callable[..., T]:
     build = namespace["build"]
     build.__qualname__ = f"trusted({cls.__qualname__})"
     return build
-
-
-def fields_hash(obj: Any) -> int:
-    """What a frozen dataclass's generated ``__hash__`` returns, the hash of
-    its field values, computed once per instance.
-
-    For classes used as cache keys whose fields hash slowly
-    (``Fraction.__hash__`` runs in Python): assign it as ``__hash__``.  The
-    value is kept in the instance's ``__dict__`` but is not a field, so
-    ``==``, ``repr``, ``fields()`` and the JSON do not see it.
-    """
-    try:
-        return obj.__dict__["_hash"]
-    except KeyError:
-        value = obj.__dict__["_hash"] = hash(
-            tuple(getattr(obj, name) for name in obj.__match_args__)
-        )
-        return value
 
 
 def parse_rational(text: str) -> Fraction:

@@ -34,9 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisViolationError, ModelMismatchError
-from .rationals import (
-    RationalLike, as_rational, as_rational_vector, fields_hash, is_int, trusted,
-)
+from .rationals import RationalLike, as_rational, as_rational_vector, is_int
 
 _HALF = Fraction(1, 2)
 _SIXTH = Fraction(1, 6)
@@ -86,10 +84,6 @@ class SurfaceModel:
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "canonical", canonical)
         object.__setattr__(self, "omega_class", omega)
-
-    # Polarization hashes its model, and caches keyed by a polarization
-    # hash it on every lookup.
-    __hash__ = fields_hash
 
     # -- derived facts ---------------------------------------------------
 
@@ -193,7 +187,7 @@ class SurfaceClass:
 
     def __add__(self, other: "SurfaceClass") -> "SurfaceClass":
         _check_same_model(self, other)
-        return trusted(SurfaceClass)(
+        return SurfaceClass(
             self.model,
             self.r + other.r,
             tuple(a + b for a, b in zip(self.d, other.d)),
@@ -208,7 +202,7 @@ class SurfaceClass:
 
     def scale(self, c: RationalLike) -> "SurfaceClass":
         c = as_rational(c)
-        return trusted(SurfaceClass)(
+        return SurfaceClass(
             self.model, c * self.r, tuple(c * x for x in self.d), c * self.s
         )
 
@@ -234,7 +228,7 @@ def surface_mul(u: SurfaceClass, v: SurfaceClass) -> SurfaceClass:
     model = u.model
     d = tuple(u.r * b + v.r * a for a, b in zip(u.d, v.d))
     s = u.r * v.s + v.r * u.s + model.pair(u.d, v.d)
-    return trusted(SurfaceClass)(model, u.r * v.r, d, s)
+    return SurfaceClass(model, u.r * v.r, d, s)
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,10 @@ slope and verdict per distinct numerator.  Every value a scan holds is
 built from these checked values through its class's trusted constructor
 (:func:`weierfm.rationals.trusted`), without re-running the public
 constructor's checks: each TraceStep once per distinct trace, each
-EffectivityProxy once per (δ, a >= 0), and a DestabilizerCandidate and a
-StabilityReport per report.  The public constructors check every field's
-type and refuse a float where a rational goes.
+EffectivityProxy once per (δ, a >= 0), a DestabilizerCandidate and a
+StabilityReport per report, and the ScanResult.  The public constructors
+check every field's type and refuse a float where a rational goes; the
+ring's classes are built through theirs.
 
 Positive m reduces to negative m through the dual line bundle: the
 duality bookkeeping of :mod:`weierfm.duality` identifies the dual of the
@@ -199,6 +200,12 @@ class ScanResult:
     reports: tuple[StabilityReport, ...]
     any_violation: bool
 
+    def __post_init__(self) -> None:
+        require(self.reports, tuple, "reports")
+        for report in self.reports:
+            require(report, StabilityReport, "an entry of reports")
+        require(self.any_violation, bool, "any_violation")
+
     @property
     def candidate_count(self) -> int:
         return len(self.reports)
@@ -212,8 +219,9 @@ class ScanResult:
 
 # -- cached polarization geometry ------------------------------------------
 
-# Entries kept per cache keyed by a polarization, so that a long-lived
-# process scanning many polarizations holds a bounded amount of geometry.
+# Entries kept by each of the two caches keyed by a polarization
+# (_functionals and target_slope), so that a long-lived process scanning
+# many polarizations holds a bounded amount of geometry.
 POLARIZATION_CACHE_SIZE = 128
 
 
@@ -224,9 +232,8 @@ class _Geometry(NamedTuple):
     hh: Fraction  # H_S² = h·h
 
 
-@lru_cache(maxsize=POLARIZATION_CACHE_SIZE)
 def _geometry(pol: Polarization) -> _Geometry:
-    """ω², its mixed and fiber parts, and H_S², once per polarization."""
+    """ω², its mixed and fiber parts, and H_S², for :func:`_functionals`."""
     model = pol.model
     w = pol.omega().as_threefold()
     theta = model.theta()
@@ -270,12 +277,13 @@ def _dot(u: tuple[Fraction, ...], v: tuple[Fraction, ...]) -> Fraction:
     return sum(map(operator.mul, u[1:], v[1:]), u[0] * v[0])
 
 
+# Knocking the cache out costs sweep 15 % of its throughput (BENCH_17.json).
 @lru_cache(maxsize=POLARIZATION_CACHE_SIZE)
 def _functionals(pol: Polarization) -> _Functionals:
-    """Push the basis {Θ, p*e_i} through the ring against the cached ω² and
-    its two parts, once per polarization, and check the results: the ω²
-    functionals against their closed-form coefficients (s²H² on Θ,
-    2ts·(e_i·H) on p*e_i), and fiber + mixed against ω²."""
+    """Push the basis {Θ, p*e_i} through the ring against ω² and its two
+    parts, once per polarization, and check the results: the ω² functionals
+    against their closed-form coefficients (s²H² on Θ, 2ts·(e_i·H) on
+    p*e_i), and fiber + mixed against ω²."""
     model = pol.model
     geometry = _geometry(pol)
     units = [
@@ -311,6 +319,7 @@ def _functionals(pol: Polarization) -> _Functionals:
 # -- slopes -----------------------------------------------------------------
 
 
+# Knocking the cache out costs sweep 12 % of its throughput (BENCH_17.json).
 @lru_cache(maxsize=POLARIZATION_CACHE_SIZE)
 def target_slope(n: int, pol: Polarization) -> Fraction:
     """Slope of the rank-n transform of O_X(-nΘ), computed via the ring."""
@@ -349,6 +358,7 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[_Cell]:
     closed form and the trace sum against it; each distinct integer becomes
     a Fraction, and each distinct trace a tuple of TraceSteps, once."""
     w, fiber, mixed = fns.omega_squared, fns.fiber, fns.mixed
+    # The public constructors would cost sweep 14 % of its throughput (BENCH_17.json).
     proxy, step = trusted(EffectivityProxy), trusted(TraceStep)
     fraction_terms: list[Fraction] = []
     by_delta = []
@@ -460,6 +470,7 @@ def _reports(
     judged against the rank-n target.  Every field was checked when its cell
     was built, so candidates and reports are built through their trusted
     constructors."""
+    # The public constructors would cost sweep 51 % of its throughput (BENCH_17.json).
     report, candidate = trusted(StabilityReport), trusted(DestabilizerCandidate)
     inadmissible = Verdict.INADMISSIBLE
     reports = []
@@ -551,9 +562,9 @@ def enumerate_candidates(
     target = target_slope(n, pol)
     cells = _cells(fns, *_axes(pol.model.picard_rank, bounds)) if n > 1 else []
     reports = tuple(_reports(n, range(1, n), cells, target))
-    return ScanResult(
-        reports=reports,
-        any_violation=any(r.verdict is Verdict.VIOLATION for r in reports),
+    # The public constructor would cost sweep 6 % of its throughput (BENCH_17.json).
+    return trusted(ScanResult)(
+        reports, any(r.verdict is Verdict.VIOLATION for r in reports)
     )
 
 

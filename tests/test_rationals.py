@@ -1,11 +1,13 @@
 import dataclasses
 import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import weierfm
 from weierfm import (
     Conclusion,
     ConclusionKind,
@@ -17,10 +19,13 @@ from weierfm import (
     InfeasibleScenarioError,
     LineBundleX,
     Polarization,
+    ScanResult,
     SheafScenario,
     ShortExact,
     Side,
     SurfaceModel,
+    TransformResult,
+    TruncatedChar,
     WitType,
     certify,
     enumerate_candidates,
@@ -130,6 +135,31 @@ def test_parse_cache_is_bounded():
     assert info.currsize <= RATIONAL_CACHE_SIZE
 
 
+def test_module_caches_are_the_audited_ones():
+    """Every module-level functools cache in weierfm, with its maxsize: each
+    bounded one was measured to pay for itself, and the unbounded ones are
+    keyed by a class.  A new cache is added here with its measured share."""
+    from weierfm.duality import TERM_REF_CACHE_SIZE
+    from weierfm.stability import POLARIZATION_CACHE_SIZE
+
+    caches = {}
+    for info in pkgutil.iter_modules(weierfm.__path__):
+        module = importlib.import_module(f"weierfm.{info.name}")
+        caches |= {(info.name, name): value.cache_info().maxsize
+                   for name, value in vars(module).items()
+                   if hasattr(value, "cache_info") and value.__module__ == module.__name__}
+    assert caches == {
+        ("duality", "_term_ref"): TERM_REF_CACHE_SIZE,
+        ("rationals", "_parse_rational"): RATIONAL_CACHE_SIZE,
+        ("rationals", "trusted"): None,
+        ("serialize", "_columns"): None,
+        ("serialize", "_decoder_of"): None,
+        ("serialize", "_encoder_of"): None,
+        ("stability", "_functionals"): POLARIZATION_CACHE_SIZE,
+        ("stability", "target_slope"): POLARIZATION_CACHE_SIZE,
+    }
+
+
 def test_vector_round_trip():
     vec = (Fraction(1, 2), Fraction(-3), Fraction(0))
     assert parse_rational_vector(format_rational_vector(vec)) == vec
@@ -193,6 +223,9 @@ def test_int_fields_refuse_bools_and_floats(build, error, value):
         pytest.param(lambda v: TraceStep("step", Fraction(0), "<= 0", v), id="trace-satisfied"),
         pytest.param(lambda v: Conclusion(ConclusionKind.FORBIDDEN, "x", v),
                      id="conclusion-via-dimension-only"),
+        pytest.param(lambda v: TransformResult(_char(), WitType.WIT1, v),
+                     id="transform-locally-free"),
+        pytest.param(lambda v: ScanResult((), v), id="scan-any-violation"),
     ],
 )
 def test_bool_fields_refuse_non_bools(build, value):
@@ -208,6 +241,10 @@ def _ref(side, p, q):
 
 def _report():
     return certify(2, _k3_pol(), DestabilizerCandidate(1, 0, (0,), 0))
+
+
+def _char():
+    return TruncatedChar(-2, get_preset("k3_quartic").model.divisor_x(-1))
 
 
 @pytest.mark.parametrize(
@@ -236,6 +273,14 @@ def _report():
                      id="conclusion-statement"),
         pytest.param(lambda: TermRef("left", (0, 1), left_label(0, 1)), ValueError,
                      id="term-ref-side"),
+        pytest.param(lambda: TransformResult(_char(), "WIT1", True), ValueError,
+                     id="transform-wit"),
+        pytest.param(lambda: TransformResult((-2, None), WitType.WIT1, True), ValueError,
+                     id="transform-char"),
+        pytest.param(lambda: ScanResult([], 0), ValueError, id="scan-reports-list"),
+        pytest.param(lambda: ScanResult((_report(), None), False), ValueError,
+                     id="scan-report-entry"),
+        pytest.param(lambda: TruncatedChar(1, 5), ValueError, id="char-ch1"),
     ],
 )
 def test_value_fields_refuse_other_types(build, error):
@@ -303,7 +348,7 @@ def _hash(value):
 def test_trusted_builds_what_the_constructor_builds(cls):
     """Given the checked field values of an instance, the trusted constructor
     builds a value equal to the public constructor's, with the same hash
-    (the field-hash classes included) and repr, and as frozen."""
+    and repr, and as frozen."""
     names = [f.name for f in dataclasses.fields(cls)]
     values = [getattr(_SAMPLES[cls], name) for name in names]
     built, public = trusted(cls)(*values), cls(*values)

@@ -323,12 +323,12 @@ def test_pipeline_refuses_nontrivial_canonical(demo):
 
 
 def test_polarization_caches_stay_bounded(k3):
-    from weierfm.stability import POLARIZATION_CACHE_SIZE, _geometry
+    from weierfm.stability import POLARIZATION_CACHE_SIZE, _functionals
 
     for i in range(POLARIZATION_CACHE_SIZE + 8):
         pol = Polarization(k3.model, Fraction(1), Fraction(i + 1, 7), k3.ample)
         certify(2, pol, cand())
-    for cached in (_geometry, target_slope):
+    for cached in (_functionals, target_slope):
         assert cached.cache_info().currsize <= POLARIZATION_CACHE_SIZE
 
 
@@ -351,11 +351,13 @@ def test_internal_checks_catch_a_perturbed_ring(monkeypatch, capsys, k3, spoil, 
     from weierfm.stability import _functionals, _geometry
 
     pol = Polarization(k3.model, Fraction(1), Fraction(1), k3.ample)
-    _geometry.cache_clear()
     _functionals.cache_clear()
     target_slope.cache_clear()
-    # Except in the "geometry" case, the geometry is cached from the true ring.
+    # Except in the "geometry" case, the geometry of pol (the CLI's too) is
+    # pinned to the true ring's: a spoiled ω² would fail its split check first.
     true = None if spoil == "geometry" else _geometry(pol)
+    if true is not None:
+        monkeypatch.setattr(stability, "_geometry", {pol: true}.__getitem__)
     point = ThreefoldClass(k3.model.point_surface(), k3.model.surface())
     real_mul, real_slope = stability.x_mul, stability.slope
 
@@ -396,10 +398,11 @@ def test_internal_checks_catch_a_linearly_perturbed_ring(monkeypatch, capsys, k3
     from weierfm.stability import _functionals, _geometry
 
     pol = Polarization(k3.model, Fraction(1), Fraction(1), k3.ample)
-    _geometry.cache_clear()
     _functionals.cache_clear()
     target_slope.cache_clear()
+    # The geometry of pol (the CLI's too) is pinned to the true ring's.
     true = _geometry(pol)
+    monkeypatch.setattr(stability, "_geometry", {pol: true}.__getitem__)
     point = ThreefoldClass(k3.model.point_surface(), k3.model.surface())
     real_mul = stability.x_mul
 
@@ -422,7 +425,7 @@ def test_internal_checks_catch_a_linearly_perturbed_ring(monkeypatch, capsys, k3
 def test_scan_ring_products_do_not_depend_on_the_grid(monkeypatch, k3):
     """The ring runs once per polarization; each candidate is a dot product."""
     from weierfm import stability
-    from weierfm.stability import POLARIZATION_CACHE_SIZE, _functionals, _geometry
+    from weierfm.stability import POLARIZATION_CACHE_SIZE, _functionals
 
     assert _functionals.cache_info().maxsize == POLARIZATION_CACHE_SIZE
     pol = Polarization(k3.model, Fraction(1), Fraction(1), k3.ample)
@@ -431,7 +434,6 @@ def test_scan_ring_products_do_not_depend_on_the_grid(monkeypatch, k3):
     monkeypatch.setattr(stability, "x_mul", lambda x, y: calls.append(1) or real_mul(x, y))
     seen = []
     for delta_max in (1, 3):
-        _geometry.cache_clear()
         _functionals.cache_clear()
         target_slope.cache_clear()
         calls.clear()
