@@ -136,9 +136,12 @@ def test_parse_cache_is_bounded():
 
 
 def test_module_caches_are_the_audited_ones():
-    """Every module-level functools cache in weierfm, with its maxsize: each
-    bounded one was measured to pay for itself, and the unbounded ones are
-    keyed by a class.  A new cache is added here with its measured share."""
+    """Every module-level functools cache in weierfm, with its maxsize, and
+    the per-class shared-value caches that serialize makes inside its
+    decoders: each bounded one was measured to pay for itself, and the
+    unbounded ones are keyed by a class.  A new cache is added here with
+    its measured share."""
+    from weierfm import serialize
     from weierfm.duality import TERM_REF_CACHE_SIZE
     from weierfm.stability import POLARIZATION_CACHE_SIZE
 
@@ -158,6 +161,12 @@ def test_module_caches_are_the_audited_ones():
         ("stability", "_functionals"): POLARIZATION_CACHE_SIZE,
         ("stability", "target_slope"): POLARIZATION_CACHE_SIZE,
     }
+    shared = {name: serialize._decoder_of(
+                  getattr(importlib.import_module(f"weierfm.{form.layer}"), name)
+              ).shared.cache_info().maxsize
+              for name, form in serialize._FORMS.items() if form.shared}
+    assert shared == dict.fromkeys(("TermRef", "EffectivityProxy", "TraceStep"),
+                                   serialize._SHARED_CACHE_SIZE)
 
 
 def test_vector_round_trip():
