@@ -37,7 +37,7 @@ from .errors import (
     ModelMismatchError,
     UndefinedSlopeError,
 )
-from .rationals import RationalLike, as_rational, as_rational_vector, is_int, require
+from .rationals import RationalLike, as_rational, as_rational_vector, is_int, value_class
 from .ring import DivisorClassX, SurfaceModel, require_x_k_trivial, x_integrate, x_mul
 
 _HALF = Fraction(1, 2)
@@ -93,16 +93,12 @@ class LineBundleX:
         )
 
 
-@dataclass(frozen=True)
+@value_class
 class TruncatedChar:
     """Character truncated after ch1; all the slope theory ever reads."""
 
     ch0: Fraction
     ch1: DivisorClassX
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ch0", as_rational(self.ch0))
-        require(self.ch1, DivisorClassX, "ch1")
 
     @property
     def model(self) -> SurfaceModel:
@@ -113,8 +109,7 @@ class TruncatedChar:
 
         Only ch1 moves at this truncation: ch1 += ch0 · p*c1.
         """
-        vec = as_rational_vector(c1_vector)
-        bump = DivisorClassX(self.model, Fraction(0), vec).scale(self.ch0)
+        bump = DivisorClassX(self.model, Fraction(0), c1_vector).scale(self.ch0)
         return TruncatedChar(self.ch0, self.ch1 + bump)
 
     def negate(self) -> "TruncatedChar":
@@ -122,19 +117,14 @@ class TruncatedChar:
         return TruncatedChar(-self.ch0, -self.ch1)
 
 
-@dataclass(frozen=True)
+@value_class
 class TransformResult:
     char: TruncatedChar
     wit: WitType
     locally_free: bool
 
-    def __post_init__(self) -> None:
-        require(self.char, TruncatedChar, "char")
-        require(self.wit, WitType, "wit")
-        require(self.locally_free, bool, "locally_free")
 
-
-@dataclass(frozen=True)
+@value_class
 class Polarization:
     """ω = tΘ + s·p*h with t, s > 0 and h² > 0 (ampleness is asserted
     by the caller; the quadratic check is the cheap necessary part)."""
@@ -144,19 +134,13 @@ class Polarization:
     s: Fraction
     h: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        t = as_rational(self.t)
-        s = as_rational(self.s)
-        if t <= 0 or s <= 0:
+    def _check(self) -> None:
+        if self.t <= 0 or self.s <= 0:
             raise ValueError("polarization parameters t, s must be positive")
-        h = as_rational_vector(self.h)
-        if len(h) != self.model.picard_rank:
+        if len(self.h) != self.model.picard_rank:
             raise ValueError(f"h must have length {self.model.picard_rank}")
-        if self.model.pair(h, h) <= 0:
+        if self.model.pair(self.h, self.h) <= 0:
             raise ValueError("h·h must be positive for an ample class")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "h", h)
 
     def omega(self) -> DivisorClassX:
         return DivisorClassX(

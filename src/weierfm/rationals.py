@@ -16,22 +16,29 @@ looks the text up in an LRU cache of ``RATIONAL_CACHE_SIZE`` entries.  The
 cached ``Fraction`` is immutable, so decoded objects can share it; a string
 that fails to parse is not cached and raises the same error every time.
 
-Value classes keep their checks in their public constructors: field
-types (``require``, ``is_int``), coercions (``as_rational``), then the
-checks between fields.  The duality solver's relations and the stability
-scan's values, and what the JSON decoders' own checks passed, are built
-through ``trusted(cls)``: one constructor per class, generated on first
-use, that only stores the fields.  Everything else, the ring's classes
-included, goes through the public constructors.
+A value class is declared with ``@value_class`` instead of
+``@dataclass(frozen=True)``.  Its public constructor checks each field
+against the field's annotation (a ``Fraction`` through ``as_rational``, any
+other class through ``require``, tuples entry by entry), then runs the
+class's ``_check`` hook, which holds the checks between fields.  The check
+table is built from the annotations on a class's first construction, never
+at import, and kept per class.  The duality solver's relations and the
+stability scan's values, and what the JSON decoders' own checks passed,
+are built through ``trusted(cls)``: one constructor per class, generated
+on first use, that only stores the fields.  So a value class decodes
+trusted: its decoder's checks and its ``_check`` hook are what its
+constructor would run.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import fields
+import reprlib
+import sys
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import Any, Callable, Iterable, Sequence, TypeVar, Union
+from typing import Any, Callable, Iterable, Sequence, TypeVar, Union, get_args, get_origin
 
 RationalLike = Union[int, Fraction]
 T = TypeVar("T")
@@ -61,16 +68,89 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def require(value: Any, kind: type, what: str) -> None:
-    """Refuse with ValueError a ``value`` that is not a ``kind``; an int
-    must not be a bool (see :func:`is_int`)."""
+def require(value: Any, kind: Any, what: str) -> None:
+    """Refuse with ValueError a ``value`` that is not a ``kind``, a class or
+    a union of classes; an int must not be a bool (see :func:`is_int`).  The
+    message names the value's type and quotes at most a ``reprlib.repr``."""
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
-        raise ValueError(f"{what} must be {article} {kind.__name__}, got {value!r}")
+        names = " or ".join(k.__name__ for k in get_args(kind) or (kind,))
+        article = "an" if names[0] in "AEIOUaeiou" else "a"
+        raise ValueError(
+            f"{what} must be {article} {names}, got {type(value).__name__} {reprlib.repr(value)}"
+        )
 
 
 def as_rational_vector(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(map(as_rational, values))
+
+
+def value_class(cls: type[T]) -> type[T]:
+    """Make ``cls`` a frozen dataclass whose constructor checks each field
+    against its annotation (see :func:`_checker`), then runs the class's
+    ``_check`` hook, if it has one.  An annotation naming a class that the
+    module does not load is left to that hook, which the class must have."""
+    cls.__post_init__ = _check_fields
+    return dataclass(frozen=True)(cls)
+
+
+def is_value_class(cls: type) -> bool:
+    """Whether ``cls`` was made by :func:`value_class`."""
+    return getattr(cls, "__post_init__", None) is _check_fields
+
+
+def _check_fields(self: Any) -> None:
+    checks, hook = _field_checks(type(self))
+    values = self.__dict__
+    for name, check in checks:
+        values[name] = check(values[name])
+    if hook is not None:
+        hook(self)
+
+
+@cache
+def _field_checks(cls: type) -> tuple[tuple[tuple[str, Callable[[Any], Any]], ...], Any]:
+    """The (field name, check) pairs of the value class ``cls``, read from
+    its annotations, and its ``_check`` hook (None if it has none)."""
+    namespace = vars(sys.modules[cls.__module__])
+    hook = getattr(cls, "_check", None)
+    checks = []
+    for f in fields(cls):
+        try:  # annotations are postponed, so f.type is the annotation's text
+            checks.append((f.name, _checker(eval(f.type, namespace), f.name)))
+        except NameError:
+            if hook is None:
+                raise
+    return tuple(checks), hook
+
+
+def _checker(hint: Any, what: str) -> Callable[[Any], Any]:
+    """The check of the field ``what`` of type ``hint``, which returns the
+    value to store: a ``Fraction`` goes through :func:`as_rational` and a
+    ``tuple[Fraction, ...]`` through :func:`as_rational_vector` (TypeError
+    on a float); ``X | None`` takes None or an X; ``tuple[X, ...]`` takes a
+    tuple of X's, and ``tuple[X, X]`` one of that length; any other class
+    goes through :func:`require` (ValueError)."""
+    if hint is Fraction:
+        return as_rational
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if args == (Fraction, ...):
+            return as_rational_vector
+        if len(set(args) - {Ellipsis}) != 1:
+            raise TypeError(f"no check for a field of type {hint!r}")
+        item, size = _checker(args[0], f"an entry of {what}"), len(args)
+
+        def check(value: Any) -> Any:
+            require(value, tuple, what)
+            if args[-1] is not Ellipsis and len(value) != size:
+                raise ValueError(f"{what} must have {size} entries, got {len(value)}")
+            return tuple(map(item, value))
+        return check
+    if len(args) == 2 and type(None) in args:
+        inner = _checker(args[args[0] is type(None)], what)  # the arg that is not None
+        return lambda value: value if value is None else inner(value)
+    # The exact type passes at once; anything else gets require's rules.
+    return lambda value: value if type(value) is hint else require(value, hint, what) or value
 
 
 @cache

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisViolationError, ModelMismatchError
-from .rationals import RationalLike, as_rational, as_rational_vector, is_int
+from .rationals import RationalLike, as_rational, as_rational_vector, is_int, value_class
 
 _HALF = Fraction(1, 2)
 _SIXTH = Fraction(1, 6)
@@ -166,7 +166,7 @@ def _check_same_model(left, right) -> None:
         )
 
 
-@dataclass(frozen=True)
+@value_class
 class SurfaceClass:
     """Truncated numerical class r + d + s·[pt] on the base surface."""
 
@@ -175,15 +175,11 @@ class SurfaceClass:
     d: tuple[Fraction, ...]
     s: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r", as_rational(self.r))
-        object.__setattr__(self, "s", as_rational(self.s))
-        d = as_rational_vector(self.d)
-        if len(d) != self.model.picard_rank:
+    def _check(self) -> None:
+        if len(self.d) != self.model.picard_rank:
             raise ValueError(
                 f"degree-2 part must have length {self.model.picard_rank}"
             )
-        object.__setattr__(self, "d", d)
 
     def __add__(self, other: "SurfaceClass") -> "SurfaceClass":
         _check_same_model(self, other)
@@ -231,14 +227,14 @@ def surface_mul(u: SurfaceClass, v: SurfaceClass) -> SurfaceClass:
     return SurfaceClass(model, u.r * v.r, d, s)
 
 
-@dataclass(frozen=True)
+@value_class
 class ThreefoldClass:
     """Split class Θ·p*(alpha) + p*(beta) on the threefold X."""
 
     alpha: SurfaceClass
     beta: SurfaceClass
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _check_same_model(self.alpha, self.beta)
 
     @property
@@ -306,7 +302,7 @@ def pushforward(x: ThreefoldClass) -> SurfaceClass:
     return x.alpha
 
 
-@dataclass(frozen=True)
+@value_class
 class DivisorClassX:
     """Divisor a·Θ + p*delta on X, the shape every ch1 in this package has."""
 
@@ -314,14 +310,11 @@ class DivisorClassX:
     a: Fraction
     delta: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", as_rational(self.a))
-        delta = as_rational_vector(self.delta)
-        if len(delta) != self.model.picard_rank:
+    def _check(self) -> None:
+        if len(self.delta) != self.model.picard_rank:
             raise ValueError(
                 f"delta must have length {self.model.picard_rank}"
             )
-        object.__setattr__(self, "delta", delta)
 
     def __add__(self, other: "DivisorClassX") -> "DivisorClassX":
         _check_same_model(self, other)

@@ -52,20 +52,20 @@ renamed where ``_RENAMES`` says (``fiber_deg`` is written
 from the decoder's ``model`` argument.  Decoders take only the JSON types
 the encoders write and raise ``ValueError`` otherwise, naming any missing
 key; a document with several faults raises for the first one met in the
-fixed check order of ``_decoder_of``.  Once they pass, a class whose
-form is marked ``trusted`` is built through its trusted constructor
-(:func:`weierfm.rationals.trusted`), and then its ``_check`` hook, if it
-has one, runs the checks between fields that the decoder cannot express
-(a relation's antidiagonal and sides, a TermRef's label, a candidate's r
-and e ranges), which its ``__post_init__`` runs too; so each invariant is
-written once.  The other classes, whose constructors check or coerce
-more than the decoder does (the ring classes, ``Polarization``,
-``LineBundleX``, ``TruncatedChar``, ``SheafScenario``), are built through
-their constructors.  ``ScanResult``,
-``ScenarioSolution`` and ``TransformStabilityReport`` are views (derived counts, renamed fields, a
-flattened scan) with hand-written encoders.  ``ScanResult`` is read back
-through its generated decoder and a check that its three derived fields
-equal what the decoded reports give.
+fixed check order of ``_decoder_of``.  Once they pass, a value class
+(:func:`weierfm.rationals.value_class`) decodes trusted: it is built
+through its trusted constructor (:func:`weierfm.rationals.trusted`), and
+then its ``_check`` hook, if it has one, runs the checks between fields
+that the decoder cannot express (a relation's antidiagonal and sides, a
+TermRef's label, a candidate's r and e ranges, a vector's length against
+the model), which its constructor runs after the field types; so each
+invariant is written once.  The other classes, ``SurfaceModel``,
+``LineBundleX`` and ``SheafScenario``, whose constructors check or coerce
+more than the decoder does, are built through their constructors.
+``ScanResult``, ``ScenarioSolution`` and ``TransformStabilityReport`` are
+views (derived counts, renamed fields, a flattened scan) with hand-written
+encoders.  ``ScanResult`` is read back through its generated decoder and
+a check that its three derived fields equal what the decoded reports give.
 
 One table, ``_FORMS``, names each class with a JSON form: its layer
 module, its decoder (none for the enums and the views only written) and
@@ -112,7 +112,7 @@ from typing import (
     TYPE_CHECKING, Any, Callable, NamedTuple, Union, get_args, get_origin, get_type_hints,
 )
 
-from .rationals import format_rational, parse_rational, trusted
+from .rationals import format_rational, is_value_class, parse_rational, trusted
 from .ring import SurfaceModel
 
 if TYPE_CHECKING:
@@ -323,13 +323,14 @@ def _shared_builder(src: _Source, cls: type, columns: list[tuple[int, str, str |
 
 def _build_lines(src: _Source, cls: type, values: str) -> None:
     """Lines that return the instance of ``cls`` holding ``values``, once
-    the decoder's checks have passed.  A class its form marks trusted is
-    built through :func:`weierfm.rationals.trusted` and then checked by its
-    ``_check`` hook, if it has one; mark a class trusted only when its
-    constructor checks and coerces nothing beyond the decoder and that
-    hook.  Any other class is built through its constructor."""
+    the decoder's checks have passed.  A value class
+    (:func:`weierfm.rationals.value_class`) is built through
+    :func:`weierfm.rationals.trusted` and then checked by its ``_check``
+    hook, if it has one: its constructor checks each field's type, which
+    the decoder has just checked, and then runs that hook.  Any other class
+    is built through its constructor."""
     owner = cls.__name__
-    if not _FORMS[owner].trusted:
+    if not is_value_class(cls):
         src.lines.append(f"    return _{owner}({values})")
         return
     build = src.bind(f"_{owner}_trusted", trusted(cls))
@@ -466,7 +467,6 @@ class _Form(NamedTuple):
     decoder: str | None = None  # the *_from_json that reads it back
     view: Callable[[Any], Any] | None = None  # encoder of a view
     shared: bool = False  # decoded once per distinct document (see _decoder_of)
-    trusted: bool = False  # built through rationals.trusted (see _build_lines)
 
 
 # Every class with a JSON form, by name.
@@ -478,24 +478,22 @@ _FORMS = {
     "Polarization": _Form("fm", "polarization_from_json"),
     "LineBundleX": _Form("fm", "line_bundle_from_json"),
     "TruncatedChar": _Form("fm", "truncated_char_from_json"),
-    "TransformResult": _Form("fm", "transform_result_from_json", trusted=True),
+    "TransformResult": _Form("fm", "transform_result_from_json"),
     "WitType": _Form("fm"),
     "KernelChoice": _Form("fm"),
     "SheafScenario": _Form("duality", "scenario_from_json"),
-    "Conclusion": _Form("duality", "conclusion_from_json", trusted=True),
-    "TermRef": _Form("duality", "term_ref_from_json", shared=True, trusted=True),
-    "Identification": _Form("duality", "relation_from_json", trusted=True),
-    "ForcedZero": _Form("duality", "relation_from_json", trusted=True),
-    "ShortExact": _Form("duality", "relation_from_json", trusted=True),
-    "Forbidden": _Form("duality", "relation_from_json", trusted=True),
+    "Conclusion": _Form("duality", "conclusion_from_json"),
+    "TermRef": _Form("duality", "term_ref_from_json", shared=True),
+    "Identification": _Form("duality", "relation_from_json"),
+    "ForcedZero": _Form("duality", "relation_from_json"),
+    "ShortExact": _Form("duality", "relation_from_json"),
+    "Forbidden": _Form("duality", "relation_from_json"),
     "ScenarioSolution": _Form("duality", None, _solution_json),
-    "DestabilizerCandidate": _Form("stability", "candidate_from_json", trusted=True),
-    "EffectivityProxy": _Form(
-        "stability", "effectivity_proxy_from_json", shared=True, trusted=True
-    ),
-    "TraceStep": _Form("stability", "trace_step_from_json", shared=True, trusted=True),
-    "StabilityReport": _Form("stability", "stability_report_from_json", trusted=True),
-    "ScanResult": _Form("stability", "scan_result_from_json", _scan_json, trusted=True),
+    "DestabilizerCandidate": _Form("stability", "candidate_from_json"),
+    "EffectivityProxy": _Form("stability", "effectivity_proxy_from_json", shared=True),
+    "TraceStep": _Form("stability", "trace_step_from_json", shared=True),
+    "StabilityReport": _Form("stability", "stability_report_from_json"),
+    "ScanResult": _Form("stability", "scan_result_from_json", _scan_json),
     "TransformStabilityReport": _Form("stability", None, _pipeline_json),
 }
 

@@ -40,9 +40,11 @@ built from these checked values through its class's trusted constructor
 (:func:`weierfm.rationals.trusted`), without re-running the public
 constructor's checks: each TraceStep once per distinct trace, each
 EffectivityProxy once per (δ, a >= 0), a DestabilizerCandidate and a
-StabilityReport per report, and the ScanResult.  The public constructors
-check every field's type and refuse a float where a rational goes; the
-ring's classes are built through theirs.
+StabilityReport per report, and the ScanResult.  Each of these classes is
+a :func:`weierfm.rationals.value_class`: its public constructor checks
+every field against its annotation and refuses a float where a rational
+goes, then runs its ``_check`` hook, and it decodes trusted.  The ring's
+classes are built through their public constructors.
 
 Positive m reduces to negative m through the dual line bundle: the
 duality bookkeeping of :mod:`weierfm.duality` identifies the dual of the
@@ -55,7 +57,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -74,7 +75,7 @@ from .fm import (
     slope,
     transform_char,
 )
-from .rationals import as_rational, as_rational_vector, is_int, require, trusted
+from .rationals import is_int, require, trusted, value_class
 from .ring import ThreefoldClass, pullback, x_integrate, x_mul
 
 if TYPE_CHECKING:
@@ -87,7 +88,7 @@ class Verdict(Enum):
     INADMISSIBLE = "Inadmissible"
 
 
-@dataclass(frozen=True)
+@value_class
 class DestabilizerCandidate:
     """One (r, a, delta, e) tuple from the destabilizer normal form."""
 
@@ -96,51 +97,36 @@ class DestabilizerCandidate:
     delta: tuple[Fraction, ...]
     e: int
 
-    def __post_init__(self) -> None:
-        self._check()
-        object.__setattr__(self, "a", as_rational(self.a))
-        object.__setattr__(self, "delta", as_rational_vector(self.delta))
-
     def _check(self) -> None:
-        """The checks of r and e, which the JSON decoder runs too: its own
-        checks cover the JSON types, not these ranges."""
-        if not is_int(self.r) or self.r < 1:
+        """The ranges of r and e, which the JSON decoder's type checks do
+        not cover."""
+        if self.r < 1:
             raise ValueError("candidate rank r must be a positive integer")
-        if not is_int(self.e) or self.e not in (0, 1):
+        if self.e not in (0, 1):
             raise ValueError("e must be 0 or 1")
 
 
-@dataclass(frozen=True)
+@value_class
 class EffectivityProxy:
     """Numerical stand-in for effectivity of aΘ + p*delta."""
 
     a_nonneg: bool
     pairing: Fraction  # delta·H_S
 
-    def __post_init__(self) -> None:
-        require(self.a_nonneg, bool, "a_nonneg")
-        object.__setattr__(self, "pairing", as_rational(self.pairing))
-
     @property
     def admissible(self) -> bool:
         return self.a_nonneg and self.pairing >= 0
 
 
-@dataclass(frozen=True)
+@value_class
 class TraceStep:
     name: str
     value: Fraction
     requirement: str
     satisfied: bool
 
-    def __post_init__(self) -> None:
-        require(self.name, str, "name")
-        object.__setattr__(self, "value", as_rational(self.value))
-        require(self.requirement, str, "requirement")
-        require(self.satisfied, bool, "satisfied")
 
-
-@dataclass(frozen=True)
+@value_class
 class StabilityReport:
     candidate: DestabilizerCandidate
     verdict: Verdict
@@ -150,18 +136,6 @@ class StabilityReport:
     fiber_deg: Fraction
     trace: tuple[TraceStep, ...]
     inadmissible_reasons: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        require(self.candidate, DestabilizerCandidate, "candidate")
-        require(self.verdict, Verdict, "verdict")
-        for name in ("target_slope", "candidate_slope", "fiber_deg"):
-            object.__setattr__(self, name, as_rational(getattr(self, name)))
-        require(self.proxy, EffectivityProxy, "proxy")
-        for name, kind in (("trace", TraceStep), ("inadmissible_reasons", str)):
-            values = getattr(self, name)
-            require(values, tuple, name)
-            for value in values:
-                require(value, kind, f"an entry of {name}")
 
 
 # Grid steps: a moves in halves, so the integrality screen is exercised,
@@ -174,7 +148,7 @@ DELTA_STEP = Fraction(1)
 MAX_SCAN_CANDIDATES = 500_000
 
 
-@dataclass(frozen=True)
+@value_class
 class EnumerationBounds:
     """Grid bounds: a runs over 0..a_max in steps of ``A_STEP``, each delta
     coordinate over the multiples of ``DELTA_STEP`` (the integers) in
@@ -188,23 +162,15 @@ class EnumerationBounds:
     a_max: Fraction = Fraction(6)
     delta_max: Fraction = Fraction(6)
 
-    def __post_init__(self) -> None:
-        for name in ("a_max", "delta_max"):
-            object.__setattr__(self, name, as_rational(getattr(self, name)))
+    def _check(self) -> None:
         if self.a_max < 0 or self.delta_max < 0:
             raise ValueError("bounds must be nonnegative")
 
 
-@dataclass(frozen=True)
+@value_class
 class ScanResult:
     reports: tuple[StabilityReport, ...]
     any_violation: bool
-
-    def __post_init__(self) -> None:
-        require(self.reports, tuple, "reports")
-        for report in self.reports:
-            require(report, StabilityReport, "an entry of reports")
-        require(self.any_violation, bool, "any_violation")
 
     @property
     def candidate_count(self) -> int:
@@ -549,14 +515,17 @@ def candidate_grid(
 def enumerate_candidates(
     n: int,
     pol: Polarization,
-    bounds: EnumerationBounds = EnumerationBounds(),
+    bounds: EnumerationBounds | None = None,
 ) -> ScanResult:
-    """Certify every candidate on the grid; order is grid order.  The
-    rank-independent part of a report is built once per (a, delta, e).
-    A grid above MAX_SCAN_CANDIDATES is a ValueError."""
+    """Certify every candidate on the grid of ``bounds`` (None: the default
+    ``EnumerationBounds()``, built on the call, so an import builds no
+    value); order is grid order.  The rank-independent part of a report is
+    built once per (a, delta, e).  A grid above MAX_SCAN_CANDIDATES is a
+    ValueError."""
     _require_num_trivial(pol, "stability scan")
     if not is_int(n) or n < 1:
         raise ValueError("n must be a positive integer")
+    bounds = EnumerationBounds() if bounds is None else bounds
     _check_scan_size(n, pol.model.picard_rank, bounds)
     fns = _functionals(pol)
     target = target_slope(n, pol)
@@ -571,7 +540,7 @@ def enumerate_candidates(
 # -- the line-bundle pipeline -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class TransformStabilityReport:
     line_bundle: LineBundleX
     transform: TransformResult
@@ -583,11 +552,19 @@ class TransformStabilityReport:
     duality_step: Conclusion | None
     reduction: tuple[str, ...]
 
+    def _check(self) -> None:
+        """``duality_step``'s annotation names a class of :mod:`weierfm.duality`,
+        which this module loads only for m > 0, so it is checked here."""
+        if self.duality_step is not None:
+            from .duality import Conclusion
+
+            require(self.duality_step, Conclusion, "duality_step")
+
 
 def transform_stability(
     lb: LineBundleX,
     pol: Polarization,
-    bounds: EnumerationBounds = EnumerationBounds(),
+    bounds: EnumerationBounds | None = None,
 ) -> TransformStabilityReport:
     """Certify slope stability of the transform of O_X(mΘ) ⊗ p*N.
 

@@ -55,12 +55,14 @@ def test_import_cli_loads_no_computing_layer_or_codec():
 
 @pytest.mark.parametrize("module", ["cli", "stability", "serialize"])
 def test_import_generates_no_trusted_constructor(module):
-    """Each class's trusted constructor is generated on first use, so its
-    ``exec`` stays out of an import (and of a CLI child's start-up)."""
+    """Each class's trusted constructor and each value class's check table
+    are made on first use, so their ``exec`` and annotation reads stay out
+    of an import (and of a CLI child's start-up)."""
     fresh_run(
         f"import weierfm.{module}\n"
-        "from weierfm.rationals import trusted\n"
-        "assert trusted.cache_info().currsize == 0, trusted.cache_info()"
+        "from weierfm.rationals import _field_checks, trusted\n"
+        "assert trusted.cache_info().currsize == 0, trusted.cache_info()\n"
+        "assert _field_checks.cache_info().currsize == 0, _field_checks.cache_info()"
     )
 
 

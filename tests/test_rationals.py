@@ -37,11 +37,13 @@ from weierfm import (
 from weierfm.duality import TermRef, build_pages, left_label, right_label
 from weierfm.rationals import (
     RATIONAL_CACHE_SIZE,
+    _field_checks,
     _parse_rational,
     as_rational,
     as_rational_vector,
     format_rational,
     format_rational_vector,
+    is_value_class,
     parse_rational,
     parse_rational_vector,
     trusted,
@@ -139,8 +141,9 @@ def test_module_caches_are_the_audited_ones():
     """Every module-level functools cache in weierfm, with its maxsize, and
     the per-class shared-value caches that serialize makes inside its
     decoders: each bounded one was measured to pay for itself, and the
-    unbounded ones are keyed by a class.  A new cache is added here with
-    its measured share."""
+    unbounded ones (the generated codecs, trusted constructors and value
+    classes' check tables) are keyed by a class.  A new cache is added here
+    with its measured share."""
     from weierfm import serialize
     from weierfm.duality import TERM_REF_CACHE_SIZE
     from weierfm.stability import POLARIZATION_CACHE_SIZE
@@ -153,6 +156,7 @@ def test_module_caches_are_the_audited_ones():
                    if hasattr(value, "cache_info") and value.__module__ == module.__name__}
     assert caches == {
         ("duality", "_term_ref"): TERM_REF_CACHE_SIZE,
+        ("rationals", "_field_checks"): None,
         ("rationals", "_parse_rational"): RATIONAL_CACHE_SIZE,
         ("rationals", "trusted"): None,
         ("serialize", "_columns"): None,
@@ -235,6 +239,7 @@ def test_int_fields_refuse_bools_and_floats(build, error, value):
         pytest.param(lambda v: TransformResult(_char(), WitType.WIT1, v),
                      id="transform-locally-free"),
         pytest.param(lambda v: ScanResult((), v), id="scan-any-violation"),
+        pytest.param(lambda v: dataclasses.replace(_pipeline(), stable=v), id="pipeline-stable"),
     ],
 )
 def test_bool_fields_refuse_non_bools(build, value):
@@ -254,6 +259,15 @@ def _report():
 
 def _char():
     return TruncatedChar(-2, get_preset("k3_quartic").model.divisor_x(-1))
+
+
+def _pipeline():
+    pol = _k3_pol()
+    return transform_stability(LineBundleX(pol.model, 2), pol, EnumerationBounds(1, 1))
+
+
+def _solution():
+    return solve_scenario(SheafScenario(3, 1, WitType.WIT0, 1))
 
 
 @pytest.mark.parametrize(
@@ -290,6 +304,14 @@ def _char():
         pytest.param(lambda: ScanResult((_report(), None), False), ValueError,
                      id="scan-report-entry"),
         pytest.param(lambda: TruncatedChar(1, 5), ValueError, id="char-ch1"),
+        pytest.param(lambda: dataclasses.replace(_pipeline(), reduction=["x"]), ValueError,
+                     id="pipeline-reduction-list"),
+        pytest.param(lambda: dataclasses.replace(_pipeline(), duality_step="x"), ValueError,
+                     id="pipeline-duality-step"),
+        pytest.param(lambda: dataclasses.replace(_solution(), relations=list(_solution().relations)),
+                     ValueError, id="solution-relations-list"),
+        pytest.param(lambda: dataclasses.replace(_solution(), conclusion="DualIsWIT1"),
+                     ValueError, id="solution-conclusion"),
     ],
 )
 def test_value_fields_refuse_other_types(build, error):
@@ -299,6 +321,17 @@ def test_value_fields_refuse_other_types(build, error):
     refuse, or fail to encode at all."""
     with pytest.raises(error):
         build()
+
+
+def test_a_refused_value_is_quoted_briefly():
+    """A refusal names the value's type and quotes a bounded repr of it, not
+    every report of a scan."""
+    reports = enumerate_candidates(12, _k3_pol()).reports
+    with pytest.raises(ValueError) as failure:
+        ScanResult(list(reports), False)
+    message = str(failure.value)
+    assert message.startswith("reports must be a tuple, got list [StabilityRepo")
+    assert len(message) < 400
 
 
 # -- trusted constructors --------------------------------------------------------------
@@ -369,6 +402,18 @@ def test_trusted_builds_what_the_constructor_builds(cls):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(built, names[0], values[0])
     assert trusted(cls) is trusted(cls)
+
+
+def test_only_duality_step_is_left_to_a_hook():
+    """Every value class's field annotations resolve to checks but
+    TransformStabilityReport.duality_step's: stability loads its class,
+    Conclusion, only with duality, so the class's _check hook checks it."""
+    classes = {cls for cls in _weierfm_dataclasses() if is_value_class(cls)}
+    assert {cls.__name__ for cls in _weierfm_dataclasses() - classes} == {
+        "SurfaceModel", "LineBundleX", "SheafScenario", "Preset", "Term", "PageGrid"}
+    left = {(cls.__name__, f.name) for cls in classes for f in dataclasses.fields(cls)
+            if f.name not in dict(_field_checks(cls)[0])}
+    assert left == {("TransformStabilityReport", "duality_step")}
 
 
 def test_trusted_refuses_a_slotted_class():
