@@ -83,9 +83,6 @@ class LineBundleX:
     def dual(self) -> "LineBundleX":
         return LineBundleX(self.model, -self.m, tuple(-t for t in self.twist))
 
-    def c1(self) -> DivisorClassX:
-        return DivisorClassX(self.model, Fraction(self.m), self.twist)
-
     def render(self) -> str:
         return f"O_X({self.m}Θ)" + (
             "" if all(t == 0 for t in self.twist)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 import reprlib
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from typing import Any, Callable, Iterable, Sequence, TypeVar, Union, get_args, get_origin
@@ -68,15 +68,30 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+class _Quote(reprlib.Repr):
+    """``reprlib``'s bounded quote, with a dataclass instance quoted as
+    ``ClassName(...)``: ``reprlib`` cuts an instance's ``repr()`` only after
+    building all of it, which for a scan holds every report."""
+
+    def repr_instance(self, x: Any, level: int) -> str:
+        if is_dataclass(x) and not isinstance(x, type):
+            return f"{type(x).__name__}(...)"
+        return super().repr_instance(x, level)
+
+
+_quote = _Quote().repr
+
+
 def require(value: Any, kind: Any, what: str) -> None:
     """Refuse with ValueError a ``value`` that is not a ``kind``, a class or
     a union of classes; an int must not be a bool (see :func:`is_int`).  The
-    message names the value's type and quotes at most a ``reprlib.repr``."""
+    message names the value's type and quotes it as ``reprlib`` does, a
+    dataclass instance as ``ClassName(...)``."""
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         names = " or ".join(k.__name__ for k in get_args(kind) or (kind,))
         article = "an" if names[0] in "AEIOUaeiou" else "a"
         raise ValueError(
-            f"{what} must be {article} {names}, got {type(value).__name__} {reprlib.repr(value)}"
+            f"{what} must be {article} {names}, got {type(value).__name__} {_quote(value)}"
         )
 
 
@@ -127,9 +142,9 @@ def _checker(hint: Any, what: str) -> Callable[[Any], Any]:
     """The check of the field ``what`` of type ``hint``, which returns the
     value to store: a ``Fraction`` goes through :func:`as_rational` and a
     ``tuple[Fraction, ...]`` through :func:`as_rational_vector` (TypeError
-    on a float); ``X | None`` takes None or an X; ``tuple[X, ...]`` takes a
-    tuple of X's, and ``tuple[X, X]`` one of that length; any other class
-    goes through :func:`require` (ValueError)."""
+    on a float); ``tuple[X, ...]`` takes a tuple of X's, and ``tuple[X, X]``
+    one of that length; any other class, or union of classes such as
+    ``X | None``, goes through :func:`require` (ValueError)."""
     if hint is Fraction:
         return as_rational
     args = get_args(hint)
@@ -146,9 +161,6 @@ def _checker(hint: Any, what: str) -> Callable[[Any], Any]:
                 raise ValueError(f"{what} must have {size} entries, got {len(value)}")
             return tuple(map(item, value))
         return check
-    if len(args) == 2 and type(None) in args:
-        inner = _checker(args[args[0] is type(None)], what)  # the arg that is not None
-        return lambda value: value if value is None else inner(value)
     # The exact type passes at once; anything else gets require's rules.
     return lambda value: value if type(value) is hint else require(value, hint, what) or value
 

@@ -352,9 +352,6 @@ class DivisorClassX:
             model.surface(r=self.a), model.divisor_surface(self.delta)
         )
 
-    def exp(self) -> ThreefoldClass:
-        return exp_divisor(self)
-
     def render(self) -> str:
         """Human-readable form, e.g. ``-Θ + p*[1/2, -1]``."""
         pieces: list[str] = []

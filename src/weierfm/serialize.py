@@ -49,23 +49,25 @@ from source holding only field names, JSON keys, class names and constant
 messages, never document data.  Keys are the field names in field order,
 renamed where ``_RENAMES`` says (``fiber_deg`` is written
 ``fiber_degree``); a field typed ``SurfaceModel`` is left out and filled
-from the decoder's ``model`` argument.  Decoders take only the JSON types
-the encoders write and raise ``ValueError`` otherwise, naming any missing
-key; a document with several faults raises for the first one met in the
-fixed check order of ``_decoder_of``.  Once they pass, a value class
-(:func:`weierfm.rationals.value_class`) decodes trusted: it is built
-through its trusted constructor (:func:`weierfm.rationals.trusted`), and
-then its ``_check`` hook, if it has one, runs the checks between fields
-that the decoder cannot express (a relation's antidiagonal and sides, a
-TermRef's label, a candidate's r and e ranges, a vector's length against
-the model), which its constructor runs after the field types; so each
+from the decoder's ``model`` argument, which a decoder passes on to the
+decoder of each nested class.  Decoders take only the JSON types the
+encoders write and raise ``ValueError`` otherwise, naming the first missing
+key; a document with several faulty fields raises for the first in field
+order.  Once they pass, a value class (:func:`weierfm.rationals.value_class`)
+decodes trusted: it is built through its trusted constructor
+(:func:`weierfm.rationals.trusted`), and then its ``_check`` hook, if it
+has one, runs the checks between fields that the decoder cannot express
+(a relation's antidiagonal and sides, a TermRef's label, a candidate's r
+and e ranges, a vector's length against the model, a scan's
+``any_violation``), which its constructor runs after the field types; so each
 invariant is written once.  The other classes, ``SurfaceModel``,
 ``LineBundleX`` and ``SheafScenario``, whose constructors check or coerce
 more than the decoder does, are built through their constructors.
 ``ScanResult``, ``ScenarioSolution`` and ``TransformStabilityReport`` are
 views (derived counts, renamed fields, a flattened scan) with hand-written
-encoders.  ``ScanResult`` is read back through its generated decoder and
-a check that its three derived fields equal what the decoded reports give.
+encoders.  ``ScanResult`` is read back through its generated decoder,
+and then its ``candidate_count`` and ``verdict_counts`` must equal what
+the decoded scan gives.
 
 One table, ``_FORMS``, names each class with a JSON form: its layer
 module, its decoder (none for the enums and the views only written) and
@@ -106,7 +108,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from importlib import import_module
 from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from types import UnionType
 from typing import (
     TYPE_CHECKING, Any, Callable, NamedTuple, Union, get_args, get_origin, get_type_hints,
@@ -131,7 +133,6 @@ _SHARED_CACHE_SIZE = 4096
 
 class _Decoder(NamedTuple):
     decode: Callable[..., Any]  # (data, model=None)
-    needs_model: bool
     shared: Any  # a shared value class's lru_cache of instances, else None
 
 
@@ -192,15 +193,6 @@ def _field_type(hint: Any) -> Any:
 
 def _is_enum(hint: Any) -> bool:
     return isinstance(hint, type) and issubclass(hint, Enum)
-
-
-def _needs(hint: Any) -> bool:
-    """Whether decoding a value of ``hint`` needs the surface model."""
-    if hint in _LEAVES or hint is Fraction or _is_enum(hint):
-        return False
-    if is_dataclass(hint):
-        return _decoder_of(hint).needs_model
-    return _needs(_tuple_item(hint)[0])
 
 
 # The message helpers a generated decoder raises through.
@@ -269,9 +261,8 @@ def _decode_lines(src: _Source, hint: Any, var: str, target: str, pad: str,
         add(f"{pad}except (KeyError, TypeError):")
         add(f"{pad}    raise _not_a_member({src.bind(f'_{name}', hint)}, {var}) from None")
     elif is_dataclass(hint):
-        decoder = _decoder_of(hint)
-        decode = src.bind(f"_{hint.__name__}_decode", decoder.decode)
-        add(f"{pad}{target} = {decode}({var}{', model' if decoder.needs_model else ''})")
+        decode = src.bind(f"_{hint.__name__}_decode", _decoder_of(hint).decode)
+        add(f"{pad}{target} = {decode}({var}, model)")
     else:
         item, size = _tuple_item(hint)
         add(f"{pad}if type({var}) is not list:")
@@ -287,10 +278,8 @@ def _decode_lines(src: _Source, hint: Any, var: str, target: str, pad: str,
         elif item is Fraction:
             add(f"{pad}{target} = tuple(map(_parse_rational, {var}))")
         elif is_dataclass(item):
-            decoder = _decoder_of(item)
-            decode = src.bind(f"_{item.__name__}_decode", decoder.decode)
-            model = ", _repeat(model)" if decoder.needs_model else ""
-            add(f"{pad}{target} = tuple(map({decode}, {var}{model}))")
+            decode = src.bind(f"_{item.__name__}_decode", _decoder_of(item).decode)
+            add(f"{pad}{target} = tuple(map({decode}, {var}, _repeat(model)))")
         else:
             items = f"items{depth}"
             add(f"{pad}{items} = []")
@@ -376,12 +365,13 @@ def _decoder_of(cls: type) -> _Decoder:
     straight-line Python whose source holds only JSON keys, class names
     and constant messages, never document data.
 
-    It checks in a fixed order: the document is an object, every key is
-    present (the first missing one in field order is named), the int, bool
-    and str fields, the other fields in field order with those that need
-    the model last, the model; only then does it build.  The decoder of a
-    class its form marks shared returns one instance per distinct checked
-    document, from an ``lru_cache`` of ``_SHARED_CACHE_SIZE``."""
+    It checks in one fixed order: the document is an object, every key is
+    present (the first missing one in field order is named), each field in
+    field order (a nested class's decoder is passed ``model`` too), then
+    the model if the class has a ``SurfaceModel`` field; only then does it
+    build.  The decoder of a class its form marks shared returns one
+    instance per distinct checked document, from an ``lru_cache`` of
+    ``_SHARED_CACHE_SIZE``."""
     owner = cls.__name__
     form = _FORMS.get(owner)
     shared = form is not None and form.shared
@@ -399,16 +389,11 @@ def _decoder_of(cls: type) -> _Decoder:
     add("    except KeyError as exc:")
     add(f"        raise _missing_key({owner!r}, exc.args[0]) from None")
     for at, _, hint in data:
-        if hint in _LEAVES:
-            _decode_lines(src, hint, f"v{at}", f"v{at}", "    ")
-    later = [(at, hint, _needs(hint)) for at, _, hint in data if hint not in _LEAVES]
-    for at, hint, _ in sorted(later, key=itemgetter(2)):  # stable: field order
         # A shared class's rationals and enum members are only checked here;
         # its builder decodes them from the text its cache is keyed on.
         keep_text = shared and (hint is Fraction or _is_enum(hint))
         _decode_lines(src, hint, f"v{at}", "_" if keep_text else f"v{at}", "    ")
-    has_model = len(data) < len(columns)
-    if has_model:
+    if len(data) < len(columns):
         add("    if model is None:")
         add(f"        raise _needs_model({owner!r})")
     values = ", ".join("model" if key is None else f"v{at}" for at, _, key, _ in columns)
@@ -418,8 +403,7 @@ def _decoder_of(cls: type) -> _Decoder:
         add(f"    return {src.bind('_build', builder)}({values})")
     else:
         _build_lines(src, cls, values)
-    needs_model = has_model or any(needs for _, _, needs in later)
-    return _Decoder(src.function("decode"), needs_model, builder)
+    return _Decoder(src.function("decode"), builder)
 
 
 # -- views: JSON that is not the dataclass's own field list ------------------
@@ -544,14 +528,14 @@ def _same_json(value: Any, expected: Any) -> bool:
 
 
 def scan_result_from_json(data: Any, model: SurfaceModel | None = None) -> ScanResult:
-    """The reports through ScanResult's generated decoder;
-    ``any_violation``, ``candidate_count`` and ``verdict_counts`` must equal
-    what those reports give.  ``model`` is unused."""
-    from .stability import ScanResult, Verdict
+    """The scan through ScanResult's generated decoder, whose ``_check``
+    refuses an ``any_violation`` that its reports do not give;
+    ``candidate_count`` and ``verdict_counts`` must equal what the decoded
+    scan gives."""
+    from .stability import ScanResult
 
-    scan = _decoder_of(ScanResult).decode(data)
-    violation = any(report.verdict is Verdict.VIOLATION for report in scan.reports)
-    for key, expected in _scan_counts(ScanResult(scan.reports, violation)).items():
+    scan = _decoder_of(ScanResult).decode(data, model)
+    for key, expected in _scan_counts(scan).items():
         if key not in data:
             raise ValueError(f"ScanResult JSON is missing key {key!r}")
         if not _same_json(data[key], expected):

@@ -172,6 +172,15 @@ class ScanResult:
     reports: tuple[StabilityReport, ...]
     any_violation: bool
 
+    def _check(self) -> None:
+        """``any_violation`` is whether some report is a Violation."""
+        violation = any(report.verdict is Verdict.VIOLATION for report in self.reports)
+        if self.any_violation != violation:
+            raise ValueError(
+                f"ScanResult 'any_violation' is {self.any_violation!r}, "
+                f"but its reports give {violation!r}"
+            )
+
     @property
     def candidate_count(self) -> int:
         return len(self.reports)

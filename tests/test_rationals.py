@@ -46,6 +46,7 @@ from weierfm.rationals import (
     is_value_class,
     parse_rational,
     parse_rational_vector,
+    require,
     trusted,
 )
 from weierfm.stability import EffectivityProxy, TraceStep
@@ -332,6 +333,22 @@ def test_a_refused_value_is_quoted_briefly():
     message = str(failure.value)
     assert message.startswith("reports must be a tuple, got list [StabilityRepo")
     assert len(message) < 400
+
+
+def test_a_refused_dataclass_is_quoted_without_its_repr():
+    """A dataclass instance is quoted as ``ClassName(...)``, alone or inside
+    a tuple, without building its repr(), which for a scan holds every
+    report."""
+
+    @dataclasses.dataclass
+    class Loud:
+        def __repr__(self):
+            raise AssertionError("repr() was called")
+
+    with pytest.raises(ValueError, match=r"^x must be an int, got Loud Loud\(\.\.\.\)$"):
+        require(Loud(), int, "x")
+    with pytest.raises(ValueError, match=r"got tuple \(Loud\(\.\.\.\),\)$"):
+        require((Loud(),), int, "x")
 
 
 # -- trusted constructors --------------------------------------------------------------

@@ -221,6 +221,33 @@ def test_scan_counts_are_compared_as_json(k3_pol):
     serialize.scan_result_from_json({**doc, "verdict_counts": reordered})
 
 
+def test_a_scan_with_a_violation_read_as_having_none_is_refused(k3_pol):
+    """The other way round from the no-Violation scan read as having one."""
+    report = certify(2, k3_pol, DestabilizerCandidate(1, Fraction(1, 2), (Fraction(-2),), 1))
+    reports = (report, dataclasses.replace(report, verdict=Verdict.VIOLATION))
+    doc = json.loads(serialize.dumps(ScanResult(reports, True)))
+    serialize.scan_result_from_json(doc)
+    with pytest.raises(ValueError, match="'any_violation' is False"):
+        serialize.scan_result_from_json({**doc, "any_violation": False})
+
+
+@pytest.mark.parametrize(
+    "name,doc,message",
+    [
+        ("candidate", {"r": 1, "a": "1/x", "delta": ["0"], "e": True},
+         "malformed rational '1/x'"),
+        ("term_ref", {"side": "up", "pos": [0, 0], "label": 5}, "'up' is not a valid Side"),
+    ],
+    ids=["candidate", "term_ref"],
+)
+def test_the_first_faulty_field_is_named(name, doc, message):
+    """A document with several faulty fields is refused for the first in
+    field order, whatever their types: here a rational or an enum member
+    before a boolean or a string."""
+    with pytest.raises(ValueError, match=f"^{message}"):
+        getattr(serialize, f"{name}_from_json")(doc)
+
+
 @pytest.mark.parametrize("key", ["any_violation", "candidate_count", "verdict_counts"])
 def test_scan_fields_are_required(k3_pol, key):
     doc = _k3_scan_document(k3_pol)

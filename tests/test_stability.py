@@ -17,6 +17,7 @@ from weierfm import (
     LineBundleX,
     ModelMismatchError,
     Polarization,
+    ScanResult,
     StabilityReport,
     SurfaceModel,
     Verdict,
@@ -34,6 +35,18 @@ HALF = Fraction(1, 2)
 
 def cand(r=1, a=0, delta=(0,), e=0):
     return DestabilizerCandidate(r, Fraction(a), tuple(map(Fraction, delta)), e)
+
+
+def test_scan_any_violation_is_what_its_reports_give(k3_pol):
+    """A ScanResult's any_violation is true exactly when one of its reports
+    is a Violation; the constructor refuses any other flag."""
+    report = certify(2, k3_pol, cand())
+    violation = dataclasses.replace(report, verdict=Verdict.VIOLATION)
+    for reports, flag in (((), True), ((report,), True), ((report, violation), False)):
+        with pytest.raises(ValueError, match=f"'any_violation' is {flag}, "
+                                             f"but its reports give {not flag}"):
+            ScanResult(reports, flag)
+    assert ScanResult((report, violation), True).any_violation
 
 
 # -- targets -------------------------------------------------------------------
