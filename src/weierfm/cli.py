@@ -30,9 +30,10 @@ Exit codes: 0 success; 1 malformed input (unknown preset, bad rationals,
 bad flags, a scenario dimension above the cap, a scan grid above
 MAX_SCAN_CANDIDATES candidates); 2 hypothesis violation
 (operation precondition fails: slope of a rank-0 character, stability
-over a base with nontrivial canonical class, a threefold whose omega
-class differs from the canonical class, infeasible scenario, m = 0
-pipeline); 3 internal invariant breach, which is always a bug.
+over a base with nontrivial canonical class or over a lattice that no
+such surface has, a threefold whose omega class differs from the
+canonical class, infeasible scenario, m = 0 pipeline); 3 internal
+invariant breach, which is always a bug.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from .errors import (
     ModelMismatchError,
     UndefinedSlopeError,
 )
-from .rationals import RationalLike, as_rational, as_rational_vector, is_int, value_class
+from .rationals import RationalLike, as_rational, as_rational_vector, is_int, require, value_class
 from .ring import DivisorClassX, SurfaceModel, require_x_k_trivial, x_integrate, x_mul
 
 _HALF = Fraction(1, 2)
@@ -67,6 +67,7 @@ class LineBundleX:
     twist: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
+        require(self.model, SurfaceModel, "model")
         if not is_int(self.m):
             raise TypeError("m must be an integer")
         twist = (
@@ -74,10 +75,7 @@ class LineBundleX:
             if self.twist is None
             else as_rational_vector(self.twist)
         )
-        if len(twist) != self.model.picard_rank:
-            raise ValueError(
-                f"twist must have length {self.model.picard_rank}"
-            )
+        self.model.check_vector(twist, "twist")
         object.__setattr__(self, "twist", twist)
 
     def dual(self) -> "LineBundleX":
@@ -134,8 +132,7 @@ class Polarization:
     def _check(self) -> None:
         if self.t <= 0 or self.s <= 0:
             raise ValueError("polarization parameters t, s must be positive")
-        if len(self.h) != self.model.picard_rank:
-            raise ValueError(f"h must have length {self.model.picard_rank}")
+        self.model.check_vector(self.h, "h")
         if self.model.pair(self.h, self.h) <= 0:
             raise ValueError("h·h must be positive for an ample class")
 

@@ -29,46 +29,27 @@ class Preset:
     blurb: str
 
 
-def _k3_quartic() -> Preset:
-    model = SurfaceModel(
-        picard_rank=1,
-        gram=((4,),),
-        canonical=(Fraction(0),),
-        k_trivial=True,
-        omega_class=(Fraction(0),),
-    )
-    return Preset("k3_quartic", model, (Fraction(1),), "quartic K3 base, H²=4")
-
-
-def _enriques() -> Preset:
-    model = SurfaceModel(
-        picard_rank=1,
-        gram=((2,),),
-        canonical=(Fraction(0),),
-        k_trivial=True,
-        omega_class=(Fraction(0),),
-    )
-    return Preset("enriques", model, (Fraction(1),), "Enriques base, H²=2")
-
-
-def _general_demo() -> Preset:
-    model = SurfaceModel(
-        picard_rank=2,
-        gram=((0, 1), (1, 0)),
-        canonical=(Fraction(-2), Fraction(-2)),
-        k_trivial=False,
-        omega_class=(Fraction(-2), Fraction(-2)),
-    )
-    return Preset(
-        "general_demo",
-        model,
-        (Fraction(1), Fraction(1)),
-        "P¹×P¹ base, nonzero canonical; ring/transform demos only",
-    )
+def _preset(
+    name: str,
+    gram: tuple[tuple[int, ...], ...],
+    canonical: tuple[int, ...],
+    k_trivial: bool,
+    ample: tuple[int, ...],
+    blurb: str,
+) -> Preset:
+    """A preset over a K-trivial threefold: its omega class is its canonical."""
+    model = SurfaceModel(len(gram), gram, canonical, k_trivial, canonical)
+    return Preset(name, model, tuple(map(Fraction, ample)), blurb)
 
 
 PRESETS: dict[str, Preset] = {
-    p.name: p for p in (_k3_quartic(), _enriques(), _general_demo())
+    row[0]: _preset(*row)
+    for row in (
+        ("k3_quartic", ((4,),), (0,), True, (1,), "quartic K3 base, H²=4"),
+        ("enriques", ((2,),), (0,), True, (1,), "Enriques base, H²=2"),
+        ("general_demo", ((0, 1), (1, 0)), (-2, -2), False, (1, 1),
+         "P¹×P¹ base, nonzero canonical; ring/transform demos only"),
+    )
 }
 
 

@@ -73,10 +73,8 @@ class SurfaceModel:
                     raise ValueError("gram must be symmetric")
         canonical = as_rational_vector(self.canonical)
         omega = as_rational_vector(self.omega_class)
-        if len(canonical) != rho:
-            raise ValueError(f"canonical must have length {rho}")
-        if len(omega) != rho:
-            raise ValueError(f"omega_class must have length {rho}")
+        self.check_vector(canonical, "canonical")
+        self.check_vector(omega, "omega_class")
         if not isinstance(self.k_trivial, bool):
             raise ValueError(f"k_trivial must be a bool, got {self.k_trivial!r}")
         if self.k_trivial and any(c != 0 for c in canonical):
@@ -96,6 +94,11 @@ class SurfaceModel:
         transform character refuse a model where it fails.
         """
         return self.omega_class == self.canonical
+
+    def check_vector(self, vector: tuple, what: str) -> None:
+        """Refuse with ValueError a Picard vector ``what`` without rho entries."""
+        if len(vector) != self.picard_rank:
+            raise ValueError(f"{what} must have length {self.picard_rank}")
 
     def pair(self, u: tuple[Fraction, ...], v: tuple[Fraction, ...]) -> Fraction:
         """Gram pairing u·v of two Picard vectors."""
@@ -166,8 +169,26 @@ def _check_same_model(left, right) -> None:
         )
 
 
+class _Linear:
+    """The operators every class derives from its own ``+`` and ``scale``:
+    ``-x``, ``x - y``, and ``c * x`` and ``x * c`` for an int or Fraction c."""
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+
 @value_class
-class SurfaceClass:
+class SurfaceClass(_Linear):
     """Truncated numerical class r + d + s·[pt] on the base surface."""
 
     model: SurfaceModel
@@ -176,10 +197,7 @@ class SurfaceClass:
     s: Fraction
 
     def _check(self) -> None:
-        if len(self.d) != self.model.picard_rank:
-            raise ValueError(
-                f"degree-2 part must have length {self.model.picard_rank}"
-            )
+        self.model.check_vector(self.d, "degree-2 part")
 
     def __add__(self, other: "SurfaceClass") -> "SurfaceClass":
         _check_same_model(self, other)
@@ -190,12 +208,6 @@ class SurfaceClass:
             self.s + other.s,
         )
 
-    def __sub__(self, other: "SurfaceClass") -> "SurfaceClass":
-        return self + (-other)
-
-    def __neg__(self) -> "SurfaceClass":
-        return self.scale(-1)
-
     def scale(self, c: RationalLike) -> "SurfaceClass":
         c = as_rational(c)
         return SurfaceClass(
@@ -205,14 +217,7 @@ class SurfaceClass:
     def __mul__(self, other):
         if isinstance(other, SurfaceClass):
             return surface_mul(self, other)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        return super().__mul__(other)
 
     def is_zero(self) -> bool:
         return self.r == 0 and self.s == 0 and all(x == 0 for x in self.d)
@@ -228,7 +233,7 @@ def surface_mul(u: SurfaceClass, v: SurfaceClass) -> SurfaceClass:
 
 
 @value_class
-class ThreefoldClass:
+class ThreefoldClass(_Linear):
     """Split class Θ·p*(alpha) + p*(beta) on the threefold X."""
 
     alpha: SurfaceClass
@@ -244,26 +249,13 @@ class ThreefoldClass:
     def __add__(self, other: "ThreefoldClass") -> "ThreefoldClass":
         return ThreefoldClass(self.alpha + other.alpha, self.beta + other.beta)
 
-    def __sub__(self, other: "ThreefoldClass") -> "ThreefoldClass":
-        return ThreefoldClass(self.alpha - other.alpha, self.beta - other.beta)
-
-    def __neg__(self) -> "ThreefoldClass":
-        return ThreefoldClass(-self.alpha, -self.beta)
-
     def scale(self, c: RationalLike) -> "ThreefoldClass":
         return ThreefoldClass(self.alpha.scale(c), self.beta.scale(c))
 
     def __mul__(self, other):
         if isinstance(other, ThreefoldClass):
             return x_mul(self, other)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        return super().__mul__(other)
 
     def is_zero(self) -> bool:
         return self.alpha.is_zero() and self.beta.is_zero()
@@ -303,7 +295,7 @@ def pushforward(x: ThreefoldClass) -> SurfaceClass:
 
 
 @value_class
-class DivisorClassX:
+class DivisorClassX(_Linear):
     """Divisor a·Θ + p*delta on X, the shape every ch1 in this package has."""
 
     model: SurfaceModel
@@ -311,10 +303,7 @@ class DivisorClassX:
     delta: tuple[Fraction, ...]
 
     def _check(self) -> None:
-        if len(self.delta) != self.model.picard_rank:
-            raise ValueError(
-                f"delta must have length {self.model.picard_rank}"
-            )
+        self.model.check_vector(self.delta, "delta")
 
     def __add__(self, other: "DivisorClassX") -> "DivisorClassX":
         _check_same_model(self, other)
@@ -324,24 +313,11 @@ class DivisorClassX:
             tuple(x + y for x, y in zip(self.delta, other.delta)),
         )
 
-    def __sub__(self, other: "DivisorClassX") -> "DivisorClassX":
-        return self + (-other)
-
-    def __neg__(self) -> "DivisorClassX":
-        return self.scale(-1)
-
     def scale(self, c: RationalLike) -> "DivisorClassX":
         c = as_rational(c)
         return DivisorClassX(
             self.model, c * self.a, tuple(c * x for x in self.delta)
         )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return self.a == 0 and all(x == 0 for x in self.delta)

@@ -5,6 +5,10 @@ O_X(-nΘ) (n >= 1) is, up to shift, a rank-n sheaf of slope
 
     target = s²·H_S²/n  >  0.
 
+Every entry point refuses a base that no such surface has: one whose
+canonical class is not numerically trivial, or whose lattice breaks the
+Hodge index theorem or Riemann–Roch parity (:func:`_lattice_fault`).
+
 A destabilizing subsheaf F of rank 0 < r < n would sit in an extension
 
     0 -> F' -> F -> F'' -> 0,   ch1(F'') = -(aΘ + p*delta),  ch1(F') = eΘ
@@ -224,16 +228,76 @@ def _geometry(pol: Polarization) -> _Geometry:
     return _Geometry(omega_squared, mixed, fiber, hh)
 
 
-def _require_num_trivial(pol: Polarization, what: str) -> None:
+def _require_num_trivial(pol: Polarization, what: str) -> _Functionals:
+    """Refuse a base that no numerically K-trivial surface has: its
+    canonical class must be numerically trivial, and its lattice must pass
+    :func:`_lattice_fault`, which runs once per polarization, in the cached
+    :func:`_functionals`.  Return those functionals."""
     if not pol.model.k_trivial:
         raise HypothesisViolationError(
             f"{what} needs a numerically trivial canonical class on the base"
         )
+    fns = _functionals(pol)
+    if fns.lattice_fault is not None:
+        raise HypothesisViolationError(f"{what} needs {fns.lattice_fault}")
+    return fns
+
+
+def _lattice_fault(gram: tuple[tuple[int, ...], ...]) -> str | None:
+    """The rule that the Gram matrix of a numerically K-trivial base breaks,
+    or None: Num(S) has signature (1, ρ - 1) by the Hodge index theorem,
+    and D² ≡ D·K_S = 0 (mod 2) by Riemann–Roch, so the diagonal is even."""
+    rho = len(gram)
+    positive, negative = _inertia(gram)
+    if (positive, negative) != (1, rho - 1):
+        return (
+            f"a base lattice of signature (1, {rho - 1}) by the Hodge index theorem, "
+            f"but the Gram matrix has {positive} positive, {negative} negative "
+            f"and {rho - positive - negative} zero directions"
+        )
+    if any(gram[i][i] % 2 for i in range(rho)):
+        return (
+            "an even base lattice by Riemann–Roch (D² ≡ D·K_S = 0 mod 2), "
+            "but the Gram matrix has an odd diagonal entry"
+        )
+    return None
+
+
+def _inertia(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
+    """The numbers of positive and negative directions of a symmetric
+    integer matrix, by exact symmetric elimination over Fractions: each
+    step takes a nonzero diagonal entry p as pivot and passes to its Schur
+    complement, whose entries are ratios of minors, so their size stays
+    polynomial in ρ.  Where the whole diagonal is zero but some entry g_kj
+    is not, the basis change e_k -> e_k + e_j first makes the diagonal
+    entry 2·g_kj."""
+    rows = [list(map(Fraction, row)) for row in gram]
+    positive = negative = 0
+    while rows:
+        k = next((i for i, row in enumerate(rows) if row[i]), None)
+        if k is None:
+            nonzero = [(i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+            if not nonzero:
+                break
+            k, j = nonzero[0]
+            rows[k] = [x + y for x, y in zip(rows[k], rows[j])]
+            for row in rows:
+                row[k] += row[j]
+        pivot = rows[k]
+        positive += pivot[k] > 0
+        negative += pivot[k] < 0
+        rows = [
+            [x - row[k] / pivot[k] * y for c, (x, y) in enumerate(zip(row, pivot)) if c != k]
+            for i, row in enumerate(rows)
+            if i != k
+        ]
+    return positive, negative
 
 
 class _Functionals(NamedTuple):
     """∫ b·G for each basis class b in {Θ, p*e_1, …, p*e_ρ} (in that order)
-    and G in {ω², fiber part, mixed part}, with the closed-form constants.
+    and G in {ω², fiber part, mixed part}, with the closed-form constants
+    and the verdict of :func:`_lattice_fault` on the base.
 
     Every integral a candidate needs is linear in its ch1 = cΘ + p*d, so it
     is c·G[0] + Σ d_i·G[1 + i].
@@ -245,6 +309,7 @@ class _Functionals(NamedTuple):
     gram_h: tuple[Fraction, ...]  # gram·h, so that delta·H = Σ delta_i (gram·h)_i
     two_ts: Fraction  # 2ts
     ss_hh: Fraction  # s²·H_S²
+    lattice_fault: str | None  # _lattice_fault of the base's Gram matrix
 
 
 def _dot(u: tuple[Fraction, ...], v: tuple[Fraction, ...]) -> Fraction:
@@ -288,7 +353,9 @@ def _functionals(pol: Polarization) -> _Functionals:
             "trace decomposition does not sum to r times the candidate slope: "
             "fiber and mixed functionals do not add up to ω²"
         )
-    return _Functionals(omega_squared, fiber, mixed, gram_h, two_ts, ss_hh)
+    return _Functionals(
+        omega_squared, fiber, mixed, gram_h, two_ts, ss_hh, _lattice_fault(model.gram)
+    )
 
 
 # -- slopes -----------------------------------------------------------------
@@ -410,12 +477,12 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[_Cell]:
 def _point(cand: DestabilizerCandidate, pol: Polarization, what: str) -> _Cell:
     """The cell of one candidate, on one-point axes, once the screens that
     need no geometry pass; ``what`` names the caller."""
-    _require_num_trivial(pol, what)
+    fns = _require_num_trivial(pol, what)
     if len(cand.delta) != pol.model.picard_rank:
         raise ModelMismatchError(
             "candidate delta length does not match the surface model"
         )
-    return _cells(_functionals(pol), (cand.a,), (cand.delta,), (cand.e,))[0]
+    return _cells(fns, (cand.a,), (cand.delta,), (cand.e,))[0]
 
 
 def candidate_slope(cand: DestabilizerCandidate, pol: Polarization) -> Fraction:
@@ -531,12 +598,11 @@ def enumerate_candidates(
     value); order is grid order.  The rank-independent part of a report is
     built once per (a, delta, e).  A grid above MAX_SCAN_CANDIDATES is a
     ValueError."""
-    _require_num_trivial(pol, "stability scan")
+    fns = _require_num_trivial(pol, "stability scan")
     if not is_int(n) or n < 1:
         raise ValueError("n must be a positive integer")
     bounds = EnumerationBounds() if bounds is None else bounds
     _check_scan_size(n, pol.model.picard_rank, bounds)
-    fns = _functionals(pol)
     target = target_slope(n, pol)
     cells = _cells(fns, *_axes(pol.model.picard_rank, bounds)) if n > 1 else []
     reports = tuple(_reports(n, range(1, n), cells, target))

@@ -238,6 +238,52 @@ def test_exit_codes(capsys, argv, expected):
     assert code == expected
 
 
+def test_fractional_integer_flag_names_the_rule(capsys):
+    code, out, err = run(capsys, "certify", "--preset", "k3_quartic", "-t", "1", "-s", "1",
+                         "-n", "2", "-r", "1", "--a", "1", "--e", "1/2")
+    assert (code, out) == (1, "")
+    assert "argument --e: expected an integer in ASCII digits (got '1/2')" in err
+
+
+def test_forbidden_scenario_text_shows_its_contradiction(capsys):
+    from weierfm import Forbidden, SheafScenario, WitType, solve_scenario
+
+    code, out, err = run(capsys, "ss-duality", "-n", "3", "-c", "1", "--wit", "0",
+                         "--dim-shift", "-1")
+    assert code == 0, err
+    (forbidden,) = [rel for rel in solve_scenario(SheafScenario(3, 1, WitType.WIT0, -1)).relations
+                    if isinstance(rel, Forbidden)]
+    assert forbidden.render().startswith("[k=1] contradiction: ")
+    assert f"  {forbidden.render()}\n" in out
+
+
+@pytest.mark.parametrize(
+    "gram,h,rule",
+    [
+        pytest.param(((1,),), "1", "an even base lattice", id="odd-rho1"),
+        pytest.param(((2, 0), (0, 2)), "1,0", "signature (1, 1) by the Hodge index theorem",
+                     id="positive-definite-rho2"),
+    ],
+)
+@pytest.mark.parametrize("command", ["scan", "certify"])
+def test_lattices_no_surface_has_exit_two(capsys, tmp_path, gram, h, rule, command):
+    """A K-trivial model whose lattice no surface has is refused with exit 2."""
+    from weierfm import SurfaceModel
+
+    zero = (0,) * len(gram)
+    path = tmp_path / "model.json"
+    path.write_text(serialize.dumps(SurfaceModel(len(gram), gram, zero, True, zero)))
+    argv = {
+        "scan": ("-m", "-3"),
+        "certify": ("-n", "3", "-r", "1", "--a", "0", "--delta", ",".join("0" * len(gram)),
+                    "--e", "0"),
+    }[command]
+    code, out, err = run(capsys, command, "--model-file", str(path), "-t", "1", "-s", "1",
+                         "--h", h, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and rule in err
+
+
 def test_internal_errors_exit_three(capsys, monkeypatch):
     def explode(scenario):
         raise InternalCheckError("synthetic failure")

@@ -36,6 +36,12 @@ def test_line_bundle_validates_m(k3):
         LineBundleX(k3.model, True)
 
 
+@pytest.mark.parametrize("model", [None, "k3_quartic"], ids=["none", "preset-name"])
+def test_line_bundle_needs_a_surface_model(model):
+    with pytest.raises(ValueError, match=r"^model must be a SurfaceModel, got "):
+        LineBundleX(model, 1)
+
+
 def test_line_bundle_twist_defaults_to_zero(k3):
     assert LineBundleX(k3.model, 3).twist == (Fraction(0),)
     with pytest.raises(ValueError):

@@ -56,13 +56,15 @@ def x_classes(draw, count):
     return (model,) + out
 
 
+def divisor_classes(model):
+    vectors = st.lists(rationals, min_size=model.picard_rank, max_size=model.picard_rank)
+    return st.builds(lambda a, d: DivisorClassX(model, a, tuple(d)), rationals, vectors)
+
+
 @st.composite
 def divisor_pairs(draw):
     model = draw(models)
-    def div():
-        delta = tuple(draw(rationals) for _ in range(model.picard_rank))
-        return DivisorClassX(model, draw(rationals), delta)
-    return div(), div()
+    return draw(divisor_classes(model)), draw(divisor_classes(model))
 
 
 # -- model validation --------------------------------------------------------
@@ -83,6 +85,26 @@ def test_vector_lengths_are_checked():
         SurfaceModel(1, ((2,),), (0, 0), True, (0,))
     with pytest.raises(ValueError):
         SurfaceModel(2, ((2,),), (0, 0), True, (0, 0))
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda m, v: SurfaceModel(2, m.gram, v, False, (0, 0)), "canonical must have length 2"),
+        (lambda m, v: SurfaceModel(2, m.gram, (0, 0), False, v), "omega_class must have length 2"),
+        (lambda m, v: m.surface(d=v), "degree-2 part must have length 2"),
+        (lambda m, v: m.divisor_x(delta=v), "delta must have length 2"),
+        (lambda m, v: Polarization(m, 1, 1, v), "h must have length 2"),
+        (lambda m, v: LineBundleX(m, 1, v), "twist must have length 2"),
+    ],
+    ids=["canonical", "omega-class", "surface-class", "divisor", "polarization", "twist"],
+)
+@pytest.mark.parametrize("vector", [(1,), (1, 1, 1)], ids=["short", "long"])
+def test_picard_vectors_need_rho_entries(demo, build, message, vector):
+    """Each Picard vector is refused with the same message, naming it."""
+    with pytest.raises(ValueError) as exc:
+        build(demo.model, tuple(map(Fraction, vector)))
+    assert str(exc.value) == message
 
 
 def test_x_k_trivial_is_omega_matching_canonical(k3, demo):
@@ -278,6 +300,40 @@ def test_divisor_arithmetic(k3):
     assert d.as_threefold() == ThreefoldClass(
         model.surface(r=2), model.divisor_surface((3,))
     )
+
+
+# Each class: a strategy of its values over one model, and its ring product
+# (None: divisors have none).
+_CLASSES = {
+    "SurfaceClass": (surface_classes, surface_mul),
+    "ThreefoldClass": (
+        lambda m: st.builds(ThreefoldClass, surface_classes(m), surface_classes(m)), x_mul),
+    "DivisorClassX": (divisor_classes, None),
+}
+
+
+@pytest.mark.parametrize("kind", _CLASSES)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_operators_are_scale_and_the_ring_product(kind, data):
+    """-x, x - y, c * x and x * c come from + and scale; x * y is the ring
+    product, and a bool or float scalar is refused."""
+    classes, product = _CLASSES[kind]
+    model = data.draw(models)
+    x, y = data.draw(classes(model)), data.draw(classes(model))
+    c = data.draw(rationals)
+    assert -x == x.scale(-1)
+    assert x - y == x + y.scale(-1) and (x - y) + y == x and (x - x).is_zero()
+    assert c * x == x * c == x.scale(c)
+    assert 3 * x == x * 3 == x.scale(3)
+    if product is None:
+        with pytest.raises(TypeError):
+            x * y
+    else:
+        assert x * y == product(x, y)
+    for refused in (lambda: True * x, lambda: x * False, lambda: 0.5 * x, lambda: x * 0.5):
+        with pytest.raises(TypeError):
+            refused()
 
 
 def test_mixing_models_raises(k3, enriques):

@@ -376,6 +376,24 @@ def _mutate(doc, data):
     return data.draw(_ANY_JSON)
 
 
+# The decoders of the classes that hold a model, directly or in a field.
+_MODEL_DECODERS = ("surface_class", "threefold_class", "divisor_class", "polarization",
+                   "line_bundle", "truncated_char", "transform_result")
+
+
+@pytest.mark.parametrize("name", sorted(n for n in _DECODERS if n.islower() and n != "surface_model"))
+def test_decoders_without_a_model_need_one_only_for_classes_that_hold_it(name):
+    """Called without ``model``, the decoder of a class that holds one
+    refuses with TypeError, and any other decodes."""
+    decode = getattr(serialize, f"{name}_from_json")
+    doc = _DECODERS[name][1]
+    if name in _MODEL_DECODERS:
+        with pytest.raises(TypeError, match=r"^decoding a \w+ needs its surface model$"):
+            decode(doc)
+    else:
+        assert serialize.to_jsonable(decode(doc)) == doc
+
+
 def test_every_decoder_is_fuzzed():
     covered = {f"{name}_from_json" for name in _DECODERS if name.islower()}
     covered.add("relation_from_json")

@@ -1,8 +1,13 @@
 import dataclasses
 import hashlib
+import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,7 +33,7 @@ from weierfm import (
     target_slope,
     transform_stability,
 )
-from weierfm.stability import candidate_grid
+from weierfm.stability import _inertia, _lattice_fault, candidate_grid
 
 HALF = Fraction(1, 2)
 
@@ -458,20 +463,167 @@ def test_scan_ring_products_do_not_depend_on_the_grid(monkeypatch, k3):
 
 
 @st.composite
-def k_trivial_polarizations(draw):
-    """A K-trivial model of rank 1-3 and a polarization on it."""
-    rho = draw(st.integers(1, 3))
+def grams(draw, diagonal=st.integers(-4, 4), max_rank=3):
+    """A symmetric integer matrix of rank 1 to ``max_rank``, its diagonal
+    drawn from ``diagonal`` and every other entry from -4..4."""
+    rho = draw(st.integers(1, max_rank))
     gram = [[0] * rho for _ in range(rho)]
     for i in range(rho):
         for j in range(i, rho):
-            gram[i][j] = gram[j][i] = draw(st.integers(-4, 4))
-    zero = (0,) * rho
-    model = SurfaceModel(rho, tuple(map(tuple, gram)), zero, True, zero)
-    h = tuple(Fraction(x) for x in draw(st.lists(st.integers(-3, 3), min_size=rho,
-                                                 max_size=rho)))
-    assume(model.pair(h, h) > 0)
+            gram[i][j] = gram[j][i] = draw(diagonal if i == j else st.integers(-4, 4))
+    return tuple(map(tuple, gram))
+
+
+def k_trivial_model(gram):
+    zero = (0,) * len(gram)
+    return SurfaceModel(len(gram), gram, zero, True, zero)
+
+
+@st.composite
+def polarization_args(draw, model):
+    """(model, t, s, h) with t, s in [1/4, 4] and h in -3..3; h·h may be <= 0."""
+    h = tuple(Fraction(x) for x in draw(st.lists(st.integers(-3, 3), min_size=model.picard_rank,
+                                                 max_size=model.picard_rank)))
     positive = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
-    return Polarization(model, draw(positive), draw(positive), h)
+    return model, draw(positive), draw(positive), h
+
+
+@st.composite
+def k_trivial_polarizations(draw):
+    """A K-trivial model of rank 1-3 whose lattice a surface can have (an
+    even diagonal and signature (1, ρ - 1)), and a polarization on it."""
+    gram = draw(grams(diagonal=st.integers(-2, 2).map(lambda k: 2 * k)))
+    assume(_lattice_fault(gram) is None)
+    model, t, s, h = draw(polarization_args(k_trivial_model(gram)))
+    assume(model.pair(h, h) > 0)
+    return Polarization(model, t, s, h)
+
+
+def _det(m):
+    """Determinant by expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def _descartes_inertia(gram):
+    """(positive, negative) eigenvalue counts of a symmetric matrix, by
+    Descartes' rule of signs, which is exact on a polynomial with only real
+    roots: the characteristic polynomial λ^ρ + Σ c_k λ^(ρ-k), with c_k
+    (-1)^k times the sum of the principal k x k minors."""
+    rho = len(gram)
+    coeffs = [(-1) ** k * sum(_det([[gram[i][j] for j in idx] for i in idx])
+                              for idx in itertools.combinations(range(rho), k))
+              for k in range(rho + 1)]
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    mirrored = [c * (-1) ** (rho - k) for k, c in enumerate(coeffs)]
+    return sign_changes(coeffs), sign_changes(mirrored)
+
+
+@pytest.mark.parametrize(
+    "gram,inertia",
+    [
+        (((4,),), (1, 0)),
+        (((0,),), (0, 0)),
+        (((0, 1), (1, 0)), (1, 1)),
+        (((0, 0), (0, 0)), (0, 0)),
+        (((0, 1, 0), (1, 0, 0), (0, 0, 0)), (1, 1)),
+        (((0, 1, 1), (1, 0, 1), (1, 1, 0)), (1, 2)),
+        (((2, 0), (0, 2)), (2, 0)),
+    ],
+)
+def test_inertia_fixed_values(gram, inertia):
+    """Zero diagonals, as in U, are pivoted past."""
+    assert _inertia(gram) == inertia == _descartes_inertia(gram)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grams(diagonal=st.integers(-2, 2), max_rank=4))
+def test_inertia_matches_descartes_rule_of_signs(gram):
+    assert _inertia(gram) == _descartes_inertia(gram)
+
+
+def test_lattice_rules_name_what_fails():
+    assert _lattice_fault(((4,),)) is None
+    assert _lattice_fault(((2,),)) is None
+    assert _lattice_fault(((0, 1), (1, 0))) is None
+    assert "even base lattice" in _lattice_fault(((1,),))
+    assert "odd diagonal entry" in _lattice_fault(((2, 1), (1, -1)))
+    fault = _lattice_fault(((2, 0), (0, 2)))
+    assert "signature (1, 1) by the Hodge index theorem" in fault
+    assert "2 positive, 0 negative and 0 zero directions" in fault
+
+
+_RANK_30 = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from fractions import Fraction
+from weierfm import DestabilizerCandidate, Polarization, SurfaceModel, Verdict, certify
+from weierfm.stability import _inertia, _lattice_fault
+rho = 30
+d = [2] + [-2] * (rho - 1)
+diagonal = tuple(tuple(d[i] * (i == j) for j in range(rho)) for i in range(rho))
+dense = tuple(tuple(sum(d[:min(i, j) + 1]) for j in range(rho)) for i in range(rho))
+zero = (Fraction(0),) * rho
+h = (Fraction(1),) + zero[1:]
+for gram in (diagonal, dense):
+    assert _inertia(gram) == (1, rho - 1) and _lattice_fault(gram) is None
+    pol = Polarization(SurfaceModel(rho, gram, zero, True, zero), Fraction(1), Fraction(1), h)
+    report = certify(2, pol, DestabilizerCandidate(1, Fraction(0), zero, 0))
+    assert report.verdict is Verdict.CERTIFIED, report
+"""
+
+
+def test_lattice_check_stays_polynomial_at_rank_30():
+    """The elimination's entries stay polynomial in size on <2> + <-2>^29
+    and on the dense even lattice P^T·diag(2, -2, …, -2)·P of the same
+    signature (P upper triangular of ones), checked alone and through
+    ``certify``.  It runs in a child process whose time and address space
+    are capped, so that a blow-up fails the test instead of hanging it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RANK_30], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, encoding="utf-8", timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@settings(max_examples=80, deadline=None)
+@given(grams().map(k_trivial_model).flatmap(polarization_args))
+def test_lattices_no_surface_has_are_refused(args):
+    """Every draw of the strategy that ``k_trivial_polarizations`` was
+    before it was narrowed to realizable lattices (any diagonal, any
+    signature) is refused or certified, none skipped: an h with h·h <= 0
+    by Polarization; a lattice that breaks a rule by every stability entry
+    point, which names the rule."""
+    model, t, s, h = args
+    if model.pair(h, h) <= 0:
+        with pytest.raises(ValueError, match="h·h must be positive"):
+            Polarization(*args)
+        return
+    pol = Polarization(*args)
+    fault = _lattice_fault(model.gram)
+    c = cand(delta=(0,) * model.picard_rank)
+    calls = (
+        lambda: target_slope(2, pol),
+        lambda: certify(2, pol, c),
+        lambda: candidate_slope(c, pol),
+        lambda: enumerate_candidates(2, pol, small_bounds()),
+        lambda: transform_stability(LineBundleX(model, -2), pol, small_bounds()),
+    )
+    for call in calls:
+        if fault is None:
+            call()
+        else:
+            with pytest.raises(HypothesisViolationError) as exc:
+                call()
+            assert str(exc.value).endswith(f"needs {fault}")
 
 
 @st.composite
