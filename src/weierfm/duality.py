@@ -28,29 +28,30 @@ Differentials move (p, q) to (p - r + 1, q + r) on these displays: they
 shift the outer functor degree up by r, which leaves the two-row Right
 band immediately (degeneration at page 2 always) and leaves the Left band
 as soon as one column is dead.  After degeneration, equal total degree
-p + q forces term-by-term relations between the two sides, which a small
-fixpoint loop turns into Identification / ForcedZero / ShortExact facts,
-or into a contradiction when the scenario is impossible.
+p + q forces term-by-term relations between the two sides, which three
+passes turn into Identification / ForcedZero / ShortExact facts, or into a
+contradiction when the scenario is impossible:
 
-A scan of degree k reads and writes only antidiagonal k.  Rerun on what it
-left there it would emit only duplicates, so k's relations come from its
-first scan and a rescan only carries NonZero across; a jointly-nonzero group
-that vanished is forbidden once.  When one term lives on each side
-it emits their Identification and carries NonZero from one to the other;
-both stay live for the rest of the solve, since a term turns Zero only
-while the other side of k has no live term.  Every status change marks its
-own degree dirty.  The loop scans the dirty degrees in ascending order (at
-first every degree holding a term that is not Zero: no status leaves Zero,
-so a scan of any other degree does nothing), then checks the joint
-constraints, which are the only status changes made outside a degree's own
-scan, and stops when no degree is dirty.  A solve therefore makes at most
-(number of degrees + number of status changes) scans, each over at most four
-terms: time and memory are linear in n.
+1. Each total degree holding a term that is not Zero, in ascending order,
+   reads its live terms on both pages.  A survivor facing an empty page
+   vanishes (a contradiction if it is NonZero); one live term on each side
+   gives an Identification, one against two a ShortExact.
+2. Each jointly-nonzero group whose terms all vanished is forbidden; one
+   with a single term left makes that term NonZero.
+3. NonZero carries across each Identification, and from a ShortExact's sub
+   or quot to its mid.
 
-Each solve builds both pages column by column from runs of equal statuses
-and indexes the scanned degrees' cells by antidiagonal once.  The TermRefs
-its relations name, labels included, are made once per process and shared
-by every solve.
+One pass of each reaches the fixpoint of these rules.  A term turns Zero
+only in the first pass, on its own antidiagonal, and no status leaves Zero;
+the second pass reads only which terms are Zero, so it is final too.  Each
+term lies on one antidiagonal, which emits at most one Identification or
+ShortExact, so no carry reaches another relation.  Each pass is linear in
+the number of terms and groups, so for the pages of a scenario, which hold
+one group, time and memory are linear in n.
+
+Each solve builds both pages column by column from runs of equal statuses.
+The TermRefs its relations name, labels included, are made once per process
+and shared by every solve.
 """
 
 from __future__ import annotations
@@ -188,19 +189,15 @@ class PageGrid:
             self.p_range[1] + self.q_range[1] + 1,
         )
 
-    def diagonal(self, k: int) -> list[tuple[Pos, Term]]:
-        """The cells with p + q = k, Zero or not, larger q first."""
-        (p0, p1), (q0, q1) = self.p_range, self.q_range
-        terms = self.terms
-        cells = []
-        for q in range(min(q1, k - p0), max(q0, k - p1) - 1, -1):
-            pos = (k - q, q)
-            cells.append((pos, terms[pos]))
-        return cells
-
     def live_on_diagonal(self, k: int) -> list[tuple[Pos, Term]]:
         """The terms with p + q = k that are not Zero, larger q first."""
-        return [cell for cell in self.diagonal(k) if cell[1].status is not TermStatus.ZERO]
+        (p0, p1), (q0, q1) = self.p_range, self.q_range
+        terms = self.terms
+        return [
+            ((k - q, q), term)
+            for q in range(min(q1, k - p0), max(q0, k - p1) - 1, -1)
+            if (term := terms[k - q, q]).status is not TermStatus.ZERO
+        ]
 
     def is_settled(self) -> bool:
         """No differential d_r (r >= 2) joins two terms that are not Zero.
@@ -443,137 +440,78 @@ def degenerate(grid: PageGrid) -> tuple[PageGrid, int]:
 # -- limit comparison ------------------------------------------------------
 
 
-class _Solver:
-    """The fixpoint loop.  It builds the relations it derives through their
-    trusted constructors; the public ones would cost duality 11 % of its
-    throughput (BENCH_17.json)."""
+def _solve(left: PageGrid, right: PageGrid) -> list[DerivedRelation]:
+    """The three passes of the module docstring; statuses refine in place.
 
-    def __init__(self, left: PageGrid, right: PageGrid) -> None:
-        self.left = left
-        self.right = right
-        self.relations: list[DerivedRelation] = []
-        # The degrees scanned so far: a degree emits its relations on its
-        # first scan only, since a rescan would emit the same ones again.
-        self._scanned: set[int] = set()
-        # The total degrees whose antidiagonal changed since its last scan;
-        # at first every degree with a live term.  No status leaves Zero, so
-        # the other degrees never hold one, and a scan of them does nothing.
-        self._dirty = {
-            p + q
-            for grid in (left, right)
-            for (p, q), term in grid.terms.items()
-            if term.status is not TermStatus.ZERO
-        }
-        # Those degrees' (pos, term) pairs on both pages, larger q first,
-        # Zero terms included: a scan filters them by their current status.
-        self._cells = {k: (left.diagonal(k), right.diagonal(k)) for k in self._dirty}
-
-    def _set_status(self, term: Term, pos: Pos, status: TermStatus) -> None:
-        term.status = status
-        self._dirty.add(pos[0] + pos[1])
-
-    def _set_nonzero(self, term: Term, pos: Pos) -> None:
-        if term.status is TermStatus.UNKNOWN:
-            self._set_status(term, pos, TermStatus.NONZERO)
-
-    def _scan_degree(self, k: int) -> None:
-        first = k not in self._scanned
-        self._scanned.add(k)
-        cells_l, cells_r = self._cells.get(k, ((), ()))
-        lives_l = [cell for cell in cells_l if cell[1].status is not TermStatus.ZERO]
-        lives_r = [cell for cell in cells_r if cell[1].status is not TermStatus.ZERO]
+    It builds the relations through their trusted constructors; the public
+    ones would cost duality 11 % of its throughput (BENCH_17.json).
+    """
+    relations: list[DerivedRelation] = []
+    # (source, source, targets) of each Identification and ShortExact: the
+    # third pass makes the targets NonZero when a source is.
+    carries: list[tuple[Term, Term, tuple[Term, ...]]] = []
+    degrees = {
+        p + q
+        for grid in (left, right)
+        for (p, q), term in grid.terms.items()
+        if term.status is not TermStatus.ZERO
+    }
+    for k in sorted(degrees):
+        lives_l, lives_r = left.live_on_diagonal(k), right.live_on_diagonal(k)
         if not lives_l or not lives_r:
-            # Every survivor, if any, faces an empty page.  The first scan
-            # turns each Unknown one Zero, and a side with no live term
-            # keeps none, so a rescan finds only NonZero ones to forbid again.
-            if not first:
-                return
+            # Every survivor faces an empty page.
             on_left = bool(lives_l)
+            empty = Side.RIGHT if on_left else Side.LEFT
             for pos, term in lives_l or lives_r:
                 ref = _term_ref(on_left, pos)
                 if term.status is TermStatus.NONZERO:
-                    empty = Side.RIGHT if on_left else Side.LEFT
-                    self.relations.append(
-                        Forbidden(
-                            k,
-                            f"{ref.label} is required nonzero but an empty "
-                            f"{empty.value} page in total degree {k} forces it to vanish",
-                        )
+                    reason = (
+                        f"{ref.label} is required nonzero but an empty "
+                        f"{empty.value} page in total degree {k} forces it to vanish"
                     )
+                    relations.append(Forbidden(k, reason))
                 else:  # live, so Unknown
-                    self._set_status(term, pos, TermStatus.ZERO)
-                    self.relations.append(trusted(ForcedZero)(k, ref))
-            return
-        # Below, no term of k turns Zero, so a rescan finds the same live
-        # terms and only carries NonZero across.
-        if len(lives_l) == 1 and len(lives_r) == 1:
-            (pl, tl), (pr, tr) = lives_l[0], lives_r[0]
-            if first:
-                self.relations.append(trusted(Identification)(
-                    k, _term_ref(True, pl), _term_ref(False, pr)
-                ))
-            # Both stay live; a later change to either marks k dirty, so the
-            # rescan carries NonZero across again.
-            if TermStatus.NONZERO in (tl.status, tr.status):
-                self._set_nonzero(tl, pl)
-                self._set_nonzero(tr, pr)
-            return
-        if len(lives_l) + len(lives_r) == 3:  # one against two
+                    term.status = TermStatus.ZERO
+                    relations.append(trusted(ForcedZero)(k, ref))
+        elif len(lives_l) == 1 and len(lives_r) == 1:
+            [(pos_l, term_l)], [(pos_r, term_r)] = lives_l, lives_r
+            ref_l, ref_r = _term_ref(True, pos_l), _term_ref(False, pos_r)
+            relations.append(trusted(Identification)(k, ref_l, ref_r))
+            carries.append((term_l, term_r, (term_l, term_r)))
+        elif len(lives_l) + len(lives_r) == 3:  # one against two
             mid_on_left = len(lives_l) == 1
-            if mid_on_left:
-                (mid_pos, mid_term), pair = lives_l[0], lives_r
-            else:
-                (mid_pos, mid_term), pair = lives_r[0], lives_l
+            one, two = (lives_l, lives_r) if mid_on_left else (lives_r, lives_l)
             # The cells come larger q first; the deeper filtration step
             # (larger outer degree, i.e. larger q) is the subobject
-            (sub_pos, subs), (quot_pos, quots) = pair
-            if first:
-                self.relations.append(
-                    trusted(ShortExact)(
-                        k,
-                        _term_ref(not mid_on_left, sub_pos),
-                        _term_ref(mid_on_left, mid_pos),
-                        _term_ref(not mid_on_left, quot_pos),
-                    )
+            [(mid_pos, mid)], [(sub_pos, sub), (quot_pos, quot)] = one, two
+            sub_ref = _term_ref(not mid_on_left, sub_pos)
+            mid_ref = _term_ref(mid_on_left, mid_pos)
+            quot_ref = _term_ref(not mid_on_left, quot_pos)
+            relations.append(trusted(ShortExact)(k, sub_ref, mid_ref, quot_ref))
+            carries.append((sub, quot, (mid,)))
+    for grid in (left, right):
+        for group in grid.joint_nonzero:
+            terms = [grid.terms[pos] for pos in group]
+            zeros = sum(term.status is TermStatus.ZERO for term in terms)
+            if zeros == len(group):
+                is_left = grid.side is Side.LEFT
+                labels = ", ".join(_term_ref(is_left, pos).label for pos in group)
+                forbidden = Forbidden(
+                    max(p + q for p, q in group),
+                    "every term of a jointly-nonzero group vanished: " + labels,
                 )
-            if TermStatus.NONZERO in (subs.status, quots.status):
-                self._set_nonzero(mid_term, mid_pos)
-            # A vanishing mid (or a fully vanished pair) never reaches this
-            # branch: the scan filters Zero terms, so those cases fall into
-            # the empty-side or one-against-one branches instead.
-
-    def _check_joint_constraints(self) -> None:
-        for grid in (self.left, self.right):
-            for group in grid.joint_nonzero:
-                statuses = [grid.terms[pos].status for pos in group]
-                if all(s is TermStatus.ZERO for s in statuses):
-                    is_left = grid.side is Side.LEFT
-                    labels = ", ".join(_term_ref(is_left, pos).label for pos in group)
-                    degree = max(p + q for p, q in group)
-                    forbidden = Forbidden(
-                        degree, "every term of a jointly-nonzero group vanished: " + labels
-                    )
-                    # No status leaves Zero, so a later check finds the group
-                    # vanished again: its Forbidden, like a repeated group's,
-                    # is emitted once.
-                    if forbidden not in self.relations:
-                        self.relations.append(forbidden)
-                elif statuses.count(TermStatus.ZERO) == len(group) - 1:
-                    for pos in group:
-                        self._set_nonzero(grid.terms[pos], pos)
-
-    def solve(self) -> list[DerivedRelation]:
-        # Outside a degree's own scan only the joint constraints change
-        # statuses, and they mark those degrees dirty.  They are checked at
-        # least once, even on pages with no live term.
-        while True:
-            degrees, self._dirty = sorted(self._dirty), set()
-            for k in degrees:
-                self._scan_degree(k)
-                self._dirty.discard(k)
-            self._check_joint_constraints()
-            if not self._dirty:
-                return self.relations
+                # A page may repeat a group; its Forbidden is emitted once.
+                if forbidden not in relations:
+                    relations.append(forbidden)
+            elif zeros == len(group) - 1:
+                for term in terms:
+                    if term.status is TermStatus.UNKNOWN:
+                        term.status = TermStatus.NONZERO
+    for one, other, targets in carries:
+        if TermStatus.NONZERO in (one.status, other.status):
+            for term in targets:
+                term.status = TermStatus.NONZERO
+    return relations
 
 
 def _check_shape(grid: PageGrid) -> None:
@@ -612,7 +550,7 @@ def compare_limits(left: PageGrid, right: PageGrid) -> list[DerivedRelation]:
             raise ValueError(
                 "compare_limits requires degenerated pages; call degenerate() first"
             )
-    return _Solver(left, right).solve()
+    return _solve(left, right)
 
 
 # -- closed form and the full pipeline -------------------------------------
@@ -679,7 +617,7 @@ def solve_scenario(scenario: SheafScenario) -> ScenarioSolution:
     left, left_page = degenerate(left)
     right, right_page = degenerate(right)
     # degenerate() has checked both pages' shapes and that they are settled.
-    relations = _Solver(left, right).solve()
+    relations = _solve(left, right)
     conclusion = _entailed_conclusion(scenario, right, relations)
     # The public constructor would cost duality 4 % of its throughput (BENCH_18.json).
     return trusted(ScenarioSolution)(

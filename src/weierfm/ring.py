@@ -171,12 +171,16 @@ def _check_same_model(left, right) -> None:
 
 class _Linear:
     """The operators every class derives from its own ``+`` and ``scale``:
-    ``-x``, ``x - y``, and ``c * x`` and ``x * c`` for an int or Fraction c."""
+    ``-x``, ``x - y``, and ``c * x`` and ``x * c`` for an int or Fraction c.
+    ``+`` and ``-`` take only a class of the same kind; any other operand
+    gives NotImplemented, so Python raises TypeError."""
 
     def __neg__(self):
         return self.scale(-1)
 
     def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -200,6 +204,8 @@ class SurfaceClass(_Linear):
         self.model.check_vector(self.d, "degree-2 part")
 
     def __add__(self, other: "SurfaceClass") -> "SurfaceClass":
+        if not isinstance(other, SurfaceClass):
+            return NotImplemented
         _check_same_model(self, other)
         return SurfaceClass(
             self.model,
@@ -247,6 +253,8 @@ class ThreefoldClass(_Linear):
         return self.alpha.model
 
     def __add__(self, other: "ThreefoldClass") -> "ThreefoldClass":
+        if not isinstance(other, ThreefoldClass):
+            return NotImplemented
         return ThreefoldClass(self.alpha + other.alpha, self.beta + other.beta)
 
     def scale(self, c: RationalLike) -> "ThreefoldClass":
@@ -306,6 +314,8 @@ class DivisorClassX(_Linear):
         self.model.check_vector(self.delta, "delta")
 
     def __add__(self, other: "DivisorClassX") -> "DivisorClassX":
+        if not isinstance(other, DivisorClassX):
+            return NotImplemented
         _check_same_model(self, other)
         return DivisorClassX(
             self.model,

@@ -30,7 +30,7 @@ from weierfm.duality import (
     TERM_REF_CACHE_SIZE,
     PageGrid,
     Term,
-    _Solver,
+    TermRef,
     _term_ref,
     left_label,
     right_label,
@@ -484,35 +484,123 @@ def test_every_emitted_relation_round_trips():
     }
 
 
-class _RescanEveryDegree(_Solver):
-    """The fixpoint without dirty degrees: every pass rescans every total
-    degree, in ascending order."""
+def _rescan_every_degree(left, right):
+    """The duality rules run to their fixpoint the slow way, as a reference.
 
-    def solve(self):
-        degrees = sorted(set(self.left.degrees()) | set(self.right.degrees()))
-        while True:
-            before = (len(self.relations), statuses(self.left, self.right))
-            for k in degrees:
-                self._scan_degree(k)
-            self._check_joint_constraints()
-            if (len(self.relations), statuses(self.left, self.right)) == before:
-                return list(self.relations)
+    Every pass rescans every total degree of both pages in ascending order,
+    then checks the jointly-nonzero groups, and the loop stops when a pass
+    changes nothing.  A degree emits relations on its first scan only; a
+    rescan carries NonZero again.
+    """
+    relations = []
+
+    def ref(side, pos):
+        label = left_label(*pos) if side is Side.LEFT else right_label(*pos)
+        return TermRef(side, pos, label)
+
+    def live(grid, k):
+        cells = [(pos, term) for pos, term in grid.terms.items() if sum(pos) == k]
+        cells.sort(key=lambda cell: -cell[0][1])
+        return [cell for cell in cells if cell[1].status is not TermStatus.ZERO]
+
+    def make_nonzero(*terms):
+        for term in terms:
+            if term.status is TermStatus.UNKNOWN:
+                term.status = TermStatus.NONZERO
+
+    def scan(k, first):
+        lives = lives_l, lives_r = live(left, k), live(right, k)
+        if not lives_l or not lives_r:
+            side, empty = (Side.LEFT, Side.RIGHT) if lives_l else (Side.RIGHT, Side.LEFT)
+            for pos, term in lives_l or lives_r:
+                term_ref = ref(side, pos)
+                if term.status is TermStatus.UNKNOWN:
+                    term.status = TermStatus.ZERO
+                    relation = ForcedZero(k, term_ref)
+                else:
+                    relation = Forbidden(
+                        k,
+                        f"{term_ref.label} is required nonzero but an empty "
+                        f"{empty.value} page in total degree {k} forces it to vanish",
+                    )
+                if first:
+                    relations.append(relation)
+        elif len(lives_l) == len(lives_r) == 1:
+            [(pos_l, term_l)], [(pos_r, term_r)] = lives_l, lives_r
+            if first:
+                relations.append(
+                    Identification(k, ref(Side.LEFT, pos_l), ref(Side.RIGHT, pos_r))
+                )
+            if TermStatus.NONZERO in (term_l.status, term_r.status):
+                make_nonzero(term_l, term_r)
+        elif len(lives_l) + len(lives_r) == 3:
+            if len(lives_l) == 1:
+                mid_side, pair_side, [(mid_pos, mid)], pair = Side.LEFT, Side.RIGHT, *lives
+            else:
+                mid_side, pair_side, pair, [(mid_pos, mid)] = Side.RIGHT, Side.LEFT, *lives
+            (sub_pos, sub), (quot_pos, quot) = pair
+            if first:
+                sub_ref, quot_ref = ref(pair_side, sub_pos), ref(pair_side, quot_pos)
+                relations.append(ShortExact(k, sub_ref, ref(mid_side, mid_pos), quot_ref))
+            if TermStatus.NONZERO in (sub.status, quot.status):
+                make_nonzero(mid)
+
+    def check_groups():
+        for grid in (left, right):
+            for group in grid.joint_nonzero:
+                terms = [grid.terms[pos] for pos in group]
+                zeros = [term.status for term in terms].count(TermStatus.ZERO)
+                if zeros == len(group):
+                    labels = ", ".join(ref(grid.side, pos).label for pos in group)
+                    forbidden = Forbidden(
+                        max(sum(pos) for pos in group),
+                        "every term of a jointly-nonzero group vanished: " + labels,
+                    )
+                    if forbidden not in relations:
+                        relations.append(forbidden)
+                elif zeros == len(group) - 1:
+                    make_nonzero(*terms)
+
+    degrees = sorted(set(left.degrees()) | set(right.degrees()))
+    first = True
+    while True:
+        before = (len(relations), statuses(left, right))
+        for k in degrees:
+            scan(k, first)
+        check_groups()
+        first = False
+        if (len(relations), statuses(left, right)) == before:
+            return relations
 
 
-@settings(deadline=None, max_examples=300)
-@given(st.data())
-def test_dirty_degrees_match_rescanning_every_degree(data):
-    """Settled pages with random statuses off the dead WIT column (so
-    contradictions and every branch of a scan occur) give the same
-    relations, in the same order, and the same final statuses."""
+def _random_engine_pages(data):
+    """Engine pages with random statuses off the dead WIT column (so
+    contradictions and every branch of a scan occur); on some examples each
+    page also gets 0-3 extra jointly-nonzero groups of 1-3 positions,
+    repeated positions allowed."""
     scenario = data.draw(st.sampled_from(list(feasible_scenarios(8))))
     left, right = build_pages(scenario)
     for grid in (left, right):
         for (p, _), term in grid.terms.items():
             if grid is right or p == scenario.surviving_column:
                 term.status = data.draw(st.sampled_from(TermStatus))
+    if data.draw(st.booleans()):
+        for grid in (left, right):
+            group = st.lists(st.sampled_from(sorted(grid.terms)), min_size=1, max_size=3)
+            extra = data.draw(st.lists(group.map(tuple), max_size=3))
+            grid.joint_nonzero += tuple(extra)
+    return left, right
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_three_passes_match_rescanning_every_degree(data):
+    """Engine pages with random statuses, and on some examples random
+    jointly-nonzero groups, give the relations of the slow fixpoint, in the
+    same order, and the same final statuses."""
+    left, right = _random_engine_pages(data)
     ref_left, ref_right = copy.deepcopy((left, right))
-    expected = _RescanEveryDegree(ref_left, ref_right).solve()
+    expected = _rescan_every_degree(ref_left, ref_right)
     assert compare_limits(left, right) == expected
     assert statuses(left, right) == statuses(ref_left, ref_right)
 
@@ -555,44 +643,15 @@ def _arbitrary_settled_pages(data):
 def test_identified_terms_end_with_one_live_status(data):
     """Both terms of every Identification end non-Zero, and NonZero on one
     side is NonZero on the other: on engine pages with random statuses and
-    on arbitrary settled pages with random jointly-nonzero groups."""
+    on arbitrary settled pages, both with random jointly-nonzero groups."""
     if data.draw(st.booleans()):
-        scenario = data.draw(st.sampled_from(list(feasible_scenarios(8))))
-        left, right = build_pages(scenario)
-        for grid in (left, right):
-            for (p, _), term in grid.terms.items():
-                if grid is right or p == scenario.surviving_column:
-                    term.status = data.draw(st.sampled_from(TermStatus))
+        left, right = _random_engine_pages(data)
     else:
         left, right = _arbitrary_settled_pages(data)
     for rel in compare_limits(left, right):
         if isinstance(rel, Identification):
             pair = {left.terms[rel.left.pos].status, right.terms[rel.right.pos].status}
             assert len(pair) == 1 and TermStatus.ZERO not in pair, rel
-
-
-def test_fixpoint_rescans_only_changed_degrees(monkeypatch):
-    """Each degree is scanned once, and again only after a status on its
-    antidiagonal changed: scans <= degrees + status changes."""
-    calls = []
-    scan = _Solver._scan_degree
-
-    def counted(self, k):
-        calls.append(k)
-        scan(self, k)
-
-    monkeypatch.setattr(_Solver, "_scan_degree", counted)
-    count = 0
-    for scenario in feasible_scenarios(12):
-        left, right = build_pages(scenario)
-        before = statuses(left, right)
-        calls.clear()
-        compare_limits(left, right)
-        changes = sum(a is not b for a, b in zip(before, statuses(left, right)))
-        degrees = len(set(left.degrees()) | set(right.degrees()))
-        assert len(calls) <= degrees + changes, scenario
-        count += 1
-    assert count == 492
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import operator
 import os
 import tempfile
 from fractions import Fraction
@@ -334,6 +335,21 @@ def test_operators_are_scale_and_the_ring_product(kind, data):
     for refused in (lambda: True * x, lambda: x * False, lambda: 0.5 * x, lambda: x * 0.5):
         with pytest.raises(TypeError):
             refused()
+
+
+def test_a_foreign_operand_is_a_type_error(k3):
+    """+ and - take only a class of the same kind: a number, None, a string
+    or another kind of class is a TypeError, on either side."""
+    model = k3.model
+    classes = (model.surface(r=1), model.theta(), model.divisor_x(a=1))
+    for x in classes:
+        others = [y for y in classes if type(y) is not type(x)]
+        for other in (1, Fraction(1, 2), None, "x", *others):
+            for op in (operator.add, operator.sub):
+                with pytest.raises(TypeError):
+                    op(x, other)
+                with pytest.raises(TypeError):
+                    op(other, x)
 
 
 def test_mixing_models_raises(k3, enriques):
