@@ -29,7 +29,6 @@ vanish and the two kernels are indistinguishable at the level of classes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -37,7 +36,7 @@ from .errors import (
     ModelMismatchError,
     UndefinedSlopeError,
 )
-from .rationals import RationalLike, as_rational, as_rational_vector, is_int, require, value_class
+from .rationals import RationalLike, as_rational, value_class
 from .ring import DivisorClassX, SurfaceModel, require_x_k_trivial, x_integrate, x_mul
 
 _HALF = Fraction(1, 2)
@@ -58,25 +57,19 @@ class KernelChoice(enum.Enum):
         return tuple(factor * w for w in model.omega_class)
 
 
-@dataclass(frozen=True)
+@value_class
 class LineBundleX:
-    """O_X(mΘ) ⊗ p*N with N given by its Picard coordinates (the twist)."""
+    """O_X(mΘ) ⊗ p*N with N given by its Picard coordinates (the twist);
+    a twist left out is N = O_S, the zero vector."""
 
     model: SurfaceModel
     m: int
     twist: tuple[Fraction, ...] | None = None
 
-    def __post_init__(self) -> None:
-        require(self.model, SurfaceModel, "model")
-        if not is_int(self.m):
-            raise TypeError("m must be an integer")
-        twist = (
-            self.model.zero_vector()
-            if self.twist is None
-            else as_rational_vector(self.twist)
-        )
-        self.model.check_vector(twist, "twist")
-        object.__setattr__(self, "twist", twist)
+    def _check(self) -> None:
+        if self.twist is None:
+            object.__setattr__(self, "twist", self.model.zero_vector())
+        self.model.check_vector(self.twist, "twist")
 
     def dual(self) -> "LineBundleX":
         return LineBundleX(self.model, -self.m, tuple(-t for t in self.twist))

@@ -22,10 +22,12 @@ against the field's annotation (a ``Fraction`` through ``as_rational``, any
 other class through ``require``, tuples entry by entry), then runs the
 class's ``_check`` hook, which holds the checks between fields.  The check
 table is built from the annotations on a class's first construction, never
-at import, and kept per class.  The duality solver's relations and the
-stability scan's values, and what the JSON decoders' own checks passed,
-are built through ``trusted(cls)``: one constructor per class, generated
-on first use, that only stores the fields.  So a value class decodes
+at import, and kept per class.  An optional field, ``X | None``, stores an
+X: None is only its constructor default, which the hook replaces.  The
+duality solver's relations and the stability scan's values, and what the
+JSON decoders' own checks passed, are built through ``trusted(cls)``: one
+constructor per class, generated on first use, that only stores the
+fields.  Every class the codec reads is a value class, so each decodes
 trusted: its decoder's checks and its ``_check`` hook are what its
 constructor would run.
 """
@@ -38,6 +40,7 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from types import UnionType
 from typing import Any, Callable, Iterable, Sequence, TypeVar, Union, get_args, get_origin
 
 RationalLike = Union[int, Fraction]
@@ -122,20 +125,39 @@ def _check_fields(self: Any) -> None:
         hook(self)
 
 
+def field_types(cls: type) -> dict[str, Any]:
+    """The annotation of each field of the dataclass ``cls``, by name, as
+    its module resolves it; a field whose annotation names a class that the
+    module does not load is left out."""
+    namespace = vars(sys.modules[cls.__module__])
+    types = {}
+    for f in fields(cls):
+        try:  # annotations are postponed, so f.type is the annotation's text
+            types[f.name] = eval(f.type, namespace)
+        except NameError:
+            pass
+    return types
+
+
+def stored_type(hint: Any) -> Any:
+    """The type a field annotated ``hint`` stores: X for ``X | None``, whose
+    None is only a constructor default that the class's ``_check`` hook
+    replaces (LineBundleX.twist), and ``hint`` itself otherwise."""
+    args = get_args(hint)
+    if get_origin(hint) in (Union, UnionType) and len(args) == 2 and type(None) in args:
+        return args[0] if args[1] is type(None) else args[1]
+    return hint
+
+
 @cache
 def _field_checks(cls: type) -> tuple[tuple[tuple[str, Callable[[Any], Any]], ...], Any]:
     """The (field name, check) pairs of the value class ``cls``, read from
     its annotations, and its ``_check`` hook (None if it has none)."""
-    namespace = vars(sys.modules[cls.__module__])
     hook = getattr(cls, "_check", None)
-    checks = []
-    for f in fields(cls):
-        try:  # annotations are postponed, so f.type is the annotation's text
-            checks.append((f.name, _checker(eval(f.type, namespace), f.name)))
-        except NameError:
-            if hook is None:
-                raise
-    return tuple(checks), hook
+    types = field_types(cls)
+    if hook is None and len(types) < len(fields(cls)):
+        raise NameError(f"{cls.__name__} has a field whose annotation its module does not load")
+    return tuple((name, _checker(hint, name)) for name, hint in types.items()), hook
 
 
 def _checker(hint: Any, what: str) -> Callable[[Any], Any]:
@@ -143,8 +165,13 @@ def _checker(hint: Any, what: str) -> Callable[[Any], Any]:
     value to store: a ``Fraction`` goes through :func:`as_rational` and a
     ``tuple[Fraction, ...]`` through :func:`as_rational_vector` (TypeError
     on a float); ``tuple[X, ...]`` takes a tuple of X's, and ``tuple[X, X]``
-    one of that length; any other class, or union of classes such as
-    ``X | None``, goes through :func:`require` (ValueError)."""
+    one of that length; ``X | None`` takes None, left to the ``_check``
+    hook, or what X takes (see :func:`stored_type`); any other class, or
+    union of classes, goes through :func:`require` (ValueError)."""
+    stored = stored_type(hint)
+    if stored is not hint:
+        check = _checker(stored, what)
+        return lambda value: value if value is None else check(value)
     if hint is Fraction:
         return as_rational
     args = get_args(hint)

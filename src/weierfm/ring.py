@@ -30,17 +30,16 @@ in this module or anywhere downstream of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisViolationError, ModelMismatchError
-from .rationals import RationalLike, as_rational, as_rational_vector, is_int, value_class
+from .rationals import RationalLike, as_rational, value_class
 
 _HALF = Fraction(1, 2)
 _SIXTH = Fraction(1, 6)
 
 
-@dataclass(frozen=True)
+@value_class
 class SurfaceModel:
     """Numerical model of the base surface S.
 
@@ -58,30 +57,18 @@ class SurfaceModel:
     k_trivial: bool
     omega_class: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        rho = self.picard_rank
-        if not is_int(rho) or rho < 1:
+    def _check(self) -> None:
+        rho, gram = self.picard_rank, self.gram
+        if rho < 1:
             raise ValueError(f"picard_rank must be a positive integer, got {rho!r}")
-        gram = tuple(tuple(row) for row in self.gram)
-        if not all(is_int(x) for row in gram for x in row):
-            raise ValueError("gram entries must be integers")
         if len(gram) != rho or any(len(row) != rho for row in gram):
             raise ValueError(f"gram must be a {rho}x{rho} matrix")
-        for i in range(rho):
-            for j in range(rho):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError("gram must be symmetric")
-        canonical = as_rational_vector(self.canonical)
-        omega = as_rational_vector(self.omega_class)
-        self.check_vector(canonical, "canonical")
-        self.check_vector(omega, "omega_class")
-        if not isinstance(self.k_trivial, bool):
-            raise ValueError(f"k_trivial must be a bool, got {self.k_trivial!r}")
-        if self.k_trivial and any(c != 0 for c in canonical):
+        if any(gram[i][j] != gram[j][i] for i in range(rho) for j in range(i)):
+            raise ValueError("gram must be symmetric")
+        self.check_vector(self.canonical, "canonical")
+        self.check_vector(self.omega_class, "omega_class")
+        if self.k_trivial and any(c != 0 for c in self.canonical):
             raise ValueError("k_trivial surface must have canonical = 0")
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "omega_class", omega)
 
     # -- derived facts ---------------------------------------------------
 

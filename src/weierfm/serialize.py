@@ -42,27 +42,27 @@ Schemas (all keys required unless marked optional):
 
 Every schema above but ScanResult is its dataclass's own field list.  For
 each such class one encoder and one decoder are generated from
-``dataclasses.fields`` and ``typing.get_type_hints``, each the first time
-it is needed: straight-line Python that reads and writes each field by
-name, as ``dataclasses`` writes an ``__init__``, compiled with ``exec``
-from source holding only field names, JSON keys, class names and constant
-messages, never document data.  Keys are the field names in field order,
-renamed where ``_RENAMES`` says (``fiber_deg`` is written
+``dataclasses.fields`` and :func:`weierfm.rationals.field_types`, each the
+first time it is needed: straight-line Python that reads and writes each
+field by name, as ``dataclasses`` writes an ``__init__``, compiled with
+``exec`` from source holding only field names, JSON keys, class names and
+constant messages, never document data.  Keys are the field names in field
+order, renamed where ``_RENAMES`` says (``fiber_deg`` is written
 ``fiber_degree``); a field typed ``SurfaceModel`` is left out and filled
 from the decoder's ``model`` argument, which a decoder passes on to the
-decoder of each nested class.  Decoders take only the JSON types the
-encoders write and raise ``ValueError`` otherwise, naming the first missing
-key; a document with several faulty fields raises for the first in field
-order.  Once they pass, a value class (:func:`weierfm.rationals.value_class`)
-decodes trusted: it is built through its trusted constructor
+decoder of each nested class.  An optional field (``LineBundleX.twist``) is
+written as the value it stores, never None.  Decoders take only the JSON
+types the encoders write and raise ``ValueError`` otherwise, naming the
+first missing key; a document with several faulty fields raises for the
+first in field order.  Every class a decoder reads is a value class
+(:func:`weierfm.rationals.value_class`), so once they pass it decodes
+trusted: it is built through its trusted constructor
 (:func:`weierfm.rationals.trusted`), and then its ``_check`` hook, if it
 has one, runs the checks between fields that the decoder cannot express
-(a relation's antidiagonal and sides, a TermRef's label, a candidate's r
-and e ranges, a vector's length against the model, a scan's
-``any_violation``), which its constructor runs after the field types; so each
-invariant is written once.  The other classes, ``SurfaceModel``,
-``LineBundleX`` and ``SheafScenario``, whose constructors check or coerce
-more than the decoder does, are built through their constructors.
+(a model's shape and symmetry, a scenario's ranges, a relation's
+antidiagonal and sides, a TermRef's label, a candidate's r and e ranges, a
+vector's length against the model, a scan's ``any_violation``), which its
+constructor runs after the field types; so each invariant is written once.
 ``ScanResult``, ``ScenarioSolution`` and ``TransformStabilityReport`` are
 views (derived counts, renamed fields, a flattened scan) with hand-written
 encoders.  ``ScanResult`` is read back through its generated decoder,
@@ -109,12 +109,9 @@ from functools import cache, lru_cache
 from importlib import import_module
 from itertools import repeat
 from operator import attrgetter
-from types import UnionType
-from typing import (
-    TYPE_CHECKING, Any, Callable, NamedTuple, Union, get_args, get_origin, get_type_hints,
-)
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, get_args, get_origin
 
-from .rationals import format_rational, is_value_class, parse_rational, trusted
+from .rationals import field_types, format_rational, parse_rational, stored_type, trusted
 from .ring import SurfaceModel
 
 if TYPE_CHECKING:
@@ -177,18 +174,8 @@ def _tuple_item(hint: Any) -> tuple[Any, int | None]:
     """The item type and length (None: any) of a homogeneous tuple type."""
     args = get_args(hint)
     if get_origin(hint) is tuple and len(set(args) - {Ellipsis}) == 1:
-        return _field_type(args[0]), None if args[-1] is Ellipsis else len(args)
+        return args[0], None if args[-1] is Ellipsis else len(args)
     raise TypeError(f"no JSON form for field type {hint!r}")
-
-
-def _field_type(hint: Any) -> Any:
-    """``hint`` without an optional None: it is only a constructor default
-    (LineBundleX.twist), the stored value is always set, so JSON carries
-    the value's own form."""
-    args = get_args(hint)
-    if get_origin(hint) in (Union, UnionType) and len(args) == 2 and type(None) in args:
-        return args[0] if args[1] is type(None) else args[1]
-    return hint
 
 
 def _is_enum(hint: Any) -> bool:
@@ -311,17 +298,12 @@ def _shared_builder(src: _Source, cls: type, columns: list[tuple[int, str, str |
 
 
 def _build_lines(src: _Source, cls: type, values: str) -> None:
-    """Lines that return the instance of ``cls`` holding ``values``, once
-    the decoder's checks have passed.  A value class
-    (:func:`weierfm.rationals.value_class`) is built through
+    """Lines that return the instance of the value class ``cls`` holding
+    ``values``, once the decoder's checks have passed: it is built through
     :func:`weierfm.rationals.trusted` and then checked by its ``_check``
-    hook, if it has one: its constructor checks each field's type, which
-    the decoder has just checked, and then runs that hook.  Any other class
-    is built through its constructor."""
+    hook, if it has one, as its constructor checks each field's type, which
+    the decoder has just checked, and then runs that hook."""
     owner = cls.__name__
-    if not is_value_class(cls):
-        src.lines.append(f"    return _{owner}({values})")
-        return
     build = src.bind(f"_{owner}_trusted", trusted(cls))
     check = getattr(cls, "_check", None)
     if check is None:
@@ -334,11 +316,13 @@ def _build_lines(src: _Source, cls: type, values: str) -> None:
 @cache
 def _columns(cls: type) -> list[tuple[int, str, str | None, Any]]:
     """(position, field name, JSON key, field type) of each field of the
-    dataclass ``cls``; a field typed ``SurfaceModel`` has no key."""
-    hints = get_type_hints(cls)
+    dataclass ``cls``, the type it stores (see
+    :func:`weierfm.rationals.stored_type`); a field typed ``SurfaceModel``
+    has no key."""
+    types = field_types(cls)
     columns = []
     for at, f in enumerate(fields(cls)):
-        hint = _field_type(hints[f.name])
+        hint = stored_type(types[f.name])
         key = None if hint is SurfaceModel else _RENAMES.get(f.name, f.name)
         columns.append((at, f.name, key, hint))
     return columns
@@ -378,7 +362,6 @@ def _decoder_of(cls: type) -> _Decoder:
     columns = _columns(cls)
     data = [(at, key, hint) for at, _, key, hint in columns if key is not None]
     src = _Source()
-    src.bind(f"_{owner}", cls)
     add = src.lines.append
     add("def decode(data, model=None):")
     add("    if type(data) is not dict:")

@@ -148,7 +148,8 @@ A_STEP = Fraction(1, 2)
 DELTA_STEP = Fraction(1)
 
 # Largest grid a scan or candidate_grid builds.  A held scan report takes
-# ~0.85 KiB, so this keeps the reports of one scan under ~420 MiB.
+# 0.38-0.41 KiB (tracemalloc, U + <-2> with h = (1, 1, 0) at n = 2 and 5),
+# so this keeps the reports of one scan under ~200 MiB.
 MAX_SCAN_CANDIDATES = 500_000
 
 
@@ -362,7 +363,8 @@ def _functionals(pol: Polarization) -> _Functionals:
 
 
 # Knocking the cache out costs sweep 12 % of its throughput (BENCH_17.json).
-@lru_cache(maxsize=POLARIZATION_CACHE_SIZE)
+# Typed, so True and 2.0 reach the n check, not the entries of 1 and 2.
+@lru_cache(maxsize=POLARIZATION_CACHE_SIZE, typed=True)
 def target_slope(n: int, pol: Polarization) -> Fraction:
     """Slope of the rank-n transform of O_X(-nΘ), computed via the ring."""
     if not is_int(n) or n < 1:

@@ -76,7 +76,7 @@ def test_dimensionally_impossible_scenarios_are_rejected(n, c, shift):
 def test_shift_must_be_small():
     with pytest.raises(InfeasibleScenarioError):
         SheafScenario(3, 1, WitType.WIT0, 2)
-    with pytest.raises(InfeasibleScenarioError):
+    with pytest.raises(ValueError, match="^wit must be a WitType, got str"):
         SheafScenario(3, 1, "WIT0", 0)
 
 

@@ -30,9 +30,9 @@ NONZERO_M = [m for m in range(-5, 6) if m != 0]
 
 
 def test_line_bundle_validates_m(k3):
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="^m must be an int, got Fraction"):
         LineBundleX(k3.model, Fraction(1, 2))
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="^m must be an int, got bool"):
         LineBundleX(k3.model, True)
 
 

@@ -16,7 +16,6 @@ from weierfm import (
     Forbidden,
     ForcedZero,
     Identification,
-    InfeasibleScenarioError,
     LineBundleX,
     Polarization,
     ScanResult,
@@ -194,11 +193,11 @@ def _k3_pol():
     "build,error",
     [
         pytest.param(lambda v: SheafScenario(v, 0, WitType.WIT0, 0),
-                     InfeasibleScenarioError, id="scenario-n"),
+                     ValueError, id="scenario-n"),
         pytest.param(lambda v: SheafScenario(3, v, WitType.WIT0, 0),
-                     InfeasibleScenarioError, id="scenario-c"),
+                     ValueError, id="scenario-c"),
         pytest.param(lambda v: SheafScenario(3, 1, WitType.WIT0, v),
-                     InfeasibleScenarioError, id="scenario-dim-shift"),
+                     ValueError, id="scenario-dim-shift"),
         pytest.param(lambda v: DestabilizerCandidate(v, 0, (0,), 0), ValueError,
                      id="candidate-r"),
         pytest.param(lambda v: DestabilizerCandidate(1, 0, (0,), v), ValueError,
@@ -207,7 +206,7 @@ def _k3_pol():
                      id="model-picard-rank"),
         pytest.param(lambda v: SurfaceModel(1, ((v,),), (0,), True, (0,)), ValueError,
                      id="model-gram"),
-        pytest.param(lambda v: LineBundleX(get_preset("k3_quartic").model, v), TypeError,
+        pytest.param(lambda v: LineBundleX(get_preset("k3_quartic").model, v), ValueError,
                      id="line-bundle-m"),
         pytest.param(lambda v: target_slope(v, _k3_pol()), ValueError, id="target-slope-n"),
         pytest.param(lambda v: enumerate_candidates(v, _k3_pol()), ValueError,
@@ -427,7 +426,7 @@ def test_only_duality_step_is_left_to_a_hook():
     Conclusion, only with duality, so the class's _check hook checks it."""
     classes = {cls for cls in _weierfm_dataclasses() if is_value_class(cls)}
     assert {cls.__name__ for cls in _weierfm_dataclasses() - classes} == {
-        "SurfaceModel", "LineBundleX", "SheafScenario", "Preset", "Term", "PageGrid"}
+        "Preset", "Term", "PageGrid"}
     left = {(cls.__name__, f.name) for cls in classes for f in dataclasses.fields(cls)
             if f.name not in dict(_field_checks(cls)[0])}
     assert left == {("TransformStabilityReport", "duality_step")}

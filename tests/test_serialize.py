@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import itertools
 import json
 import typing
@@ -43,7 +44,7 @@ from weierfm import (
     transform_char,
 )
 from weierfm.duality import TermRef, left_label, right_label
-from weierfm.rationals import parse_rational
+from weierfm.rationals import is_value_class, parse_rational, stored_type
 from weierfm.stability import EffectivityProxy, TraceStep
 from weierfm import serialize
 
@@ -579,6 +580,15 @@ def test_every_decoded_class_has_a_strategy():
     assert set(_strategies(_MODELS[0])) == set(_DECODED)
 
 
+def test_every_decoded_class_is_a_value_class():
+    """A decoder builds through the trusted constructor and the _check hook
+    alone, which is what a value class's constructor runs after the field
+    types the decoder has checked; so no other class may have a decoder."""
+    classes = {name: getattr(importlib.import_module(f"weierfm.{serialize._FORMS[name].layer}"),
+                             name) for name in _DECODED}
+    assert [name for name, cls in classes.items() if not is_value_class(cls)] == []
+
+
 @pytest.mark.parametrize("name", sorted(_DECODED))
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -591,7 +601,7 @@ def test_public_values_round_trip(name, data):
 def _field(hint, value, model):
     """The value of a field of type ``hint`` that the JSON ``value`` gives,
     decoded on its own: int, bool and str values as they are."""
-    hint = serialize._field_type(hint)
+    hint = stored_type(hint)
     if hint is Fraction:
         return parse_rational(value)
     if isinstance(hint, type) and issubclass(hint, Enum):

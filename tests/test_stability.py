@@ -83,6 +83,17 @@ def test_target_slope_validates_n(k3_pol):
         target_slope(True, k3_pol)
 
 
+@pytest.mark.parametrize("n", [True, 2.0], ids=["bool", "whole-float"])
+def test_target_slope_validates_n_with_a_warm_cache(k3_pol, n):
+    """True == 1 and 2.0 == 2 hash alike, so an untyped cache would hand back
+    the slope of n = 1 or 2 without checking n; certify reads the same cache."""
+    assert (target_slope(1, k3_pol), target_slope(2, k3_pol)) == (4, 2)
+    with pytest.raises(ValueError):
+        target_slope(n, k3_pol)
+    with pytest.raises(ValueError):
+        certify(n, k3_pol, cand())
+
+
 # -- candidate slopes -----------------------------------------------------------
 
 
