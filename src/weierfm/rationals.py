@@ -19,17 +19,17 @@ that fails to parse is not cached and raises the same error every time.
 A value class is declared with ``@value_class`` instead of
 ``@dataclass(frozen=True)``.  Its public constructor checks each field
 against the field's annotation (a ``Fraction`` through ``as_rational``, any
-other class through ``require``, tuples entry by entry), then runs the
-class's ``_check`` hook, which holds the checks between fields.  The check
-table is built from the annotations on a class's first construction, never
-at import, and kept per class.  An optional field, ``X | None``, stores an
-X: None is only its constructor default, which the hook replaces.  The
-duality solver's relations and the stability scan's values, and what the
-JSON decoders' own checks passed, are built through ``trusted(cls)``: one
-constructor per class, generated on first use, that only stores the
-fields.  Every class the codec reads is a value class, so each decodes
-trusted: its decoder's checks and its ``_check`` hook are what its
-constructor would run.
+other class through ``require``, a tuple, and only a tuple, entry by
+entry), then runs the class's ``_check`` hook, which holds the checks
+between fields.  The check table is built from the annotations on a
+class's first construction, never at import, and kept per class.  An
+optional field, ``X | None``, stores an X: None is only its constructor
+default, which the hook replaces.  The duality solver's relations and the
+stability scan's values, and what the JSON decoders' own checks passed,
+are built through ``trusted(cls)``: one constructor per class, generated
+on first use, that only stores the fields.  Every class the codec reads
+is a value class, so each decodes trusted: its decoder's checks and its
+``_check`` hook are what its constructor would run.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from types import UnionType
-from typing import Any, Callable, Iterable, Sequence, TypeVar, Union, get_args, get_origin
+from typing import Any, Callable, Sequence, TypeVar, Union, get_args, get_origin
 
 RationalLike = Union[int, Fraction]
 T = TypeVar("T")
@@ -96,10 +96,6 @@ def require(value: Any, kind: Any, what: str) -> None:
         raise ValueError(
             f"{what} must be {article} {names}, got {type(value).__name__} {_quote(value)}"
         )
-
-
-def as_rational_vector(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    return tuple(map(as_rational, values))
 
 
 def value_class(cls: type[T]) -> type[T]:
@@ -162,9 +158,10 @@ def _field_checks(cls: type) -> tuple[tuple[tuple[str, Callable[[Any], Any]], ..
 
 def _checker(hint: Any, what: str) -> Callable[[Any], Any]:
     """The check of the field ``what`` of type ``hint``, which returns the
-    value to store: a ``Fraction`` goes through :func:`as_rational` and a
-    ``tuple[Fraction, ...]`` through :func:`as_rational_vector` (TypeError
-    on a float); ``tuple[X, ...]`` takes a tuple of X's, and ``tuple[X, X]``
+    value to store: a ``Fraction`` goes through :func:`as_rational`
+    (TypeError on a float); ``tuple[X, ...]`` takes a tuple, never a list,
+    set, dict or generator, and checks each entry as an X, so a rational
+    vector ``tuple[Fraction, ...]`` is one of these; ``tuple[X, X]`` takes
     one of that length; ``X | None`` takes None, left to the ``_check``
     hook, or what X takes (see :func:`stored_type`); any other class, or
     union of classes, goes through :func:`require` (ValueError)."""
@@ -176,8 +173,6 @@ def _checker(hint: Any, what: str) -> Callable[[Any], Any]:
         return as_rational
     args = get_args(hint)
     if get_origin(hint) is tuple:
-        if args == (Fraction, ...):
-            return as_rational_vector
         if len(set(args) - {Ellipsis}) != 1:
             raise TypeError(f"no check for a field of type {hint!r}")
         item, size = _checker(args[0], f"an entry of {what}"), len(args)

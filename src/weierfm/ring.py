@@ -21,8 +21,9 @@ two truncated rings:
 
 Divisors on X get their own lightweight type (a·Θ + p*delta) because the
 transform calculus in :mod:`weierfm.fm` only ever needs characters up to
-ch1; ``exp`` turns a divisor into the full threefold class when the ring
-has to take over.
+ch1; ``exp_divisor`` turns a divisor into the full threefold class when
+the ring has to take over.  All three classes take their ``+``, ``scale``
+and ``is_zero`` from their fields, through one rule (``_Linear``).
 
 All coefficients are ``fractions.Fraction``; there is no floating point
 in this module or anywhere downstream of it.
@@ -30,6 +31,7 @@ in this module or anywhere downstream of it.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import HypothesisViolationError, ModelMismatchError
@@ -149,18 +151,60 @@ def require_x_k_trivial(model: SurfaceModel, what: str) -> None:
         )
 
 
-def _check_same_model(left, right) -> None:
-    if left.model != right.model:
+def _check_same_model(left: SurfaceModel, right: SurfaceModel) -> SurfaceModel:
+    """``left``, if ``right`` is the same model; else ModelMismatchError."""
+    if left != right:
         raise ModelMismatchError(
             "cannot combine classes over different surface models"
         )
+    return left
+
+
+# One field of a ring class, by the type of its value, which the class's
+# constructor checked against the field's annotation: a SurfaceModel must be
+# the same on both sides and is kept, a Fraction adds and scales, a tuple of
+# Fractions does so entry by entry, and a nested class recurses.
+def _add_field(u, v):
+    if type(u) is tuple:
+        return tuple(map(operator.add, u, v))
+    if type(u) is SurfaceModel:
+        return _check_same_model(u, v)
+    return u + v
+
+
+def _scale_field(c: Fraction, u):
+    if type(u) is tuple:
+        return tuple(c * x for x in u)
+    if type(u) is SurfaceModel:
+        return u
+    return u.scale(c) if isinstance(u, _Linear) else c * u
 
 
 class _Linear:
-    """The operators every class derives from its own ``+`` and ``scale``:
-    ``-x``, ``x - y``, and ``c * x`` and ``x * c`` for an int or Fraction c.
-    ``+`` and ``-`` take only a class of the same kind; any other operand
-    gives NotImplemented, so Python raises TypeError."""
+    """The arithmetic of a ring class, derived from its fields in field
+    order (see :func:`_add_field`): ``x + y`` and ``x.scale(c)``; from
+    those ``x.is_zero()`` (x equals 0·x), ``-x``, ``x - y``, and ``c * x``
+    and ``x * c`` for an int or Fraction c; and ``x * y``, the ring product
+    that the class names as ``_product``, if it has one.  ``+``, ``-`` and
+    ``x * y`` take only a class of the same kind; any other operand gives
+    NotImplemented, so Python raises TypeError."""
+
+    _product = None
+
+    # A value class's __dict__ holds exactly its fields, in field order:
+    # its constructors, public and trusted, write them so, and nothing else
+    # writes there.
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return type(self)(*map(_add_field, vars(self).values(), vars(other).values()))
+
+    def scale(self, c: RationalLike):
+        c = as_rational(c)
+        return type(self)(*[_scale_field(c, u) for u in vars(self).values()])
+
+    def is_zero(self) -> bool:
+        return self == self.scale(0)
 
     def __neg__(self):
         return self.scale(-1)
@@ -173,9 +217,19 @@ class _Linear:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if self._product is not None and isinstance(other, type(self)):
+            return self._product(other)
         return NotImplemented
 
     __rmul__ = __mul__
+
+
+def surface_mul(u: SurfaceClass, v: SurfaceClass) -> SurfaceClass:
+    """Cup product on S, truncated above degree 4."""
+    model = _check_same_model(u.model, v.model)
+    d = tuple(u.r * b + v.r * a for a, b in zip(u.d, v.d))
+    s = u.r * v.s + v.r * u.s + model.pair(u.d, v.d)
+    return SurfaceClass(model, u.r * v.r, d, s)
 
 
 @value_class
@@ -187,73 +241,10 @@ class SurfaceClass(_Linear):
     d: tuple[Fraction, ...]
     s: Fraction
 
+    _product = surface_mul
+
     def _check(self) -> None:
         self.model.check_vector(self.d, "degree-2 part")
-
-    def __add__(self, other: "SurfaceClass") -> "SurfaceClass":
-        if not isinstance(other, SurfaceClass):
-            return NotImplemented
-        _check_same_model(self, other)
-        return SurfaceClass(
-            self.model,
-            self.r + other.r,
-            tuple(a + b for a, b in zip(self.d, other.d)),
-            self.s + other.s,
-        )
-
-    def scale(self, c: RationalLike) -> "SurfaceClass":
-        c = as_rational(c)
-        return SurfaceClass(
-            self.model, c * self.r, tuple(c * x for x in self.d), c * self.s
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, SurfaceClass):
-            return surface_mul(self, other)
-        return super().__mul__(other)
-
-    def is_zero(self) -> bool:
-        return self.r == 0 and self.s == 0 and all(x == 0 for x in self.d)
-
-
-def surface_mul(u: SurfaceClass, v: SurfaceClass) -> SurfaceClass:
-    """Cup product on S, truncated above degree 4."""
-    _check_same_model(u, v)
-    model = u.model
-    d = tuple(u.r * b + v.r * a for a, b in zip(u.d, v.d))
-    s = u.r * v.s + v.r * u.s + model.pair(u.d, v.d)
-    return SurfaceClass(model, u.r * v.r, d, s)
-
-
-@value_class
-class ThreefoldClass(_Linear):
-    """Split class Θ·p*(alpha) + p*(beta) on the threefold X."""
-
-    alpha: SurfaceClass
-    beta: SurfaceClass
-
-    def _check(self) -> None:
-        _check_same_model(self.alpha, self.beta)
-
-    @property
-    def model(self) -> SurfaceModel:
-        return self.alpha.model
-
-    def __add__(self, other: "ThreefoldClass") -> "ThreefoldClass":
-        if not isinstance(other, ThreefoldClass):
-            return NotImplemented
-        return ThreefoldClass(self.alpha + other.alpha, self.beta + other.beta)
-
-    def scale(self, c: RationalLike) -> "ThreefoldClass":
-        return ThreefoldClass(self.alpha.scale(c), self.beta.scale(c))
-
-    def __mul__(self, other):
-        if isinstance(other, ThreefoldClass):
-            return x_mul(self, other)
-        return super().__mul__(other)
-
-    def is_zero(self) -> bool:
-        return self.alpha.is_zero() and self.beta.is_zero()
 
 
 def x_mul(x: ThreefoldClass, y: ThreefoldClass) -> ThreefoldClass:
@@ -263,8 +254,7 @@ def x_mul(x: ThreefoldClass, y: ThreefoldClass) -> ThreefoldClass:
     with all products on the right taken on the surface.  The K_S term is
     skipped when K_S = 0, which is every K-trivial base.
     """
-    _check_same_model(x.alpha, y.alpha)
-    model = x.model
+    model = _check_same_model(x.model, y.model)
     require_x_k_trivial(model, "the ring product")
     alpha = surface_mul(x.alpha, y.beta) + surface_mul(y.alpha, x.beta)
     if any(model.canonical):
@@ -272,6 +262,23 @@ def x_mul(x: ThreefoldClass, y: ThreefoldClass) -> ThreefoldClass:
         alpha = surface_mul(surface_mul(k, x.alpha), y.alpha) + alpha
     beta = surface_mul(x.beta, y.beta)
     return ThreefoldClass(alpha, beta)
+
+
+@value_class
+class ThreefoldClass(_Linear):
+    """Split class Θ·p*(alpha) + p*(beta) on the threefold X."""
+
+    alpha: SurfaceClass
+    beta: SurfaceClass
+
+    _product = x_mul
+
+    def _check(self) -> None:
+        _check_same_model(self.alpha.model, self.beta.model)
+
+    @property
+    def model(self) -> SurfaceModel:
+        return self.alpha.model
 
 
 def x_integrate(x: ThreefoldClass) -> Fraction:
@@ -299,25 +306,6 @@ class DivisorClassX(_Linear):
 
     def _check(self) -> None:
         self.model.check_vector(self.delta, "delta")
-
-    def __add__(self, other: "DivisorClassX") -> "DivisorClassX":
-        if not isinstance(other, DivisorClassX):
-            return NotImplemented
-        _check_same_model(self, other)
-        return DivisorClassX(
-            self.model,
-            self.a + other.a,
-            tuple(x + y for x, y in zip(self.delta, other.delta)),
-        )
-
-    def scale(self, c: RationalLike) -> "DivisorClassX":
-        c = as_rational(c)
-        return DivisorClassX(
-            self.model, c * self.a, tuple(c * x for x in self.delta)
-        )
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and all(x == 0 for x in self.delta)
 
     def as_threefold(self) -> ThreefoldClass:
         model = self.model

@@ -12,6 +12,7 @@ from weierfm import (
     Conclusion,
     ConclusionKind,
     DestabilizerCandidate,
+    DivisorClassX,
     EnumerationBounds,
     Forbidden,
     ForcedZero,
@@ -39,7 +40,6 @@ from weierfm.rationals import (
     _field_checks,
     _parse_rational,
     as_rational,
-    as_rational_vector,
     format_rational,
     format_rational_vector,
     is_value_class,
@@ -100,7 +100,7 @@ def test_floats_and_bools_are_not_rationals():
     with pytest.raises(TypeError):
         as_rational(True)
     with pytest.raises(TypeError):
-        as_rational_vector((1, 2.0))
+        DivisorClassX(get_preset("general_demo").model, 0, (1, 2.0))
 
 
 @given(st.fractions())
@@ -312,6 +312,18 @@ def _solution():
                      ValueError, id="solution-relations-list"),
         pytest.param(lambda: dataclasses.replace(_solution(), conclusion="DualIsWIT1"),
                      ValueError, id="solution-conclusion"),
+        # A rational vector is a tuple: a set, a dict, a generator or a list
+        # of rationals is refused, not read in its iteration order.
+        pytest.param(lambda: LineBundleX(get_preset("general_demo").model, 1, {2, 1}),
+                     ValueError, id="line-bundle-twist-set"),
+        pytest.param(lambda: SurfaceModel(2, ((0, 1), (1, 0)), {0: 0, 1: -2}, False, (0, -2)),
+                     ValueError, id="model-canonical-dict"),
+        pytest.param(lambda: Polarization(_k3_pol().model, 1, 1, (x for x in (1,))), ValueError,
+                     id="polarization-h-generator"),
+        pytest.param(lambda: DivisorClassX(get_preset("k3_quartic").model, 1, [0]), ValueError,
+                     id="divisor-delta-list"),
+        pytest.param(lambda: DestabilizerCandidate(1, 0, [0], 0), ValueError,
+                     id="candidate-delta-list"),
     ],
 )
 def test_value_fields_refuse_other_types(build, error):

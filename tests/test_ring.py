@@ -16,6 +16,7 @@ from weierfm import (
     LineBundleX,
     ModelMismatchError,
     Polarization,
+    SurfaceClass,
     SurfaceModel,
     ThreefoldClass,
     certify,
@@ -313,16 +314,65 @@ _CLASSES = {
 }
 
 
+def _surface_sum(x, y):
+    return SurfaceClass(x.model, x.r + y.r, tuple(a + b for a, b in zip(x.d, y.d)), x.s + y.s)
+
+
+def _surface_scaled(x, c):
+    return SurfaceClass(x.model, c * x.r, tuple(c * a for a in x.d), c * x.s)
+
+
+def _basis(m):
+    return [tuple(int(i == j) for j in range(m.picard_rank)) for i in range(m.picard_rank)]
+
+
+def _surface_units(m):
+    """One surface class per entry of r, d and s, nonzero there alone."""
+    return [SurfaceClass(m, 1, (0,) * m.picard_rank, 0), SurfaceClass(m, 0, (0,) * m.picard_rank, 1),
+            *(SurfaceClass(m, 0, e, 0) for e in _basis(m))]
+
+
+def _surface_zero(m):
+    return SurfaceClass(m, 0, (0,) * m.picard_rank, 0)
+
+
+# Each class written out field by field: x + y, x.scale(c), the zero over a
+# model, and one class per entry that is nonzero there alone.  The +, scale
+# and is_zero that _Linear derives are checked against them.
+_FIELDWISE = {
+    "SurfaceClass": (_surface_sum, _surface_scaled, _surface_zero, _surface_units),
+    "ThreefoldClass": (
+        lambda x, y: ThreefoldClass(_surface_sum(x.alpha, y.alpha), _surface_sum(x.beta, y.beta)),
+        lambda x, c: ThreefoldClass(_surface_scaled(x.alpha, c), _surface_scaled(x.beta, c)),
+        lambda m: ThreefoldClass(_surface_zero(m), _surface_zero(m)),
+        lambda m: [ThreefoldClass(u, _surface_zero(m)) for u in _surface_units(m)]
+        + [ThreefoldClass(_surface_zero(m), u) for u in _surface_units(m)]),
+    "DivisorClassX": (
+        lambda x, y: DivisorClassX(x.model, x.a + y.a, tuple(a + b for a, b in zip(x.delta, y.delta))),
+        lambda x, c: DivisorClassX(x.model, c * x.a, tuple(c * a for a in x.delta)),
+        lambda m: DivisorClassX(m, 0, (0,) * m.picard_rank),
+        lambda m: [DivisorClassX(m, 1, (0,) * m.picard_rank),
+                   *(DivisorClassX(m, 0, e) for e in _basis(m))]),
+}
+
+
 @pytest.mark.parametrize("kind", _CLASSES)
 @settings(deadline=None, max_examples=40)
 @given(data=st.data())
 def test_operators_are_scale_and_the_ring_product(kind, data):
-    """-x, x - y, c * x and x * c come from + and scale; x * y is the ring
-    product, and a bool or float scalar is refused."""
+    """+, scale and is_zero act field by field; -x, x - y, c * x and x * c
+    come from + and scale; x * y is the ring product, and a bool or float
+    scalar is refused."""
     classes, product = _CLASSES[kind]
+    total, scaled, zero, units = _FIELDWISE[kind]
     model = data.draw(models)
     x, y = data.draw(classes(model)), data.draw(classes(model))
     c = data.draw(rationals)
+    assert x + y == total(x, y)
+    assert x.scale(c) == scaled(x, c)
+    assert x.scale(0).is_zero() and zero(model).is_zero()
+    assert x.is_zero() == (x == zero(model))
+    assert not any(u.is_zero() for u in units(model))
     assert -x == x.scale(-1)
     assert x - y == x + y.scale(-1) and (x - y) + y == x and (x - x).is_zero()
     assert c * x == x * c == x.scale(c)
@@ -359,3 +409,7 @@ def test_mixing_models_raises(k3, enriques):
         x_mul(k3.model.theta(), enriques.model.theta())
     with pytest.raises(ModelMismatchError):
         k3.model.divisor_x(a=1) + enriques.model.divisor_x(a=1)
+    with pytest.raises(ModelMismatchError):
+        k3.model.surface(r=1) + enriques.model.surface(r=1)
+    for x in (k3.model.surface(r=1), k3.model.theta(), k3.model.divisor_x(a=1)):
+        assert x.scale(Fraction(-1, 2)).model is (x + x).model is k3.model
