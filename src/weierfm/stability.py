@@ -37,18 +37,26 @@ Fractions, and brings them all over one common denominator D.  Each
 (a, δ, e) cell then runs on integers: a few subtractions, the check of its
 ring slope numerator against the closed form, the signs of the trace steps
 and the check that they sum to that numerator (r times the slope of every
-rank).  Each distinct integer becomes a Fraction over D, and each distinct
-trace a tuple of TraceSteps, once per scan.  A candidate looks up its
-slope and verdict per distinct numerator.  Every value a scan holds is
-built from these checked values through its class's trusted constructor
-(:func:`weierfm.rationals.trusted`), without re-running the public
-constructor's checks: each TraceStep once per distinct trace, each
-EffectivityProxy once per (δ, a >= 0), a DestabilizerCandidate and a
-StabilityReport per report, and the ScanResult.  Each of these classes is
-a :func:`weierfm.rationals.value_class`: its public constructor checks
+rank).  A cell is a plain tuple.  Each distinct integer becomes a Fraction
+over D, each distinct step value a TraceStep, and each distinct trace a
+tuple of those steps, once per scan.  A candidate looks up its slope and
+verdict per distinct numerator, and the scan's Violation flag is set as
+the verdicts are judged, with no second pass over the reports.  Every
+value a scan holds is built from these checked values through its class's
+trusted constructor (:func:`weierfm.rationals.trusted`), without
+re-running the public constructor's checks: each TraceStep once per
+distinct step value, each EffectivityProxy once per (δ, a >= 0), a
+DestabilizerCandidate and a StabilityReport per report, and the
+ScanResult.  Each of these classes is a
+:func:`weierfm.rationals.value_class`: its public constructor checks
 every field against its annotation and refuses a float where a rational
 goes, then runs its ``_check`` hook, and it decodes trusted.  The ring's
 classes are built through their public constructors.
+
+The transform's own slope is the ω² functional's dot product with its
+ch1, over ch0, so :func:`transform_stability` runs no ring product for it
+once the functionals are cached; :func:`target_slope` still takes its
+slope through the ring's :func:`weierfm.fm.slope`.
 
 Positive m reduces to negative m through the dual line bundle: the
 duality bookkeeping of :mod:`weierfm.duality` identifies the dual of the
@@ -233,7 +241,10 @@ def _require_num_trivial(pol: Polarization, what: str) -> _Functionals:
     """Refuse a base that no numerically K-trivial surface has: its
     canonical class must be numerically trivial, and its lattice must pass
     :func:`_lattice_fault`, which runs once per polarization, in the cached
-    :func:`_functionals`.  Return those functionals."""
+    :func:`_functionals`.  Return those functionals.  Every entry point
+    passes its polarization through here, so a value that is not one is
+    refused with ValueError here too."""
+    require(pol, Polarization, "polarization")
     if not pol.model.k_trivial:
         raise HypothesisViolationError(
             f"{what} needs a numerically trivial canonical class on the base"
@@ -381,7 +392,8 @@ class _Cell(NamedTuple):
     """Everything a report at one (a, delta, e) point holds but its rank.
 
     ``numerator`` is an integer over ``denominator``, the common
-    denominator of the scan's terms."""
+    denominator of the scan's terms.  The scan builds its cells as plain
+    tuples in this field order; only :func:`_point` names one."""
 
     a: Fraction
     delta: tuple[Fraction, ...]
@@ -394,13 +406,17 @@ class _Cell(NamedTuple):
     reasons: tuple[str, ...]  # every inadmissibility reason but the rank
 
 
-def _cells(fns: _Functionals, a_values, deltas, es) -> list[_Cell]:
+def _cells(fns: _Functionals, a_values, deltas, es) -> list[tuple]:
     """One cell per (a, delta, e), e fastest, then delta, then a: the grid
-    order.  The delta dot products run once per delta and the Θ terms once
-    per (a, e), as Fractions.  A cell subtracts them as integers over their
-    common denominator D and checks the ring's slope numerator against the
-    closed form and the trace sum against it; each distinct integer becomes
-    a Fraction, and each distinct trace a tuple of TraceSteps, once."""
+    order.  Each cell is a tuple in :class:`_Cell`'s field order.  The delta
+    dot products run once per delta and the Θ terms once per (a, e), as
+    Fractions.  A cell subtracts them as integers over their common
+    denominator D and checks the ring's slope numerator against the closed
+    form and the trace sum against it.  Each distinct integer becomes a
+    Fraction, each distinct step value a TraceStep, and each distinct trace
+    a tuple of them, once per call: the fiber-degree step depends only on
+    (e - a, delta), the effectivity step on (a, delta) and the section-part
+    step on e, so far fewer steps than traces are built."""
     w, fiber, mixed = fns.omega_squared, fns.fiber, fns.mixed
     # The public constructors would cost sweep 14 % of its throughput (BENCH_17.json).
     proxy, step = trusted(EffectivityProxy), trusted(TraceStep)
@@ -442,15 +458,27 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[_Cell]:
     def scaled(terms: tuple[Fraction, ...]) -> tuple[int, ...]:
         return tuple(x.numerator * (den // x.denominator) for x in terms)
 
+    def step_of(made: dict[int, TraceStep], x: int, name: str, requirement: str,
+                satisfied: bool) -> TraceStep:
+        value = made.get(x)
+        if value is None:
+            value = made[x] = step(name, rational(x), requirement, satisfied)
+        return value
+
     by_delta = [(delta, proxies, reason, *scaled(terms))
                 for delta, proxies, reason, terms in by_delta]
     traces: dict[tuple[int, int, int], tuple[TraceStep, ...]] = {}
+    # Each trace step's TraceSteps, keyed by its value over D.
+    fiber_steps: dict[int, TraceStep] = {}
+    effectivity_steps: dict[int, TraceStep] = {}
+    section_steps: dict[int, TraceStep] = {}
     cells = []
     # ch1(F) splits as (-aΘ - p*delta) + eΘ, the torsion and section parts.
     for a, a_nonneg, a_reason, by_e in by_a:
         rows = [(e, fd, fd_reason, *scaled(terms)) for e, fd, fd_reason, terms in by_e]
         for delta, proxies, pair_reason, ts_pairing, w_d, fiber_d, mixed_d in by_delta:
             cell_proxy = proxies[a_nonneg]
+            cell_reason = a_reason + pair_reason
             for e, fd, fd_reason, fd_w, fd_ss, fd_fiber, a_mixed, step3 in rows:
                 ring_numerator, numerator = fd_w - w_d, fd_ss - ts_pairing
                 if ring_numerator != numerator:
@@ -464,27 +492,31 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[_Cell]:
                     raise InternalCheckError(
                         "trace decomposition does not sum to r times the candidate slope"
                     )
-                trace = traces.get((step1, step2, step3))
+                key = (step1, step2, step3)
+                trace = traces.get(key)
                 if trace is None:
-                    trace = traces[step1, step2, step3] = (
-                        step("fiber-degree step", rational(step1), "<= 0", step1 <= 0),
-                        step("effectivity step", rational(step2), "<= 0", step2 <= 0),
-                        step("section-part step", rational(step3), "== 0", step3 == 0),
+                    trace = traces[key] = (
+                        step_of(fiber_steps, step1, "fiber-degree step", "<= 0", step1 <= 0),
+                        step_of(effectivity_steps, step2, "effectivity step", "<= 0",
+                                step2 <= 0),
+                        step_of(section_steps, step3, "section-part step", "== 0",
+                                step3 == 0),
                     )
-                cells.append(_Cell(a, delta, e, fd, numerator, den, cell_proxy, trace,
-                                   a_reason + pair_reason + fd_reason))
+                cells.append((a, delta, e, fd, numerator, den, cell_proxy, trace,
+                              cell_reason + fd_reason))
     return cells
 
 
 def _point(cand: DestabilizerCandidate, pol: Polarization, what: str) -> _Cell:
     """The cell of one candidate, on one-point axes, once the screens that
     need no geometry pass; ``what`` names the caller."""
+    require(cand, DestabilizerCandidate, "candidate")
     fns = _require_num_trivial(pol, what)
     if len(cand.delta) != pol.model.picard_rank:
         raise ModelMismatchError(
             "candidate delta length does not match the surface model"
         )
-    return _cells(fns, (cand.a,), (cand.delta,), (cand.e,))[0]
+    return _Cell._make(_cells(fns, (cand.a,), (cand.delta,), (cand.e,))[0])
 
 
 def candidate_slope(cand: DestabilizerCandidate, pol: Polarization) -> Fraction:
@@ -504,19 +536,23 @@ def certify(n: int, pol: Polarization, cand: DestabilizerCandidate) -> Stability
     arithmetic reasons rather than silently skipped.
     """
     cell = _point(cand, pol, "stability certification")
-    return _reports(n, (cand.r,), [cell], target_slope(n, pol))[0]
+    reports, _ = _reports(n, (cand.r,), [cell], target_slope(n, pol))
+    return reports[0]
 
 
 def _reports(
-    n: int, ranks: Iterable[int], cells: list[_Cell], target: Fraction
-) -> list[StabilityReport]:
-    """The candidate of every rank in ``ranks`` at every cell, rank slowest,
-    judged against the rank-n target.  Every field was checked when its cell
-    was built, so candidates and reports are built through their trusted
-    constructors."""
+    n: int, ranks: Iterable[int], cells: list[tuple], target: Fraction
+) -> tuple[list[StabilityReport], bool]:
+    """The candidate of every rank in ``ranks`` at every cell (a tuple in
+    :class:`_Cell`'s field order), rank slowest, judged against the rank-n
+    target, and whether some report is a Violation: the flag is set where
+    an admissible candidate's verdict is judged, so no second pass reads
+    the reports.  Every field was checked when its cell was built, so
+    candidates and reports are built through their trusted constructors."""
     # The public constructors would cost sweep 51 % of its throughput (BENCH_17.json).
     report, candidate = trusted(StabilityReport), trusted(DestabilizerCandidate)
-    inadmissible = Verdict.INADMISSIBLE
+    inadmissible, violation = Verdict.INADMISSIBLE, Verdict.VIOLATION
+    any_violation = False
     reports = []
     for r in ranks:
         rank_reason = () if r < n else (f"rank {r} is not below the transform rank {n}",)
@@ -529,15 +565,19 @@ def _reports(
                 cand_slope = Fraction(numerator, den * r)
                 judged = slopes[numerator] = (
                     cand_slope,
-                    Verdict.VIOLATION if cand_slope >= target else Verdict.CERTIFIED,
+                    violation if cand_slope >= target else Verdict.CERTIFIED,
                 )
             cand_slope, verdict = judged
             reasons = rank_reason + cell_reasons
+            if reasons:
+                verdict = inadmissible
+            elif verdict is violation:
+                any_violation = True
             reports.append(report(
-                candidate(r, a, delta, e), inadmissible if reasons else verdict, target,
-                cand_slope, proxy, fiber_deg, trace, reasons,
+                candidate(r, a, delta, e), verdict, target, cand_slope, proxy, fiber_deg,
+                trace, reasons,
             ))
-    return reports
+    return reports, any_violation
 
 
 def _grid_len(limit: Fraction, step: Fraction, start: Fraction) -> int:
@@ -604,14 +644,13 @@ def enumerate_candidates(
     if not is_int(n) or n < 1:
         raise ValueError("n must be a positive integer")
     bounds = EnumerationBounds() if bounds is None else bounds
+    require(bounds, EnumerationBounds, "bounds")
     _check_scan_size(n, pol.model.picard_rank, bounds)
     target = target_slope(n, pol)
     cells = _cells(fns, *_axes(pol.model.picard_rank, bounds)) if n > 1 else []
-    reports = tuple(_reports(n, range(1, n), cells, target))
+    reports, any_violation = _reports(n, range(1, n), cells, target)
     # The public constructor would cost sweep 6 % of its throughput (BENCH_17.json).
-    return trusted(ScanResult)(
-        reports, any(r.verdict is Verdict.VIOLATION for r in reports)
-    )
+    return trusted(ScanResult)(tuple(reports), any_violation)
 
 
 # -- the line-bundle pipeline -------------------------------------------------
@@ -648,16 +687,24 @@ def transform_stability(
     Negative m is the direct case; positive m reduces to -m through the
     dual bundle, recording the duality identification that makes the
     reduction legitimate.  m = 0 has a torsion transform and no slope.
+
+    The transform slope ∫ ch1·ω² / ch0 is read off the polarization's ω²
+    functionals, which :func:`_functionals` checked against the ring and
+    the closed form, rather than by two more ring products.
     """
+    require(lb, LineBundleX, "line bundle")
+    require(pol, Polarization, "polarization")
     if lb.model != pol.model:
         raise ModelMismatchError("line bundle and polarization models differ")
-    _require_num_trivial(pol, "transform stability")
+    fns = _require_num_trivial(pol, "transform stability")
     if lb.m == 0:
         raise HypothesisViolationError(
             "the m = 0 transform is torsion and has no slope"
         )
     result = transform_char(lb)
-    mu = slope(result.char, pol)
+    ch0, ch1 = result.char.ch0, result.char.ch1
+    w = fns.omega_squared
+    mu = (ch1.a * w[0] + _dot(ch1.delta, w[1:])) / ch0
     reduction: list[str] = []
     if any(x != 0 for x in lb.twist):
         reduction.append(

@@ -6,7 +6,7 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from weierfm import (
@@ -356,8 +356,12 @@ _FIELDWISE = {
 }
 
 
+# No shrink phase: on a wrong operator, shrinking these nested draws took
+# a minute or more per class while its memory grew; without it the first
+# failing example is reported within seconds.
 @pytest.mark.parametrize("kind", _CLASSES)
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=40,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(data=st.data())
 def test_operators_are_scale_and_the_ring_product(kind, data):
     """+, scale and is_zero act field by field; -x, x - y, c * x and x * c

@@ -30,7 +30,9 @@ from weierfm import (
     candidate_slope,
     certify,
     enumerate_candidates,
+    slope,
     target_slope,
+    transform_char,
     transform_stability,
 )
 from weierfm.stability import _inertia, _lattice_fault, candidate_grid
@@ -349,6 +351,51 @@ def test_pipeline_refuses_nontrivial_canonical(demo):
     pol = Polarization(demo.model, Fraction(1), Fraction(1), demo.ample)
     with pytest.raises(HypothesisViolationError):
         transform_stability(LineBundleX(demo.model, -2), pol, small_bounds())
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda lb, pol: transform_stability(None, pol),
+                     "line bundle must be a LineBundleX, got NoneType None",
+                     id="transform_stability-line-bundle"),
+        pytest.param(lambda lb, pol: transform_stability(lb, pol, (1, 1)),
+                     r"bounds must be an EnumerationBounds, got tuple \(1, 1\)",
+                     id="transform_stability-bounds"),
+        pytest.param(lambda lb, pol: enumerate_candidates(2, pol, {"a_max": 1}),
+                     "bounds must be an EnumerationBounds, got dict",
+                     id="enumerate_candidates-bounds"),
+        pytest.param(lambda lb, pol: certify(2, pol, (1, 0, (0,), 0)),
+                     "candidate must be a DestabilizerCandidate, got tuple",
+                     id="certify-candidate"),
+        pytest.param(lambda lb, pol: candidate_slope(None, pol),
+                     "candidate must be a DestabilizerCandidate, got NoneType None",
+                     id="candidate_slope-candidate"),
+        pytest.param(lambda lb, pol: target_slope(2, None),
+                     "polarization must be a Polarization, got NoneType None",
+                     id="target_slope-polarization"),
+    ],
+)
+def test_scan_entry_points_refuse_arguments_of_the_wrong_type(k3, k3_pol, call, message):
+    """An argument that is not of its annotated class is refused with
+    ValueError when the call starts, not met later as an AttributeError."""
+    with pytest.raises(ValueError, match=message):
+        call(LineBundleX(k3.model, -2), k3_pol)
+
+
+def test_violation_flag_comes_from_the_judged_verdicts(monkeypatch, k3, k3_pol):
+    """Negative control: below a negative target, an admissible candidate of
+    slope 0 is a Violation, so the scan's flag is set and the transform is
+    not stable; the flag is what its reports give, and the public ScanResult
+    constructor, which re-derives it, accepts it."""
+    from weierfm import stability
+
+    monkeypatch.setattr(stability, "target_slope", lambda n, pol: Fraction(-1))
+    report = transform_stability(LineBundleX(k3.model, -3), k3_pol, small_bounds())
+    scan = report.scan
+    assert scan.any_violation is True and report.stable is False
+    assert scan.any_violation == any(r.verdict is Verdict.VIOLATION for r in scan.reports)
+    assert ScanResult(scan.reports, scan.any_violation) == scan
 
 
 def test_polarization_caches_stay_bounded(k3):
@@ -824,3 +871,32 @@ def test_scan_candidates_equal_public_candidates(k3, n, bounds):
         DestabilizerCandidate(True, Fraction(0), (Fraction(0),), 0)
     with pytest.raises(TypeError):
         dataclasses.replace(c, a=0.5)
+
+
+# -- the transform slope ----------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("k3_quartic", "enriques", "rho2")),
+    st.sampled_from(_TS),
+    st.sampled_from(_TS),
+    st.integers(-4, 4).filter(bool),
+    st.data(),
+)
+def test_transform_slope_is_the_ring_slope(name, t, s, m, data):
+    """``transform_stability`` reads the transform slope off the cached ω²
+    functionals; it equals ``slope``'s two ring products for every twist,
+    both signs of m and every (t, s) in {1/2, 1, 2}²."""
+    from weierfm import get_preset
+
+    if name == "rho2":
+        model, h = _rho2()
+    else:
+        preset = get_preset(name)
+        model, h = preset.model, preset.ample
+    twist = data.draw(st.lists(st.integers(-3, 3).map(Fraction), min_size=model.picard_rank,
+                               max_size=model.picard_rank).map(tuple))
+    lb, pol = LineBundleX(model, m, twist), Polarization(model, t, s, h)
+    report = transform_stability(lb, pol, EnumerationBounds(Fraction(0), Fraction(0)))
+    assert report.transform_slope == slope(transform_char(lb).char, pol)
