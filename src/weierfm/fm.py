@@ -36,8 +36,8 @@ from .errors import (
     ModelMismatchError,
     UndefinedSlopeError,
 )
-from .rationals import RationalLike, as_rational, value_class
-from .ring import DivisorClassX, SurfaceModel, require_x_k_trivial, x_integrate, x_mul
+from .rationals import RationalLike, as_rational, require, value_class
+from .ring import DivisorClassX, SurfaceModel, _Linear, require_x_k_trivial, x_integrate, x_mul
 
 _HALF = Fraction(1, 2)
 
@@ -81,28 +81,28 @@ class LineBundleX:
         )
 
 
+def _truncated_mul(u: TruncatedChar, v: TruncatedChar) -> TruncatedChar:
+    """The character of a tensor product, truncated after ch1:
+    (ch0·ch0′, ch0·ch1′ + ch0′·ch1)."""
+    return TruncatedChar(u.ch0 * v.ch0, u.ch0 * v.ch1 + v.ch0 * u.ch1)
+
+
 @value_class
-class TruncatedChar:
-    """Character truncated after ch1; all the slope theory ever reads."""
+class TruncatedChar(_Linear):
+    """Character truncated after ch1; all the slope theory ever reads.
+
+    ``+``, ``scale`` and ``-x`` (the odd shift) act field by field, and
+    ``x * y`` is the character of the tensor product (see
+    :class:`weierfm.ring._Linear`)."""
 
     ch0: Fraction
     ch1: DivisorClassX
 
+    _product = _truncated_mul
+
     @property
     def model(self) -> SurfaceModel:
         return self.ch1.model
-
-    def twist_by_surface(self, c1_vector) -> "TruncatedChar":
-        """Tensor with the pullback of a line bundle on S.
-
-        Only ch1 moves at this truncation: ch1 += ch0 · p*c1.
-        """
-        bump = DivisorClassX(self.model, Fraction(0), c1_vector).scale(self.ch0)
-        return TruncatedChar(self.ch0, self.ch1 + bump)
-
-    def negate(self) -> "TruncatedChar":
-        """Character of the same object shifted by one (odd shift)."""
-        return TruncatedChar(-self.ch0, -self.ch1)
 
 
 @value_class
@@ -143,6 +143,7 @@ class Polarization:
 
 def wit_classify(lb: LineBundleX) -> WitType:
     """Concentration degree of the transform: WIT0 iff m > 0."""
+    require(lb, LineBundleX, "line bundle")
     return WitType.WIT0 if lb.m > 0 else WitType.WIT1
 
 
@@ -154,6 +155,7 @@ def transform_char(lb: LineBundleX) -> TransformResult:
     :func:`commutativity_check` applies.  A threefold that is not
     K-trivial is refused with :class:`HypothesisViolationError`.
     """
+    require(lb, LineBundleX, "line bundle")
     model = lb.model
     require_x_k_trivial(model, "the transform character")
     m = lb.m
@@ -173,11 +175,14 @@ def transform_char(lb: LineBundleX) -> TransformResult:
 
 def dual_char(v: TruncatedChar) -> TruncatedChar:
     """Character of the derived dual at this truncation: ch1 flips sign."""
+    require(v, TruncatedChar, "character")
     return TruncatedChar(v.ch0, -v.ch1)
 
 
 def slope(v: TruncatedChar, pol: Polarization) -> Fraction:
     """Slope ∫_X ch1·ω² / ch0 for ω the polarization divisor."""
+    require(v, TruncatedChar, "character")
+    require(pol, Polarization, "polarization")
     if v.model != pol.model:
         raise ModelMismatchError("character and polarization models differ")
     if v.ch0 == 0:
@@ -193,19 +198,17 @@ def commutativity_check(
     """Compare dual-then-transform against transform-then-dual.
 
     Left side: the dual of the transform's character.  Right side: the
-    transform of the dual line bundle, twisted by the kernel's duality
+    transform of the dual line bundle, tensored with the kernel's duality
     bundle p*L, then negated for the odd shift; the involution of the
     fibration acts trivially on all classes in play.  Exact equality of
     truncated characters is returned.
     """
+    require(lb, LineBundleX, "line bundle")
+    require(kernel, KernelChoice, "kernel")
     if lb.m == 0:
         raise HypothesisViolationError(
             "commutativity check needs m != 0 (rank-0 transforms shift differently)"
         )
     left = dual_char(transform_char(lb).char)
-    right = (
-        transform_char(lb.dual())
-        .char.twist_by_surface(kernel.l_class(lb.model))
-        .negate()
-    )
-    return left == right
+    pullback_l = TruncatedChar(Fraction(1), lb.model.divisor_x(delta=kernel.l_class(lb.model)))
+    return left == -(transform_char(lb.dual()).char * pullback_l)

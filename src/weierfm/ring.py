@@ -22,8 +22,9 @@ two truncated rings:
 Divisors on X get their own lightweight type (a·Θ + p*delta) because the
 transform calculus in :mod:`weierfm.fm` only ever needs characters up to
 ch1; ``exp_divisor`` turns a divisor into the full threefold class when
-the ring has to take over.  All three classes take their ``+``, ``scale``
-and ``is_zero`` from their fields, through one rule (``_Linear``).
+the ring has to take over.  All three classes, and the truncated
+characters of :mod:`weierfm.fm`, take their ``+``, ``scale`` and
+``is_zero`` from their fields, through one rule (``_Linear``).
 
 All coefficients are ``fractions.Fraction``; there is no floating point
 in this module or anywhere downstream of it.

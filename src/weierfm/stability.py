@@ -53,10 +53,13 @@ every field against its annotation and refuses a float where a rational
 goes, then runs its ``_check`` hook, and it decodes trusted.  The ring's
 classes are built through their public constructors.
 
-The transform's own slope is the ω² functional's dot product with its
-ch1, over ch0, so :func:`transform_stability` runs no ring product for it
-once the functionals are cached; :func:`target_slope` still takes its
-slope through the ring's :func:`weierfm.fm.slope`.
+The transform's own slope and the target slope are one quantity, the ω²
+functional's dot product with the transform's ch1, over ch0, so
+:func:`transform_stability` and :func:`target_slope` run no ring product
+for it once the functionals are cached.  One rule builds the grid for
+both :func:`enumerate_candidates` and :func:`candidate_grid`: it checks n,
+counts the candidates against MAX_SCAN_CANDIDATES and only then builds
+the axes.
 
 Positive m reduces to negative m through the dual line bundle: the
 duality bookkeeping of :mod:`weierfm.duality` identifies the dual of the
@@ -83,8 +86,8 @@ from .fm import (
     LineBundleX,
     Polarization,
     TransformResult,
+    TruncatedChar,
     WitType,
-    slope,
     transform_char,
 )
 from .rationals import is_int, require, trusted, value_class
@@ -180,6 +183,17 @@ class EnumerationBounds:
             raise ValueError("bounds must be nonnegative")
 
 
+def _require_derived(owner: object, field: str, derived: object, source: str) -> None:
+    """Refuse with ValueError an ``owner`` whose ``field`` is not
+    ``derived``, the value that ``source`` (such as "its reports give")
+    names."""
+    value = getattr(owner, field)
+    if value != derived:
+        raise ValueError(
+            f"{type(owner).__name__} {field!r} is {value!r}, but {source} {derived!r}"
+        )
+
+
 @value_class
 class ScanResult:
     reports: tuple[StabilityReport, ...]
@@ -188,11 +202,7 @@ class ScanResult:
     def _check(self) -> None:
         """``any_violation`` is whether some report is a Violation."""
         violation = any(report.verdict is Verdict.VIOLATION for report in self.reports)
-        if self.any_violation != violation:
-            raise ValueError(
-                f"ScanResult 'any_violation' is {self.any_violation!r}, "
-                f"but its reports give {violation!r}"
-            )
+        _require_derived(self, "any_violation", violation, "its reports give")
 
     @property
     def candidate_count(self) -> int:
@@ -373,16 +383,23 @@ def _functionals(pol: Polarization) -> _Functionals:
 # -- slopes -----------------------------------------------------------------
 
 
+def _slope(fns: _Functionals, char: TruncatedChar) -> Fraction:
+    """∫ ch1·ω² / ch0, read off the ω² functional, which
+    :func:`_functionals` checked against the ring and the closed form."""
+    w = fns.omega_squared
+    return (char.ch1.a * w[0] + _dot(char.ch1.delta, w[1:])) / char.ch0
+
+
 # Knocking the cache out costs sweep 12 % of its throughput (BENCH_17.json).
 # Typed, so True and 2.0 reach the n check, not the entries of 1 and 2.
 @lru_cache(maxsize=POLARIZATION_CACHE_SIZE, typed=True)
 def target_slope(n: int, pol: Polarization) -> Fraction:
-    """Slope of the rank-n transform of O_X(-nΘ), computed via the ring."""
+    """Slope of the rank-n transform of O_X(-nΘ), read off the ring-derived
+    ω² functional (:func:`_slope`)."""
     if not is_int(n) or n < 1:
         raise ValueError("n must be a positive integer")
-    _require_num_trivial(pol, "target slope")
-    char = transform_char(LineBundleX(pol.model, -n)).char
-    value = slope(char, pol)
+    fns = _require_num_trivial(pol, "target slope")
+    value = _slope(fns, transform_char(LineBundleX(pol.model, -n)).char)
     if value <= 0:
         raise InternalCheckError("target slope must be positive")
     return value
@@ -580,53 +597,46 @@ def _reports(
     return reports, any_violation
 
 
-def _grid_len(limit: Fraction, step: Fraction, start: Fraction) -> int:
-    return (limit - start) // step + 1
-
-
-def _grid(limit: Fraction, step: Fraction, start: Fraction) -> list[Fraction]:
-    return [start + i * step for i in range(_grid_len(limit, step, start))]
-
-
-def _delta_start(bounds: EnumerationBounds) -> Fraction:
-    """The least multiple of DELTA_STEP at or above -delta_max."""
-    return -(bounds.delta_max // DELTA_STEP) * DELTA_STEP
-
-
-def _check_scan_size(n: int, picard_rank: int, bounds: EnumerationBounds) -> None:
-    """Refuse a grid above MAX_SCAN_CANDIDATES, counted before any axis
-    is built."""
-    count = (
-        (n - 1)
-        * _grid_len(bounds.a_max, A_STEP, Fraction(0))
-        * _grid_len(bounds.delta_max, DELTA_STEP, _delta_start(bounds)) ** picard_rank
-        * 2
-    )
+def _axes(
+    n: int, picard_rank: int, bounds: EnumerationBounds | None
+) -> tuple[list, list, tuple]:
+    """The a, delta and e axes of the rank-n grid over Picard rank
+    ``picard_rank`` (``bounds`` None: the default ``EnumerationBounds()``,
+    built on the call, so an import builds no value); the grid runs over
+    the ranks 1..n - 1 and then the axes' product, in that order.  The grid
+    is counted from the two 1-D axis lengths and refused above
+    MAX_SCAN_CANDIDATES before any axis is built; an empty grid (n = 1)
+    gets empty axes, so it builds no delta product."""
+    for name, value in (("n", n), ("picard_rank", picard_rank)):
+        if not is_int(value) or value < 1:
+            raise ValueError(f"{name} must be a positive integer")
+    bounds = EnumerationBounds() if bounds is None else bounds
+    require(bounds, EnumerationBounds, "bounds")
+    a_len = bounds.a_max // A_STEP + 1
+    # The delta axis is every multiple of DELTA_STEP in [-delta_max, delta_max].
+    k = bounds.delta_max // DELTA_STEP
+    count = (n - 1) * a_len * (2 * k + 1) ** picard_rank * 2
     if count > MAX_SCAN_CANDIDATES:
         raise ValueError(
             f"the scan grid has {count} candidates, above the cap "
             f"{MAX_SCAN_CANDIDATES}; lower the rank or the bounds"
         )
-
-
-def _axes(picard_rank: int, bounds: EnumerationBounds) -> tuple[list, list, tuple]:
-    """The a, delta and e axes of the grid, which runs over their product
-    in that order."""
-    coeff_values = _grid(bounds.delta_max, DELTA_STEP, _delta_start(bounds))
+    if n == 1:
+        return [], [], (0, 1)
+    coeff_values = [i * DELTA_STEP for i in range(-k, k + 1)]
     return (
-        _grid(bounds.a_max, A_STEP, Fraction(0)),
+        [i * A_STEP for i in range(a_len)],
         list(itertools.product(coeff_values, repeat=picard_rank)),
         (0, 1),
     )
 
 
 def candidate_grid(
-    n: int, picard_rank: int, bounds: EnumerationBounds
+    n: int, picard_rank: int, bounds: EnumerationBounds | None
 ) -> list[DestabilizerCandidate]:
-    """The full deterministic candidate list for a rank-n search; a grid
-    above MAX_SCAN_CANDIDATES is a ValueError."""
-    _check_scan_size(n, picard_rank, bounds)
-    points = list(itertools.product(*_axes(picard_rank, bounds)))
+    """The full deterministic candidate list for a rank-n search (see
+    :func:`_axes`); a grid above MAX_SCAN_CANDIDATES is a ValueError."""
+    points = list(itertools.product(*_axes(n, picard_rank, bounds)))
     return [DestabilizerCandidate(r, *point) for r in range(1, n) for point in points]
 
 
@@ -635,19 +645,14 @@ def enumerate_candidates(
     pol: Polarization,
     bounds: EnumerationBounds | None = None,
 ) -> ScanResult:
-    """Certify every candidate on the grid of ``bounds`` (None: the default
-    ``EnumerationBounds()``, built on the call, so an import builds no
-    value); order is grid order.  The rank-independent part of a report is
-    built once per (a, delta, e).  A grid above MAX_SCAN_CANDIDATES is a
+    """Certify every candidate on the grid of ``bounds`` (see :func:`_axes`);
+    order is grid order.  The rank-independent part of a report is built
+    once per (a, delta, e).  A grid above MAX_SCAN_CANDIDATES is a
     ValueError."""
     fns = _require_num_trivial(pol, "stability scan")
-    if not is_int(n) or n < 1:
-        raise ValueError("n must be a positive integer")
-    bounds = EnumerationBounds() if bounds is None else bounds
-    require(bounds, EnumerationBounds, "bounds")
-    _check_scan_size(n, pol.model.picard_rank, bounds)
+    axes = _axes(n, pol.model.picard_rank, bounds)
     target = target_slope(n, pol)
-    cells = _cells(fns, *_axes(pol.model.picard_rank, bounds)) if n > 1 else []
+    cells = _cells(fns, *axes)
     reports, any_violation = _reports(n, range(1, n), cells, target)
     # The public constructor would cost sweep 6 % of its throughput (BENCH_17.json).
     return trusted(ScanResult)(tuple(reports), any_violation)
@@ -669,8 +674,11 @@ class TransformStabilityReport:
     reduction: tuple[str, ...]
 
     def _check(self) -> None:
-        """``duality_step``'s annotation names a class of :mod:`weierfm.duality`,
+        """``stable`` is what the scan gives and ``search_rank`` is |m|.
+        ``duality_step``'s annotation names a class of :mod:`weierfm.duality`,
         which this module loads only for m > 0, so it is checked here."""
+        _require_derived(self, "stable", not self.scan.any_violation, "its scan gives")
+        _require_derived(self, "search_rank", abs(self.line_bundle.m), "its line bundle gives")
         if self.duality_step is not None:
             from .duality import Conclusion
 
@@ -688,9 +696,8 @@ def transform_stability(
     dual bundle, recording the duality identification that makes the
     reduction legitimate.  m = 0 has a torsion transform and no slope.
 
-    The transform slope ∫ ch1·ω² / ch0 is read off the polarization's ω²
-    functionals, which :func:`_functionals` checked against the ring and
-    the closed form, rather than by two more ring products.
+    The transform slope is read off the polarization's ω² functional, as
+    the target slope is (:func:`_slope`).
     """
     require(lb, LineBundleX, "line bundle")
     require(pol, Polarization, "polarization")
@@ -702,9 +709,6 @@ def transform_stability(
             "the m = 0 transform is torsion and has no slope"
         )
     result = transform_char(lb)
-    ch0, ch1 = result.char.ch0, result.char.ch1
-    w = fns.omega_squared
-    mu = (ch1.a * w[0] + _dot(ch1.delta, w[1:])) / ch0
     reduction: list[str] = []
     if any(x != 0 for x in lb.twist):
         reduction.append(
@@ -734,7 +738,7 @@ def transform_stability(
     return TransformStabilityReport(
         line_bundle=lb,
         transform=result,
-        transform_slope=mu,
+        transform_slope=_slope(fns, result.char),
         search_rank=n,
         target_slope=target_slope(n, pol),
         scan=scan,

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 from fractions import Fraction
 
@@ -122,10 +123,46 @@ def test_dual_char_flips_ch1_only(demo):
 
 
 def test_char_negate_and_surface_twist(k3):
+    """The odd shift is -x; tensoring with p*N is the product with
+    ch(p*N) = (1, p*N), which moves ch1 by ch0·p*N."""
     char = TruncatedChar(Fraction(3), k3.model.divisor_x(a=1, delta=(2,)))
-    assert char.negate() == TruncatedChar(Fraction(-3), k3.model.divisor_x(a=-1, delta=(-2,)))
-    bumped = char.twist_by_surface((Fraction(1),))
+    assert -char == TruncatedChar(Fraction(-3), k3.model.divisor_x(a=-1, delta=(-2,)))
+    bumped = char * TruncatedChar(Fraction(1), k3.model.divisor_x(delta=(1,)))
+    assert bumped.ch0 == 3
     assert bumped.ch1 == k3.model.divisor_x(a=1, delta=(5,))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda lb, pol: transform_char(None),
+                     "line bundle must be a LineBundleX, got NoneType None",
+                     id="transform_char-line-bundle"),
+        pytest.param(lambda lb, pol: wit_classify(-2),
+                     "line bundle must be a LineBundleX, got int -2",
+                     id="wit_classify-line-bundle"),
+        pytest.param(lambda lb, pol: dual_char(lb),
+                     "character must be a TruncatedChar, got LineBundleX LineBundleX(...)",
+                     id="dual_char-character"),
+        pytest.param(lambda lb, pol: slope(None, pol),
+                     "character must be a TruncatedChar, got NoneType None",
+                     id="slope-character"),
+        pytest.param(lambda lb, pol: slope(transform_char(lb).char, pol.h),
+                     "polarization must be a Polarization, got tuple",
+                     id="slope-polarization"),
+        pytest.param(lambda lb, pol: commutativity_check(None),
+                     "line bundle must be a LineBundleX, got NoneType None",
+                     id="commutativity_check-line-bundle"),
+        pytest.param(lambda lb, pol: commutativity_check(lb, "paper"),
+                     "kernel must be a KernelChoice, got str 'paper'",
+                     id="commutativity_check-kernel"),
+    ],
+)
+def test_transform_entry_points_refuse_arguments_of_the_wrong_type(k3, k3_pol, call, message):
+    """An argument that is not of its annotated class is refused with
+    ValueError when the call starts, not met later as an AttributeError."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(LineBundleX(k3.model, -2), k3_pol)
 
 
 @pytest.mark.parametrize("t", [Fraction(1, 2), Fraction(1), Fraction(3)])

@@ -19,6 +19,7 @@ from weierfm import (
     SurfaceClass,
     SurfaceModel,
     ThreefoldClass,
+    TruncatedChar,
     certify,
     commutativity_check,
     exp_divisor,
@@ -304,13 +305,22 @@ def test_divisor_arithmetic(k3):
     )
 
 
+def _char_product(x, y):
+    """(ch0·ch0′, ch0·ch1′ + ch0′·ch1), written out field by field."""
+    return TruncatedChar(x.ch0 * y.ch0, DivisorClassX(
+        x.model, x.ch0 * y.ch1.a + y.ch0 * x.ch1.a,
+        tuple(x.ch0 * b + y.ch0 * a for a, b in zip(x.ch1.delta, y.ch1.delta))))
+
+
 # Each class: a strategy of its values over one model, and its ring product
-# (None: divisors have none).
+# (None: divisors have none; a truncated character's is the tensor product's).
 _CLASSES = {
     "SurfaceClass": (surface_classes, surface_mul),
     "ThreefoldClass": (
         lambda m: st.builds(ThreefoldClass, surface_classes(m), surface_classes(m)), x_mul),
     "DivisorClassX": (divisor_classes, None),
+    "TruncatedChar": (
+        lambda m: st.builds(TruncatedChar, rationals, divisor_classes(m)), _char_product),
 }
 
 
@@ -336,6 +346,24 @@ def _surface_zero(m):
     return SurfaceClass(m, 0, (0,) * m.picard_rank, 0)
 
 
+def _divisor_sum(x, y):
+    return DivisorClassX(x.model, x.a + y.a, tuple(a + b for a, b in zip(x.delta, y.delta)))
+
+
+def _divisor_scaled(x, c):
+    return DivisorClassX(x.model, c * x.a, tuple(c * a for a in x.delta))
+
+
+def _divisor_zero(m):
+    return DivisorClassX(m, 0, (0,) * m.picard_rank)
+
+
+def _divisor_units(m):
+    """One divisor class per entry of a and delta, nonzero there alone."""
+    return [DivisorClassX(m, 1, (0,) * m.picard_rank),
+            *(DivisorClassX(m, 0, e) for e in _basis(m))]
+
+
 # Each class written out field by field: x + y, x.scale(c), the zero over a
 # model, and one class per entry that is nonzero there alone.  The +, scale
 # and is_zero that _Linear derives are checked against them.
@@ -347,12 +375,13 @@ _FIELDWISE = {
         lambda m: ThreefoldClass(_surface_zero(m), _surface_zero(m)),
         lambda m: [ThreefoldClass(u, _surface_zero(m)) for u in _surface_units(m)]
         + [ThreefoldClass(_surface_zero(m), u) for u in _surface_units(m)]),
-    "DivisorClassX": (
-        lambda x, y: DivisorClassX(x.model, x.a + y.a, tuple(a + b for a, b in zip(x.delta, y.delta))),
-        lambda x, c: DivisorClassX(x.model, c * x.a, tuple(c * a for a in x.delta)),
-        lambda m: DivisorClassX(m, 0, (0,) * m.picard_rank),
-        lambda m: [DivisorClassX(m, 1, (0,) * m.picard_rank),
-                   *(DivisorClassX(m, 0, e) for e in _basis(m))]),
+    "DivisorClassX": (_divisor_sum, _divisor_scaled, _divisor_zero, _divisor_units),
+    "TruncatedChar": (
+        lambda x, y: TruncatedChar(x.ch0 + y.ch0, _divisor_sum(x.ch1, y.ch1)),
+        lambda x, c: TruncatedChar(c * x.ch0, _divisor_scaled(x.ch1, c)),
+        lambda m: TruncatedChar(0, _divisor_zero(m)),
+        lambda m: [TruncatedChar(1, _divisor_zero(m)),
+                   *(TruncatedChar(0, u) for u in _divisor_units(m))]),
 }
 
 
@@ -395,7 +424,8 @@ def test_a_foreign_operand_is_a_type_error(k3):
     """+ and - take only a class of the same kind: a number, None, a string
     or another kind of class is a TypeError, on either side."""
     model = k3.model
-    classes = (model.surface(r=1), model.theta(), model.divisor_x(a=1))
+    classes = (model.surface(r=1), model.theta(), model.divisor_x(a=1),
+               TruncatedChar(1, model.divisor_x(a=1)))
     for x in classes:
         others = [y for y in classes if type(y) is not type(x)]
         for other in (1, Fraction(1, 2), None, "x", *others):

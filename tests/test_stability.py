@@ -72,6 +72,18 @@ def test_target_slope_closed_form(k3):
             assert target_slope(n, pol) == s * s * 4 / n
 
 
+def test_target_slope_is_the_ring_slope(k3, enriques):
+    """The target slope is read off the ω² functional; it equals ``slope``'s
+    two ring products on the transform of O_X(-nΘ)."""
+    model, h = _rho2()
+    for pol in (Polarization(k3.model, HALF, Fraction(2), k3.ample),
+                Polarization(enriques.model, Fraction(1), Fraction(3), enriques.ample),
+                Polarization(model, Fraction(2), HALF, h)):
+        for n in range(1, 6):
+            char = transform_char(LineBundleX(pol.model, -n)).char
+            assert target_slope(n, pol) == slope(char, pol) > 0
+
+
 def test_target_slope_requires_trivial_canonical(demo):
     pol = Polarization(demo.model, Fraction(1), Fraction(1), demo.ample)
     with pytest.raises(HypothesisViolationError):
@@ -221,9 +233,9 @@ def test_delta_axis_is_the_integers_within_the_bound():
     always on it: 5/2 gives -2..2, and 1/3 gives 0 alone."""
     from weierfm.stability import _axes
 
-    _, deltas, _ = _axes(1, EnumerationBounds(Fraction(5, 2), Fraction(5, 2)))
+    _, deltas, _ = _axes(3, 1, EnumerationBounds(Fraction(5, 2), Fraction(5, 2)))
     assert deltas == [(Fraction(d),) for d in range(-2, 3)]
-    _, deltas, _ = _axes(2, EnumerationBounds(Fraction(0), Fraction(1, 3)))
+    _, deltas, _ = _axes(3, 2, EnumerationBounds(Fraction(0), Fraction(1, 3)))
     assert deltas == [(Fraction(0), Fraction(0))]
     assert len(candidate_grid(3, 2, EnumerationBounds(Fraction(1, 2), Fraction(5, 2)))) == 2 * 2 * 25 * 2
 
@@ -255,6 +267,23 @@ def test_bounds_validation():
 
 
 @pytest.mark.parametrize(
+    "n,rho,message",
+    [(-5, 1, "n must"), (0, 1, "n must"), (True, 1, "n must"), (2.5, 1, "n must"),
+     (2, 0, "picard_rank must"), (2, 1.5, "picard_rank must"), (2, True, "picard_rank must")],
+)
+def test_candidate_grid_refuses_a_rank_that_is_not_a_positive_integer(n, rho, message):
+    """candidate_grid applies the scan's rules for n and the Picard rank: no
+    empty grid for n <= 0 or True, and no grid with delta = () for ρ = 0."""
+    with pytest.raises(ValueError, match=f"^{message} be a positive integer"):
+        candidate_grid(n, rho, EnumerationBounds())
+
+
+def test_candidate_grid_reads_none_as_the_default_bounds():
+    assert candidate_grid(2, 1, None) == candidate_grid(2, 1, EnumerationBounds())
+    assert len(candidate_grid(2, 1, None)) == 13 * 13 * 2
+
+
+@pytest.mark.parametrize(
     "n,rho,a_max,delta_max",
     [(3, 1, 1, 1), (2, 1, 0, 0), (4, 2, Fraction(3, 2), Fraction(5, 2)),
      (5, 1, Fraction(7, 4), Fraction(1, 3)), (2, 3, HALF, 2)],
@@ -273,13 +302,22 @@ def test_scan_cap_counts_the_grid_exactly(monkeypatch, n, rho, a_max, delta_max)
 
 
 def test_scan_cap_refuses_before_building_anything(monkeypatch, k3, k3_pol):
-    """(4 - 1)·2 000 001·13·2 candidates: refused without an axis or a cell."""
+    """(4 - 1)·2 000 001·13·2 candidates: refused without an axis or a cell.
+    The grid steps are swapped for ones that refuse to be multiplied, which
+    building either axis does; at n = 1 no axis is built either."""
     from weierfm import stability
 
     def unreachable(*args):
         raise AssertionError("the grid was built past the scan cap")
 
-    monkeypatch.setattr(stability, "_grid", unreachable)
+    class Unbuilt(Fraction):
+        __rmul__ = unreachable
+
+    monkeypatch.setattr(stability, "A_STEP", Unbuilt(stability.A_STEP))
+    monkeypatch.setattr(stability, "DELTA_STEP", Unbuilt(stability.DELTA_STEP))
+    with pytest.raises(AssertionError, match="built past the scan cap"):
+        candidate_grid(2, 1, EnumerationBounds(Fraction(0), Fraction(0)))
+    assert candidate_grid(1, 3, None) == []
     monkeypatch.setattr(stability, "_cells", unreachable)
     bounds = EnumerationBounds(a_max=Fraction(10**6))
     with pytest.raises(ValueError, match="156000078 candidates, above the cap 500000"):
@@ -398,6 +436,24 @@ def test_violation_flag_comes_from_the_judged_verdicts(monkeypatch, k3, k3_pol):
     assert ScanResult(scan.reports, scan.any_violation) == scan
 
 
+@pytest.mark.parametrize(
+    "change,message",
+    [({"stable": False}, "'stable' is False, but its scan gives True"),
+     ({"search_rank": 7}, "'search_rank' is 7, but its line bundle gives 3"),
+     ({"search_rank": -3}, "'search_rank' is -3, but its line bundle gives 3")],
+    ids=["stable", "search-rank-7", "search-rank-negative"],
+)
+def test_transform_stability_report_refuses_contradictory_fields(k3, k3_pol, change, message):
+    """A report's ``stable`` is what its scan gives and its ``search_rank``
+    is |m|; the public constructor refuses a report that says otherwise, as
+    ScanResult refuses a wrong ``any_violation``, and accepts the true one."""
+    for m in (-3, 3):
+        report = transform_stability(LineBundleX(k3.model, m), k3_pol, small_bounds())
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(report, **change)
+        assert dataclasses.replace(report) == report
+
+
 def test_polarization_caches_stay_bounded(k3):
     from weierfm.stability import POLARIZATION_CACHE_SIZE, _functionals
 
@@ -435,7 +491,7 @@ def test_internal_checks_catch_a_perturbed_ring(monkeypatch, capsys, k3, spoil, 
     if true is not None:
         monkeypatch.setattr(stability, "_geometry", {pol: true}.__getitem__)
     point = ThreefoldClass(k3.model.point_surface(), k3.model.surface())
-    real_mul, real_slope = stability.x_mul, stability.slope
+    real_mul, real_slope = stability.x_mul, stability._slope
 
     def spoiled_mul(x, y):
         product = real_mul(x, y)
@@ -444,7 +500,7 @@ def test_internal_checks_catch_a_perturbed_ring(monkeypatch, capsys, k3, spoil, 
         return product + point
 
     if spoil == "target slope":
-        monkeypatch.setattr(stability, "slope", lambda char, p: -real_slope(char, p))
+        monkeypatch.setattr(stability, "_slope", lambda fns, char: -real_slope(fns, char))
     else:
         monkeypatch.setattr(stability, "x_mul", spoiled_mul)
     with pytest.raises(InternalCheckError, match=message):
