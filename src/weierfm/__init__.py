@@ -5,7 +5,8 @@ Everything is Fraction arithmetic; no floats enter anywhere.  The main
 entry points:
 
 - :mod:`weierfm.ring`: the truncated intersection ring of X,
-- :mod:`weierfm.fm`: transform characters, slopes, duality checks,
+- :mod:`weierfm.fm`: transform characters, slopes, duality checks and
+  the duality verdict types (``ConclusionKind``, ``Conclusion``),
 - :mod:`weierfm.duality`: the two spectral-sequence pages and the
   closed-form duality verdicts they must reproduce,
 - :mod:`weierfm.stability`: destabilizer certification and grid scans,
@@ -28,19 +29,18 @@ __version__ = "0.1.0"
 # Each submodule and the public names it defines.
 _EXPORTS = {
     "duality": (
-        "Conclusion", "ConclusionKind", "Forbidden", "ForcedZero", "Identification",
-        "PageGrid", "ScenarioSolution", "SheafScenario", "ShortExact", "Side",
-        "TermStatus", "build_pages", "compare_limits", "degenerate",
-        "duality_decision", "solve_scenario",
+        "Forbidden", "ForcedZero", "Identification", "PageGrid", "ScenarioSolution",
+        "SheafScenario", "ShortExact", "Side", "TermStatus", "build_pages",
+        "compare_limits", "degenerate", "duality_decision", "solve_scenario",
     ),
     "errors": (
         "HypothesisViolationError", "InfeasibleScenarioError", "InternalCheckError",
         "ModelMismatchError", "UndefinedSlopeError", "WeierfmError",
     ),
     "fm": (
-        "KernelChoice", "LineBundleX", "Polarization", "TransformResult",
-        "TruncatedChar", "WitType", "commutativity_check", "dual_char", "slope",
-        "transform_char", "wit_classify",
+        "Conclusion", "ConclusionKind", "KernelChoice", "LineBundleX", "Polarization",
+        "TransformResult", "TruncatedChar", "WitType", "commutativity_check", "dual_char",
+        "slope", "transform_char", "wit_classify",
     ),
     "presets": ("PRESETS", "Preset", "get_preset"),
     "ring": (

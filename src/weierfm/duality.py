@@ -51,7 +51,12 @@ one group, time and memory are linear in n.
 
 Each solve builds both pages column by column from runs of equal statuses.
 The TermRefs its relations name, labels included, are made once per process
-and shared by every solve.
+and shared by every solve.  The verdict a solve ends in, ``Conclusion`` of
+a ``ConclusionKind``, is defined in :mod:`weierfm.fm`, so the layers that
+read it need not load this module.
+
+Each entry point refuses an argument of the wrong class with
+:func:`weierfm.rationals.require`'s ValueError before reading it.
 """
 
 from __future__ import annotations
@@ -62,8 +67,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InfeasibleScenarioError, InternalCheckError
-from .fm import WitType
-from .rationals import trusted, value_class
+from .fm import Conclusion, ConclusionKind, WitType
+from .rationals import require, trusted, value_class
 
 
 class Side(enum.Enum):
@@ -354,19 +359,6 @@ class Forbidden:
 DerivedRelation = Identification | ForcedZero | ShortExact | Forbidden
 
 
-class ConclusionKind(enum.Enum):
-    DUAL_IS_WIT1 = "DualIsWIT1"
-    DUAL_IDENTIFICATION = "DualIdentification"
-    FORBIDDEN = "Forbidden"
-
-
-@value_class
-class Conclusion:
-    kind: ConclusionKind
-    statement: str
-    via_dimension_only: bool = False
-
-
 def _conclusion(scenario: SheafScenario, kind: ConclusionKind) -> Conclusion:
     """The DualIsWIT1 or DualIdentification conclusion for ``scenario``."""
     if kind is ConclusionKind.DUAL_IS_WIT1:
@@ -399,6 +391,7 @@ def _page(
 
 def build_pages(scenario: SheafScenario) -> tuple[PageGrid, PageGrid]:
     """E2 pages for one scenario, statuses seeded with the input facts."""
+    require(scenario, SheafScenario, "scenario")
     n, c = scenario.n, scenario.c
     cT = scenario.transform_codim
     dead = ((TermStatus.ZERO, n + 1),)  # the dead WIT column
@@ -428,6 +421,7 @@ def degenerate(grid: PageGrid) -> tuple[PageGrid, int]:
     still act breaks that invariant and raises ``InternalCheckError``; a
     grid missing a Term it needs is a ValueError, checked first.
     """
+    require(grid, PageGrid, "page")
     _check_shape(grid)
     if not grid.is_settled():
         raise InternalCheckError(
@@ -539,6 +533,8 @@ def compare_limits(left: PageGrid, right: PageGrid) -> list[DerivedRelation]:
     must hold a Term at every position of its rectangle and of its
     joint_nonzero groups; otherwise ValueError, before any status changes.
     """
+    require(left, PageGrid, "left page")
+    require(right, PageGrid, "right page")
     if left.side is not Side.LEFT or right.side is not Side.RIGHT:
         raise ValueError("compare_limits takes (left page, right page)")
     if left.n != right.n:
@@ -570,6 +566,7 @@ _DECISIONS: dict[tuple[WitType, int], ConclusionKind | str] = {
 
 def duality_decision(scenario: SheafScenario) -> Conclusion:
     """Closed-form verdict on the dual of the surviving transform."""
+    require(scenario, SheafScenario, "scenario")
     decision = _DECISIONS[scenario.wit, scenario.dim_shift]
     if isinstance(decision, str):
         return Conclusion(ConclusionKind.FORBIDDEN, decision)
@@ -612,7 +609,8 @@ def _entailed_conclusion(
 
 
 def solve_scenario(scenario: SheafScenario) -> ScenarioSolution:
-    """build_pages -> degenerate -> compare_limits -> entailed conclusion."""
+    """build_pages -> degenerate -> compare_limits -> entailed conclusion;
+    build_pages refuses a ``scenario`` that is not a SheafScenario."""
     left, right = build_pages(scenario)
     left, left_page = degenerate(left)
     right, right_page = degenerate(right)

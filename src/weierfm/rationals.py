@@ -22,9 +22,12 @@ against the field's annotation (a ``Fraction`` through ``as_rational``, any
 other class through ``require``, a tuple, and only a tuple, entry by
 entry), then runs the class's ``_check`` hook, which holds the checks
 between fields.  The check table is built from the annotations on a
-class's first construction, never at import, and kept per class.  An
-optional field, ``X | None``, stores an X: None is only its constructor
-default, which the hook replaces.  The duality solver's relations and the
+class's first construction, never at import, and kept per class; every
+annotation must name classes its module binds, or that construction
+raises NameError.  An optional field, ``X | None``, takes None or what X
+takes.  One rule, ``tuple_item``, reads a tuple type's item type and
+length, for these checks and for the codec's generated decoders and
+encoders.  The duality solver's relations and the
 stability scan's values, and what the JSON decoders' own checks passed,
 are built through ``trusted(cls)``: one constructor per class, generated
 on first use, that only stores the fields.  Every class the codec reads
@@ -101,8 +104,7 @@ def require(value: Any, kind: Any, what: str) -> None:
 def value_class(cls: type[T]) -> type[T]:
     """Make ``cls`` a frozen dataclass whose constructor checks each field
     against its annotation (see :func:`_checker`), then runs the class's
-    ``_check`` hook, if it has one.  An annotation naming a class that the
-    module does not load is left to that hook, which the class must have."""
+    ``_check`` hook, if it has one."""
     cls.__post_init__ = _check_fields
     return dataclass(frozen=True)(cls)
 
@@ -123,22 +125,18 @@ def _check_fields(self: Any) -> None:
 
 def field_types(cls: type) -> dict[str, Any]:
     """The annotation of each field of the dataclass ``cls``, by name, as
-    its module resolves it; a field whose annotation names a class that the
-    module does not load is left out."""
+    its module resolves it (NameError for a name the module does not bind)."""
     namespace = vars(sys.modules[cls.__module__])
-    types = {}
-    for f in fields(cls):
-        try:  # annotations are postponed, so f.type is the annotation's text
-            types[f.name] = eval(f.type, namespace)
-        except NameError:
-            pass
-    return types
+    # Annotations are postponed, so f.type is the annotation's text.
+    return {f.name: eval(f.type, namespace) for f in fields(cls)}
 
 
 def stored_type(hint: Any) -> Any:
-    """The type a field annotated ``hint`` stores: X for ``X | None``, whose
-    None is only a constructor default that the class's ``_check`` hook
-    replaces (LineBundleX.twist), and ``hint`` itself otherwise."""
+    """X for the optional type ``X | None``, and ``hint`` itself otherwise:
+    the type such a field stores when it is not None.  The codec reads an
+    optional field as the X it stores, since the one it decodes,
+    LineBundleX.twist, holds None only as a constructor default that the
+    class's ``_check`` hook replaces."""
     args = get_args(hint)
     if get_origin(hint) in (Union, UnionType) and len(args) == 2 and type(None) in args:
         return args[0] if args[1] is type(None) else args[1]
@@ -149,11 +147,18 @@ def stored_type(hint: Any) -> Any:
 def _field_checks(cls: type) -> tuple[tuple[tuple[str, Callable[[Any], Any]], ...], Any]:
     """The (field name, check) pairs of the value class ``cls``, read from
     its annotations, and its ``_check`` hook (None if it has none)."""
-    hook = getattr(cls, "_check", None)
-    types = field_types(cls)
-    if hook is None and len(types) < len(fields(cls)):
-        raise NameError(f"{cls.__name__} has a field whose annotation its module does not load")
-    return tuple((name, _checker(hint, name)) for name, hint in types.items()), hook
+    checks = tuple((name, _checker(hint, name)) for name, hint in field_types(cls).items())
+    return checks, getattr(cls, "_check", None)
+
+
+def tuple_item(hint: Any) -> tuple[Any, int | None]:
+    """The item type and the length (None: any) of the homogeneous tuple
+    type ``hint``, ``tuple[X, ...]`` or ``tuple[X, X]``; TypeError for any
+    other type."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple and len(set(args) - {Ellipsis}) == 1:
+        return args[0], None if args[-1] is Ellipsis else len(args)
+    raise TypeError(f"{hint!r} is not a homogeneous tuple type")
 
 
 def _checker(hint: Any, what: str) -> Callable[[Any], Any]:
@@ -162,24 +167,22 @@ def _checker(hint: Any, what: str) -> Callable[[Any], Any]:
     (TypeError on a float); ``tuple[X, ...]`` takes a tuple, never a list,
     set, dict or generator, and checks each entry as an X, so a rational
     vector ``tuple[Fraction, ...]`` is one of these; ``tuple[X, X]`` takes
-    one of that length; ``X | None`` takes None, left to the ``_check``
-    hook, or what X takes (see :func:`stored_type`); any other class, or
-    union of classes, goes through :func:`require` (ValueError)."""
+    one of that length (see :func:`tuple_item`); ``X | None`` takes None or
+    what X takes; any other class, or union of classes, goes through
+    :func:`require` (ValueError)."""
     stored = stored_type(hint)
     if stored is not hint:
         check = _checker(stored, what)
         return lambda value: value if value is None else check(value)
     if hint is Fraction:
         return as_rational
-    args = get_args(hint)
     if get_origin(hint) is tuple:
-        if len(set(args) - {Ellipsis}) != 1:
-            raise TypeError(f"no check for a field of type {hint!r}")
-        item, size = _checker(args[0], f"an entry of {what}"), len(args)
+        item_type, size = tuple_item(hint)
+        item = _checker(item_type, f"an entry of {what}")
 
         def check(value: Any) -> Any:
             require(value, tuple, what)
-            if args[-1] is not Ellipsis and len(value) != size:
+            if size is not None and len(value) != size:
                 raise ValueError(f"{what} must have {size} entries, got {len(value)}")
             return tuple(map(item, value))
         return check

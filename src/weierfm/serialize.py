@@ -42,8 +42,9 @@ Schemas (all keys required unless marked optional):
 
 Every schema above but ScanResult is its dataclass's own field list.  For
 each such class one encoder and one decoder are generated from
-``dataclasses.fields`` and :func:`weierfm.rationals.field_types`, each the
-first time it is needed: straight-line Python that reads and writes each
+``dataclasses.fields`` and :func:`weierfm.rationals.field_types`, reading
+tuple types through :func:`weierfm.rationals.tuple_item`, the rule the
+value classes' own checks read, each the first time it is needed: straight-line Python that reads and writes each
 field by name, as ``dataclasses`` writes an ``__init__``, compiled with
 ``exec`` from source holding only field names, JSON keys, class names and
 constant messages, never document data.  Keys are the field names in field
@@ -77,7 +78,8 @@ meets the class, refusing with ``TypeError`` one that the table does not
 name in that layer, so after that an encode is one dict lookup.  A
 ``*_from_json`` is made on its first access as a module attribute, from
 the generated decoders of the classes that name it, importing their
-layer, and stays in the namespace; ``scan_result_from_json``, which adds the check above, is
+layer, and stays in the namespace (``conclusion_from_json`` loads only
+``fm``, which defines the duality verdict types, not the engine); ``scan_result_from_json``, which adds the check above, is
 written out.  The relations share ``relation_from_json`` and lead with a
 ``"kind"`` tag naming their class.
 
@@ -109,9 +111,11 @@ from functools import cache, lru_cache
 from importlib import import_module
 from itertools import repeat
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, get_args, get_origin
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, get_origin
 
-from .rationals import field_types, format_rational, parse_rational, stored_type, trusted
+from .rationals import (
+    field_types, format_rational, parse_rational, stored_type, trusted, tuple_item,
+)
 from .ring import SurfaceModel
 
 if TYPE_CHECKING:
@@ -170,14 +174,6 @@ def _needs_model(owner: str) -> TypeError:
 # -- generated codecs ------------------------------------------------------------
 
 
-def _tuple_item(hint: Any) -> tuple[Any, int | None]:
-    """The item type and length (None: any) of a homogeneous tuple type."""
-    args = get_args(hint)
-    if get_origin(hint) is tuple and len(set(args) - {Ellipsis}) == 1:
-        return args[0], None if args[-1] is Ellipsis else len(args)
-    raise TypeError(f"no JSON form for field type {hint!r}")
-
-
 def _is_enum(hint: Any) -> bool:
     return isinstance(hint, type) and issubclass(hint, Enum)
 
@@ -219,7 +215,7 @@ def _encode_expr(src: _Source, hint: Any, expr: str, depth: int = 0) -> str:
         return f"{expr}.value"
     if is_dataclass(hint):
         return f"{src.bind(f'_{hint.__name__}_encode', _encoder_of(hint))}({expr})"
-    item = _tuple_item(hint)[0]
+    item = tuple_item(hint)[0]
     if item in _LEAVES:
         return f"list({expr})"
     if item is Fraction:
@@ -251,7 +247,7 @@ def _decode_lines(src: _Source, hint: Any, var: str, target: str, pad: str,
         decode = src.bind(f"_{hint.__name__}_decode", _decoder_of(hint).decode)
         add(f"{pad}{target} = {decode}({var}, model)")
     else:
-        item, size = _tuple_item(hint)
+        item, size = tuple_item(hint)
         add(f"{pad}if type({var}) is not list:")
         add(f"{pad}    raise _not_a_list({var})")
         if size is not None:
@@ -288,7 +284,7 @@ def _shared_builder(src: _Source, cls: type, columns: list[tuple[int, str, str |
             built.append(f"_parse_rational(v{at})")
         elif _is_enum(hint):
             built.append(f"_{hint.__name__}_members[v{at}]")
-        elif hint in _LEAVES or (get_origin(hint) is tuple and _tuple_item(hint)[0] in _LEAVES):
+        elif hint in _LEAVES or (get_origin(hint) is tuple and tuple_item(hint)[0] in _LEAVES):
             built.append(f"v{at}")
         else:
             raise TypeError(f"a shared {cls.__name__} cannot hold a {hint!r}")
@@ -449,7 +445,7 @@ _FORMS = {
     "WitType": _Form("fm"),
     "KernelChoice": _Form("fm"),
     "SheafScenario": _Form("duality", "scenario_from_json"),
-    "Conclusion": _Form("duality", "conclusion_from_json"),
+    "Conclusion": _Form("fm", "conclusion_from_json"),
     "TermRef": _Form("duality", "term_ref_from_json", shared=True),
     "Identification": _Form("duality", "relation_from_json"),
     "ForcedZero": _Form("duality", "relation_from_json"),

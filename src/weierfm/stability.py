@@ -75,7 +75,7 @@ import operator
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import (
     HypothesisViolationError,
@@ -83,6 +83,7 @@ from .errors import (
     ModelMismatchError,
 )
 from .fm import (
+    Conclusion,
     LineBundleX,
     Polarization,
     TransformResult,
@@ -92,9 +93,6 @@ from .fm import (
 )
 from .rationals import is_int, require, trusted, value_class
 from .ring import ThreefoldClass, pullback, x_integrate, x_mul
-
-if TYPE_CHECKING:
-    from .duality import Conclusion
 
 
 class Verdict(Enum):
@@ -606,7 +604,13 @@ def _axes(
     the ranks 1..n - 1 and then the axes' product, in that order.  The grid
     is counted from the two 1-D axis lengths and refused above
     MAX_SCAN_CANDIDATES before any axis is built; an empty grid (n = 1)
-    gets empty axes, so it builds no delta product."""
+    gets empty axes, so it builds no delta product.
+
+    The count, (n - 1)·2·|δ axis|^ρ·|a axis|, is multiplied factor by
+    factor.  Once a product before the a axis passes the cap, counting
+    stops and the refusal says "too many" instead of the count, so neither
+    a large ρ nor a large n builds a huge power or a number too long to
+    print."""
     for name, value in (("n", n), ("picard_rank", picard_rank)):
         if not is_int(value) or value < 1:
             raise ValueError(f"{name} must be a positive integer")
@@ -615,11 +619,16 @@ def _axes(
     a_len = bounds.a_max // A_STEP + 1
     # The delta axis is every multiple of DELTA_STEP in [-delta_max, delta_max].
     k = bounds.delta_max // DELTA_STEP
-    count = (n - 1) * a_len * (2 * k + 1) ** picard_rank * 2
-    if count > MAX_SCAN_CANDIDATES:
+    count = (n - 1) * 2
+    for _ in range(picard_rank if k else 0):  # factors >= 3: stops within 13
+        if not 0 < count <= MAX_SCAN_CANDIDATES:
+            break
+        count *= 2 * k + 1
+    count = count * a_len if count <= MAX_SCAN_CANDIDATES else None
+    if count is None or count > MAX_SCAN_CANDIDATES:
         raise ValueError(
-            f"the scan grid has {count} candidates, above the cap "
-            f"{MAX_SCAN_CANDIDATES}; lower the rank or the bounds"
+            f"the scan grid has {'too many' if count is None else count} candidates, "
+            f"above the cap {MAX_SCAN_CANDIDATES}; lower the rank or the bounds"
         )
     if n == 1:
         return [], [], (0, 1)
@@ -674,15 +683,9 @@ class TransformStabilityReport:
     reduction: tuple[str, ...]
 
     def _check(self) -> None:
-        """``stable`` is what the scan gives and ``search_rank`` is |m|.
-        ``duality_step``'s annotation names a class of :mod:`weierfm.duality`,
-        which this module loads only for m > 0, so it is checked here."""
+        """``stable`` is what the scan gives and ``search_rank`` is |m|."""
         _require_derived(self, "stable", not self.scan.any_violation, "its scan gives")
         _require_derived(self, "search_rank", abs(self.line_bundle.m), "its line bundle gives")
-        if self.duality_step is not None:
-            from .duality import Conclusion
-
-            require(self.duality_step, Conclusion, "duality_step")
 
 
 def transform_stability(

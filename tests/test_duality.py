@@ -250,6 +250,53 @@ def test_degenerate_refuses_malformed_pages():
         degenerate(page)
 
 
+def _offset_right_page():
+    """A Right page whose rows start below 0 (q₀ = -1): (1, -1) and (0, 1)
+    are NonZero and d_2 joins them, since (1, -1) + (-1, 2) = (0, 1)."""
+    cells = itertools.product((0, 1), (-1, 0, 1))
+    live = {(1, -1), (0, 1)}
+    terms = {pos: Term(TermStatus.NONZERO if pos in live else TermStatus.ZERO) for pos in cells}
+    return PageGrid(Side.RIGHT, 3, (0, 1), (-1, 1), terms)
+
+
+def test_a_page_below_row_zero_counts_its_full_height():
+    """The page's height is q₁ - q₀ = 2, so d_2 is checked and found live:
+    degenerate() and compare_limits() refuse it.  Reading the height as
+    q₁ + q₀ = 0 would check no differential and pass it as settled."""
+    page = _offset_right_page()
+    assert not page.is_settled()
+    with pytest.raises(InternalCheckError, match="right page"):
+        degenerate(page)
+    left, _ = build_pages(SheafScenario(3, 1, WitType.WIT0, 1))
+    with pytest.raises(ValueError, match="requires degenerated pages"):
+        compare_limits(left, page)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: build_pages(None), "scenario must be a SheafScenario, got NoneType",
+                     id="build_pages-scenario"),
+        pytest.param(lambda: degenerate("x"), "page must be a PageGrid, got str 'x'",
+                     id="degenerate-page"),
+        pytest.param(lambda: compare_limits(None, _offset_right_page()),
+                     "left page must be a PageGrid, got NoneType", id="compare_limits-left"),
+        pytest.param(lambda: compare_limits(_offset_right_page(), None),
+                     "right page must be a PageGrid, got NoneType", id="compare_limits-right"),
+        pytest.param(lambda: duality_decision(1), "scenario must be a SheafScenario, got int 1",
+                     id="duality_decision-scenario"),
+        pytest.param(lambda: solve_scenario((3, 1)),
+                     r"scenario must be a SheafScenario, got tuple \(3, 1\)",
+                     id="solve_scenario-scenario"),
+    ],
+)
+def test_duality_entry_points_refuse_arguments_of_the_wrong_type(call, message):
+    """An argument that is not of its annotated class is refused with
+    ValueError when the call starts, not met later as an AttributeError."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_solve_scenario_checks_each_page_once(monkeypatch):
     """degenerate() checks both pages; the comparison does not redo it."""
     calls = []

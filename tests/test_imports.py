@@ -114,6 +114,18 @@ def test_stability_commands_load_duality_only_for_positive_m(argv, duality):
     assert ("duality" in loaded) is duality and {"stability", "serialize"} <= loaded
 
 
+def test_conclusion_decodes_without_the_engine():
+    """The verdict types live in fm, so decoding a conclusion loads neither
+    engine."""
+    code = (
+        "from weierfm import serialize\n"
+        "doc = {'kind': 'DualIdentification', 'statement': 's', 'via_dimension_only': False}\n"
+        "assert serialize.conclusion_from_json(doc).kind.value == 'DualIdentification'"
+    )
+    loaded = fresh_run(code)
+    assert "fm" in loaded and loaded & {"duality", "stability"} == set()
+
+
 def test_submodules_resolve_as_attributes():
     code = (
         "import weierfm\n"

@@ -47,6 +47,8 @@ from weierfm.rationals import (
     parse_rational_vector,
     require,
     trusted,
+    tuple_item,
+    value_class,
 )
 from weierfm.stability import EffectivityProxy, TraceStep
 
@@ -432,16 +434,39 @@ def test_trusted_builds_what_the_constructor_builds(cls):
     assert trusted(cls) is trusted(cls)
 
 
-def test_only_duality_step_is_left_to_a_hook():
-    """Every value class's field annotations resolve to checks but
-    TransformStabilityReport.duality_step's: stability loads its class,
-    Conclusion, only with duality, so the class's _check hook checks it."""
+def test_every_value_class_field_has_an_annotation_check():
+    """Every field of every value class is checked from its annotation, in
+    field order; none is left to a ``_check`` hook."""
     classes = {cls for cls in _weierfm_dataclasses() if is_value_class(cls)}
     assert {cls.__name__ for cls in _weierfm_dataclasses() - classes} == {
         "Preset", "Term", "PageGrid"}
-    left = {(cls.__name__, f.name) for cls in classes for f in dataclasses.fields(cls)
-            if f.name not in dict(_field_checks(cls)[0])}
-    assert left == {("TransformStabilityReport", "duality_step")}
+    for cls in classes:
+        checked = [name for name, _ in _field_checks(cls)[0]]
+        assert checked == [f.name for f in dataclasses.fields(cls)], cls.__name__
+
+
+def test_an_annotation_its_module_does_not_bind_fails_the_first_construction():
+    @value_class
+    class Loose:
+        x: "NotBoundAnywhere"  # noqa: F821
+
+    with pytest.raises(NameError, match="NotBoundAnywhere"):
+        Loose(1)
+
+
+@pytest.mark.parametrize(
+    "hint,expected",
+    [(tuple[Fraction, ...], (Fraction, None)), (tuple[int, int], (int, 2)),
+     (tuple[str], (str, 1)), (tuple[int, str], None), (tuple[()], None), (tuple, None),
+     (list[int], None), (int, None)],
+    ids=str,
+)
+def test_tuple_item_reads_homogeneous_tuple_types_only(hint, expected):
+    if expected is None:
+        with pytest.raises(TypeError, match="not a homogeneous tuple type"):
+            tuple_item(hint)
+    else:
+        assert tuple_item(hint) == expected
 
 
 def test_trusted_refuses_a_slotted_class():

@@ -329,6 +329,20 @@ def test_scan_cap_refuses_before_building_anything(monkeypatch, k3, k3_pol):
     assert stability.MAX_SCAN_CANDIDATES == 500_000
 
 
+@pytest.mark.parametrize(
+    "call",
+    [pytest.param(lambda pol: candidate_grid(2, 10**4, None), id="rank-10^4"),
+     pytest.param(lambda pol: candidate_grid(2, 10**6, None), id="rank-10^6"),
+     pytest.param(lambda pol: enumerate_candidates(10**4400, pol), id="n-10^4400")],
+)
+def test_scan_cap_refuses_a_grid_too_large_to_count(k3_pol, call):
+    """A grid past the cap by a power of ρ or by a huge n is refused with
+    the cap's message: counting stops past the cap, so it builds no huge
+    power and prints no number too long for ``str``."""
+    with pytest.raises(ValueError, match="^the scan grid has too many candidates, above the cap"):
+        call(k3_pol)
+
+
 # -- the pipeline --------------------------------------------------------------------
 
 
