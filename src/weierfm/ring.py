@@ -27,7 +27,9 @@ characters of :mod:`weierfm.fm`, take their ``+``, ``scale`` and
 ``is_zero`` from their fields, through one rule (``_Linear``).
 
 All coefficients are ``fractions.Fraction``; there is no floating point
-in this module or anywhere downstream of it.
+in this module or anywhere downstream of it.  Each public function refuses
+an argument that is not of its annotated class with ValueError when the
+call starts.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import operator
 from fractions import Fraction
 
 from .errors import HypothesisViolationError, ModelMismatchError
-from .rationals import RationalLike, as_rational, value_class
+from .rationals import RationalLike, as_rational, require, value_class
 
 _HALF = Fraction(1, 2)
 _SIXTH = Fraction(1, 6)
@@ -227,6 +229,8 @@ class _Linear:
 
 def surface_mul(u: SurfaceClass, v: SurfaceClass) -> SurfaceClass:
     """Cup product on S, truncated above degree 4."""
+    require(u, SurfaceClass, "first factor")
+    require(v, SurfaceClass, "second factor")
     model = _check_same_model(u.model, v.model)
     d = tuple(u.r * b + v.r * a for a, b in zip(u.d, v.d))
     s = u.r * v.s + v.r * u.s + model.pair(u.d, v.d)
@@ -255,6 +259,8 @@ def x_mul(x: ThreefoldClass, y: ThreefoldClass) -> ThreefoldClass:
     with all products on the right taken on the surface.  The K_S term is
     skipped when K_S = 0, which is every K-trivial base.
     """
+    require(x, ThreefoldClass, "first factor")
+    require(y, ThreefoldClass, "second factor")
     model = _check_same_model(x.model, y.model)
     require_x_k_trivial(model, "the ring product")
     alpha = surface_mul(x.alpha, y.beta) + surface_mul(y.alpha, x.beta)
@@ -284,16 +290,19 @@ class ThreefoldClass(_Linear):
 
 def x_integrate(x: ThreefoldClass) -> Fraction:
     """Integral over X: only Θ·p*[pt] carries degree (∫_X Θ·p*[pt] = 1)."""
+    require(x, ThreefoldClass, "threefold class")
     return x.alpha.s
 
 
 def pullback(u: SurfaceClass) -> ThreefoldClass:
     """p* of a surface class."""
+    require(u, SurfaceClass, "surface class")
     return ThreefoldClass(u.model.surface(), u)
 
 
 def pushforward(x: ThreefoldClass) -> SurfaceClass:
     """p_* of a split class; kills the pulled-back part, drops Θ."""
+    require(x, ThreefoldClass, "threefold class")
     return x.alpha
 
 
@@ -333,11 +342,13 @@ class DivisorClassX(_Linear):
 
 def fiber_degree(c1: DivisorClassX) -> Fraction:
     """Degree of the divisor on the elliptic fiber: the Θ coefficient."""
+    require(c1, DivisorClassX, "divisor")
     return c1.a
 
 
 def exp_divisor(divisor: DivisorClassX) -> ThreefoldClass:
     """1 + D + D²/2 + D³/6 for a divisor D; D⁴ = 0 in degrees on X."""
+    require(divisor, DivisorClassX, "divisor")
     model = divisor.model
     d1 = divisor.as_threefold()
     d2 = x_mul(d1, d1)

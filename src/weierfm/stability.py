@@ -31,23 +31,25 @@ p*e_ρ} by ω², by its fiber part and by its mixed part, and the integrals
 are cached as three linear functionals.  They are checked there: the ω²
 functional must equal its closed-form coefficients (s²H² on Θ,
 2ts·(e_i·H) on p*e_i), and fiber + mixed must equal ω².  No ring product
-runs per candidate.  The scan computes the O(ρ) dot products (δ·H and δ
-against each functional) once per δ and the Θ terms once per (a, e), as
-Fractions, and brings them all over one common denominator D.  Each
-(a, δ, e) cell then runs on integers: a few subtractions, the check of its
-ring slope numerator against the closed form, the signs of the trace steps
-and the check that they sum to that numerator (r times the slope of every
-rank).  A cell is a plain tuple.  Each distinct integer becomes a Fraction
-over D, each distinct step value a TraceStep, and each distinct trace a
-tuple of those steps, once per scan.  A candidate looks up its slope and
-verdict per distinct numerator, and the scan's Violation flag is set as
-the verdicts are judged, with no second pass over the reports.  Every
-value a scan holds is built from these checked values through its class's
-trusted constructor (:func:`weierfm.rationals.trusted`), without
-re-running the public constructor's checks: each TraceStep once per
-distinct step value, each EffectivityProxy once per (δ, a >= 0), a
-DestabilizerCandidate and a StabilityReport per report, and the
-ScanResult.  Each of these classes is a
+runs per candidate.  The scan scales the functionals and the axis values
+to integers over one common denominator D, then computes the O(ρ) dot
+products (δ·H and δ against each functional) once per δ and the Θ terms
+once per (a, e), all as integer multiply-adds.  The check of the ring's
+slope numerator against the closed form, and the check that the trace
+steps sum to that numerator (r times the slope of every rank), are each
+an identity between an (a, e) side and a δ side, so each is checked once
+per axis value rather than once per cell.  Each (a, δ, e) cell then runs a
+few integer subtractions and the signs of its trace steps.  A cell is a
+plain tuple.  Each distinct step value becomes a Fraction and a TraceStep,
+and each distinct trace a tuple of those steps, once per scan.  A
+candidate looks up its slope and verdict per distinct numerator, and the
+scan's Violation flag is set as the verdicts are judged, with no second
+pass over the reports.  Every value a scan holds is built from these
+checked values through its class's trusted constructor
+(:func:`weierfm.rationals.trusted`), without re-running the public
+constructor's checks: each TraceStep once per distinct step value, each
+EffectivityProxy once per (δ, a >= 0), a DestabilizerCandidate and a
+StabilityReport per report, and the ScanResult.  Each of these classes is a
 :func:`weierfm.rationals.value_class`: its public constructor checks
 every field against its annotation and refuses a float where a rational
 goes, then runs its ``_check`` hook, and it decodes trusted.  The ring's
@@ -406,9 +408,10 @@ def target_slope(n: int, pol: Polarization) -> Fraction:
 class _Cell(NamedTuple):
     """Everything a report at one (a, delta, e) point holds but its rank.
 
-    ``numerator`` is an integer over ``denominator``, the common
-    denominator of the scan's terms.  The scan builds its cells as plain
-    tuples in this field order; only :func:`_point` names one."""
+    ``numerator`` is an integer over ``denominator``, D² for the common
+    denominator D of the functionals and axis values of a :func:`_cells`
+    call.  The scan builds its cells as plain tuples in this field order;
+    only :func:`_point` names one."""
 
     a: Fraction
     delta: tuple[Fraction, ...]
@@ -421,92 +424,116 @@ class _Cell(NamedTuple):
     reasons: tuple[str, ...]  # every inadmissibility reason but the rank
 
 
+def _ints(values, den: int) -> list[int]:
+    """Each rational of ``values`` times ``den``, a multiple of its
+    denominator."""
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
 def _cells(fns: _Functionals, a_values, deltas, es) -> list[tuple]:
     """One cell per (a, delta, e), e fastest, then delta, then a: the grid
-    order.  Each cell is a tuple in :class:`_Cell`'s field order.  The delta
-    dot products run once per delta and the Θ terms once per (a, e), as
-    Fractions.  A cell subtracts them as integers over their common
-    denominator D and checks the ring's slope numerator against the closed
-    form and the trace sum against it.  Each distinct integer becomes a
-    Fraction, each distinct step value a TraceStep, and each distinct trace
-    a tuple of them, once per call: the fiber-degree step depends only on
-    (e - a, delta), the effectivity step on (a, delta) and the section-part
-    step on e, so far fewer steps than traces are built."""
-    w, fiber, mixed = fns.omega_squared, fns.fiber, fns.mixed
+    order.  Each cell is a tuple in :class:`_Cell`'s field order.
+
+    Every term is an integer over D², for one D per call: the least common
+    multiple of the denominators of the functionals (2ts as 2ts·(gram·h)),
+    of the a values and of the delta entries.  Each functional and each
+    axis value is scaled to integers over D once, so their products are
+    integers over D²: the dot products once per delta (delta·H,
+    2ts·delta·H and delta against ω², fiber and mixed) and the Θ terms once
+    per (a, e).  A cell only subtracts them.
+
+    Each of the two checks is an identity P(a, e) = Q(delta), with
+    fd = e - a: the ring's slope numerator against the closed form,
+
+        fd·ω²[Θ] - fd·s²H² = delta·ω²[1:] - 2ts·delta·H,
+
+    and the trace sum against that numerator,
+
+        fd·fiber[Θ] - a·mixed[Θ] + e·mixed[Θ] - fd·s²H²
+            = delta·fiber[1:] + delta·mixed[1:] - 2ts·delta·H.
+
+    It holds at every cell exactly when all its P and Q values are one
+    integer, so the values are compared once per axis value.  When they
+    are not, :func:`_raise_at_first_failing_cell` walks the grid in order
+    and raises where a per-cell check would.
+
+    Only what a report stores becomes a Fraction: the pairing once per
+    delta, the fiber degree once per (a, e), and each distinct step value
+    once per call, as one TraceStep; each distinct trace is one tuple of
+    them.  The fiber-degree step depends only on (e - a, delta), the
+    effectivity step on (a, delta) and the section-part step on e, so far
+    fewer steps than traces are built."""
+    if not (a_values and deltas and es):
+        return []
+    two_ts_h = [fns.two_ts * g for g in fns.gram_h]
+    den = math.lcm(*{x.denominator for x in itertools.chain(
+        fns.omega_squared, fns.fiber, fns.mixed, fns.gram_h, two_ts_h, (fns.ss_hh,),
+        a_values, itertools.chain.from_iterable(deltas))})
+    scale = den * den
+    w0, *w = _ints(fns.omega_squared, den)
+    fiber0, *fiber = _ints(fns.fiber, den)
+    mixed0, *mixed = _ints(fns.mixed, den)
+    gram_h, ts_h = _ints(fns.gram_h, den), _ints(two_ts_h, den)
+    ss = fns.ss_hh.numerator * (den // fns.ss_hh.denominator)
     # The public constructors would cost sweep 14 % of its throughput (BENCH_17.json).
     proxy, step = trusted(EffectivityProxy), trusted(TraceStep)
-    fraction_terms: list[Fraction] = []
-    by_delta = []
+    by_delta, delta_sides = [], []
     for delta in deltas:
-        pairing = _dot(delta, fns.gram_h)
+        d = _ints(delta, den)
+        pairing = Fraction(sum(map(operator.mul, d, gram_h)), scale)
         reason = (f"effectivity proxy fails: delta·H = {pairing} < 0",) if pairing < 0 else ()
-        terms = (fns.two_ts * pairing, _dot(delta, w[1:]), _dot(delta, fiber[1:]),
-                 _dot(delta, mixed[1:]))
-        fraction_terms += terms
+        ts_pairing = sum(map(operator.mul, d, ts_h))
+        fiber_d = sum(map(operator.mul, d, fiber))
+        mixed_d = sum(map(operator.mul, d, mixed))
         # The proxy for a < 0 and for a >= 0, indexed by a >= 0.
         proxies = (proxy(False, pairing), proxy(True, pairing))
-        by_delta.append((delta, proxies, reason, terms))
-    by_a = []
+        by_delta.append((delta, proxies, reason, ts_pairing, fiber_d, mixed_d))
+        delta_sides.append((ts_pairing, sum(map(operator.mul, d, w)) - ts_pairing,
+                            fiber_d + mixed_d - ts_pairing))
+    by_a, a_sides = [], []
     for a in a_values:
         a_nonneg = a >= 0
         a_reason = () if a_nonneg else (f"effectivity proxy fails: a = {a} < 0",)
-        by_e = []
+        a_int = a.numerator * (den // a.denominator)
+        rows, sides = [], []
         for e in es:
             fd = e - a
             if fd.denominator != 1:
                 fd_reason = (f"fiber degree {fd} is not an integer",)
             else:
                 fd_reason = (f"fiber degree +{fd} > 0",) if fd > 0 else ()
-            terms = (fd * w[0], fd * fns.ss_hh, fd * fiber[0], -a * mixed[0], e * mixed[0])
-            fraction_terms += terms
-            by_e.append((e, fd, fd_reason, terms))
-        by_a.append((a, a_nonneg, a_reason, by_e))
-    den = math.lcm(*(x.denominator for x in fraction_terms))
-    fractions: dict[int, Fraction] = {}
-
-    def rational(x: int) -> Fraction:
-        value = fractions.get(x)
-        if value is None:
-            value = fractions[x] = Fraction(x, den)
-        return value
-
-    def scaled(terms: tuple[Fraction, ...]) -> tuple[int, ...]:
-        return tuple(x.numerator * (den // x.denominator) for x in terms)
+            fd_int = e * den - a_int
+            fd_ss, fd_fiber = fd_int * ss, fd_int * fiber0
+            a_mixed, step3 = -a_int * mixed0, e * den * mixed0
+            rows.append((e, fd, fd_reason, fd_ss, fd_fiber, a_mixed, step3))
+            sides.append((fd_ss, fd_int * w0 - fd_ss, fd_fiber + a_mixed + step3 - fd_ss))
+        by_a.append((a, a_nonneg, a_reason, rows))
+        a_sides.append(sides)
+    # Each check's P and Q values, which are one integer where it holds.
+    _, numerator_sides, trace_sides = zip(*itertools.chain(delta_sides, *a_sides))
+    if len(set(numerator_sides)) != 1 or len(set(trace_sides)) != 1:
+        _raise_at_first_failing_cell(a_sides, delta_sides, scale)
 
     def step_of(made: dict[int, TraceStep], x: int, name: str, requirement: str,
                 satisfied: bool) -> TraceStep:
         value = made.get(x)
         if value is None:
-            value = made[x] = step(name, rational(x), requirement, satisfied)
+            value = made[x] = step(name, Fraction(x, scale), requirement, satisfied)
         return value
 
-    by_delta = [(delta, proxies, reason, *scaled(terms))
-                for delta, proxies, reason, terms in by_delta]
     traces: dict[tuple[int, int, int], tuple[TraceStep, ...]] = {}
-    # Each trace step's TraceSteps, keyed by its value over D.
+    # Each trace step's TraceSteps, keyed by its value over D².
     fiber_steps: dict[int, TraceStep] = {}
     effectivity_steps: dict[int, TraceStep] = {}
     section_steps: dict[int, TraceStep] = {}
     cells = []
     # ch1(F) splits as (-aΘ - p*delta) + eΘ, the torsion and section parts.
-    for a, a_nonneg, a_reason, by_e in by_a:
-        rows = [(e, fd, fd_reason, *scaled(terms)) for e, fd, fd_reason, terms in by_e]
-        for delta, proxies, pair_reason, ts_pairing, w_d, fiber_d, mixed_d in by_delta:
+    for a, a_nonneg, a_reason, rows in by_a:
+        for delta, proxies, pair_reason, ts_pairing, fiber_d, mixed_d in by_delta:
             cell_proxy = proxies[a_nonneg]
             cell_reason = a_reason + pair_reason
-            for e, fd, fd_reason, fd_w, fd_ss, fd_fiber, a_mixed, step3 in rows:
-                ring_numerator, numerator = fd_w - w_d, fd_ss - ts_pairing
-                if ring_numerator != numerator:
-                    raise InternalCheckError(
-                        "ring integration and closed-form slope numerators "
-                        f"disagree: {rational(ring_numerator)} vs {rational(numerator)}"
-                    )
+            for e, fd, fd_reason, fd_ss, fd_fiber, a_mixed, step3 in rows:
                 step1, step2 = fd_fiber - fiber_d, a_mixed - mixed_d
-                # r times the slope is numerator / D at every rank r.
-                if step1 + step2 + step3 != numerator:
-                    raise InternalCheckError(
-                        "trace decomposition does not sum to r times the candidate slope"
-                    )
                 key = (step1, step2, step3)
                 trace = traces.get(key)
                 if trace is None:
@@ -517,9 +544,33 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[tuple]:
                         step_of(section_steps, step3, "section-part step", "== 0",
                                 step3 == 0),
                     )
-                cells.append((a, delta, e, fd, numerator, den, cell_proxy, trace,
+                # r times the slope is numerator / D² at every rank r.
+                cells.append((a, delta, e, fd, fd_ss - ts_pairing, scale, cell_proxy, trace,
                               cell_reason + fd_reason))
     return cells
+
+
+def _raise_at_first_failing_cell(a_sides: list, delta_sides: list, scale: int) -> None:
+    """Walk :func:`_cells`'s grid in its order and raise InternalCheckError
+    at the first cell where the ring's slope numerator and the closed form
+    disagree, or where the trace does not sum to that numerator.  A side is
+    (fd·s²H², then P or Q of each check) of an (a, e) row, or
+    (2ts·delta·H, then the same) of a delta, as integers over ``scale``."""
+    for sides in a_sides:
+        for ts_pairing, q_numerator, q_trace in delta_sides:
+            for fd_ss, p_numerator, p_trace in sides:
+                numerator = fd_ss - ts_pairing
+                if p_numerator != q_numerator:
+                    # The ring's numerator is fd·ω²[Θ] - delta·ω²[1:].
+                    ring_numerator = numerator + p_numerator - q_numerator
+                    raise InternalCheckError(
+                        "ring integration and closed-form slope numerators disagree: "
+                        f"{Fraction(ring_numerator, scale)} vs {Fraction(numerator, scale)}"
+                    )
+                if p_trace != q_trace:
+                    raise InternalCheckError(
+                        "trace decomposition does not sum to r times the candidate slope"
+                    )
 
 
 def _point(cand: DestabilizerCandidate, pol: Polarization, what: str) -> _Cell:
@@ -608,9 +659,10 @@ def _axes(
 
     The count, (n - 1)·2·|δ axis|^ρ·|a axis|, is multiplied factor by
     factor.  Once a product before the a axis passes the cap, counting
-    stops and the refusal says "too many" instead of the count, so neither
-    a large ρ nor a large n builds a huge power or a number too long to
-    print."""
+    stops and the refusal says "too many" instead of the count.  It says
+    so too for a count above MAX_SCAN_CANDIDATES², which only a huge a axis
+    gives.  So a large ρ, n or a_max builds no huge power, and the refusal
+    prints no number too long for ``str``."""
     for name, value in (("n", n), ("picard_rank", picard_rank)):
         if not is_int(value) or value < 1:
             raise ValueError(f"{name} must be a positive integer")
@@ -626,8 +678,9 @@ def _axes(
         count *= 2 * k + 1
     count = count * a_len if count <= MAX_SCAN_CANDIDATES else None
     if count is None or count > MAX_SCAN_CANDIDATES:
+        many = "too many" if count is None or count > MAX_SCAN_CANDIDATES**2 else count
         raise ValueError(
-            f"the scan grid has {'too many' if count is None else count} candidates, "
+            f"the scan grid has {many} candidates, "
             f"above the cap {MAX_SCAN_CANDIDATES}; lower the rank or the bounds"
         )
     if n == 1:

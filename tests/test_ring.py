@@ -2,6 +2,7 @@ import contextlib
 import io
 import operator
 import os
+import re
 import tempfile
 from fractions import Fraction
 
@@ -435,6 +436,71 @@ def test_a_foreign_operand_is_a_type_error(k3):
                 with pytest.raises(TypeError):
                     op(other, x)
 
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda m: surface_mul(None, m.surface(r=1)),
+                     "first factor must be a SurfaceClass, got NoneType None", id="surface_mul-u"),
+        pytest.param(lambda m: surface_mul(m.surface(r=1), m.theta()),
+                     "second factor must be a SurfaceClass, got ThreefoldClass ThreefoldClass(...)",
+                     id="surface_mul-v"),
+        pytest.param(lambda m: x_mul(m.surface(r=1), m.theta()),
+                     "first factor must be a ThreefoldClass, got SurfaceClass SurfaceClass(...)",
+                     id="x_mul-x"),
+        pytest.param(lambda m: x_mul(m.theta(), 1),
+                     "second factor must be a ThreefoldClass, got int 1", id="x_mul-y"),
+        pytest.param(lambda m: x_integrate(m.surface(s=1)),
+                     "threefold class must be a ThreefoldClass, got SurfaceClass", id="x_integrate"),
+        pytest.param(lambda m: pullback(m.theta()),
+                     "surface class must be a SurfaceClass, got ThreefoldClass", id="pullback"),
+        pytest.param(lambda m: pushforward((1,)),
+                     "threefold class must be a ThreefoldClass, got tuple (1,)", id="pushforward"),
+        pytest.param(lambda m: exp_divisor(m.theta()),
+                     "divisor must be a DivisorClassX, got ThreefoldClass", id="exp_divisor"),
+        pytest.param(lambda m: fiber_degree("x"),
+                     "divisor must be a DivisorClassX, got str 'x'", id="fiber_degree"),
+    ],
+)
+def test_ring_entry_points_refuse_arguments_of_the_wrong_type(k3, call, message):
+    """An argument that is not of its annotated class is refused with
+    ValueError when the call starts, not met later as an AttributeError."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(k3.model)
+
+
+def test_every_public_callable_refuses_arguments_of_the_wrong_type():
+    """Every callable of ``weierfm.__all__`` with at most three required
+    positionals, called with every combination of the probe values, either
+    returns or raises TypeError, ValueError or a WeierfmError: none leaks
+    an AttributeError or another error from deeper in the library."""
+    import inspect
+    import itertools
+
+    import weierfm
+    from weierfm import WeierfmError
+
+    model = SurfaceModel(1, ((4,),), (Fraction(0),), True, (Fraction(0),))
+    probes = (None, 1, 1.5, "x", True, (), (1,), model, [1], {})
+    leaks = {}
+    for name in weierfm.__all__:
+        obj = getattr(weierfm, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, BaseException):
+            continue
+        params = inspect.signature(obj).parameters.values()
+        required = [p for p in params if p.default is p.empty
+                    and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        if len(required) > 3:
+            continue
+        for args in itertools.product(probes, repeat=len(required)):
+            try:
+                obj(*args)
+            except (TypeError, ValueError, WeierfmError):
+                pass
+            except Exception as exc:  # any other error leaks
+                leaks.setdefault(name, f"{type(exc).__name__} on {args!r}: {exc}")
+    assert leaks == {}
 
 def test_mixing_models_raises(k3, enriques):
     with pytest.raises(ModelMismatchError):

@@ -333,12 +333,16 @@ def test_scan_cap_refuses_before_building_anything(monkeypatch, k3, k3_pol):
     "call",
     [pytest.param(lambda pol: candidate_grid(2, 10**4, None), id="rank-10^4"),
      pytest.param(lambda pol: candidate_grid(2, 10**6, None), id="rank-10^6"),
-     pytest.param(lambda pol: enumerate_candidates(10**4400, pol), id="n-10^4400")],
+     pytest.param(lambda pol: enumerate_candidates(10**4400, pol), id="n-10^4400"),
+     pytest.param(lambda pol: candidate_grid(2, 1, EnumerationBounds(Fraction(10**4400), 0)),
+                  id="a_max-10^4400"),
+     pytest.param(lambda pol: enumerate_candidates(
+         2, pol, EnumerationBounds(Fraction(10**4400, 3), Fraction(1, 2))), id="scan-a_max")],
 )
 def test_scan_cap_refuses_a_grid_too_large_to_count(k3_pol, call):
-    """A grid past the cap by a power of ρ or by a huge n is refused with
-    the cap's message: counting stops past the cap, so it builds no huge
-    power and prints no number too long for ``str``."""
+    """A grid past the cap by a power of ρ, by a huge n or by a huge a axis
+    is refused with the cap's message: counting stops past the cap, so it
+    builds no huge power and prints no number too long for ``str``."""
     with pytest.raises(ValueError, match="^the scan grid has too many candidates, above the cap"):
         call(k3_pol)
 
@@ -754,15 +758,18 @@ def test_lattices_no_surface_has_are_refused(args):
             assert str(exc.value).endswith(f"needs {fault}")
 
 
+_HALVES = st.integers(-12, 12).map(lambda k: Fraction(k, 2))
+
+
 @st.composite
-def k_trivial_setups(draw):
-    """A K-trivial polarization of rank 1-3 and a candidate."""
+def k_trivial_setups(draw, values=_HALVES):
+    """A K-trivial polarization of rank 1-3 and a candidate whose a and
+    delta entries are drawn from ``values``."""
     pol = draw(k_trivial_polarizations())
     rho = pol.model.picard_rank
-    halves = st.integers(-12, 12).map(lambda k: Fraction(k, 2))
     c = DestabilizerCandidate(
-        draw(st.integers(1, 4)), draw(halves),
-        tuple(draw(st.lists(halves, min_size=rho, max_size=rho))), draw(st.integers(0, 1)),
+        draw(st.integers(1, 4)), draw(values),
+        tuple(draw(st.lists(values, min_size=rho, max_size=rho))), draw(st.integers(0, 1)),
     )
     return pol, c
 
@@ -772,10 +779,22 @@ def k_trivial_setups(draw):
 def test_functionals_match_direct_ring_products(setup):
     """The slope numerator and all three trace values equal the ring's own
     integrals of ch1(F) against ω², its fiber part and its mixed part."""
+    _assert_matches_ring_products(*setup)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k_trivial_setups(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))))
+def test_functionals_match_direct_ring_products_at_any_denominator(setup):
+    """As above, with a and the delta entries over any denominator 1-7, not
+    only the grid's halves and integers: the one common denominator of a
+    candidate's integer terms takes in those of its axis values."""
+    _assert_matches_ring_products(*setup)
+
+
+def _assert_matches_ring_products(pol, c):
     from weierfm import DivisorClassX
     from weierfm.ring import pullback, x_integrate, x_mul
 
-    pol, c = setup
     model, t, s = pol.model, pol.t, pol.s
     omega = pol.omega().as_threefold()
     theta = model.theta()
@@ -823,31 +842,61 @@ def test_scan_reports_equal_certify(pol, n, a_max, delta_max):
         assert high.trace is low.trace and high.proxy is low.proxy
 
 
-@pytest.mark.parametrize(
-    "spoiled,pattern",
-    [
-        pytest.param("omega_squared",
-                     r"ring integration and closed-form slope numerators disagree: \S+ vs \S+",
-                     id="omega-squared"),
-        pytest.param("fiber",
-                     r"trace decomposition does not sum to r times the candidate slope",
-                     id="fiber"),
-    ],
-)
-def test_scan_checks_catch_spoiled_functionals(monkeypatch, capsys, k3, spoiled, pattern):
-    """A functional off by one on p*e_1, returned past the once-per-polarization
-    checks, is caught by the scan's per-cell numerator check or per-cell
-    trace check, and ``weierfm scan`` exits 3."""
-    from weierfm import cli, stability
+_NUMERATORS = r"ring integration and closed-form slope numerators disagree: \S+ vs \S+"
+_TRACE_SUM = r"trace decomposition does not sum to r times the candidate slope"
+
+
+@pytest.fixture
+def spoil_functionals(monkeypatch):
+    """Make ``_functionals`` return one field (``index`` into a tuple field,
+    None for a number) off by ``by``, past its once-per-polarization checks.
+    The cached target slopes, which a spoiled ω²[Θ] moves, are dropped
+    before and after."""
+    from weierfm import stability
 
     real = stability._functionals
 
-    def spoiled_functionals(pol):
-        fns = real(pol)
-        values = getattr(fns, spoiled)
-        return fns._replace(**{spoiled: (values[0], values[1] + 1) + values[2:]})
+    def spoil(field, index, by=1):
+        def spoiled_functionals(pol):
+            fns = real(pol)
+            value = getattr(fns, field)
+            if index is None:
+                value += by
+            else:
+                value = value[:index] + (value[index] + by,) + value[index + 1:]
+            return fns._replace(**{field: value})
 
-    monkeypatch.setattr(stability, "_functionals", spoiled_functionals)
+        monkeypatch.setattr(stability, "_functionals", spoiled_functionals)
+
+    target_slope.cache_clear()
+    yield spoil
+    target_slope.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "field,index,pattern",
+    [
+        pytest.param("omega_squared", 0, _NUMERATORS, id="omega-squared-theta"),
+        pytest.param("omega_squared", 1, _NUMERATORS, id="omega-squared"),
+        pytest.param("fiber", 0, _TRACE_SUM, id="fiber-theta"),
+        pytest.param("fiber", 1, _TRACE_SUM, id="fiber"),
+        pytest.param("mixed", 0, _TRACE_SUM, id="mixed-theta"),
+        pytest.param("mixed", 1, _TRACE_SUM, id="mixed"),
+        pytest.param("gram_h", 0, _NUMERATORS, id="gram-h"),
+        pytest.param("two_ts", None, _NUMERATORS, id="two-ts"),
+        pytest.param("ss_hh", None, _NUMERATORS, id="ss-hh"),
+    ],
+)
+def test_scan_checks_catch_spoiled_functionals(capsys, k3, spoil_functionals, field, index,
+                                               pattern):
+    """Every functional the scan reads, off by one (on its Θ entry where the
+    id ends in "theta", else on its first p*e_i entry; 2ts and s²H² are
+    numbers) and returned past the once-per-polarization checks, is caught
+    by the scan's numerator check or trace check, and ``weierfm scan``
+    exits 3."""
+    from weierfm import cli
+
+    spoil_functionals(field, index)
     pol = Polarization(k3.model, Fraction(1), Fraction(1), k3.ample)
     with pytest.raises(InternalCheckError) as exc:
         enumerate_candidates(3, pol)
@@ -856,6 +905,28 @@ def test_scan_checks_catch_spoiled_functionals(monkeypatch, capsys, k3, spoiled,
     err = capsys.readouterr().err
     assert code == 3
     assert re.fullmatch(f"internal error: {pattern}\n", err)
+
+
+@pytest.mark.parametrize(
+    "field,index,by,values",
+    [
+        pytest.param("omega_squared", 1, 1, "54 vs 48", id="omega-squared"),
+        pytest.param("omega_squared", 0, Fraction(1, 3), "157/3 vs 52",
+                     id="omega-squared-theta-third"),
+        pytest.param("gram_h", 0, 1, "48 vs 60", id="gram-h"),
+        pytest.param("two_ts", None, 1, "48 vs 72", id="two-ts"),
+        pytest.param("ss_hh", None, 1, "52 vs 53", id="ss-hh"),
+    ],
+)
+def test_a_spoiled_numerator_quotes_the_first_failing_cell(k3, spoil_functionals, field, index,
+                                                           by, values):
+    """The numerator check names the ring's and the closed form's
+    numerators at the first cell in grid order where they differ, as a
+    check at every cell would: k3, t = s = 1, n = 3."""
+    spoil_functionals(field, index, by)
+    pol = Polarization(k3.model, Fraction(1), Fraction(1), k3.ample)
+    with pytest.raises(InternalCheckError, match=f"disagree: {values}$"):
+        enumerate_candidates(3, pol)
 
 
 # -- byte-stable scan output ------------------------------------------------------------
