@@ -242,6 +242,35 @@ def test_compare_limits_refuses_malformed_pages():
     assert statuses(left, right) == before
 
 
+def test_a_page_missing_several_terms_names_the_smallest_hole():
+    """degenerate() and compare_limits() name the smallest missing position,
+    and compare_limits() refuses a malformed right page before it changes any
+    status of the good left page it was given with."""
+    left, right = build_pages(SheafScenario(3, 1, WitType.WIT0, 0))
+    for pos in ((0, 3), (-1, 2), (0, 1)):
+        del left.terms[pos]
+    for page in (left, copy.deepcopy(left)):
+        with pytest.raises(ValueError, match=r"^the left page has no term at \(-1, 2\)$"):
+            degenerate(page)
+    with pytest.raises(ValueError, match=r"^the left page has no term at \(-1, 2\)$"):
+        compare_limits(left, right)
+
+    # A solve of this scenario turns left terms Zero.
+    scenario = SheafScenario(3, 3, WitType.WIT1, 1)
+    left, right = build_pages(scenario)
+    for pos in ((3, 0), (3, -1), (2, -1)):
+        del right.terms[pos]
+    before = statuses(left, right)
+    with pytest.raises(ValueError, match=r"^the right page has no term at \(2, -1\)$"):
+        degenerate(right)
+    with pytest.raises(ValueError, match=r"^the right page has no term at \(2, -1\)$"):
+        compare_limits(left, right)
+    assert statuses(left, right) == before
+    full_left, full_right = build_pages(scenario)
+    compare_limits(full_left, full_right)
+    assert statuses(full_left) != statuses(left)
+
+
 def test_degenerate_refuses_malformed_pages():
     """A hole in the rectangle is a ValueError from degenerate(), checked
     before the differentials, whose scan would read it as a KeyError."""
@@ -448,14 +477,15 @@ def test_wit_and_conclusion_iteration_is_exhaustive():
 @settings(deadline=None)
 @given(st.data())
 def test_live_on_diagonal_matches_a_scan_of_every_term(data):
-    """Only in-region cells are visited, and they come out larger q first."""
+    """Only in-region cells are visited, and they come out larger q first,
+    whatever order the page's dict was filled in; the solver's one scan of
+    the page groups the same cells by degree, naming each by the dict's own
+    key."""
     p0, q0 = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
     p1, q1 = p0 + data.draw(st.integers(0, 4)), q0 + data.draw(st.integers(0, 4))
-    terms = {
-        (p, q): Term(data.draw(st.sampled_from(TermStatus)))
-        for p in range(p0, p1 + 1)
-        for q in range(q0, q1 + 1)
-    }
+    cells = itertools.product(range(p0, p1 + 1), range(q0, q1 + 1))
+    order = data.draw(st.permutations(list(cells)))
+    terms = {pos: Term(data.draw(st.sampled_from(TermStatus))) for pos in order}
     grid = PageGrid(Side.LEFT, 3, (p0, p1), (q0, q1), terms)
     degrees = grid.degrees()
     for k in range(degrees.start - 2, degrees.stop + 2):
@@ -470,25 +500,36 @@ def test_live_on_diagonal_matches_a_scan_of_every_term(data):
 
 
 _ENGINE_PIN = (492, "e96a108464474aa0f0c927d551898cb38642385a65dbafd30ab8d5cdc04d3a5f")
+# The same digest over every scenario the duality benchmark solves, n <= 24.
+_ENGINE_PIN_24 = (1848, "aef92f43078ba8a68e2b5920e300f02ebc0cf0a6152277992e79f2f842415c7c")
+
+
+def _engine_digests(*bounds):
+    """For each bound, the scenario count and the sha256 of the relations,
+    conclusions and both rendered pages of every feasible scenario with n at
+    most that bound, hashed in feasible_scenarios order; one walk serves
+    every bound."""
+    digests = {bound: hashlib.sha256() for bound in bounds}
+    counts = dict.fromkeys(bounds, 0)
+    for scenario in feasible_scenarios(max(bounds)):
+        solution = solve_scenario(scenario)
+        texts = (serialize.dumps(solution), solution.left.render(), solution.right.render())
+        data = "".join(text + "\n" for text in texts).encode()
+        for bound in bounds:
+            if scenario.n <= bound:
+                digests[bound].update(data)
+                counts[bound] += 1
+    return [(counts[bound], digests[bound].hexdigest()) for bound in bounds]
 
 
 def _engine_digest():
-    """The scenario count and the sha256 of the relations, conclusions and
-    both rendered pages of every feasible scenario with n <= 12, hashed in
-    feasible_scenarios order."""
-    digest = hashlib.sha256()
-    count = 0
-    for scenario in feasible_scenarios(12):
-        solution = solve_scenario(scenario)
-        for text in (serialize.dumps(solution), solution.left.render(),
-                     solution.right.render()):
-            digest.update((text + "\n").encode())
-        count += 1
-    return count, digest.hexdigest()
+    """The digest of every feasible scenario with n <= 12."""
+    [digest] = _engine_digests(12)
+    return digest
 
 
 def test_engine_output_is_pinned():
-    assert _engine_digest() == _ENGINE_PIN
+    assert _engine_digests(12, 24) == [_ENGINE_PIN, _ENGINE_PIN_24]
 
 
 def test_shared_term_refs_give_the_same_relations():
@@ -683,6 +724,60 @@ def _arbitrary_settled_pages(data):
                 left.terms[target].status = TermStatus.ZERO
     assert left.is_settled()
     return grids
+
+
+def _settled_by_definition(grid):
+    """is_settled's rule read off its docstring: no d_r (r >= 2) joins a
+    term of the page's dict that is not Zero to a term of its region that is
+    not Zero."""
+    width = grid.p_range[1] - grid.p_range[0]
+    height = grid.q_range[1] - grid.q_range[0]
+    return not any(
+        term.status is not TermStatus.ZERO
+        and grid.status((p - r + 1, q + r)) is not TermStatus.ZERO
+        for r in range(2, min(width + 1, height) + 1)
+        for (p, q), term in grid.terms.items()
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_terms_outside_the_region_change_nothing_the_solver_reads(data):
+    """Pages whose dicts also hold 0-4 terms outside their rectangles, some
+    of them sources of a d_r into the rectangle, all in a shuffled order:
+    is_settled gives its definition's answer, and settled
+    pages give the relations and final region statuses of the same pages
+    without the extra terms, which the solver leaves as they were."""
+    if data.draw(st.booleans()):
+        left, right = _random_engine_pages(data)
+    else:
+        left, right = _arbitrary_settled_pages(data)
+    clean = copy.deepcopy((left, right))
+    extras = {}
+    for grid in (left, right):
+        (p0, p1), (q0, q1) = grid.p_range, grid.q_range
+        box = st.tuples(st.integers(p0 - 3, p1 + 3), st.integers(q0 - 3, q1 + 3))
+        # Sources whose d_r (r = 2, 3, 4) lands on a cell of the region.
+        source = st.tuples(st.sampled_from(sorted(grid.terms)), st.integers(2, 4)).map(
+            lambda target_r: (target_r[0][0] + target_r[1] - 1, target_r[0][1] - target_r[1])
+        )
+        outside = st.one_of(box, source).filter(lambda pos, grid=grid: not grid.in_region(pos))
+        for pos in data.draw(st.lists(outside, max_size=4, unique=True)):
+            grid.terms[pos] = extras[grid.side, pos] = Term(data.draw(st.sampled_from(TermStatus)))
+        order = data.draw(st.permutations(list(grid.terms)))
+        grid.terms = {pos: grid.terms[pos] for pos in order}
+    before = {key: term.status for key, term in extras.items()}
+    settled = [grid.is_settled() for grid in (left, right)]
+    assert settled == [_settled_by_definition(grid) for grid in (left, right)]
+    if all(settled):
+        assert compare_limits(left, right) == compare_limits(*clean)
+        for grid, clean_grid in zip((left, right), clean):
+            for pos, term in clean_grid.terms.items():
+                assert grid.terms[pos].status is term.status
+    else:
+        with pytest.raises(ValueError, match="requires degenerated pages"):
+            compare_limits(left, right)
+    assert {key: term.status for key, term in extras.items()} == before
 
 
 @settings(deadline=None, max_examples=300)
