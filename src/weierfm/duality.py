@@ -45,13 +45,23 @@ One pass of each reaches the fixpoint of these rules.  A term turns Zero
 only in the first pass, on its own antidiagonal, and no status leaves Zero;
 the second pass reads only which terms are Zero, so it is final too.  Each
 term lies on one antidiagonal, which emits at most one Identification or
-ShortExact, so no carry reaches another relation.  Each pass is linear in
-the number of terms and groups, so for the pages of a scenario, which hold
-one group, time and memory are linear in n.
+ShortExact, so no carry reaches another relation.
 
-Each solve builds both pages column by column from runs of equal statuses.
-The TermRefs its relations name, labels included, are made once per process
-and shared by every solve.  The verdict a solve ends in, ``Conclusion`` of
+Each solve builds both pages column by column from runs of equal statuses
+and then scans each page once.  The scan walks the page's terms, refuses a
+page that lacks a term of its rectangle or whose jointly-nonzero group names
+a cell outside it, and returns the positions of the live (not Zero) terms
+grouped by total degree, larger q first within a degree.  The degeneration
+check then reads the page itself.  The first pass runs over the union of
+the two scans' degrees in ascending order, takes each degree's groups out
+of the scans and looks each term up by its position; the second pass reads
+the jointly-nonzero groups, the third the relations the first emitted.
+Scanning before the first pass is exact: a term turns Zero only while its
+own degree is processed, so each degree's live terms are, until then, the
+ones the scan found.  The scan and each pass are linear in the number of
+terms and groups, so for the pages of a scenario, which hold one group,
+time and memory are linear in n.  The TermRefs the relations name, labels
+included, are made once per process and shared by every solve.  The verdict a solve ends in, ``Conclusion`` of
 a ``ConclusionKind``, is defined in :mod:`weierfm.fm`, so the layers that
 read it need not load this module.
 
@@ -90,10 +100,10 @@ class Term:
 
 Pos = tuple[int, int]
 
-# Largest dimension n a SheafScenario accepts.  A solve peaks at 0.6-2.6 KiB
+# Largest dimension n a SheafScenario accepts.  A solve peaks at 0.6-2.4 KiB
 # per unit of n (tracemalloc, n = 1 600 to 25 600; what it leaves held, the
-# solution and the shared term references, is 0.6-2.4), so this keeps one
-# solve under ~260 MiB.
+# solution and the shared term references, is 0.6-2.3), so this keeps one
+# solve under ~240 MiB.
 MAX_SCENARIO_DIMENSION = 100_000
 
 
@@ -116,9 +126,9 @@ class SheafScenario:
     dim_shift  -- dim(surviving transform) - dim(E), in {-1, 0, +1};
                   this is an exact statement, not an inequality
 
-    solve_scenario takes time and memory linear in n: it peaks at 0.6-2.6
+    solve_scenario takes time and memory linear in n: it peaks at 0.6-2.4
     KiB per unit of n, and what it leaves held, the solution and the shared
-    term references, is 0.6-2.4.
+    term references, is 0.6-2.3.
     """
 
     n: int
@@ -205,21 +215,24 @@ class PageGrid:
         ]
 
     def is_settled(self) -> bool:
-        """No differential d_r (r >= 2) joins two terms that are not Zero.
+        """No differential d_r (r >= 2) joins a term that is not Zero to a
+        target in the region that is not Zero.
 
         d_r moves (p, q) to (p - r + 1, q + r), so its target can stay in
         the region only while r <= width + 1 and r <= height: the two-row
         Right band has no r to check, the Left band only r = 2.
         """
-        width = self.p_range[1] - self.p_range[0]
-        height = self.q_range[1] - self.q_range[0]
-        for r in range(2, min(width + 1, height) + 1):
-            for (p, q), term in self.terms.items():
-                if (
-                    term.status is not TermStatus.ZERO
-                    and self.status((p - r + 1, q + r)) is not TermStatus.ZERO
-                ):
-                    return False
+        (p0, p1), (q0, q1) = self.p_range, self.q_range
+        steps = range(2, min(p1 - p0 + 1, q1 - q0) + 1)
+        if not steps:
+            return True
+        terms, zero = self.terms, TermStatus.ZERO
+        for (p, q), term in terms.items():
+            if term.status is not zero:
+                for r in steps:
+                    tp, tq = p - r + 1, q + r
+                    if p0 <= tp <= p1 and q0 <= tq <= q1 and terms[tp, tq].status is not zero:
+                        return False
         return True
 
     def render(self) -> str:
@@ -360,12 +373,13 @@ DerivedRelation = Identification | ForcedZero | ShortExact | Forbidden
 
 
 def _conclusion(scenario: SheafScenario, kind: ConclusionKind) -> Conclusion:
-    """The DualIsWIT1 or DualIdentification conclusion for ``scenario``."""
+    """The DualIsWIT1 or DualIdentification conclusion for ``scenario``,
+    built through its trusted constructor from the three fields computed
+    here."""
     if kind is ConclusionKind.DUAL_IS_WIT1:
-        return Conclusion(
-            kind, "Φ^0(E^D) = 0, so E^D is WIT1", via_dimension_only=scenario.c == 0
-        )
-    return Conclusion(kind, f"ι*(Φ^0(E^D)) ⊗ p*L = (Φ^{scenario.wit_degree}E)^D")
+        return trusted(Conclusion)(kind, "Φ^0(E^D) = 0, so E^D is WIT1", scenario.c == 0)
+    statement = f"ι*(Φ^0(E^D)) ⊗ p*L = (Φ^{scenario.wit_degree}E)^D"
+    return trusted(Conclusion)(kind, statement, False)
 
 
 # -- page construction ----------------------------------------------------
@@ -412,6 +426,62 @@ def build_pages(scenario: SheafScenario) -> tuple[PageGrid, PageGrid]:
     return left, right
 
 
+# A page's live positions by total degree, as _live_by_degree returns them.
+_LiveByDegree = dict[int, list[Pos]]
+
+
+def _live_by_degree(grid: PageGrid) -> _LiveByDegree:
+    """The one scan of a page: the positions of its region whose terms are
+    not Zero, each the page dict's own key, grouped by total degree p + q,
+    larger q first within a degree, whatever order the dict was filled in.
+
+    It refuses a page the solver would read past (ValueError): a Term must
+    sit at every position of p_range × q_range and of every joint_nonzero
+    group.  Terms outside the region are passed over.
+    """
+    (p0, p1), (q0, q1) = grid.p_range, grid.q_range
+    terms, zero = grid.terms, TermStatus.ZERO
+    live: _LiveByDegree = {}
+    found = 0
+    for pos, term in terms.items():
+        p, q = pos
+        if p0 <= p <= p1 and q0 <= q <= q1:
+            found += 1
+            if term.status is not zero:
+                if (k := p + q) in live:
+                    live[k].append(pos)
+                else:
+                    live[k] = [pos]
+    ps, qs = range(p0, p1 + 1), range(q0, q1 + 1)
+    # Keys are distinct, so as many in the region as it has cells fill it.
+    if found < len(ps) * len(qs):
+        missing = min(itertools.filterfalse(terms.__contains__, itertools.product(ps, qs)))
+        raise ValueError(f"the {grid.side.value} page has no term at {missing}")
+    for group in grid.joint_nonzero:
+        for pos in group:
+            if not grid.in_region(pos):
+                raise ValueError(
+                    f"a joint_nonzero group names {pos}, outside the "
+                    f"{grid.side.value} page"
+                )
+    # Within a degree a smaller p is a larger q.  A page filled column by
+    # column gives each group in that order already.
+    for group in live.values():
+        group.sort()
+    return live
+
+
+def _degenerated(grid: PageGrid) -> _LiveByDegree:
+    """The scan of a page checked to have degenerated at E_2."""
+    live = _live_by_degree(grid)
+    if not grid.is_settled():
+        raise InternalCheckError(
+            f"a differential can act on the {grid.side.value} page, "
+            "so it does not degenerate at E_2"
+        )
+    return live
+
+
 def degenerate(grid: PageGrid) -> tuple[PageGrid, int]:
     """Check that the page has degenerated at E2; return it with page 2.
 
@@ -422,71 +492,73 @@ def degenerate(grid: PageGrid) -> tuple[PageGrid, int]:
     grid missing a Term it needs is a ValueError, checked first.
     """
     require(grid, PageGrid, "page")
-    _check_shape(grid)
-    if not grid.is_settled():
-        raise InternalCheckError(
-            f"a differential can act on the {grid.side.value} page, "
-            "so it does not degenerate at E_2"
-        )
+    _degenerated(grid)
     return grid, 2
 
 
 # -- limit comparison ------------------------------------------------------
 
 
-def _solve(left: PageGrid, right: PageGrid) -> list[DerivedRelation]:
+def _solve(
+    left: PageGrid, right: PageGrid, live_left: _LiveByDegree, live_right: _LiveByDegree
+) -> list[DerivedRelation]:
     """The three passes of the module docstring; statuses refine in place.
 
-    It builds the relations through their trusted constructors; the public
-    ones would cost duality 11 % of its throughput (BENCH_17.json).
+    The first pass takes each degree's groups out of the two pages' scans
+    (``_live_by_degree``) as it reads them, so a solve never holds both its
+    scans and all its relations.  It builds the relations through
+    their trusted constructors; the public ones would cost duality 11 % of
+    its throughput (BENCH_17.json).
     """
+    identification, forced_zero = trusted(Identification), trusted(ForcedZero)
+    short_exact = trusted(ShortExact)
+    zero, nonzero = TermStatus.ZERO, TermStatus.NONZERO
+    terms_l, terms_r = left.terms, right.terms
     relations: list[DerivedRelation] = []
     # (source, source, targets) of each Identification and ShortExact: the
     # third pass makes the targets NonZero when a source is.
     carries: list[tuple[Term, Term, tuple[Term, ...]]] = []
-    degrees = {
-        p + q
-        for grid in (left, right)
-        for (p, q), term in grid.terms.items()
-        if term.status is not TermStatus.ZERO
-    }
-    for k in sorted(degrees):
-        lives_l, lives_r = left.live_on_diagonal(k), right.live_on_diagonal(k)
+    for k in sorted(live_left.keys() | live_right.keys()):
+        lives_l, lives_r = live_left.pop(k, ()), live_right.pop(k, ())
         if not lives_l or not lives_r:
             # Every survivor faces an empty page.
             on_left = bool(lives_l)
             empty = Side.RIGHT if on_left else Side.LEFT
-            for pos, term in lives_l or lives_r:
+            terms = terms_l if on_left else terms_r
+            for pos in lives_l or lives_r:
                 ref = _term_ref(on_left, pos)
-                if term.status is TermStatus.NONZERO:
+                term = terms[pos]
+                if term.status is nonzero:
                     reason = (
                         f"{ref.label} is required nonzero but an empty "
                         f"{empty.value} page in total degree {k} forces it to vanish"
                     )
                     relations.append(Forbidden(k, reason))
                 else:  # live, so Unknown
-                    term.status = TermStatus.ZERO
-                    relations.append(trusted(ForcedZero)(k, ref))
+                    term.status = zero
+                    relations.append(forced_zero(k, ref))
         elif len(lives_l) == 1 and len(lives_r) == 1:
-            [(pos_l, term_l)], [(pos_r, term_r)] = lives_l, lives_r
+            [pos_l], [pos_r] = lives_l, lives_r
             ref_l, ref_r = _term_ref(True, pos_l), _term_ref(False, pos_r)
-            relations.append(trusted(Identification)(k, ref_l, ref_r))
+            relations.append(identification(k, ref_l, ref_r))
+            term_l, term_r = terms_l[pos_l], terms_r[pos_r]
             carries.append((term_l, term_r, (term_l, term_r)))
         elif len(lives_l) + len(lives_r) == 3:  # one against two
             mid_on_left = len(lives_l) == 1
             one, two = (lives_l, lives_r) if mid_on_left else (lives_r, lives_l)
+            mid_terms, pair_terms = (terms_l, terms_r) if mid_on_left else (terms_r, terms_l)
             # The cells come larger q first; the deeper filtration step
             # (larger outer degree, i.e. larger q) is the subobject
-            [(mid_pos, mid)], [(sub_pos, sub), (quot_pos, quot)] = one, two
+            [mid_pos], [sub_pos, quot_pos] = one, two
             sub_ref = _term_ref(not mid_on_left, sub_pos)
             mid_ref = _term_ref(mid_on_left, mid_pos)
             quot_ref = _term_ref(not mid_on_left, quot_pos)
-            relations.append(trusted(ShortExact)(k, sub_ref, mid_ref, quot_ref))
-            carries.append((sub, quot, (mid,)))
+            relations.append(short_exact(k, sub_ref, mid_ref, quot_ref))
+            carries.append((pair_terms[sub_pos], pair_terms[quot_pos], (mid_terms[mid_pos],)))
     for grid in (left, right):
         for group in grid.joint_nonzero:
             terms = [grid.terms[pos] for pos in group]
-            zeros = sum(term.status is TermStatus.ZERO for term in terms)
+            zeros = sum(term.status is zero for term in terms)
             if zeros == len(group):
                 is_left = grid.side is Side.LEFT
                 labels = ", ".join(_term_ref(is_left, pos).label for pos in group)
@@ -500,29 +572,12 @@ def _solve(left: PageGrid, right: PageGrid) -> list[DerivedRelation]:
             elif zeros == len(group) - 1:
                 for term in terms:
                     if term.status is TermStatus.UNKNOWN:
-                        term.status = TermStatus.NONZERO
+                        term.status = nonzero
     for one, other, targets in carries:
-        if TermStatus.NONZERO in (one.status, other.status):
+        if nonzero in (one.status, other.status):
             for term in targets:
-                term.status = TermStatus.NONZERO
+                term.status = nonzero
     return relations
-
-
-def _check_shape(grid: PageGrid) -> None:
-    """Refuse a page the solver would read past: a Term must sit at every
-    position of p_range × q_range and of every joint_nonzero group."""
-    (p0, p1), (q0, q1) = grid.p_range, grid.q_range
-    region = itertools.product(range(p0, p1 + 1), range(q0, q1 + 1))
-    missing = list(itertools.filterfalse(grid.terms.__contains__, region))
-    if missing:
-        raise ValueError(f"the {grid.side.value} page has no term at {min(missing)}")
-    for group in grid.joint_nonzero:
-        for pos in group:
-            if not grid.in_region(pos):
-                raise ValueError(
-                    f"a joint_nonzero group names {pos}, outside the "
-                    f"{grid.side.value} page"
-                )
 
 
 def compare_limits(left: PageGrid, right: PageGrid) -> list[DerivedRelation]:
@@ -539,14 +594,13 @@ def compare_limits(left: PageGrid, right: PageGrid) -> list[DerivedRelation]:
         raise ValueError("compare_limits takes (left page, right page)")
     if left.n != right.n:
         raise ValueError("pages disagree about the ambient dimension")
-    for grid in (left, right):
-        _check_shape(grid)
+    live_left, live_right = _live_by_degree(left), _live_by_degree(right)
     for grid in (left, right):
         if not grid.is_settled():
             raise ValueError(
                 "compare_limits requires degenerated pages; call degenerate() first"
             )
-    return _solve(left, right)
+    return _solve(left, right, live_left, live_right)
 
 
 # -- closed form and the full pipeline -------------------------------------
@@ -612,18 +666,10 @@ def solve_scenario(scenario: SheafScenario) -> ScenarioSolution:
     """build_pages -> degenerate -> compare_limits -> entailed conclusion;
     build_pages refuses a ``scenario`` that is not a SheafScenario."""
     left, right = build_pages(scenario)
-    left, left_page = degenerate(left)
-    right, right_page = degenerate(right)
-    # degenerate() has checked both pages' shapes and that they are settled.
-    relations = _solve(left, right)
+    # Each page's one scan, taken with the checks degenerate() makes.
+    relations = _solve(left, right, _degenerated(left), _degenerated(right))
     conclusion = _entailed_conclusion(scenario, right, relations)
     # The public constructor would cost duality 4 % of its throughput (BENCH_18.json).
     return trusted(ScenarioSolution)(
-        scenario,
-        left,
-        right,
-        left_page,
-        right_page,
-        tuple(relations),
-        conclusion,
+        scenario, left, right, 2, 2, tuple(relations), conclusion
     )

@@ -60,8 +60,8 @@ functional's dot product with the transform's ch1, over ch0, so
 :func:`transform_stability` and :func:`target_slope` run no ring product
 for it once the functionals are cached.  One rule builds the grid for
 both :func:`enumerate_candidates` and :func:`candidate_grid`: it checks n,
-counts the candidates against MAX_SCAN_CANDIDATES and only then builds
-the axes.
+counts the candidates against MAX_SCAN_CANDIDATES and the delta entries they
+hold against ten times that, and only then builds the axes.
 
 Positive m reduces to negative m through the dual line bundle: the
 duality bookkeeping of :mod:`weierfm.duality` identifies the dual of the
@@ -172,8 +172,10 @@ class EnumerationBounds:
     -2..2 and the axis always holds 0.
 
     A rank-n scan over Picard rank ρ has (n - 1)·|a axis|·|δ axis|^ρ·2
-    candidates; above ``MAX_SCAN_CANDIDATES`` it is refused with ValueError
-    before anything is built (CLI ``scan`` exit 1)."""
+    candidates, each holding a δ of ρ entries; above ``MAX_SCAN_CANDIDATES``
+    candidates, or above 10·``MAX_SCAN_CANDIDATES`` δ entries in all, it is
+    refused with ValueError before anything is built (CLI ``scan`` exit
+    1)."""
 
     a_max: Fraction = Fraction(6)
     delta_max: Fraction = Fraction(6)
@@ -654,8 +656,10 @@ def _axes(
     built on the call, so an import builds no value); the grid runs over
     the ranks 1..n - 1 and then the axes' product, in that order.  The grid
     is counted from the two 1-D axis lengths and refused above
-    MAX_SCAN_CANDIDATES before any axis is built; an empty grid (n = 1)
-    gets empty axes, so it builds no delta product.
+    MAX_SCAN_CANDIDATES before any axis is built, and so is a grid whose
+    candidates hold more than 10·MAX_SCAN_CANDIDATES delta entries in all
+    (count × ρ); an empty grid (n = 1) gets empty axes, so it builds no
+    delta product.
 
     The count, (n - 1)·2·|δ axis|^ρ·|a axis|, is multiplied factor by
     factor.  Once a product before the a axis passes the cap, counting
@@ -682,6 +686,14 @@ def _axes(
         raise ValueError(
             f"the scan grid has {many} candidates, "
             f"above the cap {MAX_SCAN_CANDIDATES}; lower the rank or the bounds"
+        )
+    # Each candidate stores a delta of picard_rank entries, so a one-point
+    # delta axis must not let memory grow with the rank.
+    if count * picard_rank > 10 * MAX_SCAN_CANDIDATES:
+        raise ValueError(
+            f"the scan grid's {count} candidates hold more than "
+            f"{10 * MAX_SCAN_CANDIDATES} delta entries in all, one per Picard "
+            "coordinate each; lower the rank or the bounds"
         )
     if n == 1:
         return [], [], (0, 1)

@@ -31,6 +31,7 @@ from weierfm.duality import (
     PageGrid,
     Term,
     TermRef,
+    _live_by_degree,
     _term_ref,
     left_label,
     right_label,
@@ -487,6 +488,8 @@ def test_live_on_diagonal_matches_a_scan_of_every_term(data):
     order = data.draw(st.permutations(list(cells)))
     terms = {pos: Term(data.draw(st.sampled_from(TermStatus))) for pos in order}
     grid = PageGrid(Side.LEFT, 3, (p0, p1), (q0, q1), terms)
+    groups = _live_by_degree(grid)
+    keys = {pos: pos for pos in terms}
     degrees = grid.degrees()
     for k in range(degrees.start - 2, degrees.stop + 2):
         scan = sorted(
@@ -497,6 +500,10 @@ def test_live_on_diagonal_matches_a_scan_of_every_term(data):
         live = grid.live_on_diagonal(k)
         assert live == scan
         assert all(term is terms[pos] for pos, term in live)
+        group = groups.pop(k, [])
+        assert [(pos, terms[pos]) for pos in group] == live
+        assert all(pos is keys[pos] for pos in group)
+    assert groups == {}
 
 
 _ENGINE_PIN = (492, "e96a108464474aa0f0c927d551898cb38642385a65dbafd30ab8d5cdc04d3a5f")

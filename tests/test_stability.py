@@ -329,6 +329,36 @@ def test_scan_cap_refuses_before_building_anything(monkeypatch, k3, k3_pol):
     assert stability.MAX_SCAN_CANDIDATES == 500_000
 
 
+def test_scan_cap_counts_the_delta_entries_the_candidates_hold(monkeypatch):
+    """A one-point delta axis keeps the candidate count at 2 for any ρ, but
+    each candidate holds ρ delta entries: 2·10^8 of them are refused before
+    an axis is built, and exactly ten times the candidate cap is let
+    through.  The largest grid the candidate cap lets through with a wider
+    delta axis, (n, ρ, delta_max, a_max) = (2, 10, 1, 3/2), holds 472 392 ×
+    10 = 4 723 920 entries, under the 5 000 000 entry cap, so it is built."""
+    from weierfm import stability
+
+    def unreachable(*args):
+        raise AssertionError("the grid was built past the entry cap")
+
+    class Unbuilt(Fraction):
+        __rmul__ = unreachable
+
+    one_point = EnumerationBounds(Fraction(0), Fraction(0))
+    monkeypatch.setattr(stability, "A_STEP", Unbuilt(stability.A_STEP))
+    monkeypatch.setattr(stability, "DELTA_STEP", Unbuilt(stability.DELTA_STEP))
+    with pytest.raises(ValueError, match="^the scan grid's 2 candidates hold more than "
+                                         "5000000 delta entries in all"):
+        candidate_grid(2, 10**8, one_point)
+    with pytest.raises(AssertionError, match="built past the entry cap"):
+        candidate_grid(2, 10, EnumerationBounds(Fraction(3, 2), Fraction(1)))
+    monkeypatch.undo()
+    monkeypatch.setattr(stability, "MAX_SCAN_CANDIDATES", 10)
+    assert [len(c.delta) for c in candidate_grid(2, 50, one_point)] == [50, 50]
+    with pytest.raises(ValueError, match="^the scan grid's 2 candidates hold more than 100 "):
+        candidate_grid(2, 51, one_point)
+
+
 @pytest.mark.parametrize(
     "call",
     [pytest.param(lambda pol: candidate_grid(2, 10**4, None), id="rank-10^4"),
