@@ -47,22 +47,29 @@ the second pass reads only which terms are Zero, so it is final too.  Each
 term lies on one antidiagonal, which emits at most one Identification or
 ShortExact, so no carry reaches another relation.
 
-Each solve builds both pages column by column from runs of equal statuses
-and then scans each page once.  The scan walks the page's terms, refuses a
-page that lacks a term of its rectangle or whose jointly-nonzero group names
-a cell outside it, and returns the positions of the live (not Zero) terms
-grouped by total degree, larger q first within a degree.  The degeneration
-check then reads the page itself.  The first pass runs over the union of
-the two scans' degrees in ascending order, takes each degree's groups out
-of the scans and looks each term up by its position; the second pass reads
-the jointly-nonzero groups, the third the relations the first emitted.
-Scanning before the first pass is exact: a term turns Zero only while its
-own degree is processed, so each degree's live terms are, until then, the
-ones the scan found.  The scan and each pass are linear in the number of
-terms and groups, so for the pages of a scenario, which hold one group,
-time and memory are linear in n.  The TermRefs the relations name, labels
-included, are made once per process and shared by every solve.  The verdict a solve ends in, ``Conclusion`` of
-a ``ConclusionKind``, is defined in :mod:`weierfm.fm`, so the layers that
+Each solve builds both pages column by column from runs of equal statuses,
+checks that no differential can act on either, and groups each page's live
+(not Zero) terms by total degree in one walk of its dict; a dict filled
+column by column gives each degree's terms larger q first.  That grouping
+checks nothing.  A page a caller hands in, to ``degenerate``,
+``compare_limits`` or ``PageGrid.render``, passes a boundary check first: a
+walk of its rectangle, column by column, refuses an empty rectangle, a
+missing term, an entry that is not a Term or a status that is not a
+TermStatus, and a jointly-nonzero group that is not a non-empty tuple of
+positions of the rectangle, and returns the rectangle's terms, the page's
+own objects, in that order.  ``build_pages`` makes its pages complete and
+in that order, so a solve skips the boundary check.  The first pass runs
+over the union of the two groupings' degrees in ascending order, takes each
+degree's groups out of them and looks each term up by its position; the
+second pass reads the jointly-nonzero groups, the third the relations the
+first emitted.  Grouping before the first pass is exact: a term turns Zero
+only while its own degree is processed, so each degree's live terms are,
+until then, the ones the grouping found.  The grouping and each pass are
+linear in the number of terms and groups, so for the pages of a scenario,
+which hold one group, time and memory are linear in n.  The TermRefs the
+relations name, labels included, are made once per process and shared by
+every solve.  The verdict a solve ends in, ``Conclusion`` of a
+``ConclusionKind``, is defined in :mod:`weierfm.fm`, so the layers that
 read it need not load this module.
 
 Each entry point refuses an argument of the wrong class with
@@ -78,7 +85,7 @@ from functools import lru_cache
 
 from .errors import InfeasibleScenarioError, InternalCheckError
 from .fm import Conclusion, ConclusionKind, WitType
-from .rationals import require, trusted, value_class
+from .rationals import is_int, require, trusted, value_class
 
 
 class Side(enum.Enum):
@@ -198,22 +205,6 @@ class PageGrid:
             return TermStatus.ZERO
         return self.terms[pos].status
 
-    def degrees(self) -> range:
-        return range(
-            self.p_range[0] + self.q_range[0],
-            self.p_range[1] + self.q_range[1] + 1,
-        )
-
-    def live_on_diagonal(self, k: int) -> list[tuple[Pos, Term]]:
-        """The terms with p + q = k that are not Zero, larger q first."""
-        (p0, p1), (q0, q1) = self.p_range, self.q_range
-        terms = self.terms
-        return [
-            ((k - q, q), term)
-            for q in range(min(q1, k - p0), max(q0, k - p1) - 1, -1)
-            if (term := terms[k - q, q]).status is not TermStatus.ZERO
-        ]
-
     def is_settled(self) -> bool:
         """No differential d_r (r >= 2) joins a term that is not Zero to a
         target in the region that is not Zero.
@@ -236,20 +227,19 @@ class PageGrid:
         return True
 
     def render(self) -> str:
-        """Matrix display, top row = largest q, for CLI/demo output."""
+        """Matrix display, top row = largest q, for CLI/demo output; a
+        malformed page is a ValueError, as ``degenerate`` refuses it."""
+        terms = _page_terms(self)
+        (p0, p1), (q0, q1) = self.p_range, self.q_range
         lines = [f"{self.side.value} page (E_2)"]
-        for q in range(self.q_range[1], self.q_range[0] - 1, -1):
-            cells = []
-            for p in range(self.p_range[0], self.p_range[1] + 1):
-                term = self.terms[(p, q)]
-                mark = {
-                    TermStatus.ZERO: "0",
-                    TermStatus.NONZERO: "*",
-                    TermStatus.UNKNOWN: "?",
-                }[term.status]
-                cells.append(f"{mark} ({p},{q})")
+        for q in range(q1, q0 - 1, -1):
+            cells = [f"{_MARKS[terms[p, q].status]} ({p},{q})" for p in range(p0, p1 + 1)]
             lines.append("  " + "   ".join(cells))
         return "\n".join(lines)
+
+
+# The mark PageGrid.render shows for each status.
+_MARKS = {TermStatus.ZERO: "0", TermStatus.NONZERO: "*", TermStatus.UNKNOWN: "?"}
 
 
 # -- derived relations ----------------------------------------------------
@@ -426,60 +416,72 @@ def build_pages(scenario: SheafScenario) -> tuple[PageGrid, PageGrid]:
     return left, right
 
 
+def _page_terms(grid: PageGrid) -> dict[Pos, Term]:
+    """The boundary check of a page a caller hands in: its rectangle's
+    terms, the page's own objects, keyed column by column (p ascending,
+    then q ascending), the order ``_live_by_degree`` reads.
+
+    It refuses (ValueError) an empty rectangle, a position of the rectangle
+    with no term (the first the walk reaches, so the smallest), an entry
+    that is not a Term or whose status is not a TermStatus, and a
+    joint_nonzero group that is not a non-empty tuple of positions of the
+    rectangle.  Terms outside the rectangle are never read.
+    """
+    side, terms = grid.side.value, grid.terms
+    (p0, p1), (q0, q1) = grid.p_range, grid.q_range
+    if p0 > p1 or q0 > q1:
+        raise ValueError(f"the {side} page's rectangle {grid.p_range} × {grid.q_range} is empty")
+    cells: dict[Pos, Term] = {}
+    for pos in itertools.product(range(p0, p1 + 1), range(q0, q1 + 1)):
+        try:
+            term = cells[pos] = terms[pos]
+        except KeyError:
+            raise ValueError(f"the {side} page has no term at {pos}") from None
+        # The exact types pass at once; anything else gets require's rules.
+        if type(term) is not Term or type(term.status) is not TermStatus:
+            require(term, Term, f"the {side} page's entry at {pos}")
+            require(term.status, TermStatus, f"the status of the {side} term at {pos}")
+    for group in grid.joint_nonzero:
+        is_group = isinstance(group, tuple) and all(isinstance(pos, tuple) for pos in group)
+        if not is_group or not group:
+            raise ValueError(
+                f"a joint_nonzero group of the {side} page must be a non-empty "
+                f"tuple of positions, got {group!r}"
+            )
+        for pos in group:
+            if not all(map(is_int, pos)) or pos not in cells:
+                raise ValueError(f"a joint_nonzero group names {pos}, outside the {side} page")
+    return cells
+
+
 # A page's live positions by total degree, as _live_by_degree returns them.
 _LiveByDegree = dict[int, list[Pos]]
 
 
-def _live_by_degree(grid: PageGrid) -> _LiveByDegree:
-    """The one scan of a page: the positions of its region whose terms are
-    not Zero, each the page dict's own key, grouped by total degree p + q,
-    larger q first within a degree, whatever order the dict was filled in.
-
-    It refuses a page the solver would read past (ValueError): a Term must
-    sit at every position of p_range × q_range and of every joint_nonzero
-    group.  Terms outside the region are passed over.
-    """
-    (p0, p1), (q0, q1) = grid.p_range, grid.q_range
-    terms, zero = grid.terms, TermStatus.ZERO
+def _live_by_degree(terms: dict[Pos, Term]) -> _LiveByDegree:
+    """The positions of the terms that are not Zero, each the dict's own
+    key, grouped by total degree p + q in one walk of a dict filled column
+    by column: within a degree a smaller p is a larger q, so each group
+    comes larger q first."""
+    zero = TermStatus.ZERO
     live: _LiveByDegree = {}
-    found = 0
     for pos, term in terms.items():
-        p, q = pos
-        if p0 <= p <= p1 and q0 <= q <= q1:
-            found += 1
-            if term.status is not zero:
-                if (k := p + q) in live:
-                    live[k].append(pos)
-                else:
-                    live[k] = [pos]
-    ps, qs = range(p0, p1 + 1), range(q0, q1 + 1)
-    # Keys are distinct, so as many in the region as it has cells fill it.
-    if found < len(ps) * len(qs):
-        missing = min(itertools.filterfalse(terms.__contains__, itertools.product(ps, qs)))
-        raise ValueError(f"the {grid.side.value} page has no term at {missing}")
-    for group in grid.joint_nonzero:
-        for pos in group:
-            if not grid.in_region(pos):
-                raise ValueError(
-                    f"a joint_nonzero group names {pos}, outside the "
-                    f"{grid.side.value} page"
-                )
-    # Within a degree a smaller p is a larger q.  A page filled column by
-    # column gives each group in that order already.
-    for group in live.values():
-        group.sort()
+        if term.status is not zero:
+            p, q = pos
+            if (k := p + q) in live:
+                live[k].append(pos)
+            else:
+                live[k] = [pos]
     return live
 
 
-def _degenerated(grid: PageGrid) -> _LiveByDegree:
-    """The scan of a page checked to have degenerated at E_2."""
-    live = _live_by_degree(grid)
+def _check_degenerated(grid: PageGrid) -> None:
+    """Refuse a page on which a differential can still act."""
     if not grid.is_settled():
         raise InternalCheckError(
             f"a differential can act on the {grid.side.value} page, "
             "so it does not degenerate at E_2"
         )
-    return live
 
 
 def degenerate(grid: PageGrid) -> tuple[PageGrid, int]:
@@ -488,11 +490,15 @@ def degenerate(grid: PageGrid) -> tuple[PageGrid, int]:
     In every scenario ``build_pages`` seeds, no differential can act (the
     Right band has two rows and the Left band a dead column), so the
     statuses already describe the limit.  A grid on which some d_r could
-    still act breaks that invariant and raises ``InternalCheckError``; a
-    grid missing a Term it needs is a ValueError, checked first.
+    still act breaks that invariant and raises ``InternalCheckError``.
+    Checked first, a malformed grid is a ValueError: an empty rectangle, a
+    hole in it (the smallest is named), an entry that is not a Term or a
+    status that is not a TermStatus, or a joint_nonzero group that is not a
+    non-empty tuple of positions of the rectangle.
     """
     require(grid, PageGrid, "page")
-    _degenerated(grid)
+    _page_terms(grid)
+    _check_degenerated(grid)
     return grid, 2
 
 
@@ -500,20 +506,22 @@ def degenerate(grid: PageGrid) -> tuple[PageGrid, int]:
 
 
 def _solve(
-    left: PageGrid, right: PageGrid, live_left: _LiveByDegree, live_right: _LiveByDegree
+    left: PageGrid, right: PageGrid, terms_l: dict[Pos, Term], terms_r: dict[Pos, Term]
 ) -> list[DerivedRelation]:
-    """The three passes of the module docstring; statuses refine in place.
+    """The three passes of the module docstring over each page's rectangle,
+    ``terms_l`` and ``terms_r``, column-ordered dicts of the pages' own
+    terms; statuses refine in place.
 
-    The first pass takes each degree's groups out of the two pages' scans
-    (``_live_by_degree``) as it reads them, so a solve never holds both its
-    scans and all its relations.  It builds the relations through
-    their trusted constructors; the public ones would cost duality 11 % of
-    its throughput (BENCH_17.json).
+    The first pass takes each degree's groups out of the two pages'
+    groupings (``_live_by_degree``) as it reads them, so a solve never holds
+    both its groupings and all its relations.  It builds the relations
+    through their trusted constructors; the public ones would cost duality
+    11 % of its throughput (BENCH_17.json).
     """
     identification, forced_zero = trusted(Identification), trusted(ForcedZero)
     short_exact = trusted(ShortExact)
     zero, nonzero = TermStatus.ZERO, TermStatus.NONZERO
-    terms_l, terms_r = left.terms, right.terms
+    live_left, live_right = _live_by_degree(terms_l), _live_by_degree(terms_r)
     relations: list[DerivedRelation] = []
     # (source, source, targets) of each Identification and ShortExact: the
     # third pass makes the targets NonZero when a source is.
@@ -555,9 +563,9 @@ def _solve(
             quot_ref = _term_ref(not mid_on_left, quot_pos)
             relations.append(short_exact(k, sub_ref, mid_ref, quot_ref))
             carries.append((pair_terms[sub_pos], pair_terms[quot_pos], (mid_terms[mid_pos],)))
-    for grid in (left, right):
+    for grid, page_terms in ((left, terms_l), (right, terms_r)):
         for group in grid.joint_nonzero:
-            terms = [grid.terms[pos] for pos in group]
+            terms = [page_terms[pos] for pos in group]
             zeros = sum(term.status is zero for term in terms)
             if zeros == len(group):
                 is_left = grid.side is Side.LEFT
@@ -584,9 +592,14 @@ def compare_limits(left: PageGrid, right: PageGrid) -> list[DerivedRelation]:
     """Equate the two limits degree by degree; refine statuses in place.
 
     Both grids must already be degenerate (no differential can act), since
-    the comparison reads the pages as the limit's graded pieces, and each
-    must hold a Term at every position of its rectangle and of its
-    joint_nonzero groups; otherwise ValueError, before any status changes.
+    the comparison reads the pages as the limit's graded pieces.  Each is
+    refused first if malformed, as ``degenerate`` refuses it: an empty
+    rectangle, a hole in it, an entry that is not a Term or a status that is
+    not a TermStatus, or a joint_nonzero group that is not a non-empty tuple
+    of positions of the rectangle.  Every refusal is a ValueError, raised
+    before any status of either page changes.  Terms outside a rectangle
+    are never read or written, except as sources of ``is_settled``'s
+    differentials.
     """
     require(left, PageGrid, "left page")
     require(right, PageGrid, "right page")
@@ -594,13 +607,13 @@ def compare_limits(left: PageGrid, right: PageGrid) -> list[DerivedRelation]:
         raise ValueError("compare_limits takes (left page, right page)")
     if left.n != right.n:
         raise ValueError("pages disagree about the ambient dimension")
-    live_left, live_right = _live_by_degree(left), _live_by_degree(right)
+    terms_l, terms_r = _page_terms(left), _page_terms(right)
     for grid in (left, right):
         if not grid.is_settled():
             raise ValueError(
                 "compare_limits requires degenerated pages; call degenerate() first"
             )
-    return _solve(left, right, live_left, live_right)
+    return _solve(left, right, terms_l, terms_r)
 
 
 # -- closed form and the full pipeline -------------------------------------
@@ -666,8 +679,11 @@ def solve_scenario(scenario: SheafScenario) -> ScenarioSolution:
     """build_pages -> degenerate -> compare_limits -> entailed conclusion;
     build_pages refuses a ``scenario`` that is not a SheafScenario."""
     left, right = build_pages(scenario)
-    # Each page's one scan, taken with the checks degenerate() makes.
-    relations = _solve(left, right, _degenerated(left), _degenerated(right))
+    # build_pages fills each page's whole rectangle column by column, so
+    # the solve reads the pages' own dicts without the boundary check.
+    _check_degenerated(left)
+    _check_degenerated(right)
+    relations = _solve(left, right, left.terms, right.terms)
     conclusion = _entailed_conclusion(scenario, right, relations)
     # The public constructor would cost duality 4 % of its throughput (BENCH_18.json).
     return trusted(ScenarioSolution)(

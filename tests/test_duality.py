@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import itertools
+import operator
 import time
 
 import pytest
@@ -32,6 +33,7 @@ from weierfm.duality import (
     Term,
     TermRef,
     _live_by_degree,
+    _page_terms,
     _term_ref,
     left_label,
     right_label,
@@ -280,6 +282,55 @@ def test_degenerate_refuses_malformed_pages():
         degenerate(page)
 
 
+# (page index, spoiler, message) of pages the boundary check refuses.
+_MALFORMED_PAGES = [
+    pytest.param(0, lambda page: setattr(page.terms[0, 0], "status", "NonZero"),
+                 r"^the status of the left term at \(0, 0\) must be a TermStatus, "
+                 r"got str 'NonZero'$", id="status-string"),
+    pytest.param(1, lambda page: setattr(page, "terms", dict.fromkeys(page.terms, Term("Zero"))),
+                 r"^the status of the right term at \(0, -1\) must be a TermStatus, "
+                 r"got str 'Zero'$", id="page-of-status-strings"),
+    pytest.param(0, lambda page: page.terms.update({(0, 2): None}),
+                 r"^the left page's entry at \(0, 2\) must be a Term, got NoneType None$",
+                 id="entry-none"),
+    pytest.param(1, lambda page: page.terms.update({(2, 0): TermStatus.UNKNOWN}),
+                 r"^the right page's entry at \(2, 0\) must be a Term, got TermStatus ",
+                 id="entry-bare-status"),
+    pytest.param(0, lambda page: page.terms.pop((0, 2)),
+                 r"^the left page has no term at \(0, 2\)$", id="hole"),
+    pytest.param(1, lambda page: setattr(page, "joint_nonzero", ((0, 0),)),
+                 r"^a joint_nonzero group of the right page must be a non-empty tuple "
+                 r"of positions, got \(0, 0\)$", id="position-for-group"),
+    pytest.param(1, lambda page: setattr(page, "joint_nonzero", ((),)),
+                 r"^a joint_nonzero group of the right page must be a non-empty tuple "
+                 r"of positions, got \(\)$", id="empty-group"),
+    pytest.param(1, lambda page: setattr(page, "joint_nonzero", (((1, 0), (1, -1.0)),)),
+                 r"^a joint_nonzero group names \(1, -1\.0\), outside the right page$",
+                 id="float-position"),
+    pytest.param(0, lambda page: setattr(page, "p_range", (0, -1)),
+                 r"^the left page's rectangle \(0, -1\) × \(0, 3\) is empty$",
+                 id="empty-rectangle"),
+]
+
+
+@pytest.mark.parametrize("index,spoil,message", _MALFORMED_PAGES)
+def test_entry_points_refuse_malformed_pages(index, spoil, message):
+    """degenerate(), compare_limits() and render() refuse a malformed page
+    with ValueError, compare_limits() before it changes any status of either
+    page (a solve of this scenario turns terms Zero)."""
+    pages = build_pages(SheafScenario(3, 1, WitType.WIT0, 0))
+    spoil(pages[index])
+    for call in (lambda: degenerate(pages[index]), pages[index].render):
+        with pytest.raises(ValueError, match=message):
+            call()
+    def statuses_or_entries():
+        return [getattr(term, "status", term) for grid in pages for term in grid.terms.values()]
+    before = statuses_or_entries()
+    with pytest.raises(ValueError, match=message):
+        compare_limits(*pages)
+    assert statuses_or_entries() == before
+
+
 def _offset_right_page():
     """A Right page whose rows start below 0 (q₀ = -1): (1, -1) and (0, 1)
     are NonZero and d_2 joins them, since (1, -1) + (-1, 2) = (0, 1)."""
@@ -337,6 +388,43 @@ def test_solve_scenario_checks_each_page_once(monkeypatch):
     calls.clear()
     compare_limits(*build_pages(SheafScenario(3, 1, WitType.WIT0, 0)))
     assert calls == [Side.LEFT, Side.RIGHT]
+
+
+def test_only_a_callers_pages_pass_the_boundary_check(monkeypatch):
+    """solve_scenario() reads build_pages' pages unchecked; degenerate()
+    checks the page it is given and compare_limits() each of its two."""
+    calls = []
+    monkeypatch.setattr(
+        "weierfm.duality._page_terms", lambda grid: calls.append(grid.side) or _page_terms(grid)
+    )
+    solve_scenario(SheafScenario(3, 1, WitType.WIT0, 0))
+    assert calls == []
+    left, right = build_pages(SheafScenario(3, 1, WitType.WIT0, 0))
+    degenerate(left)
+    degenerate(right)
+    assert calls == [Side.LEFT, Side.RIGHT]
+    calls.clear()
+    compare_limits(left, right)
+    assert calls == [Side.LEFT, Side.RIGHT]
+
+
+def test_build_pages_gives_pages_the_boundary_check_returns_unchanged():
+    """What lets solve_scenario() skip the boundary check: for every scenario
+    the duality benchmark solves (n <= 24) and five at n = 1000, the check
+    returns each page's dict as it is (equal, in the same key order, holding
+    the same Term objects and nothing else), and every jointly-nonzero
+    position lies in the rectangle."""
+    large = [(0, WitType.WIT0, 0), (1, WitType.WIT0, 1), (500, WitType.WIT1, 0),
+             (999, WitType.WIT1, -1), (1000, WitType.WIT0, 0)]
+    scenarios = [*feasible_scenarios(24), *(SheafScenario(1000, *args) for args in large)]
+    assert len(scenarios) == 1848 + 5
+    for scenario in scenarios:
+        for grid in build_pages(scenario):
+            region = _page_terms(grid)
+            assert region == grid.terms
+            assert list(region) == list(grid.terms)
+            assert all(map(operator.is_, region.values(), grid.terms.values()))
+            assert all(grid.in_region(pos) for group in grid.joint_nonzero for pos in group)
 
 
 # -- derived relations ------------------------------------------------------------
@@ -449,6 +537,12 @@ def test_solution_is_deterministic():
     assert a.conclusion == b.conclusion
 
 
+def _degree_range(grid):
+    """The total degrees p + q of the grid's rectangle."""
+    (p0, p1), (q0, q1) = grid.p_range, grid.q_range
+    return range(p0 + q0, p1 + q1 + 1)
+
+
 def test_relation_degrees_cover_every_occupied_antidiagonal():
     """Each total degree with any surviving term yields exactly one relation."""
     solution = solve_scenario(SheafScenario(3, 2, WitType.WIT1, 0))
@@ -458,11 +552,13 @@ def test_relation_degrees_cover_every_occupied_antidiagonal():
     live = sorted(
         {
             k
-            for k in range(-1, 8)
             for grid in (solution.left, solution.right)
-            if grid.live_on_diagonal(k)
+            for k in _degree_range(grid)
+            if any(sum(pos) == k and term.status is not TermStatus.ZERO
+                   for pos, term in grid.terms.items())
         }
     )
+    assert live
     assert degrees == sorted(set(degrees))
     for k in live:
         assert k in degrees
@@ -478,32 +574,39 @@ def test_wit_and_conclusion_iteration_is_exhaustive():
 @settings(deadline=None)
 @given(st.data())
 def test_live_on_diagonal_matches_a_scan_of_every_term(data):
-    """Only in-region cells are visited, and they come out larger q first,
-    whatever order the page's dict was filled in; the solver's one scan of
-    the page groups the same cells by degree, naming each by the dict's own
-    key."""
+    """On a page whose dict holds its rectangle and 0-3 terms outside it,
+    filled in a shuffled order, the boundary check returns the rectangle's
+    own Term objects column by column, and grouping them gives each total
+    degree's live terms larger q first, as a scan of every term does.  On
+    build_pages' own pages the grouping names each position by the page
+    dict's own key."""
     p0, q0 = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
     p1, q1 = p0 + data.draw(st.integers(0, 4)), q0 + data.draw(st.integers(0, 4))
-    cells = itertools.product(range(p0, p1 + 1), range(q0, q1 + 1))
-    order = data.draw(st.permutations(list(cells)))
+    cells = list(itertools.product(range(p0, p1 + 1), range(q0, q1 + 1)))
+    box = st.tuples(st.integers(p0 - 2, p1 + 2), st.integers(q0 - 2, q1 + 2))
+    outside = data.draw(
+        st.lists(box.filter(lambda pos: pos not in cells), max_size=3, unique=True)
+    )
+    order = data.draw(st.permutations(cells + outside))
     terms = {pos: Term(data.draw(st.sampled_from(TermStatus))) for pos in order}
     grid = PageGrid(Side.LEFT, 3, (p0, p1), (q0, q1), terms)
-    groups = _live_by_degree(grid)
-    keys = {pos: pos for pos in terms}
-    degrees = grid.degrees()
-    for k in range(degrees.start - 2, degrees.stop + 2):
+    region = _page_terms(grid)
+    assert list(region) == cells
+    assert all(region[pos] is terms[pos] for pos in cells)
+    groups = _live_by_degree(region)
+    for k in range(p0 + q0 - 2, p1 + q1 + 3):
         scan = sorted(
-            ((pos, term) for pos, term in terms.items()
-             if sum(pos) == k and term.status is not TermStatus.ZERO),
-            key=lambda item: -item[0][1],
+            (pos for pos in cells
+             if sum(pos) == k and terms[pos].status is not TermStatus.ZERO),
+            key=lambda pos: -pos[1],
         )
-        live = grid.live_on_diagonal(k)
-        assert live == scan
-        assert all(term is terms[pos] for pos, term in live)
-        group = groups.pop(k, [])
-        assert [(pos, terms[pos]) for pos in group] == live
-        assert all(pos is keys[pos] for pos in group)
+        assert groups.pop(k, []) == scan
     assert groups == {}
+
+    for grid in build_pages(data.draw(st.sampled_from(list(feasible_scenarios(8))))):
+        keys = {pos: pos for pos in grid.terms}
+        for group in _live_by_degree(grid.terms).values():
+            assert all(pos is keys[pos] for pos in group)
 
 
 _ENGINE_PIN = (492, "e96a108464474aa0f0c927d551898cb38642385a65dbafd30ab8d5cdc04d3a5f")
@@ -656,7 +759,7 @@ def _rescan_every_degree(left, right):
                 elif zeros == len(group) - 1:
                     make_nonzero(*terms)
 
-    degrees = sorted(set(left.degrees()) | set(right.degrees()))
+    degrees = sorted(set(_degree_range(left)) | set(_degree_range(right)))
     first = True
     while True:
         before = (len(relations), statuses(left, right))
