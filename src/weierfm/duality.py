@@ -52,17 +52,22 @@ checks that no differential can act on either, and groups each page's live
 (not Zero) terms by total degree in one walk of its dict; a dict filled
 column by column gives each degree's terms larger q first.  That grouping
 checks nothing.  A page a caller hands in, to ``degenerate``,
-``compare_limits`` or ``PageGrid.render``, passes a boundary check first: a
-walk of its rectangle, column by column, refuses an empty rectangle, a
-missing term, an entry that is not a Term or a status that is not a
-TermStatus, and a jointly-nonzero group that is not a non-empty tuple of
-positions of the rectangle, and returns the rectangle's terms, the page's
-own objects, in that order.  ``build_pages`` makes its pages complete and
-in that order, so a solve skips the boundary check.  The first pass runs
-over the union of the two groupings' degrees in ascending order, takes each
-degree's groups out of them and looks each term up by its position; the
-second pass reads the jointly-nonzero groups, the third the relations the
-first emitted.  Grouping before the first pass is exact: a term turns Zero
+``compare_limits`` or ``PageGrid.render``, passes a boundary check first.
+It refuses a page whose own fields are not of their annotated classes
+(side, n, the two ranges, terms, joint_nonzero).  Then a walk of its
+rectangle, column by column, refuses an empty rectangle, a missing term,
+an entry that is not a Term or a status that is not a TermStatus, and a
+jointly-nonzero group that is not a non-empty tuple of positions of the
+rectangle, and returns the rectangle's terms, the page's own objects, in
+that order.  Only where the dict holds more terms than the rectangle does
+it walk the dict too, and refuse an extra key that is not a pair of ints
+or an extra entry that is not a Term with a TermStatus, since
+``is_settled`` reads those as sources.  ``build_pages`` makes its pages
+complete and in that order, so a solve skips the boundary check.  The
+first pass runs over the union of the two groupings' degrees in ascending
+order, takes each degree's groups out of them and looks each term up by
+its position; the second pass reads the jointly-nonzero groups, the third
+the relations the first emitted.  Grouping before the first pass is exact: a term turns Zero
 only while its own degree is processed, so each degree's live terms are,
 until then, the ones the grouping found.  The grouping and each pass are
 linear in the number of terms and groups, so for the pages of a scenario,
@@ -416,18 +421,48 @@ def build_pages(scenario: SheafScenario) -> tuple[PageGrid, PageGrid]:
     return left, right
 
 
+def _require_pair(value: object, what: str) -> None:
+    """Refuse with :func:`require`'s ValueError a ``value`` that is not a
+    pair of ints, the rule of a ``tuple[int, int]`` field."""
+    require(value, tuple, what)
+    if len(value) != 2:
+        raise ValueError(f"{what} must have 2 entries, got {len(value)}")
+    for x in value:
+        require(x, int, f"an entry of {what}")
+
+
+def _require_term(term: object, side: str, pos: object) -> None:
+    """Refuse with ValueError an entry at ``pos`` of the ``side`` page that
+    is not a Term with a TermStatus."""
+    require(term, Term, f"the {side} page's entry at {pos}")
+    require(term.status, TermStatus, f"the status of the {side} term at {pos}")
+
+
 def _page_terms(grid: PageGrid) -> dict[Pos, Term]:
     """The boundary check of a page a caller hands in: its rectangle's
     terms, the page's own objects, keyed column by column (p ascending,
     then q ascending), the order ``_live_by_degree`` reads.
 
-    It refuses (ValueError) an empty rectangle, a position of the rectangle
-    with no term (the first the walk reaches, so the smallest), an entry
-    that is not a Term or whose status is not a TermStatus, and a
-    joint_nonzero group that is not a non-empty tuple of positions of the
-    rectangle.  Terms outside the rectangle are never read.
+    It refuses (ValueError, naming the field) a page whose own fields are
+    not of their annotated classes: a side that is not a Side, an n that is
+    not an int, a range that is not a pair of ints, terms that are not a
+    dict or a joint_nonzero that is not a tuple.  Then it refuses an empty
+    rectangle, a position of the rectangle with no term (the first the walk
+    reaches, so the smallest), an entry that is not a Term or whose status
+    is not a TermStatus, and a joint_nonzero group that is not a non-empty
+    tuple of positions of the rectangle.  Terms outside the rectangle are
+    read only as ``is_settled``'s d_r sources; where the dict holds more
+    terms than the rectangle, each extra key must be a pair of ints and
+    each extra entry a Term with a TermStatus.
     """
-    side, terms = grid.side.value, grid.terms
+    require(grid.side, Side, "a page's side")
+    side = grid.side.value
+    require(grid.n, int, f"the {side} page's n")
+    _require_pair(grid.p_range, f"the {side} page's p_range")
+    _require_pair(grid.q_range, f"the {side} page's q_range")
+    require(grid.terms, dict, f"the {side} page's terms")
+    require(grid.joint_nonzero, tuple, f"the {side} page's joint_nonzero")
+    terms = grid.terms
     (p0, p1), (q0, q1) = grid.p_range, grid.q_range
     if p0 > p1 or q0 > q1:
         raise ValueError(f"the {side} page's rectangle {grid.p_range} × {grid.q_range} is empty")
@@ -439,8 +474,12 @@ def _page_terms(grid: PageGrid) -> dict[Pos, Term]:
             raise ValueError(f"the {side} page has no term at {pos}") from None
         # The exact types pass at once; anything else gets require's rules.
         if type(term) is not Term or type(term.status) is not TermStatus:
-            require(term, Term, f"the {side} page's entry at {pos}")
-            require(term.status, TermStatus, f"the status of the {side} term at {pos}")
+            _require_term(term, side, pos)
+    if len(terms) > len(cells):
+        for pos, term in terms.items():
+            if pos not in cells:
+                _require_pair(pos, f"a position of the {side} page's terms")
+                _require_term(term, side, pos)
     for group in grid.joint_nonzero:
         is_group = isinstance(group, tuple) and all(isinstance(pos, tuple) for pos in group)
         if not is_group or not group:
@@ -491,10 +530,12 @@ def degenerate(grid: PageGrid) -> tuple[PageGrid, int]:
     Right band has two rows and the Left band a dead column), so the
     statuses already describe the limit.  A grid on which some d_r could
     still act breaks that invariant and raises ``InternalCheckError``.
-    Checked first, a malformed grid is a ValueError: an empty rectangle, a
-    hole in it (the smallest is named), an entry that is not a Term or a
-    status that is not a TermStatus, or a joint_nonzero group that is not a
-    non-empty tuple of positions of the rectangle.
+    Checked first, a malformed grid is a ValueError: a field that is not of
+    its annotated class, an empty rectangle, a hole in it (the smallest is
+    named), an entry that is not a Term or a status that is not a
+    TermStatus, inside the rectangle or outside it, an extra key that is not
+    a pair of ints, or a joint_nonzero group that is not a non-empty tuple
+    of positions of the rectangle.
     """
     require(grid, PageGrid, "page")
     _page_terms(grid)
@@ -593,13 +634,14 @@ def compare_limits(left: PageGrid, right: PageGrid) -> list[DerivedRelation]:
 
     Both grids must already be degenerate (no differential can act), since
     the comparison reads the pages as the limit's graded pieces.  Each is
-    refused first if malformed, as ``degenerate`` refuses it: an empty
-    rectangle, a hole in it, an entry that is not a Term or a status that is
-    not a TermStatus, or a joint_nonzero group that is not a non-empty tuple
-    of positions of the rectangle.  Every refusal is a ValueError, raised
-    before any status of either page changes.  Terms outside a rectangle
-    are never read or written, except as sources of ``is_settled``'s
-    differentials.
+    refused first if malformed, as ``degenerate`` refuses it: a field that
+    is not of its annotated class, an empty rectangle, a hole in it, an
+    entry that is not a Term or a status that is not a TermStatus, an extra
+    key that is not a pair of ints, or a joint_nonzero group that is not a
+    non-empty tuple of positions of the rectangle.  Every refusal is a
+    ValueError, raised before any status of either page changes.  Terms
+    outside a rectangle are never read or written, except as sources of
+    ``is_settled``'s differentials.
     """
     require(left, PageGrid, "left page")
     require(right, PageGrid, "right page")

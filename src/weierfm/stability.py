@@ -48,8 +48,11 @@ pass over the reports.  Every value a scan holds is built from these
 checked values through its class's trusted constructor
 (:func:`weierfm.rationals.trusted`), without re-running the public
 constructor's checks: each TraceStep once per distinct step value, each
-EffectivityProxy once per (δ, a >= 0), a DestabilizerCandidate and a
-StabilityReport per report, and the ScanResult.  Each of these classes is a
+EffectivityProxy once per (δ, a >= 0), a StabilityReport per report, and
+the ScanResult.  A DestabilizerCandidate (r, a, δ, e) does not depend on
+the polarization, so each is built once per grid, with its grid, and
+every report of every scan over that grid holds the same candidate
+object.  Each of these classes is a
 :func:`weierfm.rationals.value_class`: its public constructor checks
 every field against its annotation and refuses a float where a rational
 goes, then runs its ``_check`` hook, and it decodes trusted.  The ring's
@@ -61,7 +64,11 @@ functional's dot product with the transform's ch1, over ch0, so
 for it once the functionals are cached.  One rule builds the grid for
 both :func:`enumerate_candidates` and :func:`candidate_grid`: it checks n,
 counts the candidates against MAX_SCAN_CANDIDATES and the delta entries they
-hold against ten times that, and only then builds the axes.
+hold against ten times that, and only then looks the grid up, keyed on n,
+ρ and the two axis lengths, in one cache bounded by the candidates and
+delta entries its grids hold in all (GRID_CACHE_SIZE), building the axes
+and every rank's candidates on a miss.  A refused grid is never looked up
+or kept.
 
 Positive m reduces to negative m through the dual line bundle: the
 duality bookkeeping of :mod:`weierfm.duality` identifies the dual of the
@@ -71,13 +78,16 @@ a twist, none of which move slope stability.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
+import threading
+from collections import OrderedDict
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     HypothesisViolationError,
@@ -601,33 +611,43 @@ def certify(n: int, pol: Polarization, cand: DestabilizerCandidate) -> Stability
 
     Inadmissible candidates are reported as such (with reasons), never
     errored: the grid search wants to see them excluded for the stated
-    arithmetic reasons rather than silently skipped.
+    arithmetic reasons rather than silently skipped.  The report holds
+    ``cand`` itself.
     """
     cell = _point(cand, pol, "stability certification")
-    reports, _ = _reports(n, (cand.r,), [cell], target_slope(n, pol))
+    reports, _ = _reports(n, ((cand.r, (cand,)),), [cell], target_slope(n, pol))
     return reports[0]
 
 
 def _reports(
-    n: int, ranks: Iterable[int], cells: list[tuple], target: Fraction
+    n: int,
+    ranks: Iterable[tuple[int, Sequence[DestabilizerCandidate]]],
+    cells: list[tuple],
+    target: Fraction,
 ) -> tuple[list[StabilityReport], bool]:
-    """The candidate of every rank in ``ranks`` at every cell (a tuple in
-    :class:`_Cell`'s field order), rank slowest, judged against the rank-n
-    target, and whether some report is a Violation: the flag is set where
-    an admissible candidate's verdict is judged, so no second pass reads
-    the reports.  Every field was checked when its cell was built, so
-    candidates and reports are built through their trusted constructors."""
+    """The report of every candidate in ``ranks``, rank slowest, judged
+    against the rank-n target, and whether some report is a Violation: the
+    flag is set where an admissible candidate's verdict is judged, so no
+    second pass reads the reports.  ``ranks`` holds (r, the rank-r
+    candidates) pairs, one candidate per cell (a tuple in :class:`_Cell`'s
+    field order) and in the cells' order; a report holds that candidate
+    object, shared with every other report of it (a scan's candidates come
+    from its cached grid, :func:`_axes`).  Every field was checked when its
+    cell or candidate was built, so reports are built through the trusted
+    constructor."""
     # The public constructors would cost sweep 51 % of its throughput (BENCH_17.json).
-    report, candidate = trusted(StabilityReport), trusted(DestabilizerCandidate)
+    report = trusted(StabilityReport)
     inadmissible, violation = Verdict.INADMISSIBLE, Verdict.VIOLATION
     any_violation = False
     reports = []
-    for r in ranks:
+    for r, candidates in ranks:
         rank_reason = () if r < n else (f"rank {r} is not below the transform rank {n}",)
         # A cell numerator's rank-r slope, and the verdict of an admissible
         # candidate at that slope.
         slopes: dict[int, tuple[Fraction, Verdict]] = {}
-        for a, delta, e, fiber_deg, numerator, den, proxy, trace, cell_reasons in cells:
+        for cand, (_, _, _, fiber_deg, numerator, den, proxy, trace, cell_reasons) in zip(
+            candidates, cells, strict=True
+        ):
             judged = slopes.get(numerator)
             if judged is None:
                 cand_slope = Fraction(numerator, den * r)
@@ -642,24 +662,128 @@ def _reports(
             elif verdict is violation:
                 any_violation = True
             reports.append(report(
-                candidate(r, a, delta, e), verdict, target, cand_slope, proxy, fiber_deg,
-                trace, reasons,
+                cand, verdict, target, cand_slope, proxy, fiber_deg, trace, reasons,
             ))
     return reports, any_violation
 
 
-def _axes(
-    n: int, picard_rank: int, bounds: EnumerationBounds | None
-) -> tuple[list, list, tuple]:
-    """The a, delta and e axes of the rank-n grid over Picard rank
-    ``picard_rank`` (``bounds`` None: the default ``EnumerationBounds()``,
-    built on the call, so an import builds no value); the grid runs over
-    the ranks 1..n - 1 and then the axes' product, in that order.  The grid
-    is counted from the two 1-D axis lengths and refused above
-    MAX_SCAN_CANDIDATES before any axis is built, and so is a grid whose
-    candidates hold more than 10·MAX_SCAN_CANDIDATES delta entries in all
-    (count × ρ); an empty grid (n = 1) gets empty axes, so it builds no
-    delta product.
+class _Grid(NamedTuple):
+    """The a, delta and e axes of one rank-n grid, and the candidates of
+    each rank 1..n - 1 (rank r at index r - 1), each rank's in grid order:
+    a slowest, then delta, then e."""
+
+    a_values: tuple[Fraction, ...]
+    deltas: tuple[tuple[Fraction, ...], ...]
+    es: tuple[int, ...]
+    candidates: tuple[tuple[DestabilizerCandidate, ...], ...]
+
+    @property
+    def weight(self) -> int:
+        """What the grid cache counts the grid as: its candidates plus the
+        delta entries its axis holds, which the candidates share.  A
+        one-point delta axis at a large ρ holds two candidates but ρ
+        entries."""
+        return sum(map(len, self.candidates)) + sum(map(len, self.deltas))
+
+
+# The weight (candidates plus delta entries, _Grid.weight) the grid cache
+# keeps over all its grids.  A unit takes 176-207 B (tracemalloc, full
+# caches of k3 grids, of ρ = 3 grids and of the smallest grids), so this
+# holds at most ~13 MiB; a sweep block keeps 3 302 candidates (3 439 units).
+# Knocking the cache out costs sweep 25 % of its throughput (BENCH_30.json).
+GRID_CACHE_SIZE = 65_536
+
+
+class _GridCacheInfo(NamedTuple):
+    """``functools.lru_cache``'s statistics, with ``maxsize`` and
+    ``currsize`` counted in grid weight (:attr:`_Grid.weight`) rather than
+    in grids."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+def _lru_by_weight(build: Callable[..., _Grid]) -> Callable[..., _Grid]:
+    """An LRU cache in front of the grid builder ``build``, bounded by the
+    weight its grids hold in all, GRID_CACHE_SIZE (read on every call),
+    rather than by its number of grids.  A new grid evicts the least
+    recently used ones until it fits; one heavier than the bound is built
+    for its caller and not kept.  Like ``lru_cache``, it has
+    ``cache_info()`` and ``cache_clear()``."""
+    grids: OrderedDict[tuple, _Grid] = OrderedDict()
+    hits = misses = held = 0
+    lock = threading.Lock()
+
+    def cached(*key: int) -> _Grid:
+        nonlocal hits, misses, held
+        with lock:
+            grid = grids.get(key)
+            if grid is not None:
+                hits += 1
+                grids.move_to_end(key)
+                return grid
+            misses += 1
+        grid = build(*key)
+        with lock:
+            if key not in grids and grid.weight <= GRID_CACHE_SIZE:
+                while held + grid.weight > GRID_CACHE_SIZE:
+                    held -= grids.popitem(last=False)[1].weight
+                grids[key] = grid
+                held += grid.weight
+        return grid
+
+    def cache_info() -> _GridCacheInfo:
+        with lock:
+            return _GridCacheInfo(hits, misses, GRID_CACHE_SIZE, held)
+
+    def cache_clear() -> None:
+        nonlocal hits, misses, held
+        with lock:
+            grids.clear()
+            hits = misses = held = 0
+
+    cached.cache_info = cache_info
+    cached.cache_clear = cache_clear
+    return functools.update_wrapper(cached, build)
+
+
+@_lru_by_weight
+def _grid(n: int, picard_rank: int, a_len: int, k: int) -> _Grid:
+    """The rank-n grid (n >= 2) over Picard rank ``picard_rank``, whose a
+    axis has ``a_len`` values and whose delta coordinates run over
+    -k..k times DELTA_STEP, once :func:`_axes` has checked these and the
+    grid's size.  Every candidate is built once, through the trusted
+    constructor: its fields are the axis values."""
+    coeff_values = [i * DELTA_STEP for i in range(-k, k + 1)]
+    a_values = tuple(i * A_STEP for i in range(a_len))
+    deltas = tuple(itertools.product(coeff_values, repeat=picard_rank))
+    es = (0, 1)
+    points = list(itertools.product(a_values, deltas, es))
+    candidate = trusted(DestabilizerCandidate)
+    return _Grid(a_values, deltas, es, tuple(
+        tuple([candidate(r, a, delta, e) for a, delta, e in points]) for r in range(1, n)
+    ))
+
+
+# The grid of n = 1: no rank, and empty axes, so it builds no delta product.
+_NO_GRID = _Grid((), (), (0, 1), ())
+
+
+def _axes(n: int, picard_rank: int, bounds: EnumerationBounds | None) -> _Grid:
+    """The rank-n grid over Picard rank ``picard_rank`` (``bounds`` None:
+    the default ``EnumerationBounds()``, built on the call, so an import
+    builds no value); it runs over the ranks 1..n - 1 and then the axes'
+    product, in that order.  The grid is counted from the two 1-D axis
+    lengths and refused above MAX_SCAN_CANDIDATES before any axis is built,
+    and so is a grid whose candidates hold more than 10·MAX_SCAN_CANDIDATES
+    delta entries in all (count × ρ); an empty grid (n = 1) gets empty
+    axes, so it builds no delta product.  Only a grid that passes every
+    check is looked up in :func:`_grid`'s cache, keyed on n, ρ and the two
+    axis lengths, all ints, so None and ``EnumerationBounds()``, or two
+    bounds that give the same axes, share one entry, and a refused
+    argument never reaches the cache.
 
     The count, (n - 1)·2·|δ axis|^ρ·|a axis|, is multiplied factor by
     factor.  Once a product before the a axis passes the cap, counting
@@ -696,22 +820,18 @@ def _axes(
             "coordinate each; lower the rank or the bounds"
         )
     if n == 1:
-        return [], [], (0, 1)
-    coeff_values = [i * DELTA_STEP for i in range(-k, k + 1)]
-    return (
-        [i * A_STEP for i in range(a_len)],
-        list(itertools.product(coeff_values, repeat=picard_rank)),
-        (0, 1),
-    )
+        return _NO_GRID
+    return _grid(n, picard_rank, a_len, k)
 
 
 def candidate_grid(
     n: int, picard_rank: int, bounds: EnumerationBounds | None
 ) -> list[DestabilizerCandidate]:
     """The full deterministic candidate list for a rank-n search (see
-    :func:`_axes`); a grid above MAX_SCAN_CANDIDATES is a ValueError."""
-    points = list(itertools.product(*_axes(n, picard_rank, bounds)))
-    return [DestabilizerCandidate(r, *point) for r in range(1, n) for point in points]
+    :func:`_axes`); a grid above MAX_SCAN_CANDIDATES is a ValueError.  The
+    list is new on every call, but its candidates are the grid's shared,
+    immutable ones, the same objects a scan over that grid reports."""
+    return list(itertools.chain.from_iterable(_axes(n, picard_rank, bounds).candidates))
 
 
 def enumerate_candidates(
@@ -721,13 +841,14 @@ def enumerate_candidates(
 ) -> ScanResult:
     """Certify every candidate on the grid of ``bounds`` (see :func:`_axes`);
     order is grid order.  The rank-independent part of a report is built
-    once per (a, delta, e).  A grid above MAX_SCAN_CANDIDATES is a
-    ValueError."""
+    once per (a, delta, e), and each report holds its grid's shared
+    candidate, which :func:`candidate_grid` returns too.  A grid above
+    MAX_SCAN_CANDIDATES is a ValueError."""
     fns = _require_num_trivial(pol, "stability scan")
-    axes = _axes(n, pol.model.picard_rank, bounds)
+    grid = _axes(n, pol.model.picard_rank, bounds)
     target = target_slope(n, pol)
-    cells = _cells(fns, *axes)
-    reports, any_violation = _reports(n, range(1, n), cells, target)
+    cells = _cells(fns, grid.a_values, grid.deltas, grid.es)
+    reports, any_violation = _reports(n, enumerate(grid.candidates, 1), cells, target)
     # The public constructor would cost sweep 6 % of its throughput (BENCH_17.json).
     return trusted(ScanResult)(tuple(reports), any_violation)
 

@@ -310,6 +310,26 @@ _MALFORMED_PAGES = [
     pytest.param(0, lambda page: setattr(page, "p_range", (0, -1)),
                  r"^the left page's rectangle \(0, -1\) × \(0, 3\) is empty$",
                  id="empty-rectangle"),
+    pytest.param(0, lambda page: setattr(page, "p_range", (-1, 0.5)),
+                 r"^an entry of the left page's p_range must be an int, got float 0\.5$",
+                 id="float-range"),
+    pytest.param(1, lambda page: setattr(page, "q_range", (-1, 0, 1)),
+                 r"^the right page's q_range must have 2 entries, got 3$", id="long-range"),
+    pytest.param(1, lambda page: setattr(page, "joint_nonzero", None),
+                 r"^the right page's joint_nonzero must be a tuple, got NoneType None$",
+                 id="groups-none"),
+    pytest.param(0, lambda page: page.terms.update({(1, -2): None}),
+                 r"^the left page's entry at \(1, -2\) must be a Term, got NoneType None$",
+                 id="entry-none-outside"),
+    pytest.param(1, lambda page: page.terms.update({(7, 7): Term("Zero")}),
+                 r"^the status of the right term at \(7, 7\) must be a TermStatus, "
+                 r"got str 'Zero'$", id="status-string-outside"),
+    pytest.param(0, lambda page: page.terms.update({"(1, -2)": Term(TermStatus.ZERO)}),
+                 r"^a position of the left page's terms must be a tuple, got str '\(1, -2\)'$",
+                 id="string-key-outside"),
+    pytest.param(0, lambda page: page.terms.update({(1, True): Term(TermStatus.ZERO)}),
+                 r"^an entry of a position of the left page's terms must be an int, "
+                 r"got bool True$", id="bool-key-outside"),
 ]
 
 
@@ -329,6 +349,39 @@ def test_entry_points_refuse_malformed_pages(index, spoil, message):
     with pytest.raises(ValueError, match=message):
         compare_limits(*pages)
     assert statuses_or_entries() == before
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [("side", "left", r"^a page's side must be a Side, got str 'left'$"),
+     ("terms", None, r"^the left page's terms must be a dict, got NoneType None$"),
+     ("n", 3.0, r"^the left page's n must be an int, got float 3\.0$")],
+    ids=["side", "terms", "n"],
+)
+def test_entry_points_refuse_a_page_whose_own_fields_are_malformed(field, value, message):
+    """A page's own fields are checked before its terms: a side that is not
+    a Side, terms that are not a dict and an n that is not an int are each a
+    ValueError naming the field, from degenerate() and render(), not an
+    AttributeError or TypeError met later; compare_limits() refuses them
+    too, the side as the wrong order of pages."""
+    left, right = build_pages(SheafScenario(3, 1, WitType.WIT0, 0))
+    setattr(left, field, value)
+    for call in (lambda: degenerate(left), left.render):
+        with pytest.raises(ValueError, match=message):
+            call()
+    with pytest.raises(ValueError):
+        compare_limits(left, right)
+
+
+def test_an_extra_zero_term_outside_the_rectangle_is_no_source():
+    """An extra Zero term at (1, -1), outside the left page of (3, 1, WIT0,
+    +1), is no d_r source: degenerate() passes the page and compare_limits()
+    gives the relations of the page without it."""
+    scenario = SheafScenario(3, 1, WitType.WIT0, 1)
+    left, right = build_pages(scenario)
+    left.terms[(1, -1)] = Term(TermStatus.ZERO)
+    assert degenerate(left) == (left, 2)
+    assert compare_limits(left, right) == compare_limits(*build_pages(scenario))
 
 
 def _offset_right_page():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import operator
 import os
 import re
 import subprocess
@@ -35,7 +36,7 @@ from weierfm import (
     transform_char,
     transform_stability,
 )
-from weierfm.stability import _inertia, _lattice_fault, candidate_grid
+from weierfm.stability import GRID_CACHE_SIZE, _inertia, _lattice_fault, candidate_grid
 
 HALF = Fraction(1, 2)
 
@@ -233,10 +234,10 @@ def test_delta_axis_is_the_integers_within_the_bound():
     always on it: 5/2 gives -2..2, and 1/3 gives 0 alone."""
     from weierfm.stability import _axes
 
-    _, deltas, _ = _axes(3, 1, EnumerationBounds(Fraction(5, 2), Fraction(5, 2)))
-    assert deltas == [(Fraction(d),) for d in range(-2, 3)]
-    _, deltas, _ = _axes(3, 2, EnumerationBounds(Fraction(0), Fraction(1, 3)))
-    assert deltas == [(Fraction(0), Fraction(0))]
+    deltas = _axes(3, 1, EnumerationBounds(Fraction(5, 2), Fraction(5, 2))).deltas
+    assert deltas == tuple((Fraction(d),) for d in range(-2, 3))
+    deltas = _axes(3, 2, EnumerationBounds(Fraction(0), Fraction(1, 3))).deltas
+    assert deltas == ((Fraction(0), Fraction(0)),)
     assert len(candidate_grid(3, 2, EnumerationBounds(Fraction(1, 2), Fraction(5, 2)))) == 2 * 2 * 25 * 2
 
 
@@ -304,7 +305,9 @@ def test_scan_cap_counts_the_grid_exactly(monkeypatch, n, rho, a_max, delta_max)
 def test_scan_cap_refuses_before_building_anything(monkeypatch, k3, k3_pol):
     """(4 - 1)·2 000 001·13·2 candidates: refused without an axis or a cell.
     The grid steps are swapped for ones that refuse to be multiplied, which
-    building either axis does; at n = 1 no axis is built either."""
+    building either axis does; at n = 1 no axis is built either.  The grid
+    cache starts empty, so the first call builds its grid rather than
+    finding it kept."""
     from weierfm import stability
 
     def unreachable(*args):
@@ -313,6 +316,7 @@ def test_scan_cap_refuses_before_building_anything(monkeypatch, k3, k3_pol):
     class Unbuilt(Fraction):
         __rmul__ = unreachable
 
+    stability._grid.cache_clear()
     monkeypatch.setattr(stability, "A_STEP", Unbuilt(stability.A_STEP))
     monkeypatch.setattr(stability, "DELTA_STEP", Unbuilt(stability.DELTA_STEP))
     with pytest.raises(AssertionError, match="built past the scan cap"):
@@ -375,6 +379,164 @@ def test_scan_cap_refuses_a_grid_too_large_to_count(k3_pol, call):
     builds no huge power and prints no number too long for ``str``."""
     with pytest.raises(ValueError, match="^the scan grid has too many candidates, above the cap"):
         call(k3_pol)
+
+
+# -- the shared grid -----------------------------------------------------------------
+
+
+@pytest.fixture
+def grid_cache():
+    """The grid cache, emptied before and after the test."""
+    from weierfm import stability
+
+    stability._grid.cache_clear()
+    yield stability._grid
+    stability._grid.cache_clear()
+
+
+def test_scans_over_one_grid_share_its_candidates(k3, enriques, grid_cache):
+    """Two polarizations, two presets of one Picard rank and both signs of m
+    scan one rank-3 grid: every scan's reports hold the same candidate
+    objects, the grid's, and every report still equals ``certify`` of its
+    candidate field by field."""
+    scans = []
+    for preset in (k3, enriques):
+        for t, s in ((Fraction(1), Fraction(1)), (HALF, Fraction(2))):
+            pol = Polarization(preset.model, t, s, preset.ample)
+            for m in (-3, 3):
+                scan = transform_stability(LineBundleX(preset.model, m), pol, small_bounds()).scan
+                for report in scan.reports:
+                    assert report == certify(3, pol, report.candidate)
+                scans.append(scan)
+    first = [report.candidate for report in scans[0].reports]
+    assert len(first) == 2 * 3 * 3 * 2
+    for scan in scans[1:]:
+        assert all(report.candidate is cand for report, cand in zip(scan.reports, first))
+    assert grid_cache.cache_info()[:2] == (len(scans) - 1, 1)
+
+
+def test_certify_reports_the_callers_own_candidate(k3_pol):
+    candidate = cand(r=2, a=HALF, delta=(1,), e=1)
+    assert certify(3, k3_pol, candidate).candidate is candidate
+
+
+# A lattice a K-trivial surface can have, and an h with h·h > 0 on it, by ρ.
+_LATTICES = {
+    1: (((4,),), (Fraction(1),)),
+    2: (((0, 1), (1, 0)), (Fraction(1), Fraction(1))),
+    3: (((0, 1, 0), (1, 0, 0), (0, 0, -2)), (Fraction(1), Fraction(1), Fraction(0))),
+}
+
+
+@pytest.mark.parametrize(
+    "n,rho,a_max,delta_max",
+    [(3, 1, 1, 1), (2, 2, HALF, Fraction(5, 2)), (4, 3, 0, 1), (5, 1, Fraction(3, 2), 0)],
+)
+def test_candidate_grid_is_the_scan_grid_and_the_public_rule(grid_cache, n, rho, a_max,
+                                                              delta_max):
+    """``candidate_grid`` returns a new list of the scan's own candidates,
+    rank by rank and in order, and they equal the candidates the public
+    constructor builds from the axes that EnumerationBounds documents."""
+    bounds = EnumerationBounds(a_max, delta_max)
+    grid = candidate_grid(n, rho, bounds)
+    gram, h = _LATTICES[rho]
+    pol = Polarization(k_trivial_model(gram), Fraction(1), Fraction(1), h)
+    scan = enumerate_candidates(n, pol, bounds)
+    assert all(report.candidate is c for report, c in zip(scan.reports, grid, strict=True))
+    again = candidate_grid(n, rho, bounds)
+    assert again is not grid and all(map(operator.is_, again, grid))
+    deltas = itertools.product(range(-int(delta_max), int(delta_max) + 1), repeat=rho)
+    points = list(itertools.product(range(int(2 * a_max) + 1), list(deltas), (0, 1)))
+    public = [DestabilizerCandidate(r, Fraction(a, 2), tuple(map(Fraction, delta)), e)
+              for r in range(1, n) for a, delta, e in points]
+    assert grid == public
+
+
+def test_the_public_candidate_constructor_still_checks_its_fields():
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        DestabilizerCandidate(1, 0.5, (Fraction(0),), 0)
+    with pytest.raises(ValueError, match="^r must be an int, got bool True$"):
+        DestabilizerCandidate(True, Fraction(0), (Fraction(0),), 0)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [pytest.param(lambda pol: candidate_grid(True, 1, None), ValueError,
+                  "^n must be a positive integer$", id="grid-bool-n"),
+     pytest.param(lambda pol: enumerate_candidates(True, pol), ValueError,
+                  "^n must be a positive integer$", id="scan-bool-n"),
+     pytest.param(lambda pol: candidate_grid(2, True, None), ValueError,
+                  "^picard_rank must be a positive integer$", id="grid-bool-rho"),
+     pytest.param(lambda pol: enumerate_candidates(2, pol, {"a_max": 1}), ValueError,
+                  "^bounds must be an EnumerationBounds, got dict", id="scan-dict-bounds"),
+     pytest.param(lambda pol: candidate_grid(2, 1, [1, 1]), ValueError,
+                  r"^bounds must be an EnumerationBounds, got list \[1, 1\]$",
+                  id="grid-list-bounds"),
+     pytest.param(lambda pol: candidate_grid(2, 1, (1, 1)), ValueError,
+                  r"^bounds must be an EnumerationBounds, got tuple \(1, 1\)$",
+                  id="grid-tuple-bounds"),
+     pytest.param(lambda pol: enumerate_candidates(4, pol, EnumerationBounds(Fraction(10**6))),
+                  ValueError, "^the scan grid has 156000078 candidates, above the cap 500000",
+                  id="candidate-cap"),
+     pytest.param(lambda pol: candidate_grid(2, 10**8, EnumerationBounds(Fraction(0),
+                                                                        Fraction(0))),
+                  ValueError, "^the scan grid's 2 candidates hold more than 5000000 delta",
+                  id="entry-cap")],
+)
+def test_a_refused_grid_never_reaches_the_cache(k3_pol, grid_cache, call, error, message):
+    """Every refusal keeps its class and message, and is raised before the
+    cache is looked up, so it leaves the cache as it was: True is not n = 1
+    or ρ = 1 there, and an unhashable bounds is never hashed.  A kept grid
+    of n = 2 and of n = 1 (which builds no grid) changes none of this."""
+    candidate_grid(2, 1, None)
+    candidate_grid(1, 1, None)
+    before = grid_cache.cache_info()
+    for _ in range(2):
+        with pytest.raises(error, match=message):
+            call(k3_pol)
+    assert grid_cache.cache_info() == before == (0, 1, GRID_CACHE_SIZE, 338 + 13)
+
+
+def test_grid_cache_evicts_the_least_recently_used_grids_by_weight(monkeypatch, grid_cache):
+    """A grid weighs its candidates plus the delta entries its axis holds; a
+    new grid evicts the least recently used ones until it fits, and one
+    heavier than the bound is built for its caller but not kept."""
+    from weierfm import stability
+
+    monkeypatch.setattr(stability, "GRID_CACHE_SIZE", 1000)
+    one_point = EnumerationBounds(Fraction(0), Fraction(0))
+    k3_grid = candidate_grid(2, 1, None)  # 338 candidates, 13 delta entries
+    wide = candidate_grid(2, 600, one_point)  # 2 candidates, 600 delta entries
+    assert candidate_grid(2, 1, None)[0] is k3_grid[0]  # a hit, now the most recent
+    assert grid_cache.cache_info() == (1, 2, 1000, 351 + 602)
+    # 8·3·2 candidates and 3 delta entries: the ρ = 600 grid makes room.
+    candidate_grid(2, 1, EnumerationBounds(Fraction(7, 2), Fraction(1)))
+    assert grid_cache.cache_info() == (1, 3, 1000, 351 + 51)
+    assert candidate_grid(2, 600, one_point)[0] is not wide[0]
+    assert candidate_grid(2, 1, None)[0] is not k3_grid[0]
+    # 3·13·13·2 candidates and 13 delta entries, over the bound: not kept.
+    heavy = candidate_grid(4, 1, None)
+    assert grid_cache.cache_info().currsize <= 1000
+    assert candidate_grid(4, 1, None)[0] is not heavy[0]
+    assert heavy == candidate_grid(4, 1, EnumerationBounds())
+
+
+def test_grid_cache_stays_under_its_bound_across_many_grids(k3_pol, grid_cache):
+    """k3 scans at n = 2..21 hold 71 240 candidates and delta entries, more
+    than GRID_CACHE_SIZE: the cache keeps at most that, the first grid is
+    evicted, and a re-scan over it rebuilds it and equals the cold scan."""
+    cold = enumerate_candidates(2, k3_pol)
+    weights = []
+    for n in range(2, 22):
+        enumerate_candidates(n, k3_pol)
+        weights.append(338 * (n - 1) + 13)
+    assert sum(weights) > GRID_CACHE_SIZE >= grid_cache.cache_info().currsize
+    again = enumerate_candidates(2, k3_pol)
+    assert again == cold
+    assert again.reports[0].candidate is not cold.reports[0].candidate
+    last = enumerate_candidates(21, k3_pol).reports[-1].candidate
+    assert last is candidate_grid(21, 1, None)[-1]
+    assert grid_cache.cache_info().currsize <= GRID_CACHE_SIZE
 
 
 # -- the pipeline --------------------------------------------------------------------
