@@ -47,35 +47,32 @@ the second pass reads only which terms are Zero, so it is final too.  Each
 term lies on one antidiagonal, which emits at most one Identification or
 ShortExact, so no carry reaches another relation.
 
-Each solve builds both pages column by column from runs of equal statuses,
-checks that no differential can act on either, and groups each page's live
-(not Zero) terms by total degree in one walk of its dict; a dict filled
-column by column gives each degree's terms larger q first.  That grouping
-checks nothing.  A page a caller hands in, to ``degenerate``,
-``compare_limits`` or ``PageGrid.render``, passes a boundary check first.
-It refuses a page whose own fields are not of their annotated classes
-(side, n, the two ranges, terms, joint_nonzero).  Then a walk of its
-rectangle, column by column, refuses an empty rectangle, a missing term,
-an entry that is not a Term or a status that is not a TermStatus, and a
-jointly-nonzero group that is not a non-empty tuple of positions of the
-rectangle, and returns the rectangle's terms, the page's own objects, in
-that order.  Only where the dict holds more terms than the rectangle does
-it walk the dict too, and refuse an extra key that is not a pair of ints
-or an extra entry that is not a Term with a TermStatus, since
-``is_settled`` reads those as sources.  ``build_pages`` makes its pages
-complete and in that order, so a solve skips the boundary check.  The
-first pass runs over the union of the two groupings' degrees in ascending
-order, takes each degree's groups out of them and looks each term up by
-its position; the second pass reads the jointly-nonzero groups, the third
-the relations the first emitted.  Grouping before the first pass is exact: a term turns Zero
-only while its own degree is processed, so each degree's live terms are,
-until then, the ones the grouping found.  The grouping and each pass are
-linear in the number of terms and groups, so for the pages of a scenario,
-which hold one group, time and memory are linear in n.  The TermRefs the
-relations name, labels included, are made once per process and shared by
-every solve.  The verdict a solve ends in, ``Conclusion`` of a
-``ConclusionKind``, is defined in :mod:`weierfm.fm`, so the layers that
-read it need not load this module.
+A page, ``PageGrid``, is a frozen value: its rectangle p_range × q_range
+and one status per cell, in the tuple ``statuses``, column by column (p
+ascending, then q ascending).  Its constructor checks every field against
+its annotation and refuses an empty rectangle, a statuses tuple whose
+length is not the rectangle's, and a jointly-nonzero group that is not a
+non-empty tuple of positions of the rectangle; so every page is complete,
+and the entry points check only its class.  ``build_pages`` concatenates
+each page's runs of equal statuses and builds it through
+:func:`weierfm.rationals.trusted`.  A solve copies both pages' statuses
+into one list, which its passes refine, and groups both pages' live (not
+Zero) cells by total degree in one walk of each page's statuses, reading
+each cell's position off its index; column order gives each degree's cells
+on a page larger q first, and the left page's cells come before the right
+page's.  The first pass runs over the grouping's degrees in ascending
+order, the second reads the jointly-nonzero groups, the third the
+relations the first emitted.  Grouping before the first pass is exact: a
+term turns Zero only while its own degree is processed, so each degree's
+live terms are, until then, the ones the grouping found.  The grouping
+and each pass are linear in the number of cells and groups, so for the
+pages of a scenario, which hold one group, time and memory are linear in
+n.  ``compare_limits`` returns the relations and leaves the
+caller's pages as they were; ``solve_scenario`` returns the refined pages
+with them.  The TermRefs the relations name, labels included, are made
+once per process and shared by every solve.  The verdict a solve ends in,
+``Conclusion`` of a ``ConclusionKind``, is defined in :mod:`weierfm.fm`,
+so the layers that read it need not load this module.
 
 Each entry point refuses an argument of the wrong class with
 :func:`weierfm.rationals.require`'s ValueError before reading it.
@@ -83,14 +80,16 @@ Each entry point refuses an argument of the wrong class with
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
-from dataclasses import dataclass
+import operator
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
 from .errors import InfeasibleScenarioError, InternalCheckError
 from .fm import Conclusion, ConclusionKind, WitType
-from .rationals import is_int, require, trusted, value_class
+from .rationals import require, trusted, value_class
 
 
 class Side(enum.Enum):
@@ -104,18 +103,18 @@ class TermStatus(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(slots=True)
+@value_class
 class Term:
-    """One E_2 cell; the solver refines its status in place."""
+    """One E_2 cell's status, as ``PageGrid.terms`` shows it."""
     status: TermStatus
 
 
 Pos = tuple[int, int]
 
-# Largest dimension n a SheafScenario accepts.  A solve peaks at 0.6-2.4 KiB
+# Largest dimension n a SheafScenario accepts.  A solve peaks at 0.1-2.3 KiB
 # per unit of n (tracemalloc, n = 1 600 to 25 600; what it leaves held, the
-# solution and the shared term references, is 0.6-2.3), so this keeps one
-# solve under ~240 MiB.
+# solution and the shared term references, is 0.03-2.0), so this keeps one
+# solve under ~225 MiB.
 MAX_SCENARIO_DIMENSION = 100_000
 
 
@@ -138,9 +137,9 @@ class SheafScenario:
     dim_shift  -- dim(surviving transform) - dim(E), in {-1, 0, +1};
                   this is an exact statement, not an inequality
 
-    solve_scenario takes time and memory linear in n: it peaks at 0.6-2.4
+    solve_scenario takes time and memory linear in n: it peaks at 0.1-2.3
     KiB per unit of n, and what it leaves held, the solution and the shared
-    term references, is 0.6-2.3.
+    term references, is 0.03-2.0.
     """
 
     n: int
@@ -182,9 +181,10 @@ class SheafScenario:
         return 0 if self.wit is WitType.WIT0 else 1
 
 
-@dataclass
+@value_class
 class PageGrid:
-    """One rectangular E_2 page: a Term per (p, q) in p_range × q_range.
+    """One rectangular E_2 page: a status per (p, q) in p_range × q_range,
+    listed in ``statuses`` column by column (p ascending, then q ascending).
 
     joint_nonzero lists groups of positions of which at least one must end
     up NonZero (used for the transform of E^D, which may vanish in either
@@ -195,8 +195,32 @@ class PageGrid:
     n: int
     p_range: tuple[int, int]
     q_range: tuple[int, int]
-    terms: dict[Pos, Term]
+    statuses: tuple[TermStatus, ...]
     joint_nonzero: tuple[tuple[Pos, ...], ...] = ()
+
+    def _check(self) -> None:
+        """That the rectangle is not empty, ``statuses`` holds one status
+        per cell of it, and each jointly-nonzero group is a non-empty tuple
+        of its positions."""
+        side = self.side.value
+        (p0, p1), (q0, q1) = self.p_range, self.q_range
+        if p0 > p1 or q0 > q1:
+            raise ValueError(f"the {side} page's rectangle {self.p_range} × {self.q_range} is empty")
+        cells = (p1 - p0 + 1) * (q1 - q0 + 1)
+        if len(self.statuses) != cells:
+            raise ValueError(
+                f"the {side} page's rectangle {self.p_range} × {self.q_range} has "
+                f"{cells} cells, got {len(self.statuses)} statuses"
+            )
+        for group in self.joint_nonzero:
+            if not group:
+                raise ValueError(
+                    f"a joint_nonzero group of the {side} page must be a non-empty "
+                    f"tuple of positions, got {group!r}"
+                )
+            for pos in group:
+                if not self.in_region(pos):
+                    raise ValueError(f"a joint_nonzero group names {pos}, outside the {side} page")
 
     def in_region(self, pos: Pos) -> bool:
         p, q = pos
@@ -205,42 +229,64 @@ class PageGrid:
             and self.q_range[0] <= q <= self.q_range[1]
         )
 
+    def index(self, pos: Pos) -> int:
+        """The place in ``statuses`` of the cell at ``pos``, in the region."""
+        p, q = pos
+        (p0, _), (q0, q1) = self.p_range, self.q_range
+        return (p - p0) * (q1 - q0 + 1) + q - q0
+
     def status(self, pos: Pos) -> TermStatus:
         if not self.in_region(pos):
             return TermStatus.ZERO
-        return self.terms[pos].status
+        return self.statuses[self.index(pos)]
+
+    @property
+    def terms(self) -> dict[Pos, Term]:
+        """A fresh dict of the page's statuses by position, column by
+        column, each in a frozen Term.  Each read builds the whole dict, so
+        a reader of single cells calls ``status``; the solver reads
+        ``statuses``."""
+        (p0, p1), (q0, q1) = self.p_range, self.q_range
+        cells = itertools.product(range(p0, p1 + 1), range(q0, q1 + 1))
+        return dict(zip(cells, map(trusted(Term), self.statuses)))
 
     def is_settled(self) -> bool:
         """No differential d_r (r >= 2) joins a term that is not Zero to a
-        target in the region that is not Zero.
+        target that is not Zero, both in the rectangle.
 
-        d_r moves (p, q) to (p - r + 1, q + r), so its target can stay in
-        the region only while r <= width + 1 and r <= height: the two-row
-        Right band has no r to check, the Left band only r = 2.
+        d_r moves (p, q) to (p - r + 1, q + r), so, counting the rectangle
+        in cells, its target can stay in it only while r <= width and
+        r < height: the two-row Right band has no r to check, the Left band
+        only r = 2.  For each r, a column's sources with a target in the
+        rectangle are its bottom height - r cells, and their targets the top
+        height - r cells of the column r - 1 places to the left.
         """
         (p0, p1), (q0, q1) = self.p_range, self.q_range
-        steps = range(2, min(p1 - p0 + 1, q1 - q0) + 1)
-        if not steps:
-            return True
-        terms, zero = self.terms, TermStatus.ZERO
-        for (p, q), term in terms.items():
-            if term.status is not zero:
-                for r in steps:
-                    tp, tq = p - r + 1, q + r
-                    if p0 <= tp <= p1 and q0 <= tq <= q1 and terms[tp, tq].status is not zero:
-                        return False
+        width, height = p1 - p0 + 1, q1 - q0 + 1
+        statuses = self.statuses
+        for r in range(2, min(width, height - 1) + 1):
+            for col in range(r - 1, width):
+                sources = statuses[col * height:(col + 1) * height - r]
+                targets = statuses[(col - r + 1) * height + r:(col - r + 2) * height]
+                if any(_is_live(itertools.compress(targets, _is_live(sources)))):
+                    return False
         return True
 
     def render(self) -> str:
-        """Matrix display, top row = largest q, for CLI/demo output; a
-        malformed page is a ValueError, as ``degenerate`` refuses it."""
-        terms = _page_terms(self)
+        """Matrix display, top row = largest q, for CLI/demo output."""
         (p0, p1), (q0, q1) = self.p_range, self.q_range
+        height = q1 - q0 + 1
         lines = [f"{self.side.value} page (E_2)"]
-        for q in range(q1, q0 - 1, -1):
-            cells = [f"{_MARKS[terms[p, q].status]} ({p},{q})" for p in range(p0, p1 + 1)]
+        for row in range(height - 1, -1, -1):
+            marks = map(_MARKS.__getitem__, self.statuses[row::height])
+            cells = [f"{mark} ({p},{q0 + row})" for p, mark in zip(range(p0, p1 + 1), marks)]
             lines.append("  " + "   ".join(cells))
         return "\n".join(lines)
+
+
+def _is_live(statuses: Iterable[TermStatus]) -> Iterator[bool]:
+    """Whether each of ``statuses`` is not Zero, lazily and in C."""
+    return map(operator.is_not, statuses, itertools.repeat(TermStatus.ZERO))
 
 
 # The mark PageGrid.render shows for each status.
@@ -380,138 +426,50 @@ def _conclusion(scenario: SheafScenario, kind: ConclusionKind) -> Conclusion:
 # -- page construction ----------------------------------------------------
 
 
-def _page(
-    side: Side,
-    n: int,
-    p_range: tuple[int, int],
-    q_range: tuple[int, int],
-    runs: tuple[tuple[TermStatus, int], ...],
-    joint_nonzero: tuple[tuple[Pos, ...], ...] = (),
-) -> PageGrid:
-    """A page whose cells, column by column (p ascending, then q ascending),
-    take the statuses of ``runs``: (status, count) pairs covering the region,
-    each cell its own Term."""
-    (p0, p1), (q0, q1) = p_range, q_range
-    cells = itertools.product(range(p0, p1 + 1), range(q0, q1 + 1))
-    statuses = itertools.chain.from_iterable(itertools.starmap(itertools.repeat, runs))
-    terms = dict(zip(cells, map(Term, statuses), strict=True))
-    return PageGrid(side, n, p_range, q_range, terms, joint_nonzero)
-
-
 def build_pages(scenario: SheafScenario) -> tuple[PageGrid, PageGrid]:
     """E2 pages for one scenario, statuses seeded with the input facts."""
     require(scenario, SheafScenario, "scenario")
     n, c = scenario.n, scenario.c
     cT = scenario.transform_codim
-    dead = ((TermStatus.ZERO, n + 1),)  # the dead WIT column
+    zero, unknown = TermStatus.ZERO, TermStatus.UNKNOWN
+    dead = (zero,) * (n + 1)  # the dead WIT column
     surviving = (
-        (TermStatus.ZERO, cT),  # below the transform's codim
+        (zero,) * cT  # below the transform's codim
         # top local Ext of a sheaf of codim exactly cT: its dual, nonzero
         # because the transform of a nonzero sheaf survives
-        (TermStatus.NONZERO, 1),
-        (TermStatus.UNKNOWN, n - cT),
+        + (TermStatus.NONZERO,)
+        + (unknown,) * (n - cT)
     )
-    left_runs = dead + surviving if scenario.surviving_column == 0 else surviving + dead
-    left = _page(Side.LEFT, n, (-1, 0), (0, n), left_runs)
+    left = dead + surviving if scenario.surviving_column == 0 else surviving + dead
     # Two cells per Right column; the columns p < c vanish.
-    right_runs = ((TermStatus.ZERO, 2 * c), (TermStatus.UNKNOWN, 2 * (n + 1 - c)))
-    right = _page(
-        Side.RIGHT, n, (0, n), (-1, 0), right_runs, joint_nonzero=(((c, -1), (c, 0)),)
+    right = (zero,) * (2 * c) + (unknown,) * (2 * (n + 1 - c))
+    page = trusted(PageGrid)
+    return (
+        page(Side.LEFT, n, (-1, 0), (0, n), left, ()),
+        page(Side.RIGHT, n, (0, n), (-1, 0), right, (((c, -1), (c, 0)),)),
     )
-    return left, right
 
 
-def _require_pair(value: object, what: str) -> None:
-    """Refuse with :func:`require`'s ValueError a ``value`` that is not a
-    pair of ints, the rule of a ``tuple[int, int]`` field."""
-    require(value, tuple, what)
-    if len(value) != 2:
-        raise ValueError(f"{what} must have 2 entries, got {len(value)}")
-    for x in value:
-        require(x, int, f"an entry of {what}")
+# Live cells by total degree, as _live_by_degree fills them in: each
+# cell's index in the solve's list of statuses and its position.
+_LiveByDegree = dict[int, list[tuple[int, Pos]]]
 
 
-def _require_term(term: object, side: str, pos: object) -> None:
-    """Refuse with ValueError an entry at ``pos`` of the ``side`` page that
-    is not a Term with a TermStatus."""
-    require(term, Term, f"the {side} page's entry at {pos}")
-    require(term.status, TermStatus, f"the status of the {side} term at {pos}")
-
-
-def _page_terms(grid: PageGrid) -> dict[Pos, Term]:
-    """The boundary check of a page a caller hands in: its rectangle's
-    terms, the page's own objects, keyed column by column (p ascending,
-    then q ascending), the order ``_live_by_degree`` reads.
-
-    It refuses (ValueError, naming the field) a page whose own fields are
-    not of their annotated classes: a side that is not a Side, an n that is
-    not an int, a range that is not a pair of ints, terms that are not a
-    dict or a joint_nonzero that is not a tuple.  Then it refuses an empty
-    rectangle, a position of the rectangle with no term (the first the walk
-    reaches, so the smallest), an entry that is not a Term or whose status
-    is not a TermStatus, and a joint_nonzero group that is not a non-empty
-    tuple of positions of the rectangle.  Terms outside the rectangle are
-    read only as ``is_settled``'s d_r sources; where the dict holds more
-    terms than the rectangle, each extra key must be a pair of ints and
-    each extra entry a Term with a TermStatus.
-    """
-    require(grid.side, Side, "a page's side")
-    side = grid.side.value
-    require(grid.n, int, f"the {side} page's n")
-    _require_pair(grid.p_range, f"the {side} page's p_range")
-    _require_pair(grid.q_range, f"the {side} page's q_range")
-    require(grid.terms, dict, f"the {side} page's terms")
-    require(grid.joint_nonzero, tuple, f"the {side} page's joint_nonzero")
-    terms = grid.terms
-    (p0, p1), (q0, q1) = grid.p_range, grid.q_range
-    if p0 > p1 or q0 > q1:
-        raise ValueError(f"the {side} page's rectangle {grid.p_range} × {grid.q_range} is empty")
-    cells: dict[Pos, Term] = {}
-    for pos in itertools.product(range(p0, p1 + 1), range(q0, q1 + 1)):
-        try:
-            term = cells[pos] = terms[pos]
-        except KeyError:
-            raise ValueError(f"the {side} page has no term at {pos}") from None
-        # The exact types pass at once; anything else gets require's rules.
-        if type(term) is not Term or type(term.status) is not TermStatus:
-            _require_term(term, side, pos)
-    if len(terms) > len(cells):
-        for pos, term in terms.items():
-            if pos not in cells:
-                _require_pair(pos, f"a position of the {side} page's terms")
-                _require_term(term, side, pos)
-    for group in grid.joint_nonzero:
-        is_group = isinstance(group, tuple) and all(isinstance(pos, tuple) for pos in group)
-        if not is_group or not group:
-            raise ValueError(
-                f"a joint_nonzero group of the {side} page must be a non-empty "
-                f"tuple of positions, got {group!r}"
-            )
-        for pos in group:
-            if not all(map(is_int, pos)) or pos not in cells:
-                raise ValueError(f"a joint_nonzero group names {pos}, outside the {side} page")
-    return cells
-
-
-# A page's live positions by total degree, as _live_by_degree returns them.
-_LiveByDegree = dict[int, list[Pos]]
-
-
-def _live_by_degree(terms: dict[Pos, Term]) -> _LiveByDegree:
-    """The positions of the terms that are not Zero, each the dict's own
-    key, grouped by total degree p + q in one walk of a dict filled column
-    by column: within a degree a smaller p is a larger q, so each group
-    comes larger q first."""
-    zero = TermStatus.ZERO
-    live: _LiveByDegree = {}
-    for pos, term in terms.items():
-        if term.status is not zero:
-            p, q = pos
-            if (k := p + q) in live:
-                live[k].append(pos)
-            else:
-                live[k] = [pos]
-    return live
+def _live_by_degree(grid: PageGrid, offset: int, live: _LiveByDegree) -> None:
+    """Add to ``live`` the cells of ``grid`` that are not Zero, each as
+    ``offset`` plus its index in ``statuses`` and its position, grouped by
+    total degree p + q in one walk of the statuses: within a degree a
+    smaller p is a larger q, so column order gives each group larger q
+    first."""
+    (p0, _), (q0, q1) = grid.p_range, grid.q_range
+    height = q1 - q0 + 1
+    for i in itertools.compress(itertools.count(), _is_live(grid.statuses)):
+        column, row = divmod(i, height)
+        p, q = pos = p0 + column, q0 + row
+        if (k := p + q) in live:
+            live[k].append((offset + i, pos))
+        else:
+            live[k] = [(offset + i, pos)]
 
 
 def _check_degenerated(grid: PageGrid) -> None:
@@ -529,16 +487,11 @@ def degenerate(grid: PageGrid) -> tuple[PageGrid, int]:
     In every scenario ``build_pages`` seeds, no differential can act (the
     Right band has two rows and the Left band a dead column), so the
     statuses already describe the limit.  A grid on which some d_r could
-    still act breaks that invariant and raises ``InternalCheckError``.
-    Checked first, a malformed grid is a ValueError: a field that is not of
-    its annotated class, an empty rectangle, a hole in it (the smallest is
-    named), an entry that is not a Term or a status that is not a
-    TermStatus, inside the rectangle or outside it, an extra key that is not
-    a pair of ints, or a joint_nonzero group that is not a non-empty tuple
-    of positions of the rectangle.
+    still act breaks that invariant and raises ``InternalCheckError``.  A
+    page is checked when it is built, so only an argument that is not a
+    PageGrid is refused here, with ValueError.
     """
     require(grid, PageGrid, "page")
-    _page_terms(grid)
     _check_degenerated(grid)
     return grid, 2
 
@@ -546,68 +499,77 @@ def degenerate(grid: PageGrid) -> tuple[PageGrid, int]:
 # -- limit comparison ------------------------------------------------------
 
 
-def _solve(
-    left: PageGrid, right: PageGrid, terms_l: dict[Pos, Term], terms_r: dict[Pos, Term]
-) -> list[DerivedRelation]:
-    """The three passes of the module docstring over each page's rectangle,
-    ``terms_l`` and ``terms_r``, column-ordered dicts of the pages' own
-    terms; statuses refine in place.
+def _solve(left: PageGrid, right: PageGrid) -> tuple[list[DerivedRelation], PageGrid, PageGrid]:
+    """The three passes of the module docstring over two settled pages:
+    the relations, in the order the passes emit them, and the two pages
+    with their refined statuses.
 
-    The first pass takes each degree's groups out of the two pages'
-    groupings (``_live_by_degree``) as it reads them, so a solve never holds
-    both its groupings and all its relations.  It builds the relations
-    through their trusted constructors; the public ones would cost duality
-    11 % of its throughput (BENCH_17.json).
+    Both pages' statuses are copied into one list, the left page's first,
+    which the passes refine; a cell is its index there.  One grouping
+    (``_live_by_degree``) holds both pages' live cells, each degree's left
+    cells before its right ones, so the cells of a degree with an index
+    below the right page's offset are its left cells.  The first pass
+    takes each degree's group out of the grouping as it reads it, so a
+    solve never holds both its grouping and all its relations.  It builds
+    the relations through their trusted constructors; the public ones
+    would cost duality 11 % of its throughput (BENCH_17.json).
     """
     identification, forced_zero = trusted(Identification), trusted(ForcedZero)
     short_exact = trusted(ShortExact)
     zero, nonzero = TermStatus.ZERO, TermStatus.NONZERO
-    live_left, live_right = _live_by_degree(terms_l), _live_by_degree(terms_r)
+    split = len(left.statuses)
+    statuses = [*left.statuses, *right.statuses]
+    live: _LiveByDegree = {}
+    _live_by_degree(left, 0, live)
+    _live_by_degree(right, split, live)
     relations: list[DerivedRelation] = []
     # (source, source, targets) of each Identification and ShortExact: the
     # third pass makes the targets NonZero when a source is.
-    carries: list[tuple[Term, Term, tuple[Term, ...]]] = []
-    for k in sorted(live_left.keys() | live_right.keys()):
-        lives_l, lives_r = live_left.pop(k, ()), live_right.pop(k, ())
-        if not lives_l or not lives_r:
+    carries: list[tuple[int, int, tuple[int, ...]]] = []
+    for k in sorted(live):
+        cells = live.pop(k)
+        # (split,) sorts after every left cell and before every right one.
+        lefts = bisect.bisect_left(cells, (split,))
+        if lefts in (0, len(cells)):
             # Every survivor faces an empty page.
-            on_left = bool(lives_l)
+            on_left = lefts > 0
             empty = Side.RIGHT if on_left else Side.LEFT
-            terms = terms_l if on_left else terms_r
-            for pos in lives_l or lives_r:
+            for i, pos in cells:
                 ref = _term_ref(on_left, pos)
-                term = terms[pos]
-                if term.status is nonzero:
+                if statuses[i] is nonzero:
                     reason = (
                         f"{ref.label} is required nonzero but an empty "
                         f"{empty.value} page in total degree {k} forces it to vanish"
                     )
                     relations.append(Forbidden(k, reason))
                 else:  # live, so Unknown
-                    term.status = zero
+                    statuses[i] = zero
                     relations.append(forced_zero(k, ref))
-        elif len(lives_l) == 1 and len(lives_r) == 1:
-            [pos_l], [pos_r] = lives_l, lives_r
+        elif len(cells) == 2:  # one on each side
+            (i_l, pos_l), (i_r, pos_r) = cells
             ref_l, ref_r = _term_ref(True, pos_l), _term_ref(False, pos_r)
             relations.append(identification(k, ref_l, ref_r))
-            term_l, term_r = terms_l[pos_l], terms_r[pos_r]
-            carries.append((term_l, term_r, (term_l, term_r)))
-        elif len(lives_l) + len(lives_r) == 3:  # one against two
-            mid_on_left = len(lives_l) == 1
-            one, two = (lives_l, lives_r) if mid_on_left else (lives_r, lives_l)
-            mid_terms, pair_terms = (terms_l, terms_r) if mid_on_left else (terms_r, terms_l)
-            # The cells come larger q first; the deeper filtration step
-            # (larger outer degree, i.e. larger q) is the subobject
-            [mid_pos], [sub_pos, quot_pos] = one, two
+            carries.append((i_l, i_r, (i_l, i_r)))
+        elif len(cells) == 3:  # one against two
+            # Each side's cells come larger q first; the deeper filtration
+            # step (larger outer degree, i.e. larger q) is the subobject
+            mid_on_left = lefts == 1
+            if mid_on_left:
+                (mid, mid_pos), (sub, sub_pos), (quot, quot_pos) = cells
+            else:
+                (sub, sub_pos), (quot, quot_pos), (mid, mid_pos) = cells
             sub_ref = _term_ref(not mid_on_left, sub_pos)
             mid_ref = _term_ref(mid_on_left, mid_pos)
             quot_ref = _term_ref(not mid_on_left, quot_pos)
             relations.append(short_exact(k, sub_ref, mid_ref, quot_ref))
-            carries.append((pair_terms[sub_pos], pair_terms[quot_pos], (mid_terms[mid_pos],)))
-    for grid, page_terms in ((left, terms_l), (right, terms_r)):
+            carries.append((sub, quot, (mid,)))
+    # A page may repeat a group; its Forbidden is emitted once, the first
+    # time, found in a set rather than by a scan of the relations.
+    forbidden_groups: set[Forbidden] = set()
+    for grid, offset in ((left, 0), (right, split)):
         for group in grid.joint_nonzero:
-            terms = [page_terms[pos] for pos in group]
-            zeros = sum(term.status is zero for term in terms)
+            cells = [offset + grid.index(pos) for pos in group]
+            zeros = [statuses[i] for i in cells].count(zero)
             if zeros == len(group):
                 is_left = grid.side is Side.LEFT
                 labels = ", ".join(_term_ref(is_left, pos).label for pos in group)
@@ -615,33 +577,35 @@ def _solve(
                     max(p + q for p, q in group),
                     "every term of a jointly-nonzero group vanished: " + labels,
                 )
-                # A page may repeat a group; its Forbidden is emitted once.
-                if forbidden not in relations:
+                if forbidden not in forbidden_groups:
+                    forbidden_groups.add(forbidden)
                     relations.append(forbidden)
             elif zeros == len(group) - 1:
-                for term in terms:
-                    if term.status is TermStatus.UNKNOWN:
-                        term.status = nonzero
+                for i in cells:
+                    if statuses[i] is TermStatus.UNKNOWN:
+                        statuses[i] = nonzero
     for one, other, targets in carries:
-        if nonzero in (one.status, other.status):
-            for term in targets:
-                term.status = nonzero
-    return relations
+        if statuses[one] is nonzero or statuses[other] is nonzero:
+            for i in targets:
+                statuses[i] = nonzero
+    page = trusted(PageGrid)
+    return (
+        relations,
+        page(left.side, left.n, left.p_range, left.q_range, tuple(statuses[:split]),
+             left.joint_nonzero),
+        page(right.side, right.n, right.p_range, right.q_range, tuple(statuses[split:]),
+             right.joint_nonzero),
+    )
 
 
 def compare_limits(left: PageGrid, right: PageGrid) -> list[DerivedRelation]:
-    """Equate the two limits degree by degree; refine statuses in place.
+    """Equate the two limits degree by degree; return the relations.
 
     Both grids must already be degenerate (no differential can act), since
-    the comparison reads the pages as the limit's graded pieces.  Each is
-    refused first if malformed, as ``degenerate`` refuses it: a field that
-    is not of its annotated class, an empty rectangle, a hole in it, an
-    entry that is not a Term or a status that is not a TermStatus, an extra
-    key that is not a pair of ints, or a joint_nonzero group that is not a
-    non-empty tuple of positions of the rectangle.  Every refusal is a
-    ValueError, raised before any status of either page changes.  Terms
-    outside a rectangle are never read or written, except as sources of
-    ``is_settled``'s differentials.
+    the comparison reads the pages as the limit's graded pieces; a page on
+    which one can act is a ValueError.  The pages are frozen and stay as
+    they were: the statuses the relations refine come with the relations
+    from ``solve_scenario``.
     """
     require(left, PageGrid, "left page")
     require(right, PageGrid, "right page")
@@ -649,13 +613,12 @@ def compare_limits(left: PageGrid, right: PageGrid) -> list[DerivedRelation]:
         raise ValueError("compare_limits takes (left page, right page)")
     if left.n != right.n:
         raise ValueError("pages disagree about the ambient dimension")
-    terms_l, terms_r = _page_terms(left), _page_terms(right)
     for grid in (left, right):
         if not grid.is_settled():
             raise ValueError(
                 "compare_limits requires degenerated pages; call degenerate() first"
             )
-    return _solve(left, right, terms_l, terms_r)
+    return _solve(left, right)[0]
 
 
 # -- closed form and the full pipeline -------------------------------------
@@ -700,7 +663,7 @@ def _entailed_conclusion(
         if isinstance(rel, Forbidden):
             return Conclusion(ConclusionKind.FORBIDDEN, rel.reason)
     anchor = (scenario.c, -1)  # ι*(Φ^0 E^D) ⊗ p*L
-    if right.terms[anchor].status is TermStatus.ZERO:
+    if right.status(anchor) is TermStatus.ZERO:
         return _conclusion(scenario, ConclusionKind.DUAL_IS_WIT1)
     expected_partner = (scenario.surviving_column, scenario.transform_codim)
     for rel in relations:
@@ -721,11 +684,9 @@ def solve_scenario(scenario: SheafScenario) -> ScenarioSolution:
     """build_pages -> degenerate -> compare_limits -> entailed conclusion;
     build_pages refuses a ``scenario`` that is not a SheafScenario."""
     left, right = build_pages(scenario)
-    # build_pages fills each page's whole rectangle column by column, so
-    # the solve reads the pages' own dicts without the boundary check.
     _check_degenerated(left)
     _check_degenerated(right)
-    relations = _solve(left, right, left.terms, right.terms)
+    relations, left, right = _solve(left, right)
     conclusion = _entailed_conclusion(scenario, right, relations)
     # The public constructor would cost duality 4 % of its throughput (BENCH_18.json).
     return trusted(ScenarioSolution)(

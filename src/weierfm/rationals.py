@@ -27,7 +27,7 @@ annotation must name classes its module binds, or that construction
 raises NameError.  An optional field, ``X | None``, takes None or what X
 takes.  One rule, ``tuple_item``, reads a tuple type's item type and
 length, for these checks and for the codec's generated decoders and
-encoders.  The duality solver's relations and the
+encoders.  The duality solver's pages and relations and the
 stability scan's values, and what the JSON decoders' own checks passed,
 are built through ``trusted(cls)``: one constructor per class, generated
 on first use, that only stores the fields.  Every class the codec reads

@@ -152,15 +152,19 @@ def test_checker_refuses_a_status_no_model_forces(status):
     completeness check, whichever way it is decided."""
     solution = solve_scenario(SheafScenario(3, 1, WitType.WIT0, 1))
     open_terms = [
-        term
-        for grid in (solution.left, solution.right)
-        for term in grid.terms.values()
-        if term.status is UNKNOWN
+        (side, i)
+        for side in ("left", "right")
+        for i, term_status in enumerate(getattr(solution, side).statuses)
+        if term_status is UNKNOWN
     ]
     assert open_terms
-    open_terms[0].status = status
+    side, i = open_terms[0]
+    grid = getattr(solution, side)
+    spoiled = dataclasses.replace(
+        grid, statuses=grid.statuses[:i] + (status,) + grid.statuses[i + 1:]
+    )
     with pytest.raises(AssertionError):
-        check_solution(solution)
+        check_solution(dataclasses.replace(solution, **{side: spoiled}))
 
 
 def test_checker_refuses_a_missing_forbidden():
