@@ -65,10 +65,12 @@ for it once the functionals are cached.  One rule builds the grid for
 both :func:`enumerate_candidates` and :func:`candidate_grid`: it checks n,
 counts the candidates against MAX_SCAN_CANDIDATES and the delta entries they
 hold against ten times that, and only then looks the grid up, keyed on n,
-ρ and the two axis lengths, in one cache bounded by the candidates and
-delta entries its grids hold in all (GRID_CACHE_SIZE), building the axes
-and every rank's candidates on a miss.  A refused grid is never looked up
-or kept.
+ρ and the two axis lengths, in one ``functools.lru_cache`` of 16 grids,
+building the axes and every rank's candidates on a miss.  A grid whose
+candidates and delta-axis entries number more than its share of
+GRID_CACHE_SIZE (a sixteenth) is built for its caller and never kept, so
+the kept grids hold at most GRID_CACHE_SIZE of them in all.  A refused
+grid is never looked up or kept.
 
 Positive m reduces to negative m through the dual line bundle: the
 duality bookkeeping of :mod:`weierfm.duality` identifies the dual of the
@@ -78,16 +80,13 @@ a twist, none of which move slope stability.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
-import threading
-from collections import OrderedDict
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     HypothesisViolationError,
@@ -631,9 +630,9 @@ def _reports(
     second pass reads the reports.  ``ranks`` holds (r, the rank-r
     candidates) pairs, one candidate per cell (a tuple in :class:`_Cell`'s
     field order) and in the cells' order; a report holds that candidate
-    object, shared with every other report of it (a scan's candidates come
-    from its cached grid, :func:`_axes`).  Every field was checked when its
-    cell or candidate was built, so reports are built through the trusted
+    object, which a scan shares with every other scan over its grid while
+    :func:`_axes` keeps that grid.  Every field was checked when its cell
+    or candidate was built, so reports are built through the trusted
     constructor."""
     # The public constructors would cost sweep 51 % of its throughput (BENCH_17.json).
     report = trusted(StabilityReport)
@@ -677,79 +676,18 @@ class _Grid(NamedTuple):
     es: tuple[int, ...]
     candidates: tuple[tuple[DestabilizerCandidate, ...], ...]
 
-    @property
-    def weight(self) -> int:
-        """What the grid cache counts the grid as: its candidates plus the
-        delta entries its axis holds, which the candidates share.  A
-        one-point delta axis at a large ρ holds two candidates but ρ
-        entries."""
-        return sum(map(len, self.candidates)) + sum(map(len, self.deltas))
 
-
-# The weight (candidates plus delta entries, _Grid.weight) the grid cache
-# keeps over all its grids.  A unit takes 176-207 B (tracemalloc, full
-# caches of k3 grids, of ρ = 3 grids and of the smallest grids), so this
-# holds at most ~13 MiB; a sweep block keeps 3 302 candidates (3 439 units).
-# Knocking the cache out costs sweep 25 % of its throughput (BENCH_30.json).
+# The units (candidates plus the delta entries of the delta axis, which the
+# candidates share) that the grids _grid keeps hold in all: _axes keeps a
+# grid only within its share, GRID_CACHE_SIZE over _grid's maxsize.  A unit
+# takes 176-207 B (tracemalloc, full caches of k3 grids, of ρ = 3 grids and
+# of the smallest grids), so this holds at most ~13 MiB; a sweep block
+# reads 4 grids of 3 439 units.
 GRID_CACHE_SIZE = 65_536
 
 
-class _GridCacheInfo(NamedTuple):
-    """``functools.lru_cache``'s statistics, with ``maxsize`` and
-    ``currsize`` counted in grid weight (:attr:`_Grid.weight`) rather than
-    in grids."""
-
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
-def _lru_by_weight(build: Callable[..., _Grid]) -> Callable[..., _Grid]:
-    """An LRU cache in front of the grid builder ``build``, bounded by the
-    weight its grids hold in all, GRID_CACHE_SIZE (read on every call),
-    rather than by its number of grids.  A new grid evicts the least
-    recently used ones until it fits; one heavier than the bound is built
-    for its caller and not kept.  Like ``lru_cache``, it has
-    ``cache_info()`` and ``cache_clear()``."""
-    grids: OrderedDict[tuple, _Grid] = OrderedDict()
-    hits = misses = held = 0
-    lock = threading.Lock()
-
-    def cached(*key: int) -> _Grid:
-        nonlocal hits, misses, held
-        with lock:
-            grid = grids.get(key)
-            if grid is not None:
-                hits += 1
-                grids.move_to_end(key)
-                return grid
-            misses += 1
-        grid = build(*key)
-        with lock:
-            if key not in grids and grid.weight <= GRID_CACHE_SIZE:
-                while held + grid.weight > GRID_CACHE_SIZE:
-                    held -= grids.popitem(last=False)[1].weight
-                grids[key] = grid
-                held += grid.weight
-        return grid
-
-    def cache_info() -> _GridCacheInfo:
-        with lock:
-            return _GridCacheInfo(hits, misses, GRID_CACHE_SIZE, held)
-
-    def cache_clear() -> None:
-        nonlocal hits, misses, held
-        with lock:
-            grids.clear()
-            hits = misses = held = 0
-
-    cached.cache_info = cache_info
-    cached.cache_clear = cache_clear
-    return functools.update_wrapper(cached, build)
-
-
-@_lru_by_weight
+# Knocking the cache out costs sweep 25 % of its throughput (BENCH_30.json).
+@lru_cache(maxsize=16)
 def _grid(n: int, picard_rank: int, a_len: int, k: int) -> _Grid:
     """The rank-n grid (n >= 2) over Picard rank ``picard_rank``, whose a
     axis has ``a_len`` values and whose delta coordinates run over
@@ -783,7 +721,11 @@ def _axes(n: int, picard_rank: int, bounds: EnumerationBounds | None) -> _Grid:
     check is looked up in :func:`_grid`'s cache, keyed on n, ρ and the two
     axis lengths, all ints, so None and ``EnumerationBounds()``, or two
     bounds that give the same axes, share one entry, and a refused
-    argument never reaches the cache.
+    argument never reaches the cache.  The count also gives the grid's
+    units, its candidates plus the delta entries of its axis; a grid of
+    more units than GRID_CACHE_SIZE over the cache's maxsize bypasses the
+    cache, built for its caller and never kept, so the kept grids hold at
+    most GRID_CACHE_SIZE units in all.
 
     The count, (n - 1)·2·|δ axis|^ρ·|a axis|, is multiplied factor by
     factor.  Once a product before the a axis passes the cap, counting
@@ -821,6 +763,10 @@ def _axes(n: int, picard_rank: int, bounds: EnumerationBounds | None) -> _Grid:
         )
     if n == 1:
         return _NO_GRID
+    # count // ((n - 1)·2·|a axis|) is the delta axis's length.
+    units = count + count // (2 * (n - 1) * a_len) * picard_rank
+    if units > GRID_CACHE_SIZE // _grid.cache_parameters()["maxsize"]:
+        return _grid.__wrapped__(n, picard_rank, a_len, k)
     return _grid(n, picard_rank, a_len, k)
 
 
@@ -829,8 +775,9 @@ def candidate_grid(
 ) -> list[DestabilizerCandidate]:
     """The full deterministic candidate list for a rank-n search (see
     :func:`_axes`); a grid above MAX_SCAN_CANDIDATES is a ValueError.  The
-    list is new on every call, but its candidates are the grid's shared,
-    immutable ones, the same objects a scan over that grid reports."""
+    list is new on every call, but its candidates are the grid's,
+    immutable, and while :func:`_axes` keeps the grid, the same objects a
+    scan over it reports."""
     return list(itertools.chain.from_iterable(_axes(n, picard_rank, bounds).candidates))
 
 
@@ -841,9 +788,9 @@ def enumerate_candidates(
 ) -> ScanResult:
     """Certify every candidate on the grid of ``bounds`` (see :func:`_axes`);
     order is grid order.  The rank-independent part of a report is built
-    once per (a, delta, e), and each report holds its grid's shared
-    candidate, which :func:`candidate_grid` returns too.  A grid above
-    MAX_SCAN_CANDIDATES is a ValueError."""
+    once per (a, delta, e), and each report holds its grid's candidate,
+    which :func:`candidate_grid` returns too while the grid is kept.  A
+    grid above MAX_SCAN_CANDIDATES is a ValueError."""
     fns = _require_num_trivial(pol, "stability scan")
     grid = _axes(n, pol.model.picard_rank, bounds)
     target = target_slope(n, pol)

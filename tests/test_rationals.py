@@ -145,11 +145,11 @@ def test_module_caches_are_the_audited_ones():
     decoders: each bounded one was measured to pay for itself, and the
     unbounded ones (the generated codecs, trusted constructors and value
     classes' check tables) are keyed by a class.  A new cache is added here
-    with its measured share.  The grid cache's bound counts the candidates
-    its grids hold, not its grids."""
+    with its measured share.  The grid cache keeps 16 grids, and stability
+    keeps none over a sixteenth of GRID_CACHE_SIZE units in it."""
     from weierfm import serialize
     from weierfm.duality import TERM_REF_CACHE_SIZE
-    from weierfm.stability import GRID_CACHE_SIZE, POLARIZATION_CACHE_SIZE
+    from weierfm.stability import POLARIZATION_CACHE_SIZE
 
     caches = {}
     for info in pkgutil.iter_modules(weierfm.__path__):
@@ -166,7 +166,7 @@ def test_module_caches_are_the_audited_ones():
         ("serialize", "_decoder_of"): None,
         ("serialize", "_encoder_of"): None,
         ("stability", "_functionals"): POLARIZATION_CACHE_SIZE,
-        ("stability", "_grid"): GRID_CACHE_SIZE,
+        ("stability", "_grid"): 16,
         ("stability", "target_slope"): POLARIZATION_CACHE_SIZE,
     }
     shared = {name: serialize._decoder_of(

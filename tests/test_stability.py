@@ -494,49 +494,183 @@ def test_a_refused_grid_never_reaches_the_cache(k3_pol, grid_cache, call, error,
     for _ in range(2):
         with pytest.raises(error, match=message):
             call(k3_pol)
-    assert grid_cache.cache_info() == before == (0, 1, GRID_CACHE_SIZE, 338 + 13)
+    assert grid_cache.cache_info() == before == (0, 1, 16, 1)
 
 
-def test_grid_cache_evicts_the_least_recently_used_grids_by_weight(monkeypatch, grid_cache):
-    """A grid weighs its candidates plus the delta entries its axis holds; a
-    new grid evicts the least recently used ones until it fits, and one
-    heavier than the bound is built for its caller but not kept."""
-    from weierfm import stability
+def _units(n, rho, bounds):
+    """What a grid counts against its share of GRID_CACHE_SIZE: its
+    candidates plus the delta entries of its delta axis."""
+    deltas = (2 * int(bounds.delta_max) + 1) ** rho
+    return (n - 1) * (int(2 * bounds.a_max) + 1) * deltas * 2 + deltas * rho
 
-    monkeypatch.setattr(stability, "GRID_CACHE_SIZE", 1000)
+
+def test_grid_cache_evicts_the_least_recently_used_grids_by_weight(grid_cache):
+    """The cache keeps at most maxsize grids, and only grids within their
+    share of GRID_CACHE_SIZE, its maxsize-th part: a grid of more units
+    (candidates plus delta-axis entries) is built on every call and never
+    kept, even at two candidates, and a new grid past maxsize small ones
+    evicts the least recently used one."""
+    maxsize = grid_cache.cache_info().maxsize
+    share = GRID_CACHE_SIZE // maxsize
+    assert (maxsize, share) == (16, 4096)
     one_point = EnumerationBounds(Fraction(0), Fraction(0))
-    k3_grid = candidate_grid(2, 1, None)  # 338 candidates, 13 delta entries
-    wide = candidate_grid(2, 600, one_point)  # 2 candidates, 600 delta entries
-    assert candidate_grid(2, 1, None)[0] is k3_grid[0]  # a hit, now the most recent
-    assert grid_cache.cache_info() == (1, 2, 1000, 351 + 602)
-    # 8·3·2 candidates and 3 delta entries: the ρ = 600 grid makes room.
-    candidate_grid(2, 1, EnumerationBounds(Fraction(7, 2), Fraction(1)))
-    assert grid_cache.cache_info() == (1, 3, 1000, 351 + 51)
-    assert candidate_grid(2, 600, one_point)[0] is not wide[0]
-    assert candidate_grid(2, 1, None)[0] is not k3_grid[0]
-    # 3·13·13·2 candidates and 13 delta entries, over the bound: not kept.
-    heavy = candidate_grid(4, 1, None)
-    assert grid_cache.cache_info().currsize <= 1000
-    assert candidate_grid(4, 1, None)[0] is not heavy[0]
-    assert heavy == candidate_grid(4, 1, EnumerationBounds())
+    # 2 candidates and share - 2 delta entries: kept; one entry more: not.
+    wide = candidate_grid(2, share - 2, one_point)
+    assert candidate_grid(2, share - 2, one_point)[0] is wide[0]
+    wider = candidate_grid(2, share - 1, one_point)
+    assert candidate_grid(2, share - 1, one_point)[0] is not wider[0]
+    # k3 at n = 13 weighs 12·338 + 13 = 4 069 units: kept; n = 14, 4 407: not.
+    default = EnumerationBounds()
+    assert _units(13, 1, default) <= share < _units(14, 1, default)
+    assert candidate_grid(13, 1, None)[0] is candidate_grid(13, 1, default)[0]
+    heavy = candidate_grid(14, 1, None)
+    assert candidate_grid(14, 1, None)[0] is not heavy[0]
+    assert heavy == candidate_grid(14, 1, default)
+    # Only the kept grids count as hits and misses.
+    assert grid_cache.cache_info() == (2, 2, maxsize, 2)
+    grid_cache.cache_clear()
+    small = [EnumerationBounds(Fraction(i, 2), Fraction(0)) for i in range(maxsize + 1)]
+    firsts = [candidate_grid(2, 1, bounds)[0] for bounds in small[:maxsize]]
+    assert candidate_grid(2, 1, small[0])[0] is firsts[0]  # now the most recent
+    candidate_grid(2, 1, small[maxsize])  # evicts small[1], the least recent
+    assert grid_cache.cache_info() == (1, maxsize + 1, maxsize, maxsize)
+    assert candidate_grid(2, 1, small[0])[0] is firsts[0]
+    assert candidate_grid(2, 1, small[1])[0] is not firsts[1]
 
 
 def test_grid_cache_stays_under_its_bound_across_many_grids(k3_pol, grid_cache):
-    """k3 scans at n = 2..21 hold 71 240 candidates and delta entries, more
-    than GRID_CACHE_SIZE: the cache keeps at most that, the first grid is
-    evicted, and a re-scan over it rebuilds it and equals the cold scan."""
+    """k3 scans at n = 2..21 over the default and a small grid weigh 71 240
+    and 3 840 units, more than GRID_CACHE_SIZE.  The cache keeps at most
+    maxsize grids, and no grid over its share of GRID_CACHE_SIZE (n >= 14
+    at the default bounds), so the grids it keeps hold at most
+    GRID_CACHE_SIZE units.  The first grid is evicted, and a re-scan over it
+    rebuilds it and equals the cold scan."""
+    maxsize = grid_cache.cache_info().maxsize
+    share = GRID_CACHE_SIZE // maxsize
+    default, small = EnumerationBounds(), small_bounds()
     cold = enumerate_candidates(2, k3_pol)
-    weights = []
     for n in range(2, 22):
         enumerate_candidates(n, k3_pol)
-        weights.append(338 * (n - 1) + 13)
-    assert sum(weights) > GRID_CACHE_SIZE >= grid_cache.cache_info().currsize
+        enumerate_candidates(n, k3_pol, small)
+    weights = [_units(n, 1, bounds) for n in range(2, 22) for bounds in (default, small)]
+    assert (sum(weights[::2]), sum(weights[1::2])) == (71_240, 3_840)
+    kept = sum(weight <= share for weight in weights)
+    assert kept == 12 + 20 > maxsize
+    assert grid_cache.cache_info() == (1, kept, maxsize, maxsize)
+    for n in range(14, 22):
+        assert enumerate_candidates(n, k3_pol).reports[0].candidate is not (
+            candidate_grid(n, 1, None)[0])
     again = enumerate_candidates(2, k3_pol)
     assert again == cold
     assert again.reports[0].candidate is not cold.reports[0].candidate
-    last = enumerate_candidates(21, k3_pol).reports[-1].candidate
-    assert last is candidate_grid(21, 1, None)[-1]
-    assert grid_cache.cache_info().currsize <= GRID_CACHE_SIZE
+    last = enumerate_candidates(13, k3_pol).reports[-1].candidate
+    assert last is candidate_grid(13, 1, None)[-1]
+    assert grid_cache.cache_info().currsize <= maxsize
+
+
+def test_grid_cache_shared_by_threads_gives_the_single_thread_scans(k3, enriques,
+                                                                   grid_cache):
+    """Four threads run the same six scans, which read three kept grids
+    (k3 and Enriques share two) and one over its share of GRID_CACHE_SIZE,
+    never kept: every thread's scans equal the single-thread scans by
+    value, and the cache keeps the three grids.  Two threads that miss one grid together may each build it, so
+    only values, not candidate objects, are compared, and a miss may be
+    counted once per thread."""
+    from concurrent.futures import ThreadPoolExecutor
+    from threading import Barrier
+
+    calls = [(LineBundleX(preset.model, m), Polarization(preset.model, t, s, preset.ample),
+              bounds)
+             for preset, m, t, s, bounds in (
+                 (k3, -2, Fraction(1), Fraction(1), None),
+                 (enriques, 2, HALF, Fraction(2), None),
+                 (k3, 3, Fraction(1), Fraction(3), small_bounds()),
+                 (enriques, -3, Fraction(2), Fraction(1), small_bounds()),
+                 (k3, -14, Fraction(1), Fraction(1), EnumerationBounds(delta_max=Fraction(0))),
+                 (k3, 14, HALF, Fraction(1), None))]
+    want = [transform_stability(*call) for call in calls]
+    grid_cache.cache_clear()
+    start = Barrier(4)
+
+    def run(_):
+        start.wait()
+        return [transform_stability(*call) for call in calls]
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(run, range(4)))
+    assert results == [want] * 4
+    info = grid_cache.cache_info()
+    assert info.currsize == 3 <= info.maxsize
+    assert info.hits + info.misses == 4 * 5 and info.misses >= 3
+
+
+def test_a_sweep_block_reads_four_grids_and_then_finds_them_kept(k3, enriques,
+                                                                 grid_cache):
+    """The benchmark's sweep block scans k3 and Enriques at n = 2, 3 and 4
+    and the ρ = 2 lattice at n = 2 and delta_max = 3, with both signs: 4
+    grids of 351, 689, 1 027 and 1 372 units, each within its share of
+    GRID_CACHE_SIZE.  The first block builds each once and finds it kept
+    on every later scan; a second block only finds them kept."""
+    gram, h = _LATTICES[2]
+    rho2 = k_trivial_model(gram)
+    block = [(LineBundleX(preset.model, sign * n),
+              Polarization(preset.model, Fraction(1), Fraction(1), preset.ample), None)
+             for preset in (k3, enriques) for n in (2, 3, 4) for sign in (-1, 1)]
+    block += [(LineBundleX(rho2, sign * 2), Polarization(rho2, Fraction(1), Fraction(1), h),
+               EnumerationBounds(delta_max=Fraction(3)))
+              for sign in (-1, 1)]
+    share = GRID_CACHE_SIZE // grid_cache.cache_info().maxsize
+    units = [_units(n, 1, EnumerationBounds()) for n in (2, 3, 4)]
+    units.append(_units(2, 2, EnumerationBounds(delta_max=Fraction(3))))
+    assert units == [351, 689, 1_027, 1_372] and max(units) <= share
+    for call in block:
+        assert transform_stability(*call).stable
+    assert grid_cache.cache_info()[:2] == (len(block) - 4, 4)
+    for call in block:
+        transform_stability(*call)
+    assert grid_cache.cache_info()[:2] == (2 * len(block) - 4, 4)
+
+
+def test_a_full_grid_cache_stays_under_16_mib():
+    """maxsize grids, each just within its share of GRID_CACHE_SIZE,
+    among them a one-point delta axis at ρ = share - 2 (two candidates
+    holding a delta of 4 094 entries) and grids of ρ = 2 and 3, take less
+    than 16 MiB: a unit took 176-207 B when the cache was sized, and about
+    165 B in this fill."""
+    import gc
+    import tracemalloc
+
+    from weierfm import stability
+
+    maxsize = stability._grid.cache_info().maxsize
+    share = GRID_CACHE_SIZE // maxsize
+    keys = [(2, share - 2, EnumerationBounds(Fraction(0), Fraction(0)))]
+    for rho, delta_max in ((2, 2), (3, 1)):
+        deltas = (2 * delta_max + 1) ** rho
+        a_len = (share - deltas * rho) // (2 * deltas)
+        keys.append((2, rho, EnumerationBounds(Fraction(a_len - 1, 2), Fraction(delta_max))))
+    n = 2
+    while len(keys) < maxsize:
+        a_len = (share - 13) // (26 * (n - 1))
+        keys.append((n, 1, EnumerationBounds(Fraction(a_len - 1, 2), Fraction(6))))
+        n += 1
+    units = [_units(*key) for key in keys]
+    assert max(units) <= share and sum(units) > 0.95 * GRID_CACHE_SIZE
+    stability._grid.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for key in keys:
+            candidate_grid(*key)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        info = stability._grid.cache_info()
+        stability._grid.cache_clear()
+    assert (info.misses, info.currsize) == (maxsize, maxsize)
+    assert grown < 16 * 2**20, grown
 
 
 # -- the pipeline --------------------------------------------------------------------
