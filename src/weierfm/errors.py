@@ -37,7 +37,7 @@ class InternalCheckError(WeierfmError):
     """An internal cross-check failed.
 
     These guard identities the implementation promises to verify on
-    every run (ring-vs-closed-form slope agreement, trace decomposition
-    summing to r times the slope).  Seeing one means a bug, never bad
-    user input.
+    every run, on the slope functionals' coefficients (ring-vs-closed-form
+    agreement, trace decomposition summing to r times the slope).  Seeing
+    one means a bug, never bad user input.
     """

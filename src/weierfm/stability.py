@@ -28,23 +28,26 @@ top-level flag for it.
 Every integral a candidate needs is linear in ch1(F) = (e - a)Θ - p*delta.
 So, once per polarization, the ring multiplies the basis {Θ, p*e_1, …,
 p*e_ρ} by ω², by its fiber part and by its mixed part, and the integrals
-are cached as three linear functionals.  They are checked there: the ω²
-functional must equal its closed-form coefficients (s²H² on Θ,
-2ts·(e_i·H) on p*e_i), and fiber + mixed must equal ω².  No ring product
-runs per candidate.  The scan scales the functionals and the axis values
-to integers over one common denominator D, then computes the O(ρ) dot
-products (δ·H and δ against each functional) once per δ and the Θ terms
-once per (a, e), all as integer multiply-adds.  The check of the ring's
-slope numerator against the closed form, and the check that the trace
-steps sum to that numerator (r times the slope of every rank), are each
-an identity between an (a, e) side and a δ side, so each is checked once
-per axis value rather than once per cell.  Each (a, δ, e) cell then runs a
-few integer subtractions and the signs of its trace steps.  A cell is a
-plain tuple.  Each distinct step value becomes a Fraction and a TraceStep,
-and each distinct trace a tuple of those steps, once per scan.  A
-candidate looks up its slope and verdict per distinct numerator, and the
-scan's Violation flag is set as the verdicts are judged, with no second
-pass over the reports.  Every value a scan holds is built from these
+are cached as three linear functionals.  One rule
+(:func:`_check_identities`) checks two identities on their coefficients,
+one basis class at a time: the ω² functional must equal its closed-form
+coefficients (s²H² on Θ, 2ts·(e_i·H) on p*e_i), and fiber + mixed must
+equal ω².  No ring product runs per candidate.  The scan scales the
+functionals and the axis values to integers over one common denominator
+D, checks the two identities again on those integers, once per scan, so
+no verdict reads a coefficient it has not checked, then computes the
+O(ρ) dot products (δ·H and δ against the fiber and mixed functionals)
+once per δ and the Θ terms once per (a, e), all as integer multiply-adds.
+Every integral is linear in (a, δ, e), so the checked coefficients make
+the ring's slope numerator equal the closed form, and the trace steps sum
+to it (r times the slope of every rank), at every cell: no cell or axis
+value checks anything.  Each (a, δ, e) cell runs a few integer
+subtractions and the signs of its trace steps.  A cell is a plain tuple
+of what a report reads.  Each distinct step value becomes a Fraction and
+a TraceStep, and each distinct trace a tuple of those steps, once per
+scan.  A candidate looks up its slope and verdict per distinct numerator,
+and the scan's Violation flag is set as the verdicts are judged, with no
+second pass over the reports.  Every value a scan holds is built from these
 checked values through its class's trusted constructor
 (:func:`weierfm.rationals.trusted`), without re-running the public
 constructor's checks: each TraceStep once per distinct step value, each
@@ -163,9 +166,11 @@ class StabilityReport:
 
 
 # Grid steps: a moves in halves, so the integrality screen is exercised,
-# not assumed; each delta coordinate moves in whole steps.
+# not assumed; each delta coordinate moves in whole steps.  Every grid's e
+# axis is the normal form's whole range.
 A_STEP = Fraction(1, 2)
 DELTA_STEP = Fraction(1)
+_ES = (0, 1)
 
 # Largest grid a scan or candidate_grid builds.  A held scan report takes
 # 0.38-0.41 KiB (tracemalloc, U + <-2> with h = (1, 1, 0) at n = 2 and 5),
@@ -354,9 +359,8 @@ def _dot(u: tuple[Fraction, ...], v: tuple[Fraction, ...]) -> Fraction:
 @lru_cache(maxsize=POLARIZATION_CACHE_SIZE)
 def _functionals(pol: Polarization) -> _Functionals:
     """Push the basis {Θ, p*e_i} through the ring against ω² and its two
-    parts, once per polarization, and check the results: the ω² functionals
-    against their closed-form coefficients (s²H² on Θ, 2ts·(e_i·H) on
-    p*e_i), and fiber + mixed against ω²."""
+    parts, once per polarization, and check the results on their
+    coefficients (:func:`_check_identities`)."""
     model = pol.model
     geometry = _geometry(pol)
     units = [
@@ -374,21 +378,28 @@ def _functionals(pol: Polarization) -> _Functionals:
     gram_h = tuple(model.pair(u, pol.h) for u in units)
     two_ts = 2 * pol.t * pol.s
     ss_hh = pol.s * pol.s * geometry.hh
-    closed = (ss_hh,) + tuple(two_ts * g for g in gram_h)
-    if omega_squared != closed:
-        raise InternalCheckError(
-            "ring integration and closed-form slope numerators disagree: "
-            f"[{', '.join(map(str, omega_squared))}] vs "
-            f"[{', '.join(map(str, closed))}] on the basis Θ, p*e_i"
-        )
-    if any(f + m != w for f, m, w in zip(fiber, mixed, omega_squared)):
-        raise InternalCheckError(
-            "trace decomposition does not sum to r times the candidate slope: "
-            "fiber and mixed functionals do not add up to ω²"
-        )
+    _check_identities(omega_squared, fiber, mixed, (ss_hh, *(two_ts * g for g in gram_h)))
     return _Functionals(
         omega_squared, fiber, mixed, gram_h, two_ts, ss_hh, _lattice_fault(model.gram)
     )
+
+
+def _check_identities(omega_squared, fiber, mixed, closed, den: int = 1) -> None:
+    """Raise InternalCheckError unless the ω² functional equals its closed
+    form ``closed`` (s²H² on Θ, 2ts·(e_i·H) on p*e_i) and fiber + mixed
+    equals ω², each coefficient by coefficient on the basis Θ, p*e_i; the
+    coefficients are rationals, or integers over ``den``.  The first
+    message quotes the first coefficient that differs, ring first."""
+    for ring, form in zip(omega_squared, closed):
+        if ring != form:
+            raise InternalCheckError(
+                "ring integration and closed-form slope numerators disagree: "
+                f"{Fraction(ring, den)} vs {Fraction(form, den)}"
+            )
+    if any(f + m != w for f, m, w in zip(fiber, mixed, omega_squared)):
+        raise InternalCheckError(
+            "trace decomposition does not sum to r times the candidate slope"
+        )
 
 
 # -- slopes -----------------------------------------------------------------
@@ -416,25 +427,6 @@ def target_slope(n: int, pol: Polarization) -> Fraction:
     return value
 
 
-class _Cell(NamedTuple):
-    """Everything a report at one (a, delta, e) point holds but its rank.
-
-    ``numerator`` is an integer over ``denominator``, D² for the common
-    denominator D of the functionals and axis values of a :func:`_cells`
-    call.  The scan builds its cells as plain tuples in this field order;
-    only :func:`_point` names one."""
-
-    a: Fraction
-    delta: tuple[Fraction, ...]
-    e: int
-    fiber_deg: Fraction
-    numerator: int  # ∫ ch1(F)·ω² times denominator, checked against the closed form
-    denominator: int
-    proxy: EffectivityProxy
-    trace: tuple[TraceStep, ...]
-    reasons: tuple[str, ...]  # every inadmissibility reason but the rank
-
-
 def _ints(values, den: int) -> list[int]:
     """Each rational of ``values`` times ``den``, a multiple of its
     denominator."""
@@ -443,30 +435,25 @@ def _ints(values, den: int) -> list[int]:
 
 def _cells(fns: _Functionals, a_values, deltas, es) -> list[tuple]:
     """One cell per (a, delta, e), e fastest, then delta, then a: the grid
-    order.  Each cell is a tuple in :class:`_Cell`'s field order.
+    order.  A cell is the tuple (fiber degree, numerator, D², proxy,
+    trace, reasons) of what a report at its point reads but the rank and
+    the candidate: ``numerator`` is r times the candidate's slope, an
+    integer over D², and ``reasons`` every inadmissibility reason but the
+    rank.
 
     Every term is an integer over D², for one D per call: the least common
     multiple of the denominators of the functionals (2ts as 2ts·(gram·h)),
     of the a values and of the delta entries.  Each functional and each
     axis value is scaled to integers over D once, so their products are
     integers over D²: the dot products once per delta (delta·H,
-    2ts·delta·H and delta against ω², fiber and mixed) and the Θ terms once
-    per (a, e).  A cell only subtracts them.
+    2ts·delta·H and delta against the fiber and mixed functionals) and the
+    Θ terms once per (a, e).  A cell only subtracts them.
 
-    Each of the two checks is an identity P(a, e) = Q(delta), with
-    fd = e - a: the ring's slope numerator against the closed form,
-
-        fd·ω²[Θ] - fd·s²H² = delta·ω²[1:] - 2ts·delta·H,
-
-    and the trace sum against that numerator,
-
-        fd·fiber[Θ] - a·mixed[Θ] + e·mixed[Θ] - fd·s²H²
-            = delta·fiber[1:] + delta·mixed[1:] - 2ts·delta·H.
-
-    It holds at every cell exactly when all its P and Q values are one
-    integer, so the values are compared once per axis value.  When they
-    are not, :func:`_raise_at_first_failing_cell` walks the grid in order
-    and raises where a per-cell check would.
+    The two identities are checked once per call, on the functionals'
+    integers over D (:func:`_check_identities`).  With fd = e - a, they
+    make the ring's slope numerator fd·ω²[Θ] - delta·ω²[1:] equal the
+    closed form fd·s²H² - 2ts·delta·H, and the trace steps sum to it, at
+    every cell, so a cell's numerator is the closed form's.
 
     Only what a report stores becomes a Fraction: the pairing once per
     delta, the fiber degree once per (a, e), and each distinct step value
@@ -474,39 +461,32 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[tuple]:
     them.  The fiber-degree step depends only on (e - a, delta), the
     effectivity step on (a, delta) and the section-part step on e, so far
     fewer steps than traces are built."""
-    if not (a_values and deltas and es):
-        return []
-    two_ts_h = [fns.two_ts * g for g in fns.gram_h]
+    closed = (fns.ss_hh, *(fns.two_ts * g for g in fns.gram_h))
     den = math.lcm(*{x.denominator for x in itertools.chain(
-        fns.omega_squared, fns.fiber, fns.mixed, fns.gram_h, two_ts_h, (fns.ss_hh,),
+        fns.omega_squared, fns.fiber, fns.mixed, fns.gram_h, closed,
         a_values, itertools.chain.from_iterable(deltas))})
     scale = den * den
-    w0, *w = _ints(fns.omega_squared, den)
-    fiber0, *fiber = _ints(fns.fiber, den)
-    mixed0, *mixed = _ints(fns.mixed, den)
-    gram_h, ts_h = _ints(fns.gram_h, den), _ints(two_ts_h, den)
-    ss = fns.ss_hh.numerator * (den // fns.ss_hh.denominator)
+    fiber, mixed, closed = _ints(fns.fiber, den), _ints(fns.mixed, den), _ints(closed, den)
+    _check_identities(_ints(fns.omega_squared, den), fiber, mixed, closed, den)
+    (fiber0, *fiber), (mixed0, *mixed), (ss, *ts_h) = fiber, mixed, closed
+    gram_h = _ints(fns.gram_h, den)
     # The public constructors would cost sweep 14 % of its throughput (BENCH_17.json).
     proxy, step = trusted(EffectivityProxy), trusted(TraceStep)
-    by_delta, delta_sides = [], []
+    by_delta = []
     for delta in deltas:
         d = _ints(delta, den)
         pairing = Fraction(sum(map(operator.mul, d, gram_h)), scale)
         reason = (f"effectivity proxy fails: delta·H = {pairing} < 0",) if pairing < 0 else ()
-        ts_pairing = sum(map(operator.mul, d, ts_h))
-        fiber_d = sum(map(operator.mul, d, fiber))
-        mixed_d = sum(map(operator.mul, d, mixed))
         # The proxy for a < 0 and for a >= 0, indexed by a >= 0.
         proxies = (proxy(False, pairing), proxy(True, pairing))
-        by_delta.append((delta, proxies, reason, ts_pairing, fiber_d, mixed_d))
-        delta_sides.append((ts_pairing, sum(map(operator.mul, d, w)) - ts_pairing,
-                            fiber_d + mixed_d - ts_pairing))
-    by_a, a_sides = [], []
+        by_delta.append((proxies, reason, sum(map(operator.mul, d, ts_h)),
+                         sum(map(operator.mul, d, fiber)), sum(map(operator.mul, d, mixed))))
+    by_a = []
     for a in a_values:
         a_nonneg = a >= 0
         a_reason = () if a_nonneg else (f"effectivity proxy fails: a = {a} < 0",)
         a_int = a.numerator * (den // a.denominator)
-        rows, sides = [], []
+        rows = []
         for e in es:
             fd = e - a
             if fd.denominator != 1:
@@ -516,14 +496,8 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[tuple]:
             fd_int = e * den - a_int
             fd_ss, fd_fiber = fd_int * ss, fd_int * fiber0
             a_mixed, step3 = -a_int * mixed0, e * den * mixed0
-            rows.append((e, fd, fd_reason, fd_ss, fd_fiber, a_mixed, step3))
-            sides.append((fd_ss, fd_int * w0 - fd_ss, fd_fiber + a_mixed + step3 - fd_ss))
-        by_a.append((a, a_nonneg, a_reason, rows))
-        a_sides.append(sides)
-    # Each check's P and Q values, which are one integer where it holds.
-    _, numerator_sides, trace_sides = zip(*itertools.chain(delta_sides, *a_sides))
-    if len(set(numerator_sides)) != 1 or len(set(trace_sides)) != 1:
-        _raise_at_first_failing_cell(a_sides, delta_sides, scale)
+            rows.append((fd, fd_reason, fd_ss, fd_fiber, a_mixed, step3))
+        by_a.append((a_nonneg, a_reason, rows))
 
     def step_of(made: dict[int, TraceStep], x: int, name: str, requirement: str,
                 satisfied: bool) -> TraceStep:
@@ -539,11 +513,11 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[tuple]:
     section_steps: dict[int, TraceStep] = {}
     cells = []
     # ch1(F) splits as (-aΘ - p*delta) + eΘ, the torsion and section parts.
-    for a, a_nonneg, a_reason, rows in by_a:
-        for delta, proxies, pair_reason, ts_pairing, fiber_d, mixed_d in by_delta:
+    for a_nonneg, a_reason, rows in by_a:
+        for proxies, pair_reason, ts_pairing, fiber_d, mixed_d in by_delta:
             cell_proxy = proxies[a_nonneg]
             cell_reason = a_reason + pair_reason
-            for e, fd, fd_reason, fd_ss, fd_fiber, a_mixed, step3 in rows:
+            for fd, fd_reason, fd_ss, fd_fiber, a_mixed, step3 in rows:
                 step1, step2 = fd_fiber - fiber_d, a_mixed - mixed_d
                 key = (step1, step2, step3)
                 trace = traces.get(key)
@@ -556,50 +530,29 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[tuple]:
                                 step3 == 0),
                     )
                 # r times the slope is numerator / D² at every rank r.
-                cells.append((a, delta, e, fd, fd_ss - ts_pairing, scale, cell_proxy, trace,
+                cells.append((fd, fd_ss - ts_pairing, scale, cell_proxy, trace,
                               cell_reason + fd_reason))
     return cells
 
 
-def _raise_at_first_failing_cell(a_sides: list, delta_sides: list, scale: int) -> None:
-    """Walk :func:`_cells`'s grid in its order and raise InternalCheckError
-    at the first cell where the ring's slope numerator and the closed form
-    disagree, or where the trace does not sum to that numerator.  A side is
-    (fd·s²H², then P or Q of each check) of an (a, e) row, or
-    (2ts·delta·H, then the same) of a delta, as integers over ``scale``."""
-    for sides in a_sides:
-        for ts_pairing, q_numerator, q_trace in delta_sides:
-            for fd_ss, p_numerator, p_trace in sides:
-                numerator = fd_ss - ts_pairing
-                if p_numerator != q_numerator:
-                    # The ring's numerator is fd·ω²[Θ] - delta·ω²[1:].
-                    ring_numerator = numerator + p_numerator - q_numerator
-                    raise InternalCheckError(
-                        "ring integration and closed-form slope numerators disagree: "
-                        f"{Fraction(ring_numerator, scale)} vs {Fraction(numerator, scale)}"
-                    )
-                if p_trace != q_trace:
-                    raise InternalCheckError(
-                        "trace decomposition does not sum to r times the candidate slope"
-                    )
-
-
-def _point(cand: DestabilizerCandidate, pol: Polarization, what: str) -> _Cell:
-    """The cell of one candidate, on one-point axes, once the screens that
-    need no geometry pass; ``what`` names the caller."""
+def _point(cand: DestabilizerCandidate, pol: Polarization, what: str) -> tuple:
+    """The cell of one candidate (see :func:`_cells`), on one-point axes,
+    once the screens that need no geometry pass; ``what`` names the
+    caller."""
     require(cand, DestabilizerCandidate, "candidate")
     fns = _require_num_trivial(pol, what)
     if len(cand.delta) != pol.model.picard_rank:
         raise ModelMismatchError(
             "candidate delta length does not match the surface model"
         )
-    return _Cell._make(_cells(fns, (cand.a,), (cand.delta,), (cand.e,))[0])
+    return _cells(fns, (cand.a,), (cand.delta,), (cand.e,))[0]
 
 
 def candidate_slope(cand: DestabilizerCandidate, pol: Polarization) -> Fraction:
-    """∫ ch1(F)·ω² / r, cross-checked against the closed form."""
-    cell = _point(cand, pol, "candidate slope")
-    return Fraction(cell.numerator, cell.denominator * cand.r)
+    """∫ ch1(F)·ω² / r, read off the closed form once :func:`_cells` has
+    checked the ring's functionals against it."""
+    _, numerator, den, *_ = _point(cand, pol, "candidate slope")
+    return Fraction(numerator, den * cand.r)
 
 
 # -- certification -----------------------------------------------------------
@@ -628,12 +581,11 @@ def _reports(
     against the rank-n target, and whether some report is a Violation: the
     flag is set where an admissible candidate's verdict is judged, so no
     second pass reads the reports.  ``ranks`` holds (r, the rank-r
-    candidates) pairs, one candidate per cell (a tuple in :class:`_Cell`'s
-    field order) and in the cells' order; a report holds that candidate
-    object, which a scan shares with every other scan over its grid while
-    :func:`_axes` keeps that grid.  Every field was checked when its cell
-    or candidate was built, so reports are built through the trusted
-    constructor."""
+    candidates) pairs, one candidate per cell of :func:`_cells` and in the
+    cells' order; a report holds that candidate object, which a scan
+    shares with every other scan over its grid while :func:`_axes` keeps
+    that grid.  Every field was checked when its cell or candidate was
+    built, so reports are built through the trusted constructor."""
     # The public constructors would cost sweep 51 % of its throughput (BENCH_17.json).
     report = trusted(StabilityReport)
     inadmissible, violation = Verdict.INADMISSIBLE, Verdict.VIOLATION
@@ -644,7 +596,7 @@ def _reports(
         # A cell numerator's rank-r slope, and the verdict of an admissible
         # candidate at that slope.
         slopes: dict[int, tuple[Fraction, Verdict]] = {}
-        for cand, (_, _, _, fiber_deg, numerator, den, proxy, trace, cell_reasons) in zip(
+        for cand, (fiber_deg, numerator, den, proxy, trace, cell_reasons) in zip(
             candidates, cells, strict=True
         ):
             judged = slopes.get(numerator)
@@ -667,13 +619,12 @@ def _reports(
 
 
 class _Grid(NamedTuple):
-    """The a, delta and e axes of one rank-n grid, and the candidates of
-    each rank 1..n - 1 (rank r at index r - 1), each rank's in grid order:
-    a slowest, then delta, then e."""
+    """The a and delta axes of one rank-n grid, and the candidates of each
+    rank 1..n - 1 (rank r at index r - 1), each rank's in grid order: a
+    slowest, then delta, then e over ``_ES``."""
 
     a_values: tuple[Fraction, ...]
     deltas: tuple[tuple[Fraction, ...], ...]
-    es: tuple[int, ...]
     candidates: tuple[tuple[DestabilizerCandidate, ...], ...]
 
 
@@ -697,16 +648,15 @@ def _grid(n: int, picard_rank: int, a_len: int, k: int) -> _Grid:
     coeff_values = [i * DELTA_STEP for i in range(-k, k + 1)]
     a_values = tuple(i * A_STEP for i in range(a_len))
     deltas = tuple(itertools.product(coeff_values, repeat=picard_rank))
-    es = (0, 1)
-    points = list(itertools.product(a_values, deltas, es))
+    points = list(itertools.product(a_values, deltas, _ES))
     candidate = trusted(DestabilizerCandidate)
-    return _Grid(a_values, deltas, es, tuple(
+    return _Grid(a_values, deltas, tuple(
         tuple([candidate(r, a, delta, e) for a, delta, e in points]) for r in range(1, n)
     ))
 
 
 # The grid of n = 1: no rank, and empty axes, so it builds no delta product.
-_NO_GRID = _Grid((), (), (0, 1), ())
+_NO_GRID = _Grid((), (), ())
 
 
 def _axes(n: int, picard_rank: int, bounds: EnumerationBounds | None) -> _Grid:
@@ -794,7 +744,7 @@ def enumerate_candidates(
     fns = _require_num_trivial(pol, "stability scan")
     grid = _axes(n, pol.model.picard_rank, bounds)
     target = target_slope(n, pol)
-    cells = _cells(fns, grid.a_values, grid.deltas, grid.es)
+    cells = _cells(fns, grid.a_values, grid.deltas, _ES)
     reports, any_violation = _reports(n, enumerate(grid.candidates, 1), cells, target)
     # The public constructor would cost sweep 6 % of its throughput (BENCH_17.json).
     return trusted(ScanResult)(tuple(reports), any_violation)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weierfm import (
@@ -31,6 +31,7 @@ from weierfm import (
     candidate_slope,
     certify,
     enumerate_candidates,
+    get_preset,
     slope,
     target_slope,
     transform_char,
@@ -1142,7 +1143,24 @@ def _assert_matches_ring_products(pol, c):
     ]
 
 
+def _rho2():
+    from pathlib import Path
+
+    from weierfm.serialize import surface_model_from_json
+
+    path = Path(__file__).parent / "data" / "hyperbolic_rho2.json"
+    model = surface_model_from_json(json.loads(path.read_text()))
+    return model, (Fraction(1), Fraction(2))
+
+
+_K3 = get_preset("k3_quartic")
+_RHO2_MODEL, _RHO2_H = _rho2()
+
+
+# The one-point axes that certify runs, on k3 and on the ρ = 2 lattice.
 @settings(max_examples=40, deadline=None)
+@example(Polarization(_K3.model, Fraction(1), Fraction(1), _K3.ample), 3, Fraction(0), Fraction(0))
+@example(Polarization(_RHO2_MODEL, HALF, Fraction(2), _RHO2_H), 3, Fraction(0), Fraction(0))
 @given(
     k_trivial_polarizations(),
     st.integers(1, 5),
@@ -1199,56 +1217,80 @@ def spoil_functionals(monkeypatch):
     target_slope.cache_clear()
 
 
+_SPOILS = [
+    ("omega_squared", 0, _NUMERATORS, "omega-squared-theta"),
+    ("omega_squared", 1, _NUMERATORS, "omega-squared"),
+    ("fiber", 0, _TRACE_SUM, "fiber-theta"),
+    ("fiber", 1, _TRACE_SUM, "fiber"),
+    ("mixed", 0, _TRACE_SUM, "mixed-theta"),
+    ("mixed", 1, _TRACE_SUM, "mixed"),
+    ("gram_h", 0, _NUMERATORS, "gram-h"),
+    ("two_ts", None, _NUMERATORS, "two-ts"),
+    ("ss_hh", None, _NUMERATORS, "ss-hh"),
+]
+_K3_ONE = ["--preset", "k3_quartic", "-t", "1", "-s", "1"]
+# Each entry point a spoiled functional reaches: (id, a library call on the
+# polarization or None, a CLI argv that must exit 3 or None).  The default
+# scan keeps the bare spoil ids.  The others read one fiber-degree-0 point
+# at delta = 0, or a one-point delta axis.
+_SPOILED_CALLS = [
+    ("", lambda pol: enumerate_candidates(3, pol), ["scan", *_K3_ONE, "-m", "-3"]),
+    ("certify", lambda pol: certify(2, pol, cand(a=1, e=1)), None),
+    ("candidate-slope", lambda pol: candidate_slope(cand(a=1, e=1), pol), None),
+    ("delta-zero-scan",
+     lambda pol: enumerate_candidates(3, pol, EnumerationBounds(Fraction(6), Fraction(0))),
+     None),
+    ("cli-certify", None, ["certify", *_K3_ONE, "-n", "2", "-r", "1", "--a", "1", "--e", "1"]),
+]
+
+
 @pytest.mark.parametrize(
-    "field,index,pattern",
+    "field,index,pattern,call,argv",
     [
-        pytest.param("omega_squared", 0, _NUMERATORS, id="omega-squared-theta"),
-        pytest.param("omega_squared", 1, _NUMERATORS, id="omega-squared"),
-        pytest.param("fiber", 0, _TRACE_SUM, id="fiber-theta"),
-        pytest.param("fiber", 1, _TRACE_SUM, id="fiber"),
-        pytest.param("mixed", 0, _TRACE_SUM, id="mixed-theta"),
-        pytest.param("mixed", 1, _TRACE_SUM, id="mixed"),
-        pytest.param("gram_h", 0, _NUMERATORS, id="gram-h"),
-        pytest.param("two_ts", None, _NUMERATORS, id="two-ts"),
-        pytest.param("ss_hh", None, _NUMERATORS, id="ss-hh"),
+        pytest.param(field, index, pattern, call, argv,
+                     id=f"{call_id}-{spoil_id}" if call_id else spoil_id)
+        for call_id, call, argv in _SPOILED_CALLS
+        for field, index, pattern, spoil_id in _SPOILS
     ],
 )
 def test_scan_checks_catch_spoiled_functionals(capsys, k3, spoil_functionals, field, index,
-                                               pattern):
+                                               pattern, call, argv):
     """Every functional the scan reads, off by one (on its Θ entry where the
-    id ends in "theta", else on its first p*e_i entry; 2ts and s²H² are
-    numbers) and returned past the once-per-polarization checks, is caught
-    by the scan's numerator check or trace check, and ``weierfm scan``
-    exits 3."""
+    spoil id ends in "theta", else on its first p*e_i entry; 2ts and s²H²
+    are numbers) and returned past the once-per-polarization checks, is
+    caught by the numerator check or the trace check at every entry point
+    that reads it, and the CLI exits 3."""
     from weierfm import cli
 
     spoil_functionals(field, index)
     pol = Polarization(k3.model, Fraction(1), Fraction(1), k3.ample)
-    with pytest.raises(InternalCheckError) as exc:
-        enumerate_candidates(3, pol)
-    assert re.fullmatch(pattern, str(exc.value))
-    code = cli.main(["scan", "--preset", "k3_quartic", "-m", "-3", "-t", "1", "-s", "1"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert re.fullmatch(f"internal error: {pattern}\n", err)
+    if call is not None:
+        with pytest.raises(InternalCheckError) as exc:
+            call(pol)
+        assert re.fullmatch(pattern, str(exc.value))
+    if argv is not None:
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert re.fullmatch(f"internal error: {pattern}\n", err)
 
 
 @pytest.mark.parametrize(
     "field,index,by,values",
     [
-        pytest.param("omega_squared", 1, 1, "54 vs 48", id="omega-squared"),
-        pytest.param("omega_squared", 0, Fraction(1, 3), "157/3 vs 52",
+        pytest.param("omega_squared", 1, 1, "9 vs 8", id="omega-squared"),
+        pytest.param("omega_squared", 0, Fraction(1, 3), "13/3 vs 4",
                      id="omega-squared-theta-third"),
-        pytest.param("gram_h", 0, 1, "48 vs 60", id="gram-h"),
-        pytest.param("two_ts", None, 1, "48 vs 72", id="two-ts"),
-        pytest.param("ss_hh", None, 1, "52 vs 53", id="ss-hh"),
+        pytest.param("gram_h", 0, 1, "8 vs 10", id="gram-h"),
+        pytest.param("two_ts", None, 1, "8 vs 12", id="two-ts"),
+        pytest.param("ss_hh", None, 1, "4 vs 5", id="ss-hh"),
     ],
 )
-def test_a_spoiled_numerator_quotes_the_first_failing_cell(k3, spoil_functionals, field, index,
-                                                           by, values):
+def test_a_spoiled_numerator_quotes_the_first_mismatch(k3, spoil_functionals, field, index, by,
+                                                       values):
     """The numerator check names the ring's and the closed form's
-    numerators at the first cell in grid order where they differ, as a
-    check at every cell would: k3, t = s = 1, n = 3."""
+    coefficients on the first basis class, in the order Θ, p*e_i, where
+    they differ: k3, t = s = 1, n = 3."""
     spoil_functionals(field, index, by)
     pol = Polarization(k3.model, Fraction(1), Fraction(1), k3.ample)
     with pytest.raises(InternalCheckError, match=f"disagree: {values}$"):
@@ -1260,16 +1302,6 @@ def test_a_spoiled_numerator_quotes_the_first_failing_cell(k3, spoil_functionals
 _TS = (HALF, Fraction(1), Fraction(2))
 _FIVE_HALVES = EnumerationBounds(Fraction(5, 2), Fraction(5, 2))
 _SIGNED_M = (-4, -3, -2, -1, 1, 2, 3, 4)
-
-
-def _rho2():
-    from pathlib import Path
-
-    from weierfm.serialize import surface_model_from_json
-
-    path = Path(__file__).parent / "data" / "hyperbolic_rho2.json"
-    model = surface_model_from_json(json.loads(path.read_text()))
-    return model, (Fraction(1), Fraction(2))
 
 
 # sha256 over repr and JSON (the pipeline view and the scan with every report)
