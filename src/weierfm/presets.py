@@ -15,13 +15,13 @@ general_demo  P¹×P¹ base with its full rank-2 lattice and nonzero
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .rationals import value_class
 from .ring import SurfaceModel
 
 
-@dataclass(frozen=True)
+@value_class
 class Preset:
     name: str
     model: SurfaceModel

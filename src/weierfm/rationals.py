@@ -17,7 +17,12 @@ cached ``Fraction`` is immutable, so decoded objects can share it; a string
 that fails to parse is not cached and raises the same error every time.
 
 A value class is declared with ``@value_class`` instead of
-``@dataclass(frozen=True)``.  Its public constructor checks each field
+``@dataclass(frozen=True)``.  ``dataclasses`` keeps its field list and
+compiles none of its methods: the class gets one generated ``__init__``,
+straight-line code that stores the fields into ``__dict__`` in field order,
+and shares ``==``, ``hash``, ``repr`` and the frozen ``__setattr__`` and
+``__delattr__`` with every other value class, each giving what
+``dataclass(frozen=True)`` gives.  Its public constructor checks each field
 against the field's annotation (a ``Fraction`` through ``as_rational``, any
 other class through ``require``, a tuple, and only a tuple, entry by
 entry), then runs the class's ``_check`` hook, which holds the checks
@@ -30,17 +35,19 @@ length, for these checks and for the codec's generated decoders and
 encoders.  The duality solver's pages and relations and the
 stability scan's values, and what the JSON decoders' own checks passed,
 are built through ``trusted(cls)``: one constructor per class, generated
-on first use, that only stores the fields.  Every class the codec reads
+on first use by the same generator as ``__init__``, that only stores the
+fields.  Every class the codec reads
 is a value class, so each decodes trusted: its decoder's checks and its
 ``_check`` hook are what its constructor would run.
 """
 
 from __future__ import annotations
 
+import inspect
 import re
 import reprlib
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from types import UnionType
@@ -102,11 +109,69 @@ def require(value: Any, kind: Any, what: str) -> None:
 
 
 def value_class(cls: type[T]) -> type[T]:
-    """Make ``cls`` a frozen dataclass whose constructor checks each field
+    """Make ``cls`` a frozen value class whose constructor checks each field
     against its annotation (see :func:`_checker`), then runs the class's
-    ``_check`` hook, if it has one."""
+    ``_check`` hook, if it has one.
+
+    ``dataclasses`` only keeps the field list, so ``fields``, ``replace``
+    and ``__match_args__`` work, and compiles no method.  The class gets one
+    ``__init__``, generated as straight-line code like :func:`trusted`'s
+    (see :func:`_store_fields`), which stores the fields, the declared
+    defaults filling any left out, then calls ``self.__post_init__()``;
+    and the methods every value class shares, which read ``__dict__`` in
+    field order with ``dataclass(frozen=True)``'s results: ``==`` within
+    one class (NotImplemented across classes), the hash of the field tuple,
+    ``Name(x=..., ...)`` as the repr, and FrozenInstanceError on every
+    assignment or deletion.  A class without a docstring gets
+    ``Name(x: 'type', ...)``, as ``dataclasses`` writes it."""
+    if own := _SHARED.keys() & vars(cls).keys():
+        raise TypeError(f"{cls.__name__} defines {', '.join(sorted(own))}, which value classes share")
     cls.__post_init__ = _check_fields
-    return dataclass(frozen=True)(cls)
+    # A placeholder, or dataclasses parses object's signature for the docstring.
+    doc, cls.__doc__ = cls.__doc__, "-"
+    dataclass(init=False, repr=False, eq=False)(cls)
+    fs = fields(cls)
+    if any(f.default_factory is not MISSING or not f.init for f in fs):
+        raise TypeError(f"{cls.__name__} has a field that is not a plain constructor argument")
+    params = [f.name if f.default is MISSING else f"{f.name}=_dflt_{f.name}" for f in fs]
+    cls.__init__ = init = _store_fields(
+        cls, "__init__", ["self", *params], "_d = self.__dict__", "self.__post_init__()",
+        {f"_dflt_{f.name}": f.default for f in fs})
+    init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {f.name: f.type for f in fs} | {"return": None}
+    cls.__doc__ = doc or cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
+    for name, method in _SHARED.items():
+        setattr(cls, name, method)
+    return cls
+
+
+def _value_eq(self: Any, other: Any) -> Any:
+    if other.__class__ is self.__class__:
+        return self.__dict__ == other.__dict__
+    return NotImplemented
+
+
+def _value_hash(self: Any) -> int:
+    return hash(tuple(self.__dict__.values()))
+
+
+@reprlib.recursive_repr()
+def _value_repr(self: Any) -> str:
+    values = ", ".join([f"{name}={value!r}" for name, value in self.__dict__.items()])
+    return f"{self.__class__.__qualname__}({values})"
+
+
+def _frozen_setattr(self: Any, name: str, value: Any) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self: Any, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# The methods value_class installs, the same functions on every value class.
+_SHARED = {"__eq__": _value_eq, "__hash__": _value_hash, "__repr__": _value_repr,
+           "__setattr__": _frozen_setattr, "__delattr__": _frozen_delattr}
 
 
 def is_value_class(cls: type) -> bool:
@@ -196,26 +261,36 @@ def trusted(cls: type[T]) -> Callable[..., T]:
     value per field, in field order, it builds the instance without
     ``__init__`` or ``__post_init__``.
 
-    It is generated on first use, once per class, as straight-line code
-    from ``dataclasses.fields(cls)`` (``_obj = _new(_cls); _d = _obj.__dict__;
-    _d['r'] = r; ...``), the way ``dataclasses`` writes an ``__init__``.  A
-    frozen instance stays frozen: only its ``__dict__`` is written.  For
-    callers whose values already passed the checks and coercions the
-    constructor would run: the duality solver and the scan on values they
-    computed, and the JSON decoders after their own checks.
+    It is generated on first use, once per class, by the generator that
+    writes a value class's ``__init__`` (see :func:`_store_fields`), as
+    ``_obj = _new(_cls); _d = _obj.__dict__; _d['r'] = r; ...``.  A frozen
+    instance stays frozen: only its ``__dict__`` is written.  For callers
+    whose values already passed the checks and coercions the constructor
+    would run: the duality solver and the scan on values they computed, and
+    the JSON decoders after their own checks.
     The public constructors keep every check.
     """
     if "__slots__" in cls.__dict__:
         raise TypeError(f"{cls.__name__} has __slots__ and no instance __dict__ to write")
     names = [f.name for f in fields(cls)]
-    lines = [f"def build({', '.join(names)}):", "    _obj = _new(_cls)", "    _d = _obj.__dict__"]
-    lines += [f"    _d[{name!r}] = {name}" for name in names]
-    lines.append("    return _obj")
-    namespace = {"_new": object.__new__, "_cls": cls}
-    exec("\n".join(lines), namespace)
-    build = namespace["build"]
+    build = _store_fields(cls, "build", names, "_obj = _new(_cls); _d = _obj.__dict__",
+                          "return _obj", {"_new": object.__new__, "_cls": cls})
     build.__qualname__ = f"trusted({cls.__qualname__})"
     return build
+
+
+def _store_fields(
+    cls: type, name: str, params: list[str], first: str, last: str, namespace: dict[str, Any]
+) -> Callable[..., Any]:
+    """The function ``name(*params)``, compiled with one ``exec`` in
+    ``namespace`` as straight-line code, the way ``dataclasses`` writes an
+    ``__init__``: ``first``, which binds ``_d`` to the instance's
+    ``__dict__``, then ``_d['x'] = x`` for each field of ``cls`` in field
+    order, then ``last``."""
+    stores = [f"    _d[{f.name!r}] = {f.name}" for f in fields(cls)]
+    exec("\n".join([f"def {name}({', '.join(params)}):", f"    {first}", *stores, f"    {last}"]),
+         namespace)
+    return namespace[name]
 
 
 def parse_rational(text: str) -> Fraction:

@@ -1,6 +1,14 @@
+import ast
+import copy
 import dataclasses
 import importlib
+import inspect
+import itertools
+import pickle
 import pkgutil
+import sys
+import textwrap
+import types
 from fractions import Fraction
 
 import pytest
@@ -36,6 +44,7 @@ from weierfm import (
 )
 from weierfm.duality import TermRef, build_pages, left_label, right_label
 from weierfm.rationals import (
+    _SHARED,
     RATIONAL_CACHE_SIZE,
     _field_checks,
     _parse_rational,
@@ -421,28 +430,109 @@ def _hash(value):
 def test_trusted_builds_what_the_constructor_builds(cls):
     """Given the checked field values of an instance, the trusted constructor
     builds a value equal to the public constructor's, with the same hash
-    and repr, and as frozen."""
+    and repr, and as frozen: assigning or deleting any field of either
+    raises FrozenInstanceError with the message dataclasses gives."""
     names = [f.name for f in dataclasses.fields(cls)]
     values = [getattr(_SAMPLES[cls], name) for name in names]
     built, public = trusted(cls)(*values), cls(*values)
     assert type(built) is cls and built == public and repr(built) == repr(public)
     assert vars(built) == {name: getattr(public, name) for name in names}
-    if cls.__hash__ is not None:
-        assert _hash(built) == _hash(public)
-    if cls.__dataclass_params__.frozen:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(built, names[0], values[0])
+    assert _hash(built) == _hash(public)
+    for instance, (name, value) in itertools.product((built, public), zip(names, values)):
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"^cannot assign to field '{name}'$"):
+            setattr(instance, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(instance, name)
+    assert list(vars(built)) == list(vars(public)) == names and built == public
     assert trusted(cls) is trusted(cls)
+
+
+def _twin(cls):
+    """What ``dataclass(frozen=True)`` makes of the fields of the value class
+    ``cls``: a class of the same name, field types and defaults, picklable
+    from the module ``value_class_twins``."""
+    specs = [(f.name, f.type, dataclasses.field(default=f.default))
+             for f in dataclasses.fields(cls)]
+    twin = dataclasses.make_dataclass(cls.__name__, specs, frozen=True,
+                                      namespace={"__qualname__": cls.__qualname__})
+    twin.__module__ = "value_class_twins"
+    return twin
+
+
+def _frozen_error(instance, name, delete):
+    with pytest.raises(dataclasses.FrozenInstanceError) as failure:
+        delattr(instance, name) if delete else setattr(instance, name, None)
+    return str(failure.value)
+
+
+def _round_trips(value):
+    return copy.deepcopy(value), pickle.loads(pickle.dumps(value)), dataclasses.replace(value)
+
+
+@pytest.mark.parametrize("cls", sorted(_SAMPLES, key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_value_classes_behave_as_frozen_dataclasses(cls, monkeypatch):
+    """A value class's shared methods give what ``dataclass(frozen=True)``
+    gives over the same fields and values: ``==`` (also with each field
+    replaced in turn), NotImplemented across the two classes, hash, repr,
+    the FrozenInstanceError messages, and the same again after
+    ``copy.deepcopy``, a pickle round-trip and ``dataclasses.replace``.
+    Its constructor has the dataclass's signature, and a class without a
+    docstring the dataclass's ``__doc__``."""
+    twin = _twin(cls)
+    monkeypatch.setitem(sys.modules, "value_class_twins", types.ModuleType("value_class_twins"))
+    setattr(sys.modules["value_class_twins"], cls.__qualname__, twin)
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = [getattr(_SAMPLES[cls], name) for name in names]
+    ours, theirs = cls(*values), twin(*values)
+    assert repr(ours) == repr(theirs) and _hash(ours) == _hash(theirs)
+    assert ours.__eq__(theirs) is NotImplemented and theirs.__eq__(ours) is NotImplemented
+    assert ours != theirs
+    for index in range(len(names)):
+        other = values[:index] + [object()] + values[index + 1:]
+        assert (ours == trusted(cls)(*other)) == (theirs == twin(*other)) is False
+    for name in [*names, "not_a_field"]:
+        for delete in (False, True):
+            assert _frozen_error(ours, name, delete) == _frozen_error(theirs, name, delete)
+    for mine, its in zip(_round_trips(ours), _round_trips(theirs)):
+        assert type(mine) is cls and mine == ours and list(vars(mine)) == names
+        assert repr(mine) == repr(its) and _hash(mine) == _hash(its) and its == theirs
+    assert inspect.signature(cls) == inspect.signature(twin)
+    source = ast.parse(textwrap.dedent(inspect.getsource(cls))).body[0]
+    # Python 3.13 compiles docstrings with their indentation stripped.
+    assert inspect.cleandoc(cls.__doc__) == (ast.get_docstring(source) or twin.__doc__)
+    assert {name: vars(cls)[name] for name in _SHARED} == _SHARED
+    assert (cls.__init__.__module__, cls.__init__.__qualname__) == (
+        cls.__module__, f"{cls.__qualname__}.__init__")
 
 
 def test_every_value_class_field_has_an_annotation_check():
     """Every field of every value class is checked from its annotation, in
     field order; none is left to a ``_check`` hook."""
     classes = {cls for cls in _weierfm_dataclasses() if is_value_class(cls)}
-    assert {cls.__name__ for cls in _weierfm_dataclasses() - classes} == {"Preset"}
+    assert _weierfm_dataclasses() - classes == set()
     for cls in classes:
         checked = [name for name, _ in _field_checks(cls)[0]]
         assert checked == [f.name for f in dataclasses.fields(cls)], cls.__name__
+
+
+@pytest.mark.parametrize(
+    "body,error",
+    [("x: int\n    def __repr__(self): return 'x'", "defines __repr__, which value classes share"),
+     ("x: int\n    __hash__ = None", "defines __hash__, which value classes share"),
+     ("x: int = field(default_factory=int)", "has a field that is not a plain constructor argument"),
+     ("x: int = field(default=0, init=False)", "has a field that is not a plain constructor argument")],
+    ids=["repr", "hash", "default_factory", "init=False"],
+)
+def test_value_class_refuses_what_its_shared_init_and_methods_cannot_keep(body, error):
+    """A class that defines one of the shared methods, or a field that is
+    not a plain constructor argument, is refused where ``dataclass`` would
+    keep the class's own method or build a different ``__init__``."""
+    namespace = {"field": dataclasses.field}
+    exec(f"class Odd:\n    {body}", namespace)
+    with pytest.raises(TypeError, match=f"^Odd {error}$"):
+        value_class(namespace["Odd"])
 
 
 def test_an_annotation_its_module_does_not_bind_fails_the_first_construction():
