@@ -315,8 +315,8 @@ class TermRef:
 
 # TermRefs the solver keeps made.  The pages of dimension n have 4(n + 1)
 # terms, those of a smaller n among them, so this holds every ref of every
-# solve up to n = 1 023.  Knocking the cache out costs duality 36 % of
-# its throughput (BENCH_17.json).
+# solve up to n = 1 023.  Knocking the cache out costs duality 59 % of
+# its throughput (BENCH_35.json).
 TERM_REF_CACHE_SIZE = 4096
 
 
@@ -512,7 +512,7 @@ def _solve(left: PageGrid, right: PageGrid) -> tuple[list[DerivedRelation], Page
     takes each degree's group out of the grouping as it reads it, so a
     solve never holds both its grouping and all its relations.  It builds
     the relations through their trusted constructors; the public ones
-    would cost duality 11 % of its throughput (BENCH_17.json).
+    would cost duality 27 % of its throughput (BENCH_35.json).
     """
     identification, forced_zero = trusted(Identification), trusted(ForcedZero)
     short_exact = trusted(ShortExact)
@@ -688,7 +688,7 @@ def solve_scenario(scenario: SheafScenario) -> ScenarioSolution:
     _check_degenerated(right)
     relations, left, right = _solve(left, right)
     conclusion = _entailed_conclusion(scenario, right, relations)
-    # The public constructor would cost duality 4 % of its throughput (BENCH_18.json).
+    # The public constructor would cost duality 9 % of its throughput (BENCH_35.json).
     return trusted(ScenarioSolution)(
         scenario, left, right, 2, 2, tuple(relations), conclusion
     )

@@ -61,7 +61,7 @@ _ASCII_SPACE = " \t\n\r\f\v"
 
 # Distinct strings parse_rational keeps parsed; ~16x the most distinct
 # rationals measured in one decoded scan document.  Knocking the cache out
-# costs codec 28 % of its throughput (BENCH_17.json).
+# costs codec 29 % of its throughput (BENCH_35.json).
 RATIONAL_CACHE_SIZE = 4096
 
 

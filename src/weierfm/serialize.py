@@ -75,7 +75,8 @@ module, its decoder (none for the enums and the views only written) and
 its view encoder, if any.  Importing this module loads no layer beyond
 ``ring``.  ``to_jsonable`` makes a class's encoder the first time it
 meets the class, refusing with ``TypeError`` one that the table does not
-name in that layer, so after that an encode is one dict lookup.  A
+name in that layer, so after that an encode is one dict lookup; an encoder
+binds those of the classes it nests through the same check.  A
 ``*_from_json`` is made on its first access as a module attribute, from
 the generated decoders of the classes that name it, importing their
 layer, and stays in the namespace (``conclusion_from_json`` loads only
@@ -86,19 +87,8 @@ written out.  The relations share ``relation_from_json`` and lead with a
 Rationals decode through :func:`weierfm.rationals.parse_rational`, which
 parses each distinct string once and keeps up to
 ``RATIONAL_CACHE_SIZE`` (4 096) of them; decoded objects share the cached
-``Fraction`` instances, which are immutable.
-
-The value classes that documents repeat, ``TraceStep``,
-``EffectivityProxy`` and ``TermRef`` (a 1 014-report scan document holds
-3 042 trace steps with 29 distinct values, and a solution's relations name
-each term several times), decode to one shared instance per distinct
-document: after every check has passed, their decoder looks the checked
-JSON values up in an ``lru_cache`` of ``_SHARED_CACHE_SIZE`` (4 096)
-instances per class, so a repeated step is neither rebuilt nor re-checked
-by its constructor.  The cache is keyed on a rational's text, not on its
-``Fraction``, whose hash runs in Python; the instances are immutable.
-Every other decoded value, such as a candidate, a report, a relation or a
-conclusion, is a new instance per document.
+``Fraction`` instances, which are immutable.  Every other decoded value
+is a new instance per document.
 """
 
 from __future__ import annotations
@@ -107,11 +97,11 @@ import json
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from importlib import import_module
 from itertools import repeat
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, get_origin
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .rationals import (
     field_types, format_rational, parse_rational, stored_type, trusted, tuple_item,
@@ -124,18 +114,6 @@ if TYPE_CHECKING:
 
 _RENAMES = {"fiber_deg": "fiber_degree"}
 _LEAVES = {int: "an integer", bool: "a boolean", str: "a string"}
-
-# Instances each shared value class keeps, one per distinct checked
-# document; ~140x the most distinct trace steps measured in one scan
-# document (29 among 3 042).  Knocking the caches out costs codec 6 % of
-# its throughput (BENCH_17.json).
-_SHARED_CACHE_SIZE = 4096
-
-
-class _Decoder(NamedTuple):
-    decode: Callable[..., Any]  # (data, model=None)
-    shared: Any  # a shared value class's lru_cache of instances, else None
-
 
 _enum_value = attrgetter("value")
 
@@ -189,11 +167,11 @@ _HELPERS = {
 class _Source:
     """The lines of one generated function and the names they read."""
 
-    def __init__(self, names: dict[str, Any] | None = None) -> None:
+    def __init__(self) -> None:
         self.lines: list[str] = []
         self.names = {
             **_HELPERS, "_parse_rational": parse_rational,
-            "_format_rational": format_rational, "_repeat": repeat, **(names or {}),
+            "_format_rational": format_rational, "_repeat": repeat,
         }
 
     def bind(self, name: str, value: Any) -> str:
@@ -214,38 +192,37 @@ def _encode_expr(src: _Source, hint: Any, expr: str, depth: int = 0) -> str:
     if _is_enum(hint):
         return f"{expr}.value"
     if is_dataclass(hint):
-        return f"{src.bind(f'_{hint.__name__}_encode', _encoder_of(hint))}({expr})"
+        return f"{src.bind(f'_{hint.__name__}_encode', _encoder(hint))}({expr})"
     item = tuple_item(hint)[0]
     if item in _LEAVES:
         return f"list({expr})"
     if item is Fraction:
         return f"list(map(_format_rational, {expr}))"
     if is_dataclass(item):
-        return f"list(map({src.bind(f'_{item.__name__}_encode', _encoder_of(item))}, {expr}))"
+        return f"list(map({src.bind(f'_{item.__name__}_encode', _encoder(item))}, {expr}))"
     x = f"x{depth}"
     return f"[{_encode_expr(src, item, x, depth + 1)} for {x} in {expr}]"
 
 
-def _decode_lines(src: _Source, hint: Any, var: str, target: str, pad: str,
-                  depth: int = 0) -> None:
-    """Lines that check the JSON value ``var`` against ``hint`` and bind its
-    decoded value to ``target`` (a leaf is only checked, in place)."""
+def _decode_lines(src: _Source, hint: Any, var: str, pad: str, depth: int = 0) -> None:
+    """Lines that check the JSON value ``var`` against ``hint`` and rebind
+    ``var`` to its decoded value (a leaf is only checked, in place)."""
     add = src.lines.append
     if hint in _LEAVES:
         add(f"{pad}if type({var}) is not {hint.__name__}:")
         add(f"{pad}    raise _wrong_type({hint.__name__}, {var})")
     elif hint is Fraction:
-        add(f"{pad}{target} = _parse_rational({var})")
+        add(f"{pad}{var} = _parse_rational({var})")
     elif _is_enum(hint):
         name = hint.__name__
         members = src.bind(f"_{name}_members", {member.value: member for member in hint})
         add(f"{pad}try:")
-        add(f"{pad}    {target} = {members}[{var}]")
+        add(f"{pad}    {var} = {members}[{var}]")
         add(f"{pad}except (KeyError, TypeError):")
         add(f"{pad}    raise _not_a_member({src.bind(f'_{name}', hint)}, {var}) from None")
     elif is_dataclass(hint):
-        decode = src.bind(f"_{hint.__name__}_decode", _decoder_of(hint).decode)
-        add(f"{pad}{target} = {decode}({var}, model)")
+        decode = src.bind(f"_{hint.__name__}_decode", _decoder_of(hint))
+        add(f"{pad}{var} = {decode}({var}, model)")
     else:
         item, size = tuple_item(hint)
         add(f"{pad}if type({var}) is not list:")
@@ -256,60 +233,22 @@ def _decode_lines(src: _Source, hint: Any, var: str, target: str, pad: str,
         x = f"x{depth}"
         if item in _LEAVES:
             add(f"{pad}for {x} in {var}:")
-            _decode_lines(src, item, x, x, pad + "    ")
-            add(f"{pad}{target} = tuple({var})")
+            _decode_lines(src, item, x, pad + "    ")
+            add(f"{pad}{var} = tuple({var})")
         elif item is Fraction:
-            add(f"{pad}{target} = tuple(map(_parse_rational, {var}))")
+            add(f"{pad}{var} = tuple(map(_parse_rational, {var}))")
         elif is_dataclass(item):
-            decode = src.bind(f"_{item.__name__}_decode", _decoder_of(item).decode)
-            add(f"{pad}{target} = tuple(map({decode}, {var}, _repeat(model)))")
+            decode = src.bind(f"_{item.__name__}_decode", _decoder_of(item))
+            add(f"{pad}{var} = tuple(map({decode}, {var}, _repeat(model)))")
         else:
             items = f"items{depth}"
             add(f"{pad}{items} = []")
             add(f"{pad}for {x} in {var}:")
-            _decode_lines(src, item, x, x, pad + "    ", depth + 1)
+            _decode_lines(src, item, x, pad + "    ", depth + 1)
             add(f"{pad}    {items}.append({x})")
-            add(f"{pad}{target} = tuple({items})")
+            add(f"{pad}{var} = tuple({items})")
 
 
-def _shared_builder(src: _Source, cls: type, columns: list[tuple[int, str, str | None, Any]]):
-    """An ``lru_cache``'d constructor of a shared value class, called with
-    each field's checked JSON value (a list as the checked tuple): the cache
-    is keyed on a rational's or an enum member's text, never on a slowly
-    hashed ``Fraction`` or ``Enum``."""
-    build = _Source(src.names)
-    built = []
-    for at, _, _, hint in columns:
-        if hint is Fraction:
-            built.append(f"_parse_rational(v{at})")
-        elif _is_enum(hint):
-            built.append(f"_{hint.__name__}_members[v{at}]")
-        elif hint in _LEAVES or (get_origin(hint) is tuple and tuple_item(hint)[0] in _LEAVES):
-            built.append(f"v{at}")
-        else:
-            raise TypeError(f"a shared {cls.__name__} cannot hold a {hint!r}")
-    build.lines.append(f"def build({', '.join(f'v{at}' for at, *_ in columns)}):")
-    _build_lines(build, cls, ", ".join(built))
-    return lru_cache(maxsize=_SHARED_CACHE_SIZE)(build.function("build"))
-
-
-def _build_lines(src: _Source, cls: type, values: str) -> None:
-    """Lines that return the instance of the value class ``cls`` holding
-    ``values``, once the decoder's checks have passed: it is built through
-    :func:`weierfm.rationals.trusted` and then checked by its ``_check``
-    hook, if it has one, as its constructor checks each field's type, which
-    the decoder has just checked, and then runs that hook."""
-    owner = cls.__name__
-    build = src.bind(f"_{owner}_trusted", trusted(cls))
-    check = getattr(cls, "_check", None)
-    if check is None:
-        src.lines.append(f"    return {build}({values})")
-    else:
-        src.lines += [f"    obj = {build}({values})",
-                      f"    {src.bind(f'_{owner}_check', check)}(obj)", "    return obj"]
-
-
-@cache
 def _columns(cls: type) -> list[tuple[int, str, str | None, Any]]:
     """(position, field name, JSON key, field type) of each field of the
     dataclass ``cls``, the type it stores (see
@@ -324,11 +263,11 @@ def _columns(cls: type) -> list[tuple[int, str, str | None, Any]]:
     return columns
 
 
-@cache
 def _encoder_of(cls: type) -> Callable[[Any], dict]:
-    """The encoder of one dataclass, generated once per class as one dict
-    display, the way ``dataclasses`` writes an ``__init__``: its source
-    holds only field names, JSON keys and the class name."""
+    """The encoder of one dataclass, generated for :func:`_encoder`, which
+    keeps it, as one dict display, the way ``dataclasses`` writes an
+    ``__init__``: its source holds only field names, JSON keys and the
+    class name."""
     src = _Source()
     owner = cls.__name__
     # The classes relation_from_json reads lead with a tag naming the class.
@@ -340,21 +279,19 @@ def _encoder_of(cls: type) -> Callable[[Any], dict]:
 
 
 @cache
-def _decoder_of(cls: type) -> _Decoder:
-    """The decoder of one dataclass, generated once per class as
-    straight-line Python whose source holds only JSON keys, class names
-    and constant messages, never document data.
+def _decoder_of(cls: type) -> Callable[..., Any]:
+    """The decoder ``(data, model=None)`` of one dataclass, generated once
+    per class as straight-line Python whose source holds only JSON keys,
+    class names and constant messages, never document data.
 
     It checks in one fixed order: the document is an object, every key is
     present (the first missing one in field order is named), each field in
     field order (a nested class's decoder is passed ``model`` too), then
-    the model if the class has a ``SurfaceModel`` field; only then does it
-    build.  The decoder of a class its form marks shared returns one
-    instance per distinct checked document, from an ``lru_cache`` of
-    ``_SHARED_CACHE_SIZE``."""
+    the model if the class has a ``SurfaceModel`` field.  Only then does it
+    build the value class through :func:`weierfm.rationals.trusted` and run
+    its ``_check`` hook, if it has one, as its constructor runs that hook
+    after checking each field's type, which the decoder has just checked."""
     owner = cls.__name__
-    form = _FORMS.get(owner)
-    shared = form is not None and form.shared
     columns = _columns(cls)
     data = [(at, key, hint) for at, _, key, hint in columns if key is not None]
     src = _Source()
@@ -368,21 +305,19 @@ def _decoder_of(cls: type) -> _Decoder:
     add("    except KeyError as exc:")
     add(f"        raise _missing_key({owner!r}, exc.args[0]) from None")
     for at, _, hint in data:
-        # A shared class's rationals and enum members are only checked here;
-        # its builder decodes them from the text its cache is keyed on.
-        keep_text = shared and (hint is Fraction or _is_enum(hint))
-        _decode_lines(src, hint, f"v{at}", "_" if keep_text else f"v{at}", "    ")
+        _decode_lines(src, hint, f"v{at}", "    ")
     if len(data) < len(columns):
         add("    if model is None:")
         add(f"        raise _needs_model({owner!r})")
     values = ", ".join("model" if key is None else f"v{at}" for at, _, key, _ in columns)
-    builder = None
-    if shared:
-        builder = _shared_builder(src, cls, columns)
-        add(f"    return {src.bind('_build', builder)}({values})")
+    build = src.bind(f"_{owner}_trusted", trusted(cls))
+    check = getattr(cls, "_check", None)
+    if check is None:
+        add(f"    return {build}({values})")
     else:
-        _build_lines(src, cls, values)
-    return _Decoder(src.function("decode"), builder)
+        src.lines += [f"    obj = {build}({values})",
+                      f"    {src.bind(f'_{owner}_check', check)}(obj)", "    return obj"]
+    return src.function("decode")
 
 
 # -- views: JSON that is not the dataclass's own field list ------------------
@@ -429,7 +364,6 @@ class _Form(NamedTuple):
     layer: str  # the module that defines the class
     decoder: str | None = None  # the *_from_json that reads it back
     view: Callable[[Any], Any] | None = None  # encoder of a view
-    shared: bool = False  # decoded once per distinct document (see _decoder_of)
 
 
 # Every class with a JSON form, by name.
@@ -446,15 +380,15 @@ _FORMS = {
     "KernelChoice": _Form("fm"),
     "SheafScenario": _Form("duality", "scenario_from_json"),
     "Conclusion": _Form("fm", "conclusion_from_json"),
-    "TermRef": _Form("duality", "term_ref_from_json", shared=True),
+    "TermRef": _Form("duality", "term_ref_from_json"),
     "Identification": _Form("duality", "relation_from_json"),
     "ForcedZero": _Form("duality", "relation_from_json"),
     "ShortExact": _Form("duality", "relation_from_json"),
     "Forbidden": _Form("duality", "relation_from_json"),
     "ScenarioSolution": _Form("duality", None, _solution_json),
     "DestabilizerCandidate": _Form("stability", "candidate_from_json"),
-    "EffectivityProxy": _Form("stability", "effectivity_proxy_from_json", shared=True),
-    "TraceStep": _Form("stability", "trace_step_from_json", shared=True),
+    "EffectivityProxy": _Form("stability", "effectivity_proxy_from_json"),
+    "TraceStep": _Form("stability", "trace_step_from_json"),
     "StabilityReport": _Form("stability", "stability_report_from_json"),
     "ScanResult": _Form("stability", "scan_result_from_json", _scan_json),
     "TransformStabilityReport": _Form("stability", None, _pipeline_json),
@@ -470,7 +404,11 @@ _ENCODERS: dict[type, Callable[[Any], Any]] = {Fraction: format_rational}
 
 
 def _encoder(cls: type) -> Callable[[Any], Any]:
-    """Make and keep the encoder of ``cls``, the class its form names."""
+    """The encoder of ``cls``, the class its form names, made the first
+    time and kept in ``_ENCODERS``, the one encoder cache; an encoder binds
+    those of the classes it nests through here too."""
+    if cls in _ENCODERS:
+        return _ENCODERS[cls]
     form = _FORMS.get(cls.__name__)
     if form is None or cls.__module__ != f"{__package__}.{form.layer}":
         raise TypeError(f"no JSON form registered for {cls.__name__}")
@@ -513,7 +451,7 @@ def scan_result_from_json(data: Any, model: SurfaceModel | None = None) -> ScanR
     scan gives."""
     from .stability import ScanResult
 
-    scan = _decoder_of(ScanResult).decode(data, model)
+    scan = _decoder_of(ScanResult)(data, model)
     for key, expected in _scan_counts(scan).items():
         if key not in data:
             raise ValueError(f"ScanResult JSON is missing key {key!r}")
@@ -544,7 +482,7 @@ def __getattr__(name: str) -> Any:
     if not kinds:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = import_module(f".{_FORMS[kinds[0]].layer}", __package__)
-    decoders = {kind: _decoder_of(getattr(module, kind)).decode for kind in kinds}
+    decoders = {kind: _decoder_of(getattr(module, kind)) for kind in kinds}
     decode = globals()[name] = (
         _relation_decoder(decoders) if len(kinds) > 1 else decoders[kinds[0]]
     )

@@ -63,8 +63,15 @@ classes are built through their public constructors.
 
 The transform's own slope and the target slope are one quantity, the ω²
 functional's dot product with the transform's ch1, over ch0, so
-:func:`transform_stability` and :func:`target_slope` run no ring product
-for it once the functionals are cached.  One rule builds the grid for
+:func:`transform_stability` runs no ring product for it once the
+functionals are cached.  The base is K-trivial, so the transform of
+O_X(-nΘ) has ch1 = -Θ for every n: :func:`_functionals` derives the
+rank-1 target once per polarization, and the rank-n target is that over
+n, for :func:`target_slope`, :func:`certify`, :func:`enumerate_candidates`
+and :func:`transform_stability` alike.
+
+One rule checks that a rank n or ρ is a positive integer
+(:func:`_require_rank`).  One rule builds the grid for
 both :func:`enumerate_candidates` and :func:`candidate_grid`: it checks n,
 counts the candidates against MAX_SCAN_CANDIDATES and the delta entries they
 hold against ten times that, and only then looks the grid up, keyed on n,
@@ -233,9 +240,9 @@ class ScanResult:
 
 # -- cached polarization geometry ------------------------------------------
 
-# Entries kept by each of the two caches keyed by a polarization
-# (_functionals and target_slope), so that a long-lived process scanning
-# many polarizations holds a bounded amount of geometry.
+# Entries kept by _functionals, the one cache keyed by a polarization, so
+# that a long-lived process scanning many polarizations holds a bounded
+# amount of geometry.
 POLARIZATION_CACHE_SIZE = 128
 
 
@@ -334,8 +341,9 @@ def _inertia(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
 
 class _Functionals(NamedTuple):
     """∫ b·G for each basis class b in {Θ, p*e_1, …, p*e_ρ} (in that order)
-    and G in {ω², fiber part, mixed part}, with the closed-form constants
-    and the verdict of :func:`_lattice_fault` on the base.
+    and G in {ω², fiber part, mixed part}, with the closed-form constants,
+    the verdict of :func:`_lattice_fault` on the base and the rank-1 target
+    slope, the slope of the transform of O_X(-Θ).
 
     Every integral a candidate needs is linear in its ch1 = cΘ + p*d, so it
     is c·G[0] + Σ d_i·G[1 + i].
@@ -348,6 +356,7 @@ class _Functionals(NamedTuple):
     two_ts: Fraction  # 2ts
     ss_hh: Fraction  # s²·H_S²
     lattice_fault: str | None  # _lattice_fault of the base's Gram matrix
+    unit_target: Fraction  # the rank-1 target; rank n's is this over n
 
 
 def _dot(u: tuple[Fraction, ...], v: tuple[Fraction, ...]) -> Fraction:
@@ -355,12 +364,13 @@ def _dot(u: tuple[Fraction, ...], v: tuple[Fraction, ...]) -> Fraction:
     return sum(map(operator.mul, u[1:], v[1:]), u[0] * v[0])
 
 
-# Knocking the cache out costs sweep 15 % of its throughput (BENCH_17.json).
+# Knocking the cache out costs sweep 52 % of its throughput (BENCH_35.json).
 @lru_cache(maxsize=POLARIZATION_CACHE_SIZE)
 def _functionals(pol: Polarization) -> _Functionals:
     """Push the basis {Θ, p*e_i} through the ring against ω² and its two
-    parts, once per polarization, and check the results on their
-    coefficients (:func:`_check_identities`)."""
+    parts, once per polarization, check the results on their coefficients
+    (:func:`_check_identities`), and read the rank-1 target slope off the
+    ω² functional (:func:`_slope`), which must be positive."""
     model = pol.model
     geometry = _geometry(pol)
     units = [
@@ -379,9 +389,11 @@ def _functionals(pol: Polarization) -> _Functionals:
     two_ts = 2 * pol.t * pol.s
     ss_hh = pol.s * pol.s * geometry.hh
     _check_identities(omega_squared, fiber, mixed, (ss_hh, *(two_ts * g for g in gram_h)))
-    return _Functionals(
-        omega_squared, fiber, mixed, gram_h, two_ts, ss_hh, _lattice_fault(model.gram)
-    )
+    unit_target = _slope(omega_squared, transform_char(LineBundleX(model, -1)).char)
+    if unit_target <= 0:
+        raise InternalCheckError("target slope must be positive")
+    return _Functionals(omega_squared, fiber, mixed, gram_h, two_ts, ss_hh,
+                        _lattice_fault(model.gram), unit_target)
 
 
 def _check_identities(omega_squared, fiber, mixed, closed, den: int = 1) -> None:
@@ -405,26 +417,25 @@ def _check_identities(omega_squared, fiber, mixed, closed, den: int = 1) -> None
 # -- slopes -----------------------------------------------------------------
 
 
-def _slope(fns: _Functionals, char: TruncatedChar) -> Fraction:
-    """∫ ch1·ω² / ch0, read off the ω² functional, which
-    :func:`_functionals` checked against the ring and the closed form."""
-    w = fns.omega_squared
+def _slope(w: tuple[Fraction, ...], char: TruncatedChar) -> Fraction:
+    """∫ ch1·ω² / ch0, read off the ω² functional ``w``, which
+    :func:`_functionals` checks against the ring and the closed form."""
     return (char.ch1.a * w[0] + _dot(char.ch1.delta, w[1:])) / char.ch0
 
 
-# Knocking the cache out costs sweep 12 % of its throughput (BENCH_17.json).
-# Typed, so True and 2.0 reach the n check, not the entries of 1 and 2.
-@lru_cache(maxsize=POLARIZATION_CACHE_SIZE, typed=True)
+def _require_rank(name: str, value: object) -> None:
+    """Refuse with ValueError a rank ``value`` (n or ρ) that is not a
+    positive integer: a bool or a float is refused too."""
+    if not is_int(value) or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+
+
 def target_slope(n: int, pol: Polarization) -> Fraction:
-    """Slope of the rank-n transform of O_X(-nΘ), read off the ring-derived
-    ω² functional (:func:`_slope`)."""
-    if not is_int(n) or n < 1:
-        raise ValueError("n must be a positive integer")
-    fns = _require_num_trivial(pol, "target slope")
-    value = _slope(fns, transform_char(LineBundleX(pol.model, -n)).char)
-    if value <= 0:
-        raise InternalCheckError("target slope must be positive")
-    return value
+    """Slope of the rank-n transform of O_X(-nΘ): the rank-1 target that
+    :func:`_functionals` reads off the ring-derived ω² functional, over n
+    (the transform's ch1 is -Θ for every n on a K-trivial base)."""
+    _require_rank("n", n)
+    return _require_num_trivial(pol, "target slope").unit_target / n
 
 
 def _ints(values, den: int) -> list[int]:
@@ -470,7 +481,8 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[tuple]:
     _check_identities(_ints(fns.omega_squared, den), fiber, mixed, closed, den)
     (fiber0, *fiber), (mixed0, *mixed), (ss, *ts_h) = fiber, mixed, closed
     gram_h = _ints(fns.gram_h, den)
-    # The public constructors would cost sweep 14 % of its throughput (BENCH_17.json).
+    # The public constructors cost sweep 1-3 % of its throughput, within its
+    # run-to-run spread (BENCH_35.json).
     proxy, step = trusted(EffectivityProxy), trusted(TraceStep)
     by_delta = []
     for delta in deltas:
@@ -536,22 +548,22 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[tuple]:
 
 
 def _point(cand: DestabilizerCandidate, pol: Polarization, what: str) -> tuple:
-    """The cell of one candidate (see :func:`_cells`), on one-point axes,
-    once the screens that need no geometry pass; ``what`` names the
-    caller."""
+    """The functionals of ``pol`` and the cell of one candidate (see
+    :func:`_cells`), on one-point axes, once the screens that need no
+    geometry pass; ``what`` names the caller."""
     require(cand, DestabilizerCandidate, "candidate")
     fns = _require_num_trivial(pol, what)
     if len(cand.delta) != pol.model.picard_rank:
         raise ModelMismatchError(
             "candidate delta length does not match the surface model"
         )
-    return _cells(fns, (cand.a,), (cand.delta,), (cand.e,))[0]
+    return fns, _cells(fns, (cand.a,), (cand.delta,), (cand.e,))[0]
 
 
 def candidate_slope(cand: DestabilizerCandidate, pol: Polarization) -> Fraction:
     """∫ ch1(F)·ω² / r, read off the closed form once :func:`_cells` has
     checked the ring's functionals against it."""
-    _, numerator, den, *_ = _point(cand, pol, "candidate slope")
+    _, (_, numerator, den, *_) = _point(cand, pol, "candidate slope")
     return Fraction(numerator, den * cand.r)
 
 
@@ -564,10 +576,11 @@ def certify(n: int, pol: Polarization, cand: DestabilizerCandidate) -> Stability
     Inadmissible candidates are reported as such (with reasons), never
     errored: the grid search wants to see them excluded for the stated
     arithmetic reasons rather than silently skipped.  The report holds
-    ``cand`` itself.
+    ``cand`` itself.  A bad ``n`` is refused before anything is resolved.
     """
-    cell = _point(cand, pol, "stability certification")
-    reports, _ = _reports(n, ((cand.r, (cand,)),), [cell], target_slope(n, pol))
+    _require_rank("n", n)
+    fns, cell = _point(cand, pol, "stability certification")
+    reports, _ = _reports(n, ((cand.r, (cand,)),), [cell], fns.unit_target / n)
     return reports[0]
 
 
@@ -586,7 +599,7 @@ def _reports(
     shares with every other scan over its grid while :func:`_axes` keeps
     that grid.  Every field was checked when its cell or candidate was
     built, so reports are built through the trusted constructor."""
-    # The public constructors would cost sweep 51 % of its throughput (BENCH_17.json).
+    # The public constructors would cost sweep 53 % of its throughput (BENCH_35.json).
     report = trusted(StabilityReport)
     inadmissible, violation = Verdict.INADMISSIBLE, Verdict.VIOLATION
     any_violation = False
@@ -637,7 +650,7 @@ class _Grid(NamedTuple):
 GRID_CACHE_SIZE = 65_536
 
 
-# Knocking the cache out costs sweep 25 % of its throughput (BENCH_30.json).
+# Knocking the cache out costs sweep 26 % of its throughput (BENCH_35.json).
 @lru_cache(maxsize=16)
 def _grid(n: int, picard_rank: int, a_len: int, k: int) -> _Grid:
     """The rank-n grid (n >= 2) over Picard rank ``picard_rank``, whose a
@@ -683,9 +696,8 @@ def _axes(n: int, picard_rank: int, bounds: EnumerationBounds | None) -> _Grid:
     so too for a count above MAX_SCAN_CANDIDATES², which only a huge a axis
     gives.  So a large ρ, n or a_max builds no huge power, and the refusal
     prints no number too long for ``str``."""
-    for name, value in (("n", n), ("picard_rank", picard_rank)):
-        if not is_int(value) or value < 1:
-            raise ValueError(f"{name} must be a positive integer")
+    _require_rank("n", n)
+    _require_rank("picard_rank", picard_rank)
     bounds = EnumerationBounds() if bounds is None else bounds
     require(bounds, EnumerationBounds, "bounds")
     a_len = bounds.a_max // A_STEP + 1
@@ -743,10 +755,10 @@ def enumerate_candidates(
     grid above MAX_SCAN_CANDIDATES is a ValueError."""
     fns = _require_num_trivial(pol, "stability scan")
     grid = _axes(n, pol.model.picard_rank, bounds)
-    target = target_slope(n, pol)
+    target = fns.unit_target / n
     cells = _cells(fns, grid.a_values, grid.deltas, _ES)
     reports, any_violation = _reports(n, enumerate(grid.candidates, 1), cells, target)
-    # The public constructor would cost sweep 6 % of its throughput (BENCH_17.json).
+    # The public constructor would cost sweep 9 % of its throughput (BENCH_35.json).
     return trusted(ScanResult)(tuple(reports), any_violation)
 
 
@@ -783,7 +795,7 @@ def transform_stability(
     reduction legitimate.  m = 0 has a torsion transform and no slope.
 
     The transform slope is read off the polarization's ω² functional, as
-    the target slope is (:func:`_slope`).
+    the rank-1 target slope is (:func:`_slope`).
     """
     require(lb, LineBundleX, "line bundle")
     require(pol, Polarization, "polarization")
@@ -824,9 +836,9 @@ def transform_stability(
     return TransformStabilityReport(
         line_bundle=lb,
         transform=result,
-        transform_slope=_slope(fns, result.char),
+        transform_slope=_slope(fns.omega_squared, result.char),
         search_rank=n,
-        target_slope=target_slope(n, pol),
+        target_slope=fns.unit_target / n,
         scan=scan,
         stable=not scan.any_violation,
         duality_step=duality_step,

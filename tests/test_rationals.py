@@ -149,14 +149,12 @@ def test_parse_cache_is_bounded():
 
 
 def test_module_caches_are_the_audited_ones():
-    """Every module-level functools cache in weierfm, with its maxsize, and
-    the per-class shared-value caches that serialize makes inside its
-    decoders: each bounded one was measured to pay for itself, and the
-    unbounded ones (the generated codecs, trusted constructors and value
-    classes' check tables) are keyed by a class.  A new cache is added here
-    with its measured share.  The grid cache keeps 16 grids, and stability
-    keeps none over a sixteenth of GRID_CACHE_SIZE units in it."""
-    from weierfm import serialize
+    """Every module-level functools cache in weierfm, with its maxsize: each
+    bounded one was measured to pay for itself, and the unbounded ones (the
+    generated decoders, trusted constructors and value classes' check
+    tables) are keyed by a class.  A new cache is added here with its
+    measured share.  The grid cache keeps 16 grids, and stability keeps none
+    over a sixteenth of GRID_CACHE_SIZE units in it."""
     from weierfm.duality import TERM_REF_CACHE_SIZE
     from weierfm.stability import POLARIZATION_CACHE_SIZE
 
@@ -171,19 +169,10 @@ def test_module_caches_are_the_audited_ones():
         ("rationals", "_field_checks"): None,
         ("rationals", "_parse_rational"): RATIONAL_CACHE_SIZE,
         ("rationals", "trusted"): None,
-        ("serialize", "_columns"): None,
         ("serialize", "_decoder_of"): None,
-        ("serialize", "_encoder_of"): None,
         ("stability", "_functionals"): POLARIZATION_CACHE_SIZE,
         ("stability", "_grid"): 16,
-        ("stability", "target_slope"): POLARIZATION_CACHE_SIZE,
     }
-    shared = {name: serialize._decoder_of(
-                  getattr(importlib.import_module(f"weierfm.{form.layer}"), name)
-              ).shared.cache_info().maxsize
-              for name, form in serialize._FORMS.items() if form.shared}
-    assert shared == dict.fromkeys(("TermRef", "EffectivityProxy", "TraceStep"),
-                                   serialize._SHARED_CACHE_SIZE)
 
 
 def test_vector_round_trip():

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import itertools
 import json
+import operator
 import typing
 from dataclasses import make_dataclass
 from enum import Enum
@@ -416,9 +417,9 @@ def test_malformed_documents_raise_only_documented_errors(name, data):
         pass
 
 
-# -- shared value objects -------------------------------------------------------------
+# -- value classes that documents repeat -----------------------------------------------
 
-_SHARED = {
+_REPEATED = {
     "trace_step": {"name": "effectivity step", "value": "-3/2", "requirement": "<= 0",
                    "satisfied": True},
     "effectivity_proxy": {"a_nonneg": False, "pairing": "-8"},
@@ -429,7 +430,7 @@ _SHARED = {
 @pytest.mark.parametrize(
     "name,key,value",
     [
-        # unhashable values, which a cache keyed on the raw JSON could not look up
+        # values of a JSON type the field never takes
         ("trace_step", "name", []),
         ("trace_step", "value", ["1"]),
         ("trace_step", "requirement", {}),
@@ -439,66 +440,55 @@ _SHARED = {
         ("term_ref", "side", []),
         ("term_ref", "pos", [[1], 0]),
         ("term_ref", "label", []),
-        # equal in Python to the cached document's value, not in JSON
+        # equal in Python to the valid document's value, not in JSON
         ("trace_step", "satisfied", 1),
         ("effectivity_proxy", "a_nonneg", 0),
         ("term_ref", "pos", [True, 0]),
     ],
 )
 def test_shared_decoders_check_before_the_cache(name, key, value):
-    """A shared class's valid document, decoded twice, gives one instance;
-    a faulty one is refused with ValueError even right after it."""
+    """The valid document of a class that scan and solution documents
+    repeat, decoded twice, gives two equal values, each its own; a faulty
+    one is refused with ValueError even right after it."""
     decode = getattr(serialize, f"{name}_from_json")
-    valid = _SHARED[name]
-    assert decode(valid) is decode(json.loads(json.dumps(valid)))
+    valid = _REPEATED[name]
+    first, again = decode(valid), decode(json.loads(json.dumps(valid)))
+    assert first == again and first is not again
+    assert serialize.to_jsonable(first) == valid
     with pytest.raises(ValueError):
         decode({**valid, key: value})
 
 
-def test_decoded_scan_shares_value_objects(k3_pol):
-    """Decoded reports share their trace steps and proxies, one object per
-    distinct value, as the scan's own reports share theirs."""
+def test_decoded_scan_round_trips_and_the_scan_shares_value_objects(k3_pol):
+    """A scan decodes back to itself, and the scan's own reports share
+    their trace steps and proxies, one object per distinct value."""
     scan = enumerate_candidates(
         2, k3_pol, EnumerationBounds(a_max=Fraction(2), delta_max=Fraction(1))
     )
     back = serialize.scan_result_from_json(json.loads(serialize.dumps(scan)))
     assert back == scan
-    for reports in (scan.reports, back.reports):
-        for values in ([step for report in reports for step in report.trace],
-                       [report.proxy for report in reports]):
-            assert len(set(map(id, values))) < len(values)
-    for values in ([step for report in back.reports for step in report.trace],
-                   [report.proxy for report in back.reports]):
-        assert len(set(map(id, values))) == len(set(values))
+    for values in ([step for report in scan.reports for step in report.trace],
+                   [report.proxy for report in scan.reports]):
+        assert len(set(map(id, values))) < len(values)
 
 
 def test_each_decoded_report_and_relation_is_its_own(k3_pol):
-    """Reports, candidates and relations are built anew on every decode;
-    only their trace steps, proxies and term refs are shared."""
+    """Reports and relations, and every value they hold (candidates,
+    proxies, trace steps and term refs), are built anew on every decode."""
     doc = serialize.to_jsonable(
         certify(2, k3_pol, DestabilizerCandidate(1, Fraction(1, 2), (Fraction(-2),), 1))
     )
     first, again = (serialize.stability_report_from_json(json.loads(json.dumps(doc)))
                     for _ in range(2))
     assert first == again and first is not again
-    assert first.candidate is not again.candidate
-    assert first.proxy is again.proxy and first.trace[0] is again.trace[0]
+    assert first.candidate is not again.candidate and first.proxy is not again.proxy
+    assert not any(map(operator.is_, first.trace, again.trace))
     solution = solve_scenario(SheafScenario(3, 1, WitType.WIT0, 1))
     relation = serialize.to_jsonable(solution.relations[0])
     first, again = (serialize.relation_from_json(json.loads(json.dumps(relation)))
                     for _ in range(2))
     assert first == again and first is not again
-    assert first.left is again.left and first.right is again.right
-
-
-def test_shared_value_cache_stays_bounded():
-    """Decoding more distinct trace steps than the cache holds evicts
-    rather than grows."""
-    size = serialize._SHARED_CACHE_SIZE
-    for i in range(size + 10):
-        serialize.trace_step_from_json({**_SHARED["trace_step"], "value": str(i)})
-    info = serialize._decoder_of(TraceStep).shared.cache_info()
-    assert info.currsize == info.maxsize == size
+    assert first.left is not again.left and first.right is not again.right
 
 
 # -- every class with a JSON form: public constructor, decoder, round trip ------------

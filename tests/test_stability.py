@@ -773,7 +773,10 @@ def test_violation_flag_comes_from_the_judged_verdicts(monkeypatch, k3, k3_pol):
     constructor, which re-derives it, accepts it."""
     from weierfm import stability
 
-    monkeypatch.setattr(stability, "target_slope", lambda n, pol: Fraction(-1))
+    real = stability._functionals
+    # A rank-1 target of -3 makes the rank-3 target -1.
+    monkeypatch.setattr(stability, "_functionals",
+                        lambda pol: real(pol)._replace(unit_target=Fraction(-3)))
     report = transform_stability(LineBundleX(k3.model, -3), k3_pol, small_bounds())
     scan = report.scan
     assert scan.any_violation is True and report.stable is False
@@ -805,8 +808,7 @@ def test_polarization_caches_stay_bounded(k3):
     for i in range(POLARIZATION_CACHE_SIZE + 8):
         pol = Polarization(k3.model, Fraction(1), Fraction(i + 1, 7), k3.ample)
         certify(2, pol, cand())
-    for cached in (_functionals, target_slope):
-        assert cached.cache_info().currsize <= POLARIZATION_CACHE_SIZE
+    assert _functionals.cache_info().currsize <= POLARIZATION_CACHE_SIZE
 
 
 @pytest.mark.parametrize(
@@ -829,7 +831,6 @@ def test_internal_checks_catch_a_perturbed_ring(monkeypatch, capsys, k3, spoil, 
 
     pol = Polarization(k3.model, Fraction(1), Fraction(1), k3.ample)
     _functionals.cache_clear()
-    target_slope.cache_clear()
     # Except in the "geometry" case, the geometry of pol (the CLI's too) is
     # pinned to the true ring's: a spoiled ω² would fail its split check first.
     true = None if spoil == "geometry" else _geometry(pol)
@@ -876,7 +877,6 @@ def test_internal_checks_catch_a_linearly_perturbed_ring(monkeypatch, capsys, k3
 
     pol = Polarization(k3.model, Fraction(1), Fraction(1), k3.ample)
     _functionals.cache_clear()
-    target_slope.cache_clear()
     # The geometry of pol (the CLI's too) is pinned to the true ring's.
     true = _geometry(pol)
     monkeypatch.setattr(stability, "_geometry", {pol: true}.__getitem__)
@@ -912,7 +912,6 @@ def test_scan_ring_products_do_not_depend_on_the_grid(monkeypatch, k3):
     seen = []
     for delta_max in (1, 3):
         _functionals.cache_clear()
-        target_slope.cache_clear()
         calls.clear()
         scan = enumerate_candidates(3, pol, EnumerationBounds(Fraction(1), Fraction(delta_max)))
         seen.append((len(calls), scan.candidate_count))
@@ -1154,7 +1153,24 @@ def _rho2():
 
 
 _K3 = get_preset("k3_quartic")
+_ENRIQUES = get_preset("enriques")
 _RHO2_MODEL, _RHO2_H = _rho2()
+
+
+@settings(max_examples=20, deadline=None)
+@example(Polarization(_K3.model, Fraction(3), Fraction(2, 3), _K3.ample))
+@example(Polarization(_ENRIQUES.model, Fraction(1, 2), Fraction(5, 4), _ENRIQUES.ample))
+@example(Polarization(_RHO2_MODEL, Fraction(7, 3), Fraction(3, 2), _RHO2_H))
+@given(k_trivial_polarizations())
+def test_target_slope_is_the_transform_slope_at_every_rank(pol):
+    """The rank-n target, the rank-1 target over n, equals the slope of the
+    transform of O_X(-nΘ) read off the ω² functional, derived for each n."""
+    from weierfm.stability import _functionals, _slope
+
+    omega_squared = _functionals(pol).omega_squared
+    for n in range(1, 61):
+        char = transform_char(LineBundleX(pol.model, -n)).char
+        assert target_slope(n, pol) == _slope(omega_squared, char) > 0
 
 
 # The one-point axes that certify runs, on k3 and on the ρ = 2 lattice.
@@ -1193,9 +1209,7 @@ _TRACE_SUM = r"trace decomposition does not sum to r times the candidate slope"
 @pytest.fixture
 def spoil_functionals(monkeypatch):
     """Make ``_functionals`` return one field (``index`` into a tuple field,
-    None for a number) off by ``by``, past its once-per-polarization checks.
-    The cached target slopes, which a spoiled ω²[Θ] moves, are dropped
-    before and after."""
+    None for a number) off by ``by``, past its once-per-polarization checks."""
     from weierfm import stability
 
     real = stability._functionals
@@ -1212,9 +1226,7 @@ def spoil_functionals(monkeypatch):
 
         monkeypatch.setattr(stability, "_functionals", spoiled_functionals)
 
-    target_slope.cache_clear()
-    yield spoil
-    target_slope.cache_clear()
+    return spoil
 
 
 _SPOILS = [
