@@ -5,8 +5,9 @@ Everything is Fraction arithmetic; no floats enter anywhere.  The main
 entry points:
 
 - :mod:`weierfm.ring`: the truncated intersection ring of X,
-- :mod:`weierfm.fm`: transform characters, slopes, duality checks and
-  the duality verdict types (``ConclusionKind``, ``Conclusion``),
+- :mod:`weierfm.fm`: transform characters, slopes and duality checks,
+- :mod:`weierfm.verdicts`: the WIT type and the duality verdict types
+  (``WitType``, ``ConclusionKind``, ``Conclusion``),
 - :mod:`weierfm.duality`: the two spectral-sequence pages and the
   closed-form duality verdicts they must reproduce,
 - :mod:`weierfm.stability`: destabilizer certification and grid scans,
@@ -38,9 +39,8 @@ _EXPORTS = {
         "ModelMismatchError", "UndefinedSlopeError", "WeierfmError",
     ),
     "fm": (
-        "Conclusion", "ConclusionKind", "KernelChoice", "LineBundleX", "Polarization",
-        "TransformResult", "TruncatedChar", "WitType", "commutativity_check", "dual_char",
-        "slope", "transform_char", "wit_classify",
+        "KernelChoice", "LineBundleX", "Polarization", "TransformResult", "TruncatedChar",
+        "commutativity_check", "dual_char", "slope", "transform_char", "wit_classify",
     ),
     "presets": ("PRESETS", "Preset", "get_preset"),
     "ring": (
@@ -53,6 +53,7 @@ _EXPORTS = {
         "TransformStabilityReport", "Verdict", "candidate_slope", "certify",
         "enumerate_candidates", "target_slope", "transform_stability",
     ),
+    "verdicts": ("Conclusion", "ConclusionKind", "WitType"),
     "rationals": (),
     "serialize": (),
     "cli": (),

@@ -56,7 +56,6 @@ from .fm import (
     LineBundleX,
     Polarization,
     TruncatedChar,
-    WitType,
     commutativity_check,
     dual_char,
     slope,
@@ -69,6 +68,7 @@ from .rationals import (
     parse_rational_vector,
 )
 from .ring import DivisorClassX, SurfaceModel
+from .verdicts import WitType
 
 _INPUT_ERROR = 1
 _HYPOTHESIS_ERROR = 2

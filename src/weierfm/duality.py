@@ -71,8 +71,9 @@ n.  ``compare_limits`` returns the relations and leaves the
 caller's pages as they were; ``solve_scenario`` returns the refined pages
 with them.  The TermRefs the relations name, labels included, are made
 once per process and shared by every solve.  The verdict a solve ends in,
-``Conclusion`` of a ``ConclusionKind``, is defined in :mod:`weierfm.fm`,
-so the layers that read it need not load this module.
+``Conclusion`` of a ``ConclusionKind``, is defined in
+:mod:`weierfm.verdicts`, so the layers that read it need not load this
+module, and this module loads neither the ring nor the transform layer.
 
 Each entry point refuses an argument of the wrong class with
 :func:`weierfm.rationals.require`'s ValueError before reading it.
@@ -88,8 +89,8 @@ from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
 from .errors import InfeasibleScenarioError, InternalCheckError
-from .fm import Conclusion, ConclusionKind, WitType
 from .rationals import require, trusted, value_class
+from .verdicts import Conclusion, ConclusionKind, WitType
 
 
 class Side(enum.Enum):

@@ -25,11 +25,10 @@ is the twist L that enters the duality comparison:
 On a K-trivial threefold over a numerically K-trivial base both twists
 vanish and the two kernels are indistinguishable at the level of classes.
 
-The duality verdict types live here too, beside ``WitType``, for the same
-reason: the duality engine builds a ``Conclusion`` (E^D is WIT1, or
-ι*Φ^0(E^D) ⊗ p*L is identified with (Φ^w E)^D, or the scenario is
-forbidden), and the stability pipeline and the JSON codec read one
-without loading the engine.
+``WitType`` and the duality verdict types, ``ConclusionKind`` and
+``Conclusion``, are defined in :mod:`weierfm.verdicts`, which loads
+neither this module nor the ring, so the duality engine runs without
+either; they are imported here too, and resolve from this module as well.
 """
 
 from __future__ import annotations
@@ -44,26 +43,9 @@ from .errors import (
 )
 from .rationals import RationalLike, as_rational, require, value_class
 from .ring import DivisorClassX, SurfaceModel, _Linear, require_x_k_trivial, x_integrate, x_mul
+from .verdicts import Conclusion, ConclusionKind, WitType  # noqa: F401  (old import paths)
 
 _HALF = Fraction(1, 2)
-
-
-class WitType(enum.Enum):
-    WIT0 = "WIT0"
-    WIT1 = "WIT1"
-
-
-class ConclusionKind(enum.Enum):
-    DUAL_IS_WIT1 = "DualIsWIT1"
-    DUAL_IDENTIFICATION = "DualIdentification"
-    FORBIDDEN = "Forbidden"
-
-
-@value_class
-class Conclusion:
-    kind: ConclusionKind
-    statement: str
-    via_dimension_only: bool = False
 
 
 class KernelChoice(enum.Enum):

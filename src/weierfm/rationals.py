@@ -25,8 +25,9 @@ and shares ``==``, ``hash``, ``repr`` and the frozen ``__setattr__`` and
 ``dataclass(frozen=True)`` gives.  Its public constructor checks each field
 against the field's annotation (a ``Fraction`` through ``as_rational``, any
 other class through ``require``, a tuple, and only a tuple, entry by
-entry), then runs the class's ``_check`` hook, which holds the checks
-between fields.  The check table is built from the annotations on a
+entry; a value already of the exact ``Fraction`` or other class skips
+its check, which would return it unchanged), then runs the class's
+``_check`` hook, which holds the checks between fields.  The check table is built from the annotations on a
 class's first construction, never at import, and kept per class; every
 annotation must name classes its module binds, or that construction
 raises NameError.  An optional field, ``X | None``, takes None or what X
@@ -43,7 +44,6 @@ is a value class, so each decodes trusted: its decoder's checks and its
 
 from __future__ import annotations
 
-import inspect
 import re
 import reprlib
 import sys
@@ -139,10 +139,16 @@ def value_class(cls: type[T]) -> type[T]:
         {f"_dflt_{f.name}": f.default for f in fs})
     init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
     init.__annotations__ = {f.name: f.type for f in fs} | {"return": None}
-    cls.__doc__ = doc or cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
+    cls.__doc__ = doc or f"{cls.__name__}({', '.join(map(_param_text, fs))})"
     for name, method in _SHARED.items():
         setattr(cls, name, method)
     return cls
+
+
+def _param_text(f: Any) -> str:
+    """The field ``f`` as ``inspect.signature`` writes the parameter of a
+    postponed annotation: ``x: 'type'``, then ``= default`` if it has one."""
+    return f"{f.name}: {f.type!r}" + ("" if f.default is MISSING else f" = {f.default!r}")
 
 
 def _value_eq(self: Any, other: Any) -> Any:
@@ -182,8 +188,10 @@ def is_value_class(cls: type) -> bool:
 def _check_fields(self: Any) -> None:
     checks, hook = _field_checks(type(self))
     values = self.__dict__
-    for name, check in checks:
-        values[name] = check(values[name])
+    for name, check, exact in checks:
+        value = values[name]
+        if type(value) is not exact:
+            values[name] = check(value)
     if hook is not None:
         hook(self)
 
@@ -209,10 +217,12 @@ def stored_type(hint: Any) -> Any:
 
 
 @cache
-def _field_checks(cls: type) -> tuple[tuple[tuple[str, Callable[[Any], Any]], ...], Any]:
-    """The (field name, check) pairs of the value class ``cls``, read from
-    its annotations, and its ``_check`` hook (None if it has none)."""
-    checks = tuple((name, _checker(hint, name)) for name, hint in field_types(cls).items())
+def _field_checks(cls: type) -> tuple[tuple[tuple[str, Callable[[Any], Any], Any], ...], Any]:
+    """The (field name, check, exact class) triples of the value class
+    ``cls``, read from its annotations, and its ``_check`` hook (None if it
+    has none).  A value of the exact class skips the check, which would
+    return it unchanged (see :func:`_checker`)."""
+    checks = tuple((name, *_checker(hint, name)) for name, hint in field_types(cls).items())
     return checks, getattr(cls, "_check", None)
 
 
@@ -226,7 +236,7 @@ def tuple_item(hint: Any) -> tuple[Any, int | None]:
     raise TypeError(f"{hint!r} is not a homogeneous tuple type")
 
 
-def _checker(hint: Any, what: str) -> Callable[[Any], Any]:
+def _checker(hint: Any, what: str) -> tuple[Callable[[Any], Any], Any]:
     """The check of the field ``what`` of type ``hint``, which returns the
     value to store: a ``Fraction`` goes through :func:`as_rational`
     (TypeError on a float); ``tuple[X, ...]`` takes a tuple, never a list,
@@ -234,25 +244,28 @@ def _checker(hint: Any, what: str) -> Callable[[Any], Any]:
     vector ``tuple[Fraction, ...]`` is one of these; ``tuple[X, X]`` takes
     one of that length (see :func:`tuple_item`); ``X | None`` takes None or
     what X takes; any other class, or union of classes, goes through
-    :func:`require` (ValueError)."""
+    :func:`require` (ValueError).  With it, the exact class whose values the
+    check returns unchanged: ``Fraction``, or the other class itself (a bool
+    is not exactly an int, and no value's class is a union); None for a
+    tuple or an optional type, whose checks always run."""
     stored = stored_type(hint)
     if stored is not hint:
-        check = _checker(stored, what)
-        return lambda value: value if value is None else check(value)
+        check, _ = _checker(stored, what)
+        return (lambda value: value if value is None else check(value)), None
     if hint is Fraction:
-        return as_rational
+        return as_rational, Fraction
     if get_origin(hint) is tuple:
         item_type, size = tuple_item(hint)
-        item = _checker(item_type, f"an entry of {what}")
+        item, _ = _checker(item_type, f"an entry of {what}")
 
         def check(value: Any) -> Any:
             require(value, tuple, what)
             if size is not None and len(value) != size:
                 raise ValueError(f"{what} must have {size} entries, got {len(value)}")
             return tuple(map(item, value))
-        return check
+        return check, None
     # The exact type passes at once; anything else gets require's rules.
-    return lambda value: value if type(value) is hint else require(value, hint, what) or value
+    return (lambda value: value if type(value) is hint else require(value, hint, what) or value), hint
 
 
 @cache

@@ -80,9 +80,10 @@ binds those of the classes it nests through the same check.  A
 ``*_from_json`` is made on its first access as a module attribute, from
 the generated decoders of the classes that name it, importing their
 layer, and stays in the namespace (``conclusion_from_json`` loads only
-``fm``, which defines the duality verdict types, not the engine); ``scan_result_from_json``, which adds the check above, is
-written out.  The relations share ``relation_from_json`` and lead with a
-``"kind"`` tag naming their class.
+``verdicts``, which defines the duality verdict types, not the engine);
+``scan_result_from_json``, which adds the check above, is written out.
+The relations share ``relation_from_json`` and lead with a ``"kind"`` tag
+naming their class.
 
 Rationals decode through :func:`weierfm.rationals.parse_rational`, which
 parses each distinct string once and keeps up to
@@ -376,10 +377,10 @@ _FORMS = {
     "LineBundleX": _Form("fm", "line_bundle_from_json"),
     "TruncatedChar": _Form("fm", "truncated_char_from_json"),
     "TransformResult": _Form("fm", "transform_result_from_json"),
-    "WitType": _Form("fm"),
+    "WitType": _Form("verdicts"),
     "KernelChoice": _Form("fm"),
     "SheafScenario": _Form("duality", "scenario_from_json"),
-    "Conclusion": _Form("fm", "conclusion_from_json"),
+    "Conclusion": _Form("verdicts", "conclusion_from_json"),
     "TermRef": _Form("duality", "term_ref_from_json"),
     "Identification": _Form("duality", "relation_from_json"),
     "ForcedZero": _Form("duality", "relation_from_json"),

@@ -103,17 +103,10 @@ from .errors import (
     InternalCheckError,
     ModelMismatchError,
 )
-from .fm import (
-    Conclusion,
-    LineBundleX,
-    Polarization,
-    TransformResult,
-    TruncatedChar,
-    WitType,
-    transform_char,
-)
+from .fm import LineBundleX, Polarization, TransformResult, TruncatedChar, transform_char
 from .rationals import is_int, require, trusted, value_class
 from .ring import ThreefoldClass, pullback, x_integrate, x_mul
+from .verdicts import Conclusion, WitType
 
 
 class Verdict(Enum):

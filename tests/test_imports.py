@@ -53,7 +53,7 @@ def test_import_cli_loads_no_computing_layer_or_codec():
     assert fresh_run("import weierfm.cli") & LAYERS == set()
 
 
-@pytest.mark.parametrize("module", ["cli", "stability", "serialize"])
+@pytest.mark.parametrize("module", ["cli", "stability", "duality", "serialize"])
 def test_import_generates_no_trusted_constructor(module):
     """Each class's trusted constructor and each value class's check table
     are made on first use, so their ``exec`` and annotation reads stay out
@@ -95,6 +95,16 @@ def test_transform_commands_load_neither_engine(argv, source, model_file):
     assert "serialize" in loaded  # for the JSON document (and the model file)
 
 
+def test_duality_solves_without_the_ring_or_the_transform_layer():
+    """The engine reads term statuses only; its verdict types live in
+    verdicts, so a solve loads neither ring nor fm."""
+    code = (
+        "from weierfm.duality import SheafScenario, WitType, solve_scenario\n"
+        "assert solve_scenario(SheafScenario(3, 1, WitType.WIT0, 1)).relations"
+    )
+    assert fresh_run(code) == {"duality", "verdicts", "rationals", "errors"}
+
+
 def test_ss_duality_loads_no_stability():
     loaded = cli_run("ss-duality", "-c", "1", "--wit", "0", "--dim-shift", "1", "--json")
     assert "stability" not in loaded and {"duality", "serialize"} <= loaded
@@ -115,15 +125,15 @@ def test_stability_commands_load_duality_only_for_positive_m(argv, duality):
 
 
 def test_conclusion_decodes_without_the_engine():
-    """The verdict types live in fm, so decoding a conclusion loads neither
-    engine."""
+    """The verdict types live in verdicts, so decoding a conclusion loads
+    neither engine nor the transform layer."""
     code = (
         "from weierfm import serialize\n"
         "doc = {'kind': 'DualIdentification', 'statement': 's', 'via_dimension_only': False}\n"
         "assert serialize.conclusion_from_json(doc).kind.value == 'DualIdentification'"
     )
     loaded = fresh_run(code)
-    assert "fm" in loaded and loaded & {"duality", "stability"} == set()
+    assert "verdicts" in loaded and loaded & {"fm", "duality", "stability"} == set()
 
 
 def test_submodules_resolve_as_attributes():

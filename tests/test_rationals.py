@@ -114,6 +114,14 @@ def test_floats_and_bools_are_not_rationals():
         DivisorClassX(get_preset("general_demo").model, 0, (1, 2.0))
 
 
+def test_fraction_fields_store_a_fraction_given_an_int():
+    """An int is not of the exact class that skips a Fraction field's
+    check, so the check runs and stores a Fraction."""
+    step, candidate = TraceStep("x", 3, "<= 0", True), DestabilizerCandidate(1, 2, (0,), 0)
+    assert type(step.value) is type(candidate.a) is Fraction
+    assert repr(step) == "TraceStep(name='x', value=Fraction(3, 1), requirement='<= 0', satisfied=True)"
+
+
 @given(st.fractions())
 def test_parse_inverts_format(q):
     assert parse_rational(format_rational(q)) == q
@@ -393,7 +401,7 @@ def _samples():
 
 def _weierfm_dataclasses():
     classes = set()
-    for name in ("ring", "fm", "duality", "stability", "presets"):
+    for name in ("ring", "fm", "verdicts", "duality", "stability", "presets"):
         module = importlib.import_module(f"weierfm.{name}")
         classes |= {value for value in vars(module).values() if isinstance(value, type)
                     and dataclasses.is_dataclass(value) and value.__module__ == module.__name__}
@@ -502,7 +510,7 @@ def test_every_value_class_field_has_an_annotation_check():
     classes = {cls for cls in _weierfm_dataclasses() if is_value_class(cls)}
     assert _weierfm_dataclasses() - classes == set()
     for cls in classes:
-        checked = [name for name, _ in _field_checks(cls)[0]]
+        checked = [name for name, _, _ in _field_checks(cls)[0]]
         assert checked == [f.name for f in dataclasses.fields(cls)], cls.__name__
 
 
