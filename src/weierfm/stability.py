@@ -26,17 +26,21 @@ verdict would be a genuine counterexample and the grid search exposes a
 top-level flag for it.
 
 Every integral a candidate needs is linear in ch1(F) = (e - a)Θ - p*delta.
-So, once per polarization, the ring multiplies the basis {Θ, p*e_1, …,
-p*e_ρ} by ω², by its fiber part and by its mixed part, and the integrals
-are cached as three linear functionals.  One rule
-(:func:`_check_identities`) checks two identities on their coefficients,
-one basis class at a time: the ω² functional must equal its closed-form
-coefficients (s²H² on Θ, 2ts·(e_i·H) on p*e_i), and fiber + mixed must
-equal ω².  No ring product runs per candidate.  The scan scales the
-functionals and the axis values to integers over one common denominator
-D, checks the two identities again on those integers, once per scan, so
-no verdict reads a coefficient it has not checked, then computes the
-O(ρ) dot products (δ·H and δ against the fiber and mixed functionals)
+With ω = tΘ + s·p*h, ω² = t²·Θ² + 2ts·Θ·p*h + s²·p*(h²).  So, once per
+polarization, the ring multiplies the basis {Θ, p*e_1, …, p*e_ρ} by the
+three parts Θ², Θ·p*h and p*(h²), which depend on neither t nor s, and
+checks every coefficient against its closed form (:func:`_coefficients`):
+Θ² gives 0 on every basis class, Θ·p*h gives e_i·H on p*e_i and 0 on Θ,
+and p*(h²) gives H² on Θ and 0 on p*e_i.  Evaluated at (t, s), they give
+three cached linear functionals: the fiber part s²·p*(h²), the mixed part
+t²·Θ² + 2ts·Θ·p*h, and ω², their sum.  No ring product runs per
+candidate.  The scan scales the functionals and the axis values to
+integers over one common denominator D and checks two identities on those
+integers, once per scan, so no verdict reads a coefficient it has not
+checked (:func:`_check_identities`): the ω² functional must equal its
+closed-form coefficients (s²H² on Θ, 2ts·(e_i·H) on p*e_i), computed from
+the Gram matrix alone, and fiber + mixed must equal ω².  It then computes
+the O(ρ) dot products (δ·H and δ against the fiber and mixed functionals)
 once per δ and the Θ terms once per (a, e), all as integer multiply-adds.
 Every integral is linear in (a, δ, e), so the checked coefficients make
 the ring's slope numerator equal the closed form, and the trace steps sum
@@ -45,17 +49,17 @@ value checks anything.  Each (a, δ, e) cell runs a few integer
 subtractions and the signs of its trace steps.  A cell is a plain tuple
 of what a report reads.  Each distinct step value becomes a Fraction and
 a TraceStep, and each distinct trace a tuple of those steps, once per
-scan.  A candidate looks up its slope and verdict per distinct numerator,
-and the scan's Violation flag is set as the verdicts are judged, with no
-second pass over the reports.  Every value a scan holds is built from these
-checked values through its class's trusted constructor
-(:func:`weierfm.rationals.trusted`), without re-running the public
-constructor's checks: each TraceStep once per distinct step value, each
-EffectivityProxy once per (δ, a >= 0), a StabilityReport per report, and
-the ScanResult.  A DestabilizerCandidate (r, a, δ, e) does not depend on
-the polarization, so each is built once per grid, with its grid, and
-every report of every scan over that grid holds the same candidate
-object.  Each of these classes is a
+scan; each TraceStep, and each EffectivityProxy (once per (δ, a >= 0)),
+is built through its public constructor.  A candidate looks up its slope
+and verdict per distinct numerator, and the scan's Violation flag is set
+as the verdicts are judged, with no second pass over the reports.  The
+other values a scan holds are built from these checked values through
+their class's trusted constructor (:func:`weierfm.rationals.trusted`),
+without re-running the public constructor's checks: a StabilityReport
+per report, and the ScanResult.  A DestabilizerCandidate (r, a, δ, e)
+does not depend on the polarization, so each is built once per grid, with
+its grid, and every report of every scan over that grid holds the same
+candidate object.  Each of these classes is a
 :func:`weierfm.rationals.value_class`: its public constructor checks
 every field against its annotation and refuses a float where a rational
 goes, then runs its ``_check`` hook, and it decodes trusted.  The ring's
@@ -105,7 +109,7 @@ from .errors import (
 )
 from .fm import LineBundleX, Polarization, TransformResult, TruncatedChar, transform_char
 from .rationals import is_int, require, trusted, value_class
-from .ring import ThreefoldClass, pullback, x_integrate, x_mul
+from .ring import SurfaceModel, pullback, x_integrate, x_mul
 from .verdicts import Conclusion, WitType
 
 
@@ -239,30 +243,6 @@ class ScanResult:
 POLARIZATION_CACHE_SIZE = 128
 
 
-class _Geometry(NamedTuple):
-    omega_squared: ThreefoldClass
-    mixed: ThreefoldClass  # t²Θ² + 2ts·Θ·p*h
-    fiber: ThreefoldClass  # s²·p*(h·h), the complement of mixed inside ω²
-    hh: Fraction  # H_S² = h·h
-
-
-def _geometry(pol: Polarization) -> _Geometry:
-    """ω², its mixed and fiber parts, and H_S², for :func:`_functionals`."""
-    model = pol.model
-    w = pol.omega().as_threefold()
-    theta = model.theta()
-    ph = pullback(model.divisor_surface(pol.h))
-    mixed = x_mul(theta, theta).scale(pol.t * pol.t) + x_mul(theta, ph).scale(
-        2 * pol.t * pol.s
-    )
-    hh = model.pair(pol.h, pol.h)
-    fiber = pullback(model.surface(s=hh)).scale(pol.s * pol.s)
-    omega_squared = x_mul(w, w)
-    if mixed + fiber != omega_squared:
-        raise InternalCheckError("ω² does not split into its mixed and fiber parts")
-    return _Geometry(omega_squared, mixed, fiber, hh)
-
-
 def _require_num_trivial(pol: Polarization, what: str) -> _Functionals:
     """Refuse a base that no numerically K-trivial surface has: its
     canonical class must be numerically trivial, and its lattice must pass
@@ -334,9 +314,12 @@ def _inertia(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
 
 class _Functionals(NamedTuple):
     """∫ b·G for each basis class b in {Θ, p*e_1, …, p*e_ρ} (in that order)
-    and G in {ω², fiber part, mixed part}, with the closed-form constants,
-    the verdict of :func:`_lattice_fault` on the base and the rank-1 target
-    slope, the slope of the transform of O_X(-Θ).
+    and G in {ω², fiber part s²·p*(h²), mixed part t²·Θ² + 2ts·Θ·p*h}, as
+    :func:`_functionals` evaluates them from the checked parts of
+    :func:`_coefficients`, with the closed-form constants (from the Gram
+    matrix, not the ring), the verdict of :func:`_lattice_fault` on the
+    base and the rank-1 target slope, the slope of the transform of
+    O_X(-Θ).
 
     Every integral a candidate needs is linear in its ch1 = cΘ + p*d, so it
     is c·G[0] + Σ d_i·G[1 + i].
@@ -357,44 +340,63 @@ def _dot(u: tuple[Fraction, ...], v: tuple[Fraction, ...]) -> Fraction:
     return sum(map(operator.mul, u[1:], v[1:]), u[0] * v[0])
 
 
+def _coefficients(
+    model: SurfaceModel, h: tuple[Fraction, ...]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """A, B and C: ∫ b·P for each basis class b in {Θ, p*e_1, …, p*e_ρ} (in
+    that order) and P in Θ², Θ·p*h and p*(h²), the parts of
+    ω² = t²·Θ² + 2ts·Θ·p*h + s²·p*(h²), which depend on neither t nor s.
+    Each coefficient is checked against its closed form: A = 0, since
+    Θ² = Θ·p*K_S and K_S is numerically trivial; B = 0 on Θ and e_i·H on
+    p*e_i; C = H² on Θ and 0 on p*e_i.  So the check holds for every t and
+    s, and it sees the t² part on its own.  The message quotes the first
+    coefficient that differs, ring first."""
+    rho = model.picard_rank
+    units = [tuple(Fraction(int(i == j)) for j in range(rho)) for i in range(rho)]
+    theta, ph = model.theta(), pullback(model.divisor_surface(h))
+    basis = [theta] + [pullback(model.divisor_surface(u)) for u in units]
+    parts = (x_mul(theta, theta), x_mul(theta, ph), x_mul(ph, ph))
+    ring = tuple(tuple(x_integrate(x_mul(b, part)) for b in basis) for part in parts)
+    gram_h, zeros = tuple(_dot(row, h) for row in model.gram), (0,) * rho
+    closed = ((0, *zeros), (0, *gram_h), (_dot(gram_h, h), *zeros))
+    for x, form in zip(itertools.chain(*ring), itertools.chain(*closed)):
+        if x != form:
+            raise InternalCheckError(
+                f"ring integration and closed-form slope numerators disagree: {x} vs {form}"
+            )
+    return ring
+
+
 # Knocking the cache out costs sweep 52 % of its throughput (BENCH_35.json).
 @lru_cache(maxsize=POLARIZATION_CACHE_SIZE)
 def _functionals(pol: Polarization) -> _Functionals:
-    """Push the basis {Θ, p*e_i} through the ring against ω² and its two
-    parts, once per polarization, check the results on their coefficients
-    (:func:`_check_identities`), and read the rank-1 target slope off the
-    ω² functional (:func:`_slope`), which must be positive."""
-    model = pol.model
-    geometry = _geometry(pol)
-    units = [
-        tuple(Fraction(int(i == j)) for j in range(model.picard_rank))
-        for i in range(model.picard_rank)
-    ]
-    basis = [model.theta()] + [pullback(model.divisor_surface(u)) for u in units]
-
-    def integrals(g: ThreefoldClass) -> tuple[Fraction, ...]:
-        return tuple(x_integrate(x_mul(b, g)) for b in basis)
-
-    omega_squared = integrals(geometry.omega_squared)
-    fiber = integrals(geometry.fiber)
-    mixed = integrals(geometry.mixed)
-    gram_h = tuple(model.pair(u, pol.h) for u in units)
-    two_ts = 2 * pol.t * pol.s
-    ss_hh = pol.s * pol.s * geometry.hh
-    _check_identities(omega_squared, fiber, mixed, (ss_hh, *(two_ts * g for g in gram_h)))
+    """Evaluate the checked parts of :func:`_coefficients` at the
+    polarization's (t, s), once per polarization: fiber = s²·C,
+    mixed = t²·A + 2ts·B and ω² their sum.  The closed-form constants come
+    from the Gram matrix alone, not from the ring, so the scan's own check
+    (:func:`_cells`) compares two independent sources.  Read the rank-1
+    target slope off the ω² functional (:func:`_slope`), which must be
+    positive."""
+    model, t, s = pol.model, pol.t, pol.s
+    a, b, c = _coefficients(model, pol.h)
+    two_ts, ss = 2 * t * s, s * s
+    fiber = tuple(ss * z for z in c)
+    mixed = tuple(t * t * x + two_ts * y for x, y in zip(a, b))
+    omega_squared = tuple(map(operator.add, fiber, mixed))
+    gram_h = tuple(_dot(row, pol.h) for row in model.gram)
     unit_target = _slope(omega_squared, transform_char(LineBundleX(model, -1)).char)
     if unit_target <= 0:
         raise InternalCheckError("target slope must be positive")
-    return _Functionals(omega_squared, fiber, mixed, gram_h, two_ts, ss_hh,
-                        _lattice_fault(model.gram), unit_target)
+    return _Functionals(omega_squared, fiber, mixed, gram_h, two_ts,
+                        ss * _dot(gram_h, pol.h), _lattice_fault(model.gram), unit_target)
 
 
-def _check_identities(omega_squared, fiber, mixed, closed, den: int = 1) -> None:
+def _check_identities(omega_squared, fiber, mixed, closed, den: int) -> None:
     """Raise InternalCheckError unless the ω² functional equals its closed
     form ``closed`` (s²H² on Θ, 2ts·(e_i·H) on p*e_i) and fiber + mixed
     equals ω², each coefficient by coefficient on the basis Θ, p*e_i; the
-    coefficients are rationals, or integers over ``den``.  The first
-    message quotes the first coefficient that differs, ring first."""
+    coefficients are integers over ``den``.  The first message quotes the
+    first coefficient that differs, ring first."""
     for ring, form in zip(omega_squared, closed):
         if ring != form:
             raise InternalCheckError(
@@ -412,7 +414,8 @@ def _check_identities(omega_squared, fiber, mixed, closed, den: int = 1) -> None
 
 def _slope(w: tuple[Fraction, ...], char: TruncatedChar) -> Fraction:
     """∫ ch1·ω² / ch0, read off the ω² functional ``w``, which
-    :func:`_functionals` checks against the ring and the closed form."""
+    :func:`_functionals` builds from the parts that :func:`_coefficients`
+    checks against their closed forms."""
     return (char.ch1.a * w[0] + _dot(char.ch1.delta, w[1:])) / char.ch0
 
 
@@ -474,16 +477,13 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[tuple]:
     _check_identities(_ints(fns.omega_squared, den), fiber, mixed, closed, den)
     (fiber0, *fiber), (mixed0, *mixed), (ss, *ts_h) = fiber, mixed, closed
     gram_h = _ints(fns.gram_h, den)
-    # The public constructors cost sweep 1-3 % of its throughput, within its
-    # run-to-run spread (BENCH_35.json).
-    proxy, step = trusted(EffectivityProxy), trusted(TraceStep)
     by_delta = []
     for delta in deltas:
         d = _ints(delta, den)
         pairing = Fraction(sum(map(operator.mul, d, gram_h)), scale)
         reason = (f"effectivity proxy fails: delta·H = {pairing} < 0",) if pairing < 0 else ()
         # The proxy for a < 0 and for a >= 0, indexed by a >= 0.
-        proxies = (proxy(False, pairing), proxy(True, pairing))
+        proxies = (EffectivityProxy(False, pairing), EffectivityProxy(True, pairing))
         by_delta.append((proxies, reason, sum(map(operator.mul, d, ts_h)),
                          sum(map(operator.mul, d, fiber)), sum(map(operator.mul, d, mixed))))
     by_a = []
@@ -508,7 +508,7 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[tuple]:
                 satisfied: bool) -> TraceStep:
         value = made.get(x)
         if value is None:
-            value = made[x] = step(name, Fraction(x, scale), requirement, satisfied)
+            value = made[x] = TraceStep(name, Fraction(x, scale), requirement, satisfied)
         return value
 
     traces: dict[tuple[int, int, int], tuple[TraceStep, ...]] = {}

@@ -101,8 +101,9 @@ def test_target_slope_validates_n(k3_pol):
 
 @pytest.mark.parametrize("n", [True, 2.0], ids=["bool", "whole-float"])
 def test_target_slope_validates_n_with_a_warm_cache(k3_pol, n):
-    """True == 1 and 2.0 == 2 hash alike, so an untyped cache would hand back
-    the slope of n = 1 or 2 without checking n; certify reads the same cache."""
+    """True == 1 and 2.0 == 2 hash alike, so with the polarization's
+    functionals cached, n is still refused: target_slope and certify check
+    it (``_require_rank``) before they read the cached functionals."""
     assert (target_slope(1, k3_pol), target_slope(2, k3_pol)) == (4, 2)
     with pytest.raises(ValueError):
         target_slope(n, k3_pol)
@@ -811,92 +812,105 @@ def test_polarization_caches_stay_bounded(k3):
     assert _functionals.cache_info().currsize <= POLARIZATION_CACHE_SIZE
 
 
+def _part_factors(model, h):
+    """The factors of each (t, s)-free part of ω², by spoil id."""
+    from weierfm.ring import pullback
+
+    theta, ph = model.theta(), pullback(model.divisor_surface(h))
+    return {"theta-squared": (theta, theta), "theta-h": (theta, ph), "h-squared": (ph, ph)}
+
+
+def _assert_caught(capsys, pol, message, argv):
+    """The functionals of ``pol`` are refused with InternalCheckError whose
+    message is ``message``, once per polarization, before any cell, so
+    ``certify`` is refused too, and ``weierfm certify`` on ``argv`` exits 3."""
+    from weierfm import cli
+    from weierfm.stability import _functionals
+
+    for call in (lambda: _functionals(pol), lambda: certify(2, pol, cand(a=1, delta=(1,), e=1))):
+        with pytest.raises(InternalCheckError) as exc:
+            call()
+        assert str(exc.value) == message
+    code = cli.main(["certify", "--preset", "k3_quartic", "-t", "1", "-s", "1",
+                     "-n", "2", "-r", "1", *argv])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"internal error: {message}\n"
+
+
+_DISAGREE = "ring integration and closed-form slope numerators disagree: "
+
+
 @pytest.mark.parametrize(
     "spoil,message",
     [
-        pytest.param("geometry", "ω² does not split", id="omega-split"),
-        pytest.param("slope product", "closed-form slope numerators disagree",
-                     id="ring-vs-closed-form"),
-        pytest.param("trace products", "trace decomposition does not sum", id="trace-sum"),
+        pytest.param("all products", _DISAGREE + "1 vs 0", id="ring-vs-closed-form"),
+        pytest.param("theta-squared", _DISAGREE + "1 vs 0", id="theta-squared"),
+        pytest.param("theta-h", _DISAGREE + "1 vs 0", id="theta-h"),
+        pytest.param("h-squared", _DISAGREE + "5 vs 4", id="h-squared"),
         pytest.param("target slope", "target slope must be positive", id="target-sign"),
     ],
 )
 def test_internal_checks_catch_a_perturbed_ring(monkeypatch, capsys, k3, spoil, message):
-    """A ring product off by Θ·p*[pt] (which integrates to 1), or a target
-    slope of the wrong sign, is caught by the cross-check named in
-    ``message``, and ``weierfm certify`` exits 3."""
-    from weierfm import cli, stability
+    """Every ring product off by Θ·p*[pt] (which integrates to 1), one
+    part product of ω² (Θ², Θ·p*h or p*(h²)) off by the fiber class p*[pt]
+    (whose integral against Θ is 1), or a target slope of the wrong sign,
+    is caught by the check that ``message`` names; a ring spoil is quoted
+    at the first coefficient that differs, here on Θ, ring value first,
+    and ``weierfm certify`` exits 3."""
+    from weierfm import stability
     from weierfm.ring import ThreefoldClass
-    from weierfm.stability import _functionals, _geometry
+    from weierfm.stability import _functionals
 
     pol = Polarization(k3.model, Fraction(1), Fraction(1), k3.ample)
     _functionals.cache_clear()
-    # Except in the "geometry" case, the geometry of pol (the CLI's too) is
-    # pinned to the true ring's: a spoiled ω² would fail its split check first.
-    true = None if spoil == "geometry" else _geometry(pol)
-    if true is not None:
-        monkeypatch.setattr(stability, "_geometry", {pol: true}.__getitem__)
     point = ThreefoldClass(k3.model.point_surface(), k3.model.surface())
+    factors = _part_factors(k3.model, k3.ample).get(spoil)
     real_mul, real_slope = stability.x_mul, stability._slope
 
     def spoiled_mul(x, y):
         product = real_mul(x, y)
-        if spoil == "trace products" and y is true.omega_squared:
-            return product
-        return product + point
+        if factors is None:
+            return product + point
+        return product + k3.model.fiber() if (x, y) in (factors, factors[::-1]) else product
 
     if spoil == "target slope":
         monkeypatch.setattr(stability, "_slope", lambda fns, char: -real_slope(fns, char))
     else:
         monkeypatch.setattr(stability, "x_mul", spoiled_mul)
-    with pytest.raises(InternalCheckError, match=message):
-        certify(2, pol, cand(a=1, e=1))
-    code = cli.main(["certify", "--preset", "k3_quartic", "-t", "1", "-s", "1",
-                     "-n", "2", "-r", "1", "--a", "1", "--e", "1"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert err.startswith("internal error:") and message in err
+    _assert_caught(capsys, pol, message, ["--a", "1", "--e", "1"])
 
 
 @pytest.mark.parametrize(
-    "spoil,message",
-    [
-        pytest.param("all products", "closed-form slope numerators disagree",
-                     id="ring-vs-closed-form"),
-        pytest.param("trace products", "trace decomposition does not sum", id="trace-sum"),
-    ],
+    "spoil",
+    [pytest.param("all products", id="ring-vs-closed-form"), "theta-h", "h-squared"],
 )
-def test_internal_checks_catch_a_linearly_perturbed_ring(monkeypatch, capsys, k3, spoil,
-                                                         message):
-    """A ring product whose degree is doubled is linear in its factors, so the
-    basis functionals carry it into every candidate; it is caught for a
-    candidate with delta ≠ 0, and ``weierfm certify`` exits 3."""
-    from weierfm import cli, stability
+def test_internal_checks_catch_a_linearly_perturbed_ring(monkeypatch, capsys, k3, spoil):
+    """A ring product whose degree is doubled, or a part product of ω²
+    (Θ·p*h or p*(h²)) that is doubled, is linear in its factors, so the
+    basis functionals carry it into every candidate; the closed form of
+    the part's coefficients catches it once per polarization (k3: the
+    coefficient 8 where e_1·H = H² = 4), and ``weierfm certify`` exits 3.
+    Θ² is the zero class on a K-trivial base, so doubling it changes
+    nothing; the test above perturbs it."""
+    from weierfm import stability
     from weierfm.ring import ThreefoldClass
-    from weierfm.stability import _functionals, _geometry
+    from weierfm.stability import _functionals
 
     pol = Polarization(k3.model, Fraction(1), Fraction(1), k3.ample)
     _functionals.cache_clear()
-    # The geometry of pol (the CLI's too) is pinned to the true ring's.
-    true = _geometry(pol)
-    monkeypatch.setattr(stability, "_geometry", {pol: true}.__getitem__)
     point = ThreefoldClass(k3.model.point_surface(), k3.model.surface())
+    factors = _part_factors(k3.model, k3.ample).get(spoil)
     real_mul = stability.x_mul
 
     def spoiled_mul(x, y):
         product = real_mul(x, y)
-        if spoil == "trace products" and y is true.omega_squared:
-            return product
-        return product + point.scale(product.alpha.s)
+        if factors is None:
+            return product + point.scale(product.alpha.s)
+        return product.scale(2) if (x, y) in (factors, factors[::-1]) else product
 
     monkeypatch.setattr(stability, "x_mul", spoiled_mul)
-    with pytest.raises(InternalCheckError, match=message):
-        certify(2, pol, cand(a=1, delta=(1,), e=1))
-    code = cli.main(["certify", "--preset", "k3_quartic", "-t", "1", "-s", "1",
-                     "-n", "2", "-r", "1", "--a", "1", "--delta", "1", "--e", "1"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert err.startswith("internal error:") and message in err
+    _assert_caught(capsys, pol, _DISAGREE + "8 vs 4", ["--a", "1", "--delta", "1", "--e", "1"])
 
 
 def test_scan_ring_products_do_not_depend_on_the_grid(monkeypatch, k3):
@@ -1285,6 +1299,67 @@ def test_scan_checks_catch_spoiled_functionals(capsys, k3, spoil_functionals, fi
         err = capsys.readouterr().err
         assert code == 3
         assert re.fullmatch(f"internal error: {pattern}\n", err)
+
+
+@pytest.fixture
+def spoil_coefficients(monkeypatch):
+    """Make ``_coefficients`` return part ``part`` (0, 1, 2: A, B, C) off by
+    one at basis index ``index``, past its own check, with the functionals'
+    cache cleared before and after, so no spoiled functionals outlive the
+    test."""
+    from weierfm import stability
+
+    real = stability._coefficients
+
+    def spoil(part, index):
+        def spoiled_coefficients(model, h):
+            parts = list(real(model, h))
+            parts[part] = parts[part][:index] + (parts[part][index] + 1,) + parts[part][index + 1:]
+            return tuple(parts)
+
+        monkeypatch.setattr(stability, "_coefficients", spoiled_coefficients)
+        stability._functionals.cache_clear()
+
+    yield spoil
+    stability._functionals.cache_clear()
+
+
+# (part, basis index, id): each of A, B and C off by one on Θ and on p*e_1.
+_PART_SPOILS = [
+    (part, index, f"{name}-{where}")
+    for part, name in enumerate(("a", "b", "c"))
+    for index, where in ((0, "theta"), (1, "e1"))
+]
+
+
+@pytest.mark.parametrize(
+    "part,index,call,argv",
+    [
+        pytest.param(part, index, call, argv,
+                     id=f"{call_id}-{spoil_id}" if call_id else spoil_id)
+        for call_id, call, argv in _SPOILED_CALLS
+        for part, index, spoil_id in _PART_SPOILS
+    ],
+)
+def test_scan_checks_catch_spoiled_coefficients(capsys, k3, spoil_coefficients, part, index,
+                                                call, argv):
+    """Each (t, s)-free part of ω² (A, B or C) off by one, on Θ or on p*e_1,
+    and returned past its closed-form check, makes the ω² functional differ
+    from its closed form, which comes from the Gram matrix alone: the scan's
+    numerator check catches it at every entry point, and the CLI exits 3."""
+    from weierfm import cli
+
+    spoil_coefficients(part, index)
+    pol = Polarization(k3.model, Fraction(1), Fraction(1), k3.ample)
+    if call is not None:
+        with pytest.raises(InternalCheckError) as exc:
+            call(pol)
+        assert re.fullmatch(_NUMERATORS, str(exc.value))
+    if argv is not None:
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert re.fullmatch(f"internal error: {_NUMERATORS}\n", err)
 
 
 @pytest.mark.parametrize(
