@@ -38,6 +38,5 @@ class InternalCheckError(WeierfmError):
 
     These guard identities the implementation promises to verify on
     every run, on the slope functionals' coefficients (ring-vs-closed-form
-    agreement, trace decomposition summing to r times the slope).  Seeing
-    one means a bug, never bad user input.
+    agreement).  Seeing one means a bug, never bad user input.
     """

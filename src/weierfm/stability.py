@@ -20,7 +20,10 @@ candidate both through the intersection ring and through the closed form
 
     candidate = [ -2ts·(delta·H_S) - a·s²·H_S² + e·s²·H_S² ] / r,
 
-and a three-step trace whose entries sum exactly to r times the slope.
+and a three-step trace of the closed form's terms, which sum to r times
+the slope: the fiber-degree step (e - a)·s²·H_S² and the effectivity step
+-2ts·(delta·H_S), each a nonnegative multiplier times a quantity that
+admissibility makes non-positive, and the section-part step 0.
 Admissible candidates always land at slope <= 0 < target; a Violation
 verdict would be a genuine counterexample and the grid search exposes a
 top-level flag for it.
@@ -32,38 +35,24 @@ three parts Θ², Θ·p*h and p*(h²), which depend on neither t nor s, and
 checks every coefficient against its closed form (:func:`_coefficients`):
 Θ² gives 0 on every basis class, Θ·p*h gives e_i·H on p*e_i and 0 on Θ,
 and p*(h²) gives H² on Θ and 0 on p*e_i.  Evaluated at (t, s), they give
-three cached linear functionals: the fiber part s²·p*(h²), the mixed part
-t²·Θ² + 2ts·Θ·p*h, and ω², their sum.  No ring product runs per
-candidate.  The scan scales the functionals and the axis values to
-integers over one common denominator D and checks two identities on those
-integers, once per scan, so no verdict reads a coefficient it has not
-checked (:func:`_check_identities`): the ω² functional must equal its
-closed-form coefficients (s²H² on Θ, 2ts·(e_i·H) on p*e_i), computed from
-the Gram matrix alone, and fiber + mixed must equal ω².  It then computes
-the O(ρ) dot products (δ·H and δ against the fiber and mixed functionals)
-once per δ and the Θ terms once per (a, e), all as integer multiply-adds.
-Every integral is linear in (a, δ, e), so the checked coefficients make
-the ring's slope numerator equal the closed form, and the trace steps sum
-to it (r times the slope of every rank), at every cell: no cell or axis
-value checks anything.  Each (a, δ, e) cell runs a few integer
-subtractions and the signs of its trace steps.  A cell is a plain tuple
-of what a report reads.  Each distinct step value becomes a Fraction and
-a TraceStep, and each distinct trace a tuple of those steps, once per
-scan; each TraceStep, and each EffectivityProxy (once per (δ, a >= 0)),
-is built through its public constructor.  A candidate looks up its slope
-and verdict per distinct numerator, and the scan's Violation flag is set
-as the verdicts are judged, with no second pass over the reports.  The
-other values a scan holds are built from these checked values through
-their class's trusted constructor (:func:`weierfm.rationals.trusted`),
-without re-running the public constructor's checks: a StabilityReport
-per report, and the ScanResult.  A DestabilizerCandidate (r, a, δ, e)
-does not depend on the polarization, so each is built once per grid, with
-its grid, and every report of every scan over that grid holds the same
-candidate object.  Each of these classes is a
-:func:`weierfm.rationals.value_class`: its public constructor checks
-every field against its annotation and refuses a float where a rational
-goes, then runs its ``_check`` hook, and it decodes trusted.  The ring's
-classes are built through their public constructors.
+the cached ω² functional.  No ring product runs per candidate.  Once per
+scan, :func:`_cells` checks the ω² functional against its closed form
+(s²H² on Θ, 2ts·(e_i·H) on p*e_i), computed from the Gram matrix alone,
+so the ring's slope numerator equals the closed form at every cell and
+no verdict reads a coefficient that has not been checked.  A cell reads
+delta only through delta·H.  Each distinct step value becomes one
+TraceStep, and each distinct trace one tuple of them, once per scan; each
+TraceStep, and each EffectivityProxy (once per (δ, a >= 0)), is built
+through its public constructor.  The other values a scan holds are built
+from these checked values through their class's trusted constructor
+(:func:`weierfm.rationals.trusted`): a StabilityReport per report, and
+the ScanResult.  A DestabilizerCandidate (r, a, δ, e) does not depend on
+the polarization, so each is built once per grid, with its grid, and
+every report of every scan over that grid holds the same candidate
+object.  Each of these classes is a :func:`weierfm.rationals.value_class`:
+its public constructor checks every field against its annotation and
+refuses a float where a rational goes, then runs its ``_check`` hook, and
+it decodes trusted.
 
 The transform's own slope and the target slope are one quantity, the ω²
 functional's dot product with the transform's ch1, over ch0, so
@@ -313,21 +302,19 @@ def _inertia(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
 
 
 class _Functionals(NamedTuple):
-    """∫ b·G for each basis class b in {Θ, p*e_1, …, p*e_ρ} (in that order)
-    and G in {ω², fiber part s²·p*(h²), mixed part t²·Θ² + 2ts·Θ·p*h}, as
-    :func:`_functionals` evaluates them from the checked parts of
-    :func:`_coefficients`, with the closed-form constants (from the Gram
+    """∫ b·ω² for each basis class b in {Θ, p*e_1, …, p*e_ρ} (in that
+    order), as :func:`_functionals` evaluates it from the checked parts of
+    :func:`_coefficients`, with the closed form's constants (from the Gram
     matrix, not the ring), the verdict of :func:`_lattice_fault` on the
     base and the rank-1 target slope, the slope of the transform of
     O_X(-Θ).
 
-    Every integral a candidate needs is linear in its ch1 = cΘ + p*d, so it
-    is c·G[0] + Σ d_i·G[1 + i].
+    The closed form of ω² is s²H² on Θ and 2ts·(e_i·H) on p*e_i, so
+    ∫ ch1(F)·ω² = s²H²·(e - a) - 2ts·(delta·H): its two terms are the
+    fiber-degree and effectivity steps of a trace.
     """
 
     omega_squared: tuple[Fraction, ...]
-    fiber: tuple[Fraction, ...]
-    mixed: tuple[Fraction, ...]
     gram_h: tuple[Fraction, ...]  # gram·h, so that delta·H = Σ delta_i (gram·h)_i
     two_ts: Fraction  # 2ts
     ss_hh: Fraction  # s²·H_S²
@@ -370,43 +357,22 @@ def _coefficients(
 # Knocking the cache out costs sweep 52 % of its throughput (BENCH_35.json).
 @lru_cache(maxsize=POLARIZATION_CACHE_SIZE)
 def _functionals(pol: Polarization) -> _Functionals:
-    """Evaluate the checked parts of :func:`_coefficients` at the
-    polarization's (t, s), once per polarization: fiber = s²·C,
-    mixed = t²·A + 2ts·B and ω² their sum.  The closed-form constants come
-    from the Gram matrix alone, not from the ring, so the scan's own check
-    (:func:`_cells`) compares two independent sources.  Read the rank-1
-    target slope off the ω² functional (:func:`_slope`), which must be
-    positive."""
+    """Evaluate ω² = t²·A + 2ts·B + s²·C from the checked parts of
+    :func:`_coefficients` at the polarization's (t, s), once per
+    polarization.  The closed form's constants come from the Gram matrix
+    alone, not from the ring, so the scan's own check (:func:`_cells`)
+    compares two independent sources.  Read the rank-1 target slope off
+    the ω² functional (:func:`_slope`), which must be positive."""
     model, t, s = pol.model, pol.t, pol.s
-    a, b, c = _coefficients(model, pol.h)
     two_ts, ss = 2 * t * s, s * s
-    fiber = tuple(ss * z for z in c)
-    mixed = tuple(t * t * x + two_ts * y for x, y in zip(a, b))
-    omega_squared = tuple(map(operator.add, fiber, mixed))
+    omega_squared = tuple(t * t * x + two_ts * y + ss * z
+                          for x, y, z in zip(*_coefficients(model, pol.h)))
     gram_h = tuple(_dot(row, pol.h) for row in model.gram)
     unit_target = _slope(omega_squared, transform_char(LineBundleX(model, -1)).char)
     if unit_target <= 0:
         raise InternalCheckError("target slope must be positive")
-    return _Functionals(omega_squared, fiber, mixed, gram_h, two_ts,
-                        ss * _dot(gram_h, pol.h), _lattice_fault(model.gram), unit_target)
-
-
-def _check_identities(omega_squared, fiber, mixed, closed, den: int) -> None:
-    """Raise InternalCheckError unless the ω² functional equals its closed
-    form ``closed`` (s²H² on Θ, 2ts·(e_i·H) on p*e_i) and fiber + mixed
-    equals ω², each coefficient by coefficient on the basis Θ, p*e_i; the
-    coefficients are integers over ``den``.  The first message quotes the
-    first coefficient that differs, ring first."""
-    for ring, form in zip(omega_squared, closed):
-        if ring != form:
-            raise InternalCheckError(
-                "ring integration and closed-form slope numerators disagree: "
-                f"{Fraction(ring, den)} vs {Fraction(form, den)}"
-            )
-    if any(f + m != w for f, m, w in zip(fiber, mixed, omega_squared)):
-        raise InternalCheckError(
-            "trace decomposition does not sum to r times the candidate slope"
-        )
+    return _Functionals(omega_squared, gram_h, two_ts, ss * _dot(gram_h, pol.h),
+                        _lattice_fault(model.gram), unit_target)
 
 
 # -- slopes -----------------------------------------------------------------
@@ -449,34 +415,44 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[tuple]:
     rank.
 
     Every term is an integer over D², for one D per call: the least common
-    multiple of the denominators of the functionals (2ts as 2ts·(gram·h)),
-    of the a values and of the delta entries.  Each functional and each
-    axis value is scaled to integers over D once, so their products are
-    integers over D²: the dot products once per delta (delta·H,
-    2ts·delta·H and delta against the fiber and mixed functionals) and the
-    Θ terms once per (a, e).  A cell only subtracts them.
-
-    The two identities are checked once per call, on the functionals'
-    integers over D (:func:`_check_identities`).  With fd = e - a, they
-    make the ring's slope numerator fd·ω²[Θ] - delta·ω²[1:] equal the
-    closed form fd·s²H² - 2ts·delta·H, and the trace steps sum to it, at
-    every cell, so a cell's numerator is the closed form's.
+    multiple of the denominators of the ω² functional, of its closed form
+    (2ts as 2ts·(gram·h)), of gram·h, of the a values and of the delta
+    entries.  The ω² functional must equal its closed form, coefficient by
+    coefficient on their integers over D; the message quotes the first
+    coefficient that differs, ring first.  So the numerator is the closed
+    form's, the sum of two trace steps, each a multiplier times a
+    constraint: the fiber-degree step (e - a)·s²H², once per (a, e), and
+    the effectivity step -2ts·(delta·H), once per delta.  A cell reads
+    delta only through the pairing delta·H.  The section-part step is 0,
+    since :func:`_coefficients` checks that A and B vanish on Θ.
 
     Only what a report stores becomes a Fraction: the pairing once per
     delta, the fiber degree once per (a, e), and each distinct step value
     once per call, as one TraceStep; each distinct trace is one tuple of
-    them.  The fiber-degree step depends only on (e - a, delta), the
-    effectivity step on (a, delta) and the section-part step on e, so far
-    fewer steps than traces are built."""
+    them."""
     closed = (fns.ss_hh, *(fns.two_ts * g for g in fns.gram_h))
     den = math.lcm(*{x.denominator for x in itertools.chain(
-        fns.omega_squared, fns.fiber, fns.mixed, fns.gram_h, closed,
+        fns.omega_squared, fns.gram_h, closed,
         a_values, itertools.chain.from_iterable(deltas))})
     scale = den * den
-    fiber, mixed, closed = _ints(fns.fiber, den), _ints(fns.mixed, den), _ints(closed, den)
-    _check_identities(_ints(fns.omega_squared, den), fiber, mixed, closed, den)
-    (fiber0, *fiber), (mixed0, *mixed), (ss, *ts_h) = fiber, mixed, closed
+    ss, *ts_h = closed = _ints(closed, den)
+    for ring, form in zip(_ints(fns.omega_squared, den), closed):
+        if ring != form:
+            raise InternalCheckError(
+                "ring integration and closed-form slope numerators disagree: "
+                f"{Fraction(ring, den)} vs {Fraction(form, den)}"
+            )
     gram_h = _ints(fns.gram_h, den)
+
+    def step_of(made: dict[int, TraceStep], x: int, name: str) -> TraceStep:
+        step = made.get(x)
+        if step is None:
+            step = made[x] = TraceStep(name, Fraction(x, scale), "<= 0", x <= 0)
+        return step
+
+    # Each step's TraceSteps, keyed by its value over D².
+    fiber_steps: dict[int, TraceStep] = {}
+    effectivity_steps: dict[int, TraceStep] = {}
     by_delta = []
     for delta in deltas:
         d = _ints(delta, den)
@@ -484,8 +460,8 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[tuple]:
         reason = (f"effectivity proxy fails: delta·H = {pairing} < 0",) if pairing < 0 else ()
         # The proxy for a < 0 and for a >= 0, indexed by a >= 0.
         proxies = (EffectivityProxy(False, pairing), EffectivityProxy(True, pairing))
-        by_delta.append((proxies, reason, sum(map(operator.mul, d, ts_h)),
-                         sum(map(operator.mul, d, fiber)), sum(map(operator.mul, d, mixed))))
+        step = -sum(map(operator.mul, d, ts_h))
+        by_delta.append((proxies, reason, step, step_of(effectivity_steps, step, "effectivity step")))
     by_a = []
     for a in a_values:
         a_nonneg = a >= 0
@@ -498,44 +474,23 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[tuple]:
                 fd_reason = (f"fiber degree {fd} is not an integer",)
             else:
                 fd_reason = (f"fiber degree +{fd} > 0",) if fd > 0 else ()
-            fd_int = e * den - a_int
-            fd_ss, fd_fiber = fd_int * ss, fd_int * fiber0
-            a_mixed, step3 = -a_int * mixed0, e * den * mixed0
-            rows.append((fd, fd_reason, fd_ss, fd_fiber, a_mixed, step3))
+            step = (e * den - a_int) * ss
+            rows.append((fd, fd_reason, step, step_of(fiber_steps, step, "fiber-degree step")))
         by_a.append((a_nonneg, a_reason, rows))
 
-    def step_of(made: dict[int, TraceStep], x: int, name: str, requirement: str,
-                satisfied: bool) -> TraceStep:
-        value = made.get(x)
-        if value is None:
-            value = made[x] = TraceStep(name, Fraction(x, scale), requirement, satisfied)
-        return value
-
-    traces: dict[tuple[int, int, int], tuple[TraceStep, ...]] = {}
-    # Each trace step's TraceSteps, keyed by its value over D².
-    fiber_steps: dict[int, TraceStep] = {}
-    effectivity_steps: dict[int, TraceStep] = {}
-    section_steps: dict[int, TraceStep] = {}
+    section = TraceStep("section-part step", 0, "== 0", True)
+    traces: dict[tuple[int, int], tuple[TraceStep, ...]] = {}
     cells = []
-    # ch1(F) splits as (-aΘ - p*delta) + eΘ, the torsion and section parts.
     for a_nonneg, a_reason, rows in by_a:
-        for proxies, pair_reason, ts_pairing, fiber_d, mixed_d in by_delta:
+        for proxies, pair_reason, effectivity, effectivity_step in by_delta:
             cell_proxy = proxies[a_nonneg]
             cell_reason = a_reason + pair_reason
-            for fd, fd_reason, fd_ss, fd_fiber, a_mixed, step3 in rows:
-                step1, step2 = fd_fiber - fiber_d, a_mixed - mixed_d
-                key = (step1, step2, step3)
-                trace = traces.get(key)
+            for fd, fd_reason, fiber, fiber_step in rows:
+                trace = traces.get((fiber, effectivity))
                 if trace is None:
-                    trace = traces[key] = (
-                        step_of(fiber_steps, step1, "fiber-degree step", "<= 0", step1 <= 0),
-                        step_of(effectivity_steps, step2, "effectivity step", "<= 0",
-                                step2 <= 0),
-                        step_of(section_steps, step3, "section-part step", "== 0",
-                                step3 == 0),
-                    )
+                    trace = traces[fiber, effectivity] = (fiber_step, effectivity_step, section)
                 # r times the slope is numerator / D² at every rank r.
-                cells.append((fd, fd_ss - ts_pairing, scale, cell_proxy, trace,
+                cells.append((fd, fiber + effectivity, scale, cell_proxy, trace,
                               cell_reason + fd_reason))
     return cells
 

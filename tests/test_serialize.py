@@ -7,6 +7,7 @@ import typing
 from dataclasses import make_dataclass
 from enum import Enum
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -460,16 +461,28 @@ def test_shared_decoders_check_before_the_cache(name, key, value):
 
 
 def test_decoded_scan_round_trips_and_the_scan_shares_value_objects(k3_pol):
-    """A scan decodes back to itself, and the scan's own reports share
-    their trace steps and proxies, one object per distinct value."""
-    scan = enumerate_candidates(
-        2, k3_pol, EnumerationBounds(a_max=Fraction(2), delta_max=Fraction(1))
+    """A scan decodes back to itself, and the scan's own reports hold one
+    object per distinct trace step and one per distinct trace (k3 at two
+    sizes, and the ρ = 2 lattice at t ≠ s); they share their proxies."""
+    model = serialize.surface_model_from_json(
+        json.loads((Path(__file__).parent / "data" / "hyperbolic_rho2.json").read_text())
     )
-    back = serialize.scan_result_from_json(json.loads(serialize.dumps(scan)))
-    assert back == scan
-    for values in ([step for report in scan.reports for step in report.trace],
-                   [report.proxy for report in scan.reports]):
-        assert len(set(map(id, values))) < len(values)
+    rho2 = Polarization(model, Fraction(1, 2), Fraction(2), (Fraction(1), Fraction(2)))
+    for n, pol, bounds, steps, traces in [
+        (2, k3_pol, EnumerationBounds(a_max=Fraction(2), delta_max=Fraction(1)), 11, 21),
+        (3, k3_pol, None, 29, 195),
+        (3, rho2, EnumerationBounds(a_max=Fraction(2), delta_max=Fraction(2)), 21, 91),
+    ]:
+        scan = enumerate_candidates(n, pol, bounds)
+        back = serialize.scan_result_from_json(json.loads(serialize.dumps(scan)))
+        assert back == scan
+        for values, distinct in (
+            ([step for report in scan.reports for step in report.trace], steps),
+            ([report.trace for report in scan.reports], traces),
+        ):
+            assert len(set(map(id, values))) == len(set(values)) == distinct
+        proxies = [report.proxy for report in scan.reports]
+        assert len(set(map(id, proxies))) < len(proxies)
 
 
 def test_each_decoded_report_and_relation_is_its_own(k3_pol):
