@@ -42,17 +42,17 @@ so the ring's slope numerator equals the closed form at every cell and
 no verdict reads a coefficient that has not been checked.  A cell reads
 delta only through delta·H.  Each distinct step value becomes one
 TraceStep, and each distinct trace one tuple of them, once per scan; each
-TraceStep, and each EffectivityProxy (once per (δ, a >= 0)), is built
-through its public constructor.  The other values a scan holds are built
-from these checked values through their class's trusted constructor
-(:func:`weierfm.rationals.trusted`): a StabilityReport per report, and
-the ScanResult.  A DestabilizerCandidate (r, a, δ, e) does not depend on
-the polarization, so each is built once per grid, with its grid, and
-every report of every scan over that grid holds the same candidate
-object.  Each of these classes is a :func:`weierfm.rationals.value_class`:
-its public constructor checks every field against its annotation and
-refuses a float where a rational goes, then runs its ``_check`` hook, and
-it decodes trusted.
+TraceStep, and each EffectivityProxy (once per distinct (a >= 0, δ·H)),
+is built through its public constructor.  The other values a scan holds
+are built from these checked values through their class's trusted
+constructor (:func:`weierfm.rationals.trusted`): a StabilityReport per
+report, and the ScanResult.  A DestabilizerCandidate (r, a, δ, e) does
+not depend on the polarization, so each is built once per grid, with its
+grid, and every report of every scan over that grid holds the same
+candidate object.  Each of these classes is a
+:func:`weierfm.rationals.value_class`: its public constructor checks
+every field against its annotation and refuses a float where a rational
+goes, then runs its ``_check`` hook, and it decodes trusted.
 
 The transform's own slope and the target slope are one quantity, the ω²
 functional's dot product with the transform's ch1, over ch0, so
@@ -422,47 +422,50 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[tuple]:
     coefficient that differs, ring first.  So the numerator is the closed
     form's, the sum of two trace steps, each a multiplier times a
     constraint: the fiber-degree step (e - a)·s²H², once per (a, e), and
-    the effectivity step -2ts·(delta·H), once per delta.  A cell reads
-    delta only through the pairing delta·H.  The section-part step is 0,
-    since :func:`_coefficients` checks that A and B vanish on Θ.
+    the effectivity step -2ts·(delta·H), once per distinct pairing.  The
+    section-part step is 0, since :func:`_coefficients` checks that A and
+    B vanish on Θ.
 
-    Only what a report stores becomes a Fraction: the pairing once per
-    delta, the fiber degree once per (a, e), and each distinct step value
-    once per call, as one TraceStep; each distinct trace is one tuple of
-    them."""
+    A cell reads delta only through p = delta·H·D², one dot product per
+    delta, and all it holds of delta is built once per distinct p: the
+    pairing, its reason, the effectivity step -2ts·p (an integer, since D
+    clears the denominators of 2ts·(gram·h)) as one TraceStep, and one
+    EffectivityProxy per sign of a on the a axis.  2ts > 0, so distinct
+    pairings give distinct steps.  The fiber degree is built once per
+    (a, e), each distinct fiber-degree step once per call as one
+    TraceStep, and each distinct trace as one tuple of them."""
     closed = (fns.ss_hh, *(fns.two_ts * g for g in fns.gram_h))
     den = math.lcm(*{x.denominator for x in itertools.chain(
         fns.omega_squared, fns.gram_h, closed,
         a_values, itertools.chain.from_iterable(deltas))})
     scale = den * den
-    ss, *ts_h = closed = _ints(closed, den)
+    closed = _ints(closed, den)
     for ring, form in zip(_ints(fns.omega_squared, den), closed):
         if ring != form:
             raise InternalCheckError(
                 "ring integration and closed-form slope numerators disagree: "
                 f"{Fraction(ring, den)} vs {Fraction(form, den)}"
             )
-    gram_h = _ints(fns.gram_h, den)
+    ss, gram_h = closed[0], _ints(fns.gram_h, den)
+    u, v = fns.two_ts.as_integer_ratio()
+    signs = {a >= 0 for a in a_values}
 
-    def step_of(made: dict[int, TraceStep], x: int, name: str) -> TraceStep:
-        step = made.get(x)
-        if step is None:
-            step = made[x] = TraceStep(name, Fraction(x, scale), "<= 0", x <= 0)
-        return step
+    pairings = [sum(map(operator.mul, _ints(delta, den), gram_h)) for delta in deltas]
+    # What a cell reads of delta, keyed by p.
+    by_pairing: dict[int, tuple] = {}
+    for p in set(pairings):
+        pairing, step = Fraction(p, scale), -(u * p) // v
+        by_pairing[p] = (
+            {sign: EffectivityProxy(sign, pairing) for sign in signs},
+            (f"effectivity proxy fails: delta·H = {pairing} < 0",) if p < 0 else (),
+            step, TraceStep("effectivity step", Fraction(step, scale), "<= 0", step <= 0),
+        )
 
-    # Each step's TraceSteps, keyed by its value over D².
+    # The fiber-degree TraceSteps, keyed by their value over D².
     fiber_steps: dict[int, TraceStep] = {}
-    effectivity_steps: dict[int, TraceStep] = {}
-    by_delta = []
-    for delta in deltas:
-        d = _ints(delta, den)
-        pairing = Fraction(sum(map(operator.mul, d, gram_h)), scale)
-        reason = (f"effectivity proxy fails: delta·H = {pairing} < 0",) if pairing < 0 else ()
-        # The proxy for a < 0 and for a >= 0, indexed by a >= 0.
-        proxies = (EffectivityProxy(False, pairing), EffectivityProxy(True, pairing))
-        step = -sum(map(operator.mul, d, ts_h))
-        by_delta.append((proxies, reason, step, step_of(effectivity_steps, step, "effectivity step")))
-    by_a = []
+    section = TraceStep("section-part step", 0, "== 0", True)
+    traces: dict[tuple[int, int], tuple[TraceStep, ...]] = {}
+    cells = []
     for a in a_values:
         a_nonneg = a >= 0
         a_reason = () if a_nonneg else (f"effectivity proxy fails: a = {a} < 0",)
@@ -475,16 +478,13 @@ def _cells(fns: _Functionals, a_values, deltas, es) -> list[tuple]:
             else:
                 fd_reason = (f"fiber degree +{fd} > 0",) if fd > 0 else ()
             step = (e * den - a_int) * ss
-            rows.append((fd, fd_reason, step, step_of(fiber_steps, step, "fiber-degree step")))
-        by_a.append((a_nonneg, a_reason, rows))
-
-    section = TraceStep("section-part step", 0, "== 0", True)
-    traces: dict[tuple[int, int], tuple[TraceStep, ...]] = {}
-    cells = []
-    for a_nonneg, a_reason, rows in by_a:
-        for proxies, pair_reason, effectivity, effectivity_step in by_delta:
-            cell_proxy = proxies[a_nonneg]
-            cell_reason = a_reason + pair_reason
+            if step not in fiber_steps:
+                fiber_steps[step] = TraceStep(
+                    "fiber-degree step", Fraction(step, scale), "<= 0", step <= 0)
+            rows.append((fd, fd_reason, step, fiber_steps[step]))
+        for p in pairings:
+            proxies, pair_reason, effectivity, effectivity_step = by_pairing[p]
+            cell_proxy, cell_reason = proxies[a_nonneg], a_reason + pair_reason
             for fd, fd_reason, fiber, fiber_step in rows:
                 trace = traces.get((fiber, effectivity))
                 if trace is None:

@@ -1187,10 +1187,14 @@ def test_target_slope_is_the_transform_slope_at_every_rank(pol):
         assert target_slope(n, pol) == _slope(omega_squared, char) > 0
 
 
-# The one-point axes that certify runs, on k3 and on the ρ = 2 lattice.
+# The one-point axes that certify runs, on k3 and on the ρ = 2 lattice.  On
+# k3 at t = 1/4, s = 1/2, 2ts = 1/4 and D = 2, so 2ts's denominator does
+# not divide D and the effectivity step -2ts·p over D² is an exact division.
 @settings(max_examples=40, deadline=None)
 @example(Polarization(_K3.model, Fraction(1), Fraction(1), _K3.ample), 3, Fraction(0), Fraction(0))
 @example(Polarization(_RHO2_MODEL, HALF, Fraction(2), _RHO2_H), 3, Fraction(0), Fraction(0))
+@example(Polarization(_K3.model, Fraction(1, 4), HALF, _K3.ample), 3, Fraction(3, 2),
+         Fraction(5, 2))
 @given(
     k_trivial_polarizations(),
     st.integers(1, 5),
@@ -1199,7 +1203,8 @@ def test_target_slope_is_the_transform_slope_at_every_rank(pol):
 )
 def test_scan_reports_equal_certify(pol, n, a_max, delta_max):
     """Every scan report equals ``certify`` of its candidate field by field,
-    in ``candidate_grid`` order, and the reports of ranks r and r + 1 at one
+    in ``candidate_grid`` order, its effectivity step is -2ts·(delta·H) from
+    the Gram matrix, and the reports of ranks r and r + 1 at one
     (a, delta, e) share their trace and proxy objects."""
     bounds = EnumerationBounds(a_max, delta_max)
     reports = enumerate_candidates(n, pol, bounds).reports
@@ -1210,6 +1215,8 @@ def test_scan_reports_equal_certify(pol, n, a_max, delta_max):
         expected = certify(n, pol, report.candidate)
         for field in dataclasses.fields(StabilityReport):
             assert getattr(report, field.name) == getattr(expected, field.name), field.name
+        pairing = pol.model.pair(report.candidate.delta, pol.h)
+        assert report.trace[1].value == -2 * pol.t * pol.s * pairing
     per_rank = len(reports) // max(n - 1, 1)
     for low, high in zip(reports, reports[per_rank:]):
         assert high.candidate == dataclasses.replace(low.candidate, r=low.candidate.r + 1)
