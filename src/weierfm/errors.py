@@ -37,6 +37,9 @@ class InternalCheckError(WeierfmError):
     """An internal cross-check failed.
 
     These guard identities the implementation promises to verify on
-    every run, on the slope functionals' coefficients (ring-vs-closed-form
-    agreement).  Seeing one means a bug, never bad user input.
+    every run: the slope functionals' coefficients (ring-vs-closed-form
+    agreement), the sign of the target slope (``stability._functionals``),
+    the degeneration of each duality page (``duality._check_degenerated``)
+    and the engine's conclusion (``duality._entailed_conclusion``).  Seeing
+    one means a bug, never bad user input.
     """

@@ -94,6 +94,8 @@ class SurfaceModel:
 
     def pair(self, u: tuple[Fraction, ...], v: tuple[Fraction, ...]) -> Fraction:
         """Gram pairing u·v of two Picard vectors."""
+        self.check_vector(u, "u")
+        self.check_vector(v, "v")
         total = Fraction(0)
         for i, ui in enumerate(u):
             if ui == 0:

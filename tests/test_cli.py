@@ -1,11 +1,12 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from weierfm import cli, serialize
+from weierfm import cli, get_preset, serialize
 from weierfm.errors import InternalCheckError
 
 
@@ -19,6 +20,14 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def assert_lines(capsys, argv, patterns):
+    """``argv`` exits 0 and each regular expression matches a whole line of its stdout."""
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    for pattern in patterns:
+        assert any(re.fullmatch(pattern, line) for line in out.splitlines()), pattern
 
 
 def test_transform_human_output(capsys):
@@ -65,16 +74,18 @@ def test_dual_json(capsys):
         "--ch0", "3", "--ch1-theta", "-1", "--ch1-delta", "2", "--json",
     )
     assert payload == {"ch0": "3", "ch1": {"a": "1", "delta": ["-2"]}}
+    assert_lines(capsys, ("dual", "--preset", "general_demo", "--ch0", "2", "--ch1-theta", "-1",
+                          "--ch1-delta", "1,0"), [re.escape("ch1  Θ + p*[-1, 0]")])
 
 
 def test_commute_human_and_negative_case(capsys):
-    code, out, _ = run(capsys, "commute", "--preset", "k3_quartic", "-m", "5")
-    assert code == 0 and "commutes     yes" in out
-    code, out, _ = run(
-        capsys, "commute", "--preset", "general_demo", "-m", "1",
-        "--kernel", "alternate",
-    )
-    assert code == 0 and "no" in out
+    twisted = ("general_demo", "-m", "2", "--twist", "1,0", "--kernel")
+    for argv, answer in [(("k3_quartic", "-m", "5"), "commutes     yes"),
+                         (("general_demo", "-m", "1", "--kernel", "alternate"), "commutes *no"),
+                         ((*twisted, "paper"), "commutes *yes"),
+                         ((*twisted, "alternate"), "commutes *no"),
+                         (("k3_quartic", "-m", "-3", "--kernel", "alternate"), "commutes *yes")]:
+        assert_lines(capsys, ("commute", "--preset", *argv), [answer])
 
 
 def test_ss_duality_json_matches_library(capsys):
@@ -97,6 +108,19 @@ def test_ss_duality_accepts_wit_spellings(capsys):
         assert "DualIdentification" in out
 
 
+@pytest.mark.parametrize(
+    "n,c,wit,shift,kind",
+    [(3, 0, 1, 0, "DualIdentification"), (3, 1, 0, 1, "DualIdentification"),
+     (3, 1, 0, 0, "DualIsWIT1"), (3, 1, 0, -1, "Forbidden"),  # Forbidden: all three passes run
+     # about 4 500 term refs each, more than TERM_REF_CACHE_SIZE = 4096
+     (3000, 1500, 0, 1, "DualIdentification"), (3000, 1500, 1, -1, "DualIsWIT1")],
+)
+def test_ss_duality_ends_in_each_conclusion(capsys, n, c, wit, shift, kind):
+    argv = ("ss-duality", "-n", str(n), "-c", str(c), "--wit", str(wit), "--dim-shift", str(shift))
+    assert_lines(capsys, argv, [f"conclusion *{kind}"])
+    assert run_json(capsys, *argv, "--json")["conclusion"]["kind"] == kind
+
+
 def test_certify_json_round_trips(capsys, k3_pol):
     payload = run_json(
         capsys, "certify", "--preset", "k3_quartic", "-t", "1", "-s", "1",
@@ -108,15 +132,33 @@ def test_certify_json_round_trips(capsys, k3_pol):
     assert report.target_slope == 2
 
 
-def test_certify_human_shows_trace(capsys):
-    code, out, _ = run(
-        capsys, "certify", "--preset", "k3_quartic", "-t", "1", "-s", "1",
-        "-n", "2", "-r", "1", "--a", "0", "--e", "1",
-    )
-    assert code == 0
-    assert "Inadmissible" in out
-    assert "fiber-degree step" in out
-    assert "inadmissible: fiber degree" in out
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("-t", "1", "-s", "1", "--a", "0", "--e", "1"),
+         ["verdict *Inadmissible", re.escape("  fiber-degree step: 4 (want <= 0) FAILS"),
+          re.escape("  inadmissible: fiber degree +1 > 0")]),
+        # slope numerator 0 whatever the functionals: only their check sees a wrong one
+        (("-t", "1", "-s", "1", "--a", "1", "--e", "1"),
+         ["target slope *2", "candidate slope *0", "verdict *Certified"]),
+        # denominators 3 and 7, which no scan grid builds
+        (("-t", "1", "-s", "1", "--a=1/3", "--delta=2/7", "--e=1"), ["candidate slope *8/21"]),
+        # t != s; the trace is the closed form's (e - a)·s²H², -2ts·(δ·H) and 0
+        (("-t", "1/2", "-s", "2", "--a=1/3", "--delta=2/7", "--e=1"),
+         ["candidate slope *176/21", "target slope *8",
+          re.escape("  fiber-degree step: 32/3 (want <= 0) FAILS"),
+          re.escape("  effectivity step: -16/7 (want <= 0) ok"),
+          re.escape("  section-part step: 0 (want == 0) ok")]),
+        # the a < 0 proxy, and 2ts = 1/4 whose denominator the scan's, 2, does not hold
+        (("-t", "1/4", "-s", "1/2", "--a=-1/2", "--delta=-1", "--e=0"),
+         ["proxy *a≥0: no, delta·H = -4", re.escape("  effectivity step: 1 (want <= 0) FAILS"),
+          re.escape("  inadmissible: effectivity proxy fails: a = -1/2 < 0")]),
+    ],
+    ids=["inadmissible", "certified", "off-grid", "t-not-s", "negative-a"],
+)
+def test_certify_human_shows_trace(capsys, argv, expected):
+    assert_lines(capsys, ("certify", "--preset", "k3_quartic", "-n", "2", "-r", "1", *argv),
+                 expected)
 
 
 def test_scan_human_output(capsys):
@@ -149,6 +191,13 @@ def test_model_file_input(capsys, tmp_path, k3):
         "--h", "1", "--ch0", "-2", "--ch1-theta", "-1", "--json",
     )
     assert payload == {"slope": "2"}
+    for preset in ("k3_quartic", "enriques", "general_demo"):  # each through its own dump
+        (tmp_path / preset).write_text(serialize.dumps(get_preset(preset).model))
+        want = run(capsys, "transform", "--preset", preset, "-m", "2", "--json")
+        got = run(capsys, "transform", "--model-file", str(tmp_path / preset), "-m", "2", "--json")
+        assert got == want and want[0] == 0 and json.loads(want[1])
+    run_json(capsys, "scan", "--model-file", str(tmp_path / "k3_quartic"), "-m", "-2", "-t", "1",
+             "-s", "1", "--h", "1", "--json")
     # the file carries no default polarization direction
     code, _, err = run(
         capsys, "slope", "--model-file", str(path), "-t", "1", "-s", "1",
@@ -231,6 +280,7 @@ def test_missing_model_file(capsys, tmp_path):
         (("transform", "--preset", "k3_quartic", "-m", "1_0"), 1),
         (("certify", "--preset", "k3_quartic", "-t", "1", "-s", "1", "-n", "2", "-r", "1",
           "--a", "1", "--e", "١"), 1),
+        (("scan", "--preset", "k3_quartic", "-m", "-2", "-t", "1", "-s", "1", "--h", "0"), 1),
     ],
 )
 def test_exit_codes(capsys, argv, expected):
@@ -335,12 +385,6 @@ def test_negative_flag_values_parse(capsys):
     )
     assert code == 0
     assert "DualIsWIT1" in out
-
-
-def test_entry_point_matches_main():
-    import weierfm.cli as mod
-
-    assert callable(mod.run)
 
 
 # A ρ = 2 base: the hyperbolic lattice U, K-trivial, omega class 0.

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import itertools
+import json
 import operator
 import time
 
@@ -814,14 +815,17 @@ def test_term_ref_cache_stays_bounded():
 
 def test_every_emitted_relation_round_trips():
     """The relation checks refuse nothing the solver emits: each relation of
-    the 492 feasible scenarios with n <= 12 decodes back to itself."""
+    the 492 feasible scenarios with n <= 12 decodes back to itself, and its
+    JSON re-encodes to the same text."""
     relations = [
         relation
         for scenario in feasible_scenarios(12)
         for relation in solve_scenario(scenario).relations
     ]
     for relation in relations:
-        assert serialize.relation_from_json(serialize.to_jsonable(relation)) == relation
+        doc = json.loads(json.dumps(serialize.to_jsonable(relation)))
+        assert (decoded := serialize.relation_from_json(doc)) == relation
+        assert json.dumps(serialize.to_jsonable(decoded)) == json.dumps(doc)
     assert {type(relation).__name__ for relation in relations} == {
         "Identification", "ForcedZero", "ShortExact", "Forbidden"
     }

@@ -1,8 +1,9 @@
-"""The package loads each layer on first use: which modules a fresh
-interpreter holds after an import or one CLI call, and the lazy names."""
+"""What needs a fresh interpreter: which modules it holds after an import
+or one CLI call, the lazy names, peak memory, and pip's launcher."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,17 +17,22 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 LAYERS = {"duality", "stability", "serialize"}
 
 
+def child(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with the arguments ``argv`` in a new interpreter that
+    imports weierfm from this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, encoding="utf-8", timeout=60,
+    )
+
+
 def fresh_run(code: str) -> set[str]:
     """Run ``code`` in a new interpreter; return the weierfm submodules it
     left loaded (short names)."""
-    probe = (
+    proc = child(
         f"{code}\nimport sys\n"
         "print('loaded', *sorted(m for m in sys.modules if m.startswith('weierfm.')))"
-    )
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, encoding="utf-8", timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     last = proc.stdout.splitlines()[-1].split()
@@ -202,3 +208,45 @@ def test_unknown_attributes_raise_attribute_error(module):
     with pytest.raises(AttributeError):
         module.no_such_name
     assert not hasattr(module, "x_from_json")
+
+
+
+def test_every_layer_imports_with_warnings_as_errors():
+    """So a deprecation this Python raises while a value class is defined fails."""
+    fresh_run("import warnings; warnings.simplefilter('error')\nimport weierfm.cli, "
+              "weierfm.stability, weierfm.duality, weierfm.serialize, weierfm.verdicts")
+
+
+def test_solve_at_the_dimension_cap_peaks_under_250_mib():
+    """The cap n = 100000 is sized to keep a solve under about 225 MiB.  The
+    child reads its own peak; RUSAGE_CHILDREN would take pytest's largest child."""
+    fresh_run("import contextlib, os, resource\nfrom weierfm import cli\n"
+              "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+              "    assert cli.main(['ss-duality', '-n', '100000', '-c', '50000', '--wit', '0',"
+              " '--dim-shift', '1']) == 0\n"
+              "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+              "assert peak < 250 * 1024, peak")
+
+
+def test_k3_transforms_stay_stable_up_to_rank_59():
+    """About 578 000 candidates over 58 grids, which leave with the child."""
+    fresh_run("from fractions import Fraction\n"
+              "from weierfm import LineBundleX, Polarization, get_preset, transform_stability\n"
+              "k3 = get_preset('k3_quartic')\n"
+              "pol = Polarization(k3.model, Fraction(1), Fraction(1), k3.ample)\n"
+              "assert all(transform_stability(LineBundleX(k3.model, -n), pol).stable"
+              " for n in range(2, 60))")
+
+
+def test_entry_point_matches_main(monkeypatch):
+    """pip's launcher for ``[project.scripts]`` passes main's exit codes
+    through; ``python -m weierfm.cli`` calls ``run()`` bare, so it must exit."""
+    toml = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    module, func = re.search(r'^weierfm = "([\w.]+):(\w+)"$', toml, re.MULTILINE).groups()
+    slope = ("slope", "--preset", "k3_quartic", "-t", "1", "-s", "1", "--ch0")
+    for ch0, code in (("-2", 0), ("0", 2)):
+        proc = child(f"import sys; from {module} import {func}; sys.exit({func}())", *slope, ch0)
+        assert proc.returncode == code, proc.stderr
+    monkeypatch.setattr(sys, "argv", ["weierfm", *slope, "0"])
+    with pytest.raises(SystemExit, match="^2$"):
+        weierfm.cli.run()

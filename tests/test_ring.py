@@ -100,8 +100,11 @@ def test_vector_lengths_are_checked():
         (lambda m, v: m.divisor_x(delta=v), "delta must have length 2"),
         (lambda m, v: Polarization(m, 1, 1, v), "h must have length 2"),
         (lambda m, v: LineBundleX(m, 1, v), "twist must have length 2"),
+        (lambda m, v: m.pair(v, m.zero_vector()), "u must have length 2"),
+        (lambda m, v: m.pair(m.zero_vector(), v), "v must have length 2"),
     ],
-    ids=["canonical", "omega-class", "surface-class", "divisor", "polarization", "twist"],
+    ids=["canonical", "omega-class", "surface-class", "divisor", "polarization", "twist",
+         "pair-u", "pair-v"],
 )
 @pytest.mark.parametrize("vector", [(1,), (1, 1, 1)], ids=["short", "long"])
 def test_picard_vectors_need_rho_entries(demo, build, message, vector):
