@@ -15,16 +15,18 @@ One subcommand per library operation:
 document whose rationals are exact ``p/q`` strings.
 
 Every command loads ``ring`` and ``fm`` (the parser needs them); each
-handler imports the rest of what it runs, when it runs:
+handler imports the rest of what it runs, when it runs, and builds only
+the output asked for, the JSON document or the text lines:
 
-  slope                       nothing more
-  transform, dual, commute    ``serialize`` for the JSON document
-  ss-duality                  ``serialize`` and ``duality``
-  certify, scan               ``serialize`` and ``stability``, and for
-                              ``scan -m`` above 0 also ``duality``
+  slope, transform, dual, commute    nothing more
+  ss-duality                         ``duality``
+  certify, scan                      ``stability``, and for ``scan -m``
+                                     above 0 also ``duality``
 
-``--model-file`` adds ``serialize``, which reads the model; ``serialize``
-itself loads nothing beyond ``ring``.
+``--json`` adds ``serialize``, which writes the document (but not for
+``slope``, whose document is one rational), and so does ``--model-file``,
+which it reads; ``serialize`` itself loads nothing beyond ``ring``.  No
+command loads ``dataclasses`` (see :mod:`weierfm.rationals`).
 
 Exit codes: 0 success; 1 malformed input (unknown preset, bad rationals,
 bad flags, a scenario dimension above the cap, a scan grid above
@@ -140,17 +142,24 @@ def _table(rows: list[tuple[str, str]]) -> list[str]:
 
 
 # -- command handlers --------------------------------------------------------
-# Each returns (payload, lines), the --json document and the text lines, and
-# imports the layers it runs beyond ring and fm, so that a call loads only those.
+# Each returns the --json document with --json and the text lines otherwise,
+# building only the one asked for, and imports the layers it runs beyond ring
+# and fm, so that a call loads only those: serialize only for a JSON document.
 
 
-def _cmd_transform(args) -> tuple[dict, list[str]]:
-    from . import serialize
+def _jsonable(obj) -> dict:
+    from .serialize import to_jsonable
 
+    return to_jsonable(obj)
+
+
+def _cmd_transform(args) -> dict | list[str]:
     model, _, source = _resolve_model(args)
     lb = LineBundleX(model, args.m, args.twist)
     result = transform_char(lb)
-    return serialize.to_jsonable(result), _table(
+    if args.json:
+        return _jsonable(result)
+    return _table(
         [
             ("model", source),
             ("line bundle", lb.render()),
@@ -162,34 +171,27 @@ def _cmd_transform(args) -> tuple[dict, list[str]]:
     )
 
 
-def _cmd_slope(args) -> tuple[dict, list[str]]:
+def _cmd_slope(args) -> dict | list[str]:
     pol = _resolve_polarization(args)
     value = format_rational(slope(_char_from_flags(args, pol.model), pol))
-    return {"slope": value}, [value]
+    return {"slope": value} if args.json else [value]
 
 
-def _cmd_dual(args) -> tuple[dict, list[str]]:
-    from . import serialize
-
+def _cmd_dual(args) -> dict | list[str]:
     model, _, _ = _resolve_model(args)
     dual = dual_char(_char_from_flags(args, model))
-    return serialize.to_jsonable(dual), _table(
-        [("ch0", format_rational(dual.ch0)), ("ch1", dual.ch1.render())]
-    )
+    if args.json:
+        return _jsonable(dual)
+    return _table([("ch0", format_rational(dual.ch0)), ("ch1", dual.ch1.render())])
 
 
-def _cmd_commute(args) -> tuple[dict, list[str]]:
-    from . import serialize
-
+def _cmd_commute(args) -> dict | list[str]:
     model, _, _ = _resolve_model(args)
     lb = LineBundleX(model, args.m, args.twist)
     commutes = commutativity_check(lb, args.kernel)
-    payload = {
-        "line_bundle": serialize.to_jsonable(lb),
-        "kernel": args.kernel.value,
-        "commutes": commutes,
-    }
-    return payload, _table(
+    if args.json:
+        return {"line_bundle": _jsonable(lb), "kernel": args.kernel.value, "commutes": commutes}
+    return _table(
         [
             ("line bundle", lb.render()),
             ("kernel", args.kernel.value),
@@ -198,12 +200,13 @@ def _cmd_commute(args) -> tuple[dict, list[str]]:
     )
 
 
-def _cmd_ss_duality(args) -> tuple[dict, list[str]]:
-    from . import serialize
+def _cmd_ss_duality(args) -> dict | list[str]:
     from .duality import SheafScenario, solve_scenario
 
     scenario = SheafScenario(n=args.n, c=args.c, wit=args.wit, dim_shift=args.dim_shift)
     solution = solve_scenario(scenario)
+    if args.json:
+        return _jsonable(solution)
     shift = f"{scenario.dim_shift:+d}"
     lines = _table(
         [
@@ -221,17 +224,18 @@ def _cmd_ss_duality(args) -> tuple[dict, list[str]]:
     )
     lines.append("relations:")
     lines += [f"  {relation.render()}" for relation in solution.relations]
-    return serialize.to_jsonable(solution), lines
+    return lines
 
 
-def _cmd_certify(args) -> tuple[dict, list[str]]:
-    from . import serialize
+def _cmd_certify(args) -> dict | list[str]:
     from .stability import DestabilizerCandidate, certify
 
     pol = _resolve_polarization(args)
     delta = args.delta if args.delta is not None else pol.model.zero_vector()
     cand = DestabilizerCandidate(r=args.rank, a=args.a, delta=delta, e=args.e)
     report = certify(args.n, pol, cand)
+    if args.json:
+        return _jsonable(report)
     lines = _table(
         [
             ("candidate", f"r={cand.r} a={cand.a} delta=[{', '.join(map(str, cand.delta))}] e={cand.e}"),
@@ -247,20 +251,21 @@ def _cmd_certify(args) -> tuple[dict, list[str]]:
         flag = "ok" if step.satisfied else "FAILS"
         lines.append(f"  {step.name}: {step.value} (want {step.requirement}) {flag}")
     lines += [f"  inadmissible: {reason}" for reason in report.inadmissible_reasons]
-    return serialize.to_jsonable(report), lines
+    return lines
 
 
-def _cmd_scan(args) -> tuple[dict, list[str]]:
-    from . import serialize
+def _cmd_scan(args) -> dict | list[str]:
     from .stability import EnumerationBounds, transform_stability
 
     pol = _resolve_polarization(args)
     bounds = EnumerationBounds(a_max=args.a_max, delta_max=args.delta_max)
     lb = LineBundleX(pol.model, args.m, args.twist)
     report = transform_stability(lb, pol, bounds)
-    payload = serialize.to_jsonable(report)
-    if args.full_reports and args.json:  # the table never shows the reports
-        payload["reports"] = [serialize.to_jsonable(r) for r in report.scan.reports]
+    if args.json:
+        payload = _jsonable(report)
+        if args.full_reports:  # the table never shows the reports
+            payload["reports"] = [_jsonable(r) for r in report.scan.reports]
+        return payload
     counts = report.scan.verdict_counts()
     lines = _table(
         [
@@ -281,7 +286,7 @@ def _cmd_scan(args) -> tuple[dict, list[str]]:
     )
     lines.append("reduction:")
     lines += [f"  - {line}" for line in report.reduction]
-    return payload, lines
+    return lines
 
 
 # -- parser ------------------------------------------------------------------
@@ -386,11 +391,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else _INPUT_ERROR
     try:
-        payload, lines = args.func(args)
-        if args.json:
-            print(json.dumps(payload, ensure_ascii=False, indent=2))
-        else:
-            print("\n".join(lines))
+        out = args.func(args)
+        print(json.dumps(out, ensure_ascii=False, indent=2) if args.json else "\n".join(out))
     except (HypothesisViolationError, UndefinedSlopeError, InfeasibleScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _HYPOTHESIS_ERROR

@@ -17,13 +17,17 @@ cached ``Fraction`` is immutable, so decoded objects can share it; a string
 that fails to parse is not cached and raises the same error every time.
 
 A value class is declared with ``@value_class`` instead of
-``@dataclass(frozen=True)``.  ``dataclasses`` keeps its field list and
-compiles none of its methods: the class gets one generated ``__init__``,
-straight-line code that stores the fields into ``__dict__`` in field order,
-and shares ``==``, ``hash``, ``repr`` and the frozen ``__setattr__`` and
-``__delattr__`` with every other value class, each giving what
-``dataclass(frozen=True)`` gives.  Its public constructor checks each field
-against the field's annotation (a ``Fraction`` through ``as_rational``, any
+``@dataclass(frozen=True)``.  Its field table is its own, read from its
+annotations when it is defined, and this module loads no ``dataclasses``:
+that module's table (``__dataclass_fields__``, which ``dataclasses.fields``,
+``replace``, ``asdict`` and ``is_dataclass`` read) is built on its first
+read and costs nothing until then, so a CLI child never imports
+``dataclasses`` or the ``inspect`` it pulls in.  The class gets one
+generated ``__init__``, straight-line code that stores the fields into
+``__dict__`` in field order, and shares ``==``, ``hash``, ``repr`` and the
+frozen ``__setattr__`` and ``__delattr__`` with every other value class,
+each giving what ``dataclass(frozen=True)`` gives.  Its public constructor
+checks each field against the field's annotation (a ``Fraction`` through ``as_rational``, any
 other class through ``require``, a tuple, and only a tuple, entry by
 entry; a value already of the exact ``Fraction`` or other class skips
 its check, which would return it unchanged), then runs the class's
@@ -47,17 +51,18 @@ from __future__ import annotations
 import re
 import reprlib
 import sys
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from types import UnionType
-from typing import Any, Callable, Sequence, TypeVar, Union, get_args, get_origin
+from typing import Any, Callable, ClassVar, Sequence, TypeVar, Union, get_args, get_origin
 
 RationalLike = Union[int, Fraction]
 T = TypeVar("T")
 
 _RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 _ASCII_SPACE = " \t\n\r\f\v"
+# Written annotations that dataclasses reads as no field, or as no plain one.
+_PSEUDO_FIELDS = {"ClassVar", "InitVar", "KW_ONLY"}
 
 # Distinct strings parse_rational keeps parsed; ~16x the most distinct
 # rationals measured in one decoded scan document.  Knocking the cache out
@@ -84,10 +89,12 @@ def is_int(value: object) -> bool:
 class _Quote(reprlib.Repr):
     """``reprlib``'s bounded quote, with a dataclass instance quoted as
     ``ClassName(...)``: ``reprlib`` cuts an instance's ``repr()`` only after
-    building all of it, which for a scan holds every report."""
+    building all of it, which for a scan holds every report.  A value
+    class is known by its own table, so quoting one builds no dataclass
+    table."""
 
     def repr_instance(self, x: Any, level: int) -> str:
-        if is_dataclass(x) and not isinstance(x, type):
+        if is_value_class(type(x)) or hasattr(type(x), "__dataclass_fields__"):
             return f"{type(x).__name__}(...)"
         return super().repr_instance(x, level)
 
@@ -108,47 +115,112 @@ def require(value: Any, kind: Any, what: str) -> None:
         )
 
 
+class _NoDefault:
+    def __repr__(self) -> str:
+        return "NO_DEFAULT"
+
+
+NO_DEFAULT: Any = _NoDefault()  # the default of a field that declares none
+
+
 def value_class(cls: type[T]) -> type[T]:
     """Make ``cls`` a frozen value class whose constructor checks each field
     against its annotation (see :func:`_checker`), then runs the class's
     ``_check`` hook, if it has one.
 
-    ``dataclasses`` only keeps the field list, so ``fields``, ``replace``
-    and ``__match_args__`` work, and compiles no method.  The class gets one
-    ``__init__``, generated as straight-line code like :func:`trusted`'s
-    (see :func:`_store_fields`), which stores the fields, the declared
-    defaults filling any left out, then calls ``self.__post_init__()``;
-    and the methods every value class shares, which read ``__dict__`` in
-    field order with ``dataclass(frozen=True)``'s results: ``==`` within
-    one class (NotImplemented across classes), the hash of the field tuple,
+    The class keeps its own field table (see :func:`value_fields`), read
+    here from its annotations without importing ``dataclasses``, whose
+    table ``__dataclass_fields__`` builds on its first read (see
+    :class:`_DataclassFields`); ``__match_args__`` is set from ours.  A
+    ``field(...)`` default, a ClassVar, InitVar or KW_ONLY annotation and a
+    dataclass base are refused: each would give ``dataclasses`` a table
+    other than ours.  The class gets one ``__init__``, generated as
+    straight-line code like :func:`trusted`'s (see :func:`_store_fields`),
+    which stores the fields, the declared defaults filling any left out,
+    then calls ``self.__post_init__()``; and the methods every value class
+    shares, which read ``__dict__`` in field order with
+    ``dataclass(frozen=True)``'s results: ``==`` within one class
+    (NotImplemented across classes), the hash of the field tuple,
     ``Name(x=..., ...)`` as the repr, and FrozenInstanceError on every
     assignment or deletion.  A class without a docstring gets
     ``Name(x: 'type', ...)``, as ``dataclasses`` writes it."""
     if own := _SHARED.keys() & vars(cls).keys():
         raise TypeError(f"{cls.__name__} defines {', '.join(sorted(own))}, which value classes share")
+    if any(hasattr(base, "__dataclass_fields__") for base in cls.__mro__[1:]):
+        raise TypeError(f"{cls.__name__} derives from a dataclass, whose fields it would not keep")
+    table = cls.__value_fields__ = tuple(
+        (name, hint, getattr(cls, name, NO_DEFAULT))
+        for name, hint in vars(cls).get("__annotations__", {}).items())
+    for name, hint, default in table:
+        if not _plain_field(hint, default):
+            raise TypeError(f"{cls.__name__} has a field that is not a plain constructor argument")
+        if type(default).__hash__ is None:
+            raise ValueError(f"mutable default {type(default)} for field {name} is not "
+                             "allowed: use default_factory")
+    names = [name for name, _, _ in table]
+    if "__match_args__" not in vars(cls):
+        cls.__match_args__ = tuple(names)
+    cls.__dataclass_fields__ = _DataclassFields(cls)
     cls.__post_init__ = _check_fields
-    # A placeholder, or dataclasses parses object's signature for the docstring.
-    doc, cls.__doc__ = cls.__doc__, "-"
-    dataclass(init=False, repr=False, eq=False)(cls)
-    fs = fields(cls)
-    if any(f.default_factory is not MISSING or not f.init for f in fs):
-        raise TypeError(f"{cls.__name__} has a field that is not a plain constructor argument")
-    params = [f.name if f.default is MISSING else f"{f.name}=_dflt_{f.name}" for f in fs]
+    params = [name if default is NO_DEFAULT else f"{name}=_dflt_{name}" for name, _, default in table]
     cls.__init__ = init = _store_fields(
-        cls, "__init__", ["self", *params], "_d = self.__dict__", "self.__post_init__()",
-        {f"_dflt_{f.name}": f.default for f in fs})
+        names, "__init__", ["self", *params], "_d = self.__dict__", "self.__post_init__()",
+        {f"_dflt_{name}": default for name, _, default in table})
     init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
-    init.__annotations__ = {f.name: f.type for f in fs} | {"return": None}
-    cls.__doc__ = doc or f"{cls.__name__}({', '.join(map(_param_text, fs))})"
+    init.__annotations__ = {name: hint for name, hint, _ in table} | {"return": None}
+    cls.__doc__ = cls.__doc__ or f"{cls.__name__}({', '.join(_param_text(*f) for f in table)})"
     for name, method in _SHARED.items():
         setattr(cls, name, method)
     return cls
 
 
-def _param_text(f: Any) -> str:
-    """The field ``f`` as ``inspect.signature`` writes the parameter of a
-    postponed annotation: ``x: 'type'``, then ``= default`` if it has one."""
-    return f"{f.name}: {f.type!r}" + ("" if f.default is MISSING else f" = {f.default!r}")
+class _DataclassFields:
+    """A value class's ``__dataclass_fields__`` until its first read, which
+    runs ``dataclass(init=False, repr=False, eq=False)`` on the class: that
+    builds the same table from the same annotations and defaults and puts
+    it in this descriptor's place.  Two first reads at once each build it,
+    and both return an equal table, since nothing removes the descriptor
+    before the build replaces it."""
+
+    def __init__(self, cls: type) -> None:
+        self.cls = cls
+
+    def __get__(self, instance: Any, owner: type) -> dict[str, Any]:
+        from dataclasses import dataclass
+
+        dataclass(init=False, repr=False, eq=False)(self.cls)
+        return vars(self.cls)["__dataclass_fields__"]
+
+
+def _plain_field(hint: Any, default: Any) -> bool:
+    """Whether ``dataclasses`` reads a field annotated ``hint`` with the
+    class attribute ``default`` as a plain constructor argument: not a
+    ``field(...)`` default, nor a ClassVar, an InitVar or the KW_ONLY
+    marker, written (as postponed annotations are) or evaluated.  Only a
+    loaded ``dataclasses`` can have made a Field, an InitVar or KW_ONLY."""
+    dc = sys.modules.get("dataclasses")
+    if dc is not None and (isinstance(default, dc.Field) or hint is dc.KW_ONLY
+                           or hint is dc.InitVar or isinstance(hint, dc.InitVar)):
+        return False
+    if isinstance(hint, str):  # "ClassVar[int]", "typing.ClassVar", "KW_ONLY", ...
+        return hint.split("[", 1)[0].rsplit(".", 1)[-1].strip() not in _PSEUDO_FIELDS
+    return hint is not ClassVar and get_origin(hint) is not ClassVar
+
+
+def value_fields(cls: type) -> tuple[tuple[str, Any, Any], ...]:
+    """The field table of the value class ``cls``: the (name, annotation as
+    written, declared default or NO_DEFAULT) of each field, in field order;
+    TypeError for any other class.  Postponed annotations are written
+    text."""
+    if not is_value_class(cls):
+        raise TypeError(f"{cls.__name__} is not a value class")
+    return cls.__value_fields__
+
+
+def _param_text(name: str, hint: Any, default: Any) -> str:
+    """A field as ``inspect.signature`` writes the parameter of a postponed
+    annotation: ``x: 'type'``, then ``= default`` if it has one."""
+    return f"{name}: {hint!r}" + ("" if default is NO_DEFAULT else f" = {default!r}")
 
 
 def _value_eq(self: Any, other: Any) -> Any:
@@ -168,10 +240,14 @@ def _value_repr(self: Any) -> str:
 
 
 def _frozen_setattr(self: Any, name: str, value: Any) -> None:
+    from dataclasses import FrozenInstanceError
+
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _frozen_delattr(self: Any, name: str) -> None:
+    from dataclasses import FrozenInstanceError
+
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
@@ -197,11 +273,12 @@ def _check_fields(self: Any) -> None:
 
 
 def field_types(cls: type) -> dict[str, Any]:
-    """The annotation of each field of the dataclass ``cls``, by name, as
-    its module resolves it (NameError for a name the module does not bind)."""
+    """The annotation of each field of the value class ``cls``, by name, in
+    field order, as its module resolves it (NameError for a name the module
+    does not bind)."""
     namespace = vars(sys.modules[cls.__module__])
-    # Annotations are postponed, so f.type is the annotation's text.
-    return {f.name: eval(f.type, namespace) for f in fields(cls)}
+    # Annotations are postponed, so each hint is the annotation's text.
+    return {name: eval(hint, namespace) for name, hint, _ in value_fields(cls)}
 
 
 def stored_type(hint: Any) -> Any:
@@ -270,9 +347,10 @@ def _checker(hint: Any, what: str) -> tuple[Callable[[Any], Any], Any]:
 
 @cache
 def trusted(cls: type[T]) -> Callable[..., T]:
-    """The trusted constructor of the dataclass ``cls``: called with one
+    """The trusted constructor of the value class ``cls``: called with one
     value per field, in field order, it builds the instance without
-    ``__init__`` or ``__post_init__``.
+    ``__init__`` or ``__post_init__``.  The fields are read from the
+    class's own table (see :func:`value_fields`), not ``dataclasses``'.
 
     It is generated on first use, once per class, by the generator that
     writes a value class's ``__init__`` (see :func:`_store_fields`), as
@@ -285,22 +363,23 @@ def trusted(cls: type[T]) -> Callable[..., T]:
     """
     if "__slots__" in cls.__dict__:
         raise TypeError(f"{cls.__name__} has __slots__ and no instance __dict__ to write")
-    names = [f.name for f in fields(cls)]
-    build = _store_fields(cls, "build", names, "_obj = _new(_cls); _d = _obj.__dict__",
+    names = [name for name, _, _ in value_fields(cls)]
+    build = _store_fields(names, "build", names, "_obj = _new(_cls); _d = _obj.__dict__",
                           "return _obj", {"_new": object.__new__, "_cls": cls})
     build.__qualname__ = f"trusted({cls.__qualname__})"
     return build
 
 
 def _store_fields(
-    cls: type, name: str, params: list[str], first: str, last: str, namespace: dict[str, Any]
+    names: list[str], name: str, params: list[str], first: str, last: str,
+    namespace: dict[str, Any],
 ) -> Callable[..., Any]:
     """The function ``name(*params)``, compiled with one ``exec`` in
     ``namespace`` as straight-line code, the way ``dataclasses`` writes an
     ``__init__``: ``first``, which binds ``_d`` to the instance's
-    ``__dict__``, then ``_d['x'] = x`` for each field of ``cls`` in field
-    order, then ``last``."""
-    stores = [f"    _d[{f.name!r}] = {f.name}" for f in fields(cls)]
+    ``__dict__``, then ``_d['x'] = x`` for each field name in ``names``, in
+    field order, then ``last``."""
+    stores = [f"    _d[{field!r}] = {field}" for field in names]
     exec("\n".join([f"def {name}({', '.join(params)}):", f"    {first}", *stores, f"    {last}"]),
          namespace)
     return namespace[name]

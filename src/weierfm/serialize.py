@@ -40,9 +40,11 @@ Schemas (all keys required unless marked optional):
   ScanResult          {any_violation: bool, candidate_count: int,
                        verdict_counts: {str: int}, reports: [...]}
 
-Every schema above but ScanResult is its dataclass's own field list.  For
-each such class one encoder and one decoder are generated from
-``dataclasses.fields`` and :func:`weierfm.rationals.field_types`, reading
+Every schema above but ScanResult is its value class's own field list.
+For each such class one encoder and one decoder are generated from
+:func:`weierfm.rationals.field_types`, which reads the class's own field
+table, never ``dataclasses``' (that one is built only on its first read,
+and this module imports no ``dataclasses``), reading
 tuple types through :func:`weierfm.rationals.tuple_item`, the rule the
 value classes' own checks read, each the first time it is needed: straight-line Python that reads and writes each
 field by name, as ``dataclasses`` writes an ``__init__``, compiled with
@@ -95,7 +97,6 @@ is a new instance per document.
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
@@ -105,7 +106,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .rationals import (
-    field_types, format_rational, parse_rational, stored_type, trusted, tuple_item,
+    field_types, format_rational, is_value_class, parse_rational, stored_type, trusted, tuple_item,
 )
 from .ring import SurfaceModel
 
@@ -192,14 +193,14 @@ def _encode_expr(src: _Source, hint: Any, expr: str, depth: int = 0) -> str:
         return f"_format_rational({expr})"
     if _is_enum(hint):
         return f"{expr}.value"
-    if is_dataclass(hint):
+    if is_value_class(hint):
         return f"{src.bind(f'_{hint.__name__}_encode', _encoder(hint))}({expr})"
     item = tuple_item(hint)[0]
     if item in _LEAVES:
         return f"list({expr})"
     if item is Fraction:
         return f"list(map(_format_rational, {expr}))"
-    if is_dataclass(item):
+    if is_value_class(item):
         return f"list(map({src.bind(f'_{item.__name__}_encode', _encoder(item))}, {expr}))"
     x = f"x{depth}"
     return f"[{_encode_expr(src, item, x, depth + 1)} for {x} in {expr}]"
@@ -221,7 +222,7 @@ def _decode_lines(src: _Source, hint: Any, var: str, pad: str, depth: int = 0) -
         add(f"{pad}    {var} = {members}[{var}]")
         add(f"{pad}except (KeyError, TypeError):")
         add(f"{pad}    raise _not_a_member({src.bind(f'_{name}', hint)}, {var}) from None")
-    elif is_dataclass(hint):
+    elif is_value_class(hint):
         decode = src.bind(f"_{hint.__name__}_decode", _decoder_of(hint))
         add(f"{pad}{var} = {decode}({var}, model)")
     else:
@@ -238,7 +239,7 @@ def _decode_lines(src: _Source, hint: Any, var: str, pad: str, depth: int = 0) -
             add(f"{pad}{var} = tuple({var})")
         elif item is Fraction:
             add(f"{pad}{var} = tuple(map(_parse_rational, {var}))")
-        elif is_dataclass(item):
+        elif is_value_class(item):
             decode = src.bind(f"_{item.__name__}_decode", _decoder_of(item))
             add(f"{pad}{var} = tuple(map({decode}, {var}, _repeat(model)))")
         else:
@@ -252,20 +253,19 @@ def _decode_lines(src: _Source, hint: Any, var: str, pad: str, depth: int = 0) -
 
 def _columns(cls: type) -> list[tuple[int, str, str | None, Any]]:
     """(position, field name, JSON key, field type) of each field of the
-    dataclass ``cls``, the type it stores (see
+    value class ``cls``, the type it stores (see
     :func:`weierfm.rationals.stored_type`); a field typed ``SurfaceModel``
     has no key."""
-    types = field_types(cls)
     columns = []
-    for at, f in enumerate(fields(cls)):
-        hint = stored_type(types[f.name])
-        key = None if hint is SurfaceModel else _RENAMES.get(f.name, f.name)
-        columns.append((at, f.name, key, hint))
+    for at, (name, annotation) in enumerate(field_types(cls).items()):
+        hint = stored_type(annotation)
+        key = None if hint is SurfaceModel else _RENAMES.get(name, name)
+        columns.append((at, name, key, hint))
     return columns
 
 
 def _encoder_of(cls: type) -> Callable[[Any], dict]:
-    """The encoder of one dataclass, generated for :func:`_encoder`, which
+    """The encoder of one value class, generated for :func:`_encoder`, which
     keeps it, as one dict display, the way ``dataclasses`` writes an
     ``__init__``: its source holds only field names, JSON keys and the
     class name."""
@@ -281,7 +281,7 @@ def _encoder_of(cls: type) -> Callable[[Any], dict]:
 
 @cache
 def _decoder_of(cls: type) -> Callable[..., Any]:
-    """The decoder ``(data, model=None)`` of one dataclass, generated once
+    """The decoder ``(data, model=None)`` of one value class, generated once
     per class as straight-line Python whose source holds only JSON keys,
     class names and constant messages, never document data.
 
@@ -321,7 +321,7 @@ def _decoder_of(cls: type) -> Callable[..., Any]:
     return src.function("decode")
 
 
-# -- views: JSON that is not the dataclass's own field list ------------------
+# -- views: JSON that is not the value class's own field list ---------------
 
 
 def _scan_counts(scan: ScanResult) -> dict:

@@ -282,6 +282,13 @@ def test_missing_model_file(capsys, tmp_path):
           "--a", "1", "--e", "١"), 1),
         (("scan", "--preset", "k3_quartic", "-m", "-2", "-t", "1", "-s", "1", "--h", "0"), 1),
     ],
+    ids=[
+        "transform-unknown-preset-1", "transform-missing-m-1", "slope-zero-t-1",
+        "slope-rank-zero-2", "slope-decimal-t-1", "commute-m-zero-2", "ss-duality-infeasible-2",
+        "ss-duality-bad-wit-1", "scan-m-zero-2", "scan-nontrivial-canonical-2", "help-0",
+        "ss-duality-help-0", "slope-arabic-digit-t-1", "transform-arabic-digit-m-1",
+        "transform-underscore-m-1", "certify-arabic-digit-e-1", "scan-zero-h-1",
+    ],
 )
 def test_exit_codes(capsys, argv, expected):
     code, _, _ = run(capsys, *argv)

@@ -2,6 +2,7 @@
 or one CLI call, the lazy names, peak memory, and pip's launcher."""
 
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -17,31 +18,60 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 LAYERS = {"duality", "stability", "serialize"}
 
 
-def child(code: str, *argv: str) -> subprocess.CompletedProcess:
-    """Run ``code`` with the arguments ``argv`` in a new interpreter that
-    imports weierfm from this checkout."""
+# weierfm loads these only to build dataclasses' own field table of a value
+# class, or to raise FrozenInstanceError.
+DATACLASS_MODULES = {"dataclasses", "inspect"}
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter with the arguments ``args``, importing weierfm
+    from this checkout."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, encoding="utf-8", timeout=60,
     )
+
+
+def child(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with the arguments ``argv`` in a new interpreter."""
+    return python("-c", code, *argv)
+
+
+def loaded_modules(code: str) -> set[str]:
+    """Run ``code`` in a new interpreter; return every module it left loaded."""
+    proc = child(f"{code}\nimport sys\nprint('loaded', *sorted(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1].split()
+    assert last[0] == "loaded"
+    return set(last[1:])
 
 
 def fresh_run(code: str) -> set[str]:
     """Run ``code`` in a new interpreter; return the weierfm submodules it
     left loaded (short names)."""
-    proc = child(
-        f"{code}\nimport sys\n"
-        "print('loaded', *sorted(m for m in sys.modules if m.startswith('weierfm.')))"
-    )
-    assert proc.returncode == 0, proc.stderr
-    last = proc.stdout.splitlines()[-1].split()
-    assert last[0] == "loaded"
-    return {name.removeprefix("weierfm.") for name in last[1:]}
+    return {name.removeprefix("weierfm.") for name in loaded_modules(code)
+            if name.startswith("weierfm.")}
+
+
+def cli_code(*argv: str) -> str:
+    return f"from weierfm import cli\nassert cli.main({list(argv)!r}) == 0"
 
 
 def cli_run(*argv: str) -> set[str]:
-    return fresh_run(f"from weierfm import cli\nassert cli.main({list(argv)!r}) == 0")
+    return fresh_run(cli_code(*argv))
+
+
+# One call of each subcommand on the default preset.
+COMMANDS = {
+    "transform": ("transform", "-m", "-2"),
+    "slope": ("slope", "-t", "1", "-s", "1", "--ch0", "2", "--ch1-theta", "1"),
+    "dual": ("dual", "--ch0", "1", "--ch1-theta", "1/2"),
+    "commute": ("commute", "-m", "3", "--twist", "1"),
+    "ss-duality": ("ss-duality", "-c", "1", "--wit", "0", "--dim-shift", "1"),
+    "certify": ("certify", "-t", "1", "-s", "1", "-n", "2", "-r", "1", "--a", "1", "--e", "1"),
+    "scan": ("scan", "-m", "2", "-t", "1", "-s", "1"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +158,140 @@ def test_ss_duality_loads_no_stability():
 def test_stability_commands_load_duality_only_for_positive_m(argv, duality):
     loaded = cli_run(*argv, "--json")
     assert ("duality" in loaded) is duality and {"stability", "serialize"} <= loaded
+
+
+def test_import_cli_loads_no_dataclasses():
+    assert loaded_modules("import weierfm.cli") & DATACLASS_MODULES == set()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_text_commands_load_no_codec_and_no_dataclasses(command):
+    """A text table needs no JSON document, so no codec either."""
+    loaded = loaded_modules(cli_code(*COMMANDS[command]))
+    assert loaded & (DATACLASS_MODULES | {"weierfm.serialize"}) == set()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_json_children_load_no_dataclasses(command):
+    """``python -m weierfm.cli ... --json``, every module it imports listed by
+    ``-X importtime``."""
+    proc = python("-X", "importtime", "-m", "weierfm.cli", *COMMANDS[command], "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "weierfm.fm" in imported and imported & DATACLASS_MODULES == set()
+
+
+def test_transform_stability_loads_no_dataclasses():
+    code = ("from fractions import Fraction\n"
+            "from weierfm import LineBundleX, Polarization, get_preset, transform_stability\n"
+            "k3 = get_preset('k3_quartic')\n"
+            "pol = Polarization(k3.model, Fraction(1), Fraction(1), k3.ample)\n"
+            "assert transform_stability(LineBundleX(k3.model, 2), pol).stable")
+    assert loaded_modules(code) & DATACLASS_MODULES == set()
+
+
+def test_the_first_dataclass_read_builds_the_table():
+    """``dataclasses.fields`` builds dataclasses' table on its first read, in
+    the descriptor's place, with the value class's own field names."""
+    code = ("import sys\n"
+            "from weierfm.rationals import _DataclassFields, value_fields\n"
+            "from weierfm.stability import StabilityReport\n"
+            "assert 'dataclasses' not in sys.modules\n"
+            "assert type(vars(StabilityReport)['__dataclass_fields__']) is _DataclassFields\n"
+            "import dataclasses\n"
+            "names = [f.name for f in dataclasses.fields(StabilityReport)]\n"
+            "assert type(vars(StabilityReport)['__dataclass_fields__']) is dict\n"
+            "assert names == [name for name, _, _ in value_fields(StabilityReport)]\n"
+            "assert tuple(names) == StabilityReport.__match_args__")
+    assert "dataclasses" in loaded_modules(code)
+
+
+# Read in a child whose first read of any value class's dataclass table is
+# the dataclasses.replace of its sample (test_rationals._SAMPLES).
+SAMPLES = f"""
+import copy, dataclasses, sys, threading
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+from test_rationals import _SAMPLES, _hash
+from weierfm.rationals import NO_DEFAULT, _DataclassFields, is_value_class, value_fields
+"""
+
+
+def test_the_lazily_built_tables_are_the_value_classes_own():
+    """Each value class's dataclass table, built by a first read through
+    ``replace``, lists its annotations and class defaults in order, as plain
+    constructor arguments; ``asdict`` and ``astuple`` give what the classes'
+    own tables give; and ``==``, hash, repr and the frozen errors are what
+    they were before the read."""
+    code = SAMPLES + '''
+def behaviour(x):
+    errors = []
+    for name in [*x.__match_args__, "not_a_field"]:
+        for change in (lambda: setattr(x, name, None), lambda: delattr(x, name)):
+            try:
+                change()
+            except dataclasses.FrozenInstanceError as exc:
+                errors.append((type(exc), str(exc)))
+    return x == copy.copy(x), _hash(x), repr(x), errors
+
+def plain(value, build):
+    """What asdict (build=dict) or astuple (build=values) makes of value."""
+    if is_value_class(type(value)):
+        return build([(name, plain(getattr(value, name), build))
+                      for name, _, _ in value_fields(type(value))])
+    if isinstance(value, (list, tuple)):
+        return type(value)(plain(item, build) for item in value)
+    if isinstance(value, dict):
+        return {plain(k, build): plain(v, build) for k, v in value.items()}
+    return copy.deepcopy(value)
+
+def values(pairs):
+    return tuple(value for _, value in pairs)
+
+before = {cls: behaviour(x) for cls, x in _SAMPLES.items()}
+for cls, x in _SAMPLES.items():
+    assert type(vars(cls)["__dataclass_fields__"]) is _DataclassFields, cls
+    assert dataclasses.replace(x) == x, cls
+for cls, x in _SAMPLES.items():
+    fields = dataclasses.fields(cls)
+    declared = [(name, text, getattr(cls, name, dataclasses.MISSING))
+                for name, text in cls.__annotations__.items()]
+    assert [(f.name, f.type, f.default) for f in fields] == declared, cls
+    assert [(name, text, dataclasses.MISSING if default is NO_DEFAULT else default)
+            for name, text, default in value_fields(cls)] == declared, cls
+    assert all(f.init and f.default_factory is dataclasses.MISSING for f in fields), cls
+    assert dataclasses.asdict(x) == plain(x, dict), cls
+    assert dataclasses.astuple(x) == plain(x, values), cls
+    assert behaviour(x) == before[cls], cls
+'''
+    proc = child(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_first_reads_from_four_threads_give_equal_tables():
+    code = SAMPLES + '''
+sys.setswitchinterval(1e-6)
+
+def read(cls, barrier, tables):
+    barrier.wait()
+    tables.append([(f.name, f.type, f.default, f.init, f.repr, f.hash, f.compare,
+                    f.kw_only, f.metadata, f._field_type) for f in dataclasses.fields(cls)])
+
+for cls in _SAMPLES:
+    barrier, tables = threading.Barrier(4), []
+    threads = [threading.Thread(target=read, args=(cls, barrier, tables)) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    own = [(name, text, dataclasses.MISSING if default is NO_DEFAULT else default)
+           for name, text, default in value_fields(cls)]
+    assert len(tables) == 4 and all(table == tables[0] for table in tables), cls
+    assert [entry[:3] for entry in tables[0]] == own, cls
+'''
+    proc = child(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_conclusion_decodes_without_the_engine():

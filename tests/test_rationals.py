@@ -9,6 +9,7 @@ import pkgutil
 import sys
 import textwrap
 import types
+import typing
 from fractions import Fraction
 
 import pytest
@@ -563,3 +564,29 @@ def test_trusted_refuses_a_slotted_class():
 
     with pytest.raises(TypeError, match="Slotted has __slots__"):
         trusted(Slotted)
+
+
+@pytest.mark.parametrize(
+    "annotation",
+    ["ClassVar[int]", "typing.ClassVar[int]", "InitVar[int]", "dataclasses.InitVar[int]",
+     "KW_ONLY", typing.ClassVar[int], typing.ClassVar, dataclasses.InitVar[int],
+     dataclasses.InitVar, dataclasses.KW_ONLY],
+    ids=["ClassVar", "typing.ClassVar", "InitVar", "dataclasses.InitVar", "KW_ONLY",
+         "evaluated-ClassVar", "evaluated-bare-ClassVar", "evaluated-InitVar",
+         "evaluated-bare-InitVar", "evaluated-KW_ONLY"],
+)
+def test_value_class_refuses_what_dataclasses_reads_as_no_plain_field(annotation):
+    """A ClassVar, InitVar or KW_ONLY annotation, written or evaluated, would
+    give dataclasses' table other fields than the class's own."""
+    odd = type("Odd", (), {"__annotations__": {"x": annotation}})
+    with pytest.raises(TypeError, match="^Odd has a field that is not a plain constructor argument$"):
+        value_class(odd)
+
+
+def test_value_class_refuses_a_mutable_default_and_a_dataclass_base():
+    """Where ``dataclass`` would refuse the class, or keep other fields."""
+    with pytest.raises(ValueError, match="^mutable default <class 'list'> for field x is not"):
+        value_class(type("Odd", (), {"__annotations__": {"x": "list"}, "x": []}))
+    base = dataclasses.make_dataclass("Base", [("y", int)])
+    with pytest.raises(TypeError, match="^Odd derives from a dataclass"):
+        value_class(type("Odd", (base,), {"__annotations__": {"x": "int"}}))
