@@ -30,7 +30,10 @@ command loads ``dataclasses`` (see :mod:`weierfm.rationals`).
 
 Exit codes: 0 success; 1 malformed input (unknown preset, bad rationals,
 bad flags, a scenario dimension above the cap, a scan grid above
-MAX_SCAN_CANDIDATES candidates); 2 hypothesis violation
+MAX_SCAN_CANDIDATES candidates, a result too long to print: an exact value
+with more digits than Python's integer-to-string limit, such as s²H² for
+an ``-s`` of 2 200 digits, computed but refused with Python's own
+message); 2 hypothesis violation
 (operation precondition fails: slope of a rank-0 character, stability
 over a base with nontrivial canonical class or over a lattice that no
 such surface has, a threefold whose omega class differs from the

@@ -41,20 +41,27 @@ Schemas (all keys required unless marked optional):
                        verdict_counts: {str: int}, reports: [...]}
 
 Every schema above but ScanResult is its value class's own field list.
-For each such class one encoder and one decoder are generated from
-:func:`weierfm.rationals.field_types`, which reads the class's own field
-table, never ``dataclasses``' (that one is built only on its first read,
-and this module imports no ``dataclasses``), reading
-tuple types through :func:`weierfm.rationals.tuple_item`, the rule the
-value classes' own checks read, each the first time it is needed: straight-line Python that reads and writes each
-field by name, as ``dataclasses`` writes an ``__init__``, compiled with
-``exec`` from source holding only field names, JSON keys, class names and
-constant messages, never document data.  Keys are the field names in field
-order, renamed where ``_RENAMES`` says (``fiber_deg`` is written
-``fiber_degree``); a field typed ``SurfaceModel`` is left out and filled
-from the decoder's ``model`` argument, which a decoder passes on to the
-decoder of each nested class.  An optional field (``LineBundleX.twist``) is
-written as the value it stores, never None.  Decoders take only the JSON
+For each such class one encoder and one decoder are generated, each the
+first time it is needed, from :func:`weierfm.rationals.field_types`,
+which reads the class's own field table, never ``dataclasses``' (that one
+is built only on its first read, and this module imports no
+``dataclasses``).  Each is straight-line Python that reads and writes
+each field by name, as ``dataclasses`` writes an ``__init__``, with one
+rule per JSON type: an int, bool or str leaf, a rational, an enum member,
+a nested class, and a tuple of any item type, read through
+:func:`weierfm.rationals.tuple_item` (the rule the value classes' own
+checks read), which is a list written and read by one recursive rule
+that applies the item's own rule to each entry.  It is compiled with
+``exec`` from source holding only field names, JSON keys, class names,
+the leaf types' names and fixed lengths, never document data; each
+decoder's messages are written into its own source, and read the
+document's value (its type's name, its length, its repr) only when they
+raise.  Keys are the field names in field order, renamed where
+``_RENAMES`` says (``fiber_deg`` is written ``fiber_degree``); a field
+typed ``SurfaceModel`` is left out and filled from the decoder's
+``model`` argument, which a decoder passes on to the decoder of each
+nested class.  An optional field (``LineBundleX.twist``) is written as
+the value it stores, never None.  Decoders take only the JSON
 types the encoders write and raise ``ValueError`` otherwise, naming the
 first missing key; a document with several faulty fields raises for the
 first in field order.  Every class a decoder reads is a value class
@@ -101,7 +108,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache
 from importlib import import_module
-from itertools import repeat
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
@@ -120,37 +126,6 @@ _LEAVES = {int: "an integer", bool: "a boolean", str: "a string"}
 _enum_value = attrgetter("value")
 
 
-# -- the errors a decoder raises -------------------------------------------------
-
-
-def _wrong_type(kind: type, value: Any) -> ValueError:
-    return ValueError(f"expected {_LEAVES[kind]}, got {type(value).__name__}")
-
-
-def _not_an_object(owner: str, value: Any) -> ValueError:
-    return ValueError(f"{owner} JSON must be an object, got {type(value).__name__}")
-
-
-def _missing_key(owner: str, key: str) -> ValueError:
-    return ValueError(f"{owner} JSON is missing key {key!r}")
-
-
-def _not_a_list(value: Any) -> ValueError:
-    return ValueError(f"expected a list, got {type(value).__name__}")
-
-
-def _wrong_length(size: int, value: list) -> ValueError:
-    return ValueError(f"expected a list of {size} entries, got {len(value)}")
-
-
-def _not_a_member(kind: type[Enum], value: Any) -> ValueError:
-    return ValueError(f"{value!r} is not a valid {kind.__name__}")
-
-
-def _needs_model(owner: str) -> TypeError:
-    return TypeError(f"decoding a {owner} needs its surface model")
-
-
 # -- generated codecs ------------------------------------------------------------
 
 
@@ -158,23 +133,12 @@ def _is_enum(hint: Any) -> bool:
     return isinstance(hint, type) and issubclass(hint, Enum)
 
 
-# The message helpers a generated decoder raises through.
-_HELPERS = {
-    helper.__name__: helper
-    for helper in (_wrong_type, _not_an_object, _missing_key, _not_a_list, _wrong_length,
-                   _not_a_member, _needs_model)
-}
-
-
 class _Source:
     """The lines of one generated function and the names they read."""
 
     def __init__(self) -> None:
         self.lines: list[str] = []
-        self.names = {
-            **_HELPERS, "_parse_rational": parse_rational,
-            "_format_rational": format_rational, "_repeat": repeat,
-        }
+        self.names = {"_parse_rational": parse_rational, "_format_rational": format_rational}
 
     def bind(self, name: str, value: Any) -> str:
         self.names[name] = value
@@ -186,7 +150,8 @@ class _Source:
 
 
 def _encode_expr(src: _Source, hint: Any, expr: str, depth: int = 0) -> str:
-    """Python source encoding the value ``expr`` of type ``hint``."""
+    """Python source encoding the value ``expr`` of type ``hint``; a tuple
+    of any item type is a list of its items, each by its own rule."""
     if hint in _LEAVES:
         return expr
     if hint is Fraction:
@@ -195,60 +160,44 @@ def _encode_expr(src: _Source, hint: Any, expr: str, depth: int = 0) -> str:
         return f"{expr}.value"
     if is_value_class(hint):
         return f"{src.bind(f'_{hint.__name__}_encode', _encoder(hint))}({expr})"
-    item = tuple_item(hint)[0]
-    if item in _LEAVES:
-        return f"list({expr})"
-    if item is Fraction:
-        return f"list(map(_format_rational, {expr}))"
-    if is_value_class(item):
-        return f"list(map({src.bind(f'_{item.__name__}_encode', _encoder(item))}, {expr}))"
     x = f"x{depth}"
-    return f"[{_encode_expr(src, item, x, depth + 1)} for {x} in {expr}]"
+    return f"[{_encode_expr(src, tuple_item(hint)[0], x, depth + 1)} for {x} in {expr}]"
 
 
 def _decode_lines(src: _Source, hint: Any, var: str, pad: str, depth: int = 0) -> None:
     """Lines that check the JSON value ``var`` against ``hint`` and rebind
-    ``var`` to its decoded value (a leaf is only checked, in place)."""
+    ``var`` to its decoded value (a leaf is only checked, in place); a
+    tuple of any item type reads each item by its own rule.  A refusal's
+    message is written into the source, which reads the document's value
+    only when it raises."""
     add = src.lines.append
     if hint in _LEAVES:
         add(f"{pad}if type({var}) is not {hint.__name__}:")
-        add(f"{pad}    raise _wrong_type({hint.__name__}, {var})")
+        add(f"{pad}    raise ValueError(f'expected {_LEAVES[hint]}, got {{type({var}).__name__}}')")
     elif hint is Fraction:
         add(f"{pad}{var} = _parse_rational({var})")
     elif _is_enum(hint):
-        name = hint.__name__
-        members = src.bind(f"_{name}_members", {member.value: member for member in hint})
+        members = src.bind(f"_{hint.__name__}_members", {member.value: member for member in hint})
         add(f"{pad}try:")
         add(f"{pad}    {var} = {members}[{var}]")
         add(f"{pad}except (KeyError, TypeError):")
-        add(f"{pad}    raise _not_a_member({src.bind(f'_{name}', hint)}, {var}) from None")
+        add(f"{pad}    raise ValueError(f'{{{var}!r}} is not a valid {hint.__name__}') from None")
     elif is_value_class(hint):
         decode = src.bind(f"_{hint.__name__}_decode", _decoder_of(hint))
         add(f"{pad}{var} = {decode}({var}, model)")
     else:
         item, size = tuple_item(hint)
+        x, items = f"x{depth}", f"items{depth}"
         add(f"{pad}if type({var}) is not list:")
-        add(f"{pad}    raise _not_a_list({var})")
+        add(f"{pad}    raise ValueError(f'expected a list, got {{type({var}).__name__}}')")
         if size is not None:
             add(f"{pad}if len({var}) != {size}:")
-            add(f"{pad}    raise _wrong_length({size}, {var})")
-        x = f"x{depth}"
-        if item in _LEAVES:
-            add(f"{pad}for {x} in {var}:")
-            _decode_lines(src, item, x, pad + "    ")
-            add(f"{pad}{var} = tuple({var})")
-        elif item is Fraction:
-            add(f"{pad}{var} = tuple(map(_parse_rational, {var}))")
-        elif is_value_class(item):
-            decode = src.bind(f"_{item.__name__}_decode", _decoder_of(item))
-            add(f"{pad}{var} = tuple(map({decode}, {var}, _repeat(model)))")
-        else:
-            items = f"items{depth}"
-            add(f"{pad}{items} = []")
-            add(f"{pad}for {x} in {var}:")
-            _decode_lines(src, item, x, pad + "    ", depth + 1)
-            add(f"{pad}    {items}.append({x})")
-            add(f"{pad}{var} = tuple({items})")
+            add(f"{pad}    raise ValueError(f'expected a list of {size} entries, got {{len({var})}}')")
+        add(f"{pad}{items} = []")
+        add(f"{pad}for {x} in {var}:")
+        _decode_lines(src, item, x, pad + "    ", depth + 1)
+        add(f"{pad}    {items}.append({x})")
+        add(f"{pad}{var} = tuple({items})")
 
 
 def _columns(cls: type) -> list[tuple[int, str, str | None, Any]]:
@@ -283,7 +232,8 @@ def _encoder_of(cls: type) -> Callable[[Any], dict]:
 def _decoder_of(cls: type) -> Callable[..., Any]:
     """The decoder ``(data, model=None)`` of one value class, generated once
     per class as straight-line Python whose source holds only JSON keys,
-    class names and constant messages, never document data.
+    class names, the leaf types' names and fixed lengths, never document
+    data, and raises each refusal with its message written in place.
 
     It checks in one fixed order: the document is an object, every key is
     present (the first missing one in field order is named), each field in
@@ -299,17 +249,17 @@ def _decoder_of(cls: type) -> Callable[..., Any]:
     add = src.lines.append
     add("def decode(data, model=None):")
     add("    if type(data) is not dict:")
-    add(f"        raise _not_an_object({owner!r}, data)")
+    add(f"        raise ValueError(f'{owner} JSON must be an object, got {{type(data).__name__}}')")
     add("    try:")
     for at, key, _ in data:
         add(f"        v{at} = data[{key!r}]")
     add("    except KeyError as exc:")
-    add(f"        raise _missing_key({owner!r}, exc.args[0]) from None")
+    add(f"        raise ValueError(f'{owner} JSON is missing key {{exc.args[0]!r}}') from None")
     for at, _, hint in data:
         _decode_lines(src, hint, f"v{at}", "    ")
     if len(data) < len(columns):
         add("    if model is None:")
-        add(f"        raise _needs_model({owner!r})")
+        add(f"        raise TypeError('decoding a {owner} needs its surface model')")
     values = ", ".join("model" if key is None else f"v{at}" for at, _, key, _ in columns)
     build = src.bind(f"_{owner}_trusted", trusted(cls))
     check = getattr(cls, "_check", None)

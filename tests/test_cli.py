@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -293,6 +296,33 @@ def test_missing_model_file(capsys, tmp_path):
 def test_exit_codes(capsys, argv, expected):
     code, _, _ = run(capsys, *argv)
     assert code == expected
+
+
+_HUGE_S = "1" + "0" * 2200  # s²H² has 4 401 digits, above Python's 4 300
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("slope", "-t", "1", "-s", _HUGE_S, "--ch0", "1", "--ch1-theta", "1"),
+        ("slope", "-t", "1", "-s", _HUGE_S, "--ch0", "1", "--ch1-theta", "1", "--json"),
+        ("scan", "--preset", "k3_quartic", "-m", "-2", "-t", "1", "-s", _HUGE_S),
+    ],
+    ids=["slope", "slope-json", "scan"],
+)
+def test_a_result_too_long_to_print_exits_one(argv):
+    """An exact result with more digits than Python converts to a string is
+    refused as malformed input, in a child: exit 1, nothing on stdout and
+    one error line, no traceback."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    proc = subprocess.run([sys.executable, "-m", "weierfm.cli", *argv], env=env,
+                          capture_output=True, encoding="utf-8", timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert re.fullmatch(r"error: Exceeds the limit \(4300 digits\) for integer string "
+                        r"conversion[^\n]*\n", proc.stderr), proc.stderr
 
 
 def test_fractional_integer_flag_names_the_rule(capsys):

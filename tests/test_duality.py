@@ -36,6 +36,7 @@ from weierfm.duality import (
     PageGrid,
     Term,
     TermRef,
+    _entailed_conclusion,
     _live_by_degree,
     _solve,
     _term_ref,
@@ -217,6 +218,23 @@ def test_two_live_columns_degenerate_later():
     assert not left.is_settled()
     with pytest.raises(InternalCheckError):
         degenerate(left)
+
+
+@pytest.mark.parametrize("left_pos", [None, (1, -1)], ids=["no-relations", "wrong-partner"])
+def test_a_conclusion_the_relations_do_not_entail_is_an_internal_error(left_pos):
+    """With Φ^0(E^D) neither zero nor identified, or identified with a left
+    term other than the dual of the surviving transform at (0, 0), the
+    conclusion step refuses with InternalCheckError."""
+    scenario = SheafScenario(3, 1, WitType.WIT0, 1)
+    _, right = build_pages(scenario)
+    anchor = (scenario.c, -1)
+    assert right.status(anchor) is not TermStatus.ZERO
+    relations = [] if left_pos is None else [Identification(
+        0, TermRef(Side.LEFT, left_pos, left_label(*left_pos)),
+        TermRef(Side.RIGHT, anchor, right_label(*anchor)))]
+    message = "resolved neither" if left_pos is None else "not with the dual"
+    with pytest.raises(InternalCheckError, match=message):
+        _entailed_conclusion(scenario, right, relations)
 
 
 def test_compare_limits_requires_settled_pages():

@@ -46,6 +46,7 @@ from weierfm import (
 from weierfm.duality import TermRef, build_pages, left_label, right_label
 from weierfm.rationals import (
     _SHARED,
+    NO_DEFAULT,
     RATIONAL_CACHE_SIZE,
     _field_checks,
     _parse_rational,
@@ -59,6 +60,7 @@ from weierfm.rationals import (
     trusted,
     tuple_item,
     value_class,
+    value_fields,
 )
 from weierfm.stability import EffectivityProxy, TraceStep
 
@@ -344,6 +346,12 @@ def test_value_fields_refuse_other_types(build, error):
     refuse, or fail to encode at all."""
     with pytest.raises(error):
         build()
+
+
+def test_only_value_classes_have_a_field_table():
+    with pytest.raises(TypeError, match="^int is not a value class$"):
+        value_fields(int)
+    assert repr(NO_DEFAULT) == "NO_DEFAULT"
 
 
 def test_a_refused_value_is_quoted_briefly():

@@ -3,6 +3,7 @@ import importlib
 import itertools
 import json
 import operator
+import re
 import typing
 from dataclasses import make_dataclass
 from enum import Enum
@@ -416,6 +417,56 @@ def test_malformed_documents_raise_only_documented_errors(name, data):
         decode(doc)
     except (ValueError, WeierfmError):
         pass
+
+
+def _with(decoder, /, **fields):
+    """The valid document of ``decoder`` with ``fields`` set."""
+    return {**_DECODERS[decoder][1], **fields}
+
+
+@pytest.mark.parametrize(
+    "name,doc,message",
+    [
+        ("term_ref", [], "TermRef JSON must be an object, got list"),
+        # r and e are both missing: the first in field order is named
+        ("candidate", {"a": "1", "delta": ["0"]},
+         "DestabilizerCandidate JSON is missing key 'r'"),
+        ("candidate", _with("candidate", r="1"), "expected an integer, got str"),
+        ("effectivity_proxy", _with("effectivity_proxy", a_nonneg=0),
+         "expected a boolean, got int"),
+        ("trace_step", _with("trace_step", name=[]), "expected a string, got list"),
+        ("term_ref", _with("term_ref", side="up"), "'up' is not a valid Side"),
+        ("term_ref", _with("term_ref", side=[]), "[] is not a valid Side"),
+        ("term_ref", _with("term_ref", pos="01"), "expected a list, got str"),
+        ("term_ref", _with("term_ref", pos=[0, 1, 2]), "expected a list of 2 entries, got 3"),
+        ("stability_report", _with("stability_report", inadmissible_reasons=["x", False]),
+         "expected a string, got bool"),
+        ("term_ref", _with("term_ref", pos=[0, 1.0]), "expected an integer, got float"),
+        ("candidate", _with("candidate", delta=["1/x"]),
+         "malformed rational '1/x': expected 'p' or 'p/q'"),
+        ("stability_report",
+         _with("stability_report", trace=[*_DECODERS["stability_report"][1]["trace"], 5]),
+         "TraceStep JSON must be an object, got int"),
+        ("surface_model", _with("surface_model", gram=[7]), "expected a list, got int"),
+        ("surface_model", _with("surface_model", gram=[["4"]]), "expected an integer, got str"),
+    ],
+    ids=["not-an-object", "missing-key", "int-leaf", "bool-leaf", "str-leaf", "enum-member",
+         "enum-unhashable", "not-a-list", "wrong-length", "reasons-entry", "pos-entry",
+         "delta-entry", "trace-entry", "gram-row", "gram-row-entry"],
+)
+def test_decoder_messages_are_pinned(name, doc, message):
+    """Each refusal a generated decoder raises, with its exact message and
+    no chained exception shown."""
+    decode = _DECODERS[name][0]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as failure:
+        decode(doc)
+    assert failure.value.__context__ is None or failure.value.__suppress_context__
+
+
+def test_missing_model_message_is_pinned():
+    doc = _DECODERS["surface_class"][1]
+    with pytest.raises(TypeError, match="^decoding a SurfaceClass needs its surface model$"):
+        serialize.surface_class_from_json(doc)
 
 
 # -- value classes that documents repeat -----------------------------------------------
